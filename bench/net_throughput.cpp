@@ -15,9 +15,9 @@
 // Expectation on a multi-core host: batching amortizes the framing + CRC
 // cost, so jobs/sec rises steeply from batch=1 to batch=512, and with
 // enough connections the multi-loop rows pull ahead of loops=1 — each
-// shared-nothing loop owns its connections' epoll set, pending replies
-// and outbox, so the wire-side work parallelizes (scripts/perf_check.py
-// gates this on >= 4-core recorders).
+// shared-nothing loop owns its connections' epoll set, ticket window and
+// decision inbox, so the wire-side work parallelizes
+// (scripts/perf_check.py gates this on >= 4-core recorders).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>

@@ -18,7 +18,8 @@
 namespace slacksched::wire {
 
 /// IEEE CRC-32 (reflected, poly 0xEDB88320) over `n` bytes — the framing
-/// checksum of both the commit log and the admission protocol.
+/// checksum of the commit log, the admission protocol and the replication
+/// protocol. Slice-by-8: eight bytes per step, any alignment.
 [[nodiscard]] std::uint32_t crc32_ieee(const void* data, std::size_t n);
 
 /// Appends `value`'s little-endian bytes to `out`.

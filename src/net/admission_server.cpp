@@ -6,7 +6,6 @@
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -28,6 +27,12 @@ namespace {
 constexpr std::uint64_t kListenerTag = 0;
 constexpr std::uint64_t kEventFdTag = 1;
 constexpr std::uint64_t kFirstConnId = 2;
+
+/// route_ctx layout: the owning loop in the top 8 bits, the loop-local
+/// ticket below. Tickets start at 1, so no submission's context is 0.
+constexpr unsigned kLoopShift = 56;
+constexpr std::uint64_t kTicketMask = (std::uint64_t{1} << kLoopShift) - 1;
+constexpr int kMaxLoops = 1 << (64 - kLoopShift);
 
 [[noreturn]] void throw_errno(const std::string& what) {
   throw NetError(what + ": " + std::strerror(errno));
@@ -99,6 +104,11 @@ std::vector<std::string> AdmissionServerConfig::validate() const {
   if (loops < 1) {
     errors.push_back("loops must be >= 1 (got " + std::to_string(loops) +
                      ")");
+  }
+  if (loops > kMaxLoops) {
+    errors.push_back("loops must be <= " + std::to_string(kMaxLoops) +
+                     " (got " + std::to_string(loops) +
+                     "): a route_ctx names its loop in 8 bits");
   }
   if (max_http_request < 64) {
     errors.push_back("max_http_request must be >= 64 bytes (got " +
@@ -202,10 +212,10 @@ AdmissionServer::AdmissionServer(const AdmissionServerConfig& config,
     }
 
     // The gateway comes up after the response plumbing (eventfds, per-loop
-    // outboxes) exists: its shard threads may invoke the decision hook as
+    // inboxes) exists: its shard threads may invoke the decision hook as
     // soon as the first job is enqueued. A user-supplied hook is chained,
-    // not replaced. route_ctx carries the owning loop's index from
-    // submit to decision.
+    // not replaced. route_ctx carries (loop << 56) | ticket from submit
+    // to decision.
     GatewayConfig gateway_config = config_.gateway;
     GatewayDecisionCallback user_hook = gateway_config.on_decision;
     gateway_config.on_decision =
@@ -286,45 +296,26 @@ void AdmissionServer::wake_loop(EventLoop& loop) {
 void AdmissionServer::on_gateway_decision(const Job& job,
                                           const Decision& decision,
                                           std::uint64_t route_ctx) {
-  // route_ctx is the submitting loop's index; anything else (embedding
-  // processes calling gateway().submit() directly pass 0) resolves to
-  // loop 0, whose pending map simply has no slot for it.
-  EventLoop& loop =
-      *loops_[route_ctx < loops_.size() ? static_cast<std::size_t>(route_ctx)
-                                        : 0];
-  PendingReply reply;
-  {
-    std::lock_guard lock(loop.pending_mutex);
-    auto it = loop.pending.find(job.id);
-    if (it == loop.pending.end() || it->second.empty()) return;
-    reply = it->second.front();
-    it->second.pop_front();
-    if (it->second.empty()) loop.pending.erase(it);
-    // Deliberately NOT the place the owed count drops: this runs on a
-    // shard thread, and a reap tick on the loop thread could land between
-    // this decrement and the outbox drain that actually writes the
-    // DECISION — closing the connection with the reply still staged. The
-    // count drops in drain_outbox, on the loop thread, after delivery.
-  }
-  DecisionMsg msg;
-  msg.request_id = reply.request_id;
-  msg.job_id = job.id;
-  msg.outcome = decision.accepted ? Outcome::kAccepted : Outcome::kRejected;
-  msg.machine = decision.accepted ? decision.machine : -1;
-  msg.start = decision.accepted ? decision.start : 0.0;
+  // Context 0 (an embedding process calling gateway().submit() itself) is
+  // owed nothing on the wire.
+  const std::uint64_t loop_index = route_ctx >> kLoopShift;
+  if (route_ctx == 0 || loop_index >= loops_.size()) return;
+  EventLoop& loop = *loops_[static_cast<std::size_t>(loop_index)];
+  PostedDecision posted;
+  posted.ticket = route_ctx & kTicketMask;
+  posted.job_id = job.id;
+  posted.outcome = decision.accepted ? Outcome::kAccepted : Outcome::kRejected;
+  posted.machine = decision.accepted ? decision.machine : -1;
+  posted.start = decision.accepted ? decision.start : 0.0;
   bool wake = false;
   {
-    // Encode straight into the owning loop's outbox arena: no
-    // per-decision allocation, and the eventfd is written only by the
-    // append that found the outbox empty — consecutive decisions coalesce
-    // into one wake-up and one writev per connection.
-    std::lock_guard lock(loop.outbox_mutex);
-    wake = loop.outbox.empty();
-    const auto offset = static_cast<std::uint32_t>(loop.outbox.bytes.size());
-    encode_decision(loop.outbox.bytes, msg);
-    loop.outbox.entries.push_back(Outbox::Entry{
-        reply.conn_id, offset,
-        static_cast<std::uint32_t>(loop.outbox.bytes.size() - offset)});
+    // The one lock a decision takes. Resolving the ticket and encoding the
+    // DECISION happen on the loop thread; the eventfd is written only by
+    // the post that found the inbox empty, so consecutive decisions
+    // coalesce into one wake-up.
+    std::lock_guard lock(loop.inbox_mutex);
+    wake = loop.inbox.empty();
+    loop.inbox.push_back(posted);
   }
   if (wake) wake_loop(loop);
 }
@@ -383,12 +374,7 @@ void AdmissionServer::event_loop(EventLoop& loop) {
           adopted.swap(loop.handoff);
         }
         for (const int fd : adopted) adopt_connection(loop, fd);
-        drain_outbox(loop);
-        // Another loop's DRAIN quiesced the gateway: no decision can
-        // arrive for this loop's leftovers either, so answer them now.
-        if (drained_.load(std::memory_order_acquire)) {
-          reject_loop_pending(loop);
-        }
+        settle(loop);
         continue;
       }
       auto it = loop.connections.find(tag);
@@ -587,7 +573,8 @@ void AdmissionServer::handle_frame(EventLoop& loop, Connection& conn,
         send_protocol_error(loop, conn, error);
         return;
       }
-      handle_submit_one(loop, conn, msg.request_id, msg.job);
+      handle_submit(loop, conn, msg.request_id,
+                    std::span<const Job>(&msg.job, 1));
       return;
     }
     case FrameType::kSubmitBatch: {
@@ -600,8 +587,8 @@ void AdmissionServer::handle_frame(EventLoop& loop, Connection& conn,
         send_protocol_error(loop, conn, error);
         return;
       }
-      handle_submit_batch(loop, conn, base,
-                          std::span<const Job>(loop.batch_scratch));
+      handle_submit(loop, conn, base,
+                    std::span<const Job>(loop.batch_scratch));
       return;
     }
     case FrameType::kPing: {
@@ -610,9 +597,8 @@ void AdmissionServer::handle_frame(EventLoop& loop, Connection& conn,
         send_protocol_error(loop, conn, error);
         return;
       }
-      std::vector<char> bytes;
-      encode_pong(bytes, token);
-      queue_frame(loop, conn, bytes);
+      encode_pong(output(conn), token);
+      send_output(loop, conn);
       return;
     }
     case FrameType::kDrain:
@@ -647,127 +633,55 @@ RejectMsg AdmissionServer::make_reject(std::uint64_t request_id,
   return msg;
 }
 
-void AdmissionServer::handle_submit_one(EventLoop& loop, Connection& conn,
-                                        std::uint64_t request_id,
-                                        const Job& job) {
-  loop.reply_scratch.clear();
-  std::vector<char>& bytes = loop.reply_scratch;
-  if (drained_.load(std::memory_order_acquire)) {
-    encode_reject(bytes,
-                  make_reject(request_id, job.id, Outcome::kRejectedClosed));
-    queue_frame(loop, conn, bytes);
-    return;
+void AdmissionServer::handle_submit(EventLoop& loop, Connection& conn,
+                                    std::uint64_t base_request_id,
+                                    std::span<const Job> jobs) {
+  // Open the tickets BEFORE the submit: the shard may render a decision
+  // (and post it) before submit() even returns. Job i's ticket is
+  // first + i, exactly the route_ctx + i the gateway echoes for it. After
+  // a drain the gateway answers every job kRejectedClosed, and the
+  // tickets go straight back below.
+  const std::uint64_t first = loop.ticket_base + loop.tickets.size();
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    loop.tickets.push_back(
+        TicketSlot{conn.id, base_request_id + i, jobs[i].id, true});
   }
-  // Register the reply slot BEFORE the submit: the shard may render the
-  // decision (and run the hook) before submit() even returns. The owed
-  // count makes the connection reaper-exempt for as long as any decision
-  // is outstanding.
-  {
-    std::lock_guard lock(loop.pending_mutex);
-    loop.pending[job.id].push_back(PendingReply{conn.id, request_id});
-    ++loop.owed[conn.id];
+  conn.owed += static_cast<std::uint32_t>(jobs.size());
+  const std::uint64_t route_ctx =
+      static_cast<std::uint64_t>(loop.index) << kLoopShift | first;
+  std::vector<Outcome>& statuses = loop.status_scratch;
+  if (jobs.size() == 1) {
+    statuses.assign(1, gateway_->submit(jobs[0], route_ctx));
+  } else {
+    (void)gateway_->submit_batch(jobs, &statuses, route_ctx);
   }
-  const Outcome status =
-      gateway_->submit(job, static_cast<std::uint64_t>(loop.index));
-  if (status == Outcome::kEnqueued) return;  // DECISION will follow
-  // Shed synchronously: no decision is owed, so take the slot back. The
-  // newest matching entry is ours (a racing decision consumes the oldest).
-  {
-    std::lock_guard lock(loop.pending_mutex);
-    auto it = loop.pending.find(job.id);
-    if (it != loop.pending.end()) {
-      auto& queue = it->second;
-      for (auto rit = queue.rbegin(); rit != queue.rend(); ++rit) {
-        if (rit->conn_id == conn.id && rit->request_id == request_id) {
-          queue.erase(std::next(rit).base());
-          auto owed_it = loop.owed.find(conn.id);
-          if (owed_it != loop.owed.end() && --owed_it->second == 0) {
-            loop.owed.erase(owed_it);
-          }
-          break;
-        }
-      }
-      if (queue.empty()) loop.pending.erase(it);
-    }
-  }
-  encode_reject(bytes, make_reject(request_id, job.id, status));
-  queue_frame(loop, conn, bytes);
-}
-
-void AdmissionServer::handle_submit_batch(EventLoop& loop, Connection& conn,
-                                          std::uint64_t base_request_id,
-                                          std::span<const Job> jobs) {
-  loop.reply_scratch.clear();
-  std::vector<char>& bytes = loop.reply_scratch;
-  if (drained_.load(std::memory_order_acquire)) {
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      encode_reject(bytes, make_reject(base_request_id + i, jobs[i].id,
-                                       Outcome::kRejectedClosed));
-    }
-    queue_bytes(loop, conn, bytes.data(), bytes.size());
-    return;
-  }
-  {
-    std::lock_guard lock(loop.pending_mutex);
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      loop.pending[jobs[i].id].push_back(
-          PendingReply{conn.id, base_request_id + i});
-    }
-    loop.owed[conn.id] += static_cast<std::uint32_t>(jobs.size());
-  }
-  (void)gateway_->submit_batch(jobs, &loop.status_scratch,
-                               static_cast<std::uint64_t>(loop.index));
-  const std::vector<Outcome>& statuses = loop.status_scratch;
-  // Reclaim the slots of synchronously shed jobs and answer them now.
-  {
-    std::lock_guard lock(loop.pending_mutex);
-    std::uint32_t reclaimed = 0;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      if (statuses[i] == Outcome::kEnqueued) continue;
-      auto it = loop.pending.find(jobs[i].id);
-      if (it == loop.pending.end()) continue;
-      auto& queue = it->second;
-      for (auto rit = queue.rbegin(); rit != queue.rend(); ++rit) {
-        if (rit->conn_id == conn.id &&
-            rit->request_id == base_request_id + i) {
-          queue.erase(std::next(rit).base());
-          ++reclaimed;
-          break;
-        }
-      }
-      if (queue.empty()) loop.pending.erase(it);
-    }
-    if (reclaimed > 0) {
-      auto owed_it = loop.owed.find(conn.id);
-      if (owed_it != loop.owed.end()) {
-        owed_it->second -= std::min(owed_it->second, reclaimed);
-        if (owed_it->second == 0) loop.owed.erase(owed_it);
-      }
-    }
-  }
+  // Shed synchronously: no decision will follow, so the ticket is retired
+  // now and the REJECT leaves with this frame's other answers.
+  std::vector<char>* out = nullptr;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (statuses[i] == Outcome::kEnqueued) continue;
-    encode_reject(bytes, make_reject(base_request_id + i, jobs[i].id,
-                                     statuses[i]));
+    retire_ticket(loop, loop.tickets[first + i - loop.ticket_base], &conn);
+    if (out == nullptr) out = &output(conn);
+    encode_reject(*out,
+                  make_reject(base_request_id + i, jobs[i].id, statuses[i]));
   }
-  if (!bytes.empty()) queue_bytes(loop, conn, bytes.data(), bytes.size());
+  if (out != nullptr) send_output(loop, conn);
 }
 
 void AdmissionServer::handle_drain(EventLoop& loop, Connection& conn) {
   if (!drained_.load(std::memory_order_acquire)) {
     // finish() blocks this loop thread while the shards drain their
-    // queues. Decision hooks keep firing meanwhile, but they only append
-    // to per-loop outboxes and signal eventfds — no deadlock — and by the
-    // time finish() returns every decision has been rendered and staged.
+    // queues. Decision hooks keep firing meanwhile, but they only post to
+    // per-loop inboxes and signal eventfds — no deadlock — and by the
+    // time finish() returns every decision has been rendered and posted.
     finish_gateway();
   }
-  // Wake the other loops: with drained_ set they drain their outboxes and
-  // reject their own leftovers on the next eventfd wake.
+  // Wake the other loops: with drained_ set they resolve their inboxes
+  // and reject their own leftovers on the next eventfd wake.
   for (auto& other : loops_) {
     if (other.get() != &loop) wake_loop(*other);
   }
-  drain_outbox(loop);
-  reject_loop_pending(loop);
+  settle(loop);
   DrainedMsg msg;
   {
     std::lock_guard lock(result_mutex_);
@@ -779,35 +693,94 @@ void AdmissionServer::handle_drain(EventLoop& loop, Connection& conn) {
     msg.makespan = result_.merged.makespan;
     msg.clean = result_.clean() ? 1 : 0;
   }
-  std::vector<char> bytes;
-  encode_drained(bytes, msg);
-  queue_frame(loop, conn, bytes);
+  encode_drained(output(conn), msg);
+  send_output(loop, conn);
 }
 
-void AdmissionServer::reject_loop_pending(EventLoop& loop) {
-  std::unordered_map<JobId, std::deque<PendingReply>> leftovers;
-  {
-    std::lock_guard lock(loop.pending_mutex);
-    if (loop.pending.empty()) {
-      loop.owed.clear();
-      return;
-    }
-    leftovers.swap(loop.pending);
-    loop.owed.clear();
+void AdmissionServer::settle(EventLoop& loop) {
+  // drained_ is read BEFORE the inbox is taken. It turns true only after
+  // every shard joined, so by then every decision is already posted: a
+  // ticket still live after this resolve will never be decided. Read
+  // after, a decision posted between the take and the read would lose to
+  // a wrong REJECT closed.
+  const bool drained = drained_.load(std::memory_order_acquire);
+  resolve_decisions(loop);
+  if (drained) reject_leftovers(loop);
+}
+
+void AdmissionServer::retire_ticket(EventLoop& loop, TicketSlot& slot,
+                                    Connection* conn) {
+  slot.live = false;
+  if (conn != nullptr) --conn->owed;
+  while (!loop.tickets.empty() && !loop.tickets.front().live) {
+    loop.tickets.pop_front();
+    ++loop.ticket_base;
   }
+}
+
+void AdmissionServer::resolve_decisions(EventLoop& loop) {
+  loop.resolving.clear();
+  {
+    // Swap, don't copy: both vectors keep their high-water capacity.
+    std::lock_guard lock(loop.inbox_mutex);
+    loop.resolving.swap(loop.inbox);
+  }
+  Connection* conn = nullptr;  // consecutive decisions mostly share one
+  for (const PostedDecision& posted : loop.resolving) {
+    // A ticket outside the window or already retired has been answered
+    // (a drain's REJECT): its late decision resolves to nothing.
+    const std::uint64_t offset = posted.ticket - loop.ticket_base;
+    if (posted.ticket < loop.ticket_base || offset >= loop.tickets.size()) {
+      continue;
+    }
+    TicketSlot& slot = loop.tickets[offset];
+    if (!slot.live || slot.job_id != posted.job_id) continue;
+    if (conn == nullptr || conn->id != slot.conn_id) {
+      auto it = loop.connections.find(slot.conn_id);
+      conn = it == loop.connections.end() ? nullptr : it->second.get();
+    }
+    if (conn != nullptr) {  // else the client left: drop the answer
+      DecisionMsg msg;
+      msg.request_id = slot.request_id;
+      msg.job_id = posted.job_id;
+      msg.outcome = posted.outcome;
+      msg.machine = posted.machine;
+      msg.start = posted.start;
+      encode_decision(output(*conn), msg);
+      if (!conn->touched) {
+        conn->touched = true;
+        loop.touched.push_back(conn);
+      }
+    }
+    retire_ticket(loop, slot, conn);
+  }
+  // One send per connection per wake-up, however many DECISIONs it got.
+  for (Connection* c : loop.touched) {
+    c->touched = false;
+    send_output(loop, *c);
+  }
+  loop.touched.clear();
+}
+
+void AdmissionServer::reject_leftovers(EventLoop& loop) {
   // A leftover means the job was enqueued but its shard never rendered a
   // decision (poisoned by a violation with halt_on_violation, or the
   // worker crashed without a restart). The submission contract still owes
-  // one answer: closed, no decision.
-  for (const auto& [job_id, queue] : leftovers) {
-    for (const PendingReply& reply : queue) {
-      auto it = loop.connections.find(reply.conn_id);
-      if (it == loop.connections.end()) continue;
-      std::vector<char> bytes;
-      encode_reject(bytes, make_reject(reply.request_id, job_id,
-                                       Outcome::kRejectedClosed));
-      queue_frame(loop, *it->second, bytes);
+  // one answer: closed, no decision, under the job id it was submitted
+  // with. The window's front is always live: retire_ticket pops the
+  // answered prefix.
+  while (!loop.tickets.empty()) {
+    TicketSlot& slot = loop.tickets.front();
+    auto it = loop.connections.find(slot.conn_id);
+    Connection* conn =
+        it == loop.connections.end() ? nullptr : it->second.get();
+    if (conn != nullptr) {
+      encode_reject(output(*conn),
+                    make_reject(slot.request_id, slot.job_id,
+                                Outcome::kRejectedClosed));
+      send_output(loop, *conn);
     }
+    retire_ticket(loop, slot, conn);
   }
 }
 
@@ -837,30 +810,25 @@ void AdmissionServer::handle_http(EventLoop& loop, Connection& conn) {
     status = "404 Not Found";
     body = "only GET /metrics is served here\n";
   }
-  std::string response = "HTTP/1.0 " + status +
-                         "\r\nContent-Type: text/plain; version=0.0.4"
-                         "\r\nContent-Length: " +
-                         std::to_string(body.size()) +
-                         "\r\nConnection: close\r\n\r\n" +
-                         body;
+  const std::string response = "HTTP/1.0 " + status +
+                               "\r\nContent-Type: text/plain; version=0.0.4"
+                               "\r\nContent-Length: " +
+                               std::to_string(body.size()) +
+                               "\r\nConnection: close\r\n\r\n" + body;
   conn.close_after_flush = true;
-  queue_bytes(loop, conn, response.data(), response.size());
+  std::vector<char>& out = output(conn);
+  out.insert(out.end(), response.begin(), response.end());
+  send_output(loop, conn);
 }
 
 void AdmissionServer::send_protocol_error(EventLoop& loop, Connection& conn,
                                           const std::string& message) {
-  std::vector<char> bytes;
-  encode_error(bytes, message);
+  encode_error(output(conn), message);
   conn.close_after_flush = true;
-  queue_frame(loop, conn, bytes);
+  send_output(loop, conn);
 }
 
-void AdmissionServer::queue_bytes(EventLoop& loop, Connection& conn,
-                                  const char* data, std::size_t n) {
-  if (conn.dead) return;
-  // Output owed to the peer is activity too: a client quietly waiting for
-  // a slow decision is not idle once the reply is on its way.
-  conn.last_activity = std::chrono::steady_clock::now();
+std::vector<char>& AdmissionServer::output(Connection& conn) {
   // Compact the flushed prefix when it dominates the buffer.
   if (conn.write_pos > 0 && (conn.write_pos == conn.write_buffer.size() ||
                              conn.write_pos >= 65536)) {
@@ -870,7 +838,14 @@ void AdmissionServer::queue_bytes(EventLoop& loop, Connection& conn,
             static_cast<std::ptrdiff_t>(conn.write_pos));
     conn.write_pos = 0;
   }
-  conn.write_buffer.insert(conn.write_buffer.end(), data, data + n);
+  return conn.write_buffer;
+}
+
+void AdmissionServer::send_output(EventLoop& loop, Connection& conn) {
+  if (conn.dead) return;
+  // Output owed to the peer is activity too: a client quietly waiting for
+  // a slow decision is not idle once the reply is on its way.
+  conn.last_activity = std::chrono::steady_clock::now();
   flush(conn);
   if (!conn.dead) update_epoll(loop, conn);
 }
@@ -886,15 +861,19 @@ void AdmissionServer::flush(Connection& conn) {
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
     if (n < 0 && errno == EINTR) continue;
-    conn.dead = true;  // peer reset; the loop closes at a safe point
+    // Peer reset. The socket now reports HUP/ERR (or a failing read) on
+    // the loop's next wait, which closes it at a safe point.
+    conn.dead = true;
     return;
   }
 }
 
 void AdmissionServer::update_epoll(EventLoop& loop, Connection& conn) {
+  const bool want_out = conn.write_pos < conn.write_buffer.size();
+  if (want_out == conn.epollout) return;  // registration already matches
+  conn.epollout = want_out;
   epoll_event ev{};
-  ev.events = EPOLLIN;
-  if (conn.write_pos < conn.write_buffer.size()) ev.events |= EPOLLOUT;
+  ev.events = EPOLLIN | (want_out ? EPOLLOUT : 0u);
   ev.data.u64 = conn.id;
   (void)::epoll_ctl(loop.epoll_fd, EPOLL_CTL_MOD, conn.fd, &ev);
 }
@@ -907,149 +886,28 @@ void AdmissionServer::close_connection(EventLoop& loop,
   (void)::epoll_ctl(loop.epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
   ::close(fd);
   loop.connections.erase(it);
-  {
-    std::lock_guard lock(loop.pending_mutex);
-    loop.owed.erase(conn_id);
-  }
-  // Pending replies owed to this connection stay registered; their
-  // decisions are dropped at outbox drain when the lookup fails.
+  // Tickets this connection still holds stay live; their decisions are
+  // dropped at resolve when the lookup fails.
 }
 
 void AdmissionServer::reap_idle(EventLoop& loop,
                                 std::chrono::steady_clock::time_point now) {
+  // A connection owed an answer (slow shard, δ-deferred resolution) is
+  // never reaped, however long the wire stays silent: one answer per
+  // SUBMIT outranks idleness. Tickets open and retire only on this (the
+  // loop) thread, so `owed` is exact here — it drops when the DECISION is
+  // written, never while one is still in the inbox.
   std::vector<std::uint64_t> expired;
-  {
-    // The owed map decides exemption: a connection awaiting a DECISION
-    // (slow shard, δ-deferred resolution) is never reaped, however long
-    // the wire stays silent — one-answer-per-SUBMIT outranks idleness.
-    // Every owed transition happens on this (the loop) thread: increments
-    // in handle_submit, decrements at outbox drain / sync-shed reclaim /
-    // close. A connection judged reapable here can therefore neither
-    // become owed before the close below, nor look un-owed while a shard
-    // callback's DECISION is still staged in the outbox.
-    std::lock_guard lock(loop.pending_mutex);
-    for (const auto& [id, conn] : loop.connections) {
-      if (now - conn->last_activity < config_.idle_timeout) continue;
-      auto owed_it = loop.owed.find(id);
-      if (owed_it != loop.owed.end() && owed_it->second > 0) continue;
-      expired.push_back(id);
+  for (const auto& [id, conn] : loop.connections) {
+    if (conn->owed > 0 || now - conn->last_activity < config_.idle_timeout) {
+      continue;
     }
+    expired.push_back(id);
   }
   for (const std::uint64_t id : expired) {
-    close_connection(loop, id);
+    // Counted first: a peer that sees the close also sees the count.
     connections_reaped_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void AdmissionServer::drain_outbox(EventLoop& loop) {
-  loop.staged.clear();
-  {
-    // Swap, don't copy: the arena and entry list ping-pong between the
-    // producer side and this drain, keeping their high-water capacity.
-    std::lock_guard lock(loop.outbox_mutex);
-    loop.staged.bytes.swap(loop.outbox.bytes);
-    loop.staged.entries.swap(loop.outbox.entries);
-  }
-  const std::vector<Outbox::Entry>& entries = loop.staged.entries;
-  std::size_t i = 0;
-  while (i < entries.size()) {
-    // Each connection's consecutive run of decisions flushes as one
-    // vectored write.
-    const std::uint64_t conn_id = entries[i].conn_id;
-    std::size_t j = i + 1;
-    while (j < entries.size() && entries[j].conn_id == conn_id) ++j;
-    auto it = loop.connections.find(conn_id);
-    if (it != loop.connections.end()) {
-      Connection& conn = *it->second;
-      deliver_staged(loop, conn, i, j);
-      if (conn.dead) close_connection(loop, conn_id);
-    }
-    // else: client left; answers dropped
-    {
-      // The owed count drops only here, on the loop thread, once the run
-      // is handed to the socket (or dropped with its connection). The
-      // shard callback that staged these entries left the count intact,
-      // so a reap tick between the callback and this drain still sees
-      // the connection as owed and spares it. close_connection erased
-      // the entry for a departed client, so the find is a no-op there.
-      std::lock_guard lock(loop.pending_mutex);
-      auto owed_it = loop.owed.find(conn_id);
-      if (owed_it != loop.owed.end()) {
-        owed_it->second -= std::min<std::uint32_t>(
-            owed_it->second, static_cast<std::uint32_t>(j - i));
-        if (owed_it->second == 0) loop.owed.erase(owed_it);
-      }
-    }
-    i = j;
-  }
-}
-
-void AdmissionServer::deliver_staged(EventLoop& loop, Connection& conn,
-                                     std::size_t first, std::size_t last) {
-  if (conn.dead) return;
-  conn.last_activity = std::chrono::steady_clock::now();
-  const Outbox& staged = loop.staged;
-  if (conn.write_pos < conn.write_buffer.size()) {
-    // Output already queued: append behind it (EPOLLOUT is armed; order
-    // must hold) and try one flush.
-    for (std::size_t k = first; k < last; ++k) {
-      const char* src = staged.bytes.data() + staged.entries[k].offset;
-      conn.write_buffer.insert(conn.write_buffer.end(), src,
-                               src + staged.entries[k].length);
-    }
-    flush(conn);
-    if (!conn.dead) update_epoll(loop, conn);
-    return;
-  }
-  conn.write_buffer.clear();
-  conn.write_pos = 0;
-  // Fast path: vectored write straight from the staging arena — no copy
-  // into the connection buffer unless the socket pushes back. sendmsg is
-  // writev with MSG_NOSIGNAL (a reset peer must not SIGPIPE the server).
-  constexpr std::size_t kIovBatch = 64;
-  iovec iov[kIovBatch];
-  std::size_t k = first;
-  while (k < last) {
-    std::size_t cnt = 0;
-    std::size_t chunk_end = k;
-    while (chunk_end < last && cnt < kIovBatch) {
-      iov[cnt].iov_base = const_cast<char*>(staged.bytes.data() +
-                                            staged.entries[chunk_end].offset);
-      iov[cnt].iov_len = staged.entries[chunk_end].length;
-      ++cnt;
-      ++chunk_end;
-    }
-    msghdr mh{};
-    mh.msg_iov = iov;
-    mh.msg_iovlen = cnt;
-    const ssize_t n = ::sendmsg(conn.fd, &mh, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno != EAGAIN && errno != EWOULDBLOCK) {
-        conn.dead = true;  // peer reset; caller closes at a safe point
-        return;
-      }
-    }
-    // Walk the sent bytes off the chunk; any remainder (short write or
-    // EAGAIN) spills into the connection buffer and waits for EPOLLOUT.
-    auto sent = static_cast<std::size_t>(n < 0 ? 0 : n);
-    while (k < chunk_end && sent >= staged.entries[k].length) {
-      sent -= staged.entries[k].length;
-      ++k;
-    }
-    if (k == last) return;  // everything written, nothing buffered
-    if (k == chunk_end && sent == 0) continue;  // full chunk; next chunk
-    for (std::size_t r = k; r < last; ++r) {
-      const char* src = staged.bytes.data() + staged.entries[r].offset;
-      std::size_t len = staged.entries[r].length;
-      if (r == k) {
-        src += sent;
-        len -= sent;
-      }
-      conn.write_buffer.insert(conn.write_buffer.end(), src, src + len);
-    }
-    update_epoll(loop, conn);
-    return;
+    close_connection(loop, id);
   }
 }
 

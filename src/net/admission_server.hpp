@@ -3,14 +3,15 @@
 /// server that speaks the admission wire protocol (net/protocol.hpp) in
 /// front of an AdmissionGateway. The server runs N shared-nothing event
 /// loops (AdmissionServerConfig::loops); each loop owns its own epoll set,
-/// eventfd, connections, pending-reply map and outbox, so loops never
+/// eventfd, connections, ticket window and decision inbox, so loops never
 /// contend on shared state. Connections are partitioned across loops at
 /// accept time — by per-loop SO_REUSEPORT listeners when the kernel
-/// supports them, else by round-robin handoff from a single acceptor —
-/// and every gateway decision is routed straight to the owning loop via
-/// the submission's route_ctx (the loop index), where DECISION frames are
-/// coalesced per wake-up and flushed with writev. The decision hot path
-/// never blocks on a socket.
+/// supports them, else by round-robin handoff from a single acceptor.
+/// Every submission takes a ticket from its loop's window, and its
+/// route_ctx carries (loop << 56) | ticket to the shard and back: a shard
+/// thread only posts the plain decision to the owning loop, which resolves
+/// the ticket, encodes the DECISION and flushes each connection once per
+/// wake-up. The decision hot path never blocks on a socket.
 ///
 /// Contract: every SUBMIT is answered by exactly one DECISION (the shard's
 /// scheduler rendered accept/reject — with the committed machine and start
@@ -52,8 +53,9 @@ struct AdmissionServerConfig {
   /// TCP port; 0 binds an ephemeral port (read it back with port()).
   std::uint16_t port = 0;
   int backlog = 128;
-  /// Number of shared-nothing event loops. Each loop owns its own epoll
-  /// set, connections, pending replies and outbox; a connection lives on
+  /// Number of shared-nothing event loops, 1..256 (a route_ctx carries
+  /// the loop in its top 8 bits). Each loop owns its own epoll set,
+  /// connections, ticket window and decision inbox; a connection lives on
   /// one loop for its whole life. 1 reproduces the original single-loop
   /// server exactly.
   int loops = 1;
@@ -69,7 +71,7 @@ struct AdmissionServerConfig {
   /// Zero disables reaping — the pre-reaper behavior, where an abandoned
   /// connection holds its fd until the peer resets or the server shuts
   /// down. Reaped closes are counted in connections_reaped(). Connections
-  /// owed a DECISION are exempt: one-answer-per-SUBMIT outlives any idle
+  /// owed an answer are exempt: one-answer-per-SUBMIT outlives any idle
   /// deadline (δ-commitment decisions legitimately defer past τ_j).
   std::chrono::milliseconds idle_timeout{0};
   /// How often each event loop wakes to scan for idle connections when
@@ -122,7 +124,8 @@ class AdmissionServer {
   GatewayResult shutdown();
 
   /// Live gateway access (metrics snapshots, supervisor) for embedding
-  /// processes; network clients use the protocol instead.
+  /// processes; network clients use the protocol instead. Jobs submitted
+  /// here directly must keep route_ctx 0: nonzero contexts are tickets.
   [[nodiscard]] AdmissionGateway& gateway() { return *gateway_; }
 
   /// Connections closed by the idle reaper since the server started
@@ -163,48 +166,45 @@ class AdmissionServer {
     /// Set on a fatal socket error mid-handling; the loop closes the
     /// connection at the next safe point instead of mid-callback.
     bool dead = false;
+    /// EPOLLOUT is registered (output is buffered behind a full socket).
+    bool epollout = false;
+    /// Already on the loop's `touched` list in this resolve pass.
+    bool touched = false;
+    /// Live tickets this connection holds: submissions still owed an
+    /// answer. The reaper spares any connection with a nonzero count.
+    std::uint32_t owed = 0;
     /// Last observed traffic (accept, readable bytes, or queued output);
     /// the reaper compares this against idle_timeout.
     std::chrono::steady_clock::time_point last_activity{};
   };
 
-  /// A job whose DECISION is owed to a connection. Keyed by job id in the
-  /// owning loop's pending map; submission order per id is preserved
-  /// (deque).
-  struct PendingReply {
+  /// One submission awaiting its answer: slot `ticket - ticket_base` of
+  /// the owning loop's ticket window.
+  struct TicketSlot {
     std::uint64_t conn_id = 0;
     std::uint64_t request_id = 0;
+    JobId job_id = 0;
+    bool live = false;
   };
 
-  /// Encoded server->client frames staged for one drain: one contiguous
-  /// byte arena plus (connection, offset, length) entries into it. Shard
-  /// threads encode DECISIONs directly into the arena under the outbox
-  /// lock — no per-decision allocation — and the loop flushes each
-  /// connection's run of entries with a single writev.
-  struct Outbox {
-    struct Entry {
-      std::uint64_t conn_id = 0;
-      std::uint32_t offset = 0;
-      std::uint32_t length = 0;
-    };
-    std::vector<char> bytes;
-    std::vector<Entry> entries;
-
-    [[nodiscard]] bool empty() const { return entries.empty(); }
-    void clear() {
-      bytes.clear();
-      entries.clear();
-    }
+  /// A rendered decision as a shard thread hands it to the owning loop:
+  /// plain data, no lookup and no encoding on the shard thread.
+  struct PostedDecision {
+    std::uint64_t ticket = 0;
+    JobId job_id = 0;
+    double start = 0.0;
+    std::int32_t machine = -1;
+    Outcome outcome = Outcome::kRejected;
   };
 
   /// One shared-nothing event loop: epoll set, wake eventfd, optional
-  /// SO_REUSEPORT listener, the connections it owns, and the reply-path
-  /// state shard threads hand decisions to. Everything without a mutex is
-  /// loop-thread-only.
+  /// SO_REUSEPORT listener, the connections it owns, its ticket window and
+  /// the inbox shard threads post decisions to. Everything without a
+  /// mutex is loop-thread-only.
   struct EventLoop {
     int index = 0;
     int epoll_fd = -1;
-    int event_fd = -1;  ///< wakes the loop: outbox, handoff, shutdown
+    int event_fd = -1;  ///< wakes the loop: decisions, handoff, shutdown
     /// This loop's SO_REUSEPORT listener, or (handoff mode) the shared
     /// listener on loop 0 and -1 elsewhere.
     int listen_fd = -1;
@@ -222,31 +222,29 @@ class AdmissionServer {
     /// is handed straight to AdmissionGateway::submit_batch).
     std::vector<Job> batch_scratch;
     std::vector<Outcome> status_scratch;
-    /// Double buffer the drain swaps the outbox into, and the iovec list
-    /// built over it; both reused across drains.
-    Outbox staged;
-    std::vector<char> reply_scratch;
+    /// Ticket window: tickets are issued in submission order, slot i holds
+    /// ticket ticket_base + i, and the answered prefix is popped, so the
+    /// window spans the oldest unanswered submission onward. Ticket 0 is
+    /// never issued: route_ctx 0 means "no context".
+    std::deque<TicketSlot> tickets;
+    std::uint64_t ticket_base = 1;
+    /// Swap target of `inbox` and the connections a resolve pass wrote
+    /// to; both reused across wake-ups.
+    std::vector<PostedDecision> resolving;
+    std::vector<Connection*> touched;
 
     // --- shared with shard consumer threads ---
-    /// Guards `pending` and `owed`. Only this loop's connections appear
-    /// here, so only decisions for this loop contend on it.
-    std::mutex pending_mutex;
-    std::unordered_map<JobId, std::deque<PendingReply>> pending;
-    /// Per-connection count of owed DECISIONs; the reaper exempts any
-    /// connection with a nonzero count.
-    std::unordered_map<std::uint64_t, std::uint32_t> owed;
-    std::mutex outbox_mutex;
-    Outbox outbox;
+    std::mutex inbox_mutex;
+    std::vector<PostedDecision> inbox;
 
     // --- shared with the acceptor loop (handoff mode only) ---
     std::mutex handoff_mutex;
     std::vector<int> handoff;
   };
 
-  /// The gateway's on_decision hook target: resolves the pending reply
-  /// slot on the owning loop (route_ctx = loop index) and encodes the
-  /// DECISION straight into that loop's outbox. Runs on shard consumer
-  /// threads.
+  /// The gateway's on_decision hook target: posts the decision to the
+  /// loop named by route_ctx's top 8 bits, waking it when its inbox was
+  /// empty. Runs on shard consumer threads.
   void on_gateway_decision(const Job& job, const Decision& decision,
                            std::uint64_t route_ctx);
 
@@ -260,40 +258,41 @@ class AdmissionServer {
   void read_ready(EventLoop& loop, Connection& conn);
   void write_ready(EventLoop& loop, Connection& conn);
   void handle_frame(EventLoop& loop, Connection& conn, const Frame& frame);
-  void handle_submit_one(EventLoop& loop, Connection& conn,
-                         std::uint64_t request_id, const Job& job);
-  void handle_submit_batch(EventLoop& loop, Connection& conn,
-                           std::uint64_t base_request_id,
-                           std::span<const Job> jobs);
+  /// SUBMIT (one job) and SUBMIT_BATCH: one ticket per job, then the
+  /// gateway; synchronously shed jobs give their tickets back and are
+  /// answered with REJECT at once.
+  void handle_submit(EventLoop& loop, Connection& conn,
+                     std::uint64_t base_request_id, std::span<const Job> jobs);
   void handle_drain(EventLoop& loop, Connection& conn);
   void handle_http(EventLoop& loop, Connection& conn);
-  /// Appends bytes to the connection's write buffer and flushes what the
-  /// socket will take now; arms EPOLLOUT for the rest.
-  void queue_bytes(EventLoop& loop, Connection& conn, const char* data,
-                   std::size_t n);
-  void queue_frame(EventLoop& loop, Connection& conn,
-                   const std::vector<char>& bytes) {
-    queue_bytes(loop, conn, bytes.data(), bytes.size());
-  }
+  /// The connection's write buffer, ready for frames to be appended (the
+  /// flushed prefix compacted away). Follow the appends with
+  /// send_output().
+  std::vector<char>& output(Connection& conn);
+  /// Stamps the activity clock, writes what the socket takes now and arms
+  /// EPOLLOUT for the rest.
+  void send_output(EventLoop& loop, Connection& conn);
   void send_protocol_error(EventLoop& loop, Connection& conn,
                            const std::string& message);
   void flush(Connection& conn);
   void update_epoll(EventLoop& loop, Connection& conn);
   void close_connection(EventLoop& loop, std::uint64_t conn_id);
   /// Closes every connection on `loop` whose last_activity is older than
-  /// idle_timeout and which is owed no DECISION. Called from the loop on
+  /// idle_timeout and which is owed no answer. Called from the loop on
   /// its reap_interval tick.
   void reap_idle(EventLoop& loop, std::chrono::steady_clock::time_point now);
-  /// Moves decision frames queued by shard threads into write buffers,
-  /// coalescing each connection's run into one writev.
-  void drain_outbox(EventLoop& loop);
-  /// Hands `loop.staged` entries [first, last) — all for `conn` — to the
-  /// connection, by direct writev when its buffer is empty.
-  void deliver_staged(EventLoop& loop, Connection& conn, std::size_t first,
-                      std::size_t last);
-  /// Answers every still-pending submission on `loop` with REJECT closed
-  /// (used when the gateway drains before their decisions were rendered).
-  void reject_loop_pending(EventLoop& loop);
+  /// Marks `slot` answered: its connection owes one answer less, and the
+  /// answered prefix of the window is popped.
+  void retire_ticket(EventLoop& loop, TicketSlot& slot, Connection* conn);
+  /// Takes the inbox, resolves every decision's ticket to its connection,
+  /// encodes the DECISIONs into the write buffers and flushes each touched
+  /// connection once. Decisions for departed clients are dropped.
+  void resolve_decisions(EventLoop& loop);
+  /// Answers every still-live ticket on `loop` with REJECT closed.
+  void reject_leftovers(EventLoop& loop);
+  /// Resolves the inbox, then — when the gateway had already drained
+  /// before it was taken — rejects the leftovers.
+  void settle(EventLoop& loop);
   /// Runs gateway finish() once and caches the result.
   void finish_gateway();
   RejectMsg make_reject(std::uint64_t request_id, JobId job_id,

@@ -43,20 +43,22 @@ std::uint32_t wal_crc32(const void* data, std::size_t n) {
 
 void encode_wal_record(const Job& job, int machine, TimePoint start,
                        std::vector<char>& out) {
-  std::vector<char> payload;
-  payload.reserve(kWalPayloadBytes);
-  put(payload, static_cast<std::int64_t>(job.id));
-  put(payload, job.release);
-  put(payload, job.proc);
-  put(payload, job.deadline);
-  put(payload, static_cast<std::int32_t>(machine));
-  put(payload, static_cast<std::uint32_t>(criticality_index(job.criticality)));
-  put(payload, start);
-  SLACKSCHED_ENSURES(payload.size() == kWalPayloadBytes);
-
-  put(out, static_cast<std::uint32_t>(payload.size()));
-  put(out, wal_crc32(payload.data(), payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
+  // Header and payload go straight into `out`; the CRC is patched in once
+  // the payload bytes are in place.
+  const std::size_t frame = out.size();
+  put(out, static_cast<std::uint32_t>(kWalPayloadBytes));
+  put(out, std::uint32_t{0});  // crc, patched below
+  put(out, static_cast<std::int64_t>(job.id));
+  put(out, job.release);
+  put(out, job.proc);
+  put(out, job.deadline);
+  put(out, static_cast<std::int32_t>(machine));
+  put(out, static_cast<std::uint32_t>(criticality_index(job.criticality)));
+  put(out, start);
+  SLACKSCHED_ENSURES(out.size() - frame == kWalRecordBytes);
+  wire::patch(out, frame + 4,
+              wal_crc32(out.data() + frame + kWalFrameBytes,
+                        kWalPayloadBytes));
 }
 
 std::unique_ptr<CommitLog> CommitLog::open(const std::string& path,
@@ -150,6 +152,7 @@ void CommitLog::append(const Job& job, int machine, TimePoint start) {
   encode_wal_record(job, machine, start, buffer_);
   ++records_;
   bytes_ += kWalRecordBytes;
+  unsynced_ = true;
   // Snapshot the encoded frame before any flush clears the buffer: the
   // observer streams the exact bytes the file carries.
   char frame[kWalRecordBytes];
@@ -177,7 +180,10 @@ void CommitLog::append_control(JobId control, int machine) {
 }
 
 void CommitLog::sync_batch() {
-  if (config_.fsync == FsyncPolicy::kBatch) {
+  // A batch that appended nothing since the last fsync has nothing to make
+  // durable: skip the syscall (a fresh log still fsyncs once, for its
+  // header and whatever recovery left behind).
+  if (config_.fsync == FsyncPolicy::kBatch && unsynced_) {
     flush_buffer();
     fsync_now();
   }
@@ -221,6 +227,7 @@ void CommitLog::fsync_now() {
   SLACKSCHED_FAULT_CRASH_POINT(faults_, FaultSite::kFsync, shard_);
   if (::fsync(fd_) != 0) throw_errno("cannot fsync commit log", path_);
   ++fsyncs_;
+  unsynced_ = false;
 }
 
 }  // namespace slacksched

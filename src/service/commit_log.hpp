@@ -152,7 +152,9 @@ class CommitLog {
   void append_control(JobId control, int machine);
 
   /// Batch boundary: under kBatch, flushes and fsyncs everything appended
-  /// since the last boundary (a local no-op under the other policies).
+  /// since the last fsync — skipped when nothing was, except that the first
+  /// boundary after open() always fsyncs (a local no-op under the other
+  /// policies).
   /// Always notifies the observer's on_batch — replication batch
   /// boundaries exist whatever the local fsync policy.
   void sync_batch();
@@ -190,6 +192,9 @@ class CommitLog {
   std::uint64_t records_ = 0;
   std::uint64_t bytes_ = 0;
   std::uint64_t fsyncs_ = 0;
+  /// Something reached this writer since its last fsync. Starts true: the
+  /// header and recovery's truncation are not yet known to be durable.
+  bool unsynced_ = true;
 };
 
 /// Encodes one record (frame + payload) into `out` — the single encoding

@@ -60,10 +60,11 @@ using ShardSchedulerFactory =
 /// Invoked by shard consumer threads for every rendered, legal decision
 /// (see GatewayConfig::on_decision). Calls arrive in decision order per
 /// shard, from that shard's consumer thread. `route_ctx` is the opaque
-/// value the producer passed to submit()/submit_batch() (0 by default):
-/// the network front end stores its event-loop index there, so a decision
-/// routes straight to the loop owning the submitting connection without
-/// any shared lookup.
+/// value the producer passed to submit(), or `route_ctx + i` for job i of
+/// a submit_batch() (0 by default, and 0 stays 0 for every job of a
+/// batch: no context). The network front end stores (loop << 56) | ticket
+/// there, so a decision routes straight to the reply slot of the loop
+/// owning the submitting connection without any shared lookup.
 using GatewayDecisionCallback =
     std::function<void(int shard, const Job& job, const Decision& decision,
                        std::uint64_t route_ctx)>;
@@ -224,8 +225,9 @@ class AdmissionGateway {
   /// Batched ingest: routes every job, then pushes each shard's group
   /// under a single queue lock. Jobs keep their relative order within a
   /// shard. When `statuses` is non-null it is resized to jobs.size() and
-  /// filled with the per-job outcome. One `route_ctx` covers the whole
-  /// batch: a batch comes from one producer.
+  /// filled with the per-job outcome. jobs[i] is echoed to on_decision
+  /// with `route_ctx + i` (0 when `route_ctx` is 0), so a producer can
+  /// number a batch's jobs with one value.
   BatchSubmitResult submit_batch(std::span<const Job> jobs,
                                  std::vector<Outcome>* statuses = nullptr,
                                  std::uint64_t route_ctx = 0);

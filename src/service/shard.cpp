@@ -192,7 +192,7 @@ Shard::BatchEnqueueResult Shard::try_enqueue_batch(
         slot.enqueued_at = now;
         slot.home =
             homes != nullptr ? homes[i] : static_cast<std::int16_t>(index_);
-        slot.route_ctx = route_ctx;
+        slot.route_ctx = route_ctx == 0 ? 0 : route_ctx + indices[i];
         ++per_class[criticality_index(slot.job.criticality)];
       });
   metrics_.on_enqueued(index_, result.taken);
@@ -385,8 +385,7 @@ void Shard::run_capacity_control() {
 
 void Shard::on_resolution(const Job& job, const Decision& decision) {
   // Reclaim the routing context parked when this job's decision deferred.
-  // Submission order per id is preserved (deque), mirroring the front
-  // end's pending-reply bookkeeping.
+  // Submission order per id is preserved (deque).
   std::uint64_t route_ctx = 0;
   auto parked = deferred_ctx_.find(job.id);
   if (parked != deferred_ctx_.end()) {

@@ -49,9 +49,11 @@ using SchedulerFactory = std::function<std::unique_ptr<OnlineScheduler>()>;
 
 /// Per-decision notification hook (see ShardConfig::on_decision).
 /// `route_ctx` is the opaque routing context the producer passed to
-/// try_enqueue / try_enqueue_batch (0 when none): the network front end
-/// stores the owning event-loop index there so a decision can be handed
-/// straight back to the loop that owns the submitting connection.
+/// try_enqueue, or try_enqueue_batch's `route_ctx + indices[i]` for the
+/// batch's job at jobs[indices[i]] (0 when none: a zero context stays zero
+/// for every job). The network front end stores (loop << 56) | ticket
+/// there, so a decision is handed straight back to the loop and the reply
+/// slot that own the submission.
 using ShardDecisionCallback = std::function<void(
     const Job& job, const Decision& decision, std::uint64_t route_ctx)>;
 
@@ -143,8 +145,9 @@ class Shard {
   /// accepted prefix is counted as enqueued; a shed tail is counted as
   /// backpressure only when the queue was full, not when it was closed.
   /// `homes`, when non-null, carries the router's home shard for each
-  /// offered job (parallel to `indices`). One `route_ctx` covers the whole
-  /// batch: a batch comes from one producer.
+  /// offered job (parallel to `indices`). The job at jobs[indices[i]] is
+  /// echoed to on_decision with `route_ctx + indices[i]`, or 0 when
+  /// `route_ctx` is 0.
   [[nodiscard]] BatchEnqueueResult try_enqueue_batch(
       const Job* jobs, const std::uint32_t* indices, std::size_t count,
       Clock::time_point now, const std::int16_t* homes = nullptr,

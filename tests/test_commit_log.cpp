@@ -101,6 +101,30 @@ TEST(WalRecord, EncodesTheDocumentedFixedWidthLayout) {
   EXPECT_DOUBLE_EQ(start, 1.5);
 }
 
+TEST(WalRecord, EncodesTheGoldenRecordByteForByte) {
+  // One v2 record pinned byte for byte, CRC included: u32 length 48,
+  // u32 crc, i64 id, f64 release/proc/deadline, i32 machine,
+  // u32 criticality, f64 start. A change to the encoder or the CRC that
+  // moves one bit of the on-disk format fails here.
+  const std::vector<unsigned char> golden = {
+      0x30, 0x00, 0x00, 0x00, 0x0b, 0x88, 0xc1, 0xb1,  //
+      0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01,  //
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf4, 0x3f,  //
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x40,  //
+      0x00, 0x00, 0x00, 0x00, 0x00, 0xc0, 0x31, 0x40,  //
+      0x05, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,  //
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x09, 0x40,  //
+  };
+  ASSERT_EQ(golden.size(), kWalRecordBytes);
+  Job job = make_job(0x0123456789ABCDEF, 1.25, 2.5, 17.75);
+  job.criticality = Criticality::kElevated;
+  std::vector<char> out = {'Z'};  // records append behind existing bytes
+  encode_wal_record(job, 5, 3.125, out);
+  ASSERT_EQ(out.size(), 1 + kWalRecordBytes);
+  EXPECT_EQ(out[0], 'Z');
+  EXPECT_EQ(std::vector<unsigned char>(out.begin() + 1, out.end()), golden);
+}
+
 TEST(CommitLog, AppendCloseRecoverRoundTrips) {
   const std::string path = wal_path("roundtrip");
   {
@@ -190,6 +214,20 @@ TEST(CommitLog, FsyncPolicyControlsWhenRecordsAreSynced) {
     log->append(make_job(1, 0.0, 1.0, 4.0), 0, 0.0);
     log->append(make_job(2, 1.0, 1.0, 5.0), 0, 1.0);
     EXPECT_EQ(log->fsync_count(), 0u);
+    log->sync_batch();
+    EXPECT_EQ(log->fsync_count(), 1u);
+    log->sync_batch();  // nothing appended since: no second fsync
+    EXPECT_EQ(log->fsync_count(), 1u);
+    log->append(make_job(3, 2.0, 1.0, 6.0), 0, 2.0);
+    log->sync_batch();
+    EXPECT_EQ(log->fsync_count(), 2u);
+  }
+  {
+    // The first boundary after open fsyncs even with nothing appended:
+    // the header (or recovery's truncation) must reach stable storage.
+    auto log = CommitLog::open(wal_path("fsync_batch_empty"), 1, batch);
+    log->sync_batch();
+    EXPECT_EQ(log->fsync_count(), 1u);
     log->sync_batch();
     EXPECT_EQ(log->fsync_count(), 1u);
   }

@@ -1,15 +1,19 @@
-// Tests for CSV, table rendering, ASCII charts and CLI parsing.
+// Tests for CSV, table rendering, ASCII charts, CLI parsing and the
+// shared CRC-32.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <sstream>
+#include <vector>
 
 #include "common/ascii_chart.hpp"
 #include "common/cli.hpp"
 #include "common/csv.hpp"
 #include "common/expects.hpp"
 #include "common/table.hpp"
+#include "common/wire.hpp"
 
 namespace slacksched {
 namespace {
@@ -150,6 +154,44 @@ TEST(Cli, ListsKeys) {
   CliArgs args(3, argv);
   const auto keys = args.keys();
   EXPECT_EQ(keys.size(), 2u);
+}
+
+// ---------- CRC-32 ----------
+
+/// The textbook bit-at-a-time IEEE CRC-32 (reflected, poly 0xEDB88320):
+/// no tables, so it shares nothing with the implementation under test.
+std::uint32_t crc32_bitwise(const unsigned char* data, std::size_t n) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32, KnownAnswers) {
+  EXPECT_EQ(wire::crc32_ieee("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(wire::crc32_ieee("", 0), 0u);
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // Lengths 0..300 from each start offset 0..7: every tail length after
+  // the 8-byte stride, every load alignment, and multi-stride runs.
+  std::vector<unsigned char> buffer(8 + 300);
+  std::uint32_t x = 0x9E3779B9u;
+  for (unsigned char& b : buffer) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<unsigned char>(x >> 24);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const unsigned char* data = buffer.data() + offset;
+      ASSERT_EQ(wire::crc32_ieee(data, len), crc32_bitwise(data, len))
+          << "offset " << offset << ", length " << len;
+    }
+  }
 }
 
 }  // namespace

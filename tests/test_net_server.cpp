@@ -28,6 +28,7 @@
 #include "baselines/greedy.hpp"
 #include "common/expects.hpp"
 #include "core/threshold.hpp"
+#include "models/model_factory.hpp"
 #include "net/admission_client.hpp"
 #include "net/admission_server.hpp"
 #include "sched/engine.hpp"
@@ -304,6 +305,14 @@ class RawConn {
                                  sizeof(addr)) == 0);
   }
   ~RawConn() { ::close(fd_); }
+
+  /// Bounds every blocking read; a read that times out ends like EOF.
+  void set_recv_timeout(std::chrono::milliseconds timeout) {
+    timeval tv{};
+    tv.tv_sec = static_cast<time_t>(timeout.count() / 1000);
+    tv.tv_usec = static_cast<suseconds_t>((timeout.count() % 1000) * 1000);
+    (void)setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  }
 
   void send_bytes(const void* data, std::size_t n) {
     ASSERT_EQ(::send(fd_, data, n, MSG_NOSIGNAL),
@@ -837,6 +846,215 @@ TEST(NetServer, DrainPropagatesAcrossLoops) {
   EXPECT_EQ(a.submit_wait(job).outcome, Outcome::kRejectedClosed);
   AdmissionClient c("127.0.0.1", server.port());
   EXPECT_EQ(c.ping(11), 11u);
+}
+
+// ---------- reply routing: one answer per submission, to its submitter ----------
+
+Job twin_job(JobId id, bool fits) {
+  Job job;
+  job.id = id;
+  job.release = 0.0;
+  // The twin that cannot fit needs 5 time units before its deadline at 2:
+  // every scheduler must reject it, while the other is accepted.
+  job.proc = fits ? 1.0 : 5.0;
+  job.deadline = fits ? 100.0 : 2.0;
+  return job;
+}
+
+TEST(NetServer, DuplicateJobIdsAreAnsweredPerSubmission) {
+  // Round robin over two shards sends equal ids to different shards, and
+  // shard 0 decides slowly, so the later submission of an id is decided
+  // first. Each answer must still reach the submission that carried the
+  // job: the fitting twin accepted, the other rejected, each under its
+  // own request id — across two connections and inside one batch.
+  AdmissionServerConfig config = loopback_config(64);
+  config.gateway.shards = 2;
+  AdmissionServer server(
+      config, [](int shard) -> std::unique_ptr<OnlineScheduler> {
+        auto greedy = std::make_unique<GreedyScheduler>(2);
+        if (shard != 0) return greedy;
+        return std::make_unique<SlowScheduler>(std::move(greedy),
+                                               std::chrono::milliseconds(50));
+      });
+  AdmissionClient a("127.0.0.1", server.port());
+  AdmissionClient b("127.0.0.1", server.port());
+
+  const std::uint64_t ra = a.submit(twin_job(7, true));  // shard 0 (slow)
+  ASSERT_EQ(a.ping(1), 1u);  // a's SUBMIT reached the gateway first
+  const std::uint64_t rb = b.submit(twin_job(7, false));  // shard 1
+  const DecisionReply got_b = b.wait_reply();
+  EXPECT_EQ(got_b.request_id, rb);
+  EXPECT_EQ(got_b.job_id, 7);
+  EXPECT_EQ(got_b.outcome, Outcome::kRejected);
+  const DecisionReply got_a = a.wait_reply();
+  EXPECT_EQ(got_a.request_id, ra);
+  EXPECT_EQ(got_a.job_id, 7);
+  EXPECT_EQ(got_a.outcome, Outcome::kAccepted);
+
+  // One SUBMIT_BATCH with a duplicate id: jobs 2 and 3 of the round robin.
+  const std::vector<Job> twins = {twin_job(9, true), twin_job(9, false)};
+  const std::uint64_t base = a.submit_batch(twins);
+  std::map<std::uint64_t, DecisionReply> by_request;
+  for (int i = 0; i < 2; ++i) {
+    const DecisionReply reply = a.wait_reply();
+    EXPECT_TRUE(by_request.emplace(reply.request_id, reply).second)
+        << "request " << reply.request_id << " answered twice";
+  }
+  ASSERT_EQ(by_request.size(), 2u);
+  ASSERT_TRUE(by_request.count(base) && by_request.count(base + 1));
+  EXPECT_EQ(by_request[base].outcome, Outcome::kAccepted);
+  EXPECT_EQ(by_request[base + 1].outcome, Outcome::kRejected);
+  EXPECT_EQ(a.outstanding(), 0u);
+  EXPECT_EQ(b.outstanding(), 0u);
+}
+
+TEST(NetServer, DeltaCommitmentModelAnswersEverySubmit) {
+  // δ-commitment defers decisions past the arrival that caused them; the
+  // last ones resolve only when DRAIN finishes the gateway. Each SUBMIT
+  // still gets exactly one DECISION, and none is pre-empted by a REJECT.
+  ModelConfig model;
+  model.model = CommitModel::kDelta;
+  model.delta = 0.5;
+  model.machines = 3;
+  const Instance instance = test_instance(300, 99);
+  AdmissionServerConfig config = loopback_config(instance.size());
+  AdmissionServer server(config,
+                         [model](int) { return make_scheduler(model); });
+  AdmissionClient client("127.0.0.1", server.port());
+
+  std::map<std::uint64_t, JobId> sent;
+  for (const Job& job : instance.jobs()) sent[client.submit(job)] = job.id;
+  const DrainedMsg drained = client.drain();
+
+  std::map<std::uint64_t, DecisionReply> got;
+  DecisionReply reply;
+  while (client.try_reply(reply)) {
+    EXPECT_TRUE(got.emplace(reply.request_id, reply).second)
+        << "request " << reply.request_id << " answered twice";
+  }
+  ASSERT_EQ(got.size(), sent.size());
+  for (const auto& [request_id, job_id] : sent) {
+    ASSERT_TRUE(got.count(request_id)) << "request " << request_id;
+    EXPECT_EQ(got[request_id].job_id, job_id);
+    EXPECT_TRUE(got[request_id].is_decision())
+        << "job " << job_id << " ended as "
+        << static_cast<int>(got[request_id].outcome);
+  }
+  EXPECT_EQ(drained.submitted, instance.size());
+  EXPECT_EQ(drained.clean, 1);
+}
+
+TEST(NetServer, ShedBatchReclaimsTicketsSoTheReaperCanClose) {
+  // A SUBMIT_BATCH far larger than the queue: the ring takes what fits and
+  // the rest is shed queue-full at once. Those tickets go back with their
+  // REJECTs; a leaked one would leave the connection owed forever, and
+  // the idle reaper would never close it.
+  AdmissionServerConfig config = loopback_config(8);
+  config.idle_timeout = std::chrono::milliseconds(50);
+  config.reap_interval = std::chrono::milliseconds(10);
+  AdmissionServer server(config, [](int) {
+    return std::make_unique<GreedyScheduler>(2);
+  });
+  RawConn raw(server.port());
+  raw.set_recv_timeout(std::chrono::seconds(5));
+
+  constexpr std::uint64_t kBase = 1000;
+  std::vector<Job> jobs(64);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    jobs[i].id = static_cast<JobId>(i);
+    jobs[i].proc = 1.0;
+    jobs[i].deadline = 1e9;
+  }
+  std::vector<char> bytes;
+  encode_submit_batch(bytes, kBase, jobs);
+  raw.send_bytes(bytes.data(), bytes.size());
+
+  std::map<std::uint64_t, JobId> answered;
+  std::size_t decided = 0;
+  std::size_t shed = 0;
+  std::string error;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const Frame frame = raw.read_frame();
+    std::uint64_t request_id = 0;
+    JobId job_id = -1;
+    if (frame.type == FrameType::kDecision) {
+      DecisionMsg msg;
+      ASSERT_TRUE(parse_decision(frame, msg, &error)) << error;
+      request_id = msg.request_id;
+      job_id = msg.job_id;
+      ++decided;
+    } else {
+      ASSERT_EQ(frame.type, FrameType::kReject);
+      RejectMsg msg;
+      ASSERT_TRUE(parse_reject(frame, msg, &error)) << error;
+      EXPECT_EQ(msg.outcome, Outcome::kRejectedQueueFull);
+      request_id = msg.request_id;
+      job_id = msg.job_id;
+      ++shed;
+    }
+    EXPECT_EQ(job_id, static_cast<JobId>(request_id - kBase));
+    EXPECT_TRUE(answered.emplace(request_id, job_id).second);
+  }
+  EXPECT_EQ(answered.size(), jobs.size());
+  EXPECT_GT(decided, 0u);
+  EXPECT_GT(shed, 0u);
+
+  // Nothing is owed any more: the reaper closes the silent connection.
+  EXPECT_EQ(raw.read_to_eof(), "");
+  EXPECT_EQ(server.connections_reaped(), 1u);
+}
+
+/// Accepts job kPoisonId at a start before its release: an illegal
+/// commitment, so a halt-on-violation shard stops deciding from there on.
+class PoisonScheduler final : public OnlineScheduler {
+ public:
+  static constexpr JobId kPoisonId = 50;
+
+  Decision on_arrival(const Job& job) override {
+    if (job.id == kPoisonId) return Decision::accept(0, job.release - 1.0);
+    return inner_.on_arrival(job);
+  }
+  [[nodiscard]] int machines() const override { return inner_.machines(); }
+  void reset() override { inner_.reset(); }
+  [[nodiscard]] std::string name() const override { return "poison"; }
+
+ private:
+  GreedyScheduler inner_{2};
+};
+
+TEST(NetServer, LeftoversRejectedAtDrainCarryTheirJobIds) {
+  AdmissionServerConfig config = loopback_config(64);
+  AdmissionServer server(config, [](int) {
+    return std::make_unique<PoisonScheduler>();
+  });
+  AdmissionClient client("127.0.0.1", server.port());
+
+  Job job;
+  job.proc = 1.0;
+  job.deadline = 100.0;
+  job.id = 1;
+  EXPECT_TRUE(client.submit_wait(job).is_decision());
+  // The poison job and everything behind it are enqueued but never
+  // decided: the shard halts on the illegal commitment.
+  std::map<std::uint64_t, JobId> leftovers;
+  for (JobId id = PoisonScheduler::kPoisonId;
+       id < PoisonScheduler::kPoisonId + 5; ++id) {
+    job.id = id;
+    leftovers[client.submit(job)] = id;
+  }
+  const DrainedMsg drained = client.drain();
+  EXPECT_EQ(drained.clean, 0);
+
+  std::size_t answered = 0;
+  DecisionReply reply;
+  while (client.try_reply(reply)) {
+    ASSERT_TRUE(leftovers.count(reply.request_id))
+        << "unexpected request " << reply.request_id;
+    EXPECT_EQ(reply.job_id, leftovers[reply.request_id]);
+    EXPECT_EQ(reply.outcome, Outcome::kRejectedClosed);
+    ++answered;
+  }
+  EXPECT_EQ(answered, leftovers.size());
 }
 
 }  // namespace
