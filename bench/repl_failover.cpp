@@ -4,11 +4,15 @@
 // Phase 1 (overhead): replays the same synthetic stream through a durable
 // 2-shard gateway four times — no replication (the baseline), then each
 // replication ack mode streaming into an in-process loopback
-// ReplicaServer. Every replicated run must end with the follower's logs
-// holding exactly the leader's records; the jobs/sec column is the price
-// of that guarantee. Expectation: async is within noise of the baseline,
-// ack-on-batch pays one follower round-trip per batch, ack-on-commit pays
-// one per accepted job and lands well below the others.
+// ReplicaServer. The producer is a windowed closed loop: batches of
+// kSubmitBatch, at most kWindow jobs in flight (counted through
+// on_decision), so no job is ever shed for a full queue and every mode
+// decides the same problem — equal leader_records across modes. Every
+// replicated run must end with the follower's logs holding exactly the
+// leader's records; the decided-jobs/sec column is the price of that
+// guarantee. Expectation: async and ack-on-batch pay the record
+// formatting and follower I/O, ack-on-commit pays one follower round-trip
+// per accepted job and lands well below the others.
 //
 // Phase 2 (failover): repeatedly runs leader traffic into a follower,
 // destroys the leader mid-stream (the process-death model: heartbeats
@@ -29,6 +33,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -46,6 +51,10 @@ using namespace slacksched;
 constexpr double kEps = 0.1;
 constexpr int kMachinesPerShard = 8;
 constexpr int kShards = 2;
+/// Closed-loop window: jobs submitted but not yet decided. It fits one
+/// shard queue (queue_capacity below), so no submission is ever refused.
+constexpr std::size_t kWindow = 8192;
+constexpr std::size_t kSubmitBatch = 256;
 
 ShardSchedulerFactory factory() {
   return [](int) {
@@ -66,8 +75,9 @@ void drop_dir(const std::string& dir) { std::filesystem::remove_all(dir); }
 struct ModeRun {
   std::string mode;  ///< "baseline" or a ReplAckMode name
   std::size_t jobs = 0;
+  std::size_t decided = 0;  ///< jobs answered through on_decision
   double seconds = 0.0;
-  double jobs_per_sec = 0.0;
+  double jobs_per_sec = 0.0;  ///< decided jobs per second
   std::uint64_t leader_records = 0;
   std::uint64_t follower_records = 0;
   bool clean = false;
@@ -93,29 +103,50 @@ ModeRun run_mode(const Instance& instance,
     replica = std::make_unique<repl::ReplicaServer>(*replica_config);
   }
 
+  std::atomic<std::uint32_t> decided{0};
   GatewayConfig config;
   config.shards = kShards;
-  config.queue_capacity = 8192;
+  config.queue_capacity = kWindow;
   config.batch_size = 512;
   config.routing = RoutingPolicy::kHash;
   config.record_decisions = false;
   config.wal_dir = leader_dir;
+  config.on_decision = [&decided](int, const Job&, const Decision&,
+                                  std::uint64_t) {
+    decided.fetch_add(1, std::memory_order_release);
+    decided.notify_one();
+  };
   if (ack_mode) {
     config.replication.emplace();
     config.replication->port = replica->port();
     config.replication->ack_mode = *ack_mode;
   }
 
+  // Sleeps until at least `target` jobs are decided.
+  const auto wait_for = [&decided](std::size_t target) {
+    for (std::uint32_t seen = decided.load(std::memory_order_acquire);
+         seen < target; seen = decided.load(std::memory_order_acquire)) {
+      decided.wait(seen);
+    }
+  };
+  const std::span<const Job> jobs(instance.jobs());
+  std::size_t shed = 0;
   const auto start = std::chrono::steady_clock::now();
   GatewayResult result = [&] {
     AdmissionGateway gateway(config, factory());
-    for (const Job& job : instance.jobs()) (void)gateway.submit(job);
+    for (std::size_t i = 0; i < jobs.size(); i += kSubmitBatch) {
+      const std::size_t k = std::min(kSubmitBatch, jobs.size() - i);
+      if (i + k > kWindow) wait_for(i + k - kWindow);
+      shed += k - gateway.submit_batch(jobs.subspan(i, k)).enqueued;
+    }
+    wait_for(jobs.size() - shed);
     return gateway.finish();
   }();
   const auto stop = std::chrono::steady_clock::now();
 
+  run.decided = decided.load();
   run.seconds = std::chrono::duration<double>(stop - start).count();
-  run.jobs_per_sec = static_cast<double>(run.jobs) / run.seconds;
+  run.jobs_per_sec = static_cast<double>(run.decided) / run.seconds;
   run.leader_records = result.merged.accepted;
   if (replica) {
     for (int s = 0; s < kShards; ++s) {
@@ -123,9 +154,10 @@ ModeRun run_mode(const Instance& instance,
     }
     replica->stop();
   }
-  // Clean means the drain validated AND (when replicating) the follower
-  // holds every accepted record — an orderly close drains in every mode.
-  run.clean = result.clean() &&
+  // Clean means the drain validated, every job was decided (none shed),
+  // AND (when replicating) the follower holds every accepted record — an
+  // orderly close drains in every mode.
+  run.clean = result.clean() && run.decided == run.jobs &&
               (!ack_mode || run.follower_records == run.leader_records);
   drop_dir(leader_dir);
   if (replica_config) drop_dir(replica_config->dir);
@@ -257,6 +289,7 @@ void write_json(const std::vector<ModeRun>& modes,
     const ModeRun& r = modes[i];
     out << "    {\"mode\": \"" << r.mode << "\""
         << ", \"jobs\": " << r.jobs
+        << ", \"decided\": " << r.decided
         << ", \"seconds\": " << r.seconds
         << ", \"jobs_per_sec\": " << r.jobs_per_sec
         << ", \"leader_records\": " << r.leader_records

@@ -46,6 +46,8 @@ Validates the five machine-readable bench artifacts:
       - all four replication modes present (baseline + async +
         ack-on-batch + ack-on-commit) and clean: the drain validated and
         the follower's logs held exactly the leader's accepted records
+      - every mode accepted the same number of jobs (leader_records): the
+        rows decided the same stream, so their rates compare
       - durability ordering holds: ack-on-commit (one follower round trip
         per accepted job) must not outrun async — a faster "synchronous"
         mode means the ack path is not actually waiting
@@ -457,6 +459,15 @@ def check_repl(path: Path, errors: list[str]) -> None:
                 fail(errors, f"{path}: mode={mode} follower holds "
                              f"{follower} of {leader} leader records — an "
                              "orderly close must drain in every mode")
+
+    # Every mode replays the same stream through a closed loop that sheds
+    # nothing, so every mode must accept the same jobs; different counts
+    # mean the rows decided different problems and their rates don't
+    # compare.
+    accepted = {mode: run.get("leader_records") for mode, run in runs.items()}
+    if len(set(accepted.values())) > 1:
+        fail(errors, f"{path}: modes accepted different job counts "
+                     f"{accepted} — they decided different streams")
 
     # Durability is never free: the per-commit round-trip mode being
     # faster than fire-and-forget means the ack wait is inert. (1.5x

@@ -1,5 +1,7 @@
 #include "replication/repl_protocol.hpp"
 
+#include <cstring>
+
 #include "common/wire.hpp"
 #include "service/commit_log.hpp"
 
@@ -9,28 +11,34 @@ namespace {
 
 using wire::crc32_ieee;
 using wire::get;
-using wire::patch;
 using wire::put;
 
-/// Opens a frame: writes the header with payload_len/crc zeroed and
-/// returns the offset where the payload begins.
-std::size_t begin_frame(std::vector<char>& out, ReplFrameType type,
-                        std::uint16_t shard) {
-  put<std::uint8_t>(out, kReplProtocolVersion);
-  put<std::uint8_t>(out, static_cast<std::uint8_t>(type));
-  put<std::uint16_t>(out, shard);
-  put<std::uint32_t>(out, 0);  // payload_len, patched by end_frame
-  put<std::uint32_t>(out, 0);  // crc, patched by end_frame
+/// Writes the header of the frame at `frame`, whose `len`-byte payload
+/// already follows it; the CRC covers that payload.
+void write_header(char* frame, ReplFrameType type, std::uint16_t shard,
+                  std::size_t len) {
+  const auto store = [frame](std::size_t offset, auto value) {
+    std::memcpy(frame + offset, &value, sizeof(value));
+  };
+  store(0, kReplProtocolVersion);
+  store(1, static_cast<std::uint8_t>(type));
+  store(2, shard);
+  store(4, static_cast<std::uint32_t>(len));
+  store(8, crc32_ieee(frame + kReplHeaderSize, len));
+}
+
+/// Opens a frame: reserves its header and returns the offset where the
+/// payload begins.
+std::size_t begin_frame(std::vector<char>& out) {
+  out.resize(out.size() + kReplHeaderSize);
   return out.size();
 }
 
-/// Closes the frame opened at `payload_start`: patches length and CRC.
-void end_frame(std::vector<char>& out, std::size_t payload_start) {
-  const std::size_t len = out.size() - payload_start;
-  patch<std::uint32_t>(out, payload_start - 8,
-                       static_cast<std::uint32_t>(len));
-  patch<std::uint32_t>(out, payload_start - 4,
-                       crc32_ieee(out.data() + payload_start, len));
+/// Closes the frame opened at `payload_start`: writes its header.
+void end_frame(std::vector<char>& out, std::size_t payload_start,
+               ReplFrameType type, std::uint16_t shard) {
+  write_header(out.data() + payload_start - kReplHeaderSize, type, shard,
+               out.size() - payload_start);
 }
 
 /// Validates a fixed-size payload: at least `need` bytes (longer is legal
@@ -76,61 +84,67 @@ std::string to_string(ReplAckMode mode) {
 
 void encode_hello(std::vector<char>& out, std::uint16_t shard,
                   const HelloMsg& msg) {
-  const std::size_t start = begin_frame(out, ReplFrameType::kHello, shard);
+  const std::size_t start = begin_frame(out);
   put<std::uint32_t>(out, msg.machines);
   put<std::uint8_t>(out, static_cast<std::uint8_t>(msg.ack_mode));
   put<std::uint64_t>(out, msg.leader_records);
-  end_frame(out, start);
+  end_frame(out, start, ReplFrameType::kHello, shard);
 }
 
 void encode_welcome(std::vector<char>& out, std::uint16_t shard,
                     std::uint64_t follower_records) {
-  const std::size_t start = begin_frame(out, ReplFrameType::kWelcome, shard);
+  const std::size_t start = begin_frame(out);
   put<std::uint64_t>(out, follower_records);
-  end_frame(out, start);
+  end_frame(out, start, ReplFrameType::kWelcome, shard);
 }
 
 void encode_append(std::vector<char>& out, std::uint16_t shard,
                    std::uint64_t base_seq, std::uint32_t count,
                    const char* records, std::size_t record_bytes) {
-  const std::size_t start = begin_frame(out, ReplFrameType::kAppend, shard);
-  put<std::uint64_t>(out, base_seq);
-  put<std::uint32_t>(out, count);
+  const std::size_t start = out.size();
+  out.resize(start + kAppendPrefixBytes);
   out.insert(out.end(), records, records + record_bytes);
-  end_frame(out, start);
+  seal_append(out.data() + start, shard, base_seq, count);
+}
+
+void seal_append(char* frame, std::uint16_t shard, std::uint64_t base_seq,
+                 std::uint32_t count) {
+  std::memcpy(frame + kReplHeaderSize, &base_seq, sizeof(base_seq));
+  std::memcpy(frame + kReplHeaderSize + 8, &count, sizeof(count));
+  write_header(frame, ReplFrameType::kAppend, shard,
+               kAppendPrefixBytes - kReplHeaderSize +
+                   static_cast<std::size_t>(count) * kWalRecordBytes);
 }
 
 void encode_ack(std::vector<char>& out, std::uint16_t shard,
                 std::uint64_t watermark) {
-  const std::size_t start = begin_frame(out, ReplFrameType::kAck, shard);
+  const std::size_t start = begin_frame(out);
   put<std::uint64_t>(out, watermark);
-  end_frame(out, start);
+  end_frame(out, start, ReplFrameType::kAck, shard);
 }
 
 void encode_heartbeat(std::vector<char>& out, std::uint16_t shard,
                       std::uint64_t leader_records) {
-  const std::size_t start =
-      begin_frame(out, ReplFrameType::kHeartbeat, shard);
+  const std::size_t start = begin_frame(out);
   put<std::uint64_t>(out, leader_records);
-  end_frame(out, start);
+  end_frame(out, start, ReplFrameType::kHeartbeat, shard);
 }
 
 void encode_heartbeat_ack(std::vector<char>& out, std::uint16_t shard,
                           std::uint64_t follower_records) {
-  const std::size_t start =
-      begin_frame(out, ReplFrameType::kHeartbeatAck, shard);
+  const std::size_t start = begin_frame(out);
   put<std::uint64_t>(out, follower_records);
-  end_frame(out, start);
+  end_frame(out, start, ReplFrameType::kHeartbeatAck, shard);
 }
 
 void encode_nack(std::vector<char>& out, std::uint16_t shard,
                  NackReason reason, std::uint64_t detail,
                  std::string_view message) {
-  const std::size_t start = begin_frame(out, ReplFrameType::kNack, shard);
+  const std::size_t start = begin_frame(out);
   put<std::uint8_t>(out, static_cast<std::uint8_t>(reason));
   put<std::uint64_t>(out, detail);
   out.insert(out.end(), message.begin(), message.end());
-  end_frame(out, start);
+  end_frame(out, start, ReplFrameType::kNack, shard);
 }
 
 bool parse_hello(const ReplFrame& frame, HelloMsg& out, std::string* error) {

@@ -29,10 +29,10 @@
 ///   follower: NACK{reason, detail}             (fail-safe refusal: the
 ///             session ends, nothing was persisted from the bad frame)
 ///
-/// APPEND payloads carry raw commit-log records byte-for-byte (the 52-byte
-/// frame of service/commit_log.hpp, each independently CRC-framed), so a
-/// follower's log is verbatim-identical to the leader's and replays
-/// through the exact same recover_commit_log path.
+/// APPEND payloads carry raw commit-log records byte-for-byte (the 56-byte
+/// kWalRecordBytes frame of service/commit_log.hpp, each independently
+/// CRC-framed), so a follower's log is verbatim-identical to the leader's
+/// and replays through the exact same recover_commit_log path.
 #pragma once
 
 #include <cstddef>
@@ -50,8 +50,12 @@ inline constexpr std::uint8_t kReplProtocolVersion = 1;
 /// Size of the fixed frame header in bytes (frozen across versions).
 inline constexpr std::size_t kReplHeaderSize = 12;
 
-/// Largest accepted payload (caps APPEND to ~20k records per frame).
+/// Largest accepted payload (caps APPEND to ~18.7k records per frame).
 inline constexpr std::uint32_t kMaxReplPayload = 1u << 20;
+
+/// Bytes of an APPEND frame ahead of its records: the header, then the
+/// u64 base_seq and u32 count of the payload.
+inline constexpr std::size_t kAppendPrefixBytes = kReplHeaderSize + 12;
 
 /// Frame type tags. Values are frozen; new types append.
 enum class ReplFrameType : std::uint8_t {
@@ -128,6 +132,11 @@ void encode_welcome(std::vector<char>& out, std::uint16_t shard,
 void encode_append(std::vector<char>& out, std::uint16_t shard,
                    std::uint64_t base_seq, std::uint32_t count,
                    const char* records, std::size_t record_bytes);
+/// Completes an APPEND frame in place: `frame` holds kAppendPrefixBytes of
+/// space followed by `count` records; fills in the header (length, CRC),
+/// base_seq and count. The bytes equal encode_append's for the same input.
+void seal_append(char* frame, std::uint16_t shard, std::uint64_t base_seq,
+                 std::uint32_t count);
 void encode_ack(std::vector<char>& out, std::uint16_t shard,
                 std::uint64_t watermark);
 void encode_heartbeat(std::vector<char>& out, std::uint16_t shard,
@@ -145,7 +154,7 @@ void encode_nack(std::vector<char>& out, std::uint16_t shard,
 /// WELCOME / ACK / HEARTBEAT / HEARTBEAT_ACK all carry one u64.
 [[nodiscard]] bool parse_watermark(const ReplFrame& frame,
                                    std::uint64_t& out, std::string* error);
-/// On success `records` points into frame.payload (count * 52 bytes).
+/// On success `records` points into frame.payload (count * kWalRecordBytes).
 [[nodiscard]] bool parse_append(const ReplFrame& frame,
                                 std::uint64_t& base_seq, std::uint32_t& count,
                                 const char** records, std::string* error);

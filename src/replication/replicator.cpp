@@ -18,9 +18,35 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// A failure no ack mode may degrade past: the follower refused the
+/// session (NACK, or it holds more records than this log), or the leader's
+/// own log is unreadable. kAsync degrades on a lost transport, never on
+/// these.
+class FailSafeError final : public ReplError {
+ public:
+  using ReplError::ReplError;
+};
+
 int ceil_ms(Clock::duration d) {
   const auto ms = std::chrono::ceil<std::chrono::milliseconds>(d).count();
   return static_cast<int>(std::clamp<std::int64_t>(ms, 0, 1 << 30));
+}
+
+/// Polls `fd` for `events` until it is ready (true) or `deadline` passes
+/// (false). Readiness includes error and hang-up; the caller's next
+/// send/recv reports those.
+bool wait_ready(int fd, short events, Clock::time_point deadline) {
+  while (true) {
+    const auto now = Clock::now();
+    if (now >= deadline) return false;
+    pollfd pfd{fd, events, 0};
+    const int ready = ::poll(&pfd, 1, ceil_ms(deadline - now));
+    if (ready > 0) return true;
+    if (ready < 0 && errno != EINTR) {
+      throw ReplError(std::string("replication poll: ") +
+                      std::strerror(errno));
+    }
+  }
 }
 
 }  // namespace
@@ -40,13 +66,13 @@ std::vector<std::string> ReplicationConfig::validate() const {
     problems.emplace_back(
         "replication.heartbeat_interval must be >= 0 (0 disables)");
   }
-  if (catch_up_batch == 0) {
-    problems.emplace_back("replication.catch_up_batch must be >= 1");
-  }
-  if (max_pending_bytes < kWalRecordBytes) {
+  if (max_pending_bytes < kWalRecordBytes ||
+      max_pending_bytes > kCatchUpRecords * kWalRecordBytes) {
     problems.emplace_back(
         "replication.max_pending_bytes must hold at least one record (" +
-        std::to_string(kWalRecordBytes) + " bytes)");
+        std::to_string(kWalRecordBytes) + " bytes) and at most one full "
+        "APPEND (" + std::to_string(kCatchUpRecords * kWalRecordBytes) +
+        " bytes)");
   }
   return problems;
 }
@@ -76,7 +102,6 @@ void ShardReplicator::on_open(const std::string& path, int machines,
   dead_ = false;
   connected_.store(false, std::memory_order_release);
   pending_.clear();
-  pending_count_ = 0;
 
   try {
     fd_ = net::connect_with_timeout(config_.host, config_.port,
@@ -101,15 +126,9 @@ void ShardReplicator::on_open(const std::string& path, int machines,
     send_all(out.data(), out.size(), /*crash_point=*/false);
 
     ReplFrame frame;
-    read_frame(frame, config_.connect_timeout);
+    read_frame(frame, Clock::now() + config_.connect_timeout);
     if (frame.type == ReplFrameType::kNack) {
-      NackMsg nack;
-      std::string error;
-      if (!parse_nack(frame, nack, &error)) throw ReplError(error);
-      // Fail safe in EVERY ack mode: a refused session (stale leader, bad
-      // follower state) must stop this log from serving.
-      throw ReplError("follower refused replication session (" +
-                      to_string(nack.reason) + "): " + nack.message);
+      handle_frame(frame);  // throws the refusal
     }
     if (frame.type != ReplFrameType::kWelcome) {
       throw ReplError("expected WELCOME, got frame type " +
@@ -119,19 +138,25 @@ void ShardReplicator::on_open(const std::string& path, int machines,
     std::string error;
     if (!parse_watermark(frame, follower, &error)) throw ReplError(error);
     if (follower > base_records) {
-      throw ReplError("stale leader: follower holds " +
-                      std::to_string(follower) + " records, this log only " +
-                      std::to_string(base_records));
+      throw FailSafeError("stale leader: follower holds " +
+                          std::to_string(follower) +
+                          " records, this log only " +
+                          std::to_string(base_records));
     }
     acked_.store(follower, std::memory_order_release);
     if (follower < base_records) catch_up(path, follower, base_records);
     next_seq_ = base_records;
     connected_.store(true, std::memory_order_release);
+  } catch (const FailSafeError&) {
+    fail_session();
+    throw;
+  } catch (const ReplError&) {
+    // A transport lost after connect: kAsync degrades exactly as it does
+    // for a refused connect; the synchronous modes fail the open.
+    fail_session();
+    if (config_.ack_mode != ReplAckMode::kAsync) throw;
   } catch (...) {
-    if (fd_ >= 0) {
-      ::close(fd_);
-      fd_ = -1;
-    }
+    fail_session();
     throw;
   }
 }
@@ -145,19 +170,22 @@ void ShardReplicator::on_record(const char* frame, std::size_t size,
     throw ReplError("replication session lost before record " +
                     std::to_string(seq));
   }
-  if (pending_count_ == 0) pending_base_ = seq - 1;
+  if (pending_.empty()) {
+    pending_base_ = seq - 1;
+    pending_.resize(kAppendPrefixBytes);
+  }
   pending_.insert(pending_.end(), frame, frame + size);
-  ++pending_count_;
   try {
     if (config_.ack_mode == ReplAckMode::kAckOnCommit) {
       flush_pending();
       wait_for_ack(seq);
-    } else if (pending_.size() >= config_.max_pending_bytes) {
+    } else if (pending_.size() - kAppendPrefixBytes >=
+               config_.max_pending_bytes) {
       flush_pending();
       if (config_.ack_mode == ReplAckMode::kAsync) (void)drain_acks();
     }
   } catch (const ReplError&) {
-    fail_session("");  // closes fd; kAsync marks dead
+    fail_session();
     if (config_.ack_mode != ReplAckMode::kAsync) throw;
   }
 }
@@ -178,7 +206,7 @@ void ShardReplicator::on_batch(std::uint64_t watermark) {
       (void)drain_acks();
     }
   } catch (const ReplError&) {
-    fail_session("");
+    fail_session();
     if (config_.ack_mode != ReplAckMode::kAsync) throw;
   }
 }
@@ -192,23 +220,35 @@ void ShardReplicator::on_close(std::uint64_t watermark) {
     flush_pending();
     wait_for_ack(watermark);
   } catch (const ReplError&) {
-    fail_session("");
+    fail_session();
     if (config_.ack_mode != ReplAckMode::kAsync) throw;
   }
 }
 
 void ShardReplicator::send_all(const char* data, std::size_t size,
                                bool crash_point) {
-  const auto send_chunk = [this](const char* chunk, std::size_t n) {
+  // One deadline for the whole frame: a follower that stops reading fills
+  // the socket buffers, and the send must fail rather than block forever.
+  const auto deadline = Clock::now() + config_.ack_timeout;
+  const auto send_chunk = [this, deadline](const char* chunk, std::size_t n) {
     std::size_t sent = 0;
     while (sent < n) {
-      const ssize_t written =
-          ::send(fd_, chunk + sent, n - sent, MSG_NOSIGNAL);
+      const ssize_t written = ::send(fd_, chunk + sent, n - sent,
+                                     MSG_NOSIGNAL | MSG_DONTWAIT);
       if (written > 0) {
         sent += static_cast<std::size_t>(written);
         continue;
       }
       if (written < 0 && errno == EINTR) continue;
+      if (written < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        if (!wait_ready(fd_, POLLOUT, deadline)) {
+          throw ReplError("replication send timed out after " +
+                          std::to_string(config_.ack_timeout.count()) +
+                          " ms with " + std::to_string(n - sent) +
+                          " bytes unsent");
+        }
+        continue;
+      }
       throw ReplError(std::string("replication send: ") +
                       std::strerror(errno));
     }
@@ -230,32 +270,35 @@ void ShardReplicator::send_all(const char* data, std::size_t size,
   send_chunk(data, size);
 }
 
-void ShardReplicator::flush_pending() {
-  if (pending_count_ == 0) return;
-  std::vector<char> out;
-  out.reserve(kReplHeaderSize + 12 + pending_.size());
-  encode_append(out, static_cast<std::uint16_t>(shard_), pending_base_,
-                static_cast<std::uint32_t>(pending_count_), pending_.data(),
-                pending_.size());
-  send_all(out.data(), out.size(), /*crash_point=*/true);
+void ShardReplicator::send_append(char* frame, std::uint64_t base,
+                                  std::uint64_t count) {
+  seal_append(frame, static_cast<std::uint16_t>(shard_), base,
+              static_cast<std::uint32_t>(count));
+  send_all(frame, kAppendPrefixBytes + count * kWalRecordBytes,
+           /*crash_point=*/true);
   frames_sent_.fetch_add(1, std::memory_order_relaxed);
-  next_seq_ = pending_base_ + pending_count_;
+}
+
+void ShardReplicator::flush_pending() {
+  if (pending_.empty()) return;
+  const std::uint64_t count =
+      (pending_.size() - kAppendPrefixBytes) / kWalRecordBytes;
+  send_append(pending_.data(), pending_base_, count);
+  next_seq_ = pending_base_ + count;
   pending_.clear();
-  pending_count_ = 0;
 }
 
 void ShardReplicator::wait_for_ack(std::uint64_t target) {
   const auto deadline = Clock::now() + config_.ack_timeout;
   while (acked_.load(std::memory_order_acquire) < target) {
-    const auto now = Clock::now();
-    if (now >= deadline) {
+    if (Clock::now() >= deadline) {
       throw ReplError("follower ack timeout: waited " +
                       std::to_string(config_.ack_timeout.count()) +
                       " ms for record " + std::to_string(target) +
                       " (acked " + std::to_string(acked_.load()) + ")");
     }
     ReplFrame frame;
-    read_frame(frame, std::chrono::milliseconds(ceil_ms(deadline - now)));
+    read_frame(frame, deadline);
     handle_frame(frame);
   }
 }
@@ -289,32 +332,21 @@ bool ShardReplicator::drain_acks() {
     }
   } catch (const ReplError&) {
     if (config_.ack_mode != ReplAckMode::kAsync) throw;
-    fail_session("");
+    fail_session();
     return false;
   }
 }
 
-void ShardReplicator::read_frame(ReplFrame& out,
-                                 std::chrono::milliseconds timeout) {
-  const auto deadline = Clock::now() + timeout;
+void ShardReplicator::read_frame(ReplFrame& out, Clock::time_point deadline) {
   while (true) {
     const ReplFrameDecoder::Status status = decoder_.next(out);
     if (status == ReplFrameDecoder::Status::kFrame) return;
     if (status == ReplFrameDecoder::Status::kError) {
       throw ReplError("replication stream corrupt: " + decoder_.error());
     }
-    const auto now = Clock::now();
-    if (now >= deadline) {
+    if (!wait_ready(fd_, POLLIN, deadline)) {
       throw ReplError("timed out waiting for a follower frame");
     }
-    pollfd pfd{fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, ceil_ms(deadline - now));
-    if (ready < 0 && errno == EINTR) continue;
-    if (ready < 0) {
-      throw ReplError(std::string("replication poll: ") +
-                      std::strerror(errno));
-    }
-    if (ready == 0) continue;  // re-check the deadline
     char buf[65536];
     const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
     if (n > 0) {
@@ -344,8 +376,8 @@ void ShardReplicator::handle_frame(const ReplFrame& frame) {
     case ReplFrameType::kNack: {
       NackMsg nack;
       if (!parse_nack(frame, nack, &error)) throw ReplError(error);
-      throw ReplError("follower refused (" + to_string(nack.reason) +
-                      "): " + nack.message);
+      throw FailSafeError("follower refused (" + to_string(nack.reason) +
+                          "): " + nack.message);
     }
     default:
       throw ReplError("unexpected replication frame type " +
@@ -357,40 +389,42 @@ void ShardReplicator::catch_up(const std::string& path, std::uint64_t from,
                                std::uint64_t to) {
   const int file = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (file < 0) {
-    throw ReplError("catch-up cannot read leader log " + path + ": " +
-                    std::strerror(errno));
+    throw FailSafeError("catch-up cannot read leader log " + path + ": " +
+                        std::strerror(errno));
   }
   try {
-    std::vector<char> buf;
-    std::uint64_t base = from;
-    while (base < to) {
+    // One frame buffer for the whole stream: records are pread straight
+    // behind the APPEND prefix and the header is sealed in place.
+    std::vector<char> frame(
+        kAppendPrefixBytes +
+        std::min<std::uint64_t>(kCatchUpRecords, to - from) * kWalRecordBytes);
+    for (std::uint64_t base = from; base < to;) {
       const std::uint64_t count =
-          std::min<std::uint64_t>(config_.catch_up_batch, to - base);
+          std::min<std::uint64_t>(kCatchUpRecords, to - base);
+      char* records = frame.data() + kAppendPrefixBytes;
       const std::size_t bytes =
           static_cast<std::size_t>(count) * kWalRecordBytes;
-      buf.resize(bytes);
       const off_t offset = static_cast<off_t>(
           kWalHeaderBytes + base * kWalRecordBytes);
       std::size_t got = 0;
       while (got < bytes) {
-        const ssize_t n = ::pread(file, buf.data() + got, bytes - got,
+        const ssize_t n = ::pread(file, records + got, bytes - got,
                                   offset + static_cast<off_t>(got));
         if (n < 0 && errno == EINTR) continue;
         if (n <= 0) {
-          throw ReplError("leader log " + path +
-                          " is shorter than its recovered record count "
-                          "during catch-up");
+          throw FailSafeError("leader log " + path +
+                              " is shorter than its recovered record count "
+                              "during catch-up");
         }
         got += static_cast<std::size_t>(n);
       }
-      std::vector<char> out;
-      encode_append(out, static_cast<std::uint16_t>(shard_), base,
-                    static_cast<std::uint32_t>(count), buf.data(), bytes);
-      send_all(out.data(), out.size(), /*crash_point=*/true);
-      frames_sent_.fetch_add(1, std::memory_order_relaxed);
-      base += count;
+      send_append(frame.data(), base, count);
+      // Frame k is on the wire; settle frame k-1, whose ACK is `base`. The
+      // first frame has no predecessor: WELCOME already acked `from`.
       wait_for_ack(base);
+      base += count;
     }
+    wait_for_ack(to);
   } catch (...) {
     ::close(file);
     throw;
@@ -398,8 +432,7 @@ void ShardReplicator::catch_up(const std::string& path, std::uint64_t from,
   ::close(file);
 }
 
-void ShardReplicator::fail_session(const std::string& why) {
-  (void)why;
+void ShardReplicator::fail_session() {
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;
@@ -431,7 +464,7 @@ void ShardReplicator::heartbeat_loop() {
     } catch (const ReplError&) {
       // Cannot throw from a background thread: tear the session down and
       // let the worker's next send (sync modes) report the loss.
-      fail_session("");
+      fail_session();
     }
   }
 }

@@ -8,7 +8,8 @@
 ///
 ///   on_open    connect + HELLO/WELCOME handshake; ship the catch-up delta
 ///              (records the follower is missing, pread from the leader's
-///              own log) before any new append streams
+///              own log in cap-sized APPENDs, two in flight) before any
+///              new append streams
 ///   on_record  buffer the record; under ack-on-commit, flush and block
 ///              until the follower's ACK covers it
 ///   on_batch   flush; under ack-on-batch, block for the batch's ACK
@@ -23,11 +24,14 @@
 /// commit externalizes beyond what the follower acknowledged. In kAsync
 /// the replicator degrades instead: it marks itself dead, stops streaming
 /// and lets the leader run on (the follower re-syncs via catch-up when the
-/// session re-opens).
+/// session re-opens). That holds for a transport loss during on_open's
+/// handshake or catch-up too. Every blocking send and ack wait is bounded
+/// by ack_timeout, so a follower that stops reading cannot hang the leader.
 ///
-/// A stale leader fails safe: if the follower already holds more records
-/// than the opening log, on_open throws and the open fails — a leader that
-/// lost the newest records must not serve, let alone overwrite them.
+/// A refusal fails safe in every mode: if the follower NACKs the session
+/// or already holds more records than the opening log, on_open throws and
+/// the open fails — a leader that lost the newest records must not serve,
+/// let alone overwrite them.
 #pragma once
 
 #include <atomic>
@@ -45,6 +49,16 @@
 
 namespace slacksched::repl {
 
+/// Records per catch-up APPEND: as many as the protocol's payload cap holds
+/// (18,724), so a 95k-record history ships in a handful of frames.
+inline constexpr std::size_t kCatchUpRecords =
+    (kMaxReplPayload - (kAppendPrefixBytes - kReplHeaderSize)) /
+    kWalRecordBytes;
+static_assert(kAppendPrefixBytes - kReplHeaderSize +
+                      kCatchUpRecords * kWalRecordBytes <=
+                  kMaxReplPayload,
+              "a full catch-up APPEND must fit the payload cap");
+
 /// Leader-side replication knobs (one set shared by every shard).
 struct ReplicationConfig {
   std::string host = "127.0.0.1";
@@ -52,14 +66,14 @@ struct ReplicationConfig {
   ReplAckMode ack_mode = ReplAckMode::kAckOnBatch;
   /// Longest on_open blocks establishing the session.
   std::chrono::milliseconds connect_timeout{2000};
-  /// Longest a synchronous mode blocks on one follower ACK.
+  /// Longest a synchronous mode blocks on one follower ACK, and longest
+  /// any one frame send may block on a follower that does not read.
   std::chrono::milliseconds ack_timeout{5000};
   /// Idle liveness probe cadence (0 disables the heartbeat thread).
   std::chrono::milliseconds heartbeat_interval{100};
-  /// Records per catch-up APPEND frame while re-syncing a behind follower.
-  std::size_t catch_up_batch = 256;
   /// Flush threshold for buffered live records (bytes) between batch
-  /// boundaries; keeps APPEND frames well under kMaxReplPayload.
+  /// boundaries; at most kCatchUpRecords records' worth, so every live
+  /// APPEND fits kMaxReplPayload.
   std::size_t max_pending_bytes = std::size_t{1} << 16;
   /// Observer of follower acknowledgement progress, invoked (under the
   /// replicator's I/O lock — keep it fast) whenever the acked watermark
@@ -114,10 +128,13 @@ class ShardReplicator : public CommitLogObserver {
   [[nodiscard]] int shard() const { return shard_; }
 
  private:
-  /// Sends raw bytes, with the kReplicationFrame crash point armed
-  /// mid-frame (half the bytes are on the wire when it fires). Caller
-  /// holds io_mutex_.
+  /// Sends raw bytes within ack_timeout (ReplError past it), with the
+  /// kReplicationFrame crash point armed mid-frame (half the bytes are on
+  /// the wire when it fires). Caller holds io_mutex_.
   void send_all(const char* data, std::size_t size, bool crash_point);
+  /// Seals `frame` (kAppendPrefixBytes, then `count` records) as the APPEND
+  /// of records [base, base + count) and sends it. Caller holds io_mutex_.
+  void send_append(char* frame, std::uint64_t base, std::uint64_t count);
   /// Flushes buffered live records as one APPEND. Caller holds io_mutex_.
   void flush_pending();
   /// Blocks until acked_ >= target or ack_timeout. Caller holds io_mutex_.
@@ -125,19 +142,22 @@ class ShardReplicator : public CommitLogObserver {
   /// Non-blocking drain of whatever ACK/HEARTBEAT_ACK frames arrived.
   /// Caller holds io_mutex_. Returns false when the connection died.
   bool drain_acks();
-  /// Reads one frame with a poll deadline; processes watermarks in place.
-  /// Caller holds io_mutex_. Throws ReplError on NACK/corruption/timeout.
-  void read_frame(ReplFrame& out, std::chrono::milliseconds timeout);
+  /// Reads one frame by `deadline`. Caller holds io_mutex_. Throws
+  /// ReplError on corruption, connection loss or timeout.
+  void read_frame(ReplFrame& out,
+                  std::chrono::steady_clock::time_point deadline);
   /// Applies one follower frame (ACK/HEARTBEAT_ACK advance the watermark,
   /// NACK throws). Caller holds io_mutex_.
   void handle_frame(const ReplFrame& frame);
-  /// Ships records [from, to) of the leader's log file as catch-up
-  /// APPENDs, each acknowledged synchronously. Caller holds io_mutex_.
+  /// Ships records [from, to) of the leader's log file as kCatchUpRecords
+  /// APPENDs, two in flight: frame k goes out before frame k-1's ACK is
+  /// awaited, so the follower's write+fsync overlaps the next read and
+  /// send. Returns once the follower ACKs `to`. Caller holds io_mutex_.
   void catch_up(const std::string& path, std::uint64_t from,
                 std::uint64_t to);
-  /// Tears the session down. Sync modes then throw ReplError(why); kAsync
-  /// marks the replicator dead and returns. Caller holds io_mutex_.
-  void fail_session(const std::string& why);
+  /// Tears the session down (closes the socket); kAsync also marks the
+  /// replicator dead until the next on_open. Caller holds io_mutex_.
+  void fail_session();
   void heartbeat_loop();
 
   const int shard_;
@@ -147,10 +167,11 @@ class ShardReplicator : public CommitLogObserver {
   int fd_ = -1;
   bool dead_ = false;  ///< kAsync degraded: stop streaming until re-open
   ReplFrameDecoder decoder_;
-  std::vector<char> pending_;          ///< buffered live records (raw WAL)
-  std::uint64_t pending_base_ = 0;     ///< seq of pending_'s first record
-  std::uint64_t pending_count_ = 0;
-  std::uint64_t next_seq_ = 0;  ///< follower's expected next base_seq
+  /// The next live APPEND: kAppendPrefixBytes, then the buffered records
+  /// (raw WAL); empty when nothing is buffered.
+  std::vector<char> pending_;
+  std::uint64_t pending_base_ = 0;  ///< seq of pending_'s first record
+  std::uint64_t next_seq_ = 0;      ///< follower's expected next base_seq
 
   std::atomic<std::uint64_t> acked_{0};
   std::atomic<bool> connected_{false};

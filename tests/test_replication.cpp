@@ -2,10 +2,14 @@
 // leader -> follower streaming across every ack mode (the follower's log
 // must be byte-identical to the leader's), the fail-safe refusals
 // (stale leader, sequence gap, corrupt record, torn stream — each persists
-// nothing), catch-up of a behind follower, the node-level failover FSM,
-// and promotion of the replica logs into a serving gateway.
+// nothing), catch-up of a behind follower in full-size frames (also when
+// it is interrupted, or the follower dies or stalls mid-way), the
+// node-level failover FSM, and promotion of the replica logs into a
+// serving gateway.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -15,6 +19,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -27,6 +32,7 @@
 #include "replication/replica_server.hpp"
 #include "replication/replicator.hpp"
 #include "service/commit_log.hpp"
+#include "service/fault_injection.hpp"
 #include "service/gateway.hpp"
 #include "workload/generators.hpp"
 
@@ -504,37 +510,236 @@ TEST(Replication, TornFrameAtDisconnectIsDiscarded) {
 
 // ---------- catch-up ----------
 
-TEST(Replication, BehindFollowerIsCaughtUpFromTheLeaderLog) {
-  const std::string leader_dir = fresh_dir("catchup_leader");
-  const std::string replica_dir = fresh_dir("catchup_replica");
+/// A leader history longer than two full catch-up frames.
+constexpr std::uint64_t kHistoryRecords = 2 * kCatchUpRecords + 1000;
 
-  // Round 1: no replication — the leader accumulates a WAL on its own.
-  std::uint64_t first_round = 0;
-  {
-    AdmissionGateway gateway(leader_config(leader_dir), threshold_factory());
-    const GatewayResult result = run_leader(gateway, 80);
-    ASSERT_TRUE(result.clean());
-    first_round = result.merged.accepted;
-    ASSERT_GT(first_round, 0u);
+/// Writes `records` non-overlapping commitments (unit jobs laid end to end,
+/// round-robin over the machines) as `dir`'s shard-0 log — a long history
+/// without pushing every job through a gateway.
+void write_history(const std::string& dir, std::uint64_t records) {
+  CommitLogConfig config;
+  config.fsync = FsyncPolicy::kNever;
+  auto log = CommitLog::open(dir + "/shard-0.wal", kMachines, config);
+  for (std::uint64_t i = 0; i < records; ++i) {
+    const double slot = static_cast<double>(i / kMachines);
+    log->append(make_job(static_cast<JobId>(i + 1), slot, 1.0, 1e9),
+                static_cast<int>(i % kMachines), slot);
   }
+  log->close();
+}
 
-  // Round 2: replication attaches to an empty follower. on_open must ship
-  // the backlog before any new record streams.
-  ReplicaServerConfig replica_config;
-  replica_config.dir = replica_dir;
-  ReplicaServer replica(replica_config);
+std::uint64_t frames_for(std::uint64_t records) {
+  return (records + kCatchUpRecords - 1) / kCatchUpRecords;
+}
+
+GatewayConfig replicated_config(const std::string& leader_dir,
+                                std::uint16_t port) {
   GatewayConfig config = leader_config(leader_dir);
   config.replication.emplace();
-  config.replication->port = replica.port();
-  config.replication->catch_up_batch = 16;  // force several catch-up frames
+  config.replication->port = port;
+  return config;
+}
+
+TEST(Replication, BehindFollowerIsCaughtUpFromTheLeaderLog) {
+  const std::string leader_dir = fresh_dir("catchup_leader");
+  write_history(leader_dir, kHistoryRecords);
+
+  // Replication attaches to an empty follower: on_open ships the whole
+  // history, in full-size frames, before any new record streams.
+  ReplicaServerConfig replica_config;
+  replica_config.dir = fresh_dir("catchup_replica");
+  ReplicaServer replica(replica_config);
   {
-    AdmissionGateway gateway(config, threshold_factory());
-    EXPECT_GE(replica.watermark(0), first_round);  // backlog shipped at open
+    AdmissionGateway gateway(replicated_config(leader_dir, replica.port()),
+                             threshold_factory());
+    EXPECT_EQ(replica.watermark(0), kHistoryRecords);
+    EXPECT_EQ(gateway.replicator(0)->frames_sent(),
+              frames_for(kHistoryRecords));
     const GatewayResult result = run_leader(gateway, 40);
     EXPECT_TRUE(result.clean());
+    EXPECT_GT(result.merged.accepted, 0u);
   }
   EXPECT_EQ(read_file(replica.shard_log_path(0)),
             read_file(leader_dir + "/shard-0.wal"));
+}
+
+TEST(Replication, InterruptedCatchUpResumesExactly) {
+#if !(defined(SLACKSCHED_FAULT_INJECTION) && SLACKSCHED_FAULT_INJECTION)
+  GTEST_SKIP() << "needs -DSLACKSCHED_FAULT_INJECTION=ON";
+#endif
+  const std::string leader_dir = fresh_dir("resume_leader");
+  write_history(leader_dir, kHistoryRecords);
+  ReplicaServerConfig replica_config;
+  replica_config.dir = fresh_dir("resume_replica");
+  ReplicaServer replica(replica_config);
+
+  // The leader dies with half of catch-up frame 2 on the wire, frame 1
+  // possibly not yet acknowledged.
+  FaultInjector faults(FaultPlan().add(
+      {FaultSite::kReplicationFrame, 0, 2, FaultAction::kThrow}));
+  GatewayConfig config = replicated_config(leader_dir, replica.port());
+  config.replication->faults = &faults;
+  EXPECT_THROW(
+      { AdmissionGateway gateway(config, threshold_factory()); },
+      InjectedFault);
+  for (int i = 0; i < 400 && replica.attached(0); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_FALSE(replica.attached(0));
+
+  // Frame 1 was whole on the wire, so the follower persisted exactly it;
+  // the torn frame 2 left no bytes behind.
+  const std::uint64_t mark = replica.watermark(0);
+  EXPECT_EQ(mark, kCatchUpRecords);
+  const std::string leader_bytes = read_file(leader_dir + "/shard-0.wal");
+  const std::string replica_bytes = read_file(replica.shard_log_path(0));
+  ASSERT_EQ(replica_bytes.size(), kWalHeaderBytes + mark * kWalRecordBytes);
+  EXPECT_EQ(replica_bytes, leader_bytes.substr(0, replica_bytes.size()));
+
+  // A clean re-open resumes from WELCOME's watermark: only the missing
+  // records travel, and the logs end identical.
+  {
+    AdmissionGateway gateway(replicated_config(leader_dir, replica.port()),
+                             threshold_factory());
+    EXPECT_EQ(replica.watermark(0), kHistoryRecords);
+    EXPECT_EQ(gateway.replicator(0)->frames_sent(),
+              frames_for(kHistoryRecords - mark));
+    EXPECT_TRUE(gateway.finish().clean());
+  }
+  EXPECT_EQ(read_file(replica.shard_log_path(0)),
+            read_file(leader_dir + "/shard-0.wal"));
+}
+
+/// A hand-driven follower for one leader session: answers HELLO with
+/// WELCOME(0) (and, if asked, an ACK forged ahead of any APPEND), then
+/// either hangs up or goes silent — open, never reading.
+class RawFollower {
+ public:
+  /// `rcvbuf` > 0 shrinks the accepted socket's receive buffer.
+  explicit RawFollower(int rcvbuf = 0)
+      : listen_fd_(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0)) {
+    if (rcvbuf > 0) {
+      (void)setsockopt(listen_fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf,
+                       sizeof(rcvbuf));
+    }
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    EXPECT_EQ(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), len), 0);
+    EXPECT_EQ(::listen(listen_fd_, 4), 0);
+    EXPECT_EQ(
+        ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len),
+        0);
+    port_ = ntohs(addr.sin_port);
+  }
+
+  ~RawFollower() {
+    stop();
+    ::close(listen_fd_);
+  }
+
+  [[nodiscard]] std::uint16_t port() const { return port_; }
+
+  /// Serves the next session on a background thread.
+  void serve(bool hang_up, std::uint64_t early_ack = 0) {
+    thread_ = std::thread([this, hang_up, early_ack] {
+      conn_fd_ = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
+      if (conn_fd_ < 0) return;
+      ReplFrameDecoder decoder;
+      ReplFrame hello;
+      while (decoder.next(hello) != ReplFrameDecoder::Status::kFrame) {
+        char buf[64];
+        const ssize_t n = ::recv(conn_fd_, buf, sizeof(buf), 0);
+        if (n <= 0) return;
+        decoder.feed(buf, static_cast<std::size_t>(n));
+      }
+      std::vector<char> reply;
+      encode_welcome(reply, hello.shard, 0);
+      if (early_ack > 0) encode_ack(reply, hello.shard, early_ack);
+      (void)::send(conn_fd_, reply.data(), reply.size(), MSG_NOSIGNAL);
+      if (hang_up) {
+        ::close(conn_fd_);
+        conn_fd_ = -1;
+      }
+    });
+  }
+
+  /// Joins the session thread, then closes the session; closing with
+  /// unread bytes resets the connection, unblocking a stalled sender.
+  void stop() {
+    ::shutdown(listen_fd_, SHUT_RDWR);  // unblocks a pending accept
+    if (thread_.joinable()) thread_.join();
+    if (conn_fd_ >= 0) ::close(conn_fd_);
+    conn_fd_ = -1;
+  }
+
+ private:
+  int listen_fd_;
+  std::uint16_t port_ = 0;
+  int conn_fd_ = -1;
+  std::thread thread_;
+};
+
+TEST(Replication, AsyncDegradesWhenTheFollowerDiesDuringCatchUp) {
+  const std::string leader_dir = fresh_dir("dies_leader");
+  write_history(leader_dir, 2000);
+
+  // kAsync: the transport loss marks the replicator dead; the leader serves.
+  {
+    RawFollower follower;
+    follower.serve(/*hang_up=*/true);
+    GatewayConfig config = replicated_config(leader_dir, follower.port());
+    config.replication->ack_mode = ReplAckMode::kAsync;
+    AdmissionGateway gateway(config, threshold_factory());
+    EXPECT_FALSE(gateway.replicator(0)->connected());
+    const GatewayResult result = run_leader(gateway, 50);
+    EXPECT_TRUE(result.clean());
+    EXPECT_GT(result.merged.accepted, 0u);
+  }
+
+  // kAckOnBatch: the same loss fails the open.
+  RawFollower follower;
+  follower.serve(/*hang_up=*/true);
+  GatewayConfig config = replicated_config(leader_dir, follower.port());
+  config.replication->ack_mode = ReplAckMode::kAckOnBatch;
+  EXPECT_THROW(
+      { AdmissionGateway gateway(config, threshold_factory()); }, ReplError);
+}
+
+TEST(Replication, StalledFollowerFailsTheOpenWithinTheAckTimeout) {
+  // A follower that takes the session and then never reads. Its forged
+  // early ACK keeps the leader out of every ack wait, so the leader sends
+  // frame after frame until the socket buffers (a few MiB on loopback)
+  // fill and the send itself stalls.
+  constexpr std::uint64_t kRecords = 8 * kCatchUpRecords;
+  const std::string leader_dir = fresh_dir("stalled_leader");
+  write_history(leader_dir, kRecords);
+  RawFollower follower(/*rcvbuf=*/4096);
+  follower.serve(/*hang_up=*/false, /*early_ack=*/kRecords);
+
+  ReplicationConfig config;
+  config.port = follower.port();
+  config.ack_timeout = std::chrono::milliseconds(300);
+  config.heartbeat_interval = std::chrono::milliseconds(0);
+  ShardReplicator replicator(0, config);
+  const auto start = std::chrono::steady_clock::now();
+  auto open = std::async(std::launch::async, [&] {
+    replicator.on_open(leader_dir + "/shard-0.wal", kMachines, kRecords);
+  });
+  if (open.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    ADD_FAILURE() << "on_open hung on a follower that stopped reading";
+    follower.stop();  // resets the connection, failing the stuck send
+  }
+  try {
+    open.get();
+    ADD_FAILURE() << "on_open succeeded against a follower that never read";
+  } catch (const ReplError& e) {
+    EXPECT_NE(std::string(e.what()).find("send timed out"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(3));
+  EXPECT_FALSE(replicator.connected());
 }
 
 // ---------- connection failure semantics per ack mode ----------
@@ -569,6 +774,12 @@ TEST(Replication, ConfigValidateNamesProblems) {
   config.ack_timeout = std::chrono::milliseconds(0);
   const std::vector<std::string> problems = config.validate();
   EXPECT_GE(problems.size(), 2u);
+
+  // Live APPENDs must fit the payload cap the follower enforces.
+  ReplicationConfig oversized;
+  oversized.port = 9;
+  oversized.max_pending_bytes = kMaxReplPayload;
+  EXPECT_EQ(oversized.validate().size(), 1u);
 
   GatewayConfig gateway = leader_config("");
   gateway.replication.emplace();
