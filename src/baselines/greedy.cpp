@@ -37,7 +37,7 @@ void GreedyScheduler::reset() { frontier_.reset(); }
 std::string GreedyScheduler::name() const {
   std::string n = "Greedy[" + to_string(policy_) +
                   "](m=" + std::to_string(machines_) + ")";
-  if (profile_) n += "[" + profile_->label() + "]";
+  if (profile_) n.append("[").append(profile_->label()).append("]");
   return n;
 }
 

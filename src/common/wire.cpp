@@ -1,6 +1,7 @@
 #include "common/wire.hpp"
 
 #include <array>
+#include <utility>
 
 namespace slacksched::wire {
 
@@ -58,6 +59,83 @@ std::uint32_t crc32_ieee(const void* data, std::size_t n) {
     crc = t[0][(crc ^ *bytes) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
+}
+
+void seal(char* frame, const FrameSpec& spec, std::uint8_t type,
+          std::uint16_t word, std::size_t len) {
+  const auto store = [frame](std::size_t offset, auto value) {
+    std::memcpy(frame + offset, &value, sizeof(value));
+  };
+  store(0, spec.version);
+  store(1, type);
+  store(2, word);
+  store(4, static_cast<std::uint32_t>(len));
+  store(8, crc32_ieee(frame + kFrameHeaderBytes, len));
+}
+
+bool check_size(std::size_t have, std::size_t need, const char* what,
+                std::string* error) {
+  if (have >= need) return true;
+  if (error != nullptr) {
+    *error = std::string(what) + " payload too short: " +
+             std::to_string(have) + " < " + std::to_string(need) + " bytes";
+  }
+  return false;
+}
+
+void FrameDecoder::feed(const char* data, std::size_t n) {
+  if (!error_.empty()) return;  // sticky: the stream is already lost
+  // Compact the consumed prefix before growing; amortized O(1) per byte.
+  if (pos_ > 0 && (pos_ == buffer_.size() || pos_ >= 4096)) {
+    buffer_.erase(buffer_.begin(),
+                  buffer_.begin() + static_cast<std::ptrdiff_t>(pos_));
+    pos_ = 0;
+  }
+  buffer_.insert(buffer_.end(), data, data + n);
+}
+
+FrameDecoder::Status FrameDecoder::next(std::uint8_t& type,
+                                        std::uint16_t& word,
+                                        std::vector<char>& payload) {
+  if (!error_.empty()) return Status::kError;
+  if (buffered() < kFrameHeaderBytes) return Status::kNeedMore;
+  const char* cursor = buffer_.data() + pos_;
+  const auto version = get<std::uint8_t>(&cursor);
+  const auto raw_type = get<std::uint8_t>(&cursor);
+  const auto raw_word = get<std::uint16_t>(&cursor);
+  const auto len = get<std::uint32_t>(&cursor);
+  const auto crc = get<std::uint32_t>(&cursor);
+  const auto fail = [this](std::string why) {
+    error_ = std::move(why);
+    return Status::kError;
+  };
+  const char* name = spec_->name;
+  if (version != spec_->version) {
+    return fail(std::string("unsupported ") + name + " protocol version " +
+                std::to_string(version) + " (this build speaks " +
+                std::to_string(spec_->version) + ")");
+  }
+  if (raw_type < 1 || raw_type > spec_->max_type) {
+    return fail(std::string("unknown ") + name + " frame type " +
+                std::to_string(raw_type));
+  }
+  // The cap is checked from the header alone: a hostile length field never
+  // makes the decoder wait for (or buffer) a huge payload.
+  if (len > spec_->max_payload) {
+    return fail(std::string(name) + " payload length " + std::to_string(len) +
+                " exceeds the " + std::to_string(spec_->max_payload) +
+                "-byte cap");
+  }
+  if (buffered() < kFrameHeaderBytes + len) return Status::kNeedMore;
+  if (crc32_ieee(cursor, len) != crc) {
+    return fail(std::string("payload checksum mismatch on ") + name +
+                " frame type " + std::to_string(raw_type));
+  }
+  type = raw_type;
+  word = raw_word;
+  payload.assign(cursor, cursor + len);
+  pos_ += kFrameHeaderBytes + len;
+  return Status::kFrame;
 }
 
 }  // namespace slacksched::wire

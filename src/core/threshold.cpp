@@ -40,7 +40,9 @@ std::string ThresholdScheduler::name() const {
   if (config_.k_override) {
     n += "[k=" + std::to_string(*config_.k_override) + "]";
   }
-  if (speed_profile() != nullptr) n += "[" + config_.speeds->label() + "]";
+  if (speed_profile() != nullptr) {
+    n.append("[").append(config_.speeds->label()).append("]");
+  }
   return n;
 }
 

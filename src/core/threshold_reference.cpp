@@ -20,8 +20,8 @@ ReferenceThresholdScheduler::ReferenceThresholdScheduler(
 
 ReferenceThresholdScheduler::ReferenceThresholdScheduler(double eps,
                                                          int machines)
-    : ReferenceThresholdScheduler(ThresholdConfig{eps, machines,
-                                                  std::nullopt}) {}
+    : ReferenceThresholdScheduler(
+          ThresholdConfig{eps, machines, std::nullopt, std::nullopt}) {}
 
 int ReferenceThresholdScheduler::machines() const { return config_.machines; }
 

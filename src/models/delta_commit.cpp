@@ -58,7 +58,7 @@ std::string DeltaCommitScheduler::name() const {
           : "DeltaCommit(delta=" + compact(config_.delta) + ")";
   n += "(m=" + std::to_string(config_.machines) +
        ", queue=" + to_string(config_.queue) + ")";
-  if (!profile_.uniform()) n += "[" + profile_.label() + "]";
+  if (!profile_.uniform()) n.append("[").append(profile_.label()).append("]");
   return n;
 }
 

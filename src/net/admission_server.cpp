@@ -791,21 +791,10 @@ void AdmissionServer::handle_http(EventLoop& loop, Connection& conn) {
   std::string status = "200 OK";
   if (request_line.compare(0, 13, "GET /metrics ") == 0 ||
       request_line.compare(0, 6, "GET / ") == 0) {
-    body = render_prometheus(collect_exporter_input(*gateway_));
-    // The reaper and accept counters live in the server, not the gateway,
-    // so they are appended after the gateway-derived exposition.
-    body +=
-        "# HELP slacksched_connections_reaped_total Connections closed by "
-        "the idle reaper.\n"
-        "# TYPE slacksched_connections_reaped_total counter\n"
-        "slacksched_connections_reaped_total " +
-        std::to_string(connections_reaped()) +
-        "\n"
-        "# HELP slacksched_accept_errors_total accept4 failures (resource "
-        "exhaustion triggers listener backoff).\n"
-        "# TYPE slacksched_accept_errors_total counter\n"
-        "slacksched_accept_errors_total " +
-        std::to_string(accept_errors()) + "\n";
+    ExporterInput input = collect_exporter_input(*gateway_);
+    input.connections_reaped = connections_reaped();
+    input.accept_errors = accept_errors();
+    body = render_prometheus(input);
   } else {
     status = "404 Not Found";
     body = "only GET /metrics is served here\n";

@@ -10,9 +10,7 @@ namespace slacksched::net {
 
 namespace {
 
-using wire::crc32_ieee;
 using wire::get;
-using wire::patch;
 using wire::put;
 
 /// Per-job body inside SUBMIT and SUBMIT_BATCH frames.
@@ -26,26 +24,6 @@ constexpr bool kJobMatchesWire =
     std::is_trivially_copyable_v<Job> && offsetof(Job, id) == 0 &&
     offsetof(Job, release) == 8 && offsetof(Job, proc) == 16 &&
     offsetof(Job, deadline) == 24;
-
-/// Opens a frame: writes the header with payload_len/crc zeroed and
-/// returns the offset where the payload begins.
-std::size_t begin_frame(std::vector<char>& out, FrameType type) {
-  put<std::uint8_t>(out, kProtocolVersion);
-  put<std::uint8_t>(out, static_cast<std::uint8_t>(type));
-  put<std::uint16_t>(out, 0);  // reserved
-  put<std::uint32_t>(out, 0);  // payload_len, patched by end_frame
-  put<std::uint32_t>(out, 0);  // crc, patched by end_frame
-  return out.size();
-}
-
-/// Closes the frame opened at `payload_start`: patches length and CRC.
-void end_frame(std::vector<char>& out, std::size_t payload_start) {
-  const std::size_t len = out.size() - payload_start;
-  patch<std::uint32_t>(out, payload_start - 8,
-                       static_cast<std::uint32_t>(len));
-  patch<std::uint32_t>(out, payload_start - 4,
-                       crc32_ieee(out.data() + payload_start, len));
-}
 
 void put_job(std::vector<char>& out, const Job& job) {
   put<std::int64_t>(out, job.id);
@@ -63,64 +41,51 @@ Job get_job(const char** cursor) {
   return job;
 }
 
-/// Validates a fixed-size payload: at least `need` bytes (longer is legal
-/// — a newer peer may have appended fields we do not read).
-bool check_size(const Frame& frame, std::size_t need, const char* what,
-                std::string* error) {
-  if (frame.payload.size() >= need) return true;
-  if (error != nullptr) {
-    *error = std::string(what) + " payload too short: " +
-             std::to_string(frame.payload.size()) + " < " +
-             std::to_string(need) + " bytes";
-  }
-  return false;
-}
-
 }  // namespace
 
 void encode_submit(std::vector<char>& out, const SubmitMsg& msg) {
-  const std::size_t start = begin_frame(out, FrameType::kSubmit);
+  const std::size_t start = wire::begin_frame(out);
   put<std::uint64_t>(out, msg.request_id);
   put_job(out, msg.job);
-  end_frame(out, start);
+  wire::end_frame(out, start, kAdmissionFrames, FrameType::kSubmit);
 }
 
 void encode_submit_batch(std::vector<char>& out,
                          std::uint64_t base_request_id,
                          std::span<const Job> jobs) {
-  const std::size_t start = begin_frame(out, FrameType::kSubmitBatch);
+  const std::size_t start = wire::begin_frame(out);
   put<std::uint64_t>(out, base_request_id);
   put<std::uint32_t>(out, static_cast<std::uint32_t>(jobs.size()));
   for (const Job& job : jobs) put_job(out, job);
-  end_frame(out, start);
+  wire::end_frame(out, start, kAdmissionFrames, FrameType::kSubmitBatch);
 }
 
 void encode_decision(std::vector<char>& out, const DecisionMsg& msg) {
-  const std::size_t start = begin_frame(out, FrameType::kDecision);
+  const std::size_t start = wire::begin_frame(out);
   put<std::uint64_t>(out, msg.request_id);
   put<std::int64_t>(out, msg.job_id);
   put<std::uint8_t>(out, static_cast<std::uint8_t>(msg.outcome));
   put<std::int32_t>(out, msg.machine);
   put<double>(out, msg.start);
-  end_frame(out, start);
+  wire::end_frame(out, start, kAdmissionFrames, FrameType::kDecision);
 }
 
 void encode_reject(std::vector<char>& out, const RejectMsg& msg) {
-  const std::size_t start = begin_frame(out, FrameType::kReject);
+  const std::size_t start = wire::begin_frame(out);
   put<std::uint64_t>(out, msg.request_id);
   put<std::int64_t>(out, msg.job_id);
   put<std::uint8_t>(out, static_cast<std::uint8_t>(msg.outcome));
   put<std::uint32_t>(out, msg.retry_after_ms);
-  end_frame(out, start);
+  wire::end_frame(out, start, kAdmissionFrames, FrameType::kReject);
 }
 
 void encode_drain(std::vector<char>& out) {
-  const std::size_t start = begin_frame(out, FrameType::kDrain);
-  end_frame(out, start);
+  const std::size_t start = wire::begin_frame(out);
+  wire::end_frame(out, start, kAdmissionFrames, FrameType::kDrain);
 }
 
 void encode_drained(std::vector<char>& out, const DrainedMsg& msg) {
-  const std::size_t start = begin_frame(out, FrameType::kDrained);
+  const std::size_t start = wire::begin_frame(out);
   put<std::uint64_t>(out, msg.submitted);
   put<std::uint64_t>(out, msg.accepted);
   put<std::uint64_t>(out, msg.rejected);
@@ -128,44 +93,44 @@ void encode_drained(std::vector<char>& out, const DrainedMsg& msg) {
   put<double>(out, msg.rejected_volume);
   put<double>(out, msg.makespan);
   put<std::uint8_t>(out, msg.clean);
-  end_frame(out, start);
+  wire::end_frame(out, start, kAdmissionFrames, FrameType::kDrained);
 }
 
 void encode_ping(std::vector<char>& out, std::uint64_t token) {
-  const std::size_t start = begin_frame(out, FrameType::kPing);
+  const std::size_t start = wire::begin_frame(out);
   put<std::uint64_t>(out, token);
-  end_frame(out, start);
+  wire::end_frame(out, start, kAdmissionFrames, FrameType::kPing);
 }
 
 void encode_pong(std::vector<char>& out, std::uint64_t token) {
-  const std::size_t start = begin_frame(out, FrameType::kPong);
+  const std::size_t start = wire::begin_frame(out);
   put<std::uint64_t>(out, token);
-  end_frame(out, start);
+  wire::end_frame(out, start, kAdmissionFrames, FrameType::kPong);
 }
 
 void encode_error(std::vector<char>& out, std::string_view message) {
-  const std::size_t start = begin_frame(out, FrameType::kError);
+  const std::size_t start = wire::begin_frame(out);
   out.insert(out.end(), message.begin(), message.end());
-  end_frame(out, start);
+  wire::end_frame(out, start, kAdmissionFrames, FrameType::kError);
 }
 
 bool parse_submit(const Frame& frame, SubmitMsg& out, std::string* error) {
-  if (!check_size(frame, 8 + kJobBytes, "SUBMIT", error)) return false;
+  if (!wire::check_size(frame.payload.size(), 8 + kJobBytes, "SUBMIT",
+                        error)) {
+    return false;
+  }
   const char* cursor = frame.payload.data();
   out.request_id = get<std::uint64_t>(&cursor);
   out.job = get_job(&cursor);
   return true;
 }
 
-bool parse_submit_batch(const Frame& frame, std::uint64_t& base_request_id,
-                        std::vector<Job>& jobs, std::string* error) {
-  return parse_submit_batch_into(frame, base_request_id, jobs, error);
-}
-
 bool parse_submit_batch_into(const Frame& frame,
                              std::uint64_t& base_request_id,
                              std::vector<Job>& jobs, std::string* error) {
-  if (!check_size(frame, 12, "SUBMIT_BATCH", error)) return false;
+  if (!wire::check_size(frame.payload.size(), 12, "SUBMIT_BATCH", error)) {
+    return false;
+  }
   const char* cursor = frame.payload.data();
   base_request_id = get<std::uint64_t>(&cursor);
   const std::uint32_t count = get<std::uint32_t>(&cursor);
@@ -192,7 +157,9 @@ bool parse_submit_batch_into(const Frame& frame,
 
 bool parse_decision(const Frame& frame, DecisionMsg& out,
                     std::string* error) {
-  if (!check_size(frame, 29, "DECISION", error)) return false;
+  if (!wire::check_size(frame.payload.size(), 29, "DECISION", error)) {
+    return false;
+  }
   const char* cursor = frame.payload.data();
   out.request_id = get<std::uint64_t>(&cursor);
   out.job_id = get<std::int64_t>(&cursor);
@@ -212,7 +179,9 @@ bool parse_decision(const Frame& frame, DecisionMsg& out,
 }
 
 bool parse_reject(const Frame& frame, RejectMsg& out, std::string* error) {
-  if (!check_size(frame, 21, "REJECT", error)) return false;
+  if (!wire::check_size(frame.payload.size(), 21, "REJECT", error)) {
+    return false;
+  }
   const char* cursor = frame.payload.data();
   out.request_id = get<std::uint64_t>(&cursor);
   out.job_id = get<std::int64_t>(&cursor);
@@ -229,7 +198,9 @@ bool parse_reject(const Frame& frame, RejectMsg& out, std::string* error) {
 }
 
 bool parse_drained(const Frame& frame, DrainedMsg& out, std::string* error) {
-  if (!check_size(frame, 49, "DRAINED", error)) return false;
+  if (!wire::check_size(frame.payload.size(), 49, "DRAINED", error)) {
+    return false;
+  }
   const char* cursor = frame.payload.data();
   out.submitted = get<std::uint64_t>(&cursor);
   out.accepted = get<std::uint64_t>(&cursor);
@@ -243,7 +214,9 @@ bool parse_drained(const Frame& frame, DrainedMsg& out, std::string* error) {
 
 bool parse_token(const Frame& frame, std::uint64_t& token,
                  std::string* error) {
-  if (!check_size(frame, 8, "PING/PONG", error)) return false;
+  if (!wire::check_size(frame.payload.size(), 8, "PING/PONG", error)) {
+    return false;
+  }
   const char* cursor = frame.payload.data();
   token = get<std::uint64_t>(&cursor);
   return true;
@@ -251,52 +224,6 @@ bool parse_token(const Frame& frame, std::uint64_t& token,
 
 std::string parse_error_message(const Frame& frame) {
   return std::string(frame.payload.begin(), frame.payload.end());
-}
-
-void FrameDecoder::feed(const char* data, std::size_t n) {
-  if (!error_.empty()) return;  // sticky: the stream is already lost
-  // Compact the consumed prefix before growing; amortized O(1) per byte.
-  if (pos_ > 0 && (pos_ == buffer_.size() || pos_ >= 4096)) {
-    buffer_.erase(buffer_.begin(),
-                  buffer_.begin() + static_cast<std::ptrdiff_t>(pos_));
-    pos_ = 0;
-  }
-  buffer_.insert(buffer_.end(), data, data + n);
-}
-
-FrameDecoder::Status FrameDecoder::next(Frame& out) {
-  if (!error_.empty()) return Status::kError;
-  if (buffered() < kFrameHeaderSize) return Status::kNeedMore;
-  const char* cursor = buffer_.data() + pos_;
-  const std::uint8_t version = get<std::uint8_t>(&cursor);
-  const std::uint8_t type = get<std::uint8_t>(&cursor);
-  (void)get<std::uint16_t>(&cursor);  // reserved
-  const std::uint32_t len = get<std::uint32_t>(&cursor);
-  const std::uint32_t crc = get<std::uint32_t>(&cursor);
-  if (version != kProtocolVersion) {
-    error_ = "unsupported protocol version " + std::to_string(version) +
-             " (this build speaks " + std::to_string(kProtocolVersion) + ")";
-    return Status::kError;
-  }
-  if (!frame_type_valid(type)) {
-    error_ = "unknown frame type " + std::to_string(type);
-    return Status::kError;
-  }
-  if (len > kMaxPayload) {
-    error_ = "payload length " + std::to_string(len) +
-             " exceeds the " + std::to_string(kMaxPayload) + "-byte cap";
-    return Status::kError;
-  }
-  if (buffered() < kFrameHeaderSize + len) return Status::kNeedMore;
-  if (crc32_ieee(cursor, len) != crc) {
-    error_ = "payload checksum mismatch on frame type " +
-             std::to_string(type);
-    return Status::kError;
-  }
-  out.type = static_cast<FrameType>(type);
-  out.payload.assign(cursor, cursor + len);
-  pos_ += kFrameHeaderSize + len;
-  return Status::kFrame;
 }
 
 }  // namespace slacksched::net

@@ -1,18 +1,15 @@
 /// \file
 /// The admission wire protocol: a versioned, length-prefixed, CRC-framed
-/// binary format spoken between AdmissionClient and AdmissionServer. The
-/// framing follows the commit log's conventions (common/wire.hpp: little-
-/// endian fixed-width fields, IEEE CRC-32 over the payload) so one codec
-/// and one checksum cover every byte the project puts on a wire or a disk.
+/// binary format spoken between AdmissionClient and AdmissionServer. Its
+/// frames use the shared 12-byte header and the one frame codec of
+/// common/wire.hpp (little-endian fixed-width fields, IEEE CRC-32 over the
+/// payload), so one codec and one checksum cover every byte the project
+/// puts on a wire or a disk. What is the admission protocol's own:
 ///
-/// Frame layout (header is kFrameHeaderSize = 12 bytes):
-///
-///   u8  version      kProtocolVersion (1); mismatch rejects the frame
-///   u8  type         FrameType; unknown values reject the frame
-///   u16 reserved     0 on send, ignored on receive
-///   u32 payload_len  <= kMaxPayload; bigger frames reject loudly
-///   u32 crc          CRC-32 (IEEE) of the payload bytes
-///   ... payload_len bytes of payload
+///   version      kProtocolVersion (1); mismatch rejects the frame
+///   type         FrameType (1..9); unknown values reject the frame
+///   u16 word     reserved: 0 on send, ignored on receive
+///   payload cap  kMaxPayload (1 MiB); bigger frames reject loudly
 ///
 /// Versioning rules (see docs/net.md): the header layout itself is frozen
 /// forever — a future version 2 keeps the 12-byte header so a version-1
@@ -38,6 +35,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/wire.hpp"
 #include "job/job.hpp"
 #include "service/outcome.hpp"
 
@@ -47,7 +45,7 @@ namespace slacksched::net {
 inline constexpr std::uint8_t kProtocolVersion = 1;
 
 /// Size of the fixed frame header in bytes (frozen across versions).
-inline constexpr std::size_t kFrameHeaderSize = 12;
+inline constexpr std::size_t kFrameHeaderSize = wire::kFrameHeaderBytes;
 
 /// Largest accepted payload. Bounds decoder memory against hostile or
 /// corrupt length fields; also caps SUBMIT_BATCH to ~32k jobs per frame.
@@ -66,10 +64,16 @@ enum class FrameType : std::uint8_t {
   kError = 9,        ///< either side: protocol violation, then close
 };
 
-/// True iff `value` is a defined FrameType wire value.
-[[nodiscard]] constexpr bool frame_type_valid(std::uint8_t value) {
-  return value >= 1 && value <= 9;
-}
+/// The admission protocol as the shared frame codec sees it.
+inline constexpr wire::FrameSpec kAdmissionFrames{
+    kProtocolVersion, static_cast<std::uint8_t>(FrameType::kError),
+    kMaxPayload, "admission"};
+
+/// One decoded frame (the header's u16 word is reserved and ignored).
+using Frame = wire::Frame<FrameType>;
+
+/// The shared incremental decoder (common/wire.hpp) bound to this protocol.
+using FrameDecoder = wire::ProtocolDecoder<FrameType, kAdmissionFrames>;
 
 /// Thrown by the client on connection failures, peer-reported ERROR
 /// frames, and malformed server responses.
@@ -116,12 +120,6 @@ struct DrainedMsg {
   std::uint8_t clean = 1;  ///< 0 iff some shard attempted an illegal commit
 };
 
-/// One decoded frame: validated header + raw payload bytes.
-struct Frame {
-  FrameType type = FrameType::kError;
-  std::vector<char> payload;
-};
-
 // --- encoders: append one complete frame (header + payload) to `out` ---
 
 void encode_submit(std::vector<char>& out, const SubmitMsg& msg);
@@ -142,17 +140,13 @@ void encode_error(std::vector<char>& out, std::string_view message);
 
 [[nodiscard]] bool parse_submit(const Frame& frame, SubmitMsg& out,
                                 std::string* error);
-[[nodiscard]] bool parse_submit_batch(const Frame& frame,
-                                      std::uint64_t& base_request_id,
-                                      std::vector<Job>& jobs,
-                                      std::string* error);
 /// Decodes a SUBMIT_BATCH payload straight into `jobs`, reusing its
 /// storage across calls (resized to the batch's count; capacity is kept).
 /// On little-endian hosts whose Job layout equals the 32-byte wire job the
 /// whole array is one memcpy; otherwise it decodes field by field. The
 /// server's ingest path calls this with a per-loop scratch vector so a
 /// SUBMIT_BATCH reaches the gateway's span ingest with zero per-frame
-/// allocations. Semantically identical to parse_submit_batch.
+/// allocations.
 [[nodiscard]] bool parse_submit_batch_into(const Frame& frame,
                                            std::uint64_t& base_request_id,
                                            std::vector<Job>& jobs,
@@ -167,34 +161,5 @@ void encode_error(std::vector<char>& out, std::string_view message);
                                std::string* error);
 /// ERROR payloads are the raw UTF-8 message (possibly empty).
 [[nodiscard]] std::string parse_error_message(const Frame& frame);
-
-/// Incremental frame decoder: feed() raw bytes as they arrive, then pull
-/// complete frames with next(). A malformed stream (bad version, unknown
-/// type, oversized length, CRC mismatch) puts the decoder into a sticky
-/// error state — framing is lost for good on a byte stream, so the only
-/// safe reaction is to report and close the connection.
-class FrameDecoder {
- public:
-  enum class Status {
-    kFrame,     ///< `out` holds the next complete frame
-    kNeedMore,  ///< no complete frame buffered; feed() more bytes
-    kError,     ///< stream corrupt; see error()
-  };
-
-  void feed(const char* data, std::size_t n);
-
-  [[nodiscard]] Status next(Frame& out);
-
-  /// Why the stream was rejected (empty unless next() returned kError).
-  [[nodiscard]] const std::string& error() const { return error_; }
-
-  /// Bytes buffered but not yet consumed by next().
-  [[nodiscard]] std::size_t buffered() const { return buffer_.size() - pos_; }
-
- private:
-  std::vector<char> buffer_;
-  std::size_t pos_ = 0;  ///< consumed prefix of buffer_
-  std::string error_;
-};
 
 }  // namespace slacksched::net

@@ -1,77 +1,15 @@
 #include "replication/failover.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 
 #include "common/rng.hpp"
 #include "replication/replica_server.hpp"
-#include "service/commit_log.hpp"
 
 namespace slacksched::repl {
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/// Fail-fast framing pre-check of one replica log before the real replay:
-/// header sanity + whole-record count. Returns false with `why` on a log
-/// promotion could never serve from.
-bool precheck_log(const std::string& path, std::uint64_t* records,
-                  std::string* why) {
-  *records = 0;
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    if (errno == ENOENT) return true;  // fresh shard: nothing to replay
-    *why = "cannot read " + path + ": " + std::strerror(errno);
-    return false;
-  }
-  const off_t size = ::lseek(fd, 0, SEEK_END);
-  if (size < 0) {
-    ::close(fd);
-    *why = "cannot seek " + path + ": " + std::strerror(errno);
-    return false;
-  }
-  if (static_cast<std::size_t>(size) < kWalHeaderBytes) {
-    ::close(fd);
-    return true;  // header never completed: recovers to a fresh state
-  }
-  char header[kWalHeaderBytes];
-  if (::pread(fd, header, sizeof(header), 0) !=
-      static_cast<ssize_t>(sizeof(header))) {
-    ::close(fd);
-    *why = "cannot read header of " + path;
-    return false;
-  }
-  if (std::memcmp(header, kWalMagic, sizeof(kWalMagic)) != 0) {
-    ::close(fd);
-    *why = path + ": not a commit log (bad magic)";
-    return false;
-  }
-  off_t at = static_cast<off_t>(kWalHeaderBytes);
-  char record[kWalRecordBytes];
-  while (at + static_cast<off_t>(kWalRecordBytes) <= size) {
-    if (::pread(fd, record, kWalRecordBytes, at) !=
-        static_cast<ssize_t>(kWalRecordBytes)) {
-      break;  // torn tail: recovery truncates it
-    }
-    std::uint32_t len = 0;
-    std::uint32_t crc = 0;
-    std::memcpy(&len, record, sizeof(len));
-    std::memcpy(&crc, record + 4, sizeof(crc));
-    if (len != kWalPayloadBytes ||
-        wal_crc32(record + kWalFrameBytes, kWalPayloadBytes) != crc) {
-      break;  // torn tail
-    }
-    ++*records;
-    at += static_cast<off_t>(kWalRecordBytes);
-  }
-  ::close(fd);
-  return true;
-}
 
 }  // namespace
 
@@ -182,17 +120,11 @@ PromotionResult promote_replica(const GatewayConfig& config,
       // The chaos harness arms this site to kill the follower between
       // per-shard replays — promotion must be idempotent across it.
       SLACKSCHED_FAULT_CRASH_POINT(faults, FaultSite::kFailover, s);
-      const std::string path =
-          config.wal_dir + "/shard-" + std::to_string(s) + ".wal";
-      std::uint64_t records = 0;
-      std::string why;
-      if (!precheck_log(path, &records, &why)) {
-        result.error = "shard " + std::to_string(s) + ": " + why;
-        return result;
-      }
     }
-    // The real replay: each Shard::spawn runs recover_commit_log with
-    // full commitment re-validation and resumes serving from the result.
+    // The replay: each Shard::spawn runs recover_commit_log with full
+    // commitment re-validation and resumes serving from the result. An
+    // unreadable or foreign log fails it ("shard N recovery failed: ..."),
+    // which lands in result.error below.
     result.gateway = factory
                          ? std::make_unique<AdmissionGateway>(config, factory)
                          : std::make_unique<AdmissionGateway>(config);

@@ -26,8 +26,8 @@
 /// promote_replica replays the replica's per-shard logs through the
 /// existing gateway recovery machinery (Shard::spawn ->
 /// recover_commit_log, with full commitment re-validation) and returns a
-/// serving gateway. The kFailover fault site sits between the per-shard
-/// pre-checks, so the chaos harness can kill the follower mid-promotion
+/// serving gateway. The kFailover fault site fires once per shard before
+/// the replay, so the chaos harness can kill the follower mid-promotion
 /// and assert that a *second* promotion still lands on the same records.
 #pragma once
 
@@ -138,10 +138,10 @@ struct PromotionResult {
 };
 
 /// Promotes the replica logs under `config.wal_dir` into a serving
-/// gateway. Per shard: the kFailover crash site fires (so a chaos plan
-/// can kill the promotion between shards), the log's framing is
-/// pre-checked fail-fast, then the gateway constructor replays every log
-/// through recover_commit_log — full commitment re-validation included.
+/// gateway. Per shard the kFailover crash site fires (so a chaos plan can
+/// kill the promotion between shards); then the gateway constructor
+/// replays every log through recover_commit_log — full commitment
+/// re-validation included — and an unreadable or foreign log fails it.
 /// With `factory` null the gateway is built from config.model.
 /// Never throws: a failed promotion reports ok = false and the reason.
 [[nodiscard]] PromotionResult promote_replica(

@@ -1,20 +1,16 @@
 /// \file
 /// The commit-log replication wire protocol: a versioned, length-prefixed,
 /// CRC-framed binary format spoken between a leader's per-shard
-/// ShardReplicator and a follower's ReplicaServer. It reuses the shared
-/// codec (common/wire.hpp: little-endian fixed-width fields, IEEE CRC-32
-/// over the payload) but is its own protocol on its own port — the frozen
-/// client admission protocol (net/protocol.hpp, docs/net.md) is untouched
-/// and versions independently.
+/// ShardReplicator and a follower's ReplicaServer. Its frames use the
+/// shared 12-byte header and the one frame codec of common/wire.hpp, but
+/// it is its own protocol on its own port — the frozen client admission
+/// protocol (net/protocol.hpp, docs/net.md) is untouched and versions
+/// independently. What is the replication protocol's own:
 ///
-/// Frame layout (header is kReplHeaderSize = 12 bytes):
-///
-///   u8  version      kReplProtocolVersion (1); mismatch rejects the frame
-///   u8  type         ReplFrameType; unknown values reject the frame
-///   u16 shard        shard index the frame belongs to
-///   u32 payload_len  <= kMaxReplPayload; bigger frames reject loudly
-///   u32 crc          CRC-32 (IEEE) of the payload bytes
-///   ... payload_len bytes of payload
+///   version      kReplProtocolVersion (1); mismatch rejects the frame
+///   type         ReplFrameType (1..7); unknown values reject the frame
+///   u16 word     the shard index the frame belongs to
+///   payload cap  kMaxReplPayload (1 MiB); bigger frames reject loudly
 ///
 /// Conversation shape (one TCP connection per shard, leader connects):
 ///
@@ -42,13 +38,15 @@
 #include <string_view>
 #include <vector>
 
+#include "common/wire.hpp"
+
 namespace slacksched::repl {
 
 /// Replication protocol version this build speaks.
 inline constexpr std::uint8_t kReplProtocolVersion = 1;
 
 /// Size of the fixed frame header in bytes (frozen across versions).
-inline constexpr std::size_t kReplHeaderSize = 12;
+inline constexpr std::size_t kReplHeaderSize = wire::kFrameHeaderBytes;
 
 /// Largest accepted payload (caps APPEND to ~18.7k records per frame).
 inline constexpr std::uint32_t kMaxReplPayload = 1u << 20;
@@ -68,10 +66,17 @@ enum class ReplFrameType : std::uint8_t {
   kNack = 7,          ///< follower -> leader: refusal, then close
 };
 
-/// True iff `value` is a defined ReplFrameType wire value.
-[[nodiscard]] constexpr bool repl_frame_type_valid(std::uint8_t value) {
-  return value >= 1 && value <= 7;
-}
+/// The replication protocol as the shared frame codec sees it.
+inline constexpr wire::FrameSpec kReplicationFrames{
+    kReplProtocolVersion, static_cast<std::uint8_t>(ReplFrameType::kNack),
+    kMaxReplPayload, "replication"};
+
+/// One decoded frame; its header word is the shard index.
+using ReplFrame = wire::Frame<ReplFrameType>;
+
+/// The shared incremental decoder (common/wire.hpp) bound to this protocol.
+using ReplFrameDecoder =
+    wire::ProtocolDecoder<ReplFrameType, kReplicationFrames>;
 
 /// Why a follower refused (NACK payload `reason`). Values are frozen.
 enum class NackReason : std::uint8_t {
@@ -115,13 +120,6 @@ struct NackMsg {
   std::string message;
 };
 
-/// One decoded frame: validated header + raw payload bytes.
-struct ReplFrame {
-  ReplFrameType type = ReplFrameType::kNack;
-  std::uint16_t shard = 0;
-  std::vector<char> payload;
-};
-
 // --- encoders: append one complete frame (header + payload) to `out` ---
 
 void encode_hello(std::vector<char>& out, std::uint16_t shard,
@@ -160,34 +158,5 @@ void encode_nack(std::vector<char>& out, std::uint16_t shard,
                                 const char** records, std::string* error);
 [[nodiscard]] bool parse_nack(const ReplFrame& frame, NackMsg& out,
                               std::string* error);
-
-/// Incremental frame decoder: feed() raw bytes as they arrive, then pull
-/// complete frames with next(). A malformed stream (bad version, unknown
-/// type, oversized length, CRC mismatch) puts the decoder into a sticky
-/// error state — framing is lost for good on a byte stream, so the only
-/// safe reaction is to report and close the connection.
-class ReplFrameDecoder {
- public:
-  enum class Status {
-    kFrame,     ///< `out` holds the next complete frame
-    kNeedMore,  ///< no complete frame buffered; feed() more bytes
-    kError,     ///< stream corrupt; see error()
-  };
-
-  void feed(const char* data, std::size_t n);
-
-  [[nodiscard]] Status next(ReplFrame& out);
-
-  /// Why the stream was rejected (empty unless next() returned kError).
-  [[nodiscard]] const std::string& error() const { return error_; }
-
-  /// Bytes buffered but not yet consumed by next().
-  [[nodiscard]] std::size_t buffered() const { return buffer_.size() - pos_; }
-
- private:
-  std::vector<char> buffer_;
-  std::size_t pos_ = 0;  ///< consumed prefix of buffer_
-  std::string error_;
-};
 
 }  // namespace slacksched::repl

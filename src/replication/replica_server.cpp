@@ -41,12 +41,7 @@ ScanResult scan_records(int fd, off_t file_size) {
       scan.torn = true;
       return scan;
     }
-    std::uint32_t len = 0;
-    std::uint32_t crc = 0;
-    std::memcpy(&len, record, sizeof(len));
-    std::memcpy(&crc, record + 4, sizeof(crc));
-    if (len != kWalPayloadBytes ||
-        wal_crc32(record + kWalFrameBytes, kWalPayloadBytes) != crc) {
+    if (!wal_record_intact(record)) {
       scan.torn = true;
       return scan;
     }
@@ -60,13 +55,8 @@ ScanResult scan_records(int fd, off_t file_size) {
 /// True iff every record in an APPEND body passes its frame check.
 bool records_well_formed(const char* records, std::uint32_t count) {
   for (std::uint32_t i = 0; i < count; ++i) {
-    const char* record = records + static_cast<std::size_t>(i) * kWalRecordBytes;
-    std::uint32_t len = 0;
-    std::uint32_t crc = 0;
-    std::memcpy(&len, record, sizeof(len));
-    std::memcpy(&crc, record + 4, sizeof(crc));
-    if (len != kWalPayloadBytes ||
-        wal_crc32(record + kWalFrameBytes, kWalPayloadBytes) != crc) {
+    if (!wal_record_intact(records +
+                           static_cast<std::size_t>(i) * kWalRecordBytes)) {
       return false;
     }
   }
@@ -341,10 +331,10 @@ bool ReplicaServer::open_shard_log(ShardState& state, int shard,
 bool ReplicaServer::handle_frame(
     int fd, const ReplFrame& frame,
     std::unordered_map<int, std::uint64_t>& epochs) {
-  const int shard = static_cast<int>(frame.shard);
+  const int shard = static_cast<int>(frame.word);  // the word is the shard
   std::vector<char> reply;
   if (shard < 0 || shard >= config_.shards) {
-    encode_nack(reply, frame.shard, NackReason::kBadState, 0,
+    encode_nack(reply, frame.word, NackReason::kBadState, 0,
                 "replica serves " + std::to_string(config_.shards) +
                     " shards, frame names shard " + std::to_string(shard));
     send_frame(fd, reply);
@@ -356,14 +346,14 @@ bool ReplicaServer::handle_frame(
   if (frame.type == ReplFrameType::kHello) {
     HelloMsg hello;
     if (!parse_hello(frame, hello, &error)) {
-      encode_nack(reply, frame.shard, NackReason::kBadState, 0, error);
+      encode_nack(reply, frame.word, NackReason::kBadState, 0, error);
       send_frame(fd, reply);
       return false;
     }
     std::lock_guard lock(state.mutex);
     std::string why;
     if (!open_shard_log(state, shard, hello.machines, &why)) {
-      encode_nack(reply, frame.shard, NackReason::kBadState, 0, why);
+      encode_nack(reply, frame.word, NackReason::kBadState, 0, why);
       send_frame(fd, reply);
       return false;
     }
@@ -372,7 +362,7 @@ bool ReplicaServer::handle_frame(
       // Stale leader: it lost records this replica still holds. Refusing
       // here is what keeps a recovered-but-behind leader from serving —
       // and from ever truncating the survivor's history.
-      encode_nack(reply, frame.shard, NackReason::kStaleLeader, have,
+      encode_nack(reply, frame.word, NackReason::kStaleLeader, have,
                   "leader announces " +
                       std::to_string(hello.leader_records) +
                       " records, replica holds " + std::to_string(have));
@@ -386,7 +376,7 @@ bool ReplicaServer::handle_frame(
     state.attached.store(true, std::memory_order_release);
     sessions_.fetch_add(1, std::memory_order_relaxed);
     touch_activity();
-    encode_welcome(reply, frame.shard, have);
+    encode_welcome(reply, frame.word, have);
     send_frame(fd, reply);
     return true;
   }
@@ -394,7 +384,7 @@ bool ReplicaServer::handle_frame(
   // Every other frame requires an owned session on the shard.
   const auto it = epochs.find(shard);
   if (it == epochs.end()) {
-    encode_nack(reply, frame.shard, NackReason::kBadState, 0,
+    encode_nack(reply, frame.word, NackReason::kBadState, 0,
                 "no session: HELLO first");
     send_frame(fd, reply);
     return false;
@@ -405,7 +395,7 @@ bool ReplicaServer::handle_frame(
     std::uint32_t count = 0;
     const char* records = nullptr;
     if (!parse_append(frame, base_seq, count, &records, &error)) {
-      encode_nack(reply, frame.shard, NackReason::kBadState, 0, error);
+      encode_nack(reply, frame.word, NackReason::kBadState, 0, error);
       send_frame(fd, reply);
       return false;
     }
@@ -413,7 +403,7 @@ bool ReplicaServer::handle_frame(
     if (state.epoch != it->second) return false;  // superseded
     const std::uint64_t have = state.records.load(std::memory_order_relaxed);
     if (base_seq != have) {
-      encode_nack(reply, frame.shard, NackReason::kSequenceGap, have,
+      encode_nack(reply, frame.word, NackReason::kSequenceGap, have,
                   "APPEND base " + std::to_string(base_seq) +
                       ", replica expects " + std::to_string(have));
       send_frame(fd, reply);
@@ -423,7 +413,7 @@ bool ReplicaServer::handle_frame(
       // All-or-nothing: one bad record quarantines the whole frame, so a
       // valid prefix never mixes with corruption on disk.
       quarantined_.fetch_add(1, std::memory_order_relaxed);
-      encode_nack(reply, frame.shard, NackReason::kCorruptRecord, have,
+      encode_nack(reply, frame.word, NackReason::kCorruptRecord, have,
                   "a record in the APPEND failed its CRC frame check");
       send_frame(fd, reply);
       return false;
@@ -431,7 +421,7 @@ bool ReplicaServer::handle_frame(
     const std::size_t bytes =
         static_cast<std::size_t>(count) * kWalRecordBytes;
     if (!write_fully(state.fd, records, bytes) || ::fsync(state.fd) != 0) {
-      encode_nack(reply, frame.shard, NackReason::kBadState, have,
+      encode_nack(reply, frame.word, NackReason::kBadState, have,
                   "replica log write failed: " +
                       std::string(std::strerror(errno)));
       send_frame(fd, reply);
@@ -440,7 +430,7 @@ bool ReplicaServer::handle_frame(
     const std::uint64_t now_have = have + count;
     state.records.store(now_have, std::memory_order_release);
     touch_activity();
-    encode_ack(reply, frame.shard, now_have);
+    encode_ack(reply, frame.word, now_have);
     send_frame(fd, reply);
     return true;
   }
@@ -449,13 +439,13 @@ bool ReplicaServer::handle_frame(
     std::lock_guard lock(state.mutex);
     if (state.epoch != it->second) return false;  // superseded
     touch_activity();
-    encode_heartbeat_ack(reply, frame.shard,
+    encode_heartbeat_ack(reply, frame.word,
                          state.records.load(std::memory_order_relaxed));
     send_frame(fd, reply);
     return true;
   }
 
-  encode_nack(reply, frame.shard, NackReason::kBadState, 0,
+  encode_nack(reply, frame.word, NackReason::kBadState, 0,
               "unexpected frame type " +
                   std::to_string(static_cast<int>(frame.type)));
   send_frame(fd, reply);

@@ -58,7 +58,7 @@ SvgDocument render_gantt_svg(const Schedule& schedule,
   for (int machine = 0; machine < schedule.machines(); ++machine) {
     const double lane_y = kTop + machine * (kLaneHeight + kLaneGap);
     svg.text(10.0, lane_y + kLaneHeight * 0.65,
-             "m" + std::to_string(machine), 12.0);
+             std::string("m").append(std::to_string(machine)), 12.0);
     svg.rect(kLeft, lane_y, plot_width, kLaneHeight, "#f2f2f2");
     for (const Placement& p : schedule.on_machine(machine)) {
       const double x0 = x(std::min(p.start, t_end));
@@ -69,7 +69,8 @@ SvgDocument render_gantt_svg(const Schedule& schedule,
                color, "#333333");
       if (x1 - x0 > 24.0) {
         svg.text(0.5 * (x0 + x1), lane_y + kLaneHeight * 0.65,
-                 "J" + std::to_string(p.job.id), 11.0, "#ffffff", "middle");
+                 std::string("J").append(std::to_string(p.job.id)), 11.0,
+                 "#ffffff", "middle");
       }
     }
   }

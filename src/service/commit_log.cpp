@@ -37,10 +37,6 @@ std::string to_string(FsyncPolicy policy) {
   return "unknown";
 }
 
-std::uint32_t wal_crc32(const void* data, std::size_t n) {
-  return wire::crc32_ieee(data, n);
-}
-
 void encode_wal_record(const Job& job, int machine, TimePoint start,
                        std::vector<char>& out) {
   // Header and payload go straight into `out`; the CRC is patched in once
@@ -57,8 +53,17 @@ void encode_wal_record(const Job& job, int machine, TimePoint start,
   put(out, start);
   SLACKSCHED_ENSURES(out.size() - frame == kWalRecordBytes);
   wire::patch(out, frame + 4,
-              wal_crc32(out.data() + frame + kWalFrameBytes,
-                        kWalPayloadBytes));
+              wire::crc32_ieee(out.data() + frame + kWalFrameBytes,
+                               kWalPayloadBytes));
+}
+
+bool wal_record_intact(const char* record) {
+  std::uint32_t len = 0;
+  std::uint32_t crc = 0;
+  std::memcpy(&len, record, sizeof(len));
+  std::memcpy(&crc, record + 4, sizeof(crc));
+  return len == kWalPayloadBytes &&
+         wire::crc32_ieee(record + kWalFrameBytes, kWalPayloadBytes) == crc;
 }
 
 std::unique_ptr<CommitLog> CommitLog::open(const std::string& path,

@@ -43,10 +43,6 @@ enum class FsyncPolicy : std::uint8_t {
 
 [[nodiscard]] std::string to_string(FsyncPolicy policy);
 
-/// IEEE CRC-32 (reflected, poly 0xEDB88320) over `n` bytes — the record
-/// framing checksum. Exposed so tests can forge/verify frames.
-[[nodiscard]] std::uint32_t wal_crc32(const void* data, std::size_t n);
-
 inline constexpr char kWalMagic[8] = {'S', 'L', 'K', 'W', 'A', 'L', '0', '2'};
 inline constexpr std::uint32_t kWalVersion = 2;
 inline constexpr std::size_t kWalHeaderBytes = 16;
@@ -201,5 +197,11 @@ class CommitLog {
 /// path shared by the writer and the tests that forge torn/corrupt logs.
 void encode_wal_record(const Job& job, int machine, TimePoint start,
                        std::vector<char>& out);
+
+/// True iff the kWalRecordBytes bytes at `record` are one intact record:
+/// its length field is kWalPayloadBytes and its CRC matches the payload.
+/// The single framing check of recovery, the replica's tail scan and the
+/// replica's APPEND check.
+[[nodiscard]] bool wal_record_intact(const char* record);
 
 }  // namespace slacksched

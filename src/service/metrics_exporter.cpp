@@ -339,6 +339,19 @@ std::string render_prometheus(const ExporterInput& input,
     }
   }
 
+  if (input.connections_reaped) {
+    FamilyWriter family(os, options.prefix, "connections_reaped_total",
+                        "Connections closed by the idle reaper.", "counter");
+    family.sample("", std::to_string(*input.connections_reaped));
+  }
+  if (input.accept_errors) {
+    FamilyWriter family(
+        os, options.prefix, "accept_errors_total",
+        "accept4 failures (resource exhaustion triggers listener backoff).",
+        "counter");
+    family.sample("", std::to_string(*input.accept_errors));
+  }
+
   return os.str();
 }
 

@@ -1,7 +1,8 @@
 // Prometheus text-exposition rendering of the gateway's live metrics:
 // MetricsRegistry counters and gauges, the admit-latency histogram with
 // cumulative `le` buckets, supervisor health / restart state, WAL and
-// failover counters, and trace-ring drop counts. The output follows the
+// failover counters, trace-ring drop counts, and the admission server's
+// connection counters. The output follows the
 // Prometheus exposition format v0.0.4 (one `# HELP` / `# TYPE` pair per
 // family, `\n`-terminated samples), so it can be served by any HTTP
 // sidecar or dropped into a node-exporter textfile collector directory by
@@ -15,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,6 +50,10 @@ struct ExporterInput {
   std::vector<ShardHealthStatus> health;
   /// Per-shard trace-ring drop counters (empty when tracing is off).
   std::vector<std::uint64_t> trace_dropped;
+  /// Admission-server counters, rendered last and only when set: the
+  /// connections its idle reaper closed and its accept4 failures.
+  std::optional<std::uint64_t> connections_reaped;
+  std::optional<std::uint64_t> accept_errors;
 };
 
 /// Renders one complete exposition page.

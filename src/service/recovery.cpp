@@ -29,13 +29,6 @@ RecoveryResult fail(RecoveryResult result, std::string error) {
   return result;
 }
 
-/// Length fields a writer could never have produced mark a torn frame, not
-/// a record to skip: today every payload is exactly kWalPayloadBytes, and
-/// the cap guards against interpreting garbage as a multi-gigabyte record.
-bool plausible_payload_len(std::uint32_t len) {
-  return len == kWalPayloadBytes && len <= 4096;
-}
-
 }  // namespace
 
 RecoveryResult recover_commit_log(const std::string& path, int machines,
@@ -127,16 +120,11 @@ RecoveryResult recover_commit_log(const std::string& path, int machines,
   }
 
   std::size_t offset = kWalHeaderBytes;
-  std::size_t good_offset = offset;
-  while (offset + kWalFrameBytes <= have) {
-    const auto payload_len = get_raw<std::uint32_t>(data.data() + offset);
-    const auto stored_crc =
-        get_raw<std::uint32_t>(data.data() + offset + sizeof(std::uint32_t));
-    if (!plausible_payload_len(payload_len)) break;
-    if (offset + kWalFrameBytes + payload_len > have) break;
+  // The first short, implausible or CRC-failing record starts the torn
+  // tail: a length field the writer never produced is not a record to skip.
+  while (offset + kWalRecordBytes <= have &&
+         wal_record_intact(data.data() + offset)) {
     const char* payload = data.data() + offset + kWalFrameBytes;
-    if (wal_crc32(payload, payload_len) != stored_crc) break;
-
     Job job;
     job.id = static_cast<JobId>(get_raw<std::int64_t>(payload));
     job.release = get_raw<double>(payload + 8);
@@ -210,8 +198,7 @@ RecoveryResult recover_commit_log(const std::string& path, int machines,
                         std::to_string(job.id));
       }
       ++result.records_replayed;
-      offset += kWalFrameBytes + payload_len;
-      good_offset = offset;
+      offset += kWalRecordBytes;
       continue;
     }
 
@@ -240,15 +227,13 @@ RecoveryResult recover_commit_log(const std::string& path, int machines,
     ++result.metrics.accepted;
     result.metrics.accepted_volume += job.proc;
 
-    offset += kWalFrameBytes + payload_len;
-    good_offset = offset;
+    offset += kWalRecordBytes;
   }
 
-  if (good_offset < have) {
+  if (offset < have) {
     result.tail_truncated = true;
-    result.bytes_truncated = have - good_offset;
-    if (truncate_file &&
-        ::ftruncate(fd, static_cast<off_t>(good_offset)) != 0) {
+    result.bytes_truncated = have - offset;
+    if (truncate_file && ::ftruncate(fd, static_cast<off_t>(offset)) != 0) {
       const std::string err = std::strerror(errno);
       ::close(fd);
       return fail(std::move(result),

@@ -1,9 +1,9 @@
 // Commit-log (WAL) format, durability policies, and crash recovery.
 //
 // The torn-tail tests forge log files byte-by-byte through the same
-// encode_wal_record/wal_crc32 primitives the writer uses, so every framing
-// rule (length plausibility, CRC, short payload) is pinned independently
-// of the writer's behavior.
+// encode_wal_record/wire::crc32_ieee primitives the writer uses, so every
+// framing rule (length plausibility, CRC, short payload) is pinned
+// independently of the writer's behavior.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "baselines/greedy.hpp"
+#include "common/wire.hpp"
 #include "core/threshold.hpp"
 #include "sched/validator.hpp"
 #include "service/commit_log.hpp"
@@ -50,19 +51,12 @@ std::size_t file_size(const std::string& path) {
   return in ? static_cast<std::size_t>(in.tellg()) : 0;
 }
 
-TEST(WalCrc32, MatchesTheIeeeCheckValue) {
-  // The canonical CRC-32 check: crc32("123456789") == 0xCBF43926.
-  const char data[] = "123456789";
-  EXPECT_EQ(wal_crc32(data, 9), 0xCBF43926u);
-  EXPECT_EQ(wal_crc32(data, 0), 0u);
-}
-
 TEST(WalCrc32, SensitiveToEveryByte) {
   std::vector<char> payload(kWalPayloadBytes, 'x');
-  const std::uint32_t base = wal_crc32(payload.data(), payload.size());
+  const std::uint32_t base = wire::crc32_ieee(payload.data(), payload.size());
   for (std::size_t i = 0; i < payload.size(); ++i) {
     payload[i] ^= 0x01;
-    EXPECT_NE(wal_crc32(payload.data(), payload.size()), base)
+    EXPECT_NE(wire::crc32_ieee(payload.data(), payload.size()), base)
         << "flip at byte " << i << " not detected";
     payload[i] ^= 0x01;
   }
@@ -78,7 +72,8 @@ TEST(WalRecord, EncodesTheDocumentedFixedWidthLayout) {
   std::memcpy(&len, out.data(), 4);
   std::memcpy(&crc, out.data() + 4, 4);
   EXPECT_EQ(len, kWalPayloadBytes);
-  EXPECT_EQ(crc, wal_crc32(out.data() + kWalFrameBytes, kWalPayloadBytes));
+  EXPECT_EQ(crc,
+            wire::crc32_ieee(out.data() + kWalFrameBytes, kWalPayloadBytes));
 
   std::int64_t id = 0;
   double release = 0.0, proc = 0.0, deadline = 0.0, start = 0.0;

@@ -244,6 +244,31 @@ TEST(MetricsExporter, TraceDropCountersRenderAggregateAndPerShard) {
             std::string::npos);
 }
 
+TEST(MetricsExporter, ServerConnectionCountersCloseThePageGoldenText) {
+  ExporterInput input;
+  input.snapshot = small_snapshot();
+  input.trace_dropped = {4, 9};
+  const std::string without = render_prometheus(input);
+  EXPECT_EQ(without.find("connections_reaped"), std::string::npos);
+  EXPECT_EQ(without.find("accept_errors"), std::string::npos);
+
+  input.connections_reaped = 3;
+  input.accept_errors = 7;
+  const std::string page = render_prometheus(input);
+  // The admission server's /metrics page: the gateway exposition, then
+  // exactly these bytes.
+  const std::string golden =
+      "# HELP slacksched_connections_reaped_total Connections closed by "
+      "the idle reaper.\n"
+      "# TYPE slacksched_connections_reaped_total counter\n"
+      "slacksched_connections_reaped_total 3\n"
+      "# HELP slacksched_accept_errors_total accept4 failures (resource "
+      "exhaustion triggers listener backoff).\n"
+      "# TYPE slacksched_accept_errors_total counter\n"
+      "slacksched_accept_errors_total 7\n";
+  EXPECT_EQ(page, without + golden);
+}
+
 TEST(MetricsExporter, OptionsControlPrefixAndPerShardSamples) {
   ExporterOptions options;
   options.prefix = "acme";
@@ -259,6 +284,8 @@ TEST(MetricsExporter, EverySampleBelongsToAHelpTypeFamily) {
   input.snapshot = small_snapshot();
   input.health.push_back({0, ShardHealth::kHealthy, 0, false});
   input.trace_dropped = {0, 0};
+  input.connections_reaped = 0;
+  input.accept_errors = 0;
   std::istringstream page(render_prometheus(input));
   std::string line;
   std::string declared;  // family announced by the last # TYPE line

@@ -112,7 +112,7 @@ TEST(FrameCodec, SubmitBatchRoundTrip) {
   std::uint64_t base = 0;
   std::vector<Job> back;
   std::string error;
-  ASSERT_TRUE(parse_submit_batch(frame, base, back, &error)) << error;
+  ASSERT_TRUE(parse_submit_batch_into(frame, base, back, &error)) << error;
   EXPECT_EQ(base, 1000u);
   EXPECT_EQ(back, jobs);
 }
@@ -379,10 +379,10 @@ TEST(FrameParsers, BatchCountBeyondPayloadIsRejected) {
   std::uint64_t base = 0;
   std::vector<Job> back;
   std::string error;
-  EXPECT_FALSE(parse_submit_batch(decode_one(bytes), base, back, &error));
+  EXPECT_FALSE(
+      parse_submit_batch_into(decode_one(bytes), base, back, &error));
   EXPECT_NE(error.find("exceeds payload"), std::string::npos);
-  // The _into variant applies the same validation and leaves the target
-  // untouched on failure.
+  // A rejected batch leaves the target untouched.
   std::vector<Job> scratch = {make_job(2, 0.0, 1.0, 2.0)};
   const std::vector<Job> before = scratch;
   EXPECT_FALSE(

@@ -104,7 +104,7 @@ TEST(ReplProtocol, HelloRoundTrip) {
   ReplFrame frame;
   ASSERT_EQ(decoder.next(frame), ReplFrameDecoder::Status::kFrame);
   EXPECT_EQ(frame.type, ReplFrameType::kHello);
-  EXPECT_EQ(frame.shard, 3);
+  EXPECT_EQ(frame.word, 3);
   HelloMsg out;
   std::string error;
   ASSERT_TRUE(parse_hello(frame, out, &error)) << error;
@@ -655,8 +655,8 @@ class RawFollower {
         decoder.feed(buf, static_cast<std::size_t>(n));
       }
       std::vector<char> reply;
-      encode_welcome(reply, hello.shard, 0);
-      if (early_ack > 0) encode_ack(reply, hello.shard, early_ack);
+      encode_welcome(reply, hello.word, 0);
+      if (early_ack > 0) encode_ack(reply, hello.word, early_ack);
       (void)::send(conn_fd_, reply.data(), reply.size(), MSG_NOSIGNAL);
       if (hang_up) {
         ::close(conn_fd_);
