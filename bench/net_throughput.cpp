@@ -54,7 +54,6 @@ struct ClientStats {
 
 struct RunStats {
   int loops = 1;
-  bool reuseport = false;
   unsigned connections = 0;
   std::size_t batch = 0;
   std::size_t jobs = 0;
@@ -77,10 +76,10 @@ ClientStats run_client(std::uint16_t port, const Job* jobs, std::size_t count,
   net::AdmissionClient client("127.0.0.1", port);
   net::RetryPolicy policy;
   policy.max_attempts = 0;  // unlimited: the contract is every-job-answered
-  policy.initial_delay = std::chrono::milliseconds(1);
-  policy.max_delay = std::chrono::milliseconds(8);
+  policy.backoff.initial = std::chrono::milliseconds(1);
+  policy.backoff.max = std::chrono::milliseconds(8);
   // Distinct seeds decorrelate concurrent clients' retry bursts.
-  policy.jitter_seed = 0x9e3779b97f4a7c15ULL * (client_index + 1);
+  policy.backoff.seed = 0x9e3779b97f4a7c15ULL * (client_index + 1);
   net::RetryingSubmitter submitter(client, policy);
   ClientStats stats;
   const std::size_t window = std::max<std::size_t>(4 * batch, 64);
@@ -151,7 +150,6 @@ RunStats run_config(const Instance& instance, int loops,
 
   RunStats run;
   run.loops = loops;
-  run.reuseport = server.using_reuseport();
   run.connections = connections;
   run.batch = batch;
   run.jobs = n;
@@ -202,7 +200,6 @@ void write_json(const std::vector<RunStats>& runs, std::size_t jobs,
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const RunStats& r = runs[i];
     out << "    {\"loops\": " << r.loops
-        << ", \"reuseport\": " << (r.reuseport ? "true" : "false")
         << ", \"connections\": " << r.connections
         << ", \"batch\": " << r.batch
         << ", \"jobs\": " << r.jobs

@@ -195,9 +195,9 @@ FailoverSample run_failover_once(const Instance& instance, int iteration) {
   failover.poll_interval = std::chrono::milliseconds(1);
   failover.stall_threshold = std::chrono::milliseconds(25);
   failover.down_threshold = std::chrono::milliseconds(100);
-  failover.backoff_initial = std::chrono::milliseconds(5);
-  failover.backoff_max = std::chrono::milliseconds(20);
-  failover.jitter_seed = 0xb0b0b0b0ULL + static_cast<std::uint64_t>(iteration);
+  failover.backoff.initial = std::chrono::milliseconds(5);
+  failover.backoff.max = std::chrono::milliseconds(20);
+  failover.backoff.seed = 0xb0b0b0b0ULL + static_cast<std::uint64_t>(iteration);
   repl::FailoverDriver driver(replica, failover, [] {});
   driver.start();
 

@@ -5,6 +5,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace slacksched {
 
@@ -35,6 +36,17 @@ namespace detail {
 }
 
 }  // namespace detail
+
+/// Throws one PreconditionError listing every problem under `heading`, so
+/// a misconfiguration names all its faults at once. No-op when empty.
+inline void require_no_problems(const std::string& heading,
+                                const std::vector<std::string>& problems) {
+  if (problems.empty()) return;
+  std::string joined = heading;
+  for (const std::string& p : problems) joined += "\n  - " + p;
+  throw PreconditionError(joined);
+}
+
 }  // namespace slacksched
 
 #define SLACKSCHED_EXPECTS(cond)                                        \

@@ -13,8 +13,6 @@
 #include <cstring>
 #include <thread>
 
-#include "common/rng.hpp"
-
 namespace slacksched::net {
 
 namespace {
@@ -74,26 +72,6 @@ int connect_with_timeout(const std::string& host, std::uint16_t port,
   int one = 1;
   (void)setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   return fd;
-}
-
-std::chrono::milliseconds RetryPolicy::delay(
-    int attempt, std::uint32_t server_hint_ms) const {
-  double ms = static_cast<double>(initial_delay.count());
-  for (int i = 1; i < attempt; ++i) {
-    ms = std::min(ms * factor, static_cast<double>(max_delay.count()));
-  }
-  // Deterministic per-attempt jitter into [0.5, 1.0] of the delay: equal
-  // seeds replay equal schedules, concurrent clients with distinct seeds
-  // decorrelate their retry bursts.
-  SplitMix64 mix(jitter_seed + static_cast<std::uint64_t>(attempt));
-  const double scale =
-      0.5 + 0.5 * static_cast<double>(mix.next() >> 11) * 0x1p-53;
-  ms *= scale;
-  const auto jittered = std::chrono::milliseconds(
-      std::max<std::int64_t>(1, static_cast<std::int64_t>(ms)));
-  // Never undercut the server's own hint — it knows its recovery time.
-  return std::max(jittered,
-                  std::chrono::milliseconds(server_hint_ms));
 }
 
 AdmissionClient::AdmissionClient(const std::string& host, std::uint16_t port,

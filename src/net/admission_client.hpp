@@ -15,6 +15,7 @@
 /// before DRAINED are buffered and stay retrievable via try_reply().
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <deque>
@@ -22,6 +23,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "common/health.hpp"
 #include "job/job.hpp"
 #include "net/protocol.hpp"
 
@@ -43,23 +45,24 @@ struct ClientConfig {
 };
 
 /// Client-side retry schedule for shed submissions (kRejectedQueueFull /
-/// kRejectedRetryAfter): capped exponential backoff with deterministic
-/// jitter, never sleeping less than the server's retry_after_ms hint.
-/// Opt-in — the plain AdmissionClient surfaces every shed outcome as-is.
+/// kRejectedRetryAfter): the shared Backoff, never sleeping less than the
+/// server's retry_after_ms hint. Opt-in — the plain AdmissionClient
+/// surfaces every shed outcome as-is.
 struct RetryPolicy {
   /// Total tries per job, first submission included (<= 0: unlimited).
   int max_attempts = 6;
-  std::chrono::milliseconds initial_delay{2};
-  double factor = 2.0;
-  std::chrono::milliseconds max_delay{250};
-  /// Seed of the jitter stream; equal seeds replay equal schedules.
-  std::uint64_t jitter_seed = 0x5eed5eed5eed5eedULL;
+  /// Equal seeds replay equal schedules; concurrent clients with distinct
+  /// seeds decorrelate their retry bursts.
+  Backoff backoff{std::chrono::milliseconds(2), 2.0,
+                  std::chrono::milliseconds(250)};
 
-  /// Backoff before retry number `attempt` (1-based): the capped
-  /// exponential delay jittered into [0.5, 1.0] of itself, raised to the
-  /// server's retry_after_ms hint when that is larger.
+  /// Backoff before retry number `attempt` (1-based), raised to the
+  /// server's hint when that is larger — it knows its recovery time.
   [[nodiscard]] std::chrono::milliseconds delay(
-      int attempt, std::uint32_t server_hint_ms) const;
+      int attempt, std::uint32_t server_hint_ms) const {
+    return std::max(backoff.delay(attempt),
+                    std::chrono::milliseconds(server_hint_ms));
+  }
 };
 
 /// One answer to one submission (DECISION or REJECT frame).

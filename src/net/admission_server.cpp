@@ -44,28 +44,21 @@ void set_nodelay(int fd) {
   (void)setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
-/// Opens a bound, listening, non-blocking IPv4 socket. When `reuseport`
-/// is requested and the kernel refuses the option, `reuseport_ok` (when
-/// non-null) is cleared and the listener proceeds without it — the caller
-/// falls back to single-acceptor handoff; with a null `reuseport_ok` the
-/// refusal throws (the fallback decision was already made).
+/// Opens a bound, listening, non-blocking IPv4 socket, with SO_REUSEPORT
+/// when `reuseport` is set; a kernel that refuses the option throws.
 int open_listener(const std::string& address, std::uint16_t port,
-                  int backlog, bool reuseport, bool* reuseport_ok) {
+                  int backlog, bool reuseport) {
   const int fd =
       ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) throw_errno("socket");
   int one = 1;
   (void)setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (reuseport) {
-    if (setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) != 0) {
-      if (reuseport_ok == nullptr) {
-        const int saved = errno;
-        ::close(fd);
-        errno = saved;
-        throw_errno("setsockopt(SO_REUSEPORT)");
-      }
-      *reuseport_ok = false;
-    }
+  if (reuseport &&
+      setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) != 0) {
+    const int saved = errno;
+    ::close(fd);
+    errno = saved;
+    throw_errno("setsockopt(SO_REUSEPORT)");
   }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -142,13 +135,9 @@ AdmissionServer::AdmissionServer(const AdmissionServerConfig& config,
     : config_(config) {
   // Refuse to start on an invalid shape: report every problem in one
   // exception, before any socket exists.
-  const std::vector<std::string> errors = config_.validate();
-  if (!errors.empty()) {
-    std::string joined =
-        "AdmissionServer refused to start: invalid AdmissionServerConfig:";
-    for (const std::string& e : errors) joined += "\n  - " + e;
-    throw PreconditionError(joined);
-  }
+  require_no_problems(
+      "AdmissionServer refused to start: invalid AdmissionServerConfig:",
+      config_.validate());
 
   const auto n_loops = static_cast<std::size_t>(config_.loops);
   loops_.reserve(n_loops);
@@ -163,15 +152,12 @@ AdmissionServer::AdmissionServer(const AdmissionServerConfig& config,
   }
 
   try {
-    // Accept distribution. Preferred: one SO_REUSEPORT listener per loop,
-    // the kernel spreading connections across them. Fallback (option
-    // refused, or configured off): loop 0 owns the only listener and
-    // hands accepted fds round-robin to the other loops.
-    const bool want_reuseport = config_.so_reuseport && config_.loops > 1;
-    bool option_ok = want_reuseport;
-    loops_[0]->listen_fd =
-        open_listener(config_.bind_address, config_.port, config_.backlog,
-                      want_reuseport, &option_ok);
+    // Accept distribution: one SO_REUSEPORT listener per loop, the
+    // kernel spreading connections across them. Loop 0 binds first (an
+    // ephemeral port is resolved there); the others join its port.
+    const bool reuseport = n_loops > 1;
+    loops_[0]->listen_fd = open_listener(
+        config_.bind_address, config_.port, config_.backlog, reuseport);
     sockaddr_in bound{};
     socklen_t bound_len = sizeof(bound);
     if (::getsockname(loops_[0]->listen_fd,
@@ -179,13 +165,9 @@ AdmissionServer::AdmissionServer(const AdmissionServerConfig& config,
       throw_errno("getsockname");
     }
     port_ = ntohs(bound.sin_port);
-    reuseport_ = want_reuseport && option_ok;
-    if (reuseport_) {
-      for (std::size_t i = 1; i < n_loops; ++i) {
-        loops_[i]->listen_fd =
-            open_listener(config_.bind_address, port_, config_.backlog,
-                          /*reuseport=*/true, /*reuseport_ok=*/nullptr);
-      }
+    for (std::size_t i = 1; i < n_loops; ++i) {
+      loops_[i]->listen_fd = open_listener(config_.bind_address, port_,
+                                           config_.backlog, reuseport);
     }
 
     for (auto& loop_ptr : loops_) {
@@ -201,13 +183,11 @@ AdmissionServer::AdmissionServer(const AdmissionServerConfig& config,
           0) {
         throw_errno("epoll_ctl(eventfd)");
       }
-      if (loop.listen_fd >= 0) {
-        ev.events = EPOLLIN;
-        ev.data.u64 = kListenerTag;
-        if (::epoll_ctl(loop.epoll_fd, EPOLL_CTL_ADD, loop.listen_fd, &ev) !=
-            0) {
-          throw_errno("epoll_ctl(listener)");
-        }
+      ev.events = EPOLLIN;
+      ev.data.u64 = kListenerTag;
+      if (::epoll_ctl(loop.epoll_fd, EPOLL_CTL_ADD, loop.listen_fd, &ev) !=
+          0) {
+        throw_errno("epoll_ctl(listener)");
       }
     }
 
@@ -368,12 +348,6 @@ void AdmissionServer::event_loop(EventLoop& loop) {
       if (tag == kEventFdTag) {
         std::uint64_t signal = 0;
         (void)::read(loop.event_fd, &signal, sizeof(signal));
-        std::vector<int> adopted;
-        {
-          std::lock_guard lock(loop.handoff_mutex);
-          adopted.swap(loop.handoff);
-        }
-        for (const int fd : adopted) adopt_connection(loop, fd);
         settle(loop);
         continue;
       }
@@ -394,16 +368,11 @@ void AdmissionServer::event_loop(EventLoop& loop) {
     }
   }
   // Loop exit: close every owned connection (the sockets answer RST from
-  // here) and any handed-off fds never adopted.
+  // here).
   std::vector<std::uint64_t> ids;
   ids.reserve(loop.connections.size());
   for (const auto& [id, conn] : loop.connections) ids.push_back(id);
   for (const std::uint64_t id : ids) close_connection(loop, id);
-  {
-    std::lock_guard lock(loop.handoff_mutex);
-    for (const int fd : loop.handoff) ::close(fd);
-    loop.handoff.clear();
-  }
 }
 
 void AdmissionServer::accept_ready(EventLoop& loop) {
@@ -428,19 +397,6 @@ void AdmissionServer::accept_ready(EventLoop& loop) {
       accept_errors_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    if (!reuseport_ && loops_.size() > 1) {
-      // Single-acceptor fallback: round-robin the new connection across
-      // loops; remote loops adopt it on their next eventfd wake.
-      EventLoop& target = *loops_[handoff_cursor_++ % loops_.size()];
-      if (&target != &loop) {
-        {
-          std::lock_guard lock(target.handoff_mutex);
-          target.handoff.push_back(fd);
-        }
-        wake_loop(target);
-        continue;
-      }
-    }
     adopt_connection(loop, fd);
   }
 }
@@ -463,7 +419,7 @@ void AdmissionServer::adopt_connection(EventLoop& loop, int fd) {
 }
 
 void AdmissionServer::disarm_listener(EventLoop& loop) {
-  if (!loop.listener_armed || loop.listen_fd < 0) return;
+  if (!loop.listener_armed) return;
   epoll_event ev{};
   ev.events = 0;  // stay registered, report nothing
   ev.data.u64 = kListenerTag;
@@ -473,7 +429,7 @@ void AdmissionServer::disarm_listener(EventLoop& loop) {
 }
 
 void AdmissionServer::rearm_listener(EventLoop& loop) {
-  if (loop.listener_armed || loop.listen_fd < 0) return;
+  if (loop.listener_armed) return;
   epoll_event ev{};
   ev.events = EPOLLIN;
   ev.data.u64 = kListenerTag;

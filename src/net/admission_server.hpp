@@ -5,8 +5,8 @@
 /// loops (AdmissionServerConfig::loops); each loop owns its own epoll set,
 /// eventfd, connections, ticket window and decision inbox, so loops never
 /// contend on shared state. Connections are partitioned across loops at
-/// accept time — by per-loop SO_REUSEPORT listeners when the kernel
-/// supports them, else by round-robin handoff from a single acceptor.
+/// accept time by per-loop SO_REUSEPORT listeners: the kernel balances new
+/// connections, and startup fails if it refuses the option.
 /// Every submission takes a ticket from its loop's window, and its
 /// route_ctx carries (loop << 56) | ticket to the shard and back: a shard
 /// thread only posts the plain decision to the owning loop, which resolves
@@ -59,11 +59,6 @@ struct AdmissionServerConfig {
   /// one loop for its whole life. 1 reproduces the original single-loop
   /// server exactly.
   int loops = 1;
-  /// Distribute accepts via per-loop SO_REUSEPORT listeners (the kernel
-  /// balances new connections across loops). When false — or when the
-  /// platform refuses the option — a single acceptor on loop 0 hands
-  /// accepted fds to the other loops round-robin through their eventfds.
-  bool so_reuseport = true;
   /// Cap on a buffered HTTP request head; longer requests are closed.
   std::size_t max_http_request = 8192;
   /// Close a connection once this long has passed without traffic in
@@ -145,12 +140,6 @@ class AdmissionServer {
   /// The configured loop count.
   [[nodiscard]] int loops() const { return config_.loops; }
 
-  /// True when accepts are balanced by per-loop SO_REUSEPORT listeners;
-  /// false when the single-acceptor round-robin handoff is in use
-  /// (config.so_reuseport false, loops == 1, or the kernel refused the
-  /// socket option).
-  [[nodiscard]] bool using_reuseport() const { return reuseport_; }
-
  private:
   struct Connection {
     int fd = -1;
@@ -197,16 +186,14 @@ class AdmissionServer {
     Outcome outcome = Outcome::kRejected;
   };
 
-  /// One shared-nothing event loop: epoll set, wake eventfd, optional
+  /// One shared-nothing event loop: epoll set, wake eventfd, its own
   /// SO_REUSEPORT listener, the connections it owns, its ticket window and
   /// the inbox shard threads post decisions to. Everything without a
   /// mutex is loop-thread-only.
   struct EventLoop {
     int index = 0;
     int epoll_fd = -1;
-    int event_fd = -1;  ///< wakes the loop: decisions, handoff, shutdown
-    /// This loop's SO_REUSEPORT listener, or (handoff mode) the shared
-    /// listener on loop 0 and -1 elsewhere.
+    int event_fd = -1;  ///< wakes the loop: decisions, shutdown
     int listen_fd = -1;
     std::thread thread;
 
@@ -236,10 +223,6 @@ class AdmissionServer {
     // --- shared with shard consumer threads ---
     std::mutex inbox_mutex;
     std::vector<PostedDecision> inbox;
-
-    // --- shared with the acceptor loop (handoff mode only) ---
-    std::mutex handoff_mutex;
-    std::vector<int> handoff;
   };
 
   /// The gateway's on_decision hook target: posts the decision to the
@@ -301,9 +284,6 @@ class AdmissionServer {
   AdmissionServerConfig config_;
   std::unique_ptr<AdmissionGateway> gateway_;
   std::uint16_t port_ = 0;
-  bool reuseport_ = false;
-  /// Handoff mode: loop 0's round-robin cursor over the loops.
-  std::uint64_t handoff_cursor_ = 0;
   std::vector<std::unique_ptr<EventLoop>> loops_;
   std::atomic<bool> stop_{false};
   std::atomic<bool> drained_{false};

@@ -4,9 +4,9 @@
 /// the promotion path that turns the replica logs into a serving
 /// AdmissionGateway.
 ///
-/// FailoverDriver mirrors the shard supervisor's FSM one level up — the
-/// same Healthy -> Degraded -> Down shape, driven by leader silence
-/// instead of worker heartbeats:
+/// FailoverDriver runs the shard supervisor's HealthPolicy one level up —
+/// the same Healthy -> Degraded -> Down classification, driven by leader
+/// silence instead of worker heartbeats:
 ///
 ///                  leader silent              silence persists /
 ///      Healthy ──────────────────► Degraded ── probes exhausted ──► Down
@@ -15,10 +15,10 @@
 ///                                                      on_down fires │
 ///                                                      exactly once ─┘
 ///
-/// While Degraded the driver probes with capped exponential backoff and
-/// deterministic jitter (SplitMix64, like the supervisor's restart
-/// backoff); a probe that sees fresh traffic returns the node to Healthy
-/// and re-arms the budget. Down is terminal — the circuit breaks, on_down
+/// While Degraded the driver probes on the policy's Backoff (the same
+/// jittered delay the supervisor restarts on); a probe that sees fresh
+/// traffic returns the node to Healthy and re-arms the budget of
+/// max_attempts probes. Down is terminal — the circuit breaks, on_down
 /// fires exactly once, and the owner runs promote_replica. There is no
 /// automatic fail-back: a returned leader finds the promoted node ahead
 /// and is refused as stale by its own replication handshake.
@@ -37,8 +37,8 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 
+#include "common/health.hpp"
 #include "service/fault_injection.hpp"
 #include "service/gateway.hpp"
 
@@ -46,37 +46,19 @@ namespace slacksched::repl {
 
 class ReplicaServer;
 
-/// Node health as the failover driver sees it.
-enum class NodeHealth : std::uint8_t {
-  kHealthy,   ///< leader traffic within the stall threshold
-  kDegraded,  ///< leader silent; probing with backoff
-  kDown,      ///< leader declared dead; promotion triggered
-};
-
-[[nodiscard]] std::string to_string(NodeHealth health);
-
-/// Failover detection policy (the node-level SupervisorConfig).
-struct FailoverConfig {
-  std::chrono::milliseconds poll_interval{10};
-  /// Leader silence marking the node Degraded (must exceed the leader's
-  /// heartbeat interval by a healthy margin).
-  std::chrono::milliseconds stall_threshold{500};
-  /// Silence past this always declares Down, whatever the probe budget.
-  std::chrono::milliseconds down_threshold{2000};
-  /// Backoff probes while Degraded before giving up early.
-  int max_probes = 5;
-  std::chrono::milliseconds backoff_initial{10};
-  double backoff_factor = 2.0;
-  std::chrono::milliseconds backoff_max{1000};
-  /// Seed of the probe-backoff jitter ([0.5, 1.0] scaling, SplitMix64).
-  std::uint64_t jitter_seed = 0x5eed5eed5eed5eedULL;
-};
+/// Failover detection policy: leader silence past stall_threshold is
+/// Degraded (stall_threshold must exceed the leader's heartbeat interval
+/// by a healthy margin), past down_threshold Down whatever the probe
+/// budget; max_attempts backoff probes while Degraded before giving up
+/// early.
+using FailoverConfig = HealthPolicy;
 
 /// Watches a ReplicaServer's leader-traffic signals and fires `on_down`
 /// exactly once when the leader is declared dead. The replica (and the
 /// callback) must outlive the driver.
 class FailoverDriver {
  public:
+  /// Throws PreconditionError naming every problem in `config`.
   FailoverDriver(const ReplicaServer& replica, const FailoverConfig& config,
                  std::function<void()> on_down);
   ~FailoverDriver();
@@ -89,10 +71,10 @@ class FailoverDriver {
   /// connection still fails over.
   void start();
 
-  /// Stops and joins the monitor. Idempotent.
-  void stop();
+  /// Stops and joins the monitor, waking it at once. Idempotent.
+  void stop() { monitor_.stop(); }
 
-  [[nodiscard]] NodeHealth health() const {
+  [[nodiscard]] Health health() const {
     return health_.load(std::memory_order_acquire);
   }
 
@@ -109,22 +91,22 @@ class FailoverDriver {
   [[nodiscard]] const FailoverConfig& config() const { return config_; }
 
  private:
-  void monitor_loop();
-  /// Jittered, capped exponential delay before probe `attempt` (1-based).
-  [[nodiscard]] std::chrono::milliseconds probe_delay(int attempt) const;
+  /// One poll; false once the node is declared Down (terminal).
+  bool tick();
 
   const ReplicaServer& replica_;
   FailoverConfig config_;
   std::function<void()> on_down_;
 
-  std::atomic<NodeHealth> health_{NodeHealth::kHealthy};
+  std::atomic<Health> health_{Health::kHealthy};
   std::atomic<int> probes_{0};
   std::atomic<bool> circuit_broken_{false};
 
-  std::atomic<bool> stop_{false};
-  bool started_ = false;
+  // Monitor-thread-only probe state.
   std::chrono::steady_clock::time_point started_at_{};
-  std::thread monitor_;
+  std::chrono::steady_clock::time_point next_probe_{};
+  int attempts_ = 0;
+  PeriodicThread monitor_;
 };
 
 /// What promoting a replica produced.

@@ -80,13 +80,15 @@ std::vector<std::string> ReplicationConfig::validate() const {
 ShardReplicator::ShardReplicator(int shard, const ReplicationConfig& config)
     : shard_(shard), config_(config) {
   if (config_.heartbeat_interval.count() > 0) {
-    heartbeat_ = std::thread([this] { heartbeat_loop(); });
+    heartbeat_.start(config_.heartbeat_interval, [this] {
+      heartbeat();
+      return true;
+    });
   }
 }
 
 ShardReplicator::~ShardReplicator() {
-  stop_.store(true, std::memory_order_release);
-  if (heartbeat_.joinable()) heartbeat_.join();
+  heartbeat_.stop();
   std::lock_guard lock(io_mutex_);
   if (fd_ >= 0) ::close(fd_);
 }
@@ -441,31 +443,21 @@ void ShardReplicator::fail_session() {
   if (config_.ack_mode == ReplAckMode::kAsync) dead_ = true;
 }
 
-void ShardReplicator::heartbeat_loop() {
-  constexpr auto kSlice = std::chrono::milliseconds(10);
-  auto next_beat = Clock::now() + config_.heartbeat_interval;
-  while (!stop_.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(
-        std::min<Clock::duration>(kSlice, config_.heartbeat_interval));
-    if (Clock::now() < next_beat) continue;
-    next_beat = Clock::now() + config_.heartbeat_interval;
-    std::unique_lock lock(io_mutex_, std::try_to_lock);
-    // A busy worker holds the lock — and a busy worker is already making
-    // progress the follower can see; skip the beat.
-    if (!lock.owns_lock()) continue;
-    if (dead_ || fd_ < 0 || !connected_.load(std::memory_order_acquire)) {
-      continue;
-    }
-    try {
-      std::vector<char> out;
-      encode_heartbeat(out, static_cast<std::uint16_t>(shard_), next_seq_);
-      send_all(out.data(), out.size(), /*crash_point=*/false);
-      (void)drain_acks();
-    } catch (const ReplError&) {
-      // Cannot throw from a background thread: tear the session down and
-      // let the worker's next send (sync modes) report the loss.
-      fail_session();
-    }
+void ShardReplicator::heartbeat() {
+  std::unique_lock lock(io_mutex_, std::try_to_lock);
+  // A busy worker holds the lock — and a busy worker is already making
+  // progress the follower can see; skip the beat.
+  if (!lock.owns_lock()) return;
+  if (dead_ || fd_ < 0 || !connected_.load(std::memory_order_acquire)) return;
+  try {
+    std::vector<char> out;
+    encode_heartbeat(out, static_cast<std::uint16_t>(shard_), next_seq_);
+    send_all(out.data(), out.size(), /*crash_point=*/false);
+    (void)drain_acks();
+  } catch (const ReplError&) {
+    // Cannot throw from a background thread: tear the session down and
+    // let the worker's next send (sync modes) report the loss.
+    fail_session();
   }
 }
 

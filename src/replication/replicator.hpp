@@ -40,9 +40,9 @@
 #include <functional>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "common/health.hpp"
 #include "replication/repl_protocol.hpp"
 #include "service/commit_log.hpp"
 #include "service/fault_injection.hpp"
@@ -158,7 +158,9 @@ class ShardReplicator : public CommitLogObserver {
   /// Tears the session down (closes the socket); kAsync also marks the
   /// replicator dead until the next on_open. Caller holds io_mutex_.
   void fail_session();
-  void heartbeat_loop();
+  /// One heartbeat-thread beat: an idle-liveness HEARTBEAT plus an ACK
+  /// drain, skipped while the worker holds the socket.
+  void heartbeat();
 
   const int shard_;
   const ReplicationConfig config_;
@@ -177,8 +179,7 @@ class ShardReplicator : public CommitLogObserver {
   std::atomic<bool> connected_{false};
   std::atomic<std::uint64_t> frames_sent_{0};
 
-  std::atomic<bool> stop_{false};
-  std::thread heartbeat_;
+  PeriodicThread heartbeat_;
 };
 
 }  // namespace slacksched::repl

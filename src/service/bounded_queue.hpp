@@ -1,5 +1,5 @@
 /// \file
-/// Lock-free bounded multi-producer/single-consumer handoff queue for the
+/// Lock-free bounded multi-producer/single-consumer job queue for the
 /// admission gateway. Producers never block and never take a lock: a batch
 /// of items is claimed with one CAS on the (monotone, 64-bit) enqueue
 /// cursor, written into Vyukov-style per-slot sequence cells, and published

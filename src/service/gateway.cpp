@@ -45,6 +45,9 @@ std::vector<std::string> GatewayConfig::validate() const {
                      std::to_string(pop_timeout.count()) +
                      "ms): the worker would spin instead of heartbeating");
   }
+  for (const std::string& problem : supervisor.validate()) {
+    errors.push_back("supervisor: " + problem);
+  }
   if (supervisor.enabled && pop_timeout >= supervisor.stall_threshold) {
     errors.push_back(
         "pop_timeout (" + std::to_string(pop_timeout.count()) +
@@ -120,12 +123,7 @@ AdmissionGateway::AdmissionGateway(const GatewayConfig& config,
   // Reject invalid deployment shapes loudly instead of clamping them:
   // every problem in one message, so a misconfigured service names all
   // its sins at startup rather than one per restart.
-  const std::vector<std::string> errors = config.validate();
-  if (!errors.empty()) {
-    std::string joined = "invalid GatewayConfig:";
-    for (const std::string& e : errors) joined += "\n  - " + e;
-    throw PreconditionError(joined);
-  }
+  require_no_problems("invalid GatewayConfig:", config.validate());
   SLACKSCHED_EXPECTS(factory != nullptr);
   ShardConfig shard_config;
   shard_config.queue_capacity = config.queue_capacity;
@@ -184,11 +182,9 @@ AdmissionGateway::AdmissionGateway(const GatewayConfig& config,
   supervisor_ = std::make_unique<ShardSupervisor>(shards_, config.supervisor);
   supervisor_->start();
   if (!config.metrics_textfile.empty()) {
-    PublisherConfig publisher_config;
-    publisher_config.path = config.metrics_textfile;
-    publisher_config.period = config.metrics_period;
     publisher_ = std::make_unique<MetricsPublisher>(
-        publisher_config, [this] { return render_prometheus(*this); });
+        PublisherConfig{config.metrics_textfile, config.metrics_period},
+        [this] { return render_prometheus(*this); });
     publisher_->start();
   }
 }

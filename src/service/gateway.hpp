@@ -238,7 +238,7 @@ class AdmissionGateway {
   }
 
   /// Live health of one shard (lock-free).
-  [[nodiscard]] ShardHealth shard_health(int shard) const {
+  [[nodiscard]] Health shard_health(int shard) const {
     return supervisor_->health(shard);
   }
 

@@ -91,16 +91,6 @@ constexpr Field<double> kVolumeFields[] = {
      &ShardMetricsSnapshot::rejected_volume},
 };
 
-const char* health_state_name(ShardHealth health) {
-  switch (health) {
-    case ShardHealth::kHealthy: return "healthy";
-    case ShardHealth::kDegraded: return "degraded";
-    case ShardHealth::kDown: return "down";
-    case ShardHealth::kRecovering: return "recovering";
-  }
-  return "unknown";
-}
-
 }  // namespace
 
 std::string render_prometheus(const ExporterInput& input,
@@ -291,13 +281,12 @@ std::string render_prometheus(const ExporterInput& input,
           "Supervision state of each shard, one-hot over "
           "healthy/degraded/down/recovering.",
           "gauge");
-      for (const ShardHealthStatus& row : input.health) {
-        for (const ShardHealth state :
-             {ShardHealth::kHealthy, ShardHealth::kDegraded,
-              ShardHealth::kDown, ShardHealth::kRecovering}) {
+      for (const ShardStatus& row : input.health) {
+        for (const Health state : {Health::kHealthy, Health::kDegraded,
+                                   Health::kDown, Health::kRecovering}) {
           family.sample(
               shard_label(static_cast<std::size_t>(row.shard)) +
-                  ",state=\"" + health_state_name(state) + "\"",
+                  ",state=\"" + to_string(state) + "\"",
               row.health == state ? "1" : "0");
         }
       }
@@ -306,7 +295,7 @@ std::string render_prometheus(const ExporterInput& input,
       FamilyWriter family(os, options.prefix, "shard_restarts_total",
                           "Completed automatic + forced shard restarts.",
                           "counter");
-      for (const ShardHealthStatus& row : input.health) {
+      for (const ShardStatus& row : input.health) {
         family.sample(shard_label(static_cast<std::size_t>(row.shard)),
                       std::to_string(row.restarts));
       }
@@ -316,7 +305,7 @@ std::string render_prometheus(const ExporterInput& input,
           os, options.prefix, "shard_circuit_broken",
           "1 once a shard exhausted its automatic restart budget.",
           "gauge");
-      for (const ShardHealthStatus& row : input.health) {
+      for (const ShardStatus& row : input.health) {
         family.sample(shard_label(static_cast<std::size_t>(row.shard)),
                       row.circuit_broken ? "1" : "0");
       }
@@ -368,7 +357,7 @@ ExporterInput collect_exporter_input(const AdmissionGateway& gateway) {
   const ShardSupervisor& supervisor = gateway.supervisor();
   input.health.reserve(static_cast<std::size_t>(gateway.shards()));
   for (int s = 0; s < gateway.shards(); ++s) {
-    input.health.push_back(ShardHealthStatus{
+    input.health.push_back(ShardStatus{
         s, supervisor.health(s), supervisor.restarts(s),
         supervisor.circuit_broken(s)});
   }

@@ -28,9 +28,9 @@ namespace slacksched {
 class AdmissionGateway;
 
 /// One shard's supervision state as the exporter renders it.
-struct ShardHealthStatus {
+struct ShardStatus {
   int shard = 0;
-  ShardHealth health = ShardHealth::kHealthy;
+  Health health = Health::kHealthy;
   int restarts = 0;
   bool circuit_broken = false;
 };
@@ -47,7 +47,7 @@ struct ExporterOptions {
 struct ExporterInput {
   MetricsSnapshot snapshot;
   /// Supervision rows (empty when the caller has no supervisor).
-  std::vector<ShardHealthStatus> health;
+  std::vector<ShardStatus> health;
   /// Per-shard trace-ring drop counters (empty when tracing is off).
   std::vector<std::uint64_t> trace_dropped;
   /// Admission-server counters, rendered last and only when set: the

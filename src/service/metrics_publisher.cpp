@@ -7,25 +7,40 @@
 #include <utility>
 
 #include "common/expects.hpp"
-#include "common/rng.hpp"
 
 namespace slacksched {
+
+namespace {
+
+constexpr double kJitter = 0.1;
+
+}  // namespace
+
+std::chrono::milliseconds publish_sleep(const PublisherConfig& config,
+                                        std::uint64_t cycle) {
+  const double u =
+      jitter_unit(std::hash<std::string>{}(config.path), 0, cycle);
+  return std::chrono::milliseconds(static_cast<std::int64_t>(
+      static_cast<double>(config.period.count()) *
+      (1.0 - kJitter + 2.0 * kJitter * u)));
+}
 
 MetricsPublisher::MetricsPublisher(PublisherConfig config, Collector collector)
     : config_(std::move(config)), collector_(std::move(collector)) {
   SLACKSCHED_EXPECTS(!config_.path.empty());
   SLACKSCHED_EXPECTS(config_.period.count() >= 1);
-  SLACKSCHED_EXPECTS(config_.jitter >= 0.0 && config_.jitter < 1.0);
   SLACKSCHED_EXPECTS(collector_ != nullptr);
 }
 
 MetricsPublisher::~MetricsPublisher() { stop(); }
 
 void MetricsPublisher::start() {
-  std::lock_guard lock(mutex_);
-  SLACKSCHED_EXPECTS(!started_);
-  started_ = true;
-  thread_ = std::thread([this] { loop(); });
+  thread_.start(
+      [this](std::uint64_t cycle) { return publish_sleep(config_, cycle); },
+      [this] {
+        (void)publish_now();
+        return true;
+      });
 }
 
 void MetricsPublisher::stop() {
@@ -33,10 +48,8 @@ void MetricsPublisher::stop() {
     std::lock_guard lock(mutex_);
     if (stopped_) return;
     stopped_ = true;
-    stopping_.store(true, std::memory_order_release);
   }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
+  thread_.stop();
   // The final page: written after the thread is gone (and, in the
   // gateway, after the shards have quiesced), so the file on disk equals
   // the final counter values exactly.
@@ -75,27 +88,6 @@ bool MetricsPublisher::publish_now() {
 std::string MetricsPublisher::last_error() const {
   std::lock_guard lock(mutex_);
   return last_error_;
-}
-
-void MetricsPublisher::loop() {
-  SplitMix64 jitter(config_.jitter_seed);
-  while (!stopping_.load(std::memory_order_acquire)) {
-    // Draw the sleep from [period*(1-j), period*(1+j)] each cycle so
-    // co-started publishers de-correlate instead of stampeding together.
-    const double base = static_cast<double>(config_.period.count());
-    const double u =
-        static_cast<double>(jitter.next() >> 11) * 0x1.0p-53;  // [0, 1)
-    const auto sleep = std::chrono::milliseconds(static_cast<std::int64_t>(
-        base * (1.0 - config_.jitter + 2.0 * config_.jitter * u)));
-    {
-      std::unique_lock lock(mutex_);
-      cv_.wait_for(lock, sleep, [this] {
-        return stopping_.load(std::memory_order_acquire);
-      });
-    }
-    if (stopping_.load(std::memory_order_acquire)) break;  // stop() publishes
-    (void)publish_now();
-  }
 }
 
 }  // namespace slacksched

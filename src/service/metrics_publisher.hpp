@@ -6,21 +6,22 @@
 // a complete page, never a torn half-write, and a crashed publisher
 // leaves the last good page in place.
 //
-// The publish period is jittered deterministically (SplitMix64, same
-// idiom as the supervisor's restart backoff) so a fleet of gateways
-// started together does not thundering-herd a shared filesystem. stop()
-// performs one final publish after the caller has quiesced traffic, so
-// the file on disk ends exactly equal to the final counters.
+// Each sleep is the period jittered ±10% by a draw seeded from a hash of
+// the path (the shared jitter in common/health.hpp), so a fleet of
+// gateways started together, each writing its own file, does not
+// thundering-herd a shared filesystem. stop() performs one final publish
+// after the caller has quiesced traffic, so the file on disk ends exactly
+// equal to the final counters.
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <mutex>
 #include <string>
-#include <thread>
+
+#include "common/health.hpp"
 
 namespace slacksched {
 
@@ -28,14 +29,15 @@ namespace slacksched {
 struct PublisherConfig {
   /// Destination textfile ("<path>.tmp" is used as the staging file).
   std::string path;
-  /// Base publish period; each sleep is jittered around this.
+  /// Base publish period; each sleep is jittered ±10% around this.
   std::chrono::milliseconds period{1000};
-  /// Each inter-publish sleep is drawn uniformly from
-  /// [period * (1 - jitter), period * (1 + jitter)].
-  double jitter = 0.1;
-  /// Seed for the deterministic jitter stream.
-  std::uint64_t jitter_seed = 0;
 };
+
+/// The sleep before publish cycle `cycle` (0-based): drawn uniformly from
+/// [0.9, 1.1) × period by a stream seeded from a hash of config.path.
+/// Pure: equal configs draw equal sleeps.
+[[nodiscard]] std::chrono::milliseconds publish_sleep(
+    const PublisherConfig& config, std::uint64_t cycle);
 
 /// Periodic collect → render → atomic-replace loop.
 class MetricsPublisher {
@@ -76,19 +78,13 @@ class MetricsPublisher {
   [[nodiscard]] const PublisherConfig& config() const { return config_; }
 
  private:
-  void loop();
-
   PublisherConfig config_;
   Collector collector_;
   std::atomic<std::uint64_t> publishes_{0};
-  std::atomic<bool> stopping_{false};
-  bool started_ = false;
   bool stopped_ = false;
-  mutable std::mutex mutex_;  ///< guards cv waits, last_error_, stop/start
-
-  std::condition_variable cv_;
+  mutable std::mutex mutex_;  ///< guards last_error_ and stopped_
   std::string last_error_;
-  std::thread thread_;
+  PeriodicThread thread_;
 };
 
 }  // namespace slacksched

@@ -1,34 +1,14 @@
 #include "service/supervisor.hpp"
 
-#include <algorithm>
-
 #include "common/expects.hpp"
-#include "common/rng.hpp"
 
 namespace slacksched {
-
-std::string to_string(ShardHealth health) {
-  switch (health) {
-    case ShardHealth::kHealthy:
-      return "healthy";
-    case ShardHealth::kDegraded:
-      return "degraded";
-    case ShardHealth::kDown:
-      return "down";
-    case ShardHealth::kRecovering:
-      return "recovering";
-  }
-  return "unknown";
-}
 
 ShardSupervisor::ShardSupervisor(std::vector<std::unique_ptr<Shard>>& shards,
                                  const SupervisorConfig& config)
     : shards_(shards), config_(config) {
   SLACKSCHED_EXPECTS(!shards.empty());
-  SLACKSCHED_EXPECTS(config.poll_interval.count() >= 1);
-  SLACKSCHED_EXPECTS(config.stall_threshold < config.down_threshold);
-  SLACKSCHED_EXPECTS(config.max_restarts >= 0);
-  SLACKSCHED_EXPECTS(config.backoff_factor >= 1.0);
+  require_no_problems("invalid SupervisorConfig:", config.validate());
   states_.reserve(shards.size());
   const auto now = std::chrono::steady_clock::now();
   for (std::size_t s = 0; s < shards.size(); ++s) {
@@ -42,23 +22,11 @@ ShardSupervisor::~ShardSupervisor() { stop(); }
 
 void ShardSupervisor::start() {
   if (!config_.enabled) return;
-  std::lock_guard lock(control_mutex_);
-  SLACKSCHED_EXPECTS(!running_);
-  running_ = true;
-  stop_requested_ = false;
-  monitor_ = std::thread([this] { monitor_loop(); });
-}
-
-void ShardSupervisor::stop() {
-  {
+  monitor_.start(config_.poll_interval, [this] {
     std::lock_guard lock(control_mutex_);
-    if (!running_) return;
-    stop_requested_ = true;
-  }
-  stop_cv_.notify_all();
-  monitor_.join();
-  std::lock_guard lock(control_mutex_);
-  running_ = false;
+    tick(std::chrono::steady_clock::now());
+    return true;
+  });
 }
 
 bool ShardSupervisor::any_available() const {
@@ -71,7 +39,7 @@ bool ShardSupervisor::any_available() const {
 void ShardSupervisor::force_down(int shard) {
   State& state = *states_[static_cast<std::size_t>(shard)];
   state.forced_down.store(true, std::memory_order_release);
-  state.health.store(ShardHealth::kDown, std::memory_order_release);
+  state.health.store(Health::kDown, std::memory_order_release);
   shards_[static_cast<std::size_t>(shard)]->close();  // drain and exit
 }
 
@@ -86,7 +54,7 @@ bool ShardSupervisor::force_recover(int shard) {
   if (!target.worker_exited()) {
     // Worker still alive (e.g. force_down mid-drain): let it finish the
     // backlog first; the caller retries once worker_exited() holds.
-    state.health.store(ShardHealth::kDown, std::memory_order_release);
+    state.health.store(Health::kDown, std::memory_order_release);
     return false;
   }
   return restart_locked(shard, state);
@@ -94,73 +62,46 @@ bool ShardSupervisor::force_recover(int shard) {
 
 bool ShardSupervisor::restart_locked(int shard, State& state) {
   Shard& target = *shards_[static_cast<std::size_t>(shard)];
-  state.health.store(ShardHealth::kRecovering, std::memory_order_release);
+  state.health.store(Health::kRecovering, std::memory_order_release);
   if (!target.restart()) {
-    state.health.store(ShardHealth::kDown, std::memory_order_release);
+    state.health.store(Health::kDown, std::memory_order_release);
     return false;
   }
   state.restarts.fetch_add(1, std::memory_order_relaxed);
   state.last_beat = target.heartbeat();
   state.last_progress = std::chrono::steady_clock::now();
-  state.health.store(ShardHealth::kHealthy, std::memory_order_release);
+  state.health.store(Health::kHealthy, std::memory_order_release);
   return true;
 }
 
-std::chrono::milliseconds ShardSupervisor::restart_delay(int shard,
-                                                         int attempt) const {
-  double delay = static_cast<double>(config_.backoff_initial.count());
-  for (int i = 1; i < attempt; ++i) delay *= config_.backoff_factor;
-  delay = std::min(delay, static_cast<double>(config_.backoff_max.count()));
-  // Deterministic jitter in [0.5, 1.0]: same seed, shard, and attempt
-  // always produce the same delay, so supervised runs replay exactly.
-  SplitMix64 mix(config_.jitter_seed ^
-                 (static_cast<std::uint64_t>(shard) << 32) ^
-                 static_cast<std::uint64_t>(attempt));
-  const double unit =
-      static_cast<double>(mix.next() >> 11) / 9007199254740992.0;  // [0,1)
-  delay *= 0.5 + 0.5 * unit;
-  return std::chrono::milliseconds(
-      std::max<std::int64_t>(1, static_cast<std::int64_t>(delay)));
-}
-
-void ShardSupervisor::monitor_loop() {
-  std::unique_lock lock(control_mutex_);
-  while (!stop_requested_) {
-    stop_cv_.wait_for(lock, config_.poll_interval,
-                      [this] { return stop_requested_; });
-    if (stop_requested_) break;
-    tick(std::chrono::steady_clock::now());
-  }
-}
-
 void ShardSupervisor::tick(std::chrono::steady_clock::time_point now) {
-  // Caller (monitor_loop) holds control_mutex_.
+  // Caller (the monitor tick) holds control_mutex_.
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     State& state = *states_[s];
     Shard& shard = *shards_[s];
     if (state.forced_down.load(std::memory_order_acquire) ||
         state.circuit_broken.load(std::memory_order_acquire)) {
-      state.health.store(ShardHealth::kDown, std::memory_order_release);
+      state.health.store(Health::kDown, std::memory_order_release);
       continue;
     }
 
     if (shard.worker_exited()) {
       if (!shard.worker_failed()) {
         // Clean exit (queue closed and drained): nothing to restart.
-        state.health.store(ShardHealth::kDown, std::memory_order_release);
+        state.health.store(Health::kDown, std::memory_order_release);
         continue;
       }
       if (!state.restart_pending) {
         ++state.attempts;
-        if (state.attempts > config_.max_restarts) {
+        if (state.attempts > config_.max_attempts) {
           state.circuit_broken.store(true, std::memory_order_release);
-          state.health.store(ShardHealth::kDown, std::memory_order_release);
+          state.health.store(Health::kDown, std::memory_order_release);
           continue;
         }
         state.restart_pending = true;
-        state.next_restart =
-            now + restart_delay(static_cast<int>(s), state.attempts);
-        state.health.store(ShardHealth::kDown, std::memory_order_release);
+        // Jittered per (shard, attempt): co-crashed shards spread out.
+        state.next_restart = now + config_.backoff.delay(state.attempts, s);
+        state.health.store(Health::kDown, std::memory_order_release);
       } else if (now >= state.next_restart) {
         state.restart_pending = false;
         restart_locked(static_cast<int>(s), state);
@@ -175,16 +116,15 @@ void ShardSupervisor::tick(std::chrono::steady_clock::time_point now) {
     if (beat != state.last_beat) {
       state.last_beat = beat;
       state.last_progress = now;
-      state.health.store(ShardHealth::kHealthy, std::memory_order_release);
+      state.health.store(Health::kHealthy, std::memory_order_release);
       continue;
     }
-    const auto stalled = now - state.last_progress;
-    if (stalled >= config_.down_threshold) {
-      // A live-but-wedged thread cannot be joined safely; exclude it from
-      // routing and wait for the heartbeat to resume.
-      state.health.store(ShardHealth::kDown, std::memory_order_release);
-    } else if (stalled >= config_.stall_threshold) {
-      state.health.store(ShardHealth::kDegraded, std::memory_order_release);
+    // A live-but-wedged thread cannot be joined safely; a long stall only
+    // excludes it from routing until the heartbeat resumes. A young
+    // silence keeps the current state.
+    const Health stalled = config_.classify(now - state.last_progress);
+    if (stalled != Health::kHealthy) {
+      state.health.store(stalled, std::memory_order_release);
     }
   }
 }

@@ -27,47 +27,24 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string>
-#include <thread>
 #include <vector>
 
+#include "common/health.hpp"
 #include "service/shard.hpp"
 
 namespace slacksched {
 
-/// Health of one shard as the supervisor sees it.
-enum class ShardHealth : std::uint8_t {
-  kHealthy,     ///< worker alive and making progress
-  kDegraded,    ///< heartbeat stalled past the stall threshold
-  kDown,        ///< worker dead (or stalled past the down threshold)
-  kRecovering,  ///< restart in progress (replaying the commit log)
-};
-
-[[nodiscard]] std::string to_string(ShardHealth health);
-
-/// Supervision policy.
-struct SupervisorConfig {
+/// Supervision policy: the shared HealthPolicy (a wedged heartbeat past
+/// stall_threshold is Degraded, past down_threshold Down; max_attempts
+/// restarts per shard before the circuit breaks, paced by backoff on the
+/// shard's own jitter stream) plus two supervisor-only knobs.
+struct SupervisorConfig : HealthPolicy {
   /// When false no monitor thread runs; health stays kHealthy unless
   /// forced (force_down) — supervision becomes a manual-only facility.
   bool enabled = true;
-  std::chrono::milliseconds poll_interval{10};
-  /// Unchanged heartbeat for this long marks the shard Degraded.
-  std::chrono::milliseconds stall_threshold{500};
-  /// ... and for this long marks it Down (still not restartable while the
-  /// wedged thread lives; it rejoins routing if the heartbeat resumes).
-  std::chrono::milliseconds down_threshold{2000};
-  /// Automatic restart attempts per shard before the circuit breaks.
-  int max_restarts = 5;
-  std::chrono::milliseconds backoff_initial{10};
-  double backoff_factor = 2.0;
-  std::chrono::milliseconds backoff_max{1000};
-  /// Seed for the deterministic restart jitter (SplitMix64 over
-  /// (seed, shard, attempt)); jitter scales each delay by [0.5, 1.0].
-  std::uint64_t jitter_seed = 0x5eed5eed5eed5eedULL;
   /// Suggested client back-off returned with a retry_after rejection when
   /// no shard is available.
   std::chrono::milliseconds retry_after{50};
@@ -90,16 +67,16 @@ class ShardSupervisor {
 
   /// Stops and joins the monitor thread. Idempotent; called by the
   /// destructor and by the gateway before it closes the shards.
-  void stop();
+  void stop() { monitor_.stop(); }
 
-  [[nodiscard]] ShardHealth health(int shard) const {
+  [[nodiscard]] Health health(int shard) const {
     return states_[static_cast<std::size_t>(shard)]->health.load(
         std::memory_order_acquire);
   }
 
   /// A shard receives new work iff it is Healthy.
   [[nodiscard]] bool available(int shard) const {
-    return health(shard) == ShardHealth::kHealthy;
+    return health(shard) == Health::kHealthy;
   }
 
   [[nodiscard]] bool any_available() const;
@@ -110,7 +87,7 @@ class ShardSupervisor {
         std::memory_order_relaxed);
   }
 
-  /// True once the shard exhausted max_restarts; only force_recover()
+  /// True once the shard exhausted max_attempts; only force_recover()
   /// re-arms it.
   [[nodiscard]] bool circuit_broken(int shard) const {
     return states_[static_cast<std::size_t>(shard)]->circuit_broken.load(
@@ -135,7 +112,7 @@ class ShardSupervisor {
 
  private:
   struct State {
-    std::atomic<ShardHealth> health{ShardHealth::kHealthy};
+    std::atomic<Health> health{Health::kHealthy};
     std::atomic<int> restarts{0};
     std::atomic<bool> circuit_broken{false};
     std::atomic<bool> forced_down{false};
@@ -147,12 +124,7 @@ class ShardSupervisor {
     int attempts = 0;
   };
 
-  void monitor_loop();
   void tick(std::chrono::steady_clock::time_point now);
-  /// Backoff delay before restart attempt `attempt` (1-based) of `shard`,
-  /// exponentially grown, capped, and jittered deterministically.
-  [[nodiscard]] std::chrono::milliseconds restart_delay(int shard,
-                                                        int attempt) const;
   /// Runs Shard::restart under the control mutex and updates counters.
   /// Caller holds control_mutex_.
   bool restart_locked(int shard, State& state);
@@ -162,10 +134,7 @@ class ShardSupervisor {
   std::vector<std::unique_ptr<State>> states_;
 
   std::mutex control_mutex_;
-  std::condition_variable stop_cv_;
-  bool stop_requested_ = false;
-  bool running_ = false;
-  std::thread monitor_;
+  PeriodicThread monitor_;
 };
 
 }  // namespace slacksched

@@ -41,9 +41,9 @@ SupervisorConfig fast_supervisor() {
   config.poll_interval = std::chrono::milliseconds(2);
   config.stall_threshold = std::chrono::milliseconds(200);
   config.down_threshold = std::chrono::milliseconds(500);
-  config.max_restarts = 10;
-  config.backoff_initial = std::chrono::milliseconds(2);
-  config.backoff_max = std::chrono::milliseconds(10);
+  config.max_attempts = 10;
+  config.backoff.initial = std::chrono::milliseconds(2);
+  config.backoff.max = std::chrono::milliseconds(10);
   config.retry_after = std::chrono::milliseconds(5);
   return config;
 }

@@ -211,8 +211,8 @@ TEST(MetricsExporter, UnderflowJoinsFirstBucketOverflowOnlyInf) {
 TEST(MetricsExporter, HealthSectionIsOneHotGoldenText) {
   ExporterInput input;
   input.snapshot = small_snapshot();
-  input.health.push_back({0, ShardHealth::kHealthy, 0, false});
-  input.health.push_back({1, ShardHealth::kDown, 3, true});
+  input.health.push_back({0, Health::kHealthy, 0, false});
+  input.health.push_back({1, Health::kDown, 3, true});
   const std::string page = render_prometheus(input);
   const std::string golden =
       "# HELP slacksched_shard_health Supervision state of each shard, "
@@ -282,7 +282,7 @@ TEST(MetricsExporter, OptionsControlPrefixAndPerShardSamples) {
 TEST(MetricsExporter, EverySampleBelongsToAHelpTypeFamily) {
   ExporterInput input;
   input.snapshot = small_snapshot();
-  input.health.push_back({0, ShardHealth::kHealthy, 0, false});
+  input.health.push_back({0, Health::kHealthy, 0, false});
   input.trace_dropped = {0, 0};
   input.connections_reaped = 0;
   input.accept_errors = 0;

@@ -46,7 +46,7 @@ TEST(MetricsPublisher, PublishNowReplacesAtomicallyAndLeavesNoTemp) {
   const std::string path = textfile_path("replace");
   std::atomic<int> version{1};
   MetricsPublisher publisher(
-      PublisherConfig{path, std::chrono::milliseconds(60000), 0.1, 0},
+      PublisherConfig{path, std::chrono::milliseconds(60000)},
       [&version] { return "page v" + std::to_string(version.load()) + "\n"; });
   ASSERT_TRUE(publisher.publish_now());
   EXPECT_EQ(slurp(path), "page v1\n");
@@ -63,7 +63,7 @@ TEST(MetricsPublisher, StopPublishesTheFinalPageEvenBeforeThePeriod) {
   std::atomic<int> calls{0};
   MetricsPublisher publisher(
       // A period far longer than the test: only stop() can publish.
-      PublisherConfig{path, std::chrono::milliseconds(60000), 0.0, 0},
+      PublisherConfig{path, std::chrono::milliseconds(60000)},
       [&calls] {
         calls.fetch_add(1);
         return std::string("final page\n");
@@ -80,7 +80,7 @@ TEST(MetricsPublisher, StopPublishesTheFinalPageEvenBeforeThePeriod) {
 TEST(MetricsPublisher, PublishesPeriodicallyInTheBackground) {
   const std::string path = textfile_path("periodic");
   MetricsPublisher publisher(
-      PublisherConfig{path, std::chrono::milliseconds(5), 0.2, 42},
+      PublisherConfig{path, std::chrono::milliseconds(5)},
       [] { return std::string("tick\n"); });
   publisher.start();
   const auto deadline =
@@ -94,10 +94,24 @@ TEST(MetricsPublisher, PublishesPeriodicallyInTheBackground) {
   EXPECT_EQ(slurp(path), "tick\n");
 }
 
+TEST(MetricsPublisher, DistinctPathsDrawDistinctSleeps) {
+  // Co-started gateways each publish their own file; seeding the jitter
+  // from the path keeps their sleeps from marching in lockstep.
+  const PublisherConfig a{"gateway-a.prom", std::chrono::milliseconds(60000)};
+  const PublisherConfig b{"gateway-b.prom", std::chrono::milliseconds(60000)};
+  EXPECT_NE(publish_sleep(a, 0), publish_sleep(b, 0));
+  for (std::uint64_t cycle = 0; cycle < 100; ++cycle) {
+    const auto sleep = publish_sleep(a, cycle);
+    EXPECT_EQ(sleep, publish_sleep(a, cycle));  // pure: replays exactly
+    EXPECT_GE(sleep.count(), 54000) << cycle;   // within ±10% of the period
+    EXPECT_LT(sleep.count(), 66000) << cycle;
+  }
+}
+
 TEST(MetricsPublisher, ReportsWriteFailuresInLastError) {
   MetricsPublisher publisher(
       PublisherConfig{::testing::TempDir() + "no-such-dir/metrics.prom",
-                      std::chrono::milliseconds(60000), 0.1, 0},
+                      std::chrono::milliseconds(60000)},
       [] { return std::string("page\n"); });
   EXPECT_FALSE(publisher.publish_now());
   EXPECT_FALSE(publisher.last_error().empty());

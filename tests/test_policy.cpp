@@ -1131,8 +1131,8 @@ TEST(ElasticGateway, ResizingUnderChaosNeverBreaksACommitment) {
     config.wal_dir = test_dir("elastic_gateway_" + std::to_string(seed));
     config.wal_fsync = FsyncPolicy::kEveryCommit;
     config.supervisor.poll_interval = std::chrono::milliseconds(2);
-    config.supervisor.backoff_initial = std::chrono::milliseconds(2);
-    config.supervisor.backoff_max = std::chrono::milliseconds(10);
+    config.supervisor.backoff.initial = std::chrono::milliseconds(2);
+    config.supervisor.backoff.max = std::chrono::milliseconds(10);
     config.pop_timeout = std::chrono::milliseconds(5);
     config.fault_injector = &injector;
     config.shed_policy = ShedPolicyConfig{};

@@ -14,6 +14,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -799,8 +800,8 @@ FailoverConfig tight_failover() {
   config.poll_interval = std::chrono::milliseconds(5);
   config.stall_threshold = std::chrono::milliseconds(50);
   config.down_threshold = std::chrono::milliseconds(200);
-  config.backoff_initial = std::chrono::milliseconds(5);
-  config.backoff_max = std::chrono::milliseconds(20);
+  config.backoff.initial = std::chrono::milliseconds(5);
+  config.backoff.max = std::chrono::milliseconds(20);
   return config;
 }
 
@@ -818,7 +819,7 @@ TEST(Failover, LeaderThatNeverAppearsIsDeclaredDownOnce) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   driver.stop();
-  EXPECT_EQ(driver.health(), NodeHealth::kDown);
+  EXPECT_EQ(driver.health(), Health::kDown);
   EXPECT_TRUE(driver.circuit_broken());
   EXPECT_EQ(downs, 1);
 }
@@ -836,14 +837,16 @@ TEST(Failover, LiveLeaderTrafficKeepsTheNodeHealthy) {
   auto gateway =
       std::make_unique<AdmissionGateway>(config, threshold_factory());
 
-  int downs = 0;
+  // Read while the monitor runs, so the count must be atomic: nothing
+  // orders the callback's write after this thread's reads.
+  std::atomic<int> downs{0};
   FailoverDriver driver(replica, tight_failover(), [&] { ++downs; });
   driver.start();
   // Heartbeats every 10ms against a 50ms stall threshold: the node must
   // stay Healthy the whole window.
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  EXPECT_EQ(driver.health(), NodeHealth::kHealthy);
-  EXPECT_EQ(downs, 0);
+  EXPECT_EQ(driver.health(), Health::kHealthy);
+  EXPECT_EQ(downs.load(), 0);
 
   // Kill the leader: destruction stops the heartbeats and closes the
   // session, so the follower's silence must break the circuit.
@@ -857,7 +860,7 @@ TEST(Failover, LiveLeaderTrafficKeepsTheNodeHealthy) {
   }
   driver.stop();
   EXPECT_TRUE(driver.circuit_broken());
-  EXPECT_EQ(downs, 1);
+  EXPECT_EQ(downs.load(), 1);
 }
 
 // ---------- promotion ----------

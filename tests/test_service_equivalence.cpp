@@ -260,7 +260,7 @@ TEST(ServiceEquivalence, RoutingSurvivesAFailoverAndRecoveryRoundTrip) {
         }
       }
       EXPECT_TRUE(recovered) << "shard 1 never recovered";
-      EXPECT_EQ(gateway.shard_health(1), ShardHealth::kHealthy);
+      EXPECT_EQ(gateway.shard_health(1), Health::kHealthy);
     }
     EXPECT_EQ(gateway.submit_batch(instance.jobs()).enqueued,
               instance.size());

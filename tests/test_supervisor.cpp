@@ -1,9 +1,13 @@
 // Shard supervision: the health FSM, in-place restart of crashed workers,
 // the circuit breaker, administrative force_down/force_recover, and the
-// gateway's failover routing around unavailable shards.
+// gateway's failover routing around unavailable shards. Also the shared
+// health pieces both supervisors run on: the one Backoff, HealthPolicy
+// validation, and the monitor thread's prompt stop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -11,6 +15,9 @@
 #include <vector>
 
 #include "baselines/greedy.hpp"
+#include "common/health.hpp"
+#include "replication/failover.hpp"
+#include "replication/replica_server.hpp"
 #include "service/fault_injection.hpp"
 #include "service/gateway.hpp"
 
@@ -32,9 +39,9 @@ SupervisorConfig fast_supervisor() {
   config.poll_interval = milliseconds(2);
   config.stall_threshold = milliseconds(200);
   config.down_threshold = milliseconds(500);
-  config.max_restarts = 10;
-  config.backoff_initial = milliseconds(2);
-  config.backoff_max = milliseconds(10);
+  config.max_attempts = 10;
+  config.backoff.initial = milliseconds(2);
+  config.backoff.max = milliseconds(10);
   config.retry_after = milliseconds(5);
   return config;
 }
@@ -78,11 +85,11 @@ void submit_now(AdmissionGateway& gateway, const std::vector<Job>& jobs) {
   }
 }
 
-TEST(ShardHealthNames, EveryStateHasAName) {
-  EXPECT_EQ(to_string(ShardHealth::kHealthy), "healthy");
-  EXPECT_EQ(to_string(ShardHealth::kDegraded), "degraded");
-  EXPECT_EQ(to_string(ShardHealth::kDown), "down");
-  EXPECT_EQ(to_string(ShardHealth::kRecovering), "recovering");
+TEST(HealthNames, EveryStateHasAName) {
+  EXPECT_EQ(to_string(Health::kHealthy), "healthy");
+  EXPECT_EQ(to_string(Health::kDegraded), "degraded");
+  EXPECT_EQ(to_string(Health::kDown), "down");
+  EXPECT_EQ(to_string(Health::kRecovering), "recovering");
 }
 
 TEST(Supervisor, DisabledMonitorLeavesShardsHealthy) {
@@ -91,8 +98,8 @@ TEST(Supervisor, DisabledMonitorLeavesShardsHealthy) {
   config.supervisor.enabled = false;
   AdmissionGateway gateway(
       config, [](int) { return std::make_unique<GreedyScheduler>(2); });
-  EXPECT_EQ(gateway.shard_health(0), ShardHealth::kHealthy);
-  EXPECT_EQ(gateway.shard_health(1), ShardHealth::kHealthy);
+  EXPECT_EQ(gateway.shard_health(0), Health::kHealthy);
+  EXPECT_EQ(gateway.shard_health(1), Health::kHealthy);
   submit_now(gateway, easy_jobs(10, 0, 0.0));
   const GatewayResult result = gateway.finish();
   EXPECT_TRUE(result.clean());
@@ -117,7 +124,7 @@ TEST(Supervisor, CrashedWorkerIsRestartedInPlaceFromItsLog) {
   submit_now(gateway, easy_jobs(10, 0, 0.0));
   ASSERT_TRUE(eventually([&] {
     return gateway.supervisor().restarts(0) >= 1 &&
-           gateway.shard_health(0) == ShardHealth::kHealthy;
+           gateway.shard_health(0) == Health::kHealthy;
   })) << "crashed worker was not restarted";
   EXPECT_EQ(injector.fired(), 1u);
 
@@ -169,10 +176,10 @@ TEST(Supervisor, HeartbeatStallDegradesThenHealthyOnResume) {
 
   submit_now(gateway, easy_jobs(1, 0, 0.0));
   EXPECT_TRUE(eventually(
-      [&] { return gateway.shard_health(0) == ShardHealth::kDegraded; }))
+      [&] { return gateway.shard_health(0) == Health::kDegraded; }))
       << "stalled worker never marked degraded";
   EXPECT_TRUE(eventually(
-      [&] { return gateway.shard_health(0) == ShardHealth::kHealthy; }))
+      [&] { return gateway.shard_health(0) == Health::kHealthy; }))
       << "resumed worker never marked healthy again";
   const GatewayResult result = gateway.finish();
   EXPECT_TRUE(result.clean());
@@ -181,7 +188,7 @@ TEST(Supervisor, HeartbeatStallDegradesThenHealthyOnResume) {
 
 TEST(Supervisor, CircuitBreaksWhenRestartsAreExhausted) {
   // No WAL configured: a crashed shard cannot be restarted, every attempt
-  // fails, and after max_restarts the circuit breaks for good.
+  // fails, and after max_attempts the circuit breaks for good.
   FaultPlan plan;
   plan.add({FaultSite::kDequeue, 0, 1});
   FaultInjector injector(plan);
@@ -189,7 +196,7 @@ TEST(Supervisor, CircuitBreaksWhenRestartsAreExhausted) {
   GatewayConfig config;
   config.shards = 1;
   config.supervisor = fast_supervisor();
-  config.supervisor.max_restarts = 2;
+  config.supervisor.max_attempts = 2;
   config.pop_timeout = milliseconds(5);
   config.fault_injector = &injector;
   AdmissionGateway gateway(
@@ -198,7 +205,7 @@ TEST(Supervisor, CircuitBreaksWhenRestartsAreExhausted) {
   submit_now(gateway, easy_jobs(4, 0, 0.0));
   ASSERT_TRUE(eventually([&] { return gateway.supervisor().circuit_broken(0); }))
       << "circuit never broke";
-  EXPECT_EQ(gateway.shard_health(0), ShardHealth::kDown);
+  EXPECT_EQ(gateway.shard_health(0), Health::kDown);
   EXPECT_EQ(gateway.supervisor().restarts(0), 0);
 
   // The single shard is gone: new work is shed with retry_after.
@@ -227,17 +234,17 @@ TEST(Supervisor, ForceDownDrainsAndForceRecoverRestarts) {
       [&] { return gateway.metrics_snapshot().total.submitted >= 5; }));
 
   gateway.supervisor().force_down(0);
-  EXPECT_EQ(gateway.shard_health(0), ShardHealth::kDown);
+  EXPECT_EQ(gateway.shard_health(0), Health::kDown);
   // The monitor must not undo an administrative drain.
   std::this_thread::sleep_for(milliseconds(30));
-  EXPECT_EQ(gateway.shard_health(0), ShardHealth::kDown);
+  EXPECT_EQ(gateway.shard_health(0), Health::kDown);
   EXPECT_EQ(gateway.supervisor().restarts(0), 0);
 
   // force_recover refuses until the worker drained and exited, then
   // replays the log and brings the shard back.
   ASSERT_TRUE(eventually([&] { return gateway.supervisor().force_recover(0); }))
       << "force_recover never succeeded";
-  EXPECT_EQ(gateway.shard_health(0), ShardHealth::kHealthy);
+  EXPECT_EQ(gateway.shard_health(0), Health::kHealthy);
   EXPECT_EQ(gateway.supervisor().restarts(0), 1);
 
   submit_now(gateway, easy_jobs(5, 100, 10.0));
@@ -314,6 +321,126 @@ TEST(Supervisor, WithoutFailoverADownShardRejectsAsClosed) {
   EXPECT_EQ(gateway.submit(make_job(1, 0.0, 1.0, 10.0)),
             Outcome::kRejectedClosed);
   (void)gateway.finish();
+}
+
+TEST(Supervisor, GatewayConfigNamesEverySupervisorProblem) {
+  GatewayConfig config;
+  config.supervisor.poll_interval = milliseconds(0);
+  config.supervisor.stall_threshold = milliseconds(800);
+  config.supervisor.down_threshold = milliseconds(800);
+  config.supervisor.max_attempts = -1;
+  config.supervisor.backoff.factor = 0.5;
+  std::vector<std::string> supervisor_errors;
+  for (const std::string& e : config.validate()) {
+    if (e.rfind("supervisor: ", 0) == 0) supervisor_errors.push_back(e);
+  }
+  ASSERT_EQ(supervisor_errors.size(), 4u);
+  EXPECT_NE(supervisor_errors[0].find("poll_interval"), std::string::npos);
+  EXPECT_NE(supervisor_errors[1].find("stall_threshold"), std::string::npos);
+  EXPECT_NE(supervisor_errors[2].find("max_attempts"), std::string::npos);
+  EXPECT_NE(supervisor_errors[3].find("backoff.factor"), std::string::npos);
+  EXPECT_THROW(AdmissionGateway(config,
+                                [](int) {
+                                  return std::make_unique<GreedyScheduler>(2);
+                                }),
+               PreconditionError);
+}
+
+// ---------- the shared pieces ----------
+
+TEST(Backoff, EqualSeedStreamAndAttemptReplayEqualDelays) {
+  const Backoff backoff{milliseconds(3), 2.0, milliseconds(400), 42};
+  const Backoff copy = backoff;
+  for (int attempt = 1; attempt <= 20; ++attempt) {
+    for (std::uint64_t stream = 0; stream < 4; ++stream) {
+      EXPECT_EQ(backoff.delay(attempt, stream), copy.delay(attempt, stream))
+          << attempt << "/" << stream;
+    }
+  }
+}
+
+TEST(Backoff, EveryDelayIsTheCappedExponentialJitteredIntoHalfToOne) {
+  for (const Backoff backoff :
+       {Backoff{milliseconds(3), 2.0, milliseconds(400), 1},
+        Backoff{milliseconds(10), 3.0, milliseconds(1000), 2},
+        Backoff{milliseconds(500), 2.0, milliseconds(100), 3},  // capped
+        Backoff{milliseconds(1), 1.0, milliseconds(1), 4}}) {   // 1 ms floor
+    for (int attempt = 1; attempt <= 30; ++attempt) {
+      for (std::uint64_t stream = 0; stream < 3; ++stream) {
+        const double base = std::min(
+            static_cast<double>(backoff.initial.count()) *
+                std::pow(backoff.factor, attempt - 1),
+            static_cast<double>(backoff.max.count()));
+        const auto d = backoff.delay(attempt, stream).count();
+        EXPECT_GE(d, 1);
+        EXPECT_GE(d, std::floor(0.5 * base)) << attempt;
+        EXPECT_LE(d, std::max(1.0, base)) << attempt;
+      }
+    }
+  }
+}
+
+TEST(Backoff, DifferentSeedsAndDifferentStreamsDiverge) {
+  const Backoff a{milliseconds(100), 2.0, milliseconds(100000), 42};
+  Backoff b = a;
+  b.seed = 43;
+  bool seeds_diverged = false;
+  bool streams_diverged = false;
+  for (int attempt = 1; attempt <= 12; ++attempt) {
+    seeds_diverged |= a.delay(attempt) != b.delay(attempt);
+    streams_diverged |= a.delay(attempt, 0) != a.delay(attempt, 1);
+  }
+  EXPECT_TRUE(seeds_diverged);
+  EXPECT_TRUE(streams_diverged);
+}
+
+TEST(HealthPolicy, ClassifiesSilenceAgainstBothThresholds) {
+  HealthPolicy policy;
+  policy.stall_threshold = milliseconds(50);
+  policy.down_threshold = milliseconds(200);
+  EXPECT_EQ(policy.classify(milliseconds(49)), Health::kHealthy);
+  EXPECT_EQ(policy.classify(milliseconds(50)), Health::kDegraded);
+  EXPECT_EQ(policy.classify(milliseconds(199)), Health::kDegraded);
+  EXPECT_EQ(policy.classify(milliseconds(200)), Health::kDown);
+  EXPECT_TRUE(policy.validate().empty());
+}
+
+TEST(FailoverDriverPolicy, RefusesAnInvalidPolicyNamingEveryProblem) {
+  repl::ReplicaServerConfig replica_config;
+  replica_config.dir = wal_dir("failover_invalid");
+  repl::ReplicaServer replica(replica_config);
+  repl::FailoverConfig config;
+  config.poll_interval = milliseconds(0);
+  config.stall_threshold = milliseconds(300);
+  config.down_threshold = milliseconds(100);
+  config.backoff.factor = 0.5;
+  try {
+    repl::FailoverDriver driver(replica, config, [] {});
+    FAIL() << "an invalid FailoverConfig was accepted";
+  } catch (const PreconditionError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("poll_interval"), std::string::npos) << what;
+    EXPECT_NE(what.find("stall_threshold"), std::string::npos) << what;
+    EXPECT_NE(what.find("backoff.factor"), std::string::npos) << what;
+  }
+}
+
+TEST(FailoverDriverPolicy, StopWakesASleepingMonitorAtOnce) {
+  repl::ReplicaServerConfig replica_config;
+  replica_config.dir = wal_dir("failover_stop");
+  repl::ReplicaServer replica(replica_config);
+  repl::FailoverConfig config;
+  config.poll_interval = std::chrono::seconds(10);
+  config.stall_threshold = std::chrono::seconds(20);
+  config.down_threshold = std::chrono::seconds(40);
+  repl::FailoverDriver driver(replica, config, [] {});
+  driver.start();
+  std::this_thread::sleep_for(milliseconds(20));  // the monitor is asleep
+  const auto begin = steady_clock::now();
+  driver.stop();
+  EXPECT_LT(steady_clock::now() - begin, milliseconds(100));
+  EXPECT_EQ(driver.health(), Health::kHealthy);
+  driver.stop();  // idempotent
 }
 
 }  // namespace
