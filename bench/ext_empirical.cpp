@@ -6,7 +6,6 @@
 // non-preemptive online algorithms under contention.
 #include <iostream>
 
-#include "baselines/delayed_commit.hpp"
 #include "baselines/edf_preemptive.hpp"
 #include "baselines/migration_flow.hpp"
 #include "baselines/random_admission.hpp"
@@ -16,6 +15,7 @@
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
 #include "core/threshold.hpp"
+#include "models/delta_commit.hpp"
 #include "offline/upper_bound.hpp"
 #include "sched/engine.hpp"
 #include "workload/generators.hpp"
@@ -46,7 +46,9 @@ CellResult run_cell(const WorkloadConfig& config, int m) {
   cell.greedy_best = run_online(best, inst).metrics.accepted_volume;
   GreedyScheduler least(m, GreedyPolicy::kLeastLoaded);
   cell.greedy_least = run_online(least, inst).metrics.accepted_volume;
-  cell.delayed = run_delayed_commit(inst, m).metrics.accepted_volume;
+  DeltaCommitScheduler admission(
+      {m, 0.0, /*commit_on_admission=*/true, QueuePolicy::kEdf, {}});
+  cell.delayed = run_online(admission, inst).metrics.accepted_volume;
   cell.preemptive = run_edf_preemptive(inst, m).metrics.accepted_volume;
   cell.migration = run_migration_admission(inst, m).metrics.accepted_volume;
   RandomAdmissionScheduler coin(m, 0.5, config.seed ^ 0x5eed);

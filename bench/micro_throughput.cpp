@@ -25,16 +25,16 @@
 #include "adversary/lower_bound_game.hpp"
 #include "bench_env.hpp"
 #include "baselines/greedy.hpp"
-#include "baselines/greedy_reference.hpp"
 #include "core/classify_select.hpp"
 #include "core/ratio_function.hpp"
 #include "core/threshold.hpp"
-#include "core/threshold_reference.hpp"
 #include "offline/exact.hpp"
 #include "offline/feasibility.hpp"
 #include "offline/upper_bound.hpp"
 #include "sched/engine.hpp"
 #include "workload/generators.hpp"
+
+#include "threshold_reference.hpp"
 
 namespace {
 

@@ -10,12 +10,12 @@
 // Usage: cloud_admission [--machines=4] [--jobs=2000] [--seed=1]
 #include <iostream>
 
-#include "baselines/delayed_commit.hpp"
 #include "baselines/edf_preemptive.hpp"
 #include "baselines/greedy.hpp"
 #include "common/cli.hpp"
 #include "common/table.hpp"
 #include "core/threshold.hpp"
+#include "models/delta_commit.hpp"
 #include "offline/upper_bound.hpp"
 #include "sched/engine.hpp"
 #include "workload/generators.hpp"
@@ -40,10 +40,12 @@ int main(int argc, char** argv) {
 
     ThresholdScheduler threshold(eps, machines);
     GreedyScheduler greedy(machines);
+    DeltaCommitScheduler admission(
+        {machines, 0.0, /*commit_on_admission=*/true, QueuePolicy::kEdf, {}});
     const double thr = run_online(threshold, instance).metrics.accepted_volume;
     const double grd = run_online(greedy, instance).metrics.accepted_volume;
     const double queue =
-        run_delayed_commit(instance, machines).metrics.accepted_volume;
+        run_online(admission, instance).metrics.accepted_volume;
     const double pedf =
         run_edf_preemptive(instance, machines).metrics.accepted_volume;
     const double ub = preemptive_fractional_upper_bound(instance, machines);

@@ -1,22 +1,24 @@
 // Live admission dashboard — what a provider's monitoring sees.
 //
-// Runs the bursty cloud scenario through the event simulator with the
-// stock observers attached and renders the windowed acceptance-rate
-// series, utilization and SLA-backlog statistics, and (optionally) the
-// raw event log. Demonstrates the sim/ observer API.
+// Runs the bursty cloud scenario through the engine and reads the
+// windowed acceptance-rate series, utilization and SLA-backlog statistics
+// off each run's result (sched/timeline.hpp), and (optionally) prints the
+// decision log.
 //
 // Usage: live_dashboard [--eps=0.1] [--machines=4] [--jobs=1500]
 //                       [--window=25] [--log-events]
+#include <algorithm>
 #include <iostream>
 
+#include "baselines/greedy.hpp"
 #include "common/ascii_chart.hpp"
 #include "common/cli.hpp"
 #include "common/histogram.hpp"
 #include "common/table.hpp"
 #include "core/threshold.hpp"
-#include "baselines/greedy.hpp"
-#include "sim/observers.hpp"
-#include "sim/simulator.hpp"
+#include "sched/decision_io.hpp"
+#include "sched/engine.hpp"
+#include "sched/timeline.hpp"
 #include "workload/generators.hpp"
 
 int main(int argc, char** argv) {
@@ -54,21 +56,23 @@ int main(int argc, char** argv) {
   std::vector<PolicyRow> rows;
 
   auto run_policy = [&](OnlineScheduler& scheduler) {
-    Simulator simulator(scheduler);
-    UtilizationObserver util(machines);
-    BacklogObserver backlog;
-    AcceptanceRateObserver acceptance(window);
-    EventLogObserver log(args.get_bool("log-events", false) ? &std::cout
-                                                            : nullptr);
-    simulator.add_observer(&util);
-    simulator.add_observer(&backlog);
-    simulator.add_observer(&acceptance);
-    simulator.add_observer(&log);
-    const RunResult result = simulator.run(instance);
-    rows.push_back({scheduler.name(), util.average_utilization(),
-                    util.peak_running(), backlog.peak_backlog(),
-                    backlog.average_backlog(),
-                    result.metrics.accepted_volume, acceptance.rates()});
+    const RunResult result = run_online(scheduler, instance);
+    if (args.get_bool("log-events", false)) {
+      write_decisions(std::cout, result.decisions);
+    }
+    int peak_running = 0;
+    for (const BusySegment& segment : busy_timeline(result.schedule)) {
+      peak_running = std::max(peak_running, segment.busy_machines);
+    }
+    const BacklogStats exposure = backlog(result);
+    std::vector<double> rates;
+    for (const AcceptanceWindow& w : acceptance_rates(result, window)) {
+      rates.push_back(w.rate());
+    }
+    rows.push_back({scheduler.name(),
+                    utilization(result.schedule, result.metrics.makespan),
+                    peak_running, exposure.peak, exposure.average,
+                    result.metrics.accepted_volume, std::move(rates)});
   };
 
   ThresholdScheduler threshold(eps, machines);

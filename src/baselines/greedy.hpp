@@ -11,7 +11,7 @@
 /// feasible machine, least-loaded is an O(1) feasibility check at the tail
 /// of the maintained order, and first fit is an early-exit index scan. The
 /// decision streams are pinned byte-identical to the seed linear-scan
-/// implementation (baselines/greedy_reference.hpp).
+/// implementation (tests/support/greedy_reference.hpp).
 #pragma once
 
 #include <optional>

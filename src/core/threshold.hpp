@@ -51,7 +51,7 @@ struct ThresholdConfig {
 /// loaded feasible machine — O(log m) plus the scan/rotate lengths per
 /// arrival instead of the O(m log m) sort the naive loop pays. The
 /// decision stream is pinned byte-identical to the sort-based seed
-/// implementation (core/threshold_reference.hpp) by randomized
+/// implementation (tests/support/threshold_reference.hpp) by randomized
 /// equivalence tests.
 class ThresholdScheduler final : public OnlineScheduler {
  public:

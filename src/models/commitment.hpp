@@ -8,7 +8,8 @@
 /// the scheduler must commit (or definitively not have committed, which is
 /// a rejection) while a guaranteed fraction of the job's window remains.
 /// The weakest model, *commitment on admission*, only binds the scheduler
-/// when it actually starts a job (baselines/delayed_commit.hpp).
+/// when it actually starts a job (DeltaCommitScheduler's admission mode,
+/// models/delta_commit.hpp).
 ///
 /// This header names the three models and packages each one's
 /// irrevocability contract — the latest legal commitment time for a job —

@@ -19,6 +19,18 @@ std::string compact(double value) {
 
 }  // namespace
 
+std::string to_string(QueuePolicy policy) {
+  switch (policy) {
+    case QueuePolicy::kEdf:
+      return "edf";
+    case QueuePolicy::kLargestFirst:
+      return "largest-first";
+    case QueuePolicy::kLeastSlackFirst:
+      return "least-slack";
+  }
+  return "unknown";
+}
+
 DeltaCommitScheduler::DeltaCommitScheduler(const DeltaCommitConfig& config)
     : config_(config),
       profile_(config.speeds.empty() ? SpeedProfile(config.machines)
@@ -143,8 +155,8 @@ void DeltaCommitScheduler::run_to(TimePoint target,
   }
   if (std::isfinite(target) && definitely_greater(target, vt_)) {
     // Park the clock at `target` with its step pending: it runs once every
-    // arrival at `target` has been queued, mirroring the event simulator's
-    // admit-then-start order within one event time.
+    // arrival at `target` has been queued, so within one event time every
+    // arrival is admitted before any machine starts.
     vt_ = target;
     dirty_ = true;
   }
@@ -169,7 +181,7 @@ TimePoint DeltaCommitScheduler::next_event_time() const {
 void DeltaCommitScheduler::step(TimePoint now,
                                 std::vector<DeferredResolution>& resolved) {
   // 1. Expire: a pending job that not even the fastest machine could still
-  //    complete is rejected — the lazy drop of the event simulator.
+  //    complete is rejected — the admission queue's lazy drop.
   std::erase_if(pending_, [&](const Job& j) {
     if (definitely_less(last_startable(j), now)) {
       resolved.push_back({j, Decision::reject(), now});
@@ -202,14 +214,11 @@ void DeltaCommitScheduler::step(TimePoint now,
     }
   }
 
-  // 3. Start work on every idle machine — the exact loop of
-  //    run_delayed_commit, sharing its pick_startable on uniform speeds.
+  // 3. Start work on every idle machine.
   for (int machine = 0; machine < config_.machines && !pending_.empty();
        ++machine) {
     while (approx_le(frontier_.frontier(machine), now)) {
-      const int idx = frontier_.uniform_speeds()
-                          ? pick_startable(pending_, now, config_.queue)
-                          : pick_startable_on(machine, now);
+      const int idx = pick_startable_on(machine, now);
       if (idx < 0) break;
       const Job job = pending_[static_cast<std::size_t>(idx)];
       pending_.erase(pending_.begin() + idx);

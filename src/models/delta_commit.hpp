@@ -9,22 +9,23 @@
 ///     τ_j = min(r_j + δ · p_j,  d_j − p_j)
 ///
 /// (see models/commitment.hpp for the mapping onto the framework paper's δ').
-/// In between, the scheduler behaves like the commitment-on-admission queue
-/// (baselines/delayed_commit.hpp): whenever a machine goes idle it starts
-/// the best startable pending job under the configured QueuePolicy, sharing
-/// pick_startable with that simulator. A pending job whose τ_j passes
-/// without a start is force-committed: it gets the best-fit machine the
-/// commit-on-arrival greedy would pick at that instant, or a binding
-/// rejection when no machine can still complete it.
+/// In between, the scheduler runs a commitment-on-admission queue (the
+/// weaker model of the early admission-control literature, e.g. Goldwasser
+/// '99 and Lee '03): whenever a machine goes idle it starts the best
+/// startable pending job under the configured QueuePolicy. A pending job
+/// whose τ_j passes without a start is force-committed: it gets the
+/// best-fit machine the commit-on-arrival greedy would pick at that
+/// instant, or a binding rejection when no machine can still complete it.
 ///
 /// The model parameters pin the two boundary equivalences the test suite
 /// checks bit for bit:
 ///  - δ = 0: every job force-commits at its own arrival, in arrival order,
 ///    through the same FrontierSet::best_fit the commit-on-arrival
 ///    GreedyScheduler(kBestFit) uses — identical decision streams.
-///  - commit_on_admission = true (τ_j = ∞): the event set and per-event
-///    processing mirror run_delayed_commit exactly — identical schedules
-///    and accept/reject counts.
+///  - commit_on_admission = true (τ_j = ∞): the pure admission-time queue,
+///    the library's only commitment-on-admission scheduler. Its schedules
+///    and accept/reject counts are pinned to the event-driven oracle in
+///    tests/support/delayed_commit_reference.hpp.
 ///
 /// Related machines: a SpeedProfile makes every occupancy computation use
 /// exec time p_j / s_i; a job is dropped as expired only once not even the
@@ -40,13 +41,21 @@
 #include <string>
 #include <vector>
 
-#include "baselines/delayed_commit.hpp"
 #include "core/frontier_set.hpp"
 #include "models/commitment.hpp"
 #include "models/speed_profile.hpp"
 #include "sched/online.hpp"
 
 namespace slacksched {
+
+/// Queue ordering used when a machine goes idle.
+enum class QueuePolicy {
+  kEdf,               ///< earliest deadline first among startable jobs
+  kLargestFirst,      ///< largest processing time first (load-greedy)
+  kLeastSlackFirst,   ///< smallest latest-start margin first
+};
+
+[[nodiscard]] std::string to_string(QueuePolicy policy);
 
 /// Configuration of the δ-commitment scheduler.
 struct DeltaCommitConfig {
@@ -56,7 +65,7 @@ struct DeltaCommitConfig {
   /// commit_on_admission.
   double delta = 0.0;
   /// Degenerate τ_j = ∞ variant: commitment only at the start (the
-  /// kOnAdmission model, streaming twin of run_delayed_commit).
+  /// kOnAdmission model).
   bool commit_on_admission = false;
   /// Queue ordering used when a machine goes idle.
   QueuePolicy queue = QueuePolicy::kEdf;
@@ -95,8 +104,8 @@ class DeltaCommitScheduler final : public OnlineScheduler {
   void run_to(TimePoint target, std::vector<DeferredResolution>& resolved);
 
   /// One event-time iteration at `now`: expire, force-commit due jobs,
-  /// then start idle machines — the exact per-event order of
-  /// run_delayed_commit with the force-commit phase spliced in.
+  /// then start idle machines — the admission queue's per-event order
+  /// with the force-commit phase spliced in.
   void step(TimePoint now, std::vector<DeferredResolution>& resolved);
 
   /// Next internal event strictly after the clock, or kTimeInfinity.
@@ -108,8 +117,8 @@ class DeltaCommitScheduler final : public OnlineScheduler {
   /// Latest time the job could still be started on *some* machine.
   [[nodiscard]] TimePoint last_startable(const Job& job) const;
 
-  /// pick_startable generalized to machine-specific execution times;
-  /// coincides with pick_startable on uniform speeds.
+  /// Index of the best pending job `machine` can still start at `now`
+  /// under the queue policy (latest start d_j − p_j / s_i), or -1.
   [[nodiscard]] int pick_startable_on(int machine, TimePoint now) const;
 
   DeltaCommitConfig config_;

@@ -12,8 +12,8 @@
 #include <string>
 #include <vector>
 
-#include "baselines/delayed_commit.hpp"
 #include "models/commitment.hpp"
+#include "models/delta_commit.hpp"
 #include "models/speed_profile.hpp"
 #include "sched/online.hpp"
 

@@ -1,7 +1,9 @@
 #include "sched/timeline.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
+#include <queue>
 
 #include "common/expects.hpp"
 #include "common/table.hpp"
@@ -62,6 +64,98 @@ double utilization(const Schedule& schedule, TimePoint horizon) {
     busy_machine_time += std::max(0.0, end - begin);
   }
   return busy_machine_time / (h * schedule.machines());
+}
+
+namespace {
+
+/// The decision log of a clean run in release order. A deferred model logs
+/// decisions in resolution order; the stable sort keeps submission order
+/// among equal releases.
+std::vector<DecisionRecord> decisions_by_release(const RunResult& result) {
+  SLACKSCHED_EXPECTS(result.clean());
+  std::vector<DecisionRecord> records = result.decisions;
+  std::stable_sort(records.begin(), records.end(),
+                   [](const DecisionRecord& a, const DecisionRecord& b) {
+                     return a.job.release < b.job.release;
+                   });
+  return records;
+}
+
+}  // namespace
+
+BacklogStats backlog(const RunResult& result) {
+  // A pending completion; equal times leave in acceptance order.
+  struct Completion {
+    TimePoint time;
+    std::size_t sequence;
+    Duration proc;
+    bool operator>(const Completion& other) const {
+      if (time != other.time) return time > other.time;
+      return sequence > other.sequence;
+    }
+  };
+  std::priority_queue<Completion, std::vector<Completion>, std::greater<>>
+      running;
+
+  BacklogStats stats;
+  double level = 0.0;
+  double weighted_sum = 0.0;
+  TimePoint last = 0.0;
+  TimePoint horizon = result.schedule.makespan();
+  auto advance = [&](TimePoint time) {
+    weighted_sum += level * std::max(0.0, time - last);
+    last = std::max(last, time);
+  };
+  auto complete_until = [&](TimePoint time) {
+    while (!running.empty() && running.top().time <= time + kTimeEps) {
+      advance(running.top().time);
+      level = std::max(0.0, level - running.top().proc);
+      running.pop();
+    }
+  };
+
+  std::size_t sequence = 0;
+  for (const DecisionRecord& record : decisions_by_release(result)) {
+    const Job& job = record.job;
+    horizon = std::max(horizon, job.release);
+    if (!record.decision.accepted) continue;
+    complete_until(job.release);
+    advance(job.release);
+    level += job.proc;
+    stats.peak = std::max(stats.peak, level);
+    running.push({record.decision.start +
+                      result.schedule.exec_time(record.decision.machine,
+                                                job.proc),
+                  sequence++, job.proc});
+  }
+  complete_until(kTimeInfinity);
+  advance(horizon);
+  stats.average = horizon > 0.0 ? weighted_sum / horizon : 0.0;
+  return stats;
+}
+
+std::vector<AcceptanceWindow> acceptance_rates(const RunResult& result,
+                                               Duration window) {
+  SLACKSCHED_EXPECTS(window > 0.0);
+  std::vector<AcceptanceWindow> windows;
+  AcceptanceWindow open{0.0, window, 0.0, 0.0};
+  auto roll_to = [&](TimePoint time) {
+    while (time > open.end + kTimeEps) {
+      windows.push_back(open);
+      open = {open.end, open.end + window, 0.0, 0.0};
+    }
+  };
+  TimePoint last_release = 0.0;
+  for (const DecisionRecord& record : decisions_by_release(result)) {
+    roll_to(record.job.release);
+    last_release = record.job.release;
+    open.submitted_volume += record.job.proc;
+    if (record.decision.accepted) open.accepted_volume += record.job.proc;
+  }
+  roll_to(std::max(result.schedule.makespan(), last_release) + window);
+  // Only a run that ends at time 0 leaves its submissions unflushed.
+  if (open.submitted_volume > 0.0) windows.push_back(open);
+  return windows;
 }
 
 std::vector<CoveredInterval> covered_intervals(const RunResult& result) {

@@ -3,7 +3,9 @@
 // Operationalizes the interval machinery of the paper's Section 4 proof:
 //   * busy-machine counts over time (the "monotony" structure of
 //     Definition 4),
-//   * machine utilization,
+//   * machine utilization, SLA backlog and windowed acceptance rates —
+//     the time-resolved statistics a provider's dashboard charts,
+//     read off the engine's own RunResult,
 //   * covered/uncovered intervals (Definitions 1 and 2): an interval is
 //     covered if it intersects the [r_j, d_j) window of some rejected job
 //     — only covered time can witness lost load, so per-interval analysis
@@ -38,6 +40,44 @@ struct BusySegment {
 /// schedule makespan.
 [[nodiscard]] double utilization(const Schedule& schedule,
                                  TimePoint horizon = -1.0);
+
+/// Committed-but-unfinished work over a run: the exposure an accepted SLA
+/// represents. Each accepted job counts from its release to the completion
+/// of its placement (p_j / s_i on related machines); at equal times
+/// (within kTimeEps) completions leave before acceptances arrive.
+struct BacklogStats {
+  double peak = 0.0;
+  /// Time-weighted mean over [0, max(makespan, last release)]. The
+  /// backlog is a step function updated at those events; the continuous
+  /// drain of running work is not interpolated.
+  double average = 0.0;
+};
+
+/// Backlog of a clean run; reads its decision log, so the run must have
+/// recorded decisions (RunOptions::record_decisions, the default).
+[[nodiscard]] BacklogStats backlog(const RunResult& result);
+
+/// One fixed-width window of a run's submissions, keyed by release time:
+/// the window (begin, end] holds every job released in it (the first
+/// window also holds time 0), and ends advance by repeated addition of the
+/// width.
+struct AcceptanceWindow {
+  TimePoint begin = 0.0;
+  TimePoint end = 0.0;
+  double submitted_volume = 0.0;
+  double accepted_volume = 0.0;
+
+  /// Accepted / submitted volume; 1 for a window without submissions.
+  [[nodiscard]] double rate() const {
+    return submitted_volume > 0.0 ? accepted_volume / submitted_volume : 1.0;
+  }
+};
+
+/// The windowed acceptance series of a clean run, in time order, covering
+/// [0, max(makespan, last release) + window). Reads the decision log, like
+/// backlog(). Requires window > 0.
+[[nodiscard]] std::vector<AcceptanceWindow> acceptance_rates(
+    const RunResult& result, Duration window);
 
 /// A covered interval of a run (Definitions 1-2): a maximal union of
 /// rejected-job windows, carrying the committed work inside it.

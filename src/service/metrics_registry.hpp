@@ -5,9 +5,10 @@
 // so snapshot() is a lock-free read that never stalls the ingest path.
 //
 // The per-shard decision counters are the live analogue of RunMetrics, and
-// the snapshot carries the same totals the sim/observers dashboard derives
-// offline (acceptance rate, accepted volume) — re-expressed over a running,
-// sharded service instead of a finished single-engine replay.
+// the snapshot carries the same totals the dashboard statistics of
+// sched/timeline.hpp read offline off a RunResult (acceptance rate,
+// accepted volume) — re-expressed over a running, sharded service instead
+// of a finished single-engine replay.
 #pragma once
 
 #include <array>

@@ -3,7 +3,7 @@
 // TSan CI matrix runs against the queue: multi-producer close/drain races,
 // batch-claim wraparound at the smallest legal capacities, and the
 // close-racing-a-timed-wait drain contract. The retired mutex+condvar
-// queue (service/bounded_queue_reference.hpp) serves as the differential
+// queue (tests/support/bounded_queue_reference.hpp) serves as the differential
 // oracle: identical operation sequences must produce identical return
 // values and identical delivered streams.
 
@@ -20,7 +20,8 @@
 #include "common/expects.hpp"
 #include "common/rng.hpp"
 #include "service/bounded_queue.hpp"
-#include "service/bounded_queue_reference.hpp"
+
+#include "bounded_queue_reference.hpp"
 
 namespace slacksched {
 namespace {

@@ -1,5 +1,5 @@
 // Edge-case coverage across modules that the focused suites do not hit:
-// Gantt/chart renderers on degenerate inputs, the simulator's behaviour
+// Gantt/chart renderers on degenerate inputs, the engine's behaviour
 // when a scheduler cheats mid-run, determinism of the exact solver under
 // ties, m = 1 adversary specifics, and the diurnal named scenario.
 #include <gtest/gtest.h>
@@ -12,10 +12,10 @@
 #include "common/expects.hpp"
 #include "core/threshold.hpp"
 #include "offline/exact.hpp"
+#include "sched/engine.hpp"
 #include "sched/gantt.hpp"
+#include "sched/timeline.hpp"
 #include "sched/validator.hpp"
-#include "sim/observers.hpp"
-#include "sim/simulator.hpp"
 #include "workload/generators.hpp"
 
 namespace slacksched {
@@ -77,7 +77,7 @@ TEST(AsciiChart, EmptySeriesListRenders) {
   EXPECT_NE(out.str().find("legend"), std::string::npos);
 }
 
-// ---------- simulator under a cheating scheduler ----------
+// ---------- engine under a cheating scheduler ----------
 
 class MidRunCheater final : public OnlineScheduler {
  public:
@@ -94,24 +94,25 @@ class MidRunCheater final : public OnlineScheduler {
   int seen_ = 0;
 };
 
-TEST(SimulatorEdge, ViolationStopsCleanlyAndObserversFinish) {
+TEST(EngineEdge, ViolationStopsCleanlyAndKeepsTheCommittedWork) {
   std::vector<Job> jobs;
   for (int i = 0; i < 6; ++i) {
     jobs.push_back(make_job(i + 1, 10.0 * i, 1.0, 10.0 * i + 5.0));
   }
   const Instance inst(std::move(jobs));
   MidRunCheater cheater;
-  Simulator simulator(cheater);
-  EventLogObserver log;
-  UtilizationObserver util(1);
-  simulator.add_observer(&log);
-  simulator.add_observer(&util);
-  const RunResult result = simulator.run(inst);
+  const RunResult result = run_online(cheater, inst);
   EXPECT_FALSE(result.clean());
   EXPECT_EQ(result.metrics.accepted, 2u);
-  // Observers saw the committed work and the run finished in order.
-  EXPECT_GT(log.events().size(), 0u);
-  EXPECT_NEAR(util.busy_machine_time(), 2.0, 1e-9);
+  // The schedule holds exactly the two legal commitments; the illegal
+  // third never reached it.
+  EXPECT_EQ(result.schedule.job_count(), 2u);
+  EXPECT_NEAR(utilization(result.schedule, result.metrics.makespan) *
+                  result.metrics.makespan,
+              2.0, 1e-9);
+  // The dashboard statistics refuse a poisoned run.
+  EXPECT_THROW((void)backlog(result), PreconditionError);
+  EXPECT_THROW((void)acceptance_rates(result, 5.0), PreconditionError);
 }
 
 // ---------- exact solver determinism under ties ----------

@@ -6,12 +6,13 @@
 #include <tuple>
 #include <vector>
 
-#include "baselines/greedy_reference.hpp"
 #include "common/expects.hpp"
 #include "common/rng.hpp"
 #include "sched/engine.hpp"
 #include "sched/validator.hpp"
 #include "workload/generators.hpp"
+
+#include "greedy_reference.hpp"
 
 namespace slacksched {
 namespace {

@@ -8,12 +8,12 @@
 #include <sstream>
 
 #include "adversary/lower_bound_game.hpp"
-#include "baselines/delayed_commit.hpp"
 #include "baselines/edf_preemptive.hpp"
 #include "baselines/greedy.hpp"
 #include "common/thread_pool.hpp"
 #include "core/classify_select.hpp"
 #include "core/threshold.hpp"
+#include "models/delta_commit.hpp"
 #include "offline/exact.hpp"
 #include "offline/upper_bound.hpp"
 #include "sched/engine.hpp"
@@ -134,8 +134,9 @@ TEST(Integration, DelayedCommitmentBeatsImmediateOnBursts) {
   GreedyScheduler greedy(2);
   const double greedy_volume =
       run_online(greedy, inst).metrics.accepted_volume;
-  const double queue_volume =
-      run_delayed_commit(inst, 2).metrics.accepted_volume;
+  DeltaCommitScheduler queue(
+      {2, 0.0, /*commit_on_admission=*/true, QueuePolicy::kEdf, {}});
+  const double queue_volume = run_online(queue, inst).metrics.accepted_volume;
   EXPECT_GE(queue_volume, greedy_volume * 0.95);
 }
 
@@ -150,9 +151,11 @@ TEST(Integration, EveryOnlineAlgorithmStaysBelowFractionalUpperBound) {
 
   ThresholdScheduler threshold(0.1, 2);
   GreedyScheduler greedy(2);
+  DeltaCommitScheduler queue(
+      {2, 0.0, /*commit_on_admission=*/true, QueuePolicy::kEdf, {}});
   EXPECT_LE(run_online(threshold, inst).metrics.accepted_volume, ub + 1e-6);
   EXPECT_LE(run_online(greedy, inst).metrics.accepted_volume, ub + 1e-6);
-  EXPECT_LE(run_delayed_commit(inst, 2).metrics.accepted_volume, ub + 1e-6);
+  EXPECT_LE(run_online(queue, inst).metrics.accepted_volume, ub + 1e-6);
   EXPECT_LE(run_edf_preemptive(inst, 2).metrics.accepted_volume, ub + 1e-6);
 }
 

@@ -18,7 +18,6 @@
 
 #include <vector>
 
-#include "baselines/delayed_commit.hpp"
 #include "baselines/greedy.hpp"
 #include "core/threshold.hpp"
 #include "models/delta_commit.hpp"
@@ -26,6 +25,8 @@
 #include "sched/engine.hpp"
 #include "sched/validator.hpp"
 #include "workload/generators.hpp"
+
+#include "delayed_commit_reference.hpp"
 
 namespace slacksched {
 namespace {

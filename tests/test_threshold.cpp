@@ -13,10 +13,11 @@
 
 #include "common/expects.hpp"
 #include "common/rng.hpp"
-#include "core/threshold_reference.hpp"
 #include "sched/engine.hpp"
 #include "sched/validator.hpp"
 #include "workload/generators.hpp"
+
+#include "threshold_reference.hpp"
 
 namespace slacksched {
 namespace {
