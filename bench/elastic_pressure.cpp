@@ -222,9 +222,9 @@ DrainStats bench_shrink_drain(const std::string& dir) {
   Shard shard(
       0, [] { return std::make_unique<ThresholdScheduler>(0.5, kInitialMachines); },
       config, metrics);
-  for (const Job& job : two_phase_jobs()) {
-    (void)shard.try_enqueue(job, Shard::Clock::now());
-  }
+  const std::vector<Job> jobs = two_phase_jobs();
+  (void)shard.try_enqueue_batch(jobs.data(), nullptr, jobs.size(),
+                                Shard::Clock::now());
   shard.close();
   shard.start();
   shard.join();
@@ -300,11 +300,11 @@ double run_shard_once(const std::vector<Job>& jobs, bool elastic,
   Shard shard(
       0, [] { return std::make_unique<ThresholdScheduler>(0.5, 4); }, config,
       metrics);
-  for (const Job& job : jobs) {
-    if (shard.try_enqueue(job, Shard::Clock::now()) != Outcome::kEnqueued) {
-      std::fprintf(stderr, "FATAL: overhead queue refused a job\n");
-      std::exit(1);
-    }
+  if (shard.try_enqueue_batch(jobs.data(), nullptr, jobs.size(),
+                              Shard::Clock::now())
+          .taken != jobs.size()) {
+    std::fprintf(stderr, "FATAL: overhead queue refused a job\n");
+    std::exit(1);
   }
   shard.close();
   const auto t0 = std::chrono::steady_clock::now();

@@ -109,8 +109,9 @@ std::uint64_t submit_range(AdmissionGateway& gateway, const Job* jobs,
     const std::size_t n = std::min(chunk, count - offset);
     pending.assign(jobs + offset, jobs + offset + n);
     while (!pending.empty()) {
+      statuses.resize(pending.size());
       const BatchSubmitResult result = gateway.submit_batch(
-          std::span<const Job>(pending.data(), pending.size()), &statuses);
+          std::span<const Job>(pending.data(), pending.size()), statuses);
       if (result.rejected_queue_full == 0) break;
       retries += result.rejected_queue_full;
       still_pending.clear();

@@ -606,11 +606,8 @@ void AdmissionServer::handle_submit(EventLoop& loop, Connection& conn,
   const std::uint64_t route_ctx =
       static_cast<std::uint64_t>(loop.index) << kLoopShift | first;
   std::vector<Outcome>& statuses = loop.status_scratch;
-  if (jobs.size() == 1) {
-    statuses.assign(1, gateway_->submit(jobs[0], route_ctx));
-  } else {
-    (void)gateway_->submit_batch(jobs, &statuses, route_ctx);
-  }
+  statuses.resize(jobs.size());
+  (void)gateway_->submit_batch(jobs, statuses, route_ctx);
   // Shed synchronously: no decision will follow, so the ticket is retired
   // now and the REJECT leaves with this frame's other answers.
   std::vector<char>* out = nullptr;

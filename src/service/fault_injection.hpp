@@ -22,9 +22,9 @@ namespace slacksched {
 /// Instrumented points in the shard pipeline. "Crash" sites throw
 /// InjectedFault out of the worker thread (the shard marks itself failed
 /// and the supervisor takes over); kEnqueue is a producer-side soft fault
-/// that makes one push attempt fail like a full queue.
+/// that refuses one offered job like a full queue, alone or in a batch.
 enum class FaultSite : std::uint8_t {
-  kEnqueue,      ///< producer push refused (simulated ingest drop)
+  kEnqueue,      ///< one offered job refused (simulated ingest drop)
   kDequeue,      ///< worker crashes right after popping a batch
   kCommit,       ///< worker crashes after the WAL append, before the
                  ///< in-memory commit (recovery must replay the record)

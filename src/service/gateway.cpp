@@ -22,6 +22,25 @@ TraceEvent routing_event(JobId job_id, int home, int shard, Outcome kind) {
 
 bool is_power_of_two(std::size_t v) { return v != 0 && (v & (v - 1)) == 0; }
 
+/// One producer thread's grouping scratch for submit_batch, reused across
+/// calls and gateways: once its vectors have grown to the thread's largest
+/// batch and shard count, ingest makes no heap allocation. Each thread
+/// owns its copy and submit_batch never re-enters itself, so no lock.
+struct IngestScratch {
+  /// Per target shard: the indices of the jobs grouped for it, in
+  /// submission order, and parallel to them the router's home shard of
+  /// each (several homes can fail over to the same target in one batch).
+  std::vector<std::vector<std::uint32_t>> groups;
+  std::vector<std::vector<std::int16_t>> homes;
+  /// Per home shard: its resolved target (-1: none available), or
+  /// kUnresolved until the batch's first job homed there.
+  std::vector<int> target_of;
+};
+
+constexpr int kUnresolved = -2;
+
+thread_local IngestScratch t_ingest;
+
 }  // namespace
 
 std::vector<std::string> GatewayConfig::validate() const {
@@ -128,7 +147,6 @@ AdmissionGateway::AdmissionGateway(const GatewayConfig& config,
   ShardConfig shard_config;
   shard_config.queue_capacity = config.queue_capacity;
   shard_config.batch_size = config.batch_size;
-  shard_config.halt_on_violation = config.halt_shard_on_violation;
   shard_config.record_decisions = config.record_decisions;
   shard_config.pop_timeout = config.pop_timeout;
   shard_config.wal_fsync = config.wal_fsync;
@@ -197,137 +215,109 @@ AdmissionGateway::~AdmissionGateway() {
   }
 }
 
-int AdmissionGateway::resolve_target(int home) {
-  if (supervisor_->available(home)) return home;
-  if (!config_.enable_failover) return home;  // offer to the home anyway
-  return router_.failover_target(
-      home, [this](int s) { return supervisor_->available(s); });
-}
-
 Outcome AdmissionGateway::submit(const Job& job, std::uint64_t route_ctx) {
-  if (finished_.load(std::memory_order_acquire)) {
-    return Outcome::kRejectedClosed;
-  }
-  const int home = router_.route(job);
-  const int target = resolve_target(home);
-  if (target < 0) {
-    metrics_.on_degraded_reject(home);
-    if (!traces_.empty()) {
-      traces_[static_cast<std::size_t>(home)]->record(
-          routing_event(job.id, home, /*shard=*/-1, Outcome::kRejectedRetryAfter));
-    }
-    return Outcome::kRejectedRetryAfter;
-  }
-  if (target != home) {
-    metrics_.on_failover(home);
-    if (!traces_.empty()) {
-      traces_[static_cast<std::size_t>(target)]->record(
-          routing_event(job.id, home, target, Outcome::kFailover));
-    }
-  }
-  // Class-aware shed gate: a job whose class's occupancy threshold is
-  // reached never touches the queue. Checked after failover resolution so
-  // the occupancy read matches the queue the job would actually join.
-  if (config_.shed_policy.has_value() &&
-      config_.shed_policy->should_shed(
-          job.criticality,
-          shards_[static_cast<std::size_t>(target)]->queue_size(),
-          config_.queue_capacity)) {
-    metrics_.on_class_shed(target, job.criticality);
-    shards_[static_cast<std::size_t>(target)]->note_policy_shed();
-    if (!traces_.empty()) {
-      traces_[static_cast<std::size_t>(target)]->record(
-          routing_event(job.id, home, target, Outcome::kRejectedCriticality));
-    }
-    return Outcome::kRejectedCriticality;
-  }
-  // try_enqueue already speaks the unified vocabulary: kEnqueued,
-  // kRejectedQueueFull or kRejectedClosed.
-  return shards_[static_cast<std::size_t>(target)]->try_enqueue(
-      job, Shard::Clock::now(), home, route_ctx);
+  Outcome status = Outcome::kRejectedClosed;
+  (void)submit_batch(std::span<const Job>(&job, 1),
+                     std::span<Outcome>(&status, 1), route_ctx);
+  return status;
 }
 
-BatchSubmitResult AdmissionGateway::submit_batch(
-    std::span<const Job> jobs, std::vector<Outcome>* statuses,
-    std::uint64_t route_ctx) {
+BatchSubmitResult AdmissionGateway::submit_batch(std::span<const Job> jobs,
+                                                 std::span<Outcome> statuses,
+                                                 std::uint64_t route_ctx) {
+  SLACKSCHED_EXPECTS(statuses.empty() || statuses.size() == jobs.size());
   BatchSubmitResult result;
-  if (statuses != nullptr) {
-    statuses->assign(jobs.size(), Outcome::kRejectedClosed);
-  }
+  const auto report = [statuses](std::size_t i, Outcome outcome) {
+    if (!statuses.empty()) statuses[i] = outcome;
+  };
   if (finished_.load(std::memory_order_acquire)) {
     result.rejected_closed = jobs.size();
+    std::fill(statuses.begin(), statuses.end(), Outcome::kRejectedClosed);
     return result;
   }
-  // Route every job, resolve each home shard's failover target once (the
-  // availability view is sampled once per batch), and group the jobs by
-  // the shard they actually go to, preserving submission order within each
-  // group.
+  const auto trace = [this](int ring, JobId job_id, int home, int shard,
+                            Outcome kind) {
+    if (traces_.empty()) return;
+    traces_[static_cast<std::size_t>(ring)]->record(
+        routing_event(job_id, home, shard, kind));
+  };
   const auto shard_count = static_cast<std::size_t>(config_.shards);
-  std::vector<std::vector<std::uint32_t>> groups(shard_count);
-  /// Parallel to `groups`: the router's home shard of each grouped job
-  /// (several homes can fail over to the same target within one batch).
-  std::vector<std::vector<std::int16_t>> homes(shard_count);
-  std::vector<int> target_of(shard_count, -2);  // -2: not yet resolved
+  IngestScratch& scratch = t_ingest;
+  if (scratch.groups.size() < shard_count) {
+    scratch.groups.resize(shard_count);
+    scratch.homes.resize(shard_count);
+  }
+  for (std::size_t s = 0; s < shard_count; ++s) {
+    scratch.groups[s].clear();
+    scratch.homes[s].clear();
+  }
+  scratch.target_of.assign(shard_count, kUnresolved);
+
+  // Route every job and resolve each home shard's target once (the
+  // availability view is sampled once per batch), refuse what never
+  // reaches a queue, and group the rest by target shard, preserving
+  // submission order within each group.
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const auto home = static_cast<std::size_t>(router_.route(jobs[i]));
-    if (target_of[home] == -2) {
-      target_of[home] = resolve_target(static_cast<int>(home));
+    const Job& job = jobs[i];
+    const int home = router_.route(job);
+    int& target = scratch.target_of[static_cast<std::size_t>(home)];
+    if (target == kUnresolved) {
+      target = supervisor_->available(home)
+                   ? home
+                   : router_.failover_target(home, [this](int s) {
+                       return supervisor_->available(s);
+                     });
     }
-    const int target = target_of[home];
     if (target < 0) {
       ++result.rejected_retry_after;
-      metrics_.on_degraded_reject(static_cast<int>(home));
-      if (!traces_.empty()) {
-        traces_[home]->record(routing_event(jobs[i].id, static_cast<int>(home),
-                                            /*shard=*/-1, Outcome::kRejectedRetryAfter));
-      }
-      if (statuses != nullptr) {
-        (*statuses)[i] = Outcome::kRejectedRetryAfter;
-      }
+      metrics_.on_degraded_reject(home);
+      trace(home, job.id, home, /*shard=*/-1, Outcome::kRejectedRetryAfter);
+      report(i, Outcome::kRejectedRetryAfter);
       continue;
     }
-    if (target != static_cast<int>(home)) {
-      metrics_.on_failover(static_cast<int>(home));
-      if (!traces_.empty()) {
-        traces_[static_cast<std::size_t>(target)]->record(routing_event(
-            jobs[i].id, static_cast<int>(home), target, Outcome::kFailover));
-      }
+    if (target != home) {
+      metrics_.on_failover(home);
+      trace(target, job.id, home, target, Outcome::kFailover);
     }
+    Shard& shard = *shards_[static_cast<std::size_t>(target)];
+    std::vector<std::uint32_t>& group =
+        scratch.groups[static_cast<std::size_t>(target)];
     // Class-aware shed gate, against the occupancy the job would actually
     // see: the live queue size plus what this batch already grouped for
     // the target (a single huge batch must not bypass the thresholds).
     if (config_.shed_policy.has_value() &&
-        config_.shed_policy->should_shed(
-            jobs[i].criticality,
-            shards_[static_cast<std::size_t>(target)]->queue_size() +
-                groups[static_cast<std::size_t>(target)].size(),
-            config_.queue_capacity)) {
+        config_.shed_policy->should_shed(job.criticality,
+                                         shard.queue_size() + group.size(),
+                                         config_.queue_capacity)) {
       ++result.rejected_criticality;
-      metrics_.on_class_shed(target, jobs[i].criticality);
-      shards_[static_cast<std::size_t>(target)]->note_policy_shed();
-      if (!traces_.empty()) {
-        traces_[static_cast<std::size_t>(target)]->record(
-            routing_event(jobs[i].id, static_cast<int>(home), target,
-                          Outcome::kRejectedCriticality));
-      }
-      if (statuses != nullptr) {
-        (*statuses)[i] = Outcome::kRejectedCriticality;
-      }
+      metrics_.on_class_shed(target, job.criticality);
+      shard.note_refused();
+      trace(target, job.id, home, target, Outcome::kRejectedCriticality);
+      report(i, Outcome::kRejectedCriticality);
       continue;
     }
-    groups[static_cast<std::size_t>(target)].push_back(
-        static_cast<std::uint32_t>(i));
-    homes[static_cast<std::size_t>(target)].push_back(
+    // Simulated ingest drop: refuses exactly this job, as a full queue
+    // would, whether it arrived alone or in a batch.
+    if (SLACKSCHED_FAULT_FIRES(config_.fault_injector, FaultSite::kEnqueue,
+                               target)) {
+      ++result.rejected_queue_full;
+      metrics_.on_backpressure(target);
+      shard.note_refused();
+      report(i, Outcome::kRejectedQueueFull);
+      continue;
+    }
+    group.push_back(static_cast<std::uint32_t>(i));
+    scratch.homes[static_cast<std::size_t>(target)].push_back(
         static_cast<std::int16_t>(home));
   }
+
   const auto now = Shard::Clock::now();
-  for (int s = 0; s < config_.shards; ++s) {
-    const auto& group = groups[static_cast<std::size_t>(s)];
+  for (std::size_t s = 0; s < shard_count; ++s) {
+    const std::vector<std::uint32_t>& group = scratch.groups[s];
     if (group.empty()) continue;
-    const Shard::BatchEnqueueResult pushed =
-        shards_[static_cast<std::size_t>(s)]->try_enqueue_batch(
-            jobs.data(), group.data(), group.size(), now,
-            homes[static_cast<std::size_t>(s)].data(), route_ctx);
+    const Shard::BatchEnqueueResult pushed = shards_[s]->try_enqueue_batch(
+        jobs.data(), group.data(), group.size(), now, scratch.homes[s].data(),
+        route_ctx);
     result.enqueued += pushed.taken;
     // A shed tail on a closed queue is not backpressure: the shard shut
     // down mid-batch, and the caller must treat the tail as unserviceable
@@ -338,14 +328,11 @@ BatchSubmitResult AdmissionGateway::submit_batch(
     } else {
       result.rejected_queue_full += shed;
     }
-    if (statuses != nullptr) {
-      const Outcome tail_status = pushed.closed
-                                           ? Outcome::kRejectedClosed
-                                           : Outcome::kRejectedQueueFull;
-      for (std::size_t g = 0; g < group.size(); ++g) {
-        (*statuses)[group[g]] =
-            g < pushed.taken ? Outcome::kEnqueued : tail_status;
-      }
+    if (statuses.empty()) continue;
+    const Outcome tail_status = pushed.closed ? Outcome::kRejectedClosed
+                                              : Outcome::kRejectedQueueFull;
+    for (std::size_t g = 0; g < group.size(); ++g) {
+      statuses[group[g]] = g < pushed.taken ? Outcome::kEnqueued : tail_status;
     }
   }
   return result;

@@ -78,7 +78,6 @@ struct GatewayConfig {
   std::size_t queue_capacity = 4096;
   std::size_t batch_size = 256;       ///< max jobs per consumer wake-up
   RoutingPolicy routing = RoutingPolicy::kRoundRobin;
-  bool halt_shard_on_violation = true;
   bool record_decisions = true;
   /// Pin shard s's consumer thread to CPU s mod hardware_concurrency for
   /// cache locality (shared-nothing shard loops stay on their core). Only
@@ -103,10 +102,6 @@ struct GatewayConfig {
   FsyncPolicy wal_fsync = FsyncPolicy::kBatch;
   /// Supervision policy (health FSM, restart backoff, circuit breaker).
   SupervisorConfig supervisor;
-  /// Spill new jobs from unavailable shards to healthy ones. When false an
-  /// unavailable shard's jobs are offered to it anyway (and fail with
-  /// kRejectedClosed once its queue is closed).
-  bool enable_failover = true;
   /// Worker idle wake-up period (heartbeat cadence when the queue is
   /// empty); must stay well below supervisor.stall_threshold.
   std::chrono::milliseconds pop_timeout{50};
@@ -165,6 +160,7 @@ struct GatewayConfig {
 };
 
 /// Per-batch ingest outcome (counts; pass `statuses` for per-job detail).
+/// kEnqueue ingest faults are counted in rejected_queue_full.
 struct BatchSubmitResult {
   std::size_t enqueued = 0;
   std::size_t rejected_queue_full = 0;
@@ -215,21 +211,24 @@ class AdmissionGateway {
   AdmissionGateway(const AdmissionGateway&) = delete;
   AdmissionGateway& operator=(const AdmissionGateway&) = delete;
 
-  /// Routes and enqueues one job. Non-blocking; returns kEnqueued or one
-  /// of the kRejected* outcomes. An unavailable home shard spills to the
-  /// next healthy shard (cyclic probe) when failover is enabled; with none
-  /// available the job is shed with kRejectedRetryAfter. `route_ctx`
-  /// travels with the job and is echoed verbatim to on_decision.
+  /// Routes and enqueues one job: submit_batch on a batch of one. Returns
+  /// kEnqueued or one of the kRejected* outcomes. `route_ctx` travels with
+  /// the job and is echoed verbatim to on_decision.
   [[nodiscard]] Outcome submit(const Job& job, std::uint64_t route_ctx = 0);
 
-  /// Batched ingest: routes every job, then pushes each shard's group
-  /// under a single queue lock. Jobs keep their relative order within a
-  /// shard. When `statuses` is non-null it is resized to jobs.size() and
-  /// filled with the per-job outcome. jobs[i] is echoed to on_decision
-  /// with `route_ctx + i` (0 when `route_ctx` is 0), so a producer can
-  /// number a batch's jobs with one value.
+  /// The gateway's only ingest path. Non-blocking: routes every job, spills
+  /// a job whose home shard is unavailable to the next healthy shard
+  /// (cyclic probe) or, with none available, sheds it with
+  /// kRejectedRetryAfter, applies the class-aware shed gate, then claims
+  /// each target shard's group with one CAS on that shard's lock-free
+  /// ring. Jobs keep their relative order within a shard. When `statuses`
+  /// is non-empty it must have jobs.size() entries and receives the
+  /// per-job outcome. jobs[i] is echoed to on_decision with
+  /// `route_ctx + i` (0 when `route_ctx` is 0), so a producer can number a
+  /// batch's jobs with one value. Makes no heap allocation once the
+  /// calling thread's grouping scratch has grown to its largest batch.
   BatchSubmitResult submit_batch(std::span<const Job> jobs,
-                                 std::vector<Outcome>* statuses = nullptr,
+                                 std::span<Outcome> statuses = {},
                                  std::uint64_t route_ctx = 0);
 
   /// Lock-free live counters (callable at any time, from any thread).
@@ -284,10 +283,6 @@ class AdmissionGateway {
   [[nodiscard]] int shards() const { return config_.shards; }
 
  private:
-  /// Resolves the shard a job actually goes to: the home shard when
-  /// available, else the failover target. -1 means shed with retry_after.
-  [[nodiscard]] int resolve_target(int home);
-
   GatewayConfig config_;
   MetricsRegistry metrics_;
   ShardRouter router_;

@@ -60,10 +60,12 @@ MetricsRegistry::MetricsRegistry(int shards)
       reference.bin_range(kAdmitLatencyBins - 1).second);
 }
 
-void MetricsRegistry::on_enqueued(int shard, std::size_t count) {
+void MetricsRegistry::on_enqueued(int shard, std::size_t count,
+                                  Criticality criticality) {
   if (count == 0) return;
   Slot& slot = slots_[static_cast<std::size_t>(shard)];
-  slot.enqueued.fetch_add(count, std::memory_order_relaxed);
+  slot.class_enqueued[criticality_index(criticality)].fetch_add(
+      count, std::memory_order_relaxed);
   const auto depth = slot.queue_depth.fetch_add(
                          static_cast<std::int64_t>(count),
                          std::memory_order_relaxed) +
@@ -75,14 +77,6 @@ void MetricsRegistry::on_backpressure(int shard, std::size_t count) {
   if (count == 0) return;
   slots_[static_cast<std::size_t>(shard)].backpressure_rejected.fetch_add(
       count, std::memory_order_relaxed);
-}
-
-void MetricsRegistry::on_class_enqueued(int shard, Criticality criticality,
-                                        std::size_t count) {
-  if (count == 0) return;
-  slots_[static_cast<std::size_t>(shard)]
-      .class_enqueued[criticality_index(criticality)]
-      .fetch_add(count, std::memory_order_relaxed);
 }
 
 void MetricsRegistry::on_class_shed(int shard, Criticality criticality) {
@@ -104,20 +98,15 @@ std::size_t MetricsRegistry::on_decision(int shard, double job_volume,
                                          Criticality criticality) {
   Slot& slot = slots_[static_cast<std::size_t>(shard)];
   const std::size_t cls = criticality_index(criticality);
-  slot.submitted.fetch_add(1, std::memory_order_relaxed);
   if (accepted) {
-    slot.accepted.fetch_add(1, std::memory_order_relaxed);
     slot.class_accepted[cls].fetch_add(1, std::memory_order_relaxed);
     accumulate(slot.accepted_volume, job_volume);
   } else {
-    slot.rejected.fetch_add(1, std::memory_order_relaxed);
     slot.class_rejected[cls].fetch_add(1, std::memory_order_relaxed);
     accumulate(slot.rejected_volume, job_volume);
   }
-  accumulate(slot.latency_sum, latency_seconds);
   accumulate(slot.class_latency_sum[cls], latency_seconds);
   const std::size_t bin = latency_bin(latency_seconds);
-  slot.latency[bin].fetch_add(1, std::memory_order_relaxed);
   slot.class_latency[cls][bin].fetch_add(1, std::memory_order_relaxed);
   return bin;
 }
@@ -160,15 +149,10 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   for (int shard = 0; shard < shard_count_; ++shard) {
     const Slot& slot = slots_[static_cast<std::size_t>(shard)];
     ShardMetricsSnapshot& row = snap.shards[static_cast<std::size_t>(shard)];
-    row.enqueued = slot.enqueued.load(std::memory_order_relaxed);
-    row.submitted = slot.submitted.load(std::memory_order_relaxed);
-    row.accepted = slot.accepted.load(std::memory_order_relaxed);
-    row.rejected = slot.rejected.load(std::memory_order_relaxed);
     row.backpressure_rejected =
         slot.backpressure_rejected.load(std::memory_order_relaxed);
     row.accepted_volume = slot.accepted_volume.load(std::memory_order_relaxed);
     row.rejected_volume = slot.rejected_volume.load(std::memory_order_relaxed);
-    row.latency_sum_seconds = slot.latency_sum.load(std::memory_order_relaxed);
     row.queue_depth = static_cast<std::size_t>(std::max<std::int64_t>(
         0, slot.queue_depth.load(std::memory_order_relaxed)));
     row.peak_queue_depth =
@@ -190,8 +174,23 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
           slot.class_rejected[cls].load(std::memory_order_relaxed);
       row.class_shed[cls] =
           slot.class_shed[cls].load(std::memory_order_relaxed);
+      const double class_latency_sum =
+          slot.class_latency_sum[cls].load(std::memory_order_relaxed);
+      // The class-blind counts are sums over the classes.
+      row.enqueued += row.class_enqueued[cls];
+      row.accepted += row.class_accepted[cls];
+      row.rejected += row.class_rejected[cls];
       row.criticality_shed += row.class_shed[cls];
+      row.latency_sum_seconds += class_latency_sum;
+      snap.class_latency_sum[cls] += class_latency_sum;
+      for (std::size_t bin = 0; bin < kAdmitLatencyBins; ++bin) {
+        const std::uint64_t count =
+            slot.class_latency[cls][bin].load(std::memory_order_relaxed);
+        snap.class_latency_bins[cls][bin] += count;
+        bins[bin] += count;
+      }
     }
+    row.submitted = row.accepted + row.rejected;
 
     snap.total.enqueued += row.enqueued;
     snap.total.submitted += row.submitted;
@@ -218,16 +217,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
       snap.total.class_accepted[cls] += row.class_accepted[cls];
       snap.total.class_rejected[cls] += row.class_rejected[cls];
       snap.total.class_shed[cls] += row.class_shed[cls];
-      snap.class_latency_sum[cls] +=
-          slot.class_latency_sum[cls].load(std::memory_order_relaxed);
-      for (std::size_t bin = 0; bin < kAdmitLatencyBins; ++bin) {
-        snap.class_latency_bins[cls][bin] +=
-            slot.class_latency[cls][bin].load(std::memory_order_relaxed);
-      }
-    }
-
-    for (std::size_t bin = 0; bin < kAdmitLatencyBins; ++bin) {
-      bins[bin] += slot.latency[bin].load(std::memory_order_relaxed);
     }
   }
   for (std::size_t bin = 0; bin < kAdmitLatencyBins; ++bin) {

@@ -101,11 +101,10 @@ class MetricsRegistry {
   explicit MetricsRegistry(int shards);
 
   // --- writer side (producers) ---
-  void on_enqueued(int shard, std::size_t count = 1);
+  /// Records `count` jobs of one class entering the shard's queue.
+  void on_enqueued(int shard, std::size_t count = 1,
+                   Criticality criticality = Criticality::kBackground);
   void on_backpressure(int shard, std::size_t count = 1);
-  /// Per-class twin of on_enqueued, fed by the same producer call sites.
-  void on_class_enqueued(int shard, Criticality criticality,
-                         std::size_t count = 1);
   /// Records one job shed by the class-aware policy (kRejectedCriticality).
   void on_class_shed(int shard, Criticality criticality);
 
@@ -132,7 +131,10 @@ class MetricsRegistry {
   /// Point-in-time copy of every counter. Reads are relaxed atomics: the
   /// snapshot is internally consistent per counter, not a cross-counter
   /// linearization (totals can be mid-update by one job) — exactly the
-  /// guarantee a live dashboard needs.
+  /// guarantee a live dashboard needs. Each count is stored once, per
+  /// class: the class-blind `enqueued`, `accepted`, `rejected`,
+  /// `submitted` (= accepted + rejected), `latency_sum_seconds` and
+  /// `admit_latency` are sums over the classes.
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
   /// The latency bin (0..kAdmitLatencyBins-1) a decision latency falls
@@ -143,10 +145,6 @@ class MetricsRegistry {
 
  private:
   struct alignas(64) Slot {
-    std::atomic<std::uint64_t> enqueued{0};
-    std::atomic<std::uint64_t> submitted{0};
-    std::atomic<std::uint64_t> accepted{0};
-    std::atomic<std::uint64_t> rejected{0};
     std::atomic<std::uint64_t> backpressure_rejected{0};
     std::atomic<std::uint64_t> batches{0};
     std::atomic<std::uint64_t> recoveries{0};
@@ -159,8 +157,6 @@ class MetricsRegistry {
     // Single-writer (the shard consumer): plain load+store suffices.
     std::atomic<double> accepted_volume{0.0};
     std::atomic<double> rejected_volume{0.0};
-    std::atomic<double> latency_sum{0.0};
-    std::array<std::atomic<std::uint64_t>, kAdmitLatencyBins> latency{};
     // Per-criticality-class counters (policy/criticality.hpp).
     std::array<std::atomic<std::uint64_t>, kCriticalityCount> class_enqueued{};
     std::array<std::atomic<std::uint64_t>, kCriticalityCount> class_accepted{};

@@ -20,7 +20,6 @@ namespace {
 RunOptions to_run_options(const ShardConfig& config) {
   RunOptions options;
   options.record_decisions = config.record_decisions;
-  options.halt_on_violation = config.halt_on_violation;
   return options;
 }
 
@@ -154,51 +153,27 @@ void Shard::spawn(bool is_restart) {
   worker_ = std::thread([this] { worker_loop(); });
 }
 
-Outcome Shard::try_enqueue(const Job& job, Clock::time_point now, int home,
-                           std::uint64_t route_ctx) {
-  if (config_.elastic.has_value()) {
-    offered_.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (SLACKSCHED_FAULT_FIRES(config_.faults, FaultSite::kEnqueue, index_)) {
-    metrics_.on_backpressure(index_);
-    return Outcome::kRejectedQueueFull;  // simulated ingest drop
-  }
-  if (queue_.try_push(
-          Task{job, now, static_cast<std::int16_t>(home < 0 ? index_ : home),
-               route_ctx})) {
-    metrics_.on_enqueued(index_);
-    metrics_.on_class_enqueued(index_, job.criticality);
-    return Outcome::kEnqueued;
-  }
-  if (queue_.closed()) return Outcome::kRejectedClosed;
-  metrics_.on_backpressure(index_);
-  if (config_.elastic.has_value()) {
-    shed_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return Outcome::kRejectedQueueFull;
-}
-
 Shard::BatchEnqueueResult Shard::try_enqueue_batch(
     const Job* jobs, const std::uint32_t* indices, std::size_t count,
     Clock::time_point now, const std::int16_t* homes,
     std::uint64_t route_ctx) {
   BatchEnqueueResult result;
-  // Tasks are constructed directly in their claimed ring cells: the batch
+  // Tasks are constructed directly in their claimed ring cells: the
   // producer path performs no staging copy and no heap allocation.
   std::array<std::size_t, kCriticalityCount> per_class{};
   result.taken = queue_.try_push_batch_with(
       count, &result.closed, [&](std::size_t i, Task& slot) {
-        slot.job = jobs[indices[i]];
+        const std::size_t index = indices != nullptr ? indices[i] : i;
+        slot.job = jobs[index];
         slot.enqueued_at = now;
         slot.home =
             homes != nullptr ? homes[i] : static_cast<std::int16_t>(index_);
-        slot.route_ctx = route_ctx == 0 ? 0 : route_ctx + indices[i];
+        slot.route_ctx = route_ctx == 0 ? 0 : route_ctx + index;
         ++per_class[criticality_index(slot.job.criticality)];
       });
-  metrics_.on_enqueued(index_, result.taken);
   for (std::size_t cls = 0; cls < kCriticalityCount; ++cls) {
-    metrics_.on_class_enqueued(index_, static_cast<Criticality>(cls),
-                               per_class[cls]);
+    metrics_.on_enqueued(index_, per_class[cls],
+                         static_cast<Criticality>(cls));
   }
   if (!result.closed) {
     metrics_.on_backpressure(index_, count - result.taken);
@@ -393,20 +368,30 @@ void Shard::on_resolution(const Job& job, const Decision& decision) {
     parked->second.pop_front();
     if (parked->second.empty()) deferred_ctx_.erase(parked);
   }
+  // Zero queue latency: the job left the queue when it was fed.
+  record_decision(job, decision, 0.0, static_cast<std::int16_t>(index_),
+                  route_ctx);
+}
+
+void Shard::record_decision(const Job& job, const Decision& decision,
+                            double latency_seconds, std::int16_t home,
+                            std::uint64_t route_ctx) {
   const std::size_t latency_bin = metrics_.on_decision(
-      index_, job.proc, decision.accepted, 0.0, job.criticality);
+      index_, job.proc, decision.accepted, latency_seconds, job.criticality);
   if (config_.trace != nullptr) {
     TraceEvent event;
     event.job_id = job.id;
-    event.home_shard = static_cast<std::int16_t>(index_);
+    event.home_shard = home;
     event.shard = static_cast<std::int16_t>(index_);
     event.kind = decision.accepted ? Outcome::kAccepted : Outcome::kRejected;
     event.latency_bin = static_cast<std::uint8_t>(latency_bin);
     event.fsync_class = wal_ != nullptr
                             ? static_cast<std::uint8_t>(config_.wal_fsync)
                             : kTraceNoWal;
-    config_.trace->record(event);
+    config_.trace->record(event);  // drop-on-full: never blocks decisions
   }
+  // Notify last: the decision is validated, counted and traced before any
+  // downstream consumer (e.g. the network front end) can observe it.
   if (config_.on_decision) config_.on_decision(job, decision, route_ctx);
 }
 
@@ -430,27 +415,8 @@ void Shard::process(const Task& task) {
   }
   const double latency =
       std::chrono::duration<double>(Clock::now() - task.enqueued_at).count();
-  const std::size_t latency_bin =
-      metrics_.on_decision(index_, task.job.proc, outcome.decision.accepted,
-                           latency, task.job.criticality);
-  if (config_.trace != nullptr) {
-    TraceEvent event;
-    event.job_id = task.job.id;
-    event.home_shard = task.home;
-    event.shard = static_cast<std::int16_t>(index_);
-    event.kind = outcome.decision.accepted ? Outcome::kAccepted
-                                           : Outcome::kRejected;
-    event.latency_bin = static_cast<std::uint8_t>(latency_bin);
-    event.fsync_class = wal_ != nullptr
-                            ? static_cast<std::uint8_t>(config_.wal_fsync)
-                            : kTraceNoWal;
-    config_.trace->record(event);  // drop-on-full: never blocks decisions
-  }
-  // Notify last: the decision is validated, counted and traced before any
-  // downstream consumer (e.g. the network front end) can observe it.
-  if (config_.on_decision) {
-    config_.on_decision(task.job, outcome.decision, task.route_ctx);
-  }
+  record_decision(task.job, outcome.decision, latency, task.home,
+                  task.route_ctx);
 }
 
 }  // namespace slacksched

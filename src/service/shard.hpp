@@ -48,8 +48,7 @@ namespace slacksched {
 using SchedulerFactory = std::function<std::unique_ptr<OnlineScheduler>()>;
 
 /// Per-decision notification hook (see ShardConfig::on_decision).
-/// `route_ctx` is the opaque routing context the producer passed to
-/// try_enqueue, or try_enqueue_batch's `route_ctx + indices[i]` for the
+/// `route_ctx` is try_enqueue_batch's `route_ctx + indices[i]` for the
 /// batch's job at jobs[indices[i]] (0 when none: a zero context stays zero
 /// for every job). The network front end stores (loop << 56) | ticket
 /// there, so a decision is handed straight back to the loop and the reply
@@ -61,10 +60,6 @@ using ShardDecisionCallback = std::function<void(
 struct ShardConfig {
   std::size_t queue_capacity = 4096;
   std::size_t batch_size = 256;
-  /// Stop rendering decisions after the first illegal commitment (matches
-  /// run_online's default); the queue keeps draining so producers are
-  /// never blocked by a poisoned shard.
-  bool halt_on_violation = true;
   /// Record per-job DecisionRecords (disable for multi-million-job benches
   /// where only metrics and the committed schedule matter).
   bool record_decisions = true;
@@ -106,7 +101,10 @@ struct ShardConfig {
   std::optional<CapacityControllerConfig> elastic;
 };
 
-/// An independent scheduler + queue + consumer thread.
+/// An independent scheduler + queue + consumer thread. Like run_online, a
+/// shard stops rendering decisions after the first illegal commitment; its
+/// queue keeps draining, so producers are never blocked by a poisoned
+/// shard.
 class Shard {
  public:
   using Clock = std::chrono::steady_clock;
@@ -132,22 +130,15 @@ class Shard {
   /// configured and a log already exists). Must be called exactly once.
   void start();
 
-  /// Non-blocking enqueue of one job. Metrics are updated on enqueue and
-  /// backpressure; a kRejectedClosed refusal is not backpressure (the
-  /// shard is gone, not busy). `home` is the shard the router originally
-  /// chose (recorded in trace events; -1 means "this shard").
-  /// `route_ctx` travels with the job and is echoed to on_decision.
-  [[nodiscard]] Outcome try_enqueue(const Job& job, Clock::time_point now,
-                                    int home = -1,
-                                    std::uint64_t route_ctx = 0);
-
-  /// Enqueues jobs[indices[0..count)] in order under one queue lock. The
-  /// accepted prefix is counted as enqueued; a shed tail is counted as
-  /// backpressure only when the queue was full, not when it was closed.
-  /// `homes`, when non-null, carries the router's home shard for each
-  /// offered job (parallel to `indices`). The job at jobs[indices[i]] is
-  /// echoed to on_decision with `route_ctx + indices[i]`, or 0 when
-  /// `route_ctx` is 0.
+  /// The shard's only enqueue: non-blocking, it offers
+  /// jobs[indices[0..count)] in order (jobs[0..count) when `indices` is
+  /// null) with one claim on the lock-free ring. The accepted prefix is
+  /// counted as enqueued; a shed tail is counted as backpressure only when
+  /// the queue was full, not when it was closed (the shard is gone, not
+  /// busy). `homes`, when non-null, carries the router's home shard for
+  /// each offered job (parallel to `indices`; null means "this shard"),
+  /// recorded in trace events. The job at jobs[indices[i]] is echoed to
+  /// on_decision with `route_ctx + indices[i]`, or 0 when `route_ctx` is 0.
   [[nodiscard]] BatchEnqueueResult try_enqueue_batch(
       const Job* jobs, const std::uint32_t* indices, std::size_t count,
       Clock::time_point now, const std::int16_t* homes = nullptr,
@@ -182,11 +173,11 @@ class Shard {
     return *scheduler_;
   }
 
-  /// Counts one job the gateway's class-aware policy shed before it ever
-  /// reached this shard's queue — the shed feeds the capacity controller's
-  /// shed-rate signal (a class shed is a capacity signal exactly like
-  /// backpressure). Callable from any producer thread.
-  void note_policy_shed() {
+  /// Counts one job the gateway refused before it ever reached this
+  /// shard's queue (a class-aware shed, or the kEnqueue ingest fault) —
+  /// the refusal feeds the capacity controller's shed-rate signal exactly
+  /// like backpressure. Callable from any producer thread.
+  void note_refused() {
     offered_.fetch_add(1, std::memory_order_relaxed);
     shed_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -232,9 +223,16 @@ class Shard {
   /// observation, apply its grow/shrink decision, WAL the resize.
   void run_capacity_control();
   void process(const Task& task);
-  /// Bookkeeping for a deferred job's binding decision (metrics, trace,
-  /// notification) — the resolution-hook twin of process()'s tail.
+  /// Resolution hook for a deferred job: reclaims its parked routing
+  /// context and records the binding decision.
   void on_resolution(const Job& job, const Decision& decision);
+  /// The one bookkeeping path of a binding decision, immediate (process)
+  /// or deferred (on_resolution): metrics, trace event, then on_decision.
+  /// `latency_seconds` is queue entry to decision; `home` is the router's
+  /// home shard.
+  void record_decision(const Job& job, const Decision& decision,
+                       double latency_seconds, std::int16_t home,
+                       std::uint64_t route_ctx);
   void set_error(std::string message);
 
   /// δ-commitment schedulers defer a job's binding decision past its

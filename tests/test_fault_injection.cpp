@@ -147,6 +147,39 @@ TEST(FaultInjection, EnqueueFaultLooksLikeOneBackpressureRefusal) {
   EXPECT_EQ(result.metrics.total.backpressure_rejected, 1u);
 }
 
+TEST(FaultInjection, EnqueueFaultRefusesOneJobOfABatch) {
+  // The ingest fault sits on the one ingest path: it refuses exactly the
+  // job it fires on, whether that job arrived alone or in a batch.
+  FaultPlan plan;
+  plan.add({FaultSite::kEnqueue, 0, 2});
+  FaultInjector injector(plan);
+
+  GatewayConfig config;
+  config.shards = 1;
+  config.supervisor.enabled = false;
+  config.fault_injector = &injector;
+  AdmissionGateway gateway(
+      config, [](int) { return std::make_unique<ThresholdScheduler>(kEps, 2); });
+
+  std::vector<Job> jobs(3);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    jobs[i].id = static_cast<JobId>(i + 1);
+    jobs[i].release = 0.0;
+    jobs[i].proc = 1.0;
+    jobs[i].deadline = 10.0;
+  }
+  std::vector<Outcome> statuses(jobs.size());
+  const BatchSubmitResult batch = gateway.submit_batch(jobs, statuses);
+  EXPECT_EQ(statuses, (std::vector<Outcome>{Outcome::kEnqueued,
+                                            Outcome::kRejectedQueueFull,
+                                            Outcome::kEnqueued}));
+  EXPECT_EQ(batch.enqueued, 2u);
+  EXPECT_EQ(batch.rejected_queue_full, 1u);
+  const GatewayResult result = gateway.finish();
+  EXPECT_EQ(result.metrics.total.backpressure_rejected, 1u);
+  EXPECT_EQ(result.merged.submitted, 2u);
+}
+
 /// The acceptance property: a randomized workload, a seeded random crash
 /// site, a 1-shard WAL-backed gateway under fsync=every-commit. After the
 /// run (crash, supervised restart, replay, resume), the committed schedule

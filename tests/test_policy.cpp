@@ -786,8 +786,8 @@ TEST(GatewayShed, BatchOccupancyCountsTheJobsAlreadyGrouped) {
   for (JobId id = 0; id < 10; ++id) {
     jobs.push_back(make_class_job(id, Criticality::kBackground));
   }
-  std::vector<Outcome> statuses;
-  const BatchSubmitResult result = gateway.submit_batch(jobs, &statuses);
+  std::vector<Outcome> statuses(jobs.size());
+  const BatchSubmitResult result = gateway.submit_batch(jobs, statuses);
   EXPECT_EQ(result.enqueued, 8u);  // 8/16 reaches the 0.5 background limit
   EXPECT_EQ(result.rejected_criticality, 2u);
   EXPECT_EQ(statuses[7], Outcome::kEnqueued);
@@ -928,9 +928,12 @@ ElasticRunOutcome run_elastic_shard(const std::string& wal_path,
   Shard shard(
       0, [] { return std::make_unique<ThresholdScheduler>(0.5, 2); },
       config, metrics);
-  for (const Job& job : elastic_two_phase_jobs()) {
-    EXPECT_EQ(shard.try_enqueue(job, Shard::Clock::now()), Outcome::kEnqueued);
-  }
+  const std::vector<Job> jobs = elastic_two_phase_jobs();
+  EXPECT_EQ(shard
+                .try_enqueue_batch(jobs.data(), nullptr, jobs.size(),
+                                   Shard::Clock::now())
+                .taken,
+            jobs.size());
   shard.close();
   shard.start();
   // Wait for the worker to drain the (closed) queue or die at a fault.
@@ -1066,10 +1069,11 @@ TEST(ElasticChaos, SigkillMidResizeReplaysDeterministically) {
     Shard shard(
         0, [] { return std::make_unique<ThresholdScheduler>(0.5, 2); },
         config, metrics);
-    for (const Job& job : elastic_two_phase_jobs()) {
-      if (shard.try_enqueue(job, Shard::Clock::now()) != Outcome::kEnqueued) {
-        ::_exit(2);
-      }
+    const std::vector<Job> jobs = elastic_two_phase_jobs();
+    if (shard.try_enqueue_batch(jobs.data(), nullptr, jobs.size(),
+                                Shard::Clock::now())
+            .taken != jobs.size()) {
+      ::_exit(2);
     }
     shard.close();
     shard.start();

@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <cstdlib>
+#include <new>
 #include <thread>
 #include <vector>
 
@@ -15,6 +18,35 @@
 #include "sched/validator.hpp"
 #include "service/gateway.hpp"
 #include "workload/generators.hpp"
+
+// Counting global operator new for Gateway.SteadyStateIngestDoesNotAllocate:
+// only allocations made on a thread that armed the counter are counted, so
+// the shard consumer threads' decision records do not show up.
+namespace {
+thread_local bool t_count_allocations = false;
+thread_local std::size_t t_allocations = 0;
+}  // namespace
+
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  if (t_count_allocations) ++t_allocations;
+  return std::malloc(size == 0 ? 1 : size);
+}
+void* operator new(std::size_t size) {
+  if (void* block = operator new(size, std::nothrow)) return block;
+  throw std::bad_alloc();
+}
+// Not inlined: a delete-expression inlined down to free() trips GCC's
+// -Wmismatched-new-delete, although the pair is matched here.
+[[gnu::noinline]] void operator delete(void* block) noexcept {
+  std::free(block);
+}
+[[gnu::noinline]] void operator delete(void* block, std::size_t) noexcept {
+  std::free(block);
+}
+[[gnu::noinline]] void operator delete(void* block,
+                                       const std::nothrow_t&) noexcept {
+  std::free(block);
+}
 
 namespace slacksched {
 namespace {
@@ -81,6 +113,11 @@ TEST(MetricsRegistry, CountsAndAggregates) {
   registry.on_decision(0, 5.0, true, 1e-5);
   registry.on_decision(0, 2.0, false, 1e-4);
   registry.on_decision(1, 1.5, true, 1e-3);
+  // Mixed classes on shard 1.
+  registry.on_enqueued(1, 2, Criticality::kCritical);
+  registry.on_enqueued(1, 1, Criticality::kStandard);
+  registry.on_decision(1, 3.0, true, 1e-2, Criticality::kCritical);
+  registry.on_decision(1, 4.0, false, 1e-6, Criticality::kStandard);
 
   const MetricsSnapshot snap = registry.snapshot();
   ASSERT_EQ(snap.shards.size(), 2u);
@@ -93,15 +130,47 @@ TEST(MetricsRegistry, CountsAndAggregates) {
   EXPECT_DOUBLE_EQ(snap.shards[0].accepted_volume, 5.0);
   EXPECT_DOUBLE_EQ(snap.shards[0].rejected_volume, 2.0);
   EXPECT_EQ(snap.shards[0].batches, 1u);
+  EXPECT_EQ(snap.shards[1].peak_queue_depth, 4u);
 
-  EXPECT_EQ(snap.total.enqueued, 4u);
-  EXPECT_EQ(snap.total.submitted, 3u);
-  EXPECT_EQ(snap.total.accepted, 2u);
+  EXPECT_EQ(snap.total.enqueued, 7u);
+  EXPECT_EQ(snap.total.submitted, 5u);
+  EXPECT_EQ(snap.total.accepted, 3u);
   EXPECT_EQ(snap.total.backpressure_rejected, 2u);
-  EXPECT_DOUBLE_EQ(snap.total.accepted_volume, 6.5);
+  EXPECT_DOUBLE_EQ(snap.total.accepted_volume, 9.5);
 
   // Every decision landed in the merged latency histogram.
-  EXPECT_EQ(snap.admit_latency.total_count(), 3u);
+  EXPECT_EQ(snap.admit_latency.total_count(), 5u);
+
+  // Each count is stored once, per class: every class-blind total, per
+  // shard and in the aggregate row, equals the sum over the classes.
+  std::vector<ShardMetricsSnapshot> rows = snap.shards;
+  rows.push_back(snap.total);
+  for (const ShardMetricsSnapshot& row : rows) {
+    std::size_t enqueued = 0;
+    std::size_t accepted = 0;
+    std::size_t rejected = 0;
+    for (std::size_t cls = 0; cls < kCriticalityCount; ++cls) {
+      enqueued += row.class_enqueued[cls];
+      accepted += row.class_accepted[cls];
+      rejected += row.class_rejected[cls];
+    }
+    EXPECT_EQ(row.enqueued, enqueued);
+    EXPECT_EQ(row.accepted, accepted);
+    EXPECT_EQ(row.rejected, rejected);
+    EXPECT_EQ(row.submitted, accepted + rejected);
+  }
+  double latency_sum = 0.0;
+  for (std::size_t cls = 0; cls < kCriticalityCount; ++cls) {
+    latency_sum += snap.class_latency_sum[cls];
+  }
+  EXPECT_DOUBLE_EQ(snap.total.latency_sum_seconds, latency_sum);
+  for (std::size_t bin = 0; bin < kAdmitLatencyBins; ++bin) {
+    std::uint64_t count = 0;
+    for (std::size_t cls = 0; cls < kCriticalityCount; ++cls) {
+      count += snap.class_latency_bins[cls][bin];
+    }
+    EXPECT_EQ(snap.admit_latency.count_in_bin(bin), count) << "bin " << bin;
+  }
 }
 
 TEST(MetricsRegistry, LatencyClampsIntoRange) {
@@ -226,9 +295,9 @@ TEST(Gateway, SubmitAfterFinishIsRejectedClosed) {
   (void)gateway.finish();
   EXPECT_EQ(gateway.submit(make_job(1, 0.0, 1.0, 5.0)),
             Outcome::kRejectedClosed);
-  std::vector<Outcome> statuses;
   const std::vector<Job> jobs{make_job(2, 0.0, 1.0, 5.0)};
-  const BatchSubmitResult batch = gateway.submit_batch(jobs, &statuses);
+  std::vector<Outcome> statuses(jobs.size());
+  const BatchSubmitResult batch = gateway.submit_batch(jobs, statuses);
   EXPECT_EQ(batch.rejected_closed, 1u);
   EXPECT_EQ(statuses[0], Outcome::kRejectedClosed);
 }
@@ -351,37 +420,29 @@ TEST(Gateway, HaltsPoisonedShardAndReportsViolation) {
   EXPECT_EQ(result.shards[0].metrics.accepted, 1u);
 }
 
-// ---------- Gateway: closed-tail vs backpressure accounting ----------
+// ---------- closed-tail vs backpressure accounting ----------
 
-TEST(Gateway, BatchTailOnAClosedShardIsRejectedClosedNotBackpressure) {
-  // One shard, force-drained: every job offered to it must come back as
-  // kRejectedClosed. Before the accounting fix the batch path charged the
-  // closed-queue tail to rejected_queue_full, which tells the caller to
-  // retry a shard that is gone.
-  GatewayConfig config;
-  config.shards = 1;
-  config.supervisor.enabled = false;
-  config.enable_failover = false;  // offer to the home shard anyway
-  AdmissionGateway gateway(
-      config, [](int) { return std::make_unique<GreedyScheduler>(2); });
-  gateway.supervisor().force_down(0);
+TEST(Shard, BatchOnAClosedQueueIsClosedNotBackpressure) {
+  // A batch can race finish() and find its target's queue already closed.
+  // The refusal must say closed, not full: backpressure tells the caller
+  // to retry a shard that is gone.
+  MetricsRegistry metrics(1);
+  Shard shard(
+      0, [] { return std::make_unique<GreedyScheduler>(2); }, ShardConfig{},
+      metrics);
+  shard.start();
+  shard.close();
 
   std::vector<Job> jobs;
   for (JobId id = 0; id < 6; ++id) {
     jobs.push_back(make_job(id, 0.0, 1.0, 100.0));
   }
-  std::vector<Outcome> statuses;
-  const BatchSubmitResult result = gateway.submit_batch(
-      std::span<const Job>(jobs.data(), jobs.size()), &statuses);
-  EXPECT_EQ(result.enqueued, 0u);
-  EXPECT_EQ(result.rejected_closed, 6u);
-  EXPECT_EQ(result.rejected_queue_full, 0u);
-  for (const Outcome s : statuses) {
-    EXPECT_EQ(s, Outcome::kRejectedClosed);
-  }
-  // And none of it was counted as backpressure in the live metrics.
-  EXPECT_EQ(gateway.metrics_snapshot().total.backpressure_rejected, 0u);
-  (void)gateway.finish();
+  const Shard::BatchEnqueueResult pushed = shard.try_enqueue_batch(
+      jobs.data(), nullptr, jobs.size(), Shard::Clock::now());
+  EXPECT_EQ(pushed.taken, 0u);
+  EXPECT_TRUE(pushed.closed);
+  EXPECT_EQ(metrics.snapshot().total.backpressure_rejected, 0u);
+  shard.join();
 }
 
 TEST(Gateway, BatchTailOnAFullQueueIsStillBackpressure) {
@@ -398,13 +459,68 @@ TEST(Gateway, BatchTailOnAFullQueueIsStillBackpressure) {
   for (JobId id = 0; id < 32; ++id) {
     jobs.push_back(make_job(id, 0.0, 1.0, 1000.0));
   }
-  std::vector<Outcome> statuses;
+  std::vector<Outcome> statuses(jobs.size());
   const BatchSubmitResult result = gateway.submit_batch(
-      std::span<const Job>(jobs.data(), jobs.size()), &statuses);
+      std::span<const Job>(jobs.data(), jobs.size()), statuses);
   EXPECT_EQ(result.rejected_closed, 0u);
   EXPECT_GT(result.rejected_queue_full, 0u);
   EXPECT_EQ(result.enqueued + result.rejected_queue_full, jobs.size());
   (void)gateway.finish();
+}
+
+// ---------- gateway: one ingest path ----------
+
+TEST(Gateway, SteadyStateIngestDoesNotAllocate) {
+  // A lone job is a batch of one: submit(), submit_batch(1) and
+  // submit_batch(256) share one path, and in steady state none of them
+  // touches the heap on the producer thread.
+  GatewayConfig config;
+  config.shards = 2;
+  config.routing = RoutingPolicy::kHash;
+  config.queue_capacity = std::size_t{1} << 16;
+  config.supervisor.enabled = false;
+  AdmissionGateway gateway(
+      config, [](int) { return std::make_unique<GreedyScheduler>(2); });
+
+  constexpr std::size_t kBatch = 256;
+  constexpr int kRounds = 20;
+  std::vector<Job> jobs;
+  for (JobId id = 0; id < static_cast<JobId>((kBatch + 2) * (kRounds + 1));
+       ++id) {
+    jobs.push_back(make_job(id, 0.0, 1.0, 1e9));
+  }
+  std::size_t next = 0;
+  const auto one_round = [&](std::array<std::size_t, 3>& counts) {
+    t_allocations = 0;
+    t_count_allocations = true;
+    (void)gateway.submit(jobs[next++]);
+    t_count_allocations = false;
+    counts[0] += t_allocations;
+
+    t_allocations = 0;
+    t_count_allocations = true;
+    (void)gateway.submit_batch(std::span<const Job>(&jobs[next++], 1));
+    t_count_allocations = false;
+    counts[1] += t_allocations;
+
+    t_allocations = 0;
+    t_count_allocations = true;
+    (void)gateway.submit_batch(std::span<const Job>(&jobs[next], kBatch));
+    t_count_allocations = false;
+    counts[2] += t_allocations;
+    next += kBatch;
+  };
+  std::array<std::size_t, 3> warm_up{};
+  one_round(warm_up);  // grows this thread's grouping scratch once
+  std::array<std::size_t, 3> counts{};
+  for (int round = 0; round < kRounds; ++round) one_round(counts);
+  EXPECT_EQ(counts[0], 0u) << "submit allocated";
+  EXPECT_EQ(counts[1], 0u) << "submit_batch(1) allocated";
+  EXPECT_EQ(counts[2], 0u) << "submit_batch(256) allocated";
+
+  const GatewayResult result = gateway.finish();
+  EXPECT_TRUE(result.clean());
+  EXPECT_EQ(result.merged.submitted, next);
 }
 
 }  // namespace

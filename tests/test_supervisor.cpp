@@ -294,32 +294,16 @@ TEST(Supervisor, AllShardsDownShedsWithRetryAfter) {
             Outcome::kRejectedRetryAfter);
   EXPECT_EQ(gateway.retry_after(), milliseconds(7));
 
-  std::vector<Outcome> statuses;
   const std::vector<Job> jobs = easy_jobs(3, 10, 1.0);
+  std::vector<Outcome> statuses(jobs.size());
   const BatchSubmitResult batch = gateway.submit_batch(
-      std::span<const Job>(jobs.data(), jobs.size()), &statuses);
+      std::span<const Job>(jobs.data(), jobs.size()), statuses);
   EXPECT_EQ(batch.rejected_retry_after, 3u);
   EXPECT_EQ(batch.enqueued, 0u);
   for (const Outcome s : statuses) {
     EXPECT_EQ(s, Outcome::kRejectedRetryAfter);
   }
   EXPECT_GE(gateway.metrics_snapshot().total.degraded_rejected, 4u);
-  (void)gateway.finish();
-}
-
-TEST(Supervisor, WithoutFailoverADownShardRejectsAsClosed) {
-  GatewayConfig config;
-  config.shards = 1;
-  config.supervisor.enabled = false;
-  config.enable_failover = false;
-  AdmissionGateway gateway(
-      config, [](int) { return std::make_unique<GreedyScheduler>(2); });
-
-  gateway.supervisor().force_down(0);
-  // The drained queue refuses as closed — not as backpressure, and not as
-  // retry_after (failover is off; the job is offered to its home shard).
-  EXPECT_EQ(gateway.submit(make_job(1, 0.0, 1.0, 10.0)),
-            Outcome::kRejectedClosed);
   (void)gateway.finish();
 }
 
