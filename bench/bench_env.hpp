@@ -1,57 +1,40 @@
 // Uniform execution-environment provenance for every BENCH_*.json
 // artifact. A committed bench number is only interpretable alongside the
-// machine shape that produced it: a 1-core container cannot demonstrate
-// shard scaling, a single closed-loop producer cannot saturate a
-// multi-shard gateway, and an unpinned run wanders across cores. Every
-// artifact therefore records the same four fields — `producers`,
-// `hardware_concurrency`, `pinned`, `loop_mode` — and
-// scripts/perf_check.py keys its scaling assertions off them (skipping,
-// with a visible warning, the ones the recording machine could not
-// meaningfully produce).
+// machine shape that produced it, so every artifact records the same two
+// fields — `producers` and `hardware_concurrency` — and
+// scripts/perf_check.py requires them.
 #pragma once
 
-#include <sstream>
+#include <sched.h>
+
+#include <algorithm>
 #include <string>
-#include <thread>
-#include <utility>
 
 namespace slacksched::bench {
 
-/// The environment one bench run executed in. `loop_mode` is "closed"
-/// (each producer waits for admission before submitting more) or "open"
-/// (producers pace submissions at a target rate regardless of completion
-/// — the mode that exposes queueing latency under overload).
-struct BenchEnv {
-  unsigned producers = 1;
-  unsigned hardware_concurrency = 1;
-  bool pinned = false;
-  std::string loop_mode = "closed";
+/// The CPUs this process may run on: the affinity mask, not the online
+/// count std::thread::hardware_concurrency() reports, so a run under
+/// `taskset` sizes itself and records the cores it actually had. The only
+/// core count in bench/.
+inline unsigned usable_cores() {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) != 0) return 1;
+  return static_cast<unsigned>(std::max(1, CPU_COUNT(&mask)));
+}
 
-  /// Fills hardware_concurrency from the host; the caller supplies the
-  /// knobs it actually used.
-  static BenchEnv detect(unsigned producers = 1, bool pinned = false,
-                         std::string loop_mode = "closed") {
-    BenchEnv env;
-    env.producers = producers;
-    env.hardware_concurrency =
-        std::max(1u, std::thread::hardware_concurrency());
-    env.pinned = pinned;
-    env.loop_mode = std::move(loop_mode);
-    return env;
-  }
-
-  /// The four provenance fields as JSON object members (two-space indent,
-  /// trailing comma and newline) — paste into the head of an artifact
-  /// object. Kept as a fragment so each bench keeps writing its artifact
-  /// with plain streams.
-  [[nodiscard]] std::string json_fields() const {
-    std::ostringstream out;
-    out << "  \"producers\": " << producers << ",\n"
-        << "  \"hardware_concurrency\": " << hardware_concurrency << ",\n"
-        << "  \"pinned\": " << (pinned ? "true" : "false") << ",\n"
-        << "  \"loop_mode\": \"" << loop_mode << "\",\n";
-    return out.str();
-  }
-};
+/// The provenance fields as JSON object members (two-space indent,
+/// trailing comma and newline) — paste into the head of an artifact
+/// object. Kept as a fragment so each bench keeps writing its artifact
+/// with plain streams.
+inline std::string provenance_fields(unsigned producers = 1) {
+  // Appended piecewise: `"lit" + std::string&&` trips g++ 12's -Wrestrict.
+  std::string out = "  \"producers\": ";
+  out += std::to_string(producers);
+  out += ",\n  \"hardware_concurrency\": ";
+  out += std::to_string(usable_cores());
+  out += ",\n";
+  return out;
+}
 
 }  // namespace slacksched::bench

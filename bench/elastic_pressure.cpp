@@ -348,7 +348,7 @@ void write_json(const ShedStats& shed, const DrainStats& drain,
   std::ofstream out("BENCH_elastic.json");
   out << "{\n"
       << "  \"bench\": \"elastic_pressure\",\n"
-      << bench::BenchEnv::detect(1, /*pinned=*/false, "closed").json_fields()
+      << bench::provenance_fields()
       << "  \"shed\": {\n    \"classes\": [";
   for (std::size_t cls = 0; cls < kCriticalityCount; ++cls) {
     out << "\"" << criticality_label(static_cast<Criticality>(cls)) << "\""

@@ -341,7 +341,7 @@ void write_threshold_json(const std::vector<ScalingRow>& rows,
   std::ofstream out("BENCH_threshold.json");
   out << "{\n"
       << "  \"bench\": \"threshold_scaling\",\n"
-      << bench::BenchEnv::detect(1, /*pinned=*/false, "closed").json_fields()
+      << bench::provenance_fields()
       << "  \"jobs\": " << jobs << ",\n"
       << "  \"eps\": " << eps << ",\n"
       << "  \"old\": \"ReferenceThresholdScheduler (sort per arrival)\",\n"

@@ -142,7 +142,7 @@ void write_json(const std::vector<Row>& rows, std::size_t jobs) {
   std::ofstream out("BENCH_matrix.json");
   out << "{\n"
       << "  \"bench\": \"model_matrix\",\n"
-      << bench::BenchEnv::detect(1, /*pinned=*/false, "closed").json_fields()
+      << bench::provenance_fields()
       << "  \"jobs\": " << jobs << ",\n"
       << "  \"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {

@@ -212,7 +212,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
+  const unsigned cores = bench::usable_cores();
   const unsigned producers = cores >= 4 ? 2 : 1;
 
   std::printf("OBS: observability overhead on the admission hot path\n");
@@ -289,8 +289,7 @@ int main(int argc, char** argv) {
         << "  \"bench\": \"obs_overhead\",\n"
         << "  \"jobs\": " << n << ",\n"
         << "  \"shards\": " << kShards << ",\n"
-        << bench::BenchEnv::detect(producers, /*pinned=*/false, "closed")
-               .json_fields()
+        << bench::provenance_fields(producers)
         << "  \"reps\": " << kReps << ",\n"
         << "  \"tracing_overhead\": " << tracing_overhead << ",\n"
         << "  \"publisher_overhead\": " << publisher_overhead << ",\n"

@@ -174,7 +174,7 @@ void write_json(const std::vector<AppendStats>& appends,
   std::ofstream out("BENCH_recovery.json");
   out << "{\n"
       << "  \"bench\": \"recovery_replay\",\n"
-      << bench::BenchEnv::detect(1, /*pinned=*/false, "closed").json_fields()
+      << bench::provenance_fields()
       << "  \"machines\": " << kMachines << ",\n"
       << "  \"record_bytes\": " << kWalRecordBytes << ",\n"
       << "  \"append\": [\n";

@@ -269,8 +269,7 @@ double percentile(std::vector<double> values, double p) {
 }
 
 void write_json(const std::vector<ModeRun>& modes,
-                const std::vector<FailoverSample>& samples,
-                const bench::BenchEnv& env) {
+                const std::vector<FailoverSample>& samples) {
   std::vector<double> detect;
   std::vector<double> serve;
   for (const FailoverSample& s : samples) {
@@ -283,7 +282,7 @@ void write_json(const std::vector<ModeRun>& modes,
       << "  \"scheduler\": \"Threshold(eps=" << kEps
       << ", m=" << kMachinesPerShard << " per shard)\",\n"
       << "  \"shards\": " << kShards << ",\n"
-      << env.json_fields()
+      << bench::provenance_fields()
       << "  \"runs\": [\n";
   for (std::size_t i = 0; i < modes.size(); ++i) {
     const ModeRun& r = modes[i];
@@ -379,8 +378,7 @@ int main(int argc, char** argv) {
   std::printf("    serve   p50=%.2fms  p99=%.2fms\n",
               percentile(serve, 0.50), percentile(serve, 0.99));
 
-  write_json(modes, samples, bench::BenchEnv::detect(1, /*pinned=*/false,
-                                                     "closed"));
+  write_json(modes, samples);
   std::printf("\n  wrote BENCH_repl.json\n");
 
   if (!all_clean) {

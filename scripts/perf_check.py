@@ -1,38 +1,17 @@
 #!/usr/bin/env python3
 """Perf-regression gate over the committed/freshly-generated bench JSONs.
 
-Validates the five machine-readable bench artifacts:
+Validates the six machine-readable bench artifacts:
 
   BENCH_threshold.json  (bench/micro_throughput --threshold_jobs=N)
       - every row's decision stream matched the seed implementation
       - the new hot path performed zero steady-state heap allocations
-      - speedup at every m >= --large-m reaches --min-speedup
-  BENCH_service.json    (bench/service_throughput [jobs])
-      - every shard configuration finished clean (both sweeps)
-      - shard scaling: when the recording machine had >= 4 hardware
-        threads, the best multi-shard closed-loop throughput must beat
-        the 1-shard configuration (speedup > 1.0). On smaller machines
-        the assertion is SKIPPED with a visible warning naming the core
-        count — a 1-core container cannot demonstrate scaling, and a
-        silent pass there would be indistinguishable from a real one.
-      - every open-loop row reports ordered, positive admit-latency
-        percentiles (p50 <= p99 <= p999) and one per-shard rate per shard
-
+      - speedup at every m >= LARGE_M (256) reaches --min-speedup
   BENCH_recovery.json   (bench/recovery_replay [records])
       - every replay pass was clean (all records recovered + re-validated)
       - the torn-tail log truncated on the first pass, replayed clean on
         the second
       - fsync ordering holds: never >= batch >= every-commit append rate
-  BENCH_net.json        (bench/net_throughput [jobs])
-      - every loops x connections x batch configuration finished clean:
-        every submitted job answered by exactly one rendered decision (no
-        silent drops) and the DRAINED counters matched the replies the
-        clients observed on the wire
-      - loop scaling: when the recording machine had >= 4 hardware
-        threads, the best multi-loop throughput must beat the 1-loop
-        configuration (speedup > 1.0) — same warn-skip rule on smaller
-        machines as the shard-scaling gate (a 1-core container cannot
-        demonstrate scaling)
   BENCH_matrix.json     (bench/model_matrix [jobs-per-row])
       - every (commit model x eps x m x speed profile x workload) row
         finished clean (every decision legal under that model's
@@ -76,24 +55,22 @@ Validates the five machine-readable bench artifacts:
         survived a CSV round trip
 
 Every artifact must carry the uniform provenance fields emitted by
-bench/bench_env.hpp — producers, hardware_concurrency, pinned, loop_mode
-— so the checks above (and future ones) can tell which numbers the
-recording machine was physically able to produce.
+bench/bench_env.hpp — producers and hardware_concurrency — so a number
+can be read alongside the machine shape that produced it.
 
 Only the Python standard library is used. Exit status 0 iff every check
 passes; each failure is printed on its own line.
 
 Usage:
-  scripts/perf_check.py [--threshold-json PATH] [--service-json PATH]
-                        [--recovery-json PATH] [--obs-json PATH]
-                        [--net-json PATH] [--matrix-json PATH]
+  scripts/perf_check.py [--threshold-json PATH] [--recovery-json PATH]
+                        [--obs-json PATH] [--matrix-json PATH]
                         [--repl-json PATH] [--elastic-json PATH]
-                        [--min-speedup X] [--large-m M] [--max-overhead F]
+                        [--min-speedup X] [--max-overhead F]
                         [--matrix-min-ratio F] [--max-elastic-overhead P]
 
 A missing file is an error (reported as "<path>: not found — run
 bench/<name> to generate it") unless its path is passed as the empty
-string (e.g. --service-json= to gate only the other benches).
+string (e.g. --obs-json= to gate only the other benches).
 """
 
 from __future__ import annotations
@@ -109,26 +86,24 @@ def fail(errors: list[str], message: str) -> None:
     print(f"FAIL: {message}")
 
 
-PROVENANCE_FIELDS = ("producers", "hardware_concurrency", "pinned",
-                     "loop_mode")
+PROVENANCE_FIELDS = ("producers", "hardware_concurrency")
+
+# Machine count from which the threshold speedup floor applies.
+LARGE_M = 256
 
 
 def check_provenance(path: Path, data: dict, errors: list[str]) -> None:
     """Every artifact records the environment that produced it."""
     for key in PROVENANCE_FIELDS:
-        if key not in data:
+        value = data.get(key)
+        if value is None:
             fail(errors, f"{path}: missing provenance field {key!r} "
                          "(emit it via bench/bench_env.hpp)")
-    producers = data.get("producers", 0)
-    if isinstance(producers, int) and producers < 1:
-        fail(errors, f"{path}: producers={producers} (must be >= 1)")
-    cores = data.get("hardware_concurrency", 0)
-    if isinstance(cores, int) and cores < 1:
-        fail(errors, f"{path}: hardware_concurrency={cores} (must be >= 1)")
+        elif isinstance(value, int) and value < 1:
+            fail(errors, f"{path}: {key}={value} (must be >= 1)")
 
 
-def check_threshold(path: Path, min_speedup: float, large_m: int,
-                    errors: list[str]) -> None:
+def check_threshold(path: Path, min_speedup: float, errors: list[str]) -> None:
     data = json.loads(path.read_text())
     if data.get("bench") != "threshold_scaling":
         fail(errors, f"{path}: unexpected bench id {data.get('bench')!r}")
@@ -139,9 +114,9 @@ def check_threshold(path: Path, min_speedup: float, large_m: int,
         fail(errors, f"{path}: no runs recorded")
         return
     machines = sorted(run.get("machines", 0) for run in runs)
-    if machines[-1] < large_m:
+    if machines[-1] < LARGE_M:
         fail(errors, f"{path}: largest m is {machines[-1]}, "
-                     f"need a run at m >= {large_m}")
+                     f"need a run at m >= {LARGE_M}")
     for run in runs:
         m = run.get("machines")
         prefix = f"{path}: m={m}"
@@ -161,7 +136,7 @@ def check_threshold(path: Path, min_speedup: float, large_m: int,
         if run.get("new_allocs_per_arrival", 1.0) != 0:
             fail(errors, f"{prefix}: new_allocs_per_arrival is "
                          f"{run.get('new_allocs_per_arrival')} (must be 0)")
-        if m is not None and m >= large_m:
+        if m is not None and m >= LARGE_M:
             speedup = run.get("speedup", 0.0)
             if speedup < min_speedup:
                 fail(errors, f"{prefix}: speedup {speedup:.2f}x below the "
@@ -169,84 +144,6 @@ def check_threshold(path: Path, min_speedup: float, large_m: int,
     ok_rows = sum(1 for run in runs if run.get("decisions_identical"))
     print(f"ok: {path}: {len(runs)} configurations, {ok_rows} with identical "
           "decision streams")
-
-
-def check_service(path: Path, errors: list[str]) -> None:
-    data = json.loads(path.read_text())
-    if data.get("bench") != "service_throughput":
-        fail(errors, f"{path}: unexpected bench id {data.get('bench')!r}")
-        return
-    check_provenance(path, data, errors)
-    runs = data.get("runs", [])
-    if not runs:
-        fail(errors, f"{path}: no runs recorded")
-        return
-    for run in runs:
-        shards = run.get("shards")
-        if not run.get("clean", False):
-            fail(errors, f"{path}: shards={shards} did not finish clean")
-        if run.get("jobs_per_sec", 0.0) <= 0.0:
-            fail(errors, f"{path}: shards={shards} reports non-positive "
-                         "throughput")
-
-    # Shard-scaling gate. A multi-core recording machine that cannot beat
-    # the 1-shard configuration with any multi-shard one means the
-    # fan-out machinery costs more than it buys — a hard failure. A
-    # machine with fewer than 4 hardware threads physically cannot
-    # demonstrate scaling (the shard consumers share one core), so the
-    # assertion is skipped *loudly* rather than passed silently.
-    cores = data.get("hardware_concurrency", 0)
-    rate_by_shards = {run.get("shards"): run.get("jobs_per_sec", 0.0)
-                      for run in runs}
-    base = rate_by_shards.get(1, 0.0)
-    multi = {s: r for s, r in rate_by_shards.items()
-             if isinstance(s, int) and s > 1}
-    if base > 0.0 and multi:
-        best_shards, best_rate = max(multi.items(), key=lambda kv: kv[1])
-        speedup = best_rate / base
-        if isinstance(cores, int) and cores >= 4:
-            if speedup <= 1.0:
-                fail(errors, f"{path}: best multi-shard throughput "
-                             f"({best_shards} shards) is {speedup:.2f}x the "
-                             f"1-shard rate on {cores} hardware threads — "
-                             "sharding must not lose to a single shard on "
-                             "a multi-core host")
-        else:
-            print(f"WARN: {path}: shard-scaling assertion SKIPPED — "
-                  f"recorded on {cores} hardware thread(s), fewer than the "
-                  f"4 needed to demonstrate scaling across "
-                  f"{max(multi)} shards (best observed: {speedup:.2f}x at "
-                  f"{best_shards} shards)")
-
-    # Open-loop sweep: latency percentiles must be present, positive and
-    # ordered, with one per-shard rate per shard.
-    open_runs = data.get("open_loop", [])
-    if not open_runs:
-        fail(errors, f"{path}: no open-loop runs recorded")
-    for run in open_runs:
-        shards = run.get("shards")
-        prefix = f"{path}: open-loop shards={shards}"
-        if not run.get("clean", False):
-            fail(errors, f"{prefix} did not finish clean")
-        for key in ("admit_latency_p50", "admit_latency_p99",
-                    "admit_latency_p999"):
-            if key not in run:
-                fail(errors, f"{prefix}: missing field {key!r}")
-        p50 = run.get("admit_latency_p50", 0.0)
-        p99 = run.get("admit_latency_p99", 0.0)
-        p999 = run.get("admit_latency_p999", 0.0)
-        if not (0.0 < p50 <= p99 <= p999):
-            fail(errors, f"{prefix}: admit-latency percentiles not "
-                         f"positive and ordered (p50={p50} p99={p99} "
-                         f"p999={p999})")
-        per_shard = run.get("per_shard_decided_per_sec", [])
-        if not isinstance(shards, int) or len(per_shard) != shards:
-            fail(errors, f"{prefix}: expected {shards} per-shard rates, "
-                         f"got {len(per_shard)}")
-        if run.get("decided_per_sec", 0.0) <= 0.0:
-            fail(errors, f"{prefix}: non-positive decision throughput")
-    print(f"ok: {path}: {len(runs)} closed-loop + {len(open_runs)} "
-          "open-loop shard configurations, all clean")
 
 
 def check_recovery(path: Path, errors: list[str]) -> None:
@@ -296,67 +193,6 @@ def check_recovery(path: Path, errors: list[str]) -> None:
         fail(errors, f"{path}: log not clean after torn-tail truncation")
     print(f"ok: {path}: {len(appends)} fsync policies, {len(replays)} "
           "replay sizes, torn tail handled")
-
-
-def check_net(path: Path, errors: list[str]) -> None:
-    data = json.loads(path.read_text())
-    if data.get("bench") != "net_throughput":
-        fail(errors, f"{path}: unexpected bench id {data.get('bench')!r}")
-        return
-    check_provenance(path, data, errors)
-    runs = data.get("runs", [])
-    if not runs:
-        fail(errors, f"{path}: no runs recorded")
-        return
-    for run in runs:
-        config = (f"loops={run.get('loops', 1)} "
-                  f"connections={run.get('connections')} "
-                  f"batch={run.get('batch')}")
-        if not run.get("clean", False):
-            fail(errors, f"{path}: {config} did not finish clean")
-        if run.get("answered") != run.get("jobs"):
-            fail(errors, f"{path}: {config} answered "
-                         f"{run.get('answered')} of {run.get('jobs')} "
-                         "submissions — the wire dropped replies")
-        if run.get("jobs_per_sec", 0.0) <= 0.0:
-            fail(errors, f"{path}: {config} reports non-positive "
-                         "throughput")
-
-    # Loop-scaling gate, mirroring the shard-scaling one: a multi-core
-    # recording machine where no multi-loop configuration beats the
-    # 1-loop server means the shared-nothing loop fan-out costs more than
-    # it buys — a hard failure. Under 4 hardware threads the loops (and
-    # the shard consumers behind them) share one core, so the assertion
-    # is skipped *loudly* rather than passed silently. Artifacts from
-    # before the multi-loop front end have no "loops" field; those rows
-    # are the single-loop server.
-    cores = data.get("hardware_concurrency", 0)
-    rate_by_loops: dict[int, float] = {}
-    for run in runs:
-        loops = run.get("loops", 1)
-        if isinstance(loops, int):
-            rate_by_loops[loops] = max(rate_by_loops.get(loops, 0.0),
-                                       run.get("jobs_per_sec", 0.0))
-    base = rate_by_loops.get(1, 0.0)
-    multi = {n: r for n, r in rate_by_loops.items() if n > 1}
-    if base > 0.0 and multi:
-        best_loops, best_rate = max(multi.items(), key=lambda kv: kv[1])
-        speedup = best_rate / base
-        if isinstance(cores, int) and cores >= 4:
-            if speedup <= 1.0:
-                fail(errors, f"{path}: best multi-loop throughput "
-                             f"({best_loops} loops) is {speedup:.2f}x the "
-                             f"1-loop rate on {cores} hardware threads — "
-                             "the multi-loop front end must not lose to a "
-                             "single loop on a multi-core host")
-        else:
-            print(f"WARN: {path}: loop-scaling assertion SKIPPED — "
-                  f"recorded on {cores} hardware thread(s), fewer than the "
-                  f"4 needed to demonstrate scaling across "
-                  f"{max(multi)} loops (best observed: {speedup:.2f}x at "
-                  f"{best_loops} loops)")
-    print(f"ok: {path}: {len(runs)} loop/connection/batch configurations, "
-          "all clean, every submission answered")
 
 
 def check_matrix(path: Path, threshold_json: str, min_ratio: float,
@@ -614,10 +450,8 @@ def check_elastic(path: Path, max_overhead_pct: float,
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--threshold-json", default="BENCH_threshold.json")
-    parser.add_argument("--service-json", default="BENCH_service.json")
     parser.add_argument("--recovery-json", default="BENCH_recovery.json")
     parser.add_argument("--obs-json", default="BENCH_obs.json")
-    parser.add_argument("--net-json", default="BENCH_net.json")
     parser.add_argument("--matrix-json", default="BENCH_matrix.json")
     parser.add_argument("--repl-json", default="BENCH_repl.json")
     parser.add_argument("--elastic-json", default="BENCH_elastic.json")
@@ -631,11 +465,8 @@ def main() -> int:
                              "the matrix pays full-engine validation per "
                              "arrival)")
     parser.add_argument("--min-speedup", type=float, default=3.0,
-                        help="jobs/sec floor for new/old at large m "
+                        help="jobs/sec floor for new/old at m >= 256 "
                              "(default 3.0; use 1.0 on noisy smoke runners)")
-    parser.add_argument("--large-m", type=int, default=256,
-                        help="machine count from which the speedup floor "
-                             "applies (default 256)")
     parser.add_argument("--max-overhead", type=float, default=0.03,
                         help="throughput fraction the observability layer "
                              "may cost (default 0.03; loosen on noisy "
@@ -645,26 +476,20 @@ def main() -> int:
     errors: list[str] = []
     generators = {
         args.threshold_json: "bench/micro_throughput",
-        args.service_json: "bench/service_throughput",
         args.recovery_json: "bench/recovery_replay",
         args.obs_json: "bench/obs_overhead",
-        args.net_json: "bench/net_throughput",
         args.matrix_json: "bench/model_matrix",
         args.repl_json: "bench/repl_failover",
         args.elastic_json: "bench/elastic_pressure",
     }
     for raw, checker in ((args.threshold_json,
                           lambda p: check_threshold(p, args.min_speedup,
-                                                    args.large_m, errors)),
-                         (args.service_json,
-                          lambda p: check_service(p, errors)),
+                                                    errors)),
                          (args.recovery_json,
                           lambda p: check_recovery(p, errors)),
                          (args.obs_json,
                           lambda p: check_obs(p, args.max_overhead,
                                               errors)),
-                         (args.net_json,
-                          lambda p: check_net(p, errors)),
                          (args.matrix_json,
                           lambda p: check_matrix(p, args.threshold_json,
                                                  args.matrix_min_ratio,

@@ -717,11 +717,10 @@ void AdmissionServer::resolve_decisions(EventLoop& loop) {
 
 void AdmissionServer::reject_leftovers(EventLoop& loop) {
   // A leftover means the job was enqueued but its shard never rendered a
-  // decision (poisoned by a violation with halt_on_violation, or the
-  // worker crashed without a restart). The submission contract still owes
-  // one answer: closed, no decision, under the job id it was submitted
-  // with. The window's front is always live: retire_ticket pops the
-  // answered prefix.
+  // decision (poisoned by an illegal commitment, or the worker crashed
+  // without a restart). The submission contract still owes one answer:
+  // closed, no decision, under the job id it was submitted with. The
+  // window's front is always live: retire_ticket pops the answered prefix.
   while (!loop.tickets.empty()) {
     TicketSlot& slot = loop.tickets.front();
     auto it = loop.connections.find(slot.conn_id);

@@ -74,11 +74,9 @@ void StreamingRunner::apply_resolution(const DeferredResolution& resolution) {
                           resolution.decision, resolution.decided_at,
                           contract_);
   if (!violation.empty()) {
-    if (result_.commitment_violation.empty()) {
-      result_.commitment_violation = violation;
-    }
-    if (options_.halt_on_violation) halted_ = true;
-    return;  // skip the illegal commitment
+    result_.commitment_violation = violation;
+    halted_ = true;
+    return;  // poisoned: the illegal commitment is never applied
   }
   if (resolution.decision.accepted) {
     if (commit_hook_) commit_hook_(resolution.job, resolution.decision);
@@ -122,11 +120,9 @@ FeedOutcome StreamingRunner::feed(const Job& job) {
   const std::string violation =
       validate_commitment(result_.schedule, job, outcome.decision);
   if (!violation.empty()) {
-    if (result_.commitment_violation.empty()) {
-      result_.commitment_violation = violation;
-    }
-    if (options_.halt_on_violation) halted_ = true;
-    return outcome;  // skip the illegal commitment
+    result_.commitment_violation = violation;
+    halted_ = true;
+    return outcome;  // poisoned: the illegal commitment is never applied
   }
   outcome.legal = true;
 
@@ -163,13 +159,6 @@ RunResult run_online(OnlineScheduler& scheduler, const Instance& instance,
     if (runner.halted()) break;
   }
   return runner.finish();
-}
-
-RunResult run_online(OnlineScheduler& scheduler, const Instance& instance,
-                     bool halt_on_violation) {
-  RunOptions options;
-  options.halt_on_violation = halt_on_violation;
-  return run_online(scheduler, instance, options);
 }
 
 }  // namespace slacksched

@@ -62,9 +62,6 @@ struct RunOptions {
   /// where only metrics and the committed schedule matter — the decision
   /// log is the only per-job allocation on the engine's path.
   bool record_decisions = true;
-  /// Stop deciding after the first illegal commitment (the default). When
-  /// false the illegal commitment is skipped but the replay continues.
-  bool halt_on_violation = true;
 };
 
 /// What StreamingRunner::feed did with one job.
@@ -133,7 +130,7 @@ class StreamingRunner {
   /// release dates). No-op returning decided == false once halted.
   FeedOutcome feed(const Job& job);
 
-  /// True once an illegal commitment occurred under halt_on_violation.
+  /// True once an illegal commitment occurred: the runner stops deciding.
   [[nodiscard]] bool halted() const { return halted_; }
 
   /// Live view of the run so far (metrics lag feed() by nothing; the
@@ -172,15 +169,10 @@ class StreamingRunner {
 };
 
 /// Runs the scheduler over the instance. The scheduler is reset() first.
+/// Processing stops at the first illegal commitment, which is reported in
+/// the result.
 [[nodiscard]] RunResult run_online(OnlineScheduler& scheduler,
                                    const Instance& instance,
-                                   const RunOptions& options);
-
-/// Back-compat convenience: if `halt_on_violation` is true (default),
-/// processing stops at the first illegal commitment and the violation is
-/// reported in the result.
-[[nodiscard]] RunResult run_online(OnlineScheduler& scheduler,
-                                   const Instance& instance,
-                                   bool halt_on_violation = true);
+                                   const RunOptions& options = {});
 
 }  // namespace slacksched

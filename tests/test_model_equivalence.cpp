@@ -113,11 +113,11 @@ TEST(ModelEquivalence, DeltaZeroMatchesCommitOnArrivalGreedy) {
     const std::string context = describe(point);
 
     GreedyScheduler greedy(point.machines, GreedyPolicy::kBestFit);
-    const RunResult arrival = run_online(greedy, inst, true);
+    const RunResult arrival = run_online(greedy, inst);
     ASSERT_TRUE(arrival.clean()) << context;
 
     DeltaCommitScheduler delta(/*delta=*/0.0, point.machines);
-    const RunResult deferred = run_online(delta, inst, true);
+    const RunResult deferred = run_online(delta, inst);
     ASSERT_TRUE(deferred.clean())
         << context << ": " << deferred.commitment_violation;
 
@@ -145,7 +145,7 @@ TEST(ModelEquivalence, CommitOnAdmissionMatchesDelayedCommitBaseline) {
       config.commit_on_admission = true;
       config.queue = policy;
       DeltaCommitScheduler streaming(config);
-      const RunResult result = run_online(streaming, inst, true);
+      const RunResult result = run_online(streaming, inst);
       ASSERT_TRUE(result.clean())
           << context << ": " << result.commitment_violation;
 
@@ -170,7 +170,7 @@ TEST(ModelEquivalence, UnitSpeedProfilePinsThresholdBitIdentical) {
     plain.eps = point.eps;
     plain.machines = point.machines;
     ThresholdScheduler speedless(plain);
-    const RunResult expected = run_online(speedless, inst, true);
+    const RunResult expected = run_online(speedless, inst);
     ASSERT_TRUE(expected.clean()) << context;
 
     ThresholdConfig unit = plain;
@@ -178,7 +178,7 @@ TEST(ModelEquivalence, UnitSpeedProfilePinsThresholdBitIdentical) {
         std::vector<double>(static_cast<std::size_t>(point.machines), 1.0));
     ThresholdScheduler profiled(unit);
     ASSERT_EQ(profiled.speed_profile(), nullptr) << context;
-    const RunResult actual = run_online(profiled, inst, true);
+    const RunResult actual = run_online(profiled, inst);
     ASSERT_TRUE(actual.clean()) << context;
 
     expect_identical_decisions(actual, expected, context);
@@ -192,14 +192,14 @@ TEST(ModelEquivalence, UnitSpeedProfilePinsGreedyBitIdentical) {
     const std::string context = describe(point);
 
     GreedyScheduler speedless(point.machines, GreedyPolicy::kBestFit);
-    const RunResult expected = run_online(speedless, inst, true);
+    const RunResult expected = run_online(speedless, inst);
 
     GreedyScheduler profiled(
         SpeedProfile(
             std::vector<double>(static_cast<std::size_t>(point.machines),
                                 1.0)),
         GreedyPolicy::kBestFit);
-    const RunResult actual = run_online(profiled, inst, true);
+    const RunResult actual = run_online(profiled, inst);
 
     expect_identical_decisions(actual, expected, context);
     expect_identical_schedules(actual.schedule, expected.schedule, context);
@@ -219,7 +219,7 @@ TEST(ModelEquivalence, RelatedMachineRunsStayLegalAcrossModels) {
       const std::string context = describe(point) + " " + profile.label();
 
       GreedyScheduler greedy(profile, GreedyPolicy::kBestFit);
-      const RunResult arrival = run_online(greedy, inst, true);
+      const RunResult arrival = run_online(greedy, inst);
       ASSERT_TRUE(arrival.clean()) << context;
       ASSERT_TRUE(validate_schedule(inst, arrival.schedule).ok) << context;
 
@@ -228,7 +228,7 @@ TEST(ModelEquivalence, RelatedMachineRunsStayLegalAcrossModels) {
       config.delta = 0.5;
       config.speeds = profile.speeds();
       DeltaCommitScheduler delta(config);
-      const RunResult deferred = run_online(delta, inst, true);
+      const RunResult deferred = run_online(delta, inst);
       ASSERT_TRUE(deferred.clean())
           << context << ": " << deferred.commitment_violation;
       ASSERT_TRUE(validate_schedule(inst, deferred.schedule).ok) << context;

@@ -241,7 +241,7 @@ TEST(ContractValidator, OnAdmissionPinsStartToDecisionTime) {
 TEST(DeltaCommit, DefersOnArrivalAndResolvesThroughTheEngine) {
   DeltaCommitScheduler scheduler(/*delta=*/0.5, /*machines=*/1);
   const Instance inst({make_job(1, 0.0, 2.0, 5.0)});
-  const RunResult result = run_online(scheduler, inst, true);
+  const RunResult result = run_online(scheduler, inst);
   EXPECT_TRUE(result.clean()) << result.commitment_violation;
   EXPECT_EQ(result.metrics.submitted, 1u);
   EXPECT_EQ(result.metrics.accepted, 1u);
@@ -256,7 +256,7 @@ TEST(DeltaCommit, AcceptsEverythingTheGreedyFrontierCanPlace) {
   DeltaCommitScheduler scheduler(/*delta=*/2.0, /*machines=*/1);
   const Instance inst(
       {make_job(1, 0.0, 4.0, 10.0), make_job(2, 0.0, 3.0, 8.0)});
-  const RunResult result = run_online(scheduler, inst, true);
+  const RunResult result = run_online(scheduler, inst);
   EXPECT_TRUE(result.clean()) << result.commitment_violation;
   EXPECT_EQ(result.metrics.accepted, 2u);
   EXPECT_TRUE(validate_schedule(inst, result.schedule).ok);
@@ -271,7 +271,7 @@ TEST(DeltaCommit, ExpiredPendingJobIsRejectedNotDropped) {
   DeltaCommitScheduler scheduler(config);
   const Instance inst(
       {make_job(1, 0.0, 4.0, 10.0), make_job(2, 0.5, 3.0, 4.0)});
-  const RunResult result = run_online(scheduler, inst, true);
+  const RunResult result = run_online(scheduler, inst);
   EXPECT_TRUE(result.clean()) << result.commitment_violation;
   EXPECT_EQ(result.metrics.accepted, 1u);
   EXPECT_EQ(result.metrics.rejected, 1u);
@@ -287,7 +287,7 @@ TEST(DeltaCommit, RelatedMachinesUseSpeedAwareOccupancy) {
   ASSERT_NE(scheduler.speed_profile(), nullptr);
   // proc 8, deadline 3: only the speed-4 machine (exec 2) can serve it.
   const Instance inst({make_job(1, 0.0, 8.0, 3.0)});
-  const RunResult result = run_online(scheduler, inst, true);
+  const RunResult result = run_online(scheduler, inst);
   EXPECT_TRUE(result.clean()) << result.commitment_violation;
   EXPECT_EQ(result.metrics.accepted, 1u);
   const auto placement = result.schedule.find(1);

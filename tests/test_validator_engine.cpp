@@ -203,14 +203,6 @@ TEST(Engine, DetectsIllegalCommitment) {
   EXPECT_EQ(result.metrics.accepted, 1u);
 }
 
-TEST(Engine, ContinuesPastViolationWhenAsked) {
-  const Instance inst = small_instance();
-  CheatingScheduler cheater;
-  const RunResult result = run_online(cheater, inst, false);
-  EXPECT_FALSE(result.clean());
-  EXPECT_EQ(result.metrics.submitted, 3u);  // kept simulating
-}
-
 /// A scheduler that claims a machine index outside its range.
 class OutOfRangeScheduler final : public OnlineScheduler {
  public:
