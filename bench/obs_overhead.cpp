@@ -118,7 +118,6 @@ RunStats run_mode(const Instance& instance, Mode mode, unsigned producers) {
   config.queue_capacity = 8192;
   config.batch_size = 512;
   config.routing = RoutingPolicy::kHash;
-  config.record_decisions = false;
   config.enable_tracing = mode != Mode::kOff;
   config.trace_capacity = std::size_t{1} << 12;
   if (mode == Mode::kTracingPublisher) {

@@ -109,7 +109,6 @@ ModeRun run_mode(const Instance& instance,
   config.queue_capacity = kWindow;
   config.batch_size = 512;
   config.routing = RoutingPolicy::kHash;
-  config.record_decisions = false;
   config.wal_dir = leader_dir;
   config.on_decision = [&decided](int, const Job&, const Decision&,
                                   std::uint64_t) {
@@ -182,7 +181,6 @@ FailoverSample run_failover_once(const Instance& instance, int iteration) {
   config.shards = 1;
   config.queue_capacity = 8192;
   config.batch_size = 256;
-  config.record_decisions = false;
   config.wal_dir = leader_dir;
   config.replication.emplace();
   config.replication->port = replica.port();
@@ -222,7 +220,6 @@ FailoverSample run_failover_once(const Instance& instance, int iteration) {
   promoted_config.shards = 1;
   promoted_config.queue_capacity = 8192;
   promoted_config.batch_size = 256;
-  promoted_config.record_decisions = false;
   promoted_config.wal_dir = replica_config.dir;
   promoted_config.on_decision = [&](int, const Job&, const Decision&,
                                     std::uint64_t) {

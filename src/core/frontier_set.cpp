@@ -363,15 +363,18 @@ int FrontierSet::add_machine() {
   SLACKSCHED_EXPECTS(speed_.empty());
   ensure_states();
   // Reuse the lowest-index retired machine so a shrink-then-grow sequence
-  // keeps the index space dense (and WAL replay deterministic).
+  // keeps the index space dense (and WAL replay deterministic). It keeps
+  // its drained frontier: a late job is never placed before work the
+  // machine already ran, and at any time at or after the drain its load is
+  // 0 exactly as for a fresh machine.
   for (int i = 0; i < machines_; ++i) {
     if (state_of(i) == MachineState::kRetired) {
       state_[static_cast<std::size_t>(i)] =
           static_cast<std::uint8_t>(MachineState::kActive);
-      frontier_[static_cast<std::size_t>(i)] = 0.0;
       insert_into_order(i);
       ++active_;
-      set_idle_bit(i, true);
+      set_idle_bit(i,
+                   frontier_[static_cast<std::size_t>(i)] <= idle_watermark_);
       return i;
     }
   }
@@ -419,7 +422,6 @@ void FrontierSet::finish_retire(int machine) {
   SLACKSCHED_EXPECTS(state_of(machine) == MachineState::kRetiring);
   state_[static_cast<std::size_t>(machine)] =
       static_cast<std::uint8_t>(MachineState::kRetired);
-  frontier_[static_cast<std::size_t>(machine)] = 0.0;
 }
 
 int FrontierSet::retire_candidate() const {

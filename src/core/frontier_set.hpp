@@ -159,8 +159,9 @@ class FrontierSet {
   [[nodiscard]] bool is_retiring(int machine) const;
 
   /// Activates one machine and returns its index: the lowest-index retired
-  /// machine when one exists (its frontier restarts at 0), else a brand-new
-  /// physical machine appended after size()-1. Requires uniform speeds.
+  /// machine when one exists (it keeps its drained frontier, so nothing is
+  /// placed before work it already ran), else a brand-new physical machine
+  /// at frontier 0 appended after size()-1. Requires uniform speeds.
   /// May allocate (the only FrontierSet mutation that does).
   int add_machine();
 
@@ -176,8 +177,8 @@ class FrontierSet {
   [[nodiscard]] bool retire_drained(int machine, TimePoint now) const;
 
   /// Completes a retirement (the caller has observed retire_drained). The
-  /// machine becomes retired: frontier reset to 0, index parked for a
-  /// future add_machine.
+  /// machine becomes retired: its drained frontier is kept and its index
+  /// parked for a future add_machine.
   void finish_retire(int machine);
 
   /// The machine begin_retire would drain fastest: the active machine at

@@ -104,6 +104,7 @@ FeedOutcome StreamingRunner::feed(const Job& job) {
     if (halted_) return outcome;
   }
   outcome.decided = true;
+  last_release_ = job.release;
   outcome.decision = scheduler_->on_arrival(job);
   sync_machines();
   ++result_.metrics.submitted;
@@ -139,6 +140,10 @@ FeedOutcome StreamingRunner::feed(const Job& job) {
     result_.metrics.rejected_volume += job.proc;
   }
   return outcome;
+}
+
+std::size_t StreamingRunner::settle() {
+  return result_.schedule.settle_before(last_release_);
 }
 
 RunResult StreamingRunner::finish() {

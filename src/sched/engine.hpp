@@ -16,6 +16,22 @@
 /// path accumulates metrics only and performs no per-job heap allocation
 /// beyond the committed schedule itself.
 ///
+/// Settling (StreamingRunner::settle): a long-lived runner bounds the
+/// schedule it holds by its live commitments. The horizon is the release of
+/// the job fed last. Under on-arrival commitment every later decision is
+/// for a job released no earlier (callers feed non-decreasing releases) and
+/// starts at or after that release, so no future placement can overlap one
+/// that completed by then. Under the δ-model a later drain may resolve a
+/// still-pending job at a start before the *next* release, but never before
+/// the current one: every pending decision binds at or after the time the
+/// last drain reached. Soundness does not rest on the horizon, though: the
+/// schedule refuses any start before a machine's settled mark. Every
+/// in-tree scheduler places at t + load(m, t) >= frontier(m), so that
+/// refusal never hits a legal decision, even when a multi-producer shard
+/// feeds releases out of order (a reused elastic machine keeps its drained
+/// frontier, core/frontier_set.hpp).
+/// run_online never settles: its RunResult keeps the whole schedule.
+///
 /// Deferred commitment (models/commitment.hpp): when the scheduler's
 /// contract allows deferral, feed() first drains every decision that became
 /// binding before the new arrival (OnlineScheduler::advance_to), applies
@@ -130,6 +146,12 @@ class StreamingRunner {
   /// release dates). No-op returning decided == false once halted.
   FeedOutcome feed(const Job& job);
 
+  /// Drops the committed placements no future decision can overlap (see
+  /// the file comment for the horizon) and returns the number still held.
+  /// Aggregates — job count, volume, makespan, frontiers, metrics — keep
+  /// counting the whole run. A no-op before the first feed().
+  std::size_t settle();
+
   /// True once an illegal commitment occurred: the runner stops deciding.
   [[nodiscard]] bool halted() const { return halted_; }
 
@@ -165,6 +187,8 @@ class StreamingRunner {
   CommitmentContract contract_;
   /// Scratch buffer reused across drain_resolutions calls.
   std::vector<DeferredResolution> resolved_;
+  /// Release of the job fed last: the settle() horizon.
+  TimePoint last_release_ = -kTimeInfinity;
   bool halted_ = false;
 };
 

@@ -11,8 +11,21 @@
 /// frontier and makespan queries all use that duration. A speed-less
 /// Schedule is the identical-machine model and its arithmetic is untouched
 /// (durations are the processing times, no division anywhere).
+///
+/// Settling (settle_before): a long-running consumer drops the placements
+/// no future commitment can overlap, so its memory follows its live
+/// commitments rather than its history. Per machine it erases the prefix of
+/// placements completing at or before a horizon and remembers the last
+/// erased completion; interval_free then refuses any start definitely
+/// before that completion. Soundness therefore never depends on the
+/// horizon the caller picks: a placement the schedule no longer holds can
+/// never be overlapped unnoticed. job_count, total_volume, makespan and
+/// frontier keep counting the whole run; on_machine, all_placements, find
+/// and validate_schedule see only the placements still held. A schedule
+/// that is never settled behaves exactly as one without the feature.
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <vector>
 
@@ -65,6 +78,14 @@ class Schedule {
   /// machine (checked; throws PreconditionError otherwise).
   void commit(const Job& job, int machine, TimePoint start);
 
+  /// Drops, on every machine, the prefix of placements whose completion is
+  /// at or before `horizon` (completions are sorted, because placements
+  /// are sorted and never overlap), and records the last dropped
+  /// completion as the machine's settled mark. Aggregates are unchanged.
+  /// Returns the number of placements still held. One partition_point per
+  /// machine; never allocates.
+  std::size_t settle_before(TimePoint horizon);
+
   /// Grows the machine dimension to at least `machines` empty machines
   /// (elastic capacity; no-op when already large enough). Identical
   /// machines only — a grown machine has no defined speed otherwise.
@@ -72,6 +93,9 @@ class Schedule {
 
   /// Whether [start, start + exec_time(machine, proc)) is free on the
   /// machine; `proc` is the processing requirement, not the wall time.
+  /// False for any start definitely before the machine's settled mark: a
+  /// settled schedule cannot tell the dropped past from idle time, so it
+  /// refuses it wholesale.
   [[nodiscard]] bool interval_free(int machine, TimePoint start,
                                    Duration proc) const;
 
@@ -85,22 +109,24 @@ class Schedule {
   /// this library does). This is the l(m_h) of Algorithm 1.
   [[nodiscard]] Duration outstanding_load(int machine, TimePoint now) const;
 
-  /// Placements on one machine, ordered by start time.
+  /// Placements still held on one machine, ordered by start time.
   [[nodiscard]] const std::vector<Placement>& on_machine(int machine) const;
 
-  /// All placements, ordered by (machine, start).
+  /// All placements still held, ordered by (machine, start).
   [[nodiscard]] std::vector<Placement> all_placements() const;
 
-  /// Total committed processing volume (the objective value). O(1).
+  /// Total committed processing volume (the objective value), settled
+  /// placements included. O(1).
   [[nodiscard]] double total_volume() const { return total_volume_; }
 
-  /// Number of committed jobs. O(1).
+  /// Number of committed jobs, settled placements included. O(1).
   [[nodiscard]] std::size_t job_count() const { return job_count_; }
 
-  /// Latest completion over all machines (0 when empty). O(1).
+  /// Latest completion over all machines (0 when empty), settled
+  /// placements included. O(1).
   [[nodiscard]] TimePoint makespan() const { return makespan_; }
 
-  /// Looks up the placement of a job by id, if committed. Uses a
+  /// Looks up the placement of a job by id, if still held. Uses a
   /// per-machine binary search when that machine's ids happen to ascend
   /// with start time (true for every arrival-ordered engine run); falls
   /// back to a linear sweep otherwise.
@@ -112,6 +138,9 @@ class Schedule {
   std::vector<std::vector<Placement>> per_machine_;
   /// Cached completion time of the last placement per machine.
   std::vector<TimePoint> frontier_;
+  /// Per machine, the last completion settle_before dropped; -infinity
+  /// while nothing was dropped, which keeps interval_free's check inert.
+  std::vector<TimePoint> settled_until_;
   /// True while the machine's placement list has strictly ascending job
   /// ids in list (= start) order, enabling binary-search find().
   std::vector<bool> ids_ascending_;

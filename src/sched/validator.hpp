@@ -35,6 +35,9 @@ struct ValidationReport {
 ///  - starts respect release dates (start >= r_j),
 ///  - completions respect deadlines (start + p_j <= d_j),
 ///  - no two placements overlap on a machine.
+/// Only the placements `schedule` still holds are checked: on a settled
+/// schedule (Schedule::settle_before) that is the live tail, so validate a
+/// gateway shard's full history on a read-only replay of its commit log.
 [[nodiscard]] ValidationReport validate_schedule(const Instance& instance,
                                                  const Schedule& schedule);
 

@@ -78,7 +78,9 @@ struct GatewayConfig {
   std::size_t queue_capacity = 4096;
   std::size_t batch_size = 256;       ///< max jobs per consumer wake-up
   RoutingPolicy routing = RoutingPolicy::kRoundRobin;
-  bool record_decisions = true;
+  /// Keep every shard's per-job decision log (ShardConfig twin). Off by
+  /// default; collect decisions through on_decision instead.
+  bool record_decisions = false;
   /// Pin shard s's consumer thread to CPU s mod hardware_concurrency for
   /// cache locality (shared-nothing shard loops stay on their core). Only
   /// honored on Linux; elsewhere it is a documented no-op — pinning is a
@@ -172,10 +174,12 @@ struct BatchSubmitResult {
 };
 
 /// Everything a finished gateway run produced: one RunResult per shard
-/// (decision logs + committed schedules), the merged RunMetrics, and the
-/// final metrics snapshot. For a shard whose worker crashed, the RunResult
-/// is reconstructed from its commit log (the durable truth) and the fatal
-/// error is reported in `errors`.
+/// (its committed schedule, settled down to the placements still live at
+/// the last batch boundary, and a decision log only with record_decisions),
+/// the merged RunMetrics, and the final metrics snapshot. For a shard whose
+/// worker crashed, the RunResult is reconstructed from its commit log (the
+/// durable truth, every placement) and the fatal error is reported in
+/// `errors`.
 struct GatewayResult {
   std::vector<RunResult> shards;
   RunMetrics merged;

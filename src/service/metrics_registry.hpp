@@ -48,6 +48,9 @@ struct ShardMetricsSnapshot {
   /// transiently exceed the queue capacity by up to one consumer batch.
   std::size_t peak_queue_depth = 0;
   std::size_t batches = 0;           ///< consumer wake-ups that found work
+  /// Committed placements the shard's schedule still holds, as of its last
+  /// batch boundary (the settled past excluded): the live-state size.
+  std::size_t schedule_held_placements = 0;
 
   // --- fault-tolerance counters (service/supervisor.hpp) ---
   std::size_t recoveries = 0;            ///< WAL replays / restarts completed
@@ -110,6 +113,8 @@ class MetricsRegistry {
 
   // --- writer side (the shard's single consumer thread) ---
   void on_batch(int shard, std::size_t popped);
+  /// Stores the shard's held-placement gauge (one relaxed write per batch).
+  void on_schedule_held(int shard, std::size_t held);
   /// Records one rendered decision. `latency_seconds` is queue-entry to
   /// decision-rendered wall time; `criticality` attributes the decision to
   /// its class family. Returns the latency bin the decision landed in so
@@ -154,6 +159,7 @@ class MetricsRegistry {
     std::atomic<std::uint64_t> degraded_rejected{0};
     std::atomic<std::int64_t> queue_depth{0};
     std::atomic<std::uint64_t> peak_queue_depth{0};
+    std::atomic<std::uint64_t> schedule_held_placements{0};
     // Single-writer (the shard consumer): plain load+store suffices.
     std::atomic<double> accepted_volume{0.0};
     std::atomic<double> rejected_volume{0.0};

@@ -283,6 +283,9 @@ void Shard::worker_loop() {
         heartbeat_.fetch_add(1, std::memory_order_relaxed);
       }
       if (wal_) wal_->sync_batch();
+      // Bound the held schedule by the live commitments: one
+      // partition_point per machine, no allocation.
+      metrics_.on_schedule_held(index_, runner_->settle());
       SLACKSCHED_FAULT_CRASH_POINT(config_.faults, FaultSite::kWorkerPanic,
                                    index_);
       // Elastic control: one observation + at most one applied resize per

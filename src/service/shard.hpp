@@ -5,8 +5,13 @@
 /// literally the same code path as run_online (decision recording,
 /// commitment-legality check, halt-on-violation rule) — so a single-shard
 /// gateway is byte-identical to the sequential engine. With decision
-/// recording disabled the consumer loop accumulates metrics reserve-free
-/// and allocation-free outside the committed schedule.
+/// recording disabled (the default) the consumer loop accumulates metrics
+/// reserve-free and allocation-free outside the committed schedule, and
+/// after every consumed batch it settles that schedule
+/// (StreamingRunner::settle): the placements a shard holds are bounded by
+/// its live commitments, not by its history. The aggregates (job count,
+/// volume, makespan, frontiers) keep counting the whole run; the commit log
+/// keeps every placement.
 ///
 /// Crash safety (optional, enabled by ShardConfig::wal_path): every
 /// accepted commitment is appended to a per-shard commit log *before* it is
@@ -60,9 +65,10 @@ using ShardDecisionCallback = std::function<void(
 struct ShardConfig {
   std::size_t queue_capacity = 4096;
   std::size_t batch_size = 256;
-  /// Record per-job DecisionRecords (disable for multi-million-job benches
-  /// where only metrics and the committed schedule matter).
-  bool record_decisions = true;
+  /// Record per-job DecisionRecords in the shard's RunResult. Off by
+  /// default: the log grows with history, and a decision already leaves
+  /// the shard through on_decision, the trace ring and the WAL.
+  bool record_decisions = false;
   /// Longest the worker sleeps on an empty queue before waking to publish
   /// a heartbeat; must stay well below the supervisor's stall threshold.
   std::chrono::milliseconds pop_timeout{50};

@@ -118,7 +118,6 @@ int run_leader(int argc, char** argv) {
   config.shards = 1;
   config.queue_capacity = 512;
   config.batch_size = 32;
-  config.record_decisions = false;
   config.wal_dir = wal_dir;
   config.fault_injector = &injector;
   config.replication.emplace();
@@ -172,7 +171,6 @@ int run_promote(int argc, char** argv) {
   config.shards = shards;
   config.queue_capacity = 512;
   config.batch_size = 32;
-  config.record_decisions = false;
   config.wal_dir = wal_dir;
 
   repl::PromotionResult promoted =

@@ -72,7 +72,6 @@ GatewayConfig leader_config(const std::string& wal_dir, int shards = 1) {
   config.queue_capacity = 1024;
   config.batch_size = 64;
   config.wal_dir = wal_dir;
-  config.record_decisions = false;
   return config;
 }
 

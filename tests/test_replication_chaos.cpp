@@ -205,7 +205,6 @@ TEST(ReplicationChaos, KilledLeaderNeverLosesAnAckedCommitment) {
         GatewayConfig promoted_config;
         promoted_config.shards = 1;
         promoted_config.queue_capacity = 512;
-        promoted_config.record_decisions = false;
         promoted_config.wal_dir = replica_config.dir;
         PromotionResult promoted =
             promote_replica(promoted_config, threshold_factory());
@@ -236,7 +235,6 @@ TEST(ReplicationChaos, FollowerKilledMidPromotionPromotesAgain) {
     GatewayConfig config;
     config.shards = 2;
     config.queue_capacity = 512;
-    config.record_decisions = false;
     config.wal_dir = dir;
     AdmissionGateway gateway(config, threshold_factory());
     for (JobId id = 1; id <= 120; ++id) {
@@ -266,7 +264,6 @@ TEST(ReplicationChaos, FollowerKilledMidPromotionPromotesAgain) {
   GatewayConfig config;
   config.shards = 2;
   config.queue_capacity = 512;
-  config.record_decisions = false;
   config.wal_dir = dir;
   PromotionResult promoted = promote_replica(config, threshold_factory());
   ASSERT_TRUE(promoted.ok) << promoted.error;

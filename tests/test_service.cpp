@@ -9,14 +9,19 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <new>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "baselines/greedy.hpp"
+#include "core/threshold.hpp"
 #include "sched/validator.hpp"
 #include "service/gateway.hpp"
+#include "support/gateway_capture.hpp"
 #include "workload/generators.hpp"
 
 // Counting global operator new for Gateway.SteadyStateIngestDoesNotAllocate:
@@ -314,6 +319,8 @@ TEST(Gateway, HashRoutedShardsProcessEverything) {
   config.shards = 4;
   config.routing = RoutingPolicy::kHash;
   config.queue_capacity = std::bit_ceil(instance.size());  // no shedding here
+  ShardDecisionLogs logs;
+  capture_decisions(config, logs);
   AdmissionGateway gateway(
       config, [](int) { return std::make_unique<GreedyScheduler>(2); });
 
@@ -326,14 +333,29 @@ TEST(Gateway, HashRoutedShardsProcessEverything) {
   EXPECT_EQ(result.merged.submitted, instance.size());
   EXPECT_EQ(result.merged.accepted + result.merged.rejected, instance.size());
 
-  // Each shard's committed schedule is independently legal against the
-  // merged instance (placed jobs are a subset with identical parameters).
-  std::size_t decisions = 0;
-  for (const RunResult& shard : result.shards) {
-    EXPECT_TRUE(validate_schedule(instance, shard.schedule).ok);
-    decisions += shard.decisions.size();
+  // Each shard's full schedule, rebuilt from the decisions it notified, is
+  // independently legal against the merged instance (placed jobs are a
+  // subset with identical parameters), and the shard still holds its tail.
+  ASSERT_EQ(logs.size(), result.shards.size());
+  for (std::size_t s = 0; s < logs.size(); ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    Schedule rebuilt(2);
+    for (const DecisionRecord& record : logs[s]) {
+      if (!record.decision.accepted) continue;
+      rebuilt.commit(record.job, record.decision.machine,
+                     record.decision.start);
+    }
+    EXPECT_TRUE(validate_schedule(instance, rebuilt).ok);
+    expect_held_suffix(result.shards[s].schedule, rebuilt);
   }
-  EXPECT_EQ(decisions, instance.size());  // every job decided exactly once
+  // Every job decided exactly once, as notified through on_decision.
+  std::set<JobId> decided;
+  for (const auto& log : logs) {
+    for (const DecisionRecord& record : log) {
+      EXPECT_TRUE(decided.insert(record.job.id).second) << record.job.id;
+    }
+  }
+  EXPECT_EQ(decided.size(), instance.size());
 
   // The live registry agrees with the merged engine metrics.
   EXPECT_EQ(result.metrics.total.submitted, result.merged.submitted);
@@ -379,6 +401,90 @@ TEST(Gateway, ConcurrentProducersAccountForEveryJob) {
   EXPECT_EQ(enqueued + shed, kProducers * kPerProducer);
   EXPECT_EQ(result.merged.submitted, enqueued.load());
   EXPECT_EQ(result.metrics.total.backpressure_rejected, shed.load());
+}
+
+// ---------- gateway: live state is bounded by the live commitments ----------
+
+TEST(Gateway, SettlingBoundsHeldPlacementsOverAMultiMillionJobStream) {
+  // The overload stream replayed in chunks with shifted releases: 2^21 jobs
+  // through 2 hash shards of 8 machines running Threshold. The live bound:
+  // a shard settles at the release h it fed last, and then holds only
+  // placements completing after h. Every deadline is r + (1 + eps) p, so
+  // they all complete by h + (1 + eps) p_max; on each machine at most one
+  // straddles h and the rest fit in that window at >= p_min each. Without
+  // settling each shard holds every acceptance (about 380k here).
+  constexpr double kEps = 0.1;
+  constexpr int kMachines = 8;
+  constexpr std::size_t kChunkJobs = std::size_t{1} << 16;
+  constexpr std::size_t kChunks = 32;
+  WorkloadConfig wconfig = scenario("overload", kEps, 7);
+  wconfig.n = kChunkJobs;
+  const Instance base = generate_workload(wconfig);
+  const std::size_t live_bound = static_cast<std::size_t>(
+      kMachines * (1 + std::floor((1.0 + kEps) * wconfig.size_max /
+                                  wconfig.size_min)));
+  const double span = std::ceil(base.jobs().back().release) + 1.0;
+
+  GatewayConfig config;
+  config.shards = 2;
+  config.routing = RoutingPolicy::kHash;
+  AdmissionGateway gateway(config, [=](int) {
+    return std::make_unique<ThresholdScheduler>(kEps, kMachines);
+  });
+
+  constexpr std::size_t kSlice = 256;
+  std::vector<Job> chunk(base.jobs().begin(), base.jobs().end());
+  std::vector<Job> pending;
+  std::vector<Outcome> statuses;
+  std::size_t peak_held = 0;
+  for (std::size_t c = 0; c < kChunks; ++c) {
+    const double shift = span * static_cast<double>(c);
+    for (std::size_t i = 0; i < chunk.size(); ++i) {
+      chunk[i].id = base[i].id + static_cast<JobId>(c * kChunkJobs);
+      chunk[i].release = base[i].release + shift;
+      chunk[i].deadline = base[i].deadline + shift;
+    }
+    // Resubmitting a slice's queue-full tail before moving on keeps every
+    // shard's feed in release order.
+    for (std::size_t at = 0; at < chunk.size(); at += kSlice) {
+      pending.assign(chunk.begin() + static_cast<std::ptrdiff_t>(at),
+                     chunk.begin() + static_cast<std::ptrdiff_t>(std::min(
+                                         at + kSlice, chunk.size())));
+      while (!pending.empty()) {
+        statuses.assign(pending.size(), Outcome::kEnqueued);
+        (void)gateway.submit_batch(pending, statuses);
+        std::size_t kept = 0;
+        for (std::size_t i = 0; i < pending.size(); ++i) {
+          if (statuses[i] == Outcome::kRejectedQueueFull) {
+            pending[kept++] = pending[i];
+          } else {
+            ASSERT_EQ(statuses[i], Outcome::kEnqueued);
+          }
+        }
+        pending.resize(kept);
+        if (kept > 0) std::this_thread::yield();
+      }
+    }
+    const MetricsSnapshot snap = gateway.metrics_snapshot();
+    for (std::size_t s = 0; s < snap.shards.size(); ++s) {
+      EXPECT_LE(snap.shards[s].schedule_held_placements, live_bound)
+          << "chunk " << c << " shard " << s;
+      peak_held = std::max(peak_held, snap.shards[s].schedule_held_placements);
+    }
+  }
+
+  const GatewayResult result = gateway.finish();
+  EXPECT_TRUE(result.clean()) << result.first_violation();
+  EXPECT_EQ(result.merged.submitted, kChunks * kChunkJobs);
+  EXPECT_GT(result.merged.accepted, kChunks * kChunkJobs / 4);
+  EXPECT_GT(peak_held, 0u);
+  for (std::size_t s = 0; s < result.shards.size(); ++s) {
+    const Schedule& schedule = result.shards[s].schedule;
+    const std::size_t held = schedule.all_placements().size();
+    EXPECT_LE(held, live_bound) << "shard " << s;
+    EXPECT_EQ(held, result.metrics.shards[s].schedule_held_placements);
+    EXPECT_EQ(schedule.job_count(), result.shards[s].metrics.accepted);
+  }
 }
 
 // ---------- gateway: commitment violations ----------

@@ -3,7 +3,9 @@
 // — to run_online on the same instance, for every immediate-commitment
 // algorithm. This pins the gateway to the engine semantics the paper's
 // guarantees are proved against: sharding may partition the stream, but it
-// must never change what a shard decides.
+// must never change what a shard decides. Decisions are read where
+// production reads them (GatewayConfig::on_decision); a shard's settled
+// schedule must be the live tail of the engine's full one.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -17,9 +19,11 @@
 #include "baselines/greedy.hpp"
 #include "baselines/random_admission.hpp"
 #include "core/threshold.hpp"
+#include "models/delta_commit.hpp"
 #include "sched/engine.hpp"
 #include "service/gateway.hpp"
 #include "service/recovery.hpp"
+#include "support/gateway_capture.hpp"
 #include "workload/generators.hpp"
 
 namespace slacksched {
@@ -34,29 +38,47 @@ Instance test_instance(std::size_t n, std::uint64_t seed) {
   return generate_workload(config);
 }
 
+/// Decision logs must agree entry for entry.
+void expect_same_log(const std::vector<DecisionRecord>& actual,
+                     const std::vector<DecisionRecord>& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(actual[i].job, expected[i].job) << "decision " << i;
+    EXPECT_EQ(actual[i].decision, expected[i].decision) << "decision " << i;
+  }
+}
+
+/// A finished gateway run with the decisions its shards notified.
+struct GatewayRun {
+  GatewayResult result;
+  ShardDecisionLogs decisions;
+};
+
 /// Replays `instance` through a 1-shard round-robin gateway.
-GatewayResult run_single_shard(const ShardSchedulerFactory& factory,
-                               const Instance& instance) {
+GatewayRun run_single_shard(const ShardSchedulerFactory& factory,
+                            const Instance& instance,
+                            std::size_t batch_size = 256) {
+  GatewayRun run;
   GatewayConfig config;
   config.shards = 1;
   config.routing = RoutingPolicy::kRoundRobin;
+  config.batch_size = batch_size;
   // Capacity >= n: this test is about decisions, not shedding.
   config.queue_capacity = std::bit_ceil(instance.size());
+  capture_decisions(config, run.decisions);
   AdmissionGateway gateway(config, factory);
   EXPECT_EQ(gateway.submit_batch(instance.jobs()).enqueued, instance.size());
-  return gateway.finish();
+  run.result = gateway.finish();
+  return run;
 }
 
-void expect_identical(const RunResult& engine, const GatewayResult& gateway) {
+void expect_identical(const RunResult& engine, const GatewayRun& run) {
+  const GatewayResult& gateway = run.result;
   ASSERT_EQ(gateway.shards.size(), 1u);
   const RunResult& shard = gateway.shards[0];
 
   // Decisions: same jobs, same verdicts, same machines, same start times.
-  ASSERT_EQ(shard.decisions.size(), engine.decisions.size());
-  for (std::size_t i = 0; i < engine.decisions.size(); ++i) {
-    EXPECT_EQ(shard.decisions[i].job, engine.decisions[i].job);
-    EXPECT_EQ(shard.decisions[i].decision, engine.decisions[i].decision);
-  }
+  expect_same_log(run.decisions[0], engine.decisions);
 
   // Metrics: byte-identical counters and objective (exact double equality
   // on purpose — both paths must execute the same arithmetic in the same
@@ -69,10 +91,10 @@ void expect_identical(const RunResult& engine, const GatewayResult& gateway) {
   EXPECT_EQ(shard.metrics.makespan, engine.metrics.makespan);
   EXPECT_EQ(gateway.merged.accepted_volume, engine.metrics.accepted_volume);
 
-  // Committed schedules agree placement for placement.
-  EXPECT_EQ(shard.schedule.total_volume(), engine.schedule.total_volume());
-  EXPECT_EQ(shard.schedule.job_count(), engine.schedule.job_count());
-  EXPECT_EQ(shard.schedule.makespan(), engine.schedule.makespan());
+  // Committed schedules agree placement for placement: the shard holds
+  // the live tail of the engine's schedule, and the aggregates cover the
+  // whole run.
+  expect_held_suffix(shard.schedule, engine.schedule);
 
   // Cleanliness matches.
   EXPECT_EQ(shard.commitment_violation, engine.commitment_violation);
@@ -90,7 +112,7 @@ TEST(ServiceEquivalence, ThresholdMatchesEngine) {
   ThresholdScheduler reference(0.1, 4);
   const RunResult engine = run_online(reference, instance);
   ASSERT_TRUE(engine.clean());
-  const GatewayResult gateway = run_single_shard(
+  const GatewayRun gateway = run_single_shard(
       [](int) { return std::make_unique<ThresholdScheduler>(0.1, 4); },
       instance);
   expect_identical(engine, gateway);
@@ -101,7 +123,7 @@ TEST(ServiceEquivalence, GreedyMatchesEngine) {
   GreedyScheduler reference(3);
   const RunResult engine = run_online(reference, instance);
   ASSERT_TRUE(engine.clean());
-  const GatewayResult gateway = run_single_shard(
+  const GatewayRun gateway = run_single_shard(
       [](int) { return std::make_unique<GreedyScheduler>(3); }, instance);
   expect_identical(engine, gateway);
 }
@@ -113,12 +135,35 @@ TEST(ServiceEquivalence, RandomAdmissionMatchesEngine) {
   RandomAdmissionScheduler reference(2, 0.5, 99);
   const RunResult engine = run_online(reference, instance);
   ASSERT_TRUE(engine.clean());
-  const GatewayResult gateway = run_single_shard(
+  const GatewayRun gateway = run_single_shard(
       [](int) {
         return std::make_unique<RandomAdmissionScheduler>(2, 0.5, 99);
       },
       instance);
   expect_identical(engine, gateway);
+}
+
+TEST(ServiceEquivalence, DeltaCommitmentMatchesEngineWhileSettling) {
+  // Deferred jobs resolve in later drains, across the batch boundaries the
+  // shard settles at (small batches settle often): the resolution stream,
+  // the metrics and the schedule's live tail still match run_online.
+  const Instance instance = test_instance(2000, 29);
+  for (const bool on_admission : {false, true}) {
+    SCOPED_TRACE(on_admission ? "on admission" : "delta");
+    DeltaCommitConfig delta;
+    delta.machines = 3;
+    delta.delta = 0.5;
+    delta.commit_on_admission = on_admission;
+    DeltaCommitScheduler reference(delta);
+    const RunResult engine = run_online(reference, instance);
+    ASSERT_TRUE(engine.clean());
+    const GatewayRun gateway = run_single_shard(
+        [delta](int) { return std::make_unique<DeltaCommitScheduler>(delta); },
+        instance, /*batch_size=*/16);
+    expect_identical(engine, gateway);
+    EXPECT_LT(gateway.result.shards[0].schedule.all_placements().size(),
+              engine.schedule.job_count());
+  }
 }
 
 TEST(ServiceEquivalence, ShardedRunIsReproducible) {
@@ -127,30 +172,31 @@ TEST(ServiceEquivalence, ShardedRunIsReproducible) {
   // contract).
   const Instance instance = test_instance(3000, 24);
   const auto run_once = [&instance] {
+    GatewayRun run;
     GatewayConfig config;
     config.shards = 4;
     config.routing = RoutingPolicy::kHash;
     config.queue_capacity = std::bit_ceil(instance.size());
+    capture_decisions(config, run.decisions);
     AdmissionGateway gateway(
         config, [](int) { return std::make_unique<GreedyScheduler>(2); });
     EXPECT_EQ(gateway.submit_batch(instance.jobs()).enqueued,
               instance.size());
-    return gateway.finish();
+    run.result = gateway.finish();
+    return run;
   };
-  const GatewayResult a = run_once();
-  const GatewayResult b = run_once();
-  ASSERT_EQ(a.shards.size(), b.shards.size());
-  for (std::size_t s = 0; s < a.shards.size(); ++s) {
-    ASSERT_EQ(a.shards[s].decisions.size(), b.shards[s].decisions.size());
-    for (std::size_t i = 0; i < a.shards[s].decisions.size(); ++i) {
-      EXPECT_EQ(a.shards[s].decisions[i].job, b.shards[s].decisions[i].job);
-      EXPECT_EQ(a.shards[s].decisions[i].decision,
-                b.shards[s].decisions[i].decision);
-    }
-    EXPECT_EQ(a.shards[s].metrics.accepted_volume,
-              b.shards[s].metrics.accepted_volume);
+  const GatewayRun a = run_once();
+  const GatewayRun b = run_once();
+  ASSERT_EQ(a.result.shards.size(), b.result.shards.size());
+  std::size_t decided = 0;
+  for (std::size_t s = 0; s < a.result.shards.size(); ++s) {
+    expect_same_log(b.decisions[s], a.decisions[s]);
+    decided += a.decisions[s].size();
+    EXPECT_EQ(a.result.shards[s].metrics.accepted_volume,
+              b.result.shards[s].metrics.accepted_volume);
   }
-  EXPECT_EQ(a.merged.accepted_volume, b.merged.accepted_volume);
+  EXPECT_EQ(decided, instance.size());
+  EXPECT_EQ(a.result.merged.accepted_volume, b.result.merged.accepted_volume);
 }
 
 TEST(ServiceEquivalence, RoundRobinPartitionCoversTheStream) {
@@ -162,12 +208,14 @@ TEST(ServiceEquivalence, RoundRobinPartitionCoversTheStream) {
   config.shards = 3;
   config.routing = RoutingPolicy::kRoundRobin;
   config.queue_capacity = std::bit_ceil(instance.size());
+  ShardDecisionLogs logs;
+  capture_decisions(config, logs);
   AdmissionGateway gateway(
       config, [](int) { return std::make_unique<GreedyScheduler>(2); });
   EXPECT_EQ(gateway.submit_batch(instance.jobs()).enqueued, instance.size());
-  const GatewayResult result = gateway.finish();
+  (void)gateway.finish();
   for (std::size_t s = 0; s < 3; ++s) {
-    const auto& decisions = result.shards[s].decisions;
+    const auto& decisions = logs[s];
     ASSERT_FALSE(decisions.empty());
     for (std::size_t i = 0; i < decisions.size(); ++i) {
       EXPECT_EQ(decisions[i].job, instance[s + 3 * i]);
@@ -194,20 +242,26 @@ TEST(ServiceEquivalence, WalBackedShardMatchesEngineByteForByte) {
   config.queue_capacity = std::bit_ceil(instance.size());
   config.wal_dir = dir;
   config.wal_fsync = FsyncPolicy::kEveryCommit;
+  GatewayRun run;
+  capture_decisions(config, run.decisions);
   AdmissionGateway gateway(config, [](int) {
     return std::make_unique<ThresholdScheduler>(0.1, 4);
   });
   EXPECT_EQ(gateway.submit_batch(instance.jobs()).enqueued, instance.size());
-  const GatewayResult result = gateway.finish();
-  expect_identical(engine, result);
+  run.result = gateway.finish();
+  expect_identical(engine, run);
 
+  // The log keeps what the shard settled: its replay is the engine's full
+  // schedule, and the shard holds that schedule's live tail.
   const RecoveryResult replayed =
       recover_commit_log(dir + "/shard-0.wal", 4);
   ASSERT_TRUE(replayed.ok) << replayed.error;
   EXPECT_TRUE(replayed.clean());
   EXPECT_EQ(replayed.records_replayed, engine.metrics.accepted);
-  EXPECT_EQ(replayed.schedule.total_volume(), engine.schedule.total_volume());
-  EXPECT_EQ(replayed.schedule.makespan(), engine.schedule.makespan());
+  expect_held_suffix(replayed.schedule, engine.schedule);
+  EXPECT_EQ(replayed.schedule.all_placements().size(),
+            engine.schedule.job_count());
+  expect_held_suffix(run.result.shards[0].schedule, replayed.schedule);
   std::filesystem::remove_all(dir);
 }
 
@@ -235,6 +289,7 @@ TEST(ServiceEquivalence, RoutingSurvivesAFailoverAndRecoveryRoundTrip) {
   // perturbation of the partition.
   const Instance instance = test_instance(2000, 28);
   const auto run_once = [&instance](bool bounce_shard) {
+    GatewayRun run;
     const std::string dir = ::testing::TempDir() + "slacksched_equiv_bounce" +
                             (bounce_shard ? "_b" : "_a");
     std::filesystem::remove_all(dir);
@@ -245,6 +300,7 @@ TEST(ServiceEquivalence, RoutingSurvivesAFailoverAndRecoveryRoundTrip) {
     config.queue_capacity = std::bit_ceil(instance.size());
     config.wal_dir = dir;
     config.supervisor.enabled = false;  // manual force_* only
+    capture_decisions(config, run.decisions);
     AdmissionGateway gateway(
         config, [](int) { return std::make_unique<GreedyScheduler>(2); });
     if (bounce_shard) {
@@ -264,27 +320,25 @@ TEST(ServiceEquivalence, RoutingSurvivesAFailoverAndRecoveryRoundTrip) {
     }
     EXPECT_EQ(gateway.submit_batch(instance.jobs()).enqueued,
               instance.size());
-    GatewayResult result = gateway.finish();
+    run.result = gateway.finish();
     std::filesystem::remove_all(dir);
-    return result;
+    return run;
   };
 
-  const GatewayResult plain = run_once(false);
-  const GatewayResult bounced = run_once(true);
-  ASSERT_EQ(plain.shards.size(), bounced.shards.size());
-  for (std::size_t s = 0; s < plain.shards.size(); ++s) {
-    ASSERT_EQ(plain.shards[s].decisions.size(),
-              bounced.shards[s].decisions.size())
-        << "shard " << s << " received a different job subset";
-    for (std::size_t i = 0; i < plain.shards[s].decisions.size(); ++i) {
-      EXPECT_EQ(plain.shards[s].decisions[i].job,
-                bounced.shards[s].decisions[i].job);
-      EXPECT_EQ(plain.shards[s].decisions[i].decision,
-                bounced.shards[s].decisions[i].decision);
-    }
+  const GatewayRun plain = run_once(false);
+  const GatewayRun bounced = run_once(true);
+  ASSERT_EQ(plain.result.shards.size(), bounced.result.shards.size());
+  std::size_t decided = 0;
+  for (std::size_t s = 0; s < plain.result.shards.size(); ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    expect_same_log(bounced.decisions[s], plain.decisions[s]);
+    decided += plain.decisions[s].size();
   }
-  EXPECT_EQ(plain.merged.accepted_volume, bounced.merged.accepted_volume);
-  EXPECT_EQ(bounced.metrics.total.failovers, 0u);  // nothing was rerouted
+  EXPECT_EQ(decided, instance.size());
+  EXPECT_EQ(plain.result.merged.accepted_volume,
+            bounced.result.merged.accepted_volume);
+  // Nothing was rerouted.
+  EXPECT_EQ(bounced.result.metrics.total.failovers, 0u);
 }
 
 }  // namespace
