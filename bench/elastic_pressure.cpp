@@ -230,7 +230,7 @@ DrainStats bench_shrink_drain(const std::string& dir) {
   shard.join();
 
   DrainStats stats;
-  stats.final_active = shard.scheduler().active_machines();
+  stats.final_active = shard.elastic_pool()->active_machines();
 
   // Count the control records straight off the log.
   {
@@ -256,7 +256,8 @@ DrainStats bench_shrink_drain(const std::string& dir) {
   const RecoveryResult replayed = recover_commit_log(
       wal, kInitialMachines, &fresh, /*truncate_file=*/false);
   stats.records_replayed = replayed.records_replayed;
-  stats.replay_active = replayed.ok ? fresh.active_machines() : -1;
+  stats.replay_active =
+      replayed.ok ? fresh.elastic_pool()->active_machines() : -1;
   stats.replay_matches =
       replayed.ok && stats.replay_active == stats.final_active;
   return stats;
@@ -312,7 +313,7 @@ double run_shard_once(const std::vector<Job>& jobs, bool elastic,
   shard.join();
   const double seconds = seconds_since(t0);
   if (resizes != nullptr) {
-    *resizes += std::abs(shard.scheduler().active_machines() - 4);
+    *resizes += std::abs(shard.elastic_pool()->active_machines() - 4);
     *resizes += std::abs(shard.scheduler().machines() - 4);
   }
   return seconds;

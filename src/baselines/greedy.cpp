@@ -1,6 +1,6 @@
 #include "baselines/greedy.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "common/expects.hpp"
 
@@ -19,24 +19,23 @@ std::string to_string(GreedyPolicy policy) {
 }
 
 GreedyScheduler::GreedyScheduler(int machines, GreedyPolicy policy)
-    : machines_(machines), policy_(policy), frontier_(machines) {
+    : policy_(policy), frontier_(machines) {
   SLACKSCHED_EXPECTS(machines >= 1);
 }
 
 GreedyScheduler::GreedyScheduler(SpeedProfile speeds, GreedyPolicy policy)
-    : machines_(speeds.machines()),
-      policy_(policy),
+    : policy_(policy),
       frontier_(speeds.machines(), speeds.speeds()) {
   if (!speeds.uniform()) profile_ = std::move(speeds);
 }
 
-int GreedyScheduler::machines() const { return machines_; }
+int GreedyScheduler::machines() const { return frontier_.size(); }
 
 void GreedyScheduler::reset() { frontier_.reset(); }
 
 std::string GreedyScheduler::name() const {
   std::string n = "Greedy[" + to_string(policy_) +
-                  "](m=" + std::to_string(machines_) + ")";
+                  "](m=" + std::to_string(machines()) + ")";
   if (profile_) n.append("[").append(profile_->label()).append("]");
   return n;
 }
@@ -47,61 +46,11 @@ const SpeedProfile* GreedyScheduler::speed_profile() const {
 
 bool GreedyScheduler::restore_commitment(const Job& job, int machine,
                                          TimePoint start) {
-  if (machine < 0 || machine >= machines_) return false;
-  frontier_.update(machine,
-                   std::max(frontier_.frontier(machine),
-                            start + frontier_.exec_time(machine, job.proc)));
-  return true;
+  return frontier_.restore(machine, start, job.proc);
 }
 
-bool GreedyScheduler::supports_elastic() const {
-  return frontier_.uniform_speeds();
-}
-
-int GreedyScheduler::active_machines() const {
-  return frontier_.active_machines();
-}
-
-int GreedyScheduler::add_machine() {
-  if (!supports_elastic()) return -1;
-  const int machine = frontier_.add_machine();
-  machines_ = frontier_.size();
-  return machine;
-}
-
-bool GreedyScheduler::begin_retire(int machine) {
-  if (!supports_elastic()) return false;
-  if (machine < 0 || machine >= machines_) return false;
-  if (!frontier_.is_active(machine)) return false;
-  if (frontier_.active_machines() <= 1) return false;
-  frontier_.begin_retire(machine);
-  return true;
-}
-
-bool GreedyScheduler::retire_drained(int machine, TimePoint now) const {
-  if (machine < 0 || machine >= machines_) return false;
-  return frontier_.retire_drained(machine, now);
-}
-
-bool GreedyScheduler::finish_retire(int machine) {
-  if (machine < 0 || machine >= machines_) return false;
-  if (!frontier_.is_retiring(machine)) return false;
-  frontier_.finish_retire(machine);
-  return true;
-}
-
-bool GreedyScheduler::is_retiring(int machine) const {
-  if (machine < 0 || machine >= machines_) return false;
-  return frontier_.is_retiring(machine);
-}
-
-int GreedyScheduler::retire_candidate() const {
-  if (!supports_elastic()) return -1;
-  return frontier_.retire_candidate();
-}
-
-int GreedyScheduler::busy_machines(TimePoint now) const {
-  return frontier_.first_position_not_above(now);
+FrontierSet* GreedyScheduler::elastic_pool() {
+  return frontier_.uniform_speeds() ? &frontier_ : nullptr;
 }
 
 Decision GreedyScheduler::on_arrival(const Job& job) {
@@ -119,7 +68,7 @@ Decision GreedyScheduler::on_arrival(const Job& job) {
     case GreedyPolicy::kFirstFit:
       // First fit is inherently an index-order question; the early-exit
       // scan stops at the first feasible machine (usually machine 0).
-      for (int i = 0; i < machines_; ++i) {
+      for (int i = 0; i < frontier_.size(); ++i) {
         if (!frontier_.is_active(i)) continue;
         const Duration load = frontier_.load(i, t);
         if (approx_le(t + load + frontier_.exec_time(i, job.proc),

@@ -11,7 +11,10 @@
 /// feasible machine, least-loaded is an O(1) feasibility check at the tail
 /// of the maintained order, and first fit is an early-exit index scan. The
 /// decision streams are pinned byte-identical to the seed linear-scan
-/// implementation (tests/support/greedy_reference.hpp).
+/// implementation (tests/support/greedy_reference.hpp). On identical
+/// machines the same FrontierSet is the elastic pool (elastic_pool()):
+/// the scheduler keeps no pool state of its own, so a resize needs nothing
+/// from it.
 #pragma once
 
 #include <optional>
@@ -53,21 +56,12 @@ class GreedyScheduler final : public OnlineScheduler {
   bool restore_commitment(const Job& job, int machine,
                           TimePoint start) override;
 
-  /// Elastic capacity: supported on identical machines. Greedy has no
-  /// solved parameters to refresh, so a resize is purely a FrontierSet
+  /// The frontiers on identical machines; nullptr under a speed profile.
+  /// Greedy has no solved parameters, so a resize is purely a FrontierSet
   /// mutation.
-  [[nodiscard]] bool supports_elastic() const override;
-  [[nodiscard]] int active_machines() const override;
-  int add_machine() override;
-  bool begin_retire(int machine) override;
-  [[nodiscard]] bool retire_drained(int machine, TimePoint now) const override;
-  bool finish_retire(int machine) override;
-  [[nodiscard]] bool is_retiring(int machine) const override;
-  [[nodiscard]] int retire_candidate() const override;
-  [[nodiscard]] int busy_machines(TimePoint now) const override;
+  [[nodiscard]] FrontierSet* elastic_pool() override;
 
  private:
-  int machines_;
   GreedyPolicy policy_;
   /// Engaged only for a heterogeneous profile.
   std::optional<SpeedProfile> profile_;

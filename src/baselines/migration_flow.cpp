@@ -1,7 +1,6 @@
 #include "baselines/migration_flow.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/expects.hpp"
 #include "offline/feasibility.hpp"
@@ -32,58 +31,39 @@ void fluid_execute(std::vector<RemainingJob>& fragments, int machines,
   // intervals past `until` are also modelled so the witness proves the
   // remainder feasible.
   std::vector<TimePoint> events{now, until};
+  std::vector<FlowJob> jobs;
+  jobs.reserve(fragments.size());
+  double demand = 0.0;
   for (const RemainingJob& f : fragments) {
     if (f.deadline > now + kTimeEps) events.push_back(f.deadline);
+    jobs.push_back({f.remaining, now, f.deadline});
+    demand += f.remaining;
   }
-  std::sort(events.begin(), events.end());
-  events.erase(
-      std::unique(events.begin(), events.end(),
-                  [](TimePoint a, TimePoint b) { return approx_eq(a, b); }),
-      events.end());
-
-  const std::size_t n = fragments.size();
-  const std::size_t intervals = events.size() - 1;
-  const std::size_t source = 0;
-  const std::size_t sink = 1 + n + intervals;
-  MaxFlow flow(sink + 1);
-
-  // Edge handles for job -> interval edges, to read the witness back.
-  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> handles(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    flow.add_edge(source, 1 + i, fragments[i].remaining);
-  }
-  for (std::size_t v = 0; v < intervals; ++v) {
-    const Duration length = events[v + 1] - events[v];
-    flow.add_edge(1 + n + v, sink, machines * length);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (approx_le(events[v + 1], fragments[i].deadline)) {
-        handles[i].emplace_back(v, flow.add_edge(1 + i, 1 + n + v, length));
-      }
-    }
-  }
-  const double routed = flow.max_flow(source, sink);
-  double demand = 0.0;
-  for (const RemainingJob& f : fragments) demand += f.remaining;
+  make_event_grid(events);
+  IntervalFlow network(jobs, events, machines);
+  const double routed = network.max_flow();
   // The admitted set is feasible by the admission invariant.
   SLACKSCHED_ENSURES(routed >= demand - 1e-6 * (1.0 + demand));
 
   // Drain each fragment by its execution before `until`.
-  for (std::size_t i = 0; i < n; ++i) {
-    double executed = 0.0;
-    TimePoint last_active = now;
-    for (const auto& [interval, handle] : handles[i]) {
-      if (events[interval + 1] > until + kTimeEps) continue;
-      const double amount = flow.flow_on(handle);
-      if (amount > kFlowEps) {
-        executed += amount;
-        last_active = std::max(last_active, events[interval + 1]);
-      }
+  std::vector<double> executed(fragments.size(), 0.0);
+  std::vector<TimePoint> last_active(fragments.size(), now);
+  for (const IntervalFlow::JobEdge& edge : network.job_edges()) {
+    if (events[edge.interval + 1] > until + kTimeEps) continue;
+    const double amount = network.flow_on(edge);
+    if (amount > kFlowEps) {
+      executed[edge.job] += amount;
+      last_active[edge.job] =
+          std::max(last_active[edge.job], events[edge.interval + 1]);
     }
-    fragments[i].remaining = std::max(0.0, fragments[i].remaining - executed);
+  }
+  for (std::size_t i = 0; i < fragments.size(); ++i) {
+    fragments[i].remaining =
+        std::max(0.0, fragments[i].remaining - executed[i]);
     if (fragments[i].remaining <= 1e-7) {
       completions.push_back(
-          {fragments[i].id, last_active, fragments[i].deadline});
-      makespan = std::max(makespan, last_active);
+          {fragments[i].id, last_active[i], fragments[i].deadline});
+      makespan = std::max(makespan, last_active[i]);
       fragments[i].remaining = -1.0;  // mark for removal
     }
   }

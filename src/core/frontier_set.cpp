@@ -152,6 +152,13 @@ void FrontierSet::update(int machine, TimePoint value) {
   set_idle_bit(machine, value <= idle_watermark_);
 }
 
+bool FrontierSet::restore(int machine, TimePoint start, Duration proc) {
+  if (machine < 0 || machine >= machines_) return false;
+  update(machine,
+         std::max(frontier(machine), start + exec_time(machine, proc)));
+  return true;
+}
+
 int FrontierSet::first_position_not_above(TimePoint value) const {
   int lo = 0;
   int hi = active_;
@@ -328,8 +335,8 @@ bool FrontierSet::is_active(int machine) const {
 }
 
 bool FrontierSet::is_retiring(int machine) const {
-  SLACKSCHED_EXPECTS(machine >= 0 && machine < machines_);
-  return state_of(machine) == MachineState::kRetiring;
+  return machine >= 0 && machine < machines_ &&
+         state_of(machine) == MachineState::kRetiring;
 }
 
 void FrontierSet::ensure_states() {
@@ -392,12 +399,13 @@ int FrontierSet::add_machine() {
   return machine;
 }
 
-void FrontierSet::begin_retire(int machine) {
-  SLACKSCHED_EXPECTS(machine >= 0 && machine < machines_);
+bool FrontierSet::begin_retire(int machine) {
   SLACKSCHED_EXPECTS(speed_.empty());
-  SLACKSCHED_EXPECTS(active_ > 1);
+  if (machine < 0 || machine >= machines_ || active_ <= 1 ||
+      state_of(machine) != MachineState::kActive) {
+    return false;
+  }
   ensure_states();
-  SLACKSCHED_EXPECTS(state_of(machine) == MachineState::kActive);
   const int p = position_[static_cast<std::size_t>(machine)];
   order_.erase(order_.begin() + p);
   position_[static_cast<std::size_t>(machine)] = -1;
@@ -409,19 +417,19 @@ void FrontierSet::begin_retire(int machine) {
   state_[static_cast<std::size_t>(machine)] =
       static_cast<std::uint8_t>(MachineState::kRetiring);
   set_idle_bit(machine, false);
+  return true;
 }
 
 bool FrontierSet::retire_drained(int machine, TimePoint now) const {
-  SLACKSCHED_EXPECTS(machine >= 0 && machine < machines_);
-  return state_of(machine) == MachineState::kRetiring &&
+  return is_retiring(machine) &&
          frontier_[static_cast<std::size_t>(machine)] <= now;
 }
 
-void FrontierSet::finish_retire(int machine) {
-  SLACKSCHED_EXPECTS(machine >= 0 && machine < machines_);
-  SLACKSCHED_EXPECTS(state_of(machine) == MachineState::kRetiring);
+bool FrontierSet::finish_retire(int machine) {
+  if (!is_retiring(machine)) return false;
   state_[static_cast<std::size_t>(machine)] =
       static_cast<std::uint8_t>(MachineState::kRetired);
+  return true;
 }
 
 int FrontierSet::retire_candidate() const {

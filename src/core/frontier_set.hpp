@@ -46,6 +46,14 @@
 /// elastic mutations require uniform speeds (a grown machine has no
 /// defined speed otherwise) and may allocate; every query path stays
 /// allocation-free.
+///
+/// The set is the one owner of an elastic pool: a scheduler hands its
+/// FrontierSet out through OnlineScheduler::elastic_pool(), and the shard's
+/// control loop, WAL replay and drain rediscovery resize it directly. The
+/// frontiers are the only state a crash or a resize has to preserve, so
+/// the mutations that take a machine index from outside (a replayed WAL
+/// record) refuse an inapplicable one by returning false instead of
+/// asserting.
 #pragma once
 
 #include <cstdint>
@@ -121,6 +129,12 @@ class FrontierSet {
   /// binary-search find and a single rotate of the displaced range.
   void update(int machine, TimePoint frontier);
 
+  /// Replays one committed allocation (crash recovery): advances the
+  /// machine's frontier to the allocation's completion start + p / s_i
+  /// unless it already lies further. Returns false for a machine index
+  /// outside [0, size()).
+  bool restore(int machine, TimePoint start, Duration proc);
+
   /// First sorted position whose frontier is <= `value` (== size() when
   /// every frontier is larger). The suffix from this position holds the
   /// machines that are idle at time `value`.
@@ -155,7 +169,8 @@ class FrontierSet {
   /// True iff the machine is active (placeable).
   [[nodiscard]] bool is_active(int machine) const;
 
-  /// True iff the machine is draining toward retirement.
+  /// True iff the machine is draining toward retirement (false for an
+  /// index outside [0, size())).
   [[nodiscard]] bool is_retiring(int machine) const;
 
   /// Activates one machine and returns its index: the lowest-index retired
@@ -167,19 +182,21 @@ class FrontierSet {
 
   /// Marks an active machine retiring: it leaves the sorted order and the
   /// idle bitset, so no fit query can place new work on it, while its
-  /// frontier keeps draining. Requires uniform speeds, at least two active
-  /// machines, and the machine to be active.
-  void begin_retire(int machine);
+  /// frontier keeps draining. Requires uniform speeds. Returns false (and
+  /// changes nothing) for an index outside [0, size()), a machine that is
+  /// not active, or the last active machine.
+  bool begin_retire(int machine);
 
   /// True iff a retiring machine's frontier has fully drained at `now` —
   /// every commitment ever placed on it has completed, so retiring it
-  /// breaks nothing.
+  /// breaks nothing. False for an index outside [0, size()).
   [[nodiscard]] bool retire_drained(int machine, TimePoint now) const;
 
   /// Completes a retirement (the caller has observed retire_drained). The
   /// machine becomes retired: its drained frontier is kept and its index
-  /// parked for a future add_machine.
-  void finish_retire(int machine);
+  /// parked for a future add_machine. Returns false (and changes nothing)
+  /// for an index outside [0, size()) or a machine that is not retiring.
+  bool finish_retire(int machine);
 
   /// The machine begin_retire would drain fastest: the active machine at
   /// the last sorted position (minimum frontier; highest index among

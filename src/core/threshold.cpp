@@ -30,13 +30,13 @@ const SpeedProfile* ThresholdScheduler::speed_profile() const {
   return nullptr;
 }
 
-int ThresholdScheduler::machines() const { return config_.machines; }
+int ThresholdScheduler::machines() const { return frontier_.size(); }
 
 void ThresholdScheduler::reset() { frontier_.reset(); }
 
 std::string ThresholdScheduler::name() const {
   std::string n = "Threshold(eps=" + std::to_string(config_.eps) +
-                  ", m=" + std::to_string(config_.machines) + ")";
+                  ", m=" + std::to_string(machines()) + ")";
   if (config_.k_override) {
     n += "[k=" + std::to_string(*config_.k_override) + "]";
   }
@@ -47,11 +47,19 @@ std::string ThresholdScheduler::name() const {
 }
 
 std::vector<Duration> ThresholdScheduler::loads(TimePoint now) const {
-  std::vector<Duration> result(static_cast<std::size_t>(config_.machines));
-  for (int i = 0; i < config_.machines; ++i) {
+  std::vector<Duration> result(static_cast<std::size_t>(machines()));
+  for (int i = 0; i < machines(); ++i) {
     result[static_cast<std::size_t>(i)] = frontier_.load(i, now);
   }
   return result;
+}
+
+const RatioSolution& ThresholdScheduler::solution() const {
+  const int active = frontier_.active_machines();
+  if (solution_.m != active) {
+    solution_ = RatioFunction::solve(config_.eps, active);
+  }
+  return solution_;
 }
 
 TimePoint ThresholdScheduler::deadline_threshold(TimePoint now) const {
@@ -60,11 +68,12 @@ TimePoint ThresholdScheduler::deadline_threshold(TimePoint now) const {
   // load snapshot: scan the maintained order and stop at the first idle
   // machine — every later position has load 0 and contributes only `now`,
   // which d_lim already starts from.
+  const RatioSolution& sol = solution();
   TimePoint d_lim = now;  // with zero loads the threshold is `now`
-  for (int h = solution_.k; h <= frontier_.active_machines(); ++h) {
+  for (int h = sol.k; h <= sol.m; ++h) {
     const TimePoint frontier = frontier_.frontier_at(h - 1);
     if (frontier <= now) break;
-    d_lim = std::max(d_lim, now + (frontier - now) * solution_.f_at(h));
+    d_lim = std::max(d_lim, now + (frontier - now) * sol.f_at(h));
   }
   return d_lim;
 }
@@ -104,69 +113,12 @@ Decision ThresholdScheduler::on_arrival(const Job& job) {
 
 bool ThresholdScheduler::restore_commitment(const Job& job, int machine,
                                             TimePoint start) {
-  if (machine < 0 || machine >= frontier_.size()) return false;
-  frontier_.update(machine,
-                   std::max(frontier_.frontier(machine),
-                            start + frontier_.exec_time(machine, job.proc)));
-  return true;
+  return frontier_.restore(machine, start, job.proc);
 }
 
-bool ThresholdScheduler::supports_elastic() const {
-  // The ratio recursion is re-solved per resize, which is only meaningful
-  // on identical machines with the paper's own k (a forced k may not even
-  // exist for a different machine count).
-  return frontier_.uniform_speeds() && !config_.k_override;
-}
-
-int ThresholdScheduler::active_machines() const {
-  return frontier_.active_machines();
-}
-
-int ThresholdScheduler::add_machine() {
-  if (!supports_elastic()) return -1;
-  const int machine = frontier_.add_machine();
-  config_.machines = frontier_.size();
-  solution_ =
-      RatioFunction::solve(config_.eps, frontier_.active_machines());
-  return machine;
-}
-
-bool ThresholdScheduler::begin_retire(int machine) {
-  if (!supports_elastic()) return false;
-  if (machine < 0 || machine >= frontier_.size()) return false;
-  if (!frontier_.is_active(machine)) return false;
-  if (frontier_.active_machines() <= 1) return false;
-  frontier_.begin_retire(machine);
-  solution_ =
-      RatioFunction::solve(config_.eps, frontier_.active_machines());
-  return true;
-}
-
-bool ThresholdScheduler::retire_drained(int machine, TimePoint now) const {
-  if (machine < 0 || machine >= frontier_.size()) return false;
-  return frontier_.retire_drained(machine, now);
-}
-
-bool ThresholdScheduler::finish_retire(int machine) {
-  if (machine < 0 || machine >= frontier_.size()) return false;
-  if (!frontier_.is_retiring(machine)) return false;
-  frontier_.finish_retire(machine);
-  return true;
-}
-
-bool ThresholdScheduler::is_retiring(int machine) const {
-  if (machine < 0 || machine >= frontier_.size()) return false;
-  return frontier_.is_retiring(machine);
-}
-
-int ThresholdScheduler::retire_candidate() const {
-  if (!supports_elastic()) return -1;
-  return frontier_.retire_candidate();
-}
-
-int ThresholdScheduler::busy_machines(TimePoint now) const {
-  // Positions [0, p) hold the active machines with frontier > now.
-  return frontier_.first_position_not_above(now);
+FrontierSet* ThresholdScheduler::elastic_pool() {
+  if (!frontier_.uniform_speeds() || config_.k_override) return nullptr;
+  return &frontier_;
 }
 
 ThresholdScheduler make_goldwasser_kerbikov(double eps) {

@@ -53,6 +53,10 @@ struct ThresholdConfig {
 /// decision stream is pinned byte-identical to the sort-based seed
 /// implementation (tests/support/threshold_reference.hpp) by randomized
 /// equivalence tests.
+///
+/// Elastic capacity lives entirely in the FrontierSet (elastic_pool()):
+/// the scheduler owns no pool state beyond it and follows a resize through
+/// the solution cache.
 class ThresholdScheduler final : public OnlineScheduler {
  public:
   explicit ThresholdScheduler(const ThresholdConfig& config);
@@ -67,32 +71,20 @@ class ThresholdScheduler final : public OnlineScheduler {
   [[nodiscard]] const SpeedProfile* speed_profile() const override;
 
   /// Threshold's entire mutable state is the machine frontiers, so a
-  /// committed allocation restores exactly: advance the target machine's
-  /// frontier to the allocation's completion time.
+  /// committed allocation restores exactly (FrontierSet::restore).
   bool restore_commitment(const Job& job, int machine,
                           TimePoint start) override;
 
-  /// Elastic capacity: supported on identical machines without a k
-  /// override. Every resize re-solves the ratio recursion for the new
-  /// active machine count, so the admission threshold (and Theorem 2's
-  /// guarantee) always matches the pool actually accepting work; retiring
-  /// machines drain outside the threshold scan.
-  [[nodiscard]] bool supports_elastic() const override;
-  [[nodiscard]] int active_machines() const override;
-  int add_machine() override;
-  bool begin_retire(int machine) override;
-  [[nodiscard]] bool retire_drained(int machine, TimePoint now) const override;
-  bool finish_retire(int machine) override;
-  [[nodiscard]] bool is_retiring(int machine) const override;
-  [[nodiscard]] int retire_candidate() const override;
-  [[nodiscard]] int busy_machines(TimePoint now) const override;
+  /// The frontiers, on identical machines without a k override (a forced
+  /// k may not exist for another machine count); nullptr otherwise.
+  [[nodiscard]] FrontierSet* elastic_pool() override;
 
   /// The admission threshold d_lim the algorithm would apply at time `now`
   /// in its current state (exposed for tests and the adversary analysis).
   [[nodiscard]] TimePoint deadline_threshold(TimePoint now) const;
 
-  /// The solved ratio-function parameters in use.
-  [[nodiscard]] const RatioSolution& solution() const { return solution_; }
+  /// The solved ratio-function parameters for the active machine count.
+  [[nodiscard]] const RatioSolution& solution() const;
 
   /// Outstanding load of every machine at time `now` (unsorted, indexed by
   /// physical machine). Exposed for analysis and the Lemma-5 property
@@ -101,7 +93,11 @@ class ThresholdScheduler final : public OnlineScheduler {
 
  private:
   ThresholdConfig config_;
-  RatioSolution solution_;
+  /// c(eps, m) is a pure function of eps and the active machine count, so
+  /// the solution is a cache keyed by its own m: solution() re-solves it
+  /// when a resize of the elastic pool moved active_machines() since the
+  /// last use, and every decision matches a fresh scheduler on that pool.
+  mutable RatioSolution solution_;
   /// Absolute completion time of the last committed job per machine, kept
   /// sorted incrementally (relative load order is time-invariant).
   FrontierSet frontier_;

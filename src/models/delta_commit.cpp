@@ -232,10 +232,7 @@ void DeltaCommitScheduler::step(TimePoint now,
 
 bool DeltaCommitScheduler::restore_commitment(const Job& job, int machine,
                                               TimePoint start) {
-  if (machine < 0 || machine >= config_.machines) return false;
-  frontier_.update(machine,
-                   std::max(frontier_.frontier(machine),
-                            start + frontier_.exec_time(machine, job.proc)));
+  if (!frontier_.restore(machine, start, job.proc)) return false;
   // The original decision was rendered no later than min(start, τ_j); the
   // clock must not re-simulate any of that history. Tentative jobs lost in
   // the crash stay lost — an undecided job was never promised anything.

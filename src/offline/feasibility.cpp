@@ -1,7 +1,5 @@
 #include "offline/feasibility.hpp"
 
-#include <algorithm>
-
 #include "common/expects.hpp"
 #include "common/time.hpp"
 #include "offline/maxflow.hpp"
@@ -10,33 +8,16 @@ namespace slacksched {
 
 namespace {
 
-/// Builds the job-fragment -> interval network over the given event
-/// points and checks whether the max flow saturates all fragment demand.
-bool flow_feasible(const std::vector<RemainingJob>& fragments,
-                   const std::vector<TimePoint>& release,
-                   const std::vector<TimePoint>& events, int machines) {
-  const std::size_t n = fragments.size();
-  const std::size_t intervals = events.size() - 1;
-  const std::size_t source = 0;
-  const std::size_t sink = 1 + n + intervals;
-  MaxFlow flow(sink + 1);
-
+/// Whether the job -> interval network over the event points saturates
+/// every job's demand.
+bool flow_feasible(const std::vector<FlowJob>& jobs,
+                   std::vector<TimePoint>& events, int machines) {
+  make_event_grid(events);
+  if (events.size() < 2) return true;  // zero remaining work
   double demand = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    flow.add_edge(source, 1 + i, fragments[i].remaining);
-    demand += fragments[i].remaining;
-  }
-  for (std::size_t v = 0; v < intervals; ++v) {
-    const Duration length = events[v + 1] - events[v];
-    flow.add_edge(1 + n + v, sink, machines * length);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (approx_ge(events[v], release[i]) &&
-          approx_le(events[v + 1], fragments[i].deadline)) {
-        flow.add_edge(1 + i, 1 + n + v, length);
-      }
-    }
-  }
-  return flow.max_flow(source, sink) >= demand - 1e-7 * (1.0 + demand);
+  for (const FlowJob& job : jobs) demand += job.demand;
+  IntervalFlow network(jobs, events, machines);
+  return network.max_flow() >= demand - 1e-7 * (1.0 + demand);
 }
 
 }  // namespace
@@ -46,42 +27,30 @@ bool preemptive_migration_feasible(const std::vector<RemainingJob>& fragments,
   SLACKSCHED_EXPECTS(machines >= 1);
   if (fragments.empty()) return true;
   std::vector<TimePoint> events{now};
-  std::vector<TimePoint> release(fragments.size(), now);
+  std::vector<FlowJob> jobs;
+  jobs.reserve(fragments.size());
   for (const RemainingJob& f : fragments) {
     SLACKSCHED_EXPECTS(f.remaining >= 0.0);
     if (definitely_less(f.deadline, now + f.remaining)) return false;
     events.push_back(f.deadline);
+    jobs.push_back({f.remaining, now, f.deadline});
   }
-  std::sort(events.begin(), events.end());
-  events.erase(
-      std::unique(events.begin(), events.end(),
-                  [](TimePoint a, TimePoint b) { return approx_eq(a, b); }),
-      events.end());
-  if (events.size() < 2) return true;  // zero remaining work
-  return flow_feasible(fragments, release, events, machines);
+  return flow_feasible(jobs, events, machines);
 }
 
 bool preemptive_migration_feasible_jobs(const std::vector<Job>& jobs,
                                         int machines) {
   SLACKSCHED_EXPECTS(machines >= 1);
   if (jobs.empty()) return true;
-  std::vector<RemainingJob> fragments;
-  std::vector<TimePoint> release;
+  std::vector<FlowJob> flow_jobs;
   std::vector<TimePoint> events;
-  fragments.reserve(jobs.size());
+  flow_jobs.reserve(jobs.size());
   for (const Job& j : jobs) {
-    fragments.push_back({j.id, j.proc, j.deadline});
-    release.push_back(j.release);
+    flow_jobs.push_back({j.proc, j.release, j.deadline});
     events.push_back(j.release);
     events.push_back(j.deadline);
   }
-  std::sort(events.begin(), events.end());
-  events.erase(
-      std::unique(events.begin(), events.end(),
-                  [](TimePoint a, TimePoint b) { return approx_eq(a, b); }),
-      events.end());
-  if (events.size() < 2) return true;
-  return flow_feasible(fragments, release, events, machines);
+  return flow_feasible(flow_jobs, events, machines);
 }
 
 }  // namespace slacksched

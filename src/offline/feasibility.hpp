@@ -1,10 +1,11 @@
 // Preemptive feasibility tests built on the max-flow substrate.
 //
 // With preemption AND migration on m identical machines, a set of jobs is
-// schedulable iff the natural job->interval flow network saturates every
-// job edge (the classic flow formulation of P|r_j, d_j, pmtn|-). This is
-// exact — not a relaxation — for the migration model, and it is the
-// admission oracle of the migration baseline.
+// schedulable iff the natural job->interval flow network (IntervalFlow in
+// offline/maxflow.hpp) saturates every job edge (the classic flow
+// formulation of P|r_j, d_j, pmtn|-). This is exact — not a relaxation —
+// for the migration model, and it is the admission oracle of the migration
+// baseline.
 #pragma once
 
 #include <vector>

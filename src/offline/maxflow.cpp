@@ -77,4 +77,31 @@ double MaxFlow::flow_on(std::size_t edge_handle) const {
   return original_capacity_[edge_handle] - graph_[node][index].capacity;
 }
 
+void make_event_grid(std::vector<TimePoint>& events) {
+  std::sort(events.begin(), events.end());
+  events.erase(
+      std::unique(events.begin(), events.end(),
+                  [](TimePoint a, TimePoint b) { return approx_eq(a, b); }),
+      events.end());
+}
+
+IntervalFlow::IntervalFlow(const std::vector<FlowJob>& jobs,
+                           const std::vector<TimePoint>& grid, int machines)
+    : flow_(jobs.size() + grid.size() + 1), sink_(jobs.size() + grid.size()) {
+  SLACKSCHED_EXPECTS(!grid.empty() && machines >= 1);
+  // Nodes: source 0, jobs 1..n, intervals n+1..n+|grid|-1, sink.
+  const std::size_t n = jobs.size();
+  for (std::size_t i = 0; i < n; ++i) flow_.add_edge(0, 1 + i, jobs[i].demand);
+  for (std::size_t v = 0; v + 1 < grid.size(); ++v) {
+    const Duration length = grid[v + 1] - grid[v];
+    flow_.add_edge(1 + n + v, sink_, machines * length);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (approx_ge(grid[v], jobs[i].release) &&
+          approx_le(grid[v + 1], jobs[i].deadline)) {
+        edges_.push_back({i, v, flow_.add_edge(1 + i, 1 + n + v, length)});
+      }
+    }
+  }
+}
+
 }  // namespace slacksched

@@ -1,6 +1,5 @@
 #include "offline/upper_bound.hpp"
 
-#include <algorithm>
 #include <vector>
 
 #include "common/expects.hpp"
@@ -14,46 +13,17 @@ double preemptive_fractional_upper_bound(const Instance& instance,
   if (instance.empty()) return 0.0;
 
   // Event points: all release dates and deadlines.
+  std::vector<FlowJob> jobs;
   std::vector<TimePoint> events;
+  jobs.reserve(instance.size());
   events.reserve(instance.size() * 2);
   for (const Job& j : instance.jobs()) {
+    jobs.push_back({j.proc, j.release, j.deadline});
     events.push_back(j.release);
     events.push_back(j.deadline);
   }
-  std::sort(events.begin(), events.end());
-  events.erase(std::unique(events.begin(), events.end(),
-                           [](TimePoint a, TimePoint b) {
-                             return approx_eq(a, b);
-                           }),
-               events.end());
-
-  const std::size_t n = instance.size();
-  const std::size_t intervals = events.size() - 1;
-  // Nodes: source, n jobs, `intervals` interval nodes, sink.
-  const std::size_t source = 0;
-  const std::size_t sink = 1 + n + intervals;
-  MaxFlow flow(sink + 1);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    flow.add_edge(source, 1 + i, instance[i].proc);
-  }
-  for (std::size_t v = 0; v < intervals; ++v) {
-    const Duration length = events[v + 1] - events[v];
-    flow.add_edge(1 + n + v, sink,
-                  static_cast<double>(machines) * length);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const Job& j = instance[i];
-    for (std::size_t v = 0; v < intervals; ++v) {
-      // The interval must lie inside the job's window.
-      if (approx_ge(events[v], j.release) &&
-          approx_le(events[v + 1], j.deadline)) {
-        flow.add_edge(1 + i, 1 + n + v, events[v + 1] - events[v]);
-      }
-    }
-  }
-
-  return flow.max_flow(source, sink);
+  make_event_grid(events);
+  return IntervalFlow(jobs, events, machines).max_flow();
 }
 
 }  // namespace slacksched

@@ -7,10 +7,10 @@
 /// it one observation per consumed batch (frontier utilization = busy
 /// machines / active machines at the latest release fed, plus the shed
 /// counts the producers accumulated) and applies the returned action
-/// through the scheduler's elastic surface (sched/online.hpp):
+/// to the scheduler's elastic pool (OnlineScheduler::elastic_pool()):
 ///
-///   kGrow   -> OnlineScheduler::add_machine()
-///   kShrink -> OnlineScheduler::begin_retire(retire_candidate())
+///   kGrow   -> FrontierSet::add_machine()
+///   kShrink -> FrontierSet::begin_retire(retire_candidate())
 ///
 /// Shrink never removes capacity directly: it only marks one machine
 /// *retiring* (no new commitments placed on it) and the shard finishes the

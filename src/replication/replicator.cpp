@@ -255,7 +255,6 @@ void ShardReplicator::send_all(const char* data, std::size_t size,
                       std::strerror(errno));
     }
   };
-#if defined(SLACKSCHED_FAULT_INJECTION) && SLACKSCHED_FAULT_INJECTION
   if (crash_point && config_.faults != nullptr) {
     // Torn-frame site: half the frame is on the wire when the fault fires
     // — the follower must discard the partial frame, not persist it.
@@ -266,9 +265,6 @@ void ShardReplicator::send_all(const char* data, std::size_t size,
     send_chunk(data + half, size - half);
     return;
   }
-#else
-  (void)crash_point;
-#endif
   send_chunk(data, size);
 }
 

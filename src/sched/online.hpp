@@ -6,7 +6,8 @@
 /// interactively. Commit-on-arrival schedulers answer every on_arrival with
 /// a binding accept/reject; deferred-commitment schedulers may answer
 /// Decision::defer() and deliver the binding decision later through
-/// advance_to.
+/// advance_to. An elastic scheduler also hands out its machine pool
+/// (elastic_pool()); nothing else about a resize is part of the interface.
 #pragma once
 
 #include <memory>
@@ -19,6 +20,8 @@
 #include "sched/decision.hpp"
 
 namespace slacksched {
+
+class FrontierSet;
 
 /// A decision rendered after its job's arrival by a deferred-commitment
 /// scheduler, stamped with the simulated time it became binding.
@@ -93,70 +96,12 @@ class OnlineScheduler {
     (void)resolved;
   }
 
-  // --- elastic capacity (policy/capacity_controller.hpp) ---
-  //
-  // A scheduler that supports elastic capacity can grow its machine pool
-  // and drain machines for retirement at runtime. Grown machines extend
-  // the physical index space (machines() grows, indices are never
-  // renumbered); a retiring machine stops receiving new commitments while
-  // its committed work drains, and only a fully drained machine finishes
-  // retirement — so a resize can never break an accepted commitment. The
-  // defaults describe a fixed pool: no support, every machine active.
-
-  /// True iff this scheduler can add and retire machines at runtime.
-  [[nodiscard]] virtual bool supports_elastic() const { return false; }
-
-  /// Machines currently accepting new commitments; <= machines(). Equal to
-  /// machines() for fixed-capacity schedulers.
-  [[nodiscard]] virtual int active_machines() const { return machines(); }
-
-  /// Adds one active machine and returns its physical index (reusing a
-  /// retired index when one exists, else machines() before the call), or
-  /// -1 when elastic capacity is unsupported.
-  virtual int add_machine() { return -1; }
-
-  /// Marks an active machine retiring: no new commitments land on it, its
-  /// committed work keeps draining. Returns false when unsupported or the
-  /// machine is not active.
-  virtual bool begin_retire(int machine) {
-    (void)machine;
-    return false;
-  }
-
-  /// True iff a retiring machine has drained every committed allocation at
-  /// time `now` and can safely finish retirement.
-  [[nodiscard]] virtual bool retire_drained(int machine, TimePoint now) const {
-    (void)machine;
-    (void)now;
-    return false;
-  }
-
-  /// Completes the retirement of a drained machine. Returns false when
-  /// unsupported or the machine is not retiring.
-  virtual bool finish_retire(int machine) {
-    (void)machine;
-    return false;
-  }
-
-  /// True iff `machine` is mid-retirement (begun, not yet finished). Lets
-  /// a restarted shard rediscover an in-flight drain after WAL replay.
-  [[nodiscard]] virtual bool is_retiring(int machine) const {
-    (void)machine;
-    return false;
-  }
-
-  /// The machine a shrink should drain (the least-loaded active machine),
-  /// or -1 when unsupported. The caller write-ahead-logs this exact index,
-  /// so replay retires the same machine.
-  [[nodiscard]] virtual int retire_candidate() const { return -1; }
-
-  /// Number of active machines with outstanding load at `now` — the
-  /// numerator of the capacity controller's frontier utilization. 0 by
-  /// default (fixed-capacity schedulers are never asked).
-  [[nodiscard]] virtual int busy_machines(TimePoint now) const {
-    (void)now;
-    return 0;
-  }
+  /// The machine pool a resize acts on (policy/capacity_controller.hpp),
+  /// or nullptr for a fixed pool (the default). An elastic scheduler's
+  /// whole machine state is its FrontierSet, so it hands that set out and
+  /// the caller grows, drains and retires machines on it directly; the
+  /// scheduler reads the active pool off the set on its next decision.
+  [[nodiscard]] virtual FrontierSet* elastic_pool() { return nullptr; }
 };
 
 }  // namespace slacksched

@@ -5,10 +5,8 @@
 // every run — the property the crash-recovery tests and the torn-tail
 // truncation tests are built on.
 //
-// Hook sites are compiled in under the SLACKSCHED_FAULT_INJECTION CMake
-// option (default ON; a disabled build compiles every hook to nothing).
-// With no injector attached a hook is a single null-pointer check, so
-// production paths pay nothing.
+// Hook sites are always compiled in: with no injector attached a hook is a
+// single null-pointer check, so production paths pay nothing.
 #pragma once
 
 #include <cstdint>
@@ -141,9 +139,7 @@ class FaultInjector {
 
 }  // namespace slacksched
 
-// Crash hook: throws InjectedFault when an armed trigger fires. Compiled
-// to nothing when fault injection is disabled at configure time.
-#if defined(SLACKSCHED_FAULT_INJECTION) && SLACKSCHED_FAULT_INJECTION
+// Crash hook: throws InjectedFault when an armed trigger fires.
 #define SLACKSCHED_FAULT_CRASH_POINT(injector, site, shard)              \
   do {                                                                   \
     ::slacksched::FaultInjector* fi_ = (injector);                       \
@@ -154,7 +150,3 @@ class FaultInjector {
   } while (false)
 #define SLACKSCHED_FAULT_FIRES(injector, site, shard) \
   ((injector) != nullptr && (injector)->fires((site), (shard)))
-#else
-#define SLACKSCHED_FAULT_CRASH_POINT(injector, site, shard) ((void)0)
-#define SLACKSCHED_FAULT_FIRES(injector, site, shard) (false)
-#endif

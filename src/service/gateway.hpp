@@ -125,8 +125,9 @@ struct GatewayConfig {
   /// Elastic per-shard machine pools (policy/capacity_controller.hpp):
   /// each shard grows its pool under sustained load/shedding and drains
   /// machines for retirement when idle, write-ahead-logging every resize.
-  /// Requires a scheduler with elastic support (identical machines);
-  /// silently ignored otherwise. Disengaged = fixed pools.
+  /// Requires a scheduler with an elastic pool (OnlineScheduler::
+  /// elastic_pool(), identical machines); silently ignored otherwise.
+  /// Disengaged = fixed pools.
   std::optional<CapacityControllerConfig> elastic;
 
   // --- observability (see docs/observability.md) ---

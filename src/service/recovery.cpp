@@ -7,6 +7,7 @@
 #include <cstring>
 #include <vector>
 
+#include "core/frontier_set.hpp"
 #include "policy/criticality.hpp"
 #include "sched/decision.hpp"
 #include "sched/validator.hpp"
@@ -119,6 +120,10 @@ RecoveryResult recover_commit_log(const std::string& path, int machines,
                     std::to_string(machines));
   }
 
+  // Control records resize the scheduler's elastic pool directly; a fixed
+  // pool (nullptr) refuses every one of them.
+  FrontierSet* const pool =
+      scheduler != nullptr ? scheduler->elastic_pool() : nullptr;
   std::size_t offset = kWalHeaderBytes;
   // The first short, implausible or CRC-failing record starts the torn
   // tail: a length field the writer never produced is not a record to skip.
@@ -159,8 +164,18 @@ RecoveryResult recover_commit_log(const std::string& path, int machines,
                              "profile; elastic capacity requires identical "
                              "machines");
         }
+        // A grow reuses a retired index or appends the next one; an index
+        // past that was never written by this log's writer.
+        if (machine < 0 || machine > result.schedule.machines()) {
+          ::close(fd);
+          return fail(std::move(result),
+                      path + ": grow control record names machine " +
+                          std::to_string(machine) + " on a pool of " +
+                          std::to_string(result.schedule.machines()) +
+                          " machines");
+        }
         if (scheduler != nullptr) {
-          const int grown = scheduler->add_machine();
+          const int grown = pool != nullptr ? pool->add_machine() : -1;
           if (grown != machine) {
             ::close(fd);
             return fail(std::move(result),
@@ -173,7 +188,8 @@ RecoveryResult recover_commit_log(const std::string& path, int machines,
         }
         result.schedule.ensure_machines(machine + 1);
       } else if (job.id == kWalControlRetireBegin) {
-        if (scheduler != nullptr && !scheduler->begin_retire(machine)) {
+        if (scheduler != nullptr &&
+            (pool == nullptr || !pool->begin_retire(machine))) {
           ::close(fd);
           return fail(std::move(result),
                       path + ": retire-begin control record for machine " +
@@ -184,7 +200,8 @@ RecoveryResult recover_commit_log(const std::string& path, int machines,
       } else if (job.id == kWalControlRetireDone) {
         // The original run observed the drain before logging this, so the
         // retirement finishes unconditionally on replay.
-        if (scheduler != nullptr && !scheduler->finish_retire(machine)) {
+        if (scheduler != nullptr &&
+            (pool == nullptr || !pool->finish_retire(machine))) {
           ::close(fd);
           return fail(std::move(result),
                       path + ": retire-done control record for machine " +

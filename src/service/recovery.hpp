@@ -61,12 +61,17 @@ struct RecoveryResult {
 ///    neither replays under the identical-machine model.
 ///  - Elastic capacity: control records (commit_log.hpp sentinel ids)
 ///    replay the original run's grow / retire-begin / retire-done sequence
-///    in log order against the scheduler's elastic surface, so the machine
+///    in log order against the scheduler's elastic pool
+///    (OnlineScheduler::elastic_pool()), so the machine
 ///    pool at every replayed commitment — and the final post-crash machine
 ///    count — exactly matches the pre-crash run. `machines` stays the
 ///    *initial* count the log header was written with. A grow that lands
 ///    on a different machine index than the logged one is a hard error
-///    (the deterministic resize sequence diverged).
+///    (the deterministic resize sequence diverged), as is a control record
+///    the pool refuses (a fixed pool, a retire of a machine that is not
+///    active or of the last active one, a retire-done of a machine that is
+///    not retiring) and, with or without a scheduler, a grow naming a
+///    machine past the next new index.
 ///
 /// The caller resets the scheduler before invoking recovery.
 [[nodiscard]] RecoveryResult recover_commit_log(

@@ -11,6 +11,7 @@
 #endif
 
 #include "common/expects.hpp"
+#include "core/frontier_set.hpp"
 #include "service/recovery.hpp"
 
 namespace slacksched {
@@ -132,16 +133,17 @@ void Shard::spawn(bool is_restart) {
   // transient load state — the durable truth, the machine counts, was just
   // replayed from the WAL). An in-flight drain survives the crash as a
   // RetireBegin record without its RetireDone: rediscover it from the
-  // replayed scheduler so the new worker finishes the drain.
+  // replayed pool so the new worker finishes the drain.
   controller_.reset();
+  pool_ = config_.elastic.has_value() ? scheduler_->elastic_pool() : nullptr;
   retiring_machine_ = -1;
   sim_now_ = 0.0;
   offered_.store(0, std::memory_order_relaxed);
   shed_.store(0, std::memory_order_relaxed);
-  if (config_.elastic.has_value() && scheduler_->supports_elastic()) {
+  if (pool_ != nullptr) {
     controller_.emplace(*config_.elastic);
-    for (int m = 0; m < scheduler_->machines(); ++m) {
-      if (scheduler_->is_retiring(m)) {
+    for (int m = 0; m < pool_->size(); ++m) {
+      if (pool_->is_retiring(m)) {
         retiring_machine_ = m;
         break;
       }
@@ -315,8 +317,8 @@ void Shard::run_capacity_control() {
   // commitment guarantee holds by construction: every allocation on the
   // machine completed at or before sim_now_.
   if (retiring_machine_ >= 0 &&
-      scheduler_->retire_drained(retiring_machine_, sim_now_)) {
-    const bool finished = scheduler_->finish_retire(retiring_machine_);
+      pool_->retire_drained(retiring_machine_, sim_now_)) {
+    const bool finished = pool_->finish_retire(retiring_machine_);
     SLACKSCHED_EXPECTS(finished);
     if (wal_) wal_->append_control(kWalControlRetireDone, retiring_machine_);
     retiring_machine_ = -1;
@@ -324,31 +326,30 @@ void Shard::run_capacity_control() {
                                  index_);
   }
 
-  // 2. One observation per consumed batch.
+  // 2. One observation per consumed batch. Sorted positions [0, p) hold
+  // the active machines with outstanding load at sim_now_.
   const std::uint64_t offered =
       offered_.exchange(0, std::memory_order_relaxed);
   const std::uint64_t shed = shed_.exchange(0, std::memory_order_relaxed);
-  controller_->observe(scheduler_->busy_machines(sim_now_),
-                       scheduler_->active_machines(),
+  controller_->observe(pool_->first_position_not_above(sim_now_),
+                       pool_->active_machines(),
                        static_cast<std::size_t>(shed),
                        static_cast<std::size_t>(offered));
 
   // 3. Apply at most one decision.
-  switch (controller_->decide(scheduler_->active_machines())) {
+  switch (controller_->decide(pool_->active_machines())) {
     case CapacityAction::kGrow: {
-      const int machine = scheduler_->add_machine();
-      if (machine >= 0) {
-        if (wal_) wal_->append_control(kWalControlGrow, machine);
-        controller_->on_resized();
-        SLACKSCHED_FAULT_CRASH_POINT(config_.faults, FaultSite::kResizeGrow,
-                                     index_);
-      }
+      const int machine = pool_->add_machine();
+      if (wal_) wal_->append_control(kWalControlGrow, machine);
+      controller_->on_resized();
+      SLACKSCHED_FAULT_CRASH_POINT(config_.faults, FaultSite::kResizeGrow,
+                                   index_);
       break;
     }
     case CapacityAction::kShrink: {
       if (retiring_machine_ >= 0) break;  // one drain at a time
-      const int candidate = scheduler_->retire_candidate();
-      if (candidate < 0 || !scheduler_->begin_retire(candidate)) break;
+      const int candidate = pool_->retire_candidate();
+      if (!pool_->begin_retire(candidate)) break;
       if (wal_) wal_->append_control(kWalControlRetireBegin, candidate);
       retiring_machine_ = candidate;
       controller_->on_resized();

@@ -97,9 +97,10 @@ struct ShardConfig {
   /// must be fast and must not throw.
   ShardDecisionCallback on_decision;
   /// Optional elastic machine pool (policy/capacity_controller.hpp). When
-  /// set and the shard's scheduler supports elastic capacity, the consumer
-  /// thread runs the capacity control loop between batches: grows the pool
-  /// under sustained high utilization or shedding, drains a machine for
+  /// set and the shard's scheduler has an elastic pool
+  /// (OnlineScheduler::elastic_pool()), the consumer thread runs the
+  /// capacity control loop between batches: grows the pool under
+  /// sustained high utilization or shedding, drains a machine for
   /// retirement under sustained low utilization. Every applied resize is
   /// write-ahead-logged as a control record, so WAL replay reproduces the
   /// exact machine count at every point of the log. Ignored (with the
@@ -188,6 +189,10 @@ class Shard {
     shed_.fetch_add(1, std::memory_order_relaxed);
   }
 
+  /// The machine pool the control loop resizes, or nullptr when the shard
+  /// is not elastic. Consumer-thread state: read it once the worker exits.
+  [[nodiscard]] const FrontierSet* elastic_pool() const { return pool_; }
+
   /// The machine currently draining for retirement (-1 when none).
   /// Consumer-thread state exposed for tests; racy reads are benign.
   [[nodiscard]] int retiring_machine() const { return retiring_machine_; }
@@ -267,7 +272,9 @@ class Shard {
   /// every header check after recovery must use this, not the live count.
   int wal_initial_machines_ = 0;
   /// Elastic control loop state; touched only by the consumer thread.
+  /// pool_ is scheduler_'s elastic pool, engaged together with controller_.
   std::optional<CapacityController> controller_;
+  FrontierSet* pool_ = nullptr;
   int retiring_machine_ = -1;  ///< machine mid-drain, -1 when none
   /// Latest release time fed to the engine — the simulated "now" frontier
   /// utilization and drain checks are evaluated at.

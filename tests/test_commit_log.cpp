@@ -10,7 +10,9 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/greedy.hpp"
@@ -464,6 +466,62 @@ TEST(Recovery, SchedulerThatCannotRestoreFailsRecovery) {
   EXPECT_FALSE(recovered.ok);
   EXPECT_NE(recovered.error.find("Opaque"), std::string::npos)
       << recovered.error;
+}
+
+/// A fresh 2-machine log holding only the given control records.
+std::string control_log(const std::string& name,
+                        const std::vector<std::pair<JobId, int>>& records) {
+  const std::string path = wal_path(name);
+  auto log = CommitLog::open(path, 2);
+  for (const auto& [id, machine] : records) log->append_control(id, machine);
+  log->close();
+  return path;
+}
+
+TEST(Recovery, GrowPastTheNextMachineIndexIsAHardError) {
+  // A grow reuses a retired index or appends the next one (2 on a fresh
+  // 2-machine pool). The scheduler-less replay must not size the rebuilt
+  // schedule by whatever index a CRC-valid record carries.
+  for (const int machine : {5, 100'000'000, std::numeric_limits<int>::max()}) {
+    SCOPED_TRACE(machine);
+    const std::string path =
+        control_log("grow_past_end", {{kWalControlGrow, machine}});
+    const RecoveryResult recovered = recover_commit_log(path, 2);
+    EXPECT_FALSE(recovered.ok);
+    EXPECT_NE(recovered.error.find("grow control record"), std::string::npos)
+        << recovered.error;
+  }
+  const std::string path = control_log("grow_next", {{kWalControlGrow, 2}});
+  const RecoveryResult recovered = recover_commit_log(path, 2);
+  ASSERT_TRUE(recovered.ok) << recovered.error;
+  EXPECT_EQ(recovered.schedule.machines(), 3);
+}
+
+TEST(Recovery, RetireRecordsThePoolRefusesAreHardErrors) {
+  // Retire records name a machine read from disk; the elastic pool refuses
+  // one it cannot apply, and recovery reports it rather than throwing.
+  const std::vector<std::pair<const char*, std::vector<std::pair<JobId, int>>>>
+      cases = {
+          {"retire-begin past the pool", {{kWalControlRetireBegin, 7}}},
+          {"retire-done of an active machine", {{kWalControlRetireDone, 0}}},
+          {"retire-begin of the last active machine",
+           {{kWalControlRetireBegin, 0}, {kWalControlRetireBegin, 1}}},
+      };
+  for (const auto& [name, records] : cases) {
+    SCOPED_TRACE(name);
+    const std::string path = control_log("retire_refused", records);
+    ThresholdScheduler scheduler(0.5, 2);
+    scheduler.reset();
+    bool ok = true;
+    std::string error;
+    EXPECT_NO_THROW({
+      const RecoveryResult recovered = recover_commit_log(path, 2, &scheduler);
+      ok = recovered.ok;
+      error = recovered.error;
+    });
+    EXPECT_FALSE(ok);
+    EXPECT_NE(error.find("control record"), std::string::npos) << error;
+  }
 }
 
 TEST(Recovery, RecoveredScheduleValidatesAgainstTheInstance) {

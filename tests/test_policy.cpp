@@ -695,11 +695,13 @@ TEST(ElasticSettle, ReusedMachineNeverPlacesIntoItsSettledPast) {
     EXPECT_EQ(runner.settle(), 1u);
 
     // Shrink then grow: the machine left idle drains, retires and returns.
-    const int machine = scheduler->retire_candidate();
-    ASSERT_TRUE(scheduler->begin_retire(machine));
-    ASSERT_TRUE(scheduler->retire_drained(machine, 10.0));
-    ASSERT_TRUE(scheduler->finish_retire(machine));
-    ASSERT_EQ(scheduler->add_machine(), machine);
+    FrontierSet* pool = scheduler->elastic_pool();
+    ASSERT_NE(pool, nullptr);
+    const int machine = pool->retire_candidate();
+    ASSERT_TRUE(pool->begin_retire(machine));
+    ASSERT_TRUE(pool->retire_drained(machine, 10.0));
+    ASSERT_TRUE(pool->finish_retire(machine));
+    ASSERT_EQ(pool->add_machine(), machine);
 
     // A lagging producer's job released at 1: only the reused machine can
     // meet its deadline, and only from its drained frontier 4 on. Greedy
@@ -714,6 +716,62 @@ TEST(ElasticSettle, ReusedMachineNeverPlacesIntoItsSettledPast) {
       EXPECT_GE(late.decision.start, 4.0);
     }
   }
+}
+
+// ---------- Threshold on an elastic pool ----------
+
+TEST(ElasticThreshold, SolutionAndThresholdFollowTheActivePool) {
+  // c(eps, m) and the factors f_h depend on the pool only through the
+  // active machine count (Theorem 2): after every resize Threshold must
+  // hold the solution for that count and apply the threshold of a fresh
+  // scheduler built on the active machines' frontiers. A retiring machine
+  // drains outside the threshold scan.
+  constexpr double kSlack = 0.2;
+  ThresholdScheduler scheduler(kSlack, 3);
+  FrontierSet* pool = scheduler.elastic_pool();
+  ASSERT_NE(pool, nullptr);
+  const auto load = [&scheduler](int machine, double frontier) {
+    Job job;
+    job.proc = frontier;
+    ASSERT_TRUE(scheduler.restore_commitment(job, machine, 0.0));
+  };
+  const auto expect_follows_pool = [&scheduler, pool](const char* step) {
+    SCOPED_TRACE(step);
+    const int active = pool->active_machines();
+    const RatioSolution expected = RatioFunction::solve(kSlack, active);
+    EXPECT_EQ(scheduler.solution().m, expected.m);
+    EXPECT_EQ(scheduler.solution().k, expected.k);
+    EXPECT_EQ(scheduler.solution().c, expected.c);
+    ThresholdScheduler fresh(kSlack, active);
+    for (int p = 0; p < active; ++p) {
+      Job job;
+      job.proc = pool->frontier_at(p);
+      ASSERT_TRUE(fresh.restore_commitment(job, p, 0.0));
+    }
+    for (const double t : {0.0, 0.5, 1.5, 2.5, 3.5, 5.0}) {
+      EXPECT_EQ(scheduler.deadline_threshold(t), fresh.deadline_threshold(t))
+          << "t = " << t;
+    }
+  };
+
+  load(0, 4.0);
+  load(1, 2.0);
+  load(2, 1.0);
+  expect_follows_pool("3 machines");
+  load(pool->add_machine(), 3.0);
+  expect_follows_pool("grown to 4");
+  ASSERT_EQ(pool->add_machine(), 4);
+  expect_follows_pool("grown to 5, the new machine idle");
+  ASSERT_TRUE(pool->begin_retire(0));
+  expect_follows_pool("the most loaded machine retiring");
+  ASSERT_TRUE(pool->begin_retire(pool->retire_candidate()));
+  expect_follows_pool("an idle machine retiring too");
+  ASSERT_TRUE(pool->finish_retire(4));
+  ASSERT_TRUE(pool->retire_drained(0, 4.0));
+  ASSERT_TRUE(pool->finish_retire(0));
+  expect_follows_pool("both retired");
+  ASSERT_EQ(pool->add_machine(), 0);
+  expect_follows_pool("machine 0 reused at its drained frontier");
 }
 
 // ---------- gateway: class-aware shed ordering ----------
@@ -1007,7 +1065,7 @@ ElasticRunOutcome run_elastic_shard(const std::string& wal_path,
   shard.join();
 
   ElasticRunOutcome outcome;
-  outcome.final_active = shard.scheduler().active_machines();
+  outcome.final_active = shard.elastic_pool()->active_machines();
   outcome.initial_machines = 2;
   std::vector<JobId> ids = wal_record_ids(wal_path);
   for (const JobId id : ids) {
@@ -1038,7 +1096,7 @@ TEST(ElasticShard, GrowsShrinksAndReplaysToTheExactMachineCount) {
       wal, run.initial_machines, &fresh, /*truncate_file=*/false);
   ASSERT_TRUE(replayed.ok) << replayed.error;
   EXPECT_FALSE(replayed.tail_truncated);
-  EXPECT_EQ(fresh.active_machines(), run.final_active);
+  EXPECT_EQ(fresh.elastic_pool()->active_machines(), run.final_active);
 
   // And the run itself is deterministic: an identical second run logs the
   // identical control sequence.
@@ -1065,7 +1123,7 @@ TEST(ElasticShard, CrashAtResizeGrowReplaysTheLoggedGrow) {
   const RecoveryResult replayed =
       recover_commit_log(wal, 2, &fresh, /*truncate_file=*/false);
   ASSERT_TRUE(replayed.ok) << replayed.error;
-  EXPECT_EQ(fresh.active_machines(), run.final_active);
+  EXPECT_EQ(fresh.elastic_pool()->active_machines(), run.final_active);
   std::filesystem::remove_all(dir);
 }
 
@@ -1094,7 +1152,7 @@ TEST(ElasticShard, CrashMidDrainIsRediscoveredAndFinished) {
   const RecoveryResult replayed =
       recover_commit_log(wal, 2, &fresh, /*truncate_file=*/false);
   ASSERT_TRUE(replayed.ok) << replayed.error;
-  EXPECT_EQ(fresh.active_machines(), run.final_active);
+  EXPECT_EQ(fresh.elastic_pool()->active_machines(), run.final_active);
   std::filesystem::remove_all(dir);
 }
 
@@ -1153,7 +1211,7 @@ TEST(ElasticChaos, SigkillMidResizeReplaysDeterministically) {
   const RecoveryResult pass1 = recover_commit_log(wal, 2, &first);
   ASSERT_TRUE(pass1.ok) << pass1.error;
   EXPECT_GT(pass1.records_replayed, 0u);
-  EXPECT_GE(first.active_machines(), 3)
+  EXPECT_GE(first.elastic_pool()->active_machines(), 3)
       << "the kill fired at the second grow: at least one durable grow";
 
   ThresholdScheduler second(0.5, 2);
@@ -1163,7 +1221,8 @@ TEST(ElasticChaos, SigkillMidResizeReplaysDeterministically) {
   ASSERT_TRUE(pass2.ok) << pass2.error;
   EXPECT_TRUE(pass2.clean()) << "first pass should have truncated any tear";
   EXPECT_EQ(pass2.records_replayed, pass1.records_replayed);
-  EXPECT_EQ(second.active_machines(), first.active_machines());
+  EXPECT_EQ(second.elastic_pool()->active_machines(),
+            first.elastic_pool()->active_machines());
 
   std::filesystem::remove_all(dir);
 }

@@ -564,9 +564,6 @@ TEST(Replication, BehindFollowerIsCaughtUpFromTheLeaderLog) {
 }
 
 TEST(Replication, InterruptedCatchUpResumesExactly) {
-#if !(defined(SLACKSCHED_FAULT_INJECTION) && SLACKSCHED_FAULT_INJECTION)
-  GTEST_SKIP() << "needs -DSLACKSCHED_FAULT_INJECTION=ON";
-#endif
   const std::string leader_dir = fresh_dir("resume_leader");
   write_history(leader_dir, kHistoryRecords);
   ReplicaServerConfig replica_config;

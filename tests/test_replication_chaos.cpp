@@ -44,12 +44,6 @@
 namespace slacksched::repl {
 namespace {
 
-#if defined(SLACKSCHED_FAULT_INJECTION) && SLACKSCHED_FAULT_INJECTION
-constexpr bool kFaultsCompiledIn = true;
-#else
-constexpr bool kFaultsCompiledIn = false;
-#endif
-
 std::string fresh_dir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "slacksched_chaos_" + name;
   const std::string cmd = "rm -rf '" + dir + "'";
@@ -133,9 +127,6 @@ std::uint64_t hit_for(const std::string& site, std::uint64_t seed) {
 }
 
 TEST(ReplicationChaos, KilledLeaderNeverLosesAnAckedCommitment) {
-  if (!kFaultsCompiledIn) {
-    GTEST_SKIP() << "built without SLACKSCHED_FAULT_INJECTION";
-  }
   const char* kSites[] = {"commit", "fsync", "frame", "batch"};
   const int kAckModes[] = {0, 1, 2};  // async, ack-on-batch, ack-on-commit
   constexpr std::uint64_t kSeeds = 6;
@@ -224,9 +215,6 @@ TEST(ReplicationChaos, KilledLeaderNeverLosesAnAckedCommitment) {
 }
 
 TEST(ReplicationChaos, FollowerKilledMidPromotionPromotesAgain) {
-  if (!kFaultsCompiledIn) {
-    GTEST_SKIP() << "built without SLACKSCHED_FAULT_INJECTION";
-  }
   // Build two shards' worth of replica logs (a plain durable gateway run
   // writes the same format promotion reads).
   const std::string dir = fresh_dir("promote_kill");
