@@ -469,6 +469,10 @@ void AdmissionServer::read_ready(EventLoop& loop, Connection& conn) {
       } else {
         conn.decoder.feed(buf, len);
       }
+      // Level-triggered epoll: a short read drained the socket, and
+      // whatever arrives later (a FIN included) fires the next wait. A
+      // further recv could only return EAGAIN.
+      if (len < sizeof(buf)) break;
       continue;
     }
     if (n == 0) {
@@ -498,6 +502,7 @@ void AdmissionServer::read_ready(EventLoop& loop, Connection& conn) {
       }
       handle_frame(loop, conn, frame);
     }
+    submit_staged(loop, conn);
   }
 
   if (conn.dead || peer_closed ||
@@ -522,6 +527,14 @@ void AdmissionServer::write_ready(EventLoop& loop, Connection& conn) {
 void AdmissionServer::handle_frame(EventLoop& loop, Connection& conn,
                                    const Frame& frame) {
   std::string error;
+  // The stage is capped at the gateway's batch size, so a client that
+  // pipelines far ahead meets the same ring room (and the same queue-full
+  // sheds) as it would frame by frame.
+  const auto cap_stage = [&] {
+    if (loop.staged_jobs.size() >= config_.gateway.batch_size) {
+      submit_staged(loop, conn);
+    }
+  };
   switch (frame.type) {
     case FrameType::kSubmit: {
       SubmitMsg msg;
@@ -529,22 +542,27 @@ void AdmissionServer::handle_frame(EventLoop& loop, Connection& conn,
         send_protocol_error(loop, conn, error);
         return;
       }
-      handle_submit(loop, conn, msg.request_id,
-                    std::span<const Job>(&msg.job, 1));
+      loop.staged_jobs.push_back(msg.job);
+      loop.staged_request_ids.push_back(msg.request_id);
+      cap_stage();
       return;
     }
     case FrameType::kSubmitBatch: {
       std::uint64_t base = 0;
       // Decoded into the loop's reusable scratch (one memcpy on matching
-      // layouts) and handed to the gateway as a span: no per-frame job
-      // vector, no intermediate copy.
+      // layouts), then appended to the stage: no per-frame allocation.
       if (!parse_submit_batch_into(frame, base, loop.batch_scratch,
                                    &error)) {
         send_protocol_error(loop, conn, error);
         return;
       }
-      handle_submit(loop, conn, base,
-                    std::span<const Job>(loop.batch_scratch));
+      loop.staged_jobs.insert(loop.staged_jobs.end(),
+                              loop.batch_scratch.begin(),
+                              loop.batch_scratch.end());
+      for (std::size_t i = 0; i < loop.batch_scratch.size(); ++i) {
+        loop.staged_request_ids.push_back(base + i);
+      }
+      cap_stage();
       return;
     }
     case FrameType::kPing: {
@@ -553,15 +571,19 @@ void AdmissionServer::handle_frame(EventLoop& loop, Connection& conn,
         send_protocol_error(loop, conn, error);
         return;
       }
+      submit_staged(loop, conn);  // the PONG follows the jobs before it
       encode_pong(output(conn), token);
       send_output(loop, conn);
       return;
     }
     case FrameType::kDrain:
+      // A DRAIN in the same write as earlier SUBMITs finds them submitted.
+      submit_staged(loop, conn);
       handle_drain(loop, conn);
       return;
     case FrameType::kError:
       // The peer reported a violation on our stream; nothing to answer.
+      submit_staged(loop, conn);
       conn.dead = true;
       return;
     case FrameType::kDecision:
@@ -589,9 +611,10 @@ RejectMsg AdmissionServer::make_reject(std::uint64_t request_id,
   return msg;
 }
 
-void AdmissionServer::handle_submit(EventLoop& loop, Connection& conn,
-                                    std::uint64_t base_request_id,
-                                    std::span<const Job> jobs) {
+void AdmissionServer::submit_staged(EventLoop& loop, Connection& conn) {
+  const std::span<const Job> jobs(loop.staged_jobs);
+  const std::span<const std::uint64_t> request_ids(loop.staged_request_ids);
+  if (jobs.empty()) return;
   // Open the tickets BEFORE the submit: the shard may render a decision
   // (and post it) before submit() even returns. Job i's ticket is
   // first + i, exactly the route_ctx + i the gateway echoes for it. After
@@ -600,7 +623,7 @@ void AdmissionServer::handle_submit(EventLoop& loop, Connection& conn,
   const std::uint64_t first = loop.ticket_base + loop.tickets.size();
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     loop.tickets.push_back(
-        TicketSlot{conn.id, base_request_id + i, jobs[i].id, true});
+        TicketSlot{conn.id, request_ids[i], jobs[i].id, true});
   }
   conn.owed += static_cast<std::uint32_t>(jobs.size());
   const std::uint64_t route_ctx =
@@ -609,16 +632,18 @@ void AdmissionServer::handle_submit(EventLoop& loop, Connection& conn,
   statuses.resize(jobs.size());
   (void)gateway_->submit_batch(jobs, statuses, route_ctx);
   // Shed synchronously: no decision will follow, so the ticket is retired
-  // now and the REJECT leaves with this frame's other answers.
+  // now and the REJECT leaves with this pass's other answers.
   std::vector<char>* out = nullptr;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (statuses[i] == Outcome::kEnqueued) continue;
     retire_ticket(loop, loop.tickets[first + i - loop.ticket_base], &conn);
     if (out == nullptr) out = &output(conn);
     encode_reject(*out,
-                  make_reject(base_request_id + i, jobs[i].id, statuses[i]));
+                  make_reject(request_ids[i], jobs[i].id, statuses[i]));
   }
   if (out != nullptr) send_output(loop, conn);
+  loop.staged_jobs.clear();
+  loop.staged_request_ids.clear();
 }
 
 void AdmissionServer::handle_drain(EventLoop& loop, Connection& conn) {
@@ -764,6 +789,8 @@ void AdmissionServer::handle_http(EventLoop& loop, Connection& conn) {
 
 void AdmissionServer::send_protocol_error(EventLoop& loop, Connection& conn,
                                           const std::string& message) {
+  // The valid SUBMITs before the bad frame are still owed their answers.
+  submit_staged(loop, conn);
   encode_error(output(conn), message);
   conn.close_after_flush = true;
   send_output(loop, conn);

@@ -11,7 +11,10 @@
 /// route_ctx carries (loop << 56) | ticket to the shard and back: a shard
 /// thread only posts the plain decision to the owning loop, which resolves
 /// the ticket, encodes the DECISION and flushes each connection once per
-/// wake-up. The decision hot path never blocks on a socket.
+/// wake-up. The decision hot path never blocks on a socket. On the way
+/// in, every SUBMIT and SUBMIT_BATCH one socket read pass decodes goes to
+/// the gateway as one submit_batch, so a burst of lone SUBMITs costs each
+/// shard one ring claim and at most one wake-up, not one per frame.
 ///
 /// Contract: every SUBMIT is answered by exactly one DECISION (the shard's
 /// scheduler rendered accept/reject — with the committed machine and start
@@ -205,8 +208,13 @@ class AdmissionServer {
     /// epoll until rearm_at.
     bool listener_armed = true;
     std::chrono::steady_clock::time_point rearm_at{};
-    /// SUBMIT_BATCH decode target, reused across frames (the decoded span
-    /// is handed straight to AdmissionGateway::submit_batch).
+    /// The jobs every SUBMIT and SUBMIT_BATCH of the current read pass
+    /// decoded, each next to its own request id. The pass hands them to
+    /// the gateway as one submit_batch (submit_staged); all four are reused
+    /// across passes.
+    std::vector<Job> staged_jobs;
+    std::vector<std::uint64_t> staged_request_ids;
+    /// SUBMIT_BATCH decode target before its jobs join the stage.
     std::vector<Job> batch_scratch;
     std::vector<Outcome> status_scratch;
     /// Ticket window: tickets are issued in submission order, slot i holds
@@ -240,12 +248,16 @@ class AdmissionServer {
   void wake_loop(EventLoop& loop);
   void read_ready(EventLoop& loop, Connection& conn);
   void write_ready(EventLoop& loop, Connection& conn);
+  /// SUBMIT and SUBMIT_BATCH only stage their jobs; every other frame
+  /// first submits what is staged, so it sees the earlier jobs submitted.
   void handle_frame(EventLoop& loop, Connection& conn, const Frame& frame);
-  /// SUBMIT (one job) and SUBMIT_BATCH: one ticket per job, then the
-  /// gateway; synchronously shed jobs give their tickets back and are
-  /// answered with REJECT at once.
-  void handle_submit(EventLoop& loop, Connection& conn,
-                     std::uint64_t base_request_id, std::span<const Job> jobs);
+  /// Submits the stage and empties it: one ticket per staged job, then
+  /// one gateway submit_batch; synchronously shed jobs give their tickets
+  /// back and are answered with REJECT at once, each under its own
+  /// request id. Called before any non-submit frame or protocol error,
+  /// once the stage reaches the gateway's batch_size, and at the end of
+  /// each read pass.
+  void submit_staged(EventLoop& loop, Connection& conn);
   void handle_drain(EventLoop& loop, Connection& conn);
   void handle_http(EventLoop& loop, Connection& conn);
   /// The connection's write buffer, ready for frames to be appended (the

@@ -45,9 +45,12 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -189,11 +192,16 @@ class BoundedMpscQueue {
       : mask_(capacity - 1), capacity_(capacity) {
     SLACKSCHED_EXPECTS(capacity >= 1);
     SLACKSCHED_EXPECTS((capacity & (capacity - 1)) == 0);
-    cells_ = std::make_unique<Cell[]>(capacity);
-    // Cell seqs start unpublished for lap 0: slot i publishes as i + 1.
-    for (std::size_t i = 0; i < capacity; ++i) {
-      cells_[i].seq.store(0, std::memory_order_relaxed);
-    }
+    // Zeroed storage is the initial state: seq 0 is "unpublished for lap
+    // 0" (slot i publishes as i + 1) and no value is read before a
+    // producer writes it. calloc hands back fresh pages untouched, so a
+    // large ring costs no page faults until claims reach its cells; a
+    // value-initializing new[] would fault in every cell up front.
+    storage_.reset(std::calloc(capacity * sizeof(Cell) + alignof(Cell), 1));
+    if (storage_ == nullptr) throw std::bad_alloc();
+    const auto raw = reinterpret_cast<std::uintptr_t>(storage_.get());
+    cells_ = std::launder(reinterpret_cast<Cell*>(
+        (raw + alignof(Cell) - 1) & ~std::uintptr_t{alignof(Cell) - 1}));
   }
 
   BoundedMpscQueue(const BoundedMpscQueue&) = delete;
@@ -257,7 +265,7 @@ class BoundedMpscQueue {
     for (std::size_t i = 0; i < taken; ++i) {
       Cell& cell = cells_[(pos + i) & mask_];
       write(i, cell.value);
-      cell.seq.store(pos + i + 1, std::memory_order_release);
+      seq_of(cell).store(pos + i + 1, std::memory_order_release);
     }
     parker_.notify();
     return taken;
@@ -336,13 +344,32 @@ class BoundedMpscQueue {
  private:
   static constexpr std::uint64_t kClosedBit = std::uint64_t{1} << 63;
 
+  // calloc's storage implicitly creates the cells only if Cell is an
+  // implicit-lifetime type: hence a plain seq word behind std::atomic_ref
+  // (std::atomic is not implicit-lifetime), and a T that is trivially
+  // destructible (cells are freed, never destroyed) and an aggregate or
+  // trivially default-constructible.
+  static_assert(std::is_trivially_destructible_v<T>);
+  static_assert(std::is_aggregate_v<T> ||
+                std::is_trivially_default_constructible_v<T>);
+
   struct alignas(64) Cell {
     /// Publication word: `pos + 1` once the value for claim position `pos`
     /// is readable. Monotone across laps (pos advances by capacity), so a
     /// previous lap's publication can never be mistaken for this one.
-    std::atomic<std::uint64_t> seq{0};
-    T value{};
+    /// Accessed only through seq_of().
+    alignas(std::atomic_ref<std::uint64_t>::required_alignment)
+        std::uint64_t seq;
+    T value;
   };
+
+  struct FreeDeleter {
+    void operator()(void* p) const { std::free(p); }
+  };
+
+  [[nodiscard]] static std::atomic_ref<std::uint64_t> seq_of(Cell& cell) {
+    return std::atomic_ref<std::uint64_t>(cell.seq);
+  }
 
   /// Number of contiguously published items from `tail`, capped at
   /// `max_items`. Consumer-only; the prefix can only grow concurrently.
@@ -354,8 +381,8 @@ class BoundedMpscQueue {
         std::min<std::size_t>(max_items,
                               static_cast<std::size_t>(head_pos - tail));
     while (n < limit &&
-           cells_[(tail + n) & mask_].seq.load(std::memory_order_acquire) ==
-               tail + n + 1) {
+           seq_of(cells_[(tail + n) & mask_])
+                   .load(std::memory_order_acquire) == tail + n + 1) {
       ++n;
     }
     return n;
@@ -432,7 +459,8 @@ class BoundedMpscQueue {
     }
   }
 
-  std::unique_ptr<Cell[]> cells_;
+  std::unique_ptr<void, FreeDeleter> storage_;
+  Cell* cells_ = nullptr;  ///< storage_ rounded up to alignof(Cell)
   std::size_t mask_;
   std::size_t capacity_;
   /// Enqueue cursor (bit 63 = closed). Producers CAS-claim slot ranges.

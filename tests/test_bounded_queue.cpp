@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -38,6 +39,48 @@ TEST(BoundedQueue, RejectsNonPowerOfTwoCapacity) {
   EXPECT_NO_THROW(BoundedMpscQueue<int>(1));
   EXPECT_NO_THROW(BoundedMpscQueue<int>(2));
   EXPECT_NO_THROW(BoundedMpscQueue<int>(4096));
+}
+
+TEST(BoundedQueue, RingOverRecycledStorageStartsUnpublished) {
+  // A ring's cells come from zeroed storage, never from whatever a dead
+  // ring left behind. Each ring here runs exactly one full lap and dies,
+  // so the next same-size ring very likely reuses storage whose cells
+  // hold the very seqs its own lap 0 publishes (slot i -> i + 1). Without
+  // zeroing, a claimed but not yet written cell would read as published.
+  constexpr std::size_t kCells = 4096;
+  for (int ring = 0; ring < 4; ++ring) {
+    SCOPED_TRACE("ring " + std::to_string(ring));
+    BoundedMpscQueue<int> q(kCells);
+    std::vector<int> early;
+    const PopOutcome idle =
+        q.pop_batch_for(early, kCells, std::chrono::milliseconds(1));
+    EXPECT_EQ(idle.count, 0u);
+    EXPECT_FALSE(idle.closed);
+
+    // The writer runs after the batch is claimed and before any of its
+    // cells is published: a consumer looking then must find nothing.
+    const std::size_t taken = q.try_push_batch_with(
+        kCells, nullptr, [&](std::size_t i, int& slot) {
+          if (i == 0) {
+            const PopOutcome seen =
+                q.pop_batch_for(early, kCells, std::chrono::milliseconds(0));
+            EXPECT_EQ(seen.count, 0u);
+          }
+          slot = ring * static_cast<int>(kCells) + static_cast<int>(i);
+        });
+    ASSERT_EQ(taken, kCells);
+    ASSERT_TRUE(early.empty()) << early.size() << " unpublished cells popped";
+
+    std::vector<int> out;
+    // Bounded wait: a ring whose cursor a stale pop advanced must fail
+    // here, not hang.
+    ASSERT_EQ(q.pop_batch_for(out, kCells, std::chrono::seconds(5)).count,
+              kCells);
+    for (std::size_t i = 0; i < kCells; ++i) {
+      ASSERT_EQ(out[i], ring * static_cast<int>(kCells) + static_cast<int>(i))
+          << "FIFO broke at " << i;
+    }
+  }
 }
 
 // ---------- single-threaded semantics ----------

@@ -15,11 +15,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstring>
 #include <map>
 #include <memory>
+#include <random>
 #include <span>
 #include <string>
 #include <thread>
@@ -1030,6 +1032,279 @@ TEST(NetServer, LeftoversRejectedAtDrainCarryTheirJobIds) {
     ++answered;
   }
   EXPECT_EQ(answered, leftovers.size());
+}
+
+// ---------- many frames in one write: one gateway hand-off per read ----------
+
+/// A frame-level answer: which request it answers, for which job, how.
+struct WireAnswer {
+  FrameType type = FrameType::kDecision;
+  std::uint64_t request_id = 0;
+  JobId job_id = 0;
+  Outcome outcome = Outcome::kRejected;
+  DecisionMsg decision;
+};
+
+WireAnswer read_answer(RawConn& raw) {
+  const Frame frame = raw.read_frame();
+  WireAnswer answer;
+  answer.type = frame.type;
+  std::string error;
+  if (frame.type == FrameType::kDecision) {
+    EXPECT_TRUE(parse_decision(frame, answer.decision, &error)) << error;
+    answer.request_id = answer.decision.request_id;
+    answer.job_id = answer.decision.job_id;
+    answer.outcome = answer.decision.outcome;
+  } else {
+    EXPECT_EQ(frame.type, FrameType::kReject);
+    RejectMsg msg;
+    EXPECT_TRUE(parse_reject(frame, msg, &error)) << error;
+    answer.request_id = msg.request_id;
+    answer.job_id = msg.job_id;
+    answer.outcome = msg.outcome;
+  }
+  return answer;
+}
+
+Job plain_job(JobId id) {
+  Job job;
+  job.id = id;
+  job.proc = 1.0;
+  job.deadline = 1e9;
+  return job;
+}
+
+TEST(NetServer, CoalescedSubmitsAreShedUnderTheirOwnRequestIds) {
+  // 64 lone SUBMITs in one write reach the gateway as one batch; a ring of
+  // 8 takes what fits and sheds the rest at once. Every answer, REJECT
+  // included, must carry its own frame's request id: the ids here are a
+  // shuffle, so "first id + i" answers the wrong requests.
+  AdmissionServerConfig config = loopback_config(8);
+  AdmissionServer server(config, [](int) {
+    return std::make_unique<GreedyScheduler>(2);
+  });
+  RawConn raw(server.port());
+  raw.set_recv_timeout(std::chrono::seconds(5));
+
+  constexpr std::size_t kJobs = 64;
+  std::vector<std::uint64_t> ids(kJobs);
+  for (std::size_t i = 0; i < kJobs; ++i) ids[i] = 1000 + i;
+  std::shuffle(ids.begin(), ids.end(), std::mt19937_64(26));
+  std::map<std::uint64_t, JobId> job_of;
+  std::vector<char> bytes;
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    SubmitMsg msg;
+    msg.request_id = ids[i];
+    msg.job = plain_job(static_cast<JobId>(7 * i + 3));
+    job_of[ids[i]] = msg.job.id;
+    encode_submit(bytes, msg);
+  }
+  raw.send_bytes(bytes.data(), bytes.size());
+
+  std::map<std::uint64_t, std::size_t> answers;
+  std::size_t shed = 0;
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    const WireAnswer answer = read_answer(raw);
+    ASSERT_TRUE(job_of.count(answer.request_id))
+        << "unknown request " << answer.request_id;
+    EXPECT_EQ(answer.job_id, job_of[answer.request_id]);
+    ++answers[answer.request_id];
+    if (answer.type == FrameType::kReject) {
+      EXPECT_EQ(answer.outcome, Outcome::kRejectedQueueFull);
+      ++shed;
+    }
+  }
+  EXPECT_EQ(answers.size(), kJobs);
+  for (const auto& [request_id, count] : answers) {
+    EXPECT_EQ(count, 1u) << "request " << request_id;
+  }
+  EXPECT_GT(shed, 0u);
+}
+
+TEST(NetServer, OneWriteOfMixedFramesKeepsFrameOrder) {
+  // SUBMIT x k, SUBMIT_BATCH, PING, SUBMIT x k, DRAIN in one write: the
+  // PING and the DRAIN must each see every job before them submitted.
+  AdmissionServerConfig config = loopback_config(256);
+  AdmissionServer server(config, [](int) {
+    return std::make_unique<GreedyScheduler>(2);
+  });
+  RawConn raw(server.port());
+  raw.set_recv_timeout(std::chrono::seconds(5));
+
+  constexpr std::size_t kLone = 5;
+  constexpr std::size_t kBatch = 9;
+  constexpr std::uint64_t kToken = 0x5eed;
+  std::vector<char> bytes;
+  std::uint64_t next_id = 1;
+  JobId next_job = 0;
+  const auto lone_submits = [&] {
+    for (std::size_t i = 0; i < kLone; ++i) {
+      SubmitMsg msg;
+      msg.request_id = next_id++;
+      msg.job = plain_job(next_job++);
+      encode_submit(bytes, msg);
+    }
+  };
+  lone_submits();
+  std::vector<Job> batch;
+  for (std::size_t i = 0; i < kBatch; ++i) {
+    batch.push_back(plain_job(next_job++));
+  }
+  encode_submit_batch(bytes, next_id, batch);
+  next_id += kBatch;
+  encode_ping(bytes, kToken);
+  lone_submits();
+  encode_drain(bytes);
+  raw.send_bytes(bytes.data(), bytes.size());
+
+  constexpr std::size_t kTotal = kLone + kBatch + kLone;
+  std::map<std::uint64_t, JobId> answered;
+  bool ponged = false;
+  std::string error;
+  while (true) {
+    const Frame frame = raw.read_frame();
+    if (frame.type == FrameType::kDrained) {
+      DrainedMsg drained;
+      ASSERT_TRUE(parse_drained(frame, drained, &error)) << error;
+      EXPECT_EQ(drained.submitted, kTotal);
+      EXPECT_EQ(drained.accepted + drained.rejected, kTotal);
+      EXPECT_EQ(drained.clean, 1);
+      break;
+    }
+    if (frame.type == FrameType::kPong) {
+      std::uint64_t token = 0;
+      ASSERT_TRUE(parse_token(frame, token, &error)) << error;
+      EXPECT_EQ(token, kToken);
+      EXPECT_FALSE(ponged);
+      ponged = true;
+      continue;
+    }
+    ASSERT_EQ(frame.type, FrameType::kDecision);
+    DecisionMsg msg;
+    ASSERT_TRUE(parse_decision(frame, msg, &error)) << error;
+    // Request ids 1.. were issued to jobs 0.. in order.
+    EXPECT_EQ(msg.job_id, static_cast<JobId>(msg.request_id - 1));
+    EXPECT_TRUE(answered.emplace(msg.request_id, msg.job_id).second);
+  }
+  EXPECT_TRUE(ponged);
+  // Every DECISION is resolved before the DRAINED frame leaves.
+  EXPECT_EQ(answered.size(), kTotal);
+}
+
+TEST(NetServer, MalformedFrameKeepsTheSubmitsBeforeIt) {
+  // Valid SUBMITs, then a SUBMIT whose payload is one byte short, in one
+  // write: the protocol error closes the connection, but the jobs that
+  // came before it were received whole and still reach the gateway.
+  AdmissionServerConfig config = loopback_config(64);
+  AdmissionServer server(config, [](int) {
+    return std::make_unique<GreedyScheduler>(2);
+  });
+  RawConn raw(server.port());
+  raw.set_recv_timeout(std::chrono::seconds(5));
+
+  constexpr std::size_t kValid = 6;
+  std::vector<char> bytes;
+  for (std::size_t i = 0; i < kValid; ++i) {
+    SubmitMsg msg;
+    msg.request_id = 50 + i;
+    msg.job = plain_job(static_cast<JobId>(i));
+    encode_submit(bytes, msg);
+  }
+  // Well framed, but 39 payload bytes where a SUBMIT needs 40.
+  const std::size_t start = wire::begin_frame(bytes);
+  bytes.resize(bytes.size() + 39);
+  wire::end_frame(bytes, start, kAdmissionFrames, FrameType::kSubmit);
+  raw.send_bytes(bytes.data(), bytes.size());
+
+  const std::string response = raw.read_to_eof();
+  FrameDecoder decoder;
+  decoder.feed(response.data(), response.size());
+  Frame frame;
+  bool saw_error = false;
+  while (decoder.next(frame) == FrameDecoder::Status::kFrame) {
+    saw_error = saw_error || frame.type == FrameType::kError;
+  }
+  EXPECT_TRUE(saw_error);
+  const GatewayResult result = server.shutdown();
+  EXPECT_EQ(result.merged.submitted, kValid);
+}
+
+TEST(NetServer, ChunkedByteStreamDecidesLikeRunOnline) {
+  // One byte stream of mixed SUBMIT and SUBMIT_BATCH frames, written cut
+  // at several chunk sizes: however the reads split it, the decisions
+  // arrive in submission order and equal the in-process engine's, bit
+  // for bit.
+  const Instance instance = test_instance(300, 2611);
+  ThresholdScheduler reference(0.1, 4);
+  const RunResult engine = run_online(reference, instance, RunOptions{});
+  ASSERT_EQ(engine.decisions.size(), instance.size());
+
+  std::vector<char> stream;
+  std::vector<std::uint64_t> request_ids;
+  const std::span<const Job> jobs = instance.jobs();
+  std::size_t next = 0;
+  std::uint64_t next_id = 77;
+  for (std::size_t frame = 0; next < jobs.size(); ++frame) {
+    // Alternate runs of lone SUBMITs with batches of 1..13 jobs.
+    const std::size_t run =
+        std::min<std::size_t>(jobs.size() - next, 1 + (frame * 5) % 13);
+    if (frame % 2 == 0) {
+      for (std::size_t i = 0; i < run; ++i) {
+        SubmitMsg msg;
+        msg.request_id = next_id;
+        next_id += 3;  // lone ids need not be contiguous
+        msg.job = jobs[next++];
+        request_ids.push_back(msg.request_id);
+        encode_submit(stream, msg);
+      }
+    } else {
+      encode_submit_batch(stream, next_id, jobs.subspan(next, run));
+      for (std::size_t i = 0; i < run; ++i) request_ids.push_back(next_id + i);
+      next_id += run;
+      next += run;
+    }
+  }
+
+  for (const std::size_t chunk :
+       {std::size_t{1}, std::size_t{7}, std::size_t{41}, std::size_t{4096},
+        stream.size()}) {
+    SCOPED_TRACE("chunk " + std::to_string(chunk));
+    AdmissionServerConfig config = loopback_config(instance.size());
+    AdmissionServer server(config, [](int) {
+      return std::make_unique<ThresholdScheduler>(0.1, 4);
+    });
+    RawConn raw(server.port());
+    raw.set_recv_timeout(std::chrono::seconds(10));
+    for (std::size_t at = 0; at < stream.size(); at += chunk) {
+      raw.send_bytes(stream.data() + at,
+                     std::min(chunk, stream.size() - at));
+    }
+    for (std::size_t i = 0; i < instance.size(); ++i) {
+      const WireAnswer got = read_answer(raw);
+      const DecisionRecord& expected = engine.decisions[i];
+      ASSERT_EQ(got.type, FrameType::kDecision) << "at " << i;
+      EXPECT_EQ(got.request_id, request_ids[i]) << "reply order broke at " << i;
+      EXPECT_EQ(got.job_id, expected.job.id);
+      EXPECT_EQ(got.outcome == Outcome::kAccepted,
+                expected.decision.accepted);
+      if (expected.decision.accepted) {
+        EXPECT_EQ(got.decision.machine, expected.decision.machine);
+        EXPECT_EQ(got.decision.start, expected.decision.start);
+      }
+    }
+    std::vector<char> drain;
+    encode_drain(drain);
+    raw.send_bytes(drain.data(), drain.size());
+    const Frame frame = raw.read_frame();
+    ASSERT_EQ(frame.type, FrameType::kDrained);
+    DrainedMsg drained;
+    std::string error;
+    ASSERT_TRUE(parse_drained(frame, drained, &error)) << error;
+    EXPECT_EQ(drained.submitted, engine.metrics.submitted);
+    EXPECT_EQ(drained.accepted, engine.metrics.accepted);
+    EXPECT_EQ(drained.accepted_volume, engine.metrics.accepted_volume);
+    EXPECT_EQ(drained.makespan, engine.metrics.makespan);
+  }
 }
 
 }  // namespace
