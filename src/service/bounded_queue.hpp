@@ -1,14 +1,21 @@
 /// \file
-/// Lock-free bounded multi-producer/single-consumer job queue for the
-/// admission gateway. Producers never block and never take a lock: a batch
-/// of items is claimed with one CAS on the (monotone, 64-bit) enqueue
-/// cursor, written into Vyukov-style per-slot sequence cells, and published
-/// per cell with a release store. The single consumer (a shard worker)
+/// Lock-free bounded multi-producer/single-consumer ring, and the job queue
+/// of the admission gateway built on it. Producers never block and never
+/// take a lock: a batch of items is claimed with one CAS on the (monotone,
+/// 64-bit) enqueue cursor, written into Vyukov-style per-slot sequence
+/// cells, and published per cell with a release store. The single consumer
 /// drains the contiguous published prefix in batches and advances its
 /// cursor once per batch — the whole hot path is wait-free for the
 /// consumer and lock-free for producers.
 ///
-/// Memory-ordering argument (see docs/perf.md, "Shard scaling"):
+/// BoundedRing<T> is that protocol and nothing else: it never parks, so
+/// its push pays no fence. BoundedMpscQueue<T> (a shard's job queue) is a
+/// BoundedRing plus the ConsumerParker its idle consumer sleeps on; the
+/// decision trace ring (service/trace_ring.hpp) is a BoundedRing whose
+/// reader polls.
+///
+/// Memory-ordering argument for BoundedRing (see docs/perf.md, "Shard
+/// scaling"):
 ///   * producer -> consumer: a producer writes `cell.value` and then
 ///     stores `cell.seq = pos + 1` with release; the consumer reads the
 ///     seq with acquire before touching the value. seqs are monotone per
@@ -28,167 +35,52 @@
 ///     an item whose try_push returned true is never lost (the
 ///     pop_batch_for contract test pins this).
 ///
-/// The idle consumer parks on a futex (Linux) or a mutex+condvar
-/// eventcount (elsewhere); producers only touch the parking path when the
-/// consumer has registered itself as sleeping (a Dekker-style seq_cst
-/// fence pair closes the lost-wakeup window), so the uncontended push is
-/// purely atomics.
+/// The queue's idle consumer parks on a futex; producers only touch the
+/// parking path when the consumer has registered itself as sleeping (a
+/// Dekker-style seq_cst fence pair closes the lost-wakeup window), so the
+/// uncontended push is purely atomics plus that one fence.
 ///
 /// Capacity must be a power of two (slot = pos & mask). A non-power-of-two
 /// capacity is rejected loudly — silently rounding a bound the operator
 /// configured is how shed-rate math goes wrong.
 #pragma once
 
+#include <linux/futex.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
-#include <mutex>
 #include <new>
-#include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
-
-#if defined(__linux__)
-#include <linux/futex.h>
-#include <sys/syscall.h>
-#include <unistd.h>
-#define SLACKSCHED_QUEUE_HAS_FUTEX 1
-#else
-#define SLACKSCHED_QUEUE_HAS_FUTEX 0
-#endif
 
 #include "common/expects.hpp"
 
 namespace slacksched {
 
-/// Result of a timed consumer pop: how many items were delivered, and
-/// whether the queue is closed-and-drained (count == 0 then distinguishes
-/// "shut down" from "timed out with nothing available").
+/// Result of a consumer pop: how many items were delivered, and whether
+/// the ring is closed-and-drained (count == 0 then distinguishes "shut
+/// down" from "nothing available").
 struct PopOutcome {
   std::size_t count = 0;
   bool closed = false;
 };
 
-namespace detail {
-
-/// Eventcount the single consumer parks on while the ring is empty.
-/// Producers call notify() after publishing; the seq_cst fences on both
-/// sides guarantee that either the producer observes the registered waiter
-/// (and wakes it) or the consumer's recheck observes the published item —
-/// the classic Dekker store-buffer argument, so a wakeup is never lost.
-/// On Linux the sleep itself is a futex wait on the epoch word; elsewhere
-/// a mutex+condvar pair provides the same semantics (the mutex is only
-/// touched on the park/wake slow path, never on an uncontended push).
-class ConsumerParker {
- public:
-  /// Producer side, after publishing work (or closing): wake the consumer
-  /// iff it is parked or about to park. The common no-waiter case is one
-  /// fence and one relaxed load.
-  void notify() {
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (waiters_.load(std::memory_order_relaxed) == 0) return;
-#if SLACKSCHED_QUEUE_HAS_FUTEX
-    epoch_.fetch_add(1, std::memory_order_release);
-    syscall(SYS_futex, epoch_word(), FUTEX_WAKE_PRIVATE, INT32_MAX, nullptr,
-            nullptr, 0);
-#else
-    {
-      // Taking the mutex orders the epoch bump against the consumer's
-      // predicate check inside wait_until: no wakeup can fall between
-      // the check and the sleep.
-      std::lock_guard<std::mutex> lock(mutex_);
-      epoch_.fetch_add(1, std::memory_order_release);
-    }
-    cv_.notify_all();
-#endif
-  }
-
-  /// Consumer side: sleep until notify() lands or `deadline` (when
-  /// engaged) passes. `recheck` must return true when there is work;
-  /// it is re-evaluated after waiter registration so a publication that
-  /// raced the registration is never slept through.
-  template <typename Recheck>
-  void park(Recheck&& recheck,
-            const std::optional<std::chrono::steady_clock::time_point>&
-                deadline) {
-    const std::uint32_t observed = epoch_.load(std::memory_order_acquire);
-    waiters_.store(1, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (recheck()) {
-      waiters_.store(0, std::memory_order_relaxed);
-      return;
-    }
-#if SLACKSCHED_QUEUE_HAS_FUTEX
-    while (epoch_.load(std::memory_order_acquire) == observed) {
-      struct timespec ts;
-      struct timespec* ts_ptr = nullptr;
-      if (deadline.has_value()) {
-        const auto left = *deadline - std::chrono::steady_clock::now();
-        if (left <= std::chrono::steady_clock::duration::zero()) break;
-        const auto secs =
-            std::chrono::duration_cast<std::chrono::seconds>(left);
-        ts.tv_sec = static_cast<time_t>(secs.count());
-        ts.tv_nsec = static_cast<long>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(left - secs)
-                .count());
-        ts_ptr = &ts;
-      }
-      // EAGAIN (epoch already moved), EINTR and ETIMEDOUT all resolve in
-      // the loop condition / deadline check above.
-      syscall(SYS_futex, epoch_word(), FUTEX_WAIT_PRIVATE, observed, ts_ptr,
-              nullptr, 0);
-      if (deadline.has_value() &&
-          std::chrono::steady_clock::now() >= *deadline) {
-        break;
-      }
-    }
-#else
-    std::unique_lock<std::mutex> lock(mutex_);
-    const auto changed = [this, observed] {
-      return epoch_.load(std::memory_order_acquire) != observed;
-    };
-    if (deadline.has_value()) {
-      cv_.wait_until(lock, *deadline, changed);
-    } else {
-      cv_.wait(lock, changed);
-    }
-#endif
-    waiters_.store(0, std::memory_order_relaxed);
-  }
-
- private:
-#if SLACKSCHED_QUEUE_HAS_FUTEX
-  /// FUTEX_WAIT compares a plain 32-bit word; the lock-free atomic's
-  /// storage is exactly that word.
-  std::uint32_t* epoch_word() {
-    static_assert(std::atomic<std::uint32_t>::is_always_lock_free);
-    return reinterpret_cast<std::uint32_t*>(&epoch_);
-  }
-#endif
-
-  alignas(64) std::atomic<std::uint32_t> epoch_{0};
-  std::atomic<std::uint32_t> waiters_{0};
-#if !SLACKSCHED_QUEUE_HAS_FUTEX
-  std::mutex mutex_;
-  std::condition_variable cv_;
-#endif
-};
-
-}  // namespace detail
-
-/// Fixed-capacity lock-free ring with batch-claim on both sides: blocking
-/// batch-pop for the single consumer, non-blocking single/batch push for
-/// any number of producers. Capacity must be a power of two.
+/// Fixed-capacity lock-free ring with batch-claim on both sides:
+/// non-blocking single/batch push for any number of producers,
+/// non-blocking batch pop for one consumer. Capacity must be a power of
+/// two.
 template <typename T>
-class BoundedMpscQueue {
+class BoundedRing {
  public:
-  explicit BoundedMpscQueue(std::size_t capacity)
+  explicit BoundedRing(std::size_t capacity)
       : mask_(capacity - 1), capacity_(capacity) {
     SLACKSCHED_EXPECTS(capacity >= 1);
     SLACKSCHED_EXPECTS((capacity & (capacity - 1)) == 0);
@@ -204,39 +96,16 @@ class BoundedMpscQueue {
         (raw + alignof(Cell) - 1) & ~std::uintptr_t{alignof(Cell) - 1}));
   }
 
-  BoundedMpscQueue(const BoundedMpscQueue&) = delete;
-  BoundedMpscQueue& operator=(const BoundedMpscQueue&) = delete;
-
-  /// Attempts to enqueue. Returns false — without taking ownership — when
-  /// the queue is full or closed; the caller decides how to degrade.
-  [[nodiscard]] bool try_push(T item) {
-    const std::size_t taken =
-        try_push_batch_with(1, nullptr, [&item](std::size_t, T& slot) {
-          slot = std::move(item);
-        });
-    return taken == 1;
-  }
-
-  /// Attempts to enqueue a span of items with one claim CAS. Stops at the
-  /// first item that does not fit (or immediately when closed) and returns
-  /// how many were taken; items are consumed from the front of `first` in
-  /// order, so the caller re-submits or sheds the tail. When `closed` is
-  /// non-null it reports whether the refusal (if any) was due to the queue
-  /// being closed rather than full — the two demand different degradation
-  /// (a closed shard is gone; a full one is backpressure).
-  [[nodiscard]] std::size_t try_push_batch(T* first, std::size_t count,
-                                           bool* closed = nullptr) {
-    return try_push_batch_with(count, closed,
-                               [first](std::size_t i, T& slot) {
-                                 slot = std::move(first[i]);
-                               });
-  }
+  BoundedRing(const BoundedRing&) = delete;
+  BoundedRing& operator=(const BoundedRing&) = delete;
 
   /// Zero-copy batch enqueue: claims up to `count` contiguous slots with
   /// one CAS and invokes `write(i, slot)` to construct the i-th item
   /// directly in its ring cell — no staging buffer on the producer side.
-  /// Same refusal semantics as try_push_batch. `write` runs outside any
-  /// lock and must not throw.
+  /// Stops at the first item that does not fit (or immediately when
+  /// closed) and returns how many were taken. When `closed` is non-null it
+  /// reports whether the refusal (if any) was due to the ring being closed
+  /// rather than full. `write` runs outside any lock and must not throw.
   template <typename Writer>
   [[nodiscard]] std::size_t try_push_batch_with(std::size_t count,
                                                 bool* closed, Writer&& write) {
@@ -267,65 +136,51 @@ class BoundedMpscQueue {
       write(i, cell.value);
       seq_of(cell).store(pos + i + 1, std::memory_order_release);
     }
-    parker_.notify();
     return taken;
   }
 
-  /// Consumer side: blocks until at least one item is available or the
-  /// queue is closed-and-drained, then appends up to `max_items` to `out`
-  /// in FIFO order. Returns the number popped; 0 means closed-and-drained
-  /// (the consumer's signal to exit).
-  std::size_t pop_batch(std::vector<T>& out, std::size_t max_items) {
-    PopOutcome outcome;
-    do {
-      outcome = pop_wait(out, max_items, std::nullopt);
-    } while (outcome.count == 0 && !outcome.closed);
-    return outcome.count;
+  /// Consumer side, never blocks: moves up to `max_items` published items
+  /// into `out` (constructed, assignable T storage) in FIFO order.
+  /// `closed` is reported only once every claim below the close-time
+  /// cursor has been consumed; a claim whose publication is still in
+  /// flight yields `{0, false}`, never a premature close.
+  PopOutcome try_pop_batch(T* out, std::size_t max_items) {
+    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
+    const std::uint64_t head = head_.load(std::memory_order_acquire);
+    const std::uint64_t head_pos = head & ~kClosedBit;
+    const std::size_t n = published_prefix(tail, head_pos, max_items);
+    if (n == 0) {
+      return PopOutcome{0, (head & kClosedBit) != 0 && head_pos == tail};
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = std::move(cells_[(tail + i) & mask_].value);
+    }
+    // Release: hands the consumed cells back to producers (their next
+    // claim's tail acquire orders the value writes after our reads).
+    tail_.store(tail + n, std::memory_order_release);
+    return PopOutcome{n, false};
   }
 
-  /// Timed variant of pop_batch for supervised consumers: waits at most
-  /// `timeout` for an item, so the worker wakes periodically to publish a
-  /// heartbeat even when the queue is idle — a supervisor can then tell a
-  /// stalled consumer from an idle one. `outcome.count == 0 && !closed`
-  /// means the wait timed out; `closed` means closed-and-drained.
-  ///
-  /// Contract pinned by tests/test_bounded_queue.cpp: a close() racing the
-  /// wait yields `closed == true` only once the ring is *fully drained* —
-  /// including items whose claim won the race against close() but whose
-  /// publication had not yet landed when close() returned. Until then the
-  /// call keeps delivering the backlog (or waits for the in-flight
-  /// publication), never reporting a premature shutdown.
-  PopOutcome pop_batch_for(std::vector<T>& out, std::size_t max_items,
-                           std::chrono::milliseconds timeout) {
-    return pop_wait(out, max_items,
-                    std::chrono::steady_clock::now() + timeout);
+  /// Consumer-only: true when try_pop_batch would deliver an item or
+  /// report closed-and-drained.
+  [[nodiscard]] bool ready() const {
+    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
+    const std::uint64_t head = head_.load(std::memory_order_acquire);
+    const std::uint64_t head_pos = head & ~kClosedBit;
+    return published_prefix(tail, head_pos, 1) > 0 ||
+           ((head & kClosedBit) != 0 && head_pos == tail);
   }
 
-  /// pop_batch_for into a caller-owned array (e.g. a per-shard arena):
-  /// writes up to `max_items` items starting at `out`, which must point to
-  /// constructed, assignable T storage. Same timing/closed contract.
-  PopOutcome pop_batch_for(T* out, std::size_t max_items,
-                           std::chrono::milliseconds timeout) {
-    return pop_wait_into(out, max_items,
-                         std::chrono::steady_clock::now() + timeout);
-  }
+  /// Marks the ring closed: subsequent pushes fail, the consumer drains the
+  /// remaining items and then sees `closed`. The closed bit lives in the
+  /// enqueue cursor, so closing and claiming are totally ordered: no claim
+  /// can slip in "after" close yet before the consumer's drained check.
+  void close() { head_.fetch_or(kClosedBit, std::memory_order_acq_rel); }
 
-  /// Marks the queue closed: subsequent pushes fail, the consumer drains
-  /// the remaining items and then sees pop_batch return 0. The closed bit
-  /// lives in the enqueue cursor, so closing and claiming are totally
-  /// ordered: no claim can slip in "after" close yet before the consumer's
-  /// drained check.
-  void close() {
-    head_.fetch_or(kClosedBit, std::memory_order_acq_rel);
-    parker_.notify();
-  }
-
-  /// Reopens a closed queue for a supervised restart. Requires the old
+  /// Reopens a closed ring for a supervised restart. Requires the old
   /// consumer to have exited; items still buffered survive and are
   /// delivered to the new consumer.
-  void reopen() {
-    head_.fetch_and(~kClosedBit, std::memory_order_acq_rel);
-  }
+  void reopen() { head_.fetch_and(~kClosedBit, std::memory_order_acq_rel); }
 
   /// Claimed-but-not-yet-consumed items (includes claims whose publication
   /// is still in flight). Approximate under concurrency, exact at rest.
@@ -388,77 +243,6 @@ class BoundedMpscQueue {
     return n;
   }
 
-  /// Moves exactly `n` published items out of the ring via `sink(i, T&&)`
-  /// and advances the consumer cursor once.
-  template <typename Sink>
-  void consume(std::uint64_t tail, std::size_t n, Sink&& sink) {
-    for (std::size_t i = 0; i < n; ++i) {
-      sink(i, std::move(cells_[(tail + i) & mask_].value));
-    }
-    // Release: hands the consumed cells back to producers (their next
-    // claim's tail acquire orders the value writes after our reads).
-    tail_.store(tail + n, std::memory_order_release);
-  }
-
-  PopOutcome pop_wait(
-      std::vector<T>& out, std::size_t max_items,
-      const std::optional<std::chrono::steady_clock::time_point>& deadline) {
-    const std::size_t base = out.size();
-    out.resize(base + max_items);
-    const PopOutcome outcome =
-        pop_wait_into(out.data() + base, max_items, deadline);
-    out.resize(base + outcome.count);
-    return outcome;
-  }
-
-  PopOutcome pop_wait_into(
-      T* out, std::size_t max_items,
-      const std::optional<std::chrono::steady_clock::time_point>& deadline) {
-    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    while (true) {
-      const std::uint64_t head = head_.load(std::memory_order_acquire);
-      const std::uint64_t head_pos = head & ~kClosedBit;
-      const std::size_t n = published_prefix(tail, head_pos, max_items);
-      if (n > 0) {
-        consume(tail, n, [out](std::size_t i, T&& v) {
-          out[i] = std::move(v);
-        });
-        return PopOutcome{n, false};
-      }
-      // Closed-and-drained only once every claim below the close-time
-      // cursor has been consumed. head_pos > tail with nothing published
-      // means a producer is mid-publication: keep waiting (the publish
-      // wakes us), never report a premature close.
-      if ((head & kClosedBit) != 0 && head_pos == tail) {
-        return PopOutcome{0, true};
-      }
-      bool ready = false;
-      parker_.park(
-          [&] {
-            const std::uint64_t h = head_.load(std::memory_order_acquire);
-            ready = published_prefix(tail, h & ~kClosedBit, 1) > 0 ||
-                    ((h & kClosedBit) != 0 && (h & ~kClosedBit) == tail);
-            return ready;
-          },
-          deadline);
-      if (!ready && deadline.has_value() &&
-          std::chrono::steady_clock::now() >= *deadline) {
-        // One last look so a publication that raced the deadline is not
-        // reported as an idle timeout.
-        const std::uint64_t h = head_.load(std::memory_order_acquire);
-        const std::size_t late =
-            published_prefix(tail, h & ~kClosedBit, max_items);
-        if (late > 0) {
-          consume(tail, late, [out](std::size_t i, T&& v) {
-            out[i] = std::move(v);
-          });
-          return PopOutcome{late, false};
-        }
-        return PopOutcome{0, (h & kClosedBit) != 0 && (h & ~kClosedBit) == tail};
-      }
-    }
-  }
-
   std::unique_ptr<void, FreeDeleter> storage_;
   Cell* cells_ = nullptr;  ///< storage_ rounded up to alignof(Cell)
   std::size_t mask_;
@@ -467,6 +251,178 @@ class BoundedMpscQueue {
   alignas(64) std::atomic<std::uint64_t> head_{0};
   /// Dequeue cursor, written only by the consumer (once per batch).
   alignas(64) std::atomic<std::uint64_t> tail_{0};
+};
+
+namespace detail {
+
+/// Eventcount the single consumer parks on while the ring is empty.
+/// Producers call notify() after publishing; the seq_cst fences on both
+/// sides guarantee that either the producer observes the registered waiter
+/// (and wakes it) or the consumer's recheck observes the published item —
+/// the classic Dekker store-buffer argument, so a wakeup is never lost.
+/// The sleep itself is a futex wait on the epoch word.
+class ConsumerParker {
+ public:
+  /// Producer side, after publishing work (or closing): wake the consumer
+  /// iff it is parked or about to park. The common no-waiter case is one
+  /// fence and one relaxed load.
+  void notify() {
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (waiters_.load(std::memory_order_relaxed) == 0) return;
+    epoch_.fetch_add(1, std::memory_order_release);
+    syscall(SYS_futex, epoch_word(), FUTEX_WAKE_PRIVATE, INT32_MAX, nullptr,
+            nullptr, 0);
+  }
+
+  /// Consumer side: sleep until notify() lands or `deadline` passes.
+  /// `recheck` must return true when there is work; it is re-evaluated
+  /// after waiter registration so a publication that raced the
+  /// registration is never slept through.
+  template <typename Recheck>
+  void park(Recheck&& recheck,
+            std::chrono::steady_clock::time_point deadline) {
+    const std::uint32_t observed = epoch_.load(std::memory_order_acquire);
+    waiters_.store(1, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    while (!recheck() &&
+           epoch_.load(std::memory_order_acquire) == observed) {
+      const auto left = deadline - std::chrono::steady_clock::now();
+      if (left <= std::chrono::steady_clock::duration::zero()) break;
+      const auto secs = std::chrono::duration_cast<std::chrono::seconds>(left);
+      struct timespec ts;
+      ts.tv_sec = static_cast<time_t>(secs.count());
+      ts.tv_nsec = static_cast<long>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(left - secs)
+              .count());
+      // EAGAIN (epoch already moved), EINTR and ETIMEDOUT all resolve in
+      // the loop condition / deadline check above.
+      syscall(SYS_futex, epoch_word(), FUTEX_WAIT_PRIVATE, observed, &ts,
+              nullptr, 0);
+    }
+    waiters_.store(0, std::memory_order_relaxed);
+  }
+
+ private:
+  /// FUTEX_WAIT compares a plain 32-bit word; the lock-free atomic's
+  /// storage is exactly that word.
+  std::uint32_t* epoch_word() {
+    static_assert(std::atomic<std::uint32_t>::is_always_lock_free);
+    return reinterpret_cast<std::uint32_t*>(&epoch_);
+  }
+
+  alignas(64) std::atomic<std::uint32_t> epoch_{0};
+  std::atomic<std::uint32_t> waiters_{0};
+};
+
+}  // namespace detail
+
+/// A shard's job queue: a BoundedRing whose idle consumer parks, with a
+/// timed batch pop. Capacity must be a power of two.
+template <typename T>
+class BoundedMpscQueue {
+ public:
+  explicit BoundedMpscQueue(std::size_t capacity) : ring_(capacity) {}
+
+  BoundedMpscQueue(const BoundedMpscQueue&) = delete;
+  BoundedMpscQueue& operator=(const BoundedMpscQueue&) = delete;
+
+  /// Attempts to enqueue. Returns false — without taking ownership — when
+  /// the queue is full or closed; the caller decides how to degrade.
+  [[nodiscard]] bool try_push(T item) {
+    const std::size_t taken =
+        try_push_batch_with(1, nullptr, [&item](std::size_t, T& slot) {
+          slot = std::move(item);
+        });
+    return taken == 1;
+  }
+
+  /// Attempts to enqueue a span of items with one claim CAS. Stops at the
+  /// first item that does not fit (or immediately when closed) and returns
+  /// how many were taken; items are consumed from the front of `first` in
+  /// order, so the caller re-submits or sheds the tail. When `closed` is
+  /// non-null it reports whether the refusal (if any) was due to the queue
+  /// being closed rather than full — the two demand different degradation
+  /// (a closed shard is gone; a full one is backpressure).
+  [[nodiscard]] std::size_t try_push_batch(T* first, std::size_t count,
+                                           bool* closed = nullptr) {
+    return try_push_batch_with(count, closed,
+                               [first](std::size_t i, T& slot) {
+                                 slot = std::move(first[i]);
+                               });
+  }
+
+  /// BoundedRing::try_push_batch_with, then a wake-up for a parked
+  /// consumer.
+  template <typename Writer>
+  [[nodiscard]] std::size_t try_push_batch_with(std::size_t count,
+                                                bool* closed, Writer&& write) {
+    const std::size_t taken =
+        ring_.try_push_batch_with(count, closed, std::forward<Writer>(write));
+    if (taken > 0) parker_.notify();
+    return taken;
+  }
+
+  /// Consumer side for supervised consumers: waits at most `timeout` for
+  /// an item, so the worker wakes periodically to publish a heartbeat even
+  /// when the queue is idle — a supervisor can then tell a stalled
+  /// consumer from an idle one. Writes up to `max_items` items starting at
+  /// `out`, which must point to constructed, assignable T storage.
+  /// `outcome.count == 0 && !closed` means the wait timed out; `closed`
+  /// means closed-and-drained (the consumer's signal to exit).
+  ///
+  /// Contract pinned by tests/test_bounded_queue.cpp: a close() racing the
+  /// wait yields `closed == true` only once the ring is *fully drained* —
+  /// including items whose claim won the race against close() but whose
+  /// publication had not yet landed when close() returned. Until then the
+  /// call keeps delivering the backlog (or waits for the in-flight
+  /// publication), never reporting a premature shutdown.
+  PopOutcome pop_batch_for(T* out, std::size_t max_items,
+                           std::chrono::milliseconds timeout) {
+    PopOutcome outcome = ring_.try_pop_batch(out, max_items);
+    if (outcome.count > 0 || outcome.closed) return outcome;
+    // The clock is read only once the ring has come up empty.
+    const auto deadline = std::chrono::steady_clock::now() + timeout;
+    while (true) {
+      parker_.park([this] { return ring_.ready(); }, deadline);
+      // After a wake-up or the deadline, one more look: a publication that
+      // raced the deadline is delivered, not reported as an idle timeout.
+      outcome = ring_.try_pop_batch(out, max_items);
+      if (outcome.count > 0 || outcome.closed ||
+          std::chrono::steady_clock::now() >= deadline) {
+        return outcome;
+      }
+    }
+  }
+
+  /// BoundedRing::try_pop_batch: never parks.
+  PopOutcome try_pop_batch(T* out, std::size_t max_items) {
+    return ring_.try_pop_batch(out, max_items);
+  }
+
+  /// pop_batch_for appending to a vector.
+  PopOutcome pop_batch_for(std::vector<T>& out, std::size_t max_items,
+                           std::chrono::milliseconds timeout) {
+    const std::size_t base = out.size();
+    out.resize(base + max_items);
+    const PopOutcome outcome =
+        pop_batch_for(out.data() + base, max_items, timeout);
+    out.resize(base + outcome.count);
+    return outcome;
+  }
+
+  /// Marks the queue closed (BoundedRing::close) and wakes the consumer.
+  void close() {
+    ring_.close();
+    parker_.notify();
+  }
+
+  void reopen() { ring_.reopen(); }
+  [[nodiscard]] std::size_t size() const { return ring_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return ring_.capacity(); }
+  [[nodiscard]] bool closed() const { return ring_.closed(); }
+
+ private:
+  BoundedRing<T> ring_;
   alignas(64) detail::ConsumerParker parker_;
 };
 

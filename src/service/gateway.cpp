@@ -77,7 +77,7 @@ std::vector<std::string> GatewayConfig::validate() const {
   if (enable_tracing && !is_power_of_two(trace_capacity)) {
     errors.push_back("trace_capacity must be a power of two (got " +
                      std::to_string(trace_capacity) +
-                     "): the ring would silently round up");
+                     "): the ring indexes slots with a mask");
   }
   if (!metrics_textfile.empty() && metrics_period.count() < 1) {
     errors.push_back("metrics_period must be >= 1ms when metrics_textfile "

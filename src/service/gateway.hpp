@@ -135,7 +135,7 @@ struct GatewayConfig {
   /// per-shard lock-free rings (service/trace_ring.hpp). Drop-on-full:
   /// tracing never blocks or slows ingest; drops are counted and exported.
   bool enable_tracing = false;
-  /// Capacity of each shard's trace ring (rounded up to a power of two).
+  /// Capacity of each shard's trace ring (must be a power of two).
   std::size_t trace_capacity = std::size_t{1} << 16;
   /// When non-empty, a background MetricsPublisher renders the Prometheus
   /// exposition page (service/metrics_exporter.hpp) and atomically

@@ -43,9 +43,10 @@ struct ShardMetricsSnapshot {
   /// `_sum` a Prometheus histogram exposes next to its buckets.
   double latency_sum_seconds = 0.0;
   std::size_t queue_depth = 0;  ///< jobs waiting right now
-  /// High-water mark of queue_depth. The depth counter is maintained
-  /// outside the queue's lock, so under concurrency the observed peak can
-  /// transiently exceed the queue capacity by up to one consumer batch.
+  /// High-water mark of queue_depth. The depth counter is its own atomic,
+  /// bumped after each push and each pop rather than with the ring's
+  /// cursors, so under concurrency the observed peak can transiently
+  /// exceed the queue capacity by up to one consumer batch.
   std::size_t peak_queue_depth = 0;
   std::size_t batches = 0;           ///< consumer wake-ups that found work
   /// Committed placements the shard's schedule still holds, as of its last

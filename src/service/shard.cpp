@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <array>
-#include <type_traits>
 #include <utility>
 
-#if defined(__linux__)
 #include <pthread.h>
 #include <sched.h>
-#endif
 
 #include "common/expects.hpp"
 #include "core/frontier_set.hpp"
@@ -28,12 +25,10 @@ RunOptions to_run_options(const ShardConfig& config) {
 /// locality hint, never an error (the shard runs fine unpinned).
 void pin_current_thread(int cpu) {
   if (cpu < 0) return;
-#if defined(__linux__)
   cpu_set_t set;
   CPU_ZERO(&set);
   CPU_SET(static_cast<unsigned>(cpu) % CPU_SETSIZE, &set);
   (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#endif
 }
 
 }  // namespace
@@ -45,7 +40,7 @@ Shard::Shard(int index, SchedulerFactory factory, const ShardConfig& config,
       factory_(std::move(factory)),
       metrics_(metrics),
       queue_(config.queue_capacity),
-      batch_arena_(config.batch_size * sizeof(Task) + alignof(Task)),
+      batch_(std::make_unique<Task[]>(config.batch_size)),
       result_{Schedule(1), RunMetrics{}, {}, {}} {
   SLACKSCHED_EXPECTS(index >= 0);
   SLACKSCHED_EXPECTS(config.batch_size >= 1);
@@ -261,16 +256,10 @@ void Shard::worker_loop() {
   // whether to restart it.
   try {
     pin_current_thread(config_.pin_cpu);
-    // The popped batch is staged in the shard's monotonic arena: one
-    // allocation per worker lifetime, the block reused for every batch.
-    // Task pointers never outlive the iteration that popped them.
-    static_assert(std::is_trivially_destructible_v<Task>);
-    batch_arena_.reset();
-    Task* batch = batch_arena_.allocate<Task>(config_.batch_size);
     while (true) {
       heartbeat_.fetch_add(1, std::memory_order_relaxed);
-      const PopOutcome popped =
-          queue_.pop_batch_for(batch, config_.batch_size, config_.pop_timeout);
+      const PopOutcome popped = queue_.pop_batch_for(
+          batch_.get(), config_.batch_size, config_.pop_timeout);
       if (popped.count == 0) {
         if (popped.closed) break;  // closed and drained
         continue;                  // idle wake: heartbeat already advanced
@@ -281,7 +270,7 @@ void Shard::worker_loop() {
       SLACKSCHED_FAULT_CRASH_POINT(config_.faults, FaultSite::kDequeue,
                                    index_);
       for (std::size_t i = 0; i < popped.count; ++i) {
-        process(batch[i]);
+        process(batch_[i]);
         heartbeat_.fetch_add(1, std::memory_order_relaxed);
       }
       if (wal_) wal_->sync_batch();

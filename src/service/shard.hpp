@@ -36,7 +36,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "policy/capacity_controller.hpp"
 #include "sched/engine.hpp"
 #include "sched/online.hpp"
@@ -259,11 +258,9 @@ class Shard {
   SchedulerFactory factory_;
   MetricsRegistry& metrics_;
   BoundedMpscQueue<Task> queue_;
-  /// Consumer-thread scratch: the popped Task batch is staged in this
-  /// per-shard arena, whose block is reused across batches — the steady
-  /// state of the consumer loop performs zero heap allocations. Pointers
-  /// into the arena never escape the batch that popped them.
-  MonotonicArena batch_arena_;
+  /// The consumer's popped batch (batch_size Tasks), made once per shard
+  /// and reused by every batch and every restarted worker.
+  std::unique_ptr<Task[]> batch_;
   std::unique_ptr<OnlineScheduler> scheduler_;
   std::unique_ptr<CommitLog> wal_;
   std::optional<StreamingRunner> runner_;

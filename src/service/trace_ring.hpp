@@ -1,14 +1,14 @@
 /// \file
-/// Per-decision structured tracing for the admission gateway: a
-/// fixed-capacity, lock-free bounded ring of TraceEvents, one ring per
-/// shard. The common case is single-writer-per-shard (the shard's consumer
-/// thread records one event per rendered decision), but the slot protocol
-/// is Vyukov-style per-cell sequence claiming, so the gateway's failover
-/// path — which runs on arbitrary producer threads — can safely record
-/// into the same rings. When the ring is full the event is DROPPED and an
-/// atomic counter is bumped: tracing never blocks or slows the decision
-/// path to preserve an event, and the drop count itself is exported as a
-/// metric so operators know the window was undersized.
+/// Per-decision structured tracing for the admission gateway: one
+/// fixed-capacity ring of TraceEvents per shard. The ring is the shard
+/// queue's lock-free BoundedRing (service/bounded_queue.hpp), so the
+/// shard's consumer thread and the gateway's failover path — which runs on
+/// arbitrary producer threads — can record into it concurrently. Nobody
+/// parks on a trace ring, so recording pays no fence. When the ring is
+/// full the event is DROPPED and an atomic counter is bumped: tracing never
+/// blocks or slows the decision path to preserve an event, and the drop
+/// count itself is exported as a metric so operators know the window was
+/// undersized.
 ///
 /// Draining is single-consumer (the gateway after finish(), or any one
 /// thread between runs). Drained events carry a globally unique `seq`
@@ -24,10 +24,11 @@
 #pragma once
 
 #include <atomic>
+#include <charconv>
 #include <cstddef>
 #include <cstdint>
 #include <istream>
-#include <memory>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -35,7 +36,9 @@
 #include "common/csv.hpp"
 #include "common/expects.hpp"
 #include "job/job.hpp"
+#include "service/bounded_queue.hpp"
 #include "service/commit_log.hpp"
+#include "service/metrics_registry.hpp"
 #include "service/outcome.hpp"
 
 namespace slacksched {
@@ -63,77 +66,43 @@ struct TraceEvent {
   friend bool operator==(const TraceEvent&, const TraceEvent&) = default;
 };
 
-/// Fixed-capacity lock-free event ring (bounded queue with drop-on-full).
+/// Fixed-capacity lock-free event ring (bounded ring with drop-on-full).
 class TraceRing {
  public:
-  /// `capacity` is rounded up to a power of two (minimum 2). When
-  /// `shared_seq` is non-null, record() draws event seqs from it instead
-  /// of the ring's own counter — one counter across all shards yields a
-  /// globally sortable trace.
+  /// `capacity` must be a power of two. When `shared_seq` is non-null,
+  /// record() draws event seqs from it instead of the ring's own counter —
+  /// one counter across all shards yields a globally sortable trace.
   explicit TraceRing(std::size_t capacity,
                      std::atomic<std::uint64_t>* shared_seq = nullptr)
-      : seq_source_(shared_seq != nullptr ? shared_seq : &own_seq_) {
-    std::size_t cap = 2;
-    while (cap < capacity) cap *= 2;
-    mask_ = cap - 1;
-    cells_ = std::make_unique<Cell[]>(cap);
-    for (std::size_t i = 0; i < cap; ++i) {
-      cells_[i].slot.store(i, std::memory_order_relaxed);
-    }
-  }
+      : ring_(capacity),
+        seq_source_(shared_seq != nullptr ? shared_seq : &own_seq_) {}
 
   TraceRing(const TraceRing&) = delete;
   TraceRing& operator=(const TraceRing&) = delete;
 
-  /// Records one event (its `seq` field is assigned here). Never blocks:
-  /// returns false and bumps dropped() when the ring is full.
+  /// Records one event (its `seq` field is assigned here, after the claim,
+  /// so a dropped event consumes no seq). Never blocks: returns false and
+  /// bumps dropped() when the ring is full.
   bool record(TraceEvent event) {
-    std::uint64_t pos = head_.load(std::memory_order_relaxed);
-    Cell* cell;
-    while (true) {
-      cell = &cells_[pos & mask_];
-      const std::uint64_t slot = cell->slot.load(std::memory_order_acquire);
-      const auto dif = static_cast<std::int64_t>(slot) -
-                       static_cast<std::int64_t>(pos);
-      if (dif == 0) {
-        if (head_.compare_exchange_weak(pos, pos + 1,
-                                        std::memory_order_relaxed)) {
-          break;  // claimed cells_[pos & mask_]
-        }
-      } else if (dif < 0) {
-        // The consumer has not freed this cell yet: the ring is full.
-        dropped_.fetch_add(1, std::memory_order_relaxed);
-        return false;
-      } else {
-        pos = head_.load(std::memory_order_relaxed);
-      }
-    }
-    event.seq = seq_source_->fetch_add(1, std::memory_order_relaxed);
-    cell->event = event;
-    cell->slot.store(pos + 1, std::memory_order_release);
-    return true;
+    const std::size_t taken = ring_.try_push_batch_with(
+        1, nullptr, [&](std::size_t, TraceEvent& slot) {
+          event.seq = seq_source_->fetch_add(1, std::memory_order_relaxed);
+          slot = event;
+        });
+    if (taken == 0) dropped_.fetch_add(1, std::memory_order_relaxed);
+    return taken == 1;
   }
 
   /// Appends every currently published event to `out` in ring (FIFO claim)
   /// order and frees the cells. Single consumer only. Returns the number
   /// of events drained.
   std::size_t drain(std::vector<TraceEvent>& out) {
-    std::size_t drained = 0;
-    std::uint64_t pos = tail_.load(std::memory_order_relaxed);
-    while (true) {
-      Cell* cell = &cells_[pos & mask_];
-      const std::uint64_t slot = cell->slot.load(std::memory_order_acquire);
-      if (static_cast<std::int64_t>(slot) -
-              static_cast<std::int64_t>(pos + 1) != 0) {
-        break;  // next cell not published yet: ring drained
-      }
-      out.push_back(cell->event);
-      cell->slot.store(pos + mask_ + 1, std::memory_order_release);
-      ++pos;
-      ++drained;
-    }
-    tail_.store(pos, std::memory_order_relaxed);
-    return drained;
+    const std::size_t base = out.size();
+    out.resize(base + ring_.size());
+    const std::size_t n =
+        ring_.try_pop_batch(out.data() + base, out.size() - base).count;
+    out.resize(base + n);
+    return n;
   }
 
   /// Events refused because the ring was full (monotone counter).
@@ -141,20 +110,12 @@ class TraceRing {
     return dropped_.load(std::memory_order_relaxed);
   }
 
-  [[nodiscard]] std::size_t capacity() const { return mask_ + 1; }
+  [[nodiscard]] std::size_t capacity() const { return ring_.capacity(); }
 
  private:
-  struct alignas(64) Cell {
-    std::atomic<std::uint64_t> slot{0};
-    TraceEvent event;
-  };
-
-  std::unique_ptr<Cell[]> cells_;
-  std::size_t mask_ = 0;
+  BoundedRing<TraceEvent> ring_;
   std::atomic<std::uint64_t> own_seq_{0};
   std::atomic<std::uint64_t>* seq_source_;
-  alignas(64) std::atomic<std::uint64_t> head_{0};
-  alignas(64) std::atomic<std::uint64_t> tail_{0};
   alignas(64) std::atomic<std::uint64_t> dropped_{0};
 };
 
@@ -176,6 +137,26 @@ inline void write_trace_csv(std::ostream& out,
   }
 }
 
+namespace detail {
+
+/// Cell of trace csv row `r` as an Int in [lo, hi]: no sign on an
+/// unsigned Int, no trailing text, no silent narrowing.
+template <typename Int>
+[[nodiscard]] Int trace_int(const std::string& cell, std::size_t r,
+                            Int lo = std::numeric_limits<Int>::min(),
+                            Int hi = std::numeric_limits<Int>::max()) {
+  Int v{};
+  const char* end = cell.data() + cell.size();
+  const auto [stop, ec] = std::from_chars(cell.data(), end, v);
+  if (ec != std::errc{} || stop != end || v < lo || v > hi) {
+    throw PreconditionError("trace csv: row " + std::to_string(r) +
+                            " has a malformed or out-of-range cell");
+  }
+  return v;
+}
+
+}  // namespace detail
+
 /// Reads a trace written by write_trace_csv. Throws PreconditionError on
 /// malformed input.
 [[nodiscard]] inline std::vector<TraceEvent> read_trace_csv(
@@ -191,47 +172,42 @@ inline void write_trace_csv(std::ostream& out,
   events.reserve(rows.size() - 1);
   for (std::size_t r = 1; r < rows.size(); ++r) {
     const auto& cells = rows[r];
-    if (cells.size() != 7) {
-      throw PreconditionError("trace csv: row " + std::to_string(r) +
-                              " has wrong arity");
+    const auto bad_row = [r](const char* what) {
+      return PreconditionError("trace csv: row " + std::to_string(r) + " has " +
+                               what);
+    };
+    if (cells.size() != 7) throw bad_row("wrong arity");
+    TraceEvent e;
+    e.seq = detail::trace_int<std::uint64_t>(cells[0], r);
+    e.job_id = detail::trace_int<JobId>(cells[1], r);
+    e.home_shard = detail::trace_int<std::int16_t>(cells[2], r, -1);
+    e.shard = detail::trace_int<std::int16_t>(cells[3], r, -1);
+    const std::optional<Outcome> kind = outcome_from_label(cells[4]);
+    // Only decision, routing and policy-shed outcomes are recordable trace
+    // kinds.
+    if (!kind.has_value() ||
+        (!outcome_is_decision(*kind) && *kind != Outcome::kFailover &&
+         *kind != Outcome::kRejectedRetryAfter &&
+         *kind != Outcome::kRejectedCriticality)) {
+      throw bad_row("a bad kind");
     }
-    try {
-      TraceEvent e;
-      e.seq = std::stoull(cells[0]);
-      e.job_id = std::stoll(cells[1]);
-      e.home_shard = static_cast<std::int16_t>(std::stoi(cells[2]));
-      e.shard = static_cast<std::int16_t>(std::stoi(cells[3]));
-      const std::optional<Outcome> kind = outcome_from_label(cells[4]);
-      // Only decision, routing and policy-shed outcomes are recordable
-      // trace kinds.
-      if (!kind.has_value() ||
-          (!outcome_is_decision(*kind) && *kind != Outcome::kFailover &&
-           *kind != Outcome::kRejectedRetryAfter &&
-           *kind != Outcome::kRejectedCriticality)) {
-        throw PreconditionError("bad kind");
-      }
-      e.kind = *kind;
-      e.latency_bin = cells[5] == "-"
-                          ? kTraceNoLatencyBin
-                          : static_cast<std::uint8_t>(std::stoi(cells[5]));
-      if (cells[6] == "-") {
-        e.fsync_class = kTraceNoWal;
-      } else if (cells[6] == to_string(FsyncPolicy::kNever)) {
-        e.fsync_class = static_cast<std::uint8_t>(FsyncPolicy::kNever);
-      } else if (cells[6] == to_string(FsyncPolicy::kBatch)) {
-        e.fsync_class = static_cast<std::uint8_t>(FsyncPolicy::kBatch);
-      } else if (cells[6] == to_string(FsyncPolicy::kEveryCommit)) {
-        e.fsync_class = static_cast<std::uint8_t>(FsyncPolicy::kEveryCommit);
-      } else {
-        throw PreconditionError("bad fsync class");
-      }
-      events.push_back(e);
-    } catch (const PreconditionError&) {
-      throw;
-    } catch (const std::exception&) {
-      throw PreconditionError("trace csv: row " + std::to_string(r) +
-                              " has malformed cells");
+    e.kind = *kind;
+    e.latency_bin = cells[5] == "-"
+                        ? kTraceNoLatencyBin
+                        : detail::trace_int<std::uint8_t>(
+                              cells[5], r, 0, kAdmitLatencyBins - 1);
+    if (cells[6] == "-") {
+      e.fsync_class = kTraceNoWal;
+    } else if (cells[6] == to_string(FsyncPolicy::kNever)) {
+      e.fsync_class = static_cast<std::uint8_t>(FsyncPolicy::kNever);
+    } else if (cells[6] == to_string(FsyncPolicy::kBatch)) {
+      e.fsync_class = static_cast<std::uint8_t>(FsyncPolicy::kBatch);
+    } else if (cells[6] == to_string(FsyncPolicy::kEveryCommit)) {
+      e.fsync_class = static_cast<std::uint8_t>(FsyncPolicy::kEveryCommit);
+    } else {
+      throw bad_row("a bad fsync class");
     }
+    events.push_back(e);
   }
   return events;
 }

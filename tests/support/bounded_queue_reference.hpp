@@ -24,7 +24,7 @@
 
 namespace slacksched {
 
-/// Fixed-capacity ring buffer with blocking batch-pop on the consumer side
+/// Fixed-capacity ring buffer with timed batch-pop on the consumer side
 /// and non-blocking push on the producer side.
 template <typename T>
 class BoundedMpscQueueReference {
@@ -74,23 +74,7 @@ class BoundedMpscQueueReference {
     return taken;
   }
 
-  /// Consumer side: blocks until at least one item is available or the
-  /// queue is closed, then appends up to `max_items` to `out` in FIFO
-  /// order. Returns the number popped; 0 means closed-and-drained (the
-  /// consumer's signal to exit).
-  std::size_t pop_batch(std::vector<T>& out, std::size_t max_items) {
-    std::unique_lock lock(mutex_);
-    cv_ready_.wait(lock, [this] { return closed_ || size_ > 0; });
-    const std::size_t n = std::min(size_, max_items);
-    for (std::size_t i = 0; i < n; ++i) {
-      out.push_back(std::move(buffer_[head_]));
-      head_ = (head_ + 1) % capacity_;
-      --size_;
-    }
-    return n;
-  }
-
-  /// Timed variant of pop_batch for supervised consumers: waits at most
+  /// Consumer side for supervised consumers: waits at most
   /// `timeout` for an item, so the worker wakes periodically to publish a
   /// heartbeat even when the queue is idle — a supervisor can then tell a
   /// stalled consumer from an idle one. `outcome.count == 0 && !closed`
@@ -109,7 +93,7 @@ class BoundedMpscQueueReference {
   }
 
   /// Marks the queue closed: subsequent pushes fail, the consumer drains
-  /// the remaining items and then sees pop_batch return 0.
+  /// the remaining items and then sees pop_batch_for report closed.
   void close() {
     {
       std::unique_lock lock(mutex_);

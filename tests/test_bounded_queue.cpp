@@ -1,5 +1,6 @@
 // Torture and differential suite for the lock-free bounded MPSC ring
-// (service/bounded_queue.hpp). The concurrent tests here are the ones the
+// (service/bounded_queue.hpp: BoundedRing and the parked-consumer
+// BoundedMpscQueue built on it). The concurrent tests here are the ones the
 // TSan CI matrix runs against the queue: multi-producer close/drain races,
 // batch-claim wraparound at the smallest legal capacities, and the
 // close-racing-a-timed-wait drain contract. The retired mutex+condvar
@@ -27,6 +28,10 @@
 namespace slacksched {
 namespace {
 
+// Bounds every wait that must end on an item or a close: a broken ring
+// fails the test instead of hanging it.
+constexpr auto kWait = std::chrono::seconds(5);
+
 // ---------- construction ----------
 
 TEST(BoundedQueue, RejectsNonPowerOfTwoCapacity) {
@@ -41,45 +46,73 @@ TEST(BoundedQueue, RejectsNonPowerOfTwoCapacity) {
   EXPECT_NO_THROW(BoundedMpscQueue<int>(4096));
 }
 
+// Runs one full lap through a fresh `Ring` of `cells` slots, consuming
+// through `pop(ring, out, max_items, timeout)`: nothing may be delivered
+// while the lap is claimed but unpublished, then the whole lap in FIFO
+// order.
+template <typename Ring, typename Pop>
+void run_one_lap_over_fresh_storage(int lap, std::size_t cells, Pop pop) {
+  Ring q(cells);
+  std::vector<int> early;
+  const PopOutcome idle = pop(q, early, cells, std::chrono::milliseconds(1));
+  EXPECT_EQ(idle.count, 0u);
+  EXPECT_FALSE(idle.closed);
+
+  // The writer runs after the batch is claimed and before any of its
+  // cells is published: a consumer looking then must find nothing, and
+  // a close landing then must not read as closed-and-drained.
+  const std::size_t taken = q.try_push_batch_with(
+      cells, nullptr, [&](std::size_t i, int& slot) {
+        if (i == 0) {
+          q.close();
+          const PopOutcome seen =
+              pop(q, early, cells, std::chrono::milliseconds(0));
+          EXPECT_EQ(seen.count, 0u);
+          EXPECT_FALSE(seen.closed) << "closed with a claim in flight";
+        }
+        slot = lap * static_cast<int>(cells) + static_cast<int>(i);
+      });
+  ASSERT_EQ(taken, cells);
+  ASSERT_TRUE(early.empty()) << early.size() << " unpublished cells popped";
+
+  std::vector<int> out;
+  // Bounded wait: a ring whose cursor a stale pop advanced must fail
+  // here, not hang.
+  ASSERT_EQ(pop(q, out, cells, kWait).count, cells);
+  for (std::size_t i = 0; i < cells; ++i) {
+    ASSERT_EQ(out[i], lap * static_cast<int>(cells) + static_cast<int>(i))
+        << "FIFO broke at " << i;
+  }
+  EXPECT_TRUE(pop(q, out, cells, kWait).closed);  // now drained
+}
+
 TEST(BoundedQueue, RingOverRecycledStorageStartsUnpublished) {
   // A ring's cells come from zeroed storage, never from whatever a dead
   // ring left behind. Each ring here runs exactly one full lap and dies,
   // so the next same-size ring very likely reuses storage whose cells
   // hold the very seqs its own lap 0 publishes (slot i -> i + 1). Without
   // zeroing, a claimed but not yet written cell would read as published.
+  // The queue's timed pop and the bare ring's try_pop_batch (the trace
+  // ring's drain) alternate over the same storage.
   constexpr std::size_t kCells = 4096;
-  for (int ring = 0; ring < 4; ++ring) {
-    SCOPED_TRACE("ring " + std::to_string(ring));
-    BoundedMpscQueue<int> q(kCells);
-    std::vector<int> early;
-    const PopOutcome idle =
-        q.pop_batch_for(early, kCells, std::chrono::milliseconds(1));
-    EXPECT_EQ(idle.count, 0u);
-    EXPECT_FALSE(idle.closed);
-
-    // The writer runs after the batch is claimed and before any of its
-    // cells is published: a consumer looking then must find nothing.
-    const std::size_t taken = q.try_push_batch_with(
-        kCells, nullptr, [&](std::size_t i, int& slot) {
-          if (i == 0) {
-            const PopOutcome seen =
-                q.pop_batch_for(early, kCells, std::chrono::milliseconds(0));
-            EXPECT_EQ(seen.count, 0u);
-          }
-          slot = ring * static_cast<int>(kCells) + static_cast<int>(i);
+  for (int lap = 0; lap < 4; ++lap) {
+    SCOPED_TRACE("lap " + std::to_string(lap));
+    run_one_lap_over_fresh_storage<BoundedMpscQueue<int>>(
+        lap, kCells,
+        [](BoundedMpscQueue<int>& q, std::vector<int>& out, std::size_t max,
+           std::chrono::milliseconds timeout) {
+          return q.pop_batch_for(out, max, timeout);
         });
-    ASSERT_EQ(taken, kCells);
-    ASSERT_TRUE(early.empty()) << early.size() << " unpublished cells popped";
-
-    std::vector<int> out;
-    // Bounded wait: a ring whose cursor a stale pop advanced must fail
-    // here, not hang.
-    ASSERT_EQ(q.pop_batch_for(out, kCells, std::chrono::seconds(5)).count,
-              kCells);
-    for (std::size_t i = 0; i < kCells; ++i) {
-      ASSERT_EQ(out[i], ring * static_cast<int>(kCells) + static_cast<int>(i))
-          << "FIFO broke at " << i;
-    }
+    run_one_lap_over_fresh_storage<BoundedRing<int>>(
+        lap, kCells,
+        [](BoundedRing<int>& ring, std::vector<int>& out, std::size_t max,
+           std::chrono::milliseconds) {
+          const std::size_t base = out.size();
+          out.resize(base + max);
+          const PopOutcome got = ring.try_pop_batch(out.data() + base, max);
+          out.resize(base + got.count);
+          return got;
+        });
   }
 }
 
@@ -99,9 +132,9 @@ TEST(BoundedQueue, PopBatchIsFifo) {
   BoundedMpscQueue<int> q(8);
   for (int i = 0; i < 5; ++i) EXPECT_TRUE(q.try_push(i));
   std::vector<int> out;
-  EXPECT_EQ(q.pop_batch(out, 3), 3u);
+  EXPECT_EQ(q.pop_batch_for(out, 3, kWait).count, 3u);
   EXPECT_EQ(out, (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(q.pop_batch(out, 10), 2u);
+  EXPECT_EQ(q.pop_batch_for(out, 10, kWait).count, 2u);
   EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
@@ -112,7 +145,7 @@ TEST(BoundedQueue, WrapsAroundTheRing) {
     EXPECT_TRUE(q.try_push(2 * round));
     EXPECT_TRUE(q.try_push(2 * round + 1));
     out.clear();
-    EXPECT_EQ(q.pop_batch(out, 4), 2u);
+    EXPECT_EQ(q.pop_batch_for(out, 4, kWait).count, 2u);
     EXPECT_EQ(out, (std::vector<int>{2 * round, 2 * round + 1}));
   }
 }
@@ -123,8 +156,10 @@ TEST(BoundedQueue, CloseDrainsThenSignalsExit) {
   q.close();
   EXPECT_FALSE(q.try_push(8));  // closed refuses new work
   std::vector<int> out;
-  EXPECT_EQ(q.pop_batch(out, 4), 1u);  // backlog still drains
-  EXPECT_EQ(q.pop_batch(out, 4), 0u);  // then the exit signal
+  EXPECT_EQ(q.pop_batch_for(out, 4, kWait).count, 1u);  // backlog still drains
+  const PopOutcome done = q.pop_batch_for(out, 4, kWait);
+  EXPECT_EQ(done.count, 0u);  // then the exit signal
+  EXPECT_TRUE(done.closed);
 }
 
 TEST(BoundedQueue, TryPushBatchTakesWhatFits) {
@@ -132,7 +167,7 @@ TEST(BoundedQueue, TryPushBatchTakesWhatFits) {
   std::vector<int> items{1, 2, 3, 4, 5, 6};
   EXPECT_EQ(q.try_push_batch(items.data(), items.size()), 4u);
   std::vector<int> out;
-  EXPECT_EQ(q.pop_batch(out, 6), 4u);
+  EXPECT_EQ(q.pop_batch_for(out, 6, kWait).count, 4u);
   EXPECT_EQ(out, (std::vector<int>{1, 2, 3, 4}));
 }
 
@@ -149,7 +184,7 @@ TEST(BoundedQueue, TryPushBatchWithConstructsInPlace) {
   EXPECT_EQ(taken, 5u);
   EXPECT_FALSE(closed);
   std::vector<int> out;
-  EXPECT_EQ(q.pop_batch(out, 8), 5u);
+  EXPECT_EQ(q.pop_batch_for(out, 8, kWait).count, 5u);
   EXPECT_EQ(out, (std::vector<int>{100, 101, 102, 103, 104}));
 
   q.close();
@@ -166,7 +201,8 @@ TEST(BoundedQueue, PopBlocksUntilPush) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     ASSERT_TRUE(q.try_push(42));
   });
-  EXPECT_EQ(q.pop_batch(out, 1), 1u);  // waits for the producer
+  // Waits for the producer.
+  EXPECT_EQ(q.pop_batch_for(out, 1, kWait).count, 1u);
   EXPECT_EQ(out, (std::vector<int>{42}));
   producer.join();
 }
@@ -207,7 +243,7 @@ TEST(BoundedQueue, PopBatchForWakesWhenAProducerArrives) {
 }
 
 TEST(BoundedQueue, RawPointerPopMatchesVectorOverload) {
-  // The arena-backed consumer loop uses the raw-pointer overload; it must
+  // The shard's consumer loop uses the raw-pointer overload; it must
   // deliver the same stream with the same outcome semantics.
   BoundedMpscQueue<int> q(8);
   for (int i = 0; i < 6; ++i) ASSERT_TRUE(q.try_push(i));
@@ -250,7 +286,7 @@ TEST(BoundedQueue, ReopenAcceptsNewWorkAndKeepsTheBacklog) {
   EXPECT_FALSE(q.closed());
   EXPECT_TRUE(q.try_push(2));  // accepted again
   std::vector<int> out;
-  EXPECT_EQ(q.pop_batch(out, 4), 2u);
+  EXPECT_EQ(q.pop_batch_for(out, 4, kWait).count, 2u);
   EXPECT_EQ(out, (std::vector<int>{1, 2}));  // backlog survived the cycle
 }
 
@@ -267,7 +303,7 @@ TEST(BoundedQueue, CapacityOneWrapsThroughManyLaps) {
     EXPECT_TRUE(q.try_push(lap));
     EXPECT_FALSE(q.try_push(lap + 1000000));  // full at one item
     out.clear();
-    EXPECT_EQ(q.pop_batch(out, 4), 1u);
+    EXPECT_EQ(q.pop_batch_for(out, 4, kWait).count, 1u);
     EXPECT_EQ(out, (std::vector<int>{lap}));
   }
 }
@@ -464,7 +500,7 @@ void run_differential_stream(std::uint64_t seed) {
   std::vector<int> oracle_out;
   int next_value = 0;
   for (int op = 0; op < 2000; ++op) {
-    switch (rng.uniform_int(0, 5)) {
+    switch (rng.uniform_int(0, 6)) {
       case 0: {  // single push
         const int v = next_value++;
         EXPECT_EQ(ring.try_push(v), oracle.try_push(v)) << "op " << op;
@@ -505,6 +541,17 @@ void run_differential_stream(std::uint64_t seed) {
           ring.reopen();
           oracle.reopen();
         }
+        break;
+      }
+      case 6: {  // non-blocking pop: the oracle's zero-timeout wait
+        const std::size_t max_items = 1 + rng.uniform_int(0, 5);
+        int buffer[6] = {};
+        const PopOutcome r = ring.try_pop_batch(buffer, max_items);
+        ring_out.insert(ring_out.end(), buffer, buffer + r.count);
+        const PopOutcome o = oracle.pop_batch_for(
+            oracle_out, max_items, std::chrono::milliseconds(0));
+        EXPECT_EQ(r.count, o.count) << "op " << op;
+        EXPECT_EQ(r.closed, o.closed) << "op " << op;
         break;
       }
     }

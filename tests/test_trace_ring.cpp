@@ -7,10 +7,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <set>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include "service/metrics_registry.hpp"
 
 namespace slacksched {
 namespace {
@@ -41,11 +45,14 @@ TEST(TraceRing, DrainsInFifoOrderWithAssignedSeqs) {
   EXPECT_EQ(ring.dropped(), 0u);
 }
 
-TEST(TraceRing, CapacityRoundsUpToAPowerOfTwo) {
-  TraceRing ring(5);
-  EXPECT_EQ(ring.capacity(), 8u);
-  TraceRing tiny(0);
-  EXPECT_EQ(tiny.capacity(), 2u);
+TEST(TraceRing, RejectsNonPowerOfTwoCapacity) {
+  // The ring is the shard queue's BoundedRing: a capacity is a bound the
+  // operator chose, never silently rounded.
+  EXPECT_THROW(TraceRing(0), PreconditionError);
+  EXPECT_THROW(TraceRing(3), PreconditionError);
+  EXPECT_THROW(TraceRing(5), PreconditionError);
+  EXPECT_EQ(TraceRing(1).capacity(), 1u);
+  EXPECT_EQ(TraceRing(8).capacity(), 8u);
 }
 
 TEST(TraceRing, FullRingDropsAndCounts) {
@@ -181,6 +188,11 @@ TEST(TraceCsv, RoundTripsEveryFieldIncludingSentinels) {
   s.shard = -1;  // shed: never reached a shard
   s.kind = Outcome::kRejectedRetryAfter;
   events.push_back(s);
+  TraceEvent edge = decision_event(45, 0, false);  // every range's edge
+  edge.seq = std::numeric_limits<std::uint64_t>::max();
+  edge.home_shard = std::numeric_limits<std::int16_t>::max();
+  edge.latency_bin = static_cast<std::uint8_t>(kAdmitLatencyBins - 1);
+  events.push_back(edge);
 
   std::ostringstream out;
   write_trace_csv(out, events);
@@ -207,6 +219,20 @@ TEST(TraceCsv, RejectsMalformedInput) {
     std::istringstream in(
         "seq,job_id,home_shard,shard,kind,latency_bin,fsync\n"
         "0,1,0,0,accepted,3\n");
+    EXPECT_THROW((void)read_trace_csv(in), PreconditionError);
+  }
+  // Cells that a narrowing parse would silently wrap: a latency bin past
+  // the uint8 range, below zero (it would alias the "-" sentinel) or past
+  // the last admit-latency bin; a signed seq; a shard past int16.
+  for (const char* row : {"0,1,0,0,accepted,300,-", "0,1,0,0,accepted,-1,-",
+                          "0,1,0,0,accepted,28,-", "-1,1,0,0,accepted,3,-",
+                          "0,1,70000,0,accepted,3,-",
+                          "0,1,0,70000,accepted,3,-",
+                          "0,1,-2,0,accepted,3,-"}) {
+    SCOPED_TRACE(row);
+    std::istringstream in(
+        std::string("seq,job_id,home_shard,shard,kind,latency_bin,fsync\n") +
+        row + "\n");
     EXPECT_THROW((void)read_trace_csv(in), PreconditionError);
   }
 }
