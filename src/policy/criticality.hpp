@@ -1,5 +1,6 @@
 /// \file
-/// Criticality classes for mixed-criticality admission (ROADMAP item 4).
+/// Criticality classes for mixed-criticality admission (the class-aware
+/// policy layer; docs/service.md, "Criticality and capacity").
 ///
 /// Every job carries one of four criticality levels, modeled on the
 /// automotive QM -> ASIL ladder: under queue pressure the gateway sheds

@@ -59,9 +59,10 @@ using ShardSchedulerFactory =
 
 /// Invoked by shard consumer threads for every rendered, legal decision
 /// (see GatewayConfig::on_decision). Calls arrive in decision order per
-/// shard, from that shard's consumer thread. `route_ctx` is the opaque
-/// value the producer passed to submit(), or `route_ctx + i` for job i of
-/// a submit_batch() (0 by default, and 0 stays 0 for every job of a
+/// shard, from that shard's consumer thread, once the decision's popped
+/// batch has been decided whole. `route_ctx` is the opaque value the
+/// producer passed to submit(), or `route_ctx + i` for job i of a
+/// submit_batch() (0 by default, and 0 stays 0 for every job of a
 /// batch: no context). The network front end stores (loop << 56) | ticket
 /// there, so a decision routes straight to the reply slot of the loop
 /// owning the submitting connection without any shared lookup.
@@ -82,9 +83,9 @@ struct GatewayConfig {
   /// default; collect decisions through on_decision instead.
   bool record_decisions = false;
   /// Pin shard s's consumer thread to CPU s mod hardware_concurrency for
-  /// cache locality (shared-nothing shard loops stay on their core). Only
-  /// honored on Linux; elsewhere it is a documented no-op — pinning is a
-  /// locality hint, never a correctness requirement.
+  /// cache locality (shared-nothing shard loops stay on their core).
+  /// Pinning is a locality hint, never a correctness requirement: a failed
+  /// affinity call is ignored.
   bool pin_shards = false;
 
   // --- scheduler-model selector (see docs/models.md) ---
@@ -148,9 +149,12 @@ struct GatewayConfig {
   // --- integration hooks (see net/admission_server.hpp) ---
   /// Per-decision notification: invoked by the deciding shard's consumer
   /// thread after the decision is validated, counted and traced, in
-  /// decision order within the shard. The network front end uses this to
-  /// answer each SUBMIT frame; leave empty when unused. The callback runs
-  /// on the decision hot path — it must be fast and must not throw.
+  /// decision order within the shard. A shard publishes at its batch
+  /// boundary: it decides a popped batch whole, then notifies each of its
+  /// decisions (ShardConfig::on_decision). The network front end uses
+  /// this to answer each SUBMIT frame; leave empty when unused. The
+  /// callback runs on the decision hot path — it must be fast and must
+  /// not throw.
   GatewayDecisionCallback on_decision;
 
   /// Checks the configuration for values that would otherwise misbehave

@@ -11,8 +11,10 @@ namespace slacksched {
 namespace {
 
 /// Relaxed single-writer accumulate: only the shard's consumer thread
-/// read-modify-writes these doubles, so load+store (no CAS) is race-free.
-void accumulate(std::atomic<double>& target, double delta) {
+/// read-modify-writes these counters, so load+store (no locked RMW) is
+/// race-free; readers still see each store whole.
+template <class T>
+void accumulate(std::atomic<T>& target, T delta) {
   target.store(target.load(std::memory_order_relaxed) + delta,
                std::memory_order_relaxed);
 }
@@ -104,15 +106,15 @@ std::size_t MetricsRegistry::on_decision(int shard, double job_volume,
   Slot& slot = slots_[static_cast<std::size_t>(shard)];
   const std::size_t cls = criticality_index(criticality);
   if (accepted) {
-    slot.class_accepted[cls].fetch_add(1, std::memory_order_relaxed);
+    accumulate(slot.class_accepted[cls], std::uint64_t{1});
     accumulate(slot.accepted_volume, job_volume);
   } else {
-    slot.class_rejected[cls].fetch_add(1, std::memory_order_relaxed);
+    accumulate(slot.class_rejected[cls], std::uint64_t{1});
     accumulate(slot.rejected_volume, job_volume);
   }
   accumulate(slot.class_latency_sum[cls], latency_seconds);
   const std::size_t bin = latency_bin(latency_seconds);
-  slot.class_latency[cls][bin].fetch_add(1, std::memory_order_relaxed);
+  accumulate(slot.class_latency[cls][bin], std::uint64_t{1});
   return bin;
 }
 

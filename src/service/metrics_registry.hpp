@@ -3,6 +3,8 @@
 // gateway's producer threads (enqueue/backpressure counters) and each
 // shard's consumer thread (decision counters); every field is an atomic,
 // so snapshot() is a lock-free read that never stalls the ingest path.
+// A shard publishes its decisions at its batch boundary (service/shard.hpp),
+// so a decision is counted when its batch is published.
 //
 // The per-shard decision counters are the live analogue of RunMetrics, and
 // the snapshot carries the same totals the dashboard statistics of
@@ -116,10 +118,11 @@ class MetricsRegistry {
   void on_batch(int shard, std::size_t popped);
   /// Stores the shard's held-placement gauge (one relaxed write per batch).
   void on_schedule_held(int shard, std::size_t held);
-  /// Records one rendered decision. `latency_seconds` is queue-entry to
-  /// decision-rendered wall time; `criticality` attributes the decision to
-  /// its class family. Returns the latency bin the decision landed in so
-  /// decision tracing can reuse it without a second search.
+  /// Records one published decision. `latency_seconds` is queue-entry to
+  /// batch-publication wall time (0 for a δ-model resolution);
+  /// `criticality` attributes the decision to its class family. Returns
+  /// the latency bin the decision landed in so decision tracing can reuse
+  /// it without a second search. Single writer per shard.
   std::size_t on_decision(int shard, double job_volume, bool accepted,
                           double latency_seconds,
                           Criticality criticality = Criticality::kBackground);
@@ -151,6 +154,8 @@ class MetricsRegistry {
 
  private:
   struct alignas(64) Slot {
+    // fetch_add: many writers (producers, recovery, supervisor, failover
+    // router), except batches, bumped once per batch by the consumer.
     std::atomic<std::uint64_t> backpressure_rejected{0};
     std::atomic<std::uint64_t> batches{0};
     std::atomic<std::uint64_t> recoveries{0};
@@ -160,11 +165,16 @@ class MetricsRegistry {
     std::atomic<std::uint64_t> degraded_rejected{0};
     std::atomic<std::int64_t> queue_depth{0};
     std::atomic<std::uint64_t> peak_queue_depth{0};
+    // Single writer, the shard's consumer thread (one at a time: a
+    // restarted worker starts after the dead one is joined): plain
+    // load+store, no locked read-modify-write. schedule_held_placements,
+    // the volumes, class_accepted, class_rejected, class_latency_sum and
+    // class_latency.
     std::atomic<std::uint64_t> schedule_held_placements{0};
-    // Single-writer (the shard consumer): plain load+store suffices.
     std::atomic<double> accepted_volume{0.0};
     std::atomic<double> rejected_volume{0.0};
-    // Per-criticality-class counters (policy/criticality.hpp).
+    // Per-criticality-class counters (policy/criticality.hpp);
+    // class_enqueued and class_shed have many writers.
     std::array<std::atomic<std::uint64_t>, kCriticalityCount> class_enqueued{};
     std::array<std::atomic<std::uint64_t>, kCriticalityCount> class_accepted{};
     std::array<std::atomic<std::uint64_t>, kCriticalityCount> class_rejected{};

@@ -46,6 +46,7 @@ Shard::Shard(int index, SchedulerFactory factory, const ShardConfig& config,
   SLACKSCHED_EXPECTS(config.batch_size >= 1);
   SLACKSCHED_EXPECTS(config.pop_timeout.count() >= 1);
   SLACKSCHED_EXPECTS(factory_ != nullptr);
+  pending_.reserve(config.batch_size);
 }
 
 Shard::~Shard() {
@@ -111,18 +112,19 @@ void Shard::spawn(bool is_restart) {
                                    index_);
     });
   }
-  // Deferred-commitment schedulers resolve jobs outside any feed() call;
-  // the resolution hook performs the same bookkeeping process() does for
-  // immediate decisions (metrics, trace, notification), with a zero queue
-  // latency — the job left the queue when it was fed.
+  // Deferred-commitment schedulers resolve jobs outside their own feed()
+  // call; the resolution hook queues the binding decision on the same
+  // publication list as immediate decisions, in the order rendered.
   runner_->set_resolution_hook(
       [this](const Job& job, const Decision& decision, TimePoint) {
         on_resolution(job, decision);
       });
 
   // Parked contexts belong to the previous worker's deferred jobs; a
-  // restart re-feeds nothing, so they can never resolve.
+  // restart re-feeds nothing, so they can never resolve. Unpublished
+  // decisions died with the worker, like unsent replies in a crash.
   deferred_ctx_.clear();
+  pending_.clear();
 
   // Elastic control loop: a fresh controller every spawn (its window is
   // transient load state — the durable truth, the machine counts, was just
@@ -251,13 +253,19 @@ void Shard::set_error(std::string message) {
 
 void Shard::worker_loop() {
   // One binding decision per job in FIFO (= submission) order, through the
-  // engine's StreamingRunner. Any exception — injected fault, WAL I/O
-  // error, scheduler bug — marks the shard failed; the supervisor decides
+  // engine's StreamingRunner, in two passes per popped batch: decide every
+  // job, then publish every decision. Any exception — injected fault, WAL
+  // I/O error, scheduler bug — marks the shard failed (one thrown in the
+  // decide pass publishes nothing of its batch); the supervisor decides
   // whether to restart it.
+  const auto beat = [this] {
+    heartbeat_.store(heartbeat_.load(std::memory_order_relaxed) + 1,
+                     std::memory_order_relaxed);
+  };
   try {
     pin_current_thread(config_.pin_cpu);
     while (true) {
-      heartbeat_.fetch_add(1, std::memory_order_relaxed);
+      beat();
       const PopOutcome popped = queue_.pop_batch_for(
           batch_.get(), config_.batch_size, config_.pop_timeout);
       if (popped.count == 0) {
@@ -270,9 +278,10 @@ void Shard::worker_loop() {
       SLACKSCHED_FAULT_CRASH_POINT(config_.faults, FaultSite::kDequeue,
                                    index_);
       for (std::size_t i = 0; i < popped.count; ++i) {
-        process(batch_[i]);
-        heartbeat_.fetch_add(1, std::memory_order_relaxed);
+        decide(batch_[i]);
+        beat();  // a long kEveryCommit batch must not look stalled
       }
+      publish();
       if (wal_) wal_->sync_batch();
       // Bound the held schedule by the live commitments: one
       // partition_point per machine, no allocation.
@@ -284,6 +293,7 @@ void Shard::worker_loop() {
       run_capacity_control();
     }
     result_ = runner_->finish();
+    publish();  // the resolutions finish() drained at the end of the stream
     if (wal_) wal_->close();
   } catch (const std::exception& e) {
     set_error(e.what());
@@ -361,34 +371,12 @@ void Shard::on_resolution(const Job& job, const Decision& decision) {
     parked->second.pop_front();
     if (parked->second.empty()) deferred_ctx_.erase(parked);
   }
-  // Zero queue latency: the job left the queue when it was fed.
-  record_decision(job, decision, 0.0, static_cast<std::int16_t>(index_),
-                  route_ctx);
+  pending_.push_back({job, decision, Clock::time_point{}, route_ctx,
+                      static_cast<std::int16_t>(index_),
+                      /*resolution=*/true});
 }
 
-void Shard::record_decision(const Job& job, const Decision& decision,
-                            double latency_seconds, std::int16_t home,
-                            std::uint64_t route_ctx) {
-  const std::size_t latency_bin = metrics_.on_decision(
-      index_, job.proc, decision.accepted, latency_seconds, job.criticality);
-  if (config_.trace != nullptr) {
-    TraceEvent event;
-    event.job_id = job.id;
-    event.home_shard = home;
-    event.shard = static_cast<std::int16_t>(index_);
-    event.kind = decision.accepted ? Outcome::kAccepted : Outcome::kRejected;
-    event.latency_bin = static_cast<std::uint8_t>(latency_bin);
-    event.fsync_class = wal_ != nullptr
-                            ? static_cast<std::uint8_t>(config_.wal_fsync)
-                            : kTraceNoWal;
-    config_.trace->record(event);  // drop-on-full: never blocks decisions
-  }
-  // Notify last: the decision is validated, counted and traced before any
-  // downstream consumer (e.g. the network front end) can observe it.
-  if (config_.on_decision) config_.on_decision(job, decision, route_ctx);
-}
-
-void Shard::process(const Task& task) {
+void Shard::decide(const Task& task) {
   // The simulated clock the elastic control loop reads: releases arrive in
   // FIFO order per producer but can interleave across producers, so track
   // the max rather than the last.
@@ -397,7 +385,7 @@ void Shard::process(const Task& task) {
   // Poisoned shard (drained without deciding) or an illegal commitment:
   // neither counts as a served decision in the live metrics.
   if (!outcome.decided || !outcome.legal) return;
-  // A deferred decision is not a decision yet — its bookkeeping happens in
+  // A deferred decision is not a decision yet — it is queued by
   // on_resolution when the binding answer lands. Park the routing context
   // so the eventual resolution can still find its way home.
   if (outcome.decision.deferred) {
@@ -406,10 +394,45 @@ void Shard::process(const Task& task) {
     }
     return;
   }
-  const double latency =
-      std::chrono::duration<double>(Clock::now() - task.enqueued_at).count();
-  record_decision(task.job, outcome.decision, latency, task.home,
-                  task.route_ctx);
+  pending_.push_back({task.job, outcome.decision, task.enqueued_at,
+                      task.route_ctx, task.home, /*resolution=*/false});
+}
+
+void Shard::publish() {
+  if (pending_.empty()) return;
+  // One clock read for the whole batch: the moment its decisions are
+  // communicated.
+  const Clock::time_point published_at = Clock::now();
+  const std::uint8_t fsync_class =
+      wal_ != nullptr ? static_cast<std::uint8_t>(config_.wal_fsync)
+                      : kTraceNoWal;
+  for (const Publication& entry : pending_) {
+    const double latency =
+        entry.resolution
+            ? 0.0
+            : std::chrono::duration<double>(published_at - entry.enqueued_at)
+                  .count();
+    const std::size_t latency_bin =
+        metrics_.on_decision(index_, entry.job.proc, entry.decision.accepted,
+                             latency, entry.job.criticality);
+    if (config_.trace != nullptr) {
+      TraceEvent event;
+      event.job_id = entry.job.id;
+      event.home_shard = entry.home;
+      event.shard = static_cast<std::int16_t>(index_);
+      event.kind =
+          entry.decision.accepted ? Outcome::kAccepted : Outcome::kRejected;
+      event.latency_bin = static_cast<std::uint8_t>(latency_bin);
+      event.fsync_class = fsync_class;
+      config_.trace->record(event);  // drop-on-full: never blocks decisions
+    }
+    // Notify last: the decision is validated, counted and traced before any
+    // downstream consumer (e.g. the network front end) can observe it.
+    if (config_.on_decision) {
+      config_.on_decision(entry.job, entry.decision, entry.route_ctx);
+    }
+  }
+  pending_.clear();
 }
 
 }  // namespace slacksched

@@ -71,9 +71,9 @@ struct ShardConfig {
   /// Longest the worker sleeps on an empty queue before waking to publish
   /// a heartbeat; must stay well below the supervisor's stall threshold.
   std::chrono::milliseconds pop_timeout{50};
-  /// CPU to pin the consumer thread to (-1: unpinned). Only honored on
-  /// Linux (pthread_setaffinity_np); elsewhere it is a documented no-op —
-  /// pinning is a locality hint, never a correctness requirement.
+  /// CPU to pin the consumer thread to (-1: unpinned), through
+  /// pthread_setaffinity_np. Pinning is a locality hint, never a
+  /// correctness requirement: a failed affinity call is ignored.
   int pin_cpu = -1;
   /// Path of this shard's durable commit log; empty disables the WAL (and
   /// with it restartability — the original in-memory-only behavior).
@@ -92,8 +92,11 @@ struct ShardConfig {
   TraceRing* trace = nullptr;
   /// Optional per-decision notification, invoked by the consumer thread
   /// after each rendered, legal decision has been validated, counted and
-  /// traced — in decision (FIFO) order. Runs on the decision hot path:
-  /// must be fast and must not throw.
+  /// traced — in decision (FIFO) order. Decisions are published at their
+  /// batch's boundary: a job's call comes after the rest of its popped
+  /// batch (at most batch_size jobs) has been decided, and a worker that
+  /// dies mid-batch publishes none of that batch. Runs on the decision hot
+  /// path: must be fast and must not throw.
   ShardDecisionCallback on_decision;
   /// Optional elastic machine pool (policy/capacity_controller.hpp). When
   /// set and the shard's scheduler has an elastic pool
@@ -198,7 +201,7 @@ class Shard {
 
   // --- supervision surface (service/supervisor.hpp) ---
   /// Monotone progress counter the worker bumps on every wake-up and every
-  /// processed job; a supervisor that sees it unchanged past the stall
+  /// decided job; a supervisor that sees it unchanged past the stall
   /// threshold declares the shard degraded.
   [[nodiscard]] std::uint64_t heartbeat() const {
     return heartbeat_.load(std::memory_order_relaxed);
@@ -224,6 +227,20 @@ class Shard {
     std::uint64_t route_ctx = 0;  ///< producer's context, echoed on decide
   };
 
+  /// A binding decision the decide pass rendered and the publish pass has
+  /// yet to count, trace and notify.
+  struct Publication {
+    Job job;
+    Decision decision;
+    /// Queue entry of an immediate decision; ignored for a resolution.
+    Clock::time_point enqueued_at;
+    std::uint64_t route_ctx = 0;
+    std::int16_t home = -1;
+    /// A δ-model resolution: its job left the queue when it was fed, so
+    /// its admit latency is 0.
+    bool resolution = false;
+  };
+
   /// Builds scheduler + runner (+ WAL recovery when configured) and spawns
   /// the worker thread. Throws when recovery fails.
   void spawn(bool is_restart);
@@ -232,26 +249,31 @@ class Shard {
   /// batches): finish a drained retirement, feed the controller one
   /// observation, apply its grow/shrink decision, WAL the resize.
   void run_capacity_control();
-  void process(const Task& task);
+  /// Decide pass, one job: feeds it and queues its binding decision (if
+  /// any) for publication. Counts, traces and notifies nothing.
+  void decide(const Task& task);
   /// Resolution hook for a deferred job: reclaims its parked routing
-  /// context and records the binding decision.
+  /// context and queues the binding decision for publication.
   void on_resolution(const Job& job, const Decision& decision);
-  /// The one bookkeeping path of a binding decision, immediate (process)
-  /// or deferred (on_resolution): metrics, trace event, then on_decision.
-  /// `latency_seconds` is queue entry to decision; `home` is the router's
-  /// home shard.
-  void record_decision(const Job& job, const Decision& decision,
-                       double latency_seconds, std::int16_t home,
-                       std::uint64_t route_ctx);
+  /// Publish pass: the one bookkeeping path of every binding decision,
+  /// immediate or resolved. Reads the clock once, then per queued decision
+  /// in order: metrics, trace event, on_decision. An immediate decision's
+  /// admit latency runs from queue entry to this publication.
+  void publish();
   void set_error(std::string message);
 
   /// δ-commitment schedulers defer a job's binding decision past its
   /// feed() call, but the Task (and its route_ctx) dies with the batch
-  /// iteration. Parked contexts bridge the gap: process() records the
+  /// iteration. Parked contexts bridge the gap: decide() records the
   /// ctx when a hooked job defers, on_resolution() pops it. Touched only
   /// by the consumer thread, so no lock; cleared on (re)spawn — a crashed
   /// worker's parked contexts die with it, like its undecided queue tail.
   std::unordered_map<JobId, std::deque<std::uint64_t>> deferred_ctx_;
+  /// Decisions rendered by the current batch's decide pass, in decision
+  /// order, awaiting the publish pass. Reserved for batch_size entries
+  /// once per shard (it grows only for a burst of resolutions) and cleared
+  /// on (re)spawn: a worker that dies mid-batch publishes none of it.
+  std::vector<Publication> pending_;
 
   int index_;
   ShardConfig config_;
@@ -285,6 +307,7 @@ class Shard {
   bool joined_ = false;
   std::thread worker_;
 
+  /// Written only by the consumer thread (load+store, no RMW).
   std::atomic<std::uint64_t> heartbeat_{0};
   std::atomic<bool> worker_failed_{false};
   std::atomic<bool> worker_exited_{false};

@@ -4,6 +4,7 @@
 // commit log is exactly the committed schedule, record for record.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -179,6 +180,78 @@ TEST(FaultInjection, EnqueueFaultRefusesOneJobOfABatch) {
   const GatewayResult result = gateway.finish();
   EXPECT_EQ(result.metrics.total.backpressure_rejected, 1u);
   EXPECT_EQ(result.merged.submitted, 2u);
+}
+
+TEST(FaultInjection, MidBatchCrashPublishesNothingFromItsBatch) {
+  // A shard publishes a popped batch only after deciding all of it. A
+  // worker that dies mid-batch (here at the third commit) has told nobody
+  // anything about that batch, although the WAL already holds the records
+  // it appended before the crash — recovery replays them, as after a
+  // process crash that lost its unsent replies.
+  const std::string dir = wal_dir("mid_batch_crash");
+  const std::string wal_path = dir + "/shard-0.wal";
+  FaultPlan plan;
+  plan.add({FaultSite::kCommit, /*shard=*/0, /*hit=*/3});
+  FaultInjector injector(plan);
+
+  MetricsRegistry metrics(1);
+  std::size_t notified = 0;
+  ShardConfig config;
+  config.wal_path = wal_path;
+  config.wal_fsync = FsyncPolicy::kEveryCommit;
+  config.faults = &injector;
+  config.on_decision = [&notified](const Job&, const Decision&,
+                                   std::uint64_t) { ++notified; };
+  Shard shard(
+      0, [] { return std::make_unique<ThresholdScheduler>(kEps, kMachines); },
+      config, metrics);
+
+  // Queued before start(): the first pop is one batch of eight jobs, each
+  // of which fits and is accepted.
+  std::vector<Job> jobs;
+  for (JobId id = 1; id <= 8; ++id) {
+    Job job;
+    job.id = id;
+    job.release = 0.0;
+    job.proc = 1.0;
+    job.deadline = 1000.0;
+    jobs.push_back(job);
+  }
+  ASSERT_EQ(shard
+                .try_enqueue_batch(jobs.data(), nullptr, jobs.size(),
+                                   Shard::Clock::now())
+                .taken,
+            jobs.size());
+  shard.start();
+  while (!shard.worker_exited()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(shard.worker_failed());
+  EXPECT_EQ(injector.fired(), 1u);
+  shard.close();
+  shard.join();
+
+  EXPECT_EQ(notified, 0u) << "a crashed batch published decisions";
+  const MetricsSnapshot snap = metrics.snapshot();
+  EXPECT_EQ(snap.total.submitted, 0u);
+  EXPECT_EQ(snap.total.batches, 1u);
+
+  // Exactly the three records appended before the crash, the third logged
+  // but never applied in memory.
+  const RecoveryResult recovered =
+      recover_commit_log(wal_path, kMachines, nullptr,
+                         /*truncate_file=*/false);
+  ASSERT_TRUE(recovered.ok) << recovered.error;
+  EXPECT_EQ(recovered.records_replayed, 3u);
+  std::vector<JobId> logged;
+  for (int m = 0; m < recovered.schedule.machines(); ++m) {
+    for (const Placement& placement : recovered.schedule.on_machine(m)) {
+      logged.push_back(placement.job.id);
+    }
+  }
+  std::sort(logged.begin(), logged.end());
+  EXPECT_EQ(logged, (std::vector<JobId>{1, 2, 3}));
+  std::filesystem::remove_all(dir);
 }
 
 /// The acceptance property: a randomized workload, a seeded random crash

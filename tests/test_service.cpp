@@ -574,6 +574,67 @@ TEST(Gateway, BatchTailOnAFullQueueIsStillBackpressure) {
   (void)gateway.finish();
 }
 
+// ---------- publication: counted and traced before observed ----------
+
+TEST(Shard, BatchIsCountedAndTracedBeforeItIsObserved) {
+  // The shard decides a whole popped batch before it publishes any of it.
+  // Publication must still count and trace each decision before its
+  // on_decision call: at the k-th call the registry shows k decisions
+  // (with k admit latencies) and the ring already holds the k-th event.
+  constexpr std::size_t kJobs = 64;
+  MetricsRegistry metrics(1);
+  TraceRing trace(1024);
+  std::vector<TraceEvent> traced;
+  traced.reserve(kJobs);
+  std::vector<JobId> observed;
+  std::size_t miscounted = 0;
+  std::size_t unhistogrammed = 0;
+  std::size_t untraced = 0;
+  ShardConfig config;
+  config.trace = &trace;
+  config.on_decision = [&](const Job& job, const Decision&, std::uint64_t) {
+    observed.push_back(job.id);
+    const MetricsSnapshot snap = metrics.snapshot();
+    if (snap.total.submitted != observed.size()) ++miscounted;
+    if (snap.admit_latency.total_count() != snap.total.submitted) {
+      ++unhistogrammed;
+    }
+    trace.drain(traced);  // the hook is the ring's only consumer
+    if (traced.size() != observed.size() || traced.back().job_id != job.id) {
+      ++untraced;
+    }
+  };
+  Shard shard(
+      0, [] { return std::make_unique<GreedyScheduler>(2); }, config,
+      metrics);
+
+  // Queued before start(): the worker's first pop is one 64-job batch.
+  // Two machines fit four of these jobs; the rest are rejected.
+  std::vector<Job> jobs;
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    jobs.push_back(make_job(static_cast<JobId>(i), 0.0, 1.0, 2.0));
+  }
+  ASSERT_EQ(shard
+                .try_enqueue_batch(jobs.data(), nullptr, jobs.size(),
+                                   Shard::Clock::now())
+                .taken,
+            kJobs);
+  shard.close();
+  shard.start();
+  shard.join();
+
+  const MetricsSnapshot snap = metrics.snapshot();
+  EXPECT_EQ(snap.total.batches, 1u) << "the jobs did not form one batch";
+  EXPECT_EQ(snap.total.accepted, 4u);
+  ASSERT_EQ(observed.size(), kJobs);
+  for (std::size_t k = 0; k < kJobs; ++k) {
+    EXPECT_EQ(observed[k], static_cast<JobId>(k));
+  }
+  EXPECT_EQ(miscounted, 0u) << "a decision was observed before it counted";
+  EXPECT_EQ(unhistogrammed, 0u) << "a count ran ahead of its latency bin";
+  EXPECT_EQ(untraced, 0u) << "a decision was observed before it was traced";
+}
+
 // ---------- gateway: one ingest path ----------
 
 TEST(Gateway, SteadyStateIngestDoesNotAllocate) {
