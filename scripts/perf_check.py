@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Perf-regression gate over the committed/freshly-generated bench JSONs.
 
-Validates the six machine-readable bench artifacts:
+Validates the five machine-readable bench artifacts:
 
   BENCH_threshold.json  (bench/micro_throughput --threshold_jobs=N)
       - every row's decision stream matched the seed implementation
@@ -32,19 +32,6 @@ Validates the six machine-readable bench artifacts:
         mode means the ack path is not actually waiting
       - the failover drill ran >= 5 iterations with positive, ordered
         detect/serve percentiles (p50 <= p99, detect <= serve at p50)
-  BENCH_elastic.json    (bench/elastic_pressure [overhead-jobs])
-      - class-aware shedding under overload is strictly ordered: each
-        criticality class sheds a strictly smaller fraction than the
-        class below it, and the top (critical) class is never
-        policy-shed
-      - the elastic pool's shrink drains complete: every retire-begin
-        control record in the WAL is matched by a retire-done, the pool
-        returns to min_machines, and replaying the log against a fresh
-        scheduler reproduces the exact final machine count
-      - steady-state overhead of the capacity controller is at most
-        --max-elastic-overhead percent of the fixed-pool rate, with zero
-        resizes during the measurement (the load sits inside the
-        hysteresis band by construction)
   BENCH_obs.json        (bench/obs_overhead [jobs])
       - every mode finished clean
       - decision tracing costs at most --max-overhead of the baseline
@@ -64,9 +51,9 @@ passes; each failure is printed on its own line.
 Usage:
   scripts/perf_check.py [--threshold-json PATH] [--recovery-json PATH]
                         [--obs-json PATH] [--matrix-json PATH]
-                        [--repl-json PATH] [--elastic-json PATH]
+                        [--repl-json PATH]
                         [--min-speedup X] [--max-overhead F]
-                        [--matrix-min-ratio F] [--max-elastic-overhead P]
+                        [--matrix-min-ratio F]
 
 A missing file is an error (reported as "<path>: not found — run
 bench/<name> to generate it") unless its path is passed as the empty
@@ -378,75 +365,6 @@ def check_obs(path: Path, max_overhead: float, errors: list[str]) -> None:
           f"(ceiling {max_overhead:.1%}), textfile consistent")
 
 
-def check_elastic(path: Path, max_overhead_pct: float,
-                  errors: list[str]) -> None:
-    data = json.loads(path.read_text())
-    if data.get("bench") != "elastic_pressure":
-        fail(errors, f"{path}: unexpected bench id {data.get('bench')!r}")
-        return
-    check_provenance(path, data, errors)
-    if not data.get("clean", False):
-        fail(errors, f"{path}: the bench itself reported an unclean pass")
-
-    shed = data.get("shed", {})
-    fracs = shed.get("shed_frac", [])
-    classes = shed.get("classes", [])
-    if len(fracs) < 2 or len(classes) != len(fracs):
-        fail(errors, f"{path}: shed section lacks per-class fractions")
-    else:
-        # Strict low-before-high: every class sheds a strictly smaller
-        # fraction than the class below it, and the top class none at all.
-        for low, high in zip(range(len(fracs) - 1), range(1, len(fracs))):
-            if not fracs[low] > fracs[high]:
-                fail(errors, f"{path}: class {classes[high]!r} shed "
-                             f"{fracs[high]:.4f} of its offered jobs, not "
-                             f"strictly below {classes[low]!r} at "
-                             f"{fracs[low]:.4f} — shedding must be ordered "
-                             "low-before-high")
-        if fracs[-1] != 0.0:
-            fail(errors, f"{path}: the top class {classes[-1]!r} was "
-                         f"policy-shed ({fracs[-1]:.4f} of offered) — the "
-                         "highest criticality must never shed")
-        if not shed.get("ordering_ok", False):
-            fail(errors, f"{path}: the bench's own ordering check failed "
-                         "(per-class counters disagreed with outcomes)")
-
-    drain = data.get("drain", {})
-    begins = drain.get("retire_begins", 0)
-    dones = drain.get("retire_dones", 0)
-    if drain.get("grows", 0) < 1 or begins < 1:
-        fail(errors, f"{path}: the two-phase load exercised "
-                     f"{drain.get('grows', 0)} grows and {begins} "
-                     "retire-begins — both directions must occur")
-    if begins != dones:
-        fail(errors, f"{path}: {begins} retire-begins but {dones} "
-                     "retire-dones — a shrink drain did not complete")
-    if not drain.get("drain_completed", False):
-        fail(errors, f"{path}: the pool did not return to min_machines "
-                     "after the idle phase")
-    if not drain.get("replay_matches", False):
-        fail(errors, f"{path}: WAL replay landed on "
-                     f"{drain.get('replay_active')} active machines, the "
-                     f"live run on {drain.get('final_active')} — the resize "
-                     "sequence must replay deterministically")
-
-    overhead = data.get("overhead", {})
-    pct = overhead.get("overhead_pct")
-    if pct is None:
-        fail(errors, f"{path}: missing overhead_pct")
-    elif pct > max_overhead_pct:
-        fail(errors, f"{path}: elastic steady-state overhead {pct:.2f}% "
-                     f"exceeds the {max_overhead_pct:.1f}% ceiling")
-    if overhead.get("resizes", 1) != 0:
-        fail(errors, f"{path}: {overhead.get('resizes')} resize(s) during "
-                     "the overhead measurement — the mid-band load must "
-                     "hold the pool still for the comparison to be fair")
-    print(f"ok: {path}: shed strictly ordered "
-          f"({', '.join(f'{f:.3f}' for f in fracs)}), {begins} drains "
-          f"completed, steady-state overhead {pct:+.2f}% "
-          f"(ceiling {max_overhead_pct:.1f}%)")
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--threshold-json", default="BENCH_threshold.json")
@@ -454,11 +372,6 @@ def main() -> int:
     parser.add_argument("--obs-json", default="BENCH_obs.json")
     parser.add_argument("--matrix-json", default="BENCH_matrix.json")
     parser.add_argument("--repl-json", default="BENCH_repl.json")
-    parser.add_argument("--elastic-json", default="BENCH_elastic.json")
-    parser.add_argument("--max-elastic-overhead", type=float, default=3.0,
-                        help="percent of the fixed-pool rate the elastic "
-                             "controller may cost at steady state "
-                             "(default 3.0)")
     parser.add_argument("--matrix-min-ratio", type=float, default=0.15,
                         help="floor for uniform-Threshold matrix rate over "
                              "the committed micro-bench rate (default 0.15; "
@@ -480,7 +393,6 @@ def main() -> int:
         args.obs_json: "bench/obs_overhead",
         args.matrix_json: "bench/model_matrix",
         args.repl_json: "bench/repl_failover",
-        args.elastic_json: "bench/elastic_pressure",
     }
     for raw, checker in ((args.threshold_json,
                           lambda p: check_threshold(p, args.min_speedup,
@@ -495,10 +407,7 @@ def main() -> int:
                                                  args.matrix_min_ratio,
                                                  errors)),
                          (args.repl_json,
-                          lambda p: check_repl(p, errors)),
-                         (args.elastic_json,
-                          lambda p: check_elastic(
-                              p, args.max_elastic_overhead, errors))):
+                          lambda p: check_repl(p, errors))):
         if not raw:
             continue
         path = Path(raw)

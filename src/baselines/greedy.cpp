@@ -49,10 +49,6 @@ bool GreedyScheduler::restore_commitment(const Job& job, int machine,
   return frontier_.restore(machine, start, job.proc);
 }
 
-FrontierSet* GreedyScheduler::elastic_pool() {
-  return frontier_.uniform_speeds() ? &frontier_ : nullptr;
-}
-
 Decision GreedyScheduler::on_arrival(const Job& job) {
   SLACKSCHED_EXPECTS(job.structurally_valid());
   const TimePoint t = job.release;
@@ -69,7 +65,6 @@ Decision GreedyScheduler::on_arrival(const Job& job) {
       // First fit is inherently an index-order question; the early-exit
       // scan stops at the first feasible machine (usually machine 0).
       for (int i = 0; i < frontier_.size(); ++i) {
-        if (!frontier_.is_active(i)) continue;
         const Duration load = frontier_.load(i, t);
         if (approx_le(t + load + frontier_.exec_time(i, job.proc),
                       job.deadline)) {

@@ -11,10 +11,7 @@
 /// feasible machine, least-loaded is an O(1) feasibility check at the tail
 /// of the maintained order, and first fit is an early-exit index scan. The
 /// decision streams are pinned byte-identical to the seed linear-scan
-/// implementation (tests/support/greedy_reference.hpp). On identical
-/// machines the same FrontierSet is the elastic pool (elastic_pool()):
-/// the scheduler keeps no pool state of its own, so a resize needs nothing
-/// from it.
+/// implementation (tests/support/greedy_reference.hpp).
 #pragma once
 
 #include <optional>
@@ -55,11 +52,6 @@ class GreedyScheduler final : public OnlineScheduler {
   /// Greedy's entire mutable state is the machine frontiers: restorable.
   bool restore_commitment(const Job& job, int machine,
                           TimePoint start) override;
-
-  /// The frontiers on identical machines; nullptr under a speed profile.
-  /// Greedy has no solved parameters, so a resize is purely a FrontierSet
-  /// mutation.
-  [[nodiscard]] FrontierSet* elastic_pool() override;
 
  private:
   GreedyPolicy policy_;

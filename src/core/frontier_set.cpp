@@ -14,7 +14,6 @@ constexpr std::size_t kWordBits = 64;
 
 FrontierSet::FrontierSet(int machines)
     : machines_(machines),
-      active_(machines),
       frontier_(static_cast<std::size_t>(machines), 0.0),
       order_(static_cast<std::size_t>(machines)),
       position_(static_cast<std::size_t>(machines)),
@@ -45,20 +44,11 @@ double FrontierSet::speed(int machine) const {
 }
 
 void FrontierSet::reset() {
-  active_ = machines_;
-  if (!state_.empty()) {
-    state_.assign(static_cast<std::size_t>(machines_),
-                  static_cast<std::uint8_t>(MachineState::kActive));
-  }
   std::fill(frontier_.begin(), frontier_.end(), 0.0);
-  order_.resize(static_cast<std::size_t>(machines_));
-  position_.resize(static_cast<std::size_t>(machines_));
   std::iota(order_.begin(), order_.end(), std::int32_t{0});
   std::iota(position_.begin(), position_.end(), std::int32_t{0});
   idle_watermark_ = 0.0;
-  idle_bits_.assign(
-      (static_cast<std::size_t>(machines_) + kWordBits - 1) / kWordBits,
-      std::uint64_t{0});
+  std::fill(idle_bits_.begin(), idle_bits_.end(), std::uint64_t{0});
   for (int i = 0; i < machines_; ++i) set_idle_bit(i, true);
 }
 
@@ -68,12 +58,12 @@ TimePoint FrontierSet::frontier(int machine) const {
 }
 
 int FrontierSet::machine_at(int position) const {
-  SLACKSCHED_EXPECTS(position >= 0 && position < active_);
+  SLACKSCHED_EXPECTS(position >= 0 && position < machines_);
   return order_[static_cast<std::size_t>(position)];
 }
 
 TimePoint FrontierSet::frontier_at(int position) const {
-  SLACKSCHED_EXPECTS(position >= 0 && position < active_);
+  SLACKSCHED_EXPECTS(position >= 0 && position < machines_);
   return frontier_[static_cast<std::size_t>(
       order_[static_cast<std::size_t>(position)])];
 }
@@ -99,13 +89,6 @@ bool FrontierSet::ordered_before(int a, int b) const {
 
 void FrontierSet::update(int machine, TimePoint value) {
   SLACKSCHED_EXPECTS(machine >= 0 && machine < machines_);
-  if (state_of(machine) != MachineState::kActive) {
-    // A retiring machine only drains: replay can still restore an old
-    // commitment onto it, but it is out of the sorted order and the idle
-    // bitset, so no fit query will see the new frontier.
-    frontier_[static_cast<std::size_t>(machine)] = value;
-    return;
-  }
   const int p = position_[static_cast<std::size_t>(machine)];
   frontier_[static_cast<std::size_t>(machine)] = value;
   if (p > 0 && ordered_before(machine, order_[static_cast<std::size_t>(p - 1)])) {
@@ -128,12 +111,12 @@ void FrontierSet::update(int machine, TimePoint value) {
       position_[static_cast<std::size_t>(order_[static_cast<std::size_t>(q)])] =
           q;
     }
-  } else if (p + 1 < active_ &&
+  } else if (p + 1 < machines_ &&
              ordered_before(order_[static_cast<std::size_t>(p + 1)], machine)) {
     // Moves toward the back: the updated machine belongs immediately before
     // the first position in (p, m) whose machine it precedes.
     int lo = p + 1;
-    int hi = active_;
+    int hi = machines_;
     while (lo < hi) {
       const int mid = lo + (hi - lo) / 2;
       if (ordered_before(order_[static_cast<std::size_t>(mid)], machine)) {
@@ -161,7 +144,7 @@ bool FrontierSet::restore(int machine, TimePoint start, Duration proc) {
 
 int FrontierSet::first_position_not_above(TimePoint value) const {
   int lo = 0;
-  int hi = active_;
+  int hi = machines_;
   while (lo < hi) {
     const int mid = lo + (hi - lo) / 2;
     if (frontier_at(mid) <= value) {
@@ -175,7 +158,7 @@ int FrontierSet::first_position_not_above(TimePoint value) const {
 
 int FrontierSet::first_position_below(TimePoint value) const {
   int lo = 0;
-  int hi = active_;
+  int hi = machines_;
   while (lo < hi) {
     const int mid = lo + (hi - lo) / 2;
     if (frontier_at(mid) < value) {
@@ -194,7 +177,7 @@ int FrontierSet::best_fit(TimePoint now, Duration proc, TimePoint deadline) {
   // infeasible prefix and a feasible suffix; the first feasible position
   // carries the maximum feasible load.
   int lo = 0;
-  int hi = active_;
+  int hi = machines_;
   while (lo < hi) {
     const int mid = lo + (hi - lo) / 2;
     if (approx_le(now + load_at(mid, now) + proc, deadline)) {
@@ -203,7 +186,7 @@ int FrontierSet::best_fit(TimePoint now, Duration proc, TimePoint deadline) {
       lo = mid + 1;
     }
   }
-  if (lo == active_) return -1;
+  if (lo == machines_) return -1;
   return min_machine_with_load_at(lo, now);
 }
 
@@ -212,7 +195,6 @@ int FrontierSet::best_fit_scan(TimePoint now, Duration proc,
   int chosen = -1;
   Duration best = 0.0;
   for (int i = 0; i < machines_; ++i) {
-    if (state_of(i) != MachineState::kActive) continue;
     const Duration l = load(i, now);
     if (!approx_le(now + l + exec_time(i, proc), deadline)) continue;
     if (chosen < 0 || l > best) {
@@ -228,7 +210,6 @@ int FrontierSet::least_loaded_fit_scan(TimePoint now, Duration proc,
   int chosen = -1;
   Duration best = 0.0;
   for (int i = 0; i < machines_; ++i) {
-    if (state_of(i) != MachineState::kActive) continue;
     const Duration l = load(i, now);
     if (!approx_le(now + l + exec_time(i, proc), deadline)) continue;
     if (chosen < 0 || l < best) {
@@ -244,7 +225,7 @@ int FrontierSet::least_loaded_fit(TimePoint now, Duration proc,
   if (!speed_.empty()) return least_loaded_fit_scan(now, proc, deadline);
   // The last position holds the minimum load, and feasibility is monotone
   // in the position, so the least loaded machine is feasible iff any is.
-  const int tail = active_ - 1;
+  const int tail = machines_ - 1;
   if (!approx_le(now + load_at(tail, now) + proc, deadline)) return -1;
   const Duration min_load = load_at(tail, now);
   int lo = 0;
@@ -269,7 +250,7 @@ int FrontierSet::min_machine_with_load_at(int position, TimePoint now) {
   // heads (each found by binary search) until the load changes.
   int best = order_[static_cast<std::size_t>(position)];
   int q = first_position_below(frontier_[static_cast<std::size_t>(best)]);
-  while (q < active_ && load_at(q, now) == value) {
+  while (q < machines_ && load_at(q, now) == value) {
     const int machine = order_[static_cast<std::size_t>(q)];
     best = std::min(best, machine);
     q = first_position_below(frontier_[static_cast<std::size_t>(machine)]);
@@ -307,7 +288,6 @@ void FrontierSet::set_idle_bit(int machine, bool idle) {
 void FrontierSet::rebuild_idle_bits(TimePoint now) {
   std::fill(idle_bits_.begin(), idle_bits_.end(), std::uint64_t{0});
   for (int i = 0; i < machines_; ++i) {
-    if (state_of(i) != MachineState::kActive) continue;
     if (frontier_[static_cast<std::size_t>(i)] <= now) set_idle_bit(i, true);
   }
   idle_watermark_ = now;
@@ -316,125 +296,13 @@ void FrontierSet::rebuild_idle_bits(TimePoint now) {
 void FrontierSet::advance_idle_watermark(TimePoint now) {
   // Machines whose frontier lies in (idle_watermark_, now] became idle
   // since the last query; they occupy a contiguous position range. Bits of
-  // machines at or below the old watermark are already correct. Only
-  // active machines appear in the sorted order, so retiring machines never
-  // gain an idle bit here.
+  // machines at or below the old watermark are already correct.
   const int begin = first_position_not_above(now);
   const int end = first_position_not_above(idle_watermark_);
   for (int p = begin; p < end; ++p) {
     set_idle_bit(order_[static_cast<std::size_t>(p)], true);
   }
   idle_watermark_ = now;
-}
-
-// --- elastic surface ---
-
-bool FrontierSet::is_active(int machine) const {
-  SLACKSCHED_EXPECTS(machine >= 0 && machine < machines_);
-  return state_of(machine) == MachineState::kActive;
-}
-
-bool FrontierSet::is_retiring(int machine) const {
-  return machine >= 0 && machine < machines_ &&
-         state_of(machine) == MachineState::kRetiring;
-}
-
-void FrontierSet::ensure_states() {
-  if (state_.empty()) {
-    state_.assign(static_cast<std::size_t>(machines_),
-                  static_cast<std::uint8_t>(MachineState::kActive));
-  }
-}
-
-void FrontierSet::insert_into_order(int machine) {
-  // The caller has not yet bumped active_: order_ currently holds exactly
-  // the machines sorted, and the new one belongs at its lower bound.
-  int lo = 0;
-  int hi = static_cast<int>(order_.size());
-  while (lo < hi) {
-    const int mid = lo + (hi - lo) / 2;
-    if (ordered_before(order_[static_cast<std::size_t>(mid)], machine)) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  order_.insert(order_.begin() + lo, static_cast<std::int32_t>(machine));
-  for (int q = lo; q < static_cast<int>(order_.size()); ++q) {
-    position_[static_cast<std::size_t>(order_[static_cast<std::size_t>(q)])] =
-        q;
-  }
-}
-
-int FrontierSet::add_machine() {
-  SLACKSCHED_EXPECTS(speed_.empty());
-  ensure_states();
-  // Reuse the lowest-index retired machine so a shrink-then-grow sequence
-  // keeps the index space dense (and WAL replay deterministic). It keeps
-  // its drained frontier: a late job is never placed before work the
-  // machine already ran, and at any time at or after the drain its load is
-  // 0 exactly as for a fresh machine.
-  for (int i = 0; i < machines_; ++i) {
-    if (state_of(i) == MachineState::kRetired) {
-      state_[static_cast<std::size_t>(i)] =
-          static_cast<std::uint8_t>(MachineState::kActive);
-      insert_into_order(i);
-      ++active_;
-      set_idle_bit(i,
-                   frontier_[static_cast<std::size_t>(i)] <= idle_watermark_);
-      return i;
-    }
-  }
-  const int machine = machines_;
-  ++machines_;
-  frontier_.push_back(0.0);
-  position_.push_back(-1);
-  state_.push_back(static_cast<std::uint8_t>(MachineState::kActive));
-  if (idle_bits_.size() * kWordBits < static_cast<std::size_t>(machines_)) {
-    idle_bits_.push_back(0);
-  }
-  insert_into_order(machine);
-  ++active_;
-  set_idle_bit(machine, true);
-  return machine;
-}
-
-bool FrontierSet::begin_retire(int machine) {
-  SLACKSCHED_EXPECTS(speed_.empty());
-  if (machine < 0 || machine >= machines_ || active_ <= 1 ||
-      state_of(machine) != MachineState::kActive) {
-    return false;
-  }
-  ensure_states();
-  const int p = position_[static_cast<std::size_t>(machine)];
-  order_.erase(order_.begin() + p);
-  position_[static_cast<std::size_t>(machine)] = -1;
-  for (int q = p; q < static_cast<int>(order_.size()); ++q) {
-    position_[static_cast<std::size_t>(order_[static_cast<std::size_t>(q)])] =
-        q;
-  }
-  --active_;
-  state_[static_cast<std::size_t>(machine)] =
-      static_cast<std::uint8_t>(MachineState::kRetiring);
-  set_idle_bit(machine, false);
-  return true;
-}
-
-bool FrontierSet::retire_drained(int machine, TimePoint now) const {
-  return is_retiring(machine) &&
-         frontier_[static_cast<std::size_t>(machine)] <= now;
-}
-
-bool FrontierSet::finish_retire(int machine) {
-  if (!is_retiring(machine)) return false;
-  state_[static_cast<std::size_t>(machine)] =
-      static_cast<std::uint8_t>(MachineState::kRetired);
-  return true;
-}
-
-int FrontierSet::retire_candidate() const {
-  SLACKSCHED_EXPECTS(active_ >= 1);
-  return order_[static_cast<std::size_t>(active_ - 1)];
 }
 
 }  // namespace slacksched

@@ -33,27 +33,6 @@
 /// semantics the uniform fast paths are pinned against. A FrontierSet built
 /// without speeds (or with every speed exactly 1) takes the original code
 /// paths untouched, bit for bit.
-///
-/// Elastic capacity (policy/capacity_controller.hpp): each machine carries
-/// an active / retiring / retired state. Only *active* machines live in the
-/// sorted order and answer fit queries; a retiring machine keeps its
-/// frontier (its committed work still drains) but receives no new
-/// commitments, and once drained it is marked retired and its index can be
-/// reactivated by a later grow. Machine indices are never renumbered —
-/// committed placements and WAL records keep referring to stable physical
-/// indices across any resize sequence. A set that never resizes keeps
-/// active == size() and takes the original code paths bit for bit. The
-/// elastic mutations require uniform speeds (a grown machine has no
-/// defined speed otherwise) and may allocate; every query path stays
-/// allocation-free.
-///
-/// The set is the one owner of an elastic pool: a scheduler hands its
-/// FrontierSet out through OnlineScheduler::elastic_pool(), and the shard's
-/// control loop, WAL replay and drain rediscovery resize it directly. The
-/// frontiers are the only state a crash or a resize has to preserve, so
-/// the mutations that take a machine index from outside (a replayed WAL
-/// record) refuse an inapplicable one by returning false instead of
-/// asserting.
 #pragma once
 
 #include <cstdint>
@@ -77,17 +56,11 @@ class FrontierSet {
   /// speed-less constructor.
   FrontierSet(int machines, std::vector<double> speeds);
 
-  /// Returns every machine to frontier 0 (the empty system) and every
-  /// retiring/retired machine to active.
+  /// Returns every machine to frontier 0 (the empty system).
   void reset();
 
-  /// Number of physical machines (grows with add_machine, never shrinks —
-  /// a retired machine keeps its index reserved for reactivation).
+  /// Number of machines, fixed at construction.
   [[nodiscard]] int size() const { return machines_; }
-
-  /// Number of active machines — the ones fit queries may place on. Equal
-  /// to size() until the first elastic mutation.
-  [[nodiscard]] int active_machines() const { return active_; }
 
   /// True iff the set was built without speeds (or with all speeds exactly
   /// 1.0 normalized away) — the identical-machine fast paths apply.
@@ -114,8 +87,7 @@ class FrontierSet {
   /// Frontier at sorted position `position`.
   [[nodiscard]] TimePoint frontier_at(int position) const;
 
-  /// Current sorted position of a physical machine; -1 while the machine
-  /// is retiring or retired (it is out of the sorted order).
+  /// Current sorted position of a physical machine.
   [[nodiscard]] int position_of(int machine) const;
 
   /// Outstanding load of a physical machine at time `now`.
@@ -164,62 +136,7 @@ class FrontierSet {
   /// query (the engine feeds non-decreasing release dates).
   [[nodiscard]] int min_idle_machine(TimePoint now);
 
-  // --- elastic surface (policy/capacity_controller.hpp) ---
-
-  /// True iff the machine is active (placeable).
-  [[nodiscard]] bool is_active(int machine) const;
-
-  /// True iff the machine is draining toward retirement (false for an
-  /// index outside [0, size())).
-  [[nodiscard]] bool is_retiring(int machine) const;
-
-  /// Activates one machine and returns its index: the lowest-index retired
-  /// machine when one exists (it keeps its drained frontier, so nothing is
-  /// placed before work it already ran), else a brand-new physical machine
-  /// at frontier 0 appended after size()-1. Requires uniform speeds.
-  /// May allocate (the only FrontierSet mutation that does).
-  int add_machine();
-
-  /// Marks an active machine retiring: it leaves the sorted order and the
-  /// idle bitset, so no fit query can place new work on it, while its
-  /// frontier keeps draining. Requires uniform speeds. Returns false (and
-  /// changes nothing) for an index outside [0, size()), a machine that is
-  /// not active, or the last active machine.
-  bool begin_retire(int machine);
-
-  /// True iff a retiring machine's frontier has fully drained at `now` —
-  /// every commitment ever placed on it has completed, so retiring it
-  /// breaks nothing. False for an index outside [0, size()).
-  [[nodiscard]] bool retire_drained(int machine, TimePoint now) const;
-
-  /// Completes a retirement (the caller has observed retire_drained). The
-  /// machine becomes retired: its drained frontier is kept and its index
-  /// parked for a future add_machine. Returns false (and changes nothing)
-  /// for an index outside [0, size()) or a machine that is not retiring.
-  bool finish_retire(int machine);
-
-  /// The machine begin_retire would drain fastest: the active machine at
-  /// the last sorted position (minimum frontier; highest index among
-  /// ties). The caller logs this exact index write-ahead, so a WAL replay
-  /// retires the same machine deterministically.
-  [[nodiscard]] int retire_candidate() const;
-
  private:
-  /// Lifecycle of a physical machine under elastic capacity.
-  enum class MachineState : std::uint8_t { kActive, kRetiring, kRetired };
-
-  /// State of a machine; kActive when the set never resized (state_ is
-  /// engaged lazily by the first elastic mutation).
-  [[nodiscard]] MachineState state_of(int machine) const {
-    if (state_.empty()) return MachineState::kActive;
-    return static_cast<MachineState>(state_[static_cast<std::size_t>(machine)]);
-  }
-
-  /// Engages per-machine state tracking (first elastic mutation).
-  void ensure_states();
-
-  /// Inserts an active machine with frontier 0 into the sorted order.
-  void insert_into_order(int machine);
   /// Strict weak order of the maintained sequence: larger frontier first,
   /// ties by ascending machine index.
   [[nodiscard]] bool ordered_before(int a, int b) const;
@@ -246,18 +163,12 @@ class FrontierSet {
                                           TimePoint deadline) const;
 
   int machines_;
-  /// Active machines = the first `active_` entries of order_. Equals
-  /// machines_ until the first elastic mutation.
-  int active_;
   /// Per-machine speeds; empty means identical machines (all s_i = 1).
   std::vector<double> speed_;
   std::vector<TimePoint> frontier_;    ///< per physical machine
-  std::vector<std::int32_t> order_;    ///< active machine ids, sorted
-  std::vector<std::int32_t> position_; ///< inverse of order_; -1 if inactive
-  /// Per-machine MachineState; empty until the first elastic mutation
-  /// (empty == all active), so a never-resized set stays bit-identical.
-  std::vector<std::uint8_t> state_;
-  /// Bit i set iff machine i is active and frontier_[i] <= idle_watermark_.
+  std::vector<std::int32_t> order_;    ///< machine ids, sorted
+  std::vector<std::int32_t> position_; ///< inverse of order_
+  /// Bit i set iff frontier_[i] <= idle_watermark_.
   std::vector<std::uint64_t> idle_bits_;
   TimePoint idle_watermark_ = 0.0;
 };

@@ -54,21 +54,13 @@ std::vector<Duration> ThresholdScheduler::loads(TimePoint now) const {
   return result;
 }
 
-const RatioSolution& ThresholdScheduler::solution() const {
-  const int active = frontier_.active_machines();
-  if (solution_.m != active) {
-    solution_ = RatioFunction::solve(config_.eps, active);
-  }
-  return solution_;
-}
-
 TimePoint ThresholdScheduler::deadline_threshold(TimePoint now) const {
   // Position h (1-based, decreasing load) carries factor f_h for h >= k.
   // The FrontierSet maintains that order incrementally, so no sort and no
   // load snapshot: scan the maintained order and stop at the first idle
   // machine — every later position has load 0 and contributes only `now`,
   // which d_lim already starts from.
-  const RatioSolution& sol = solution();
+  const RatioSolution& sol = solution_;
   TimePoint d_lim = now;  // with zero loads the threshold is `now`
   for (int h = sol.k; h <= sol.m; ++h) {
     const TimePoint frontier = frontier_.frontier_at(h - 1);
@@ -114,11 +106,6 @@ Decision ThresholdScheduler::on_arrival(const Job& job) {
 bool ThresholdScheduler::restore_commitment(const Job& job, int machine,
                                             TimePoint start) {
   return frontier_.restore(machine, start, job.proc);
-}
-
-FrontierSet* ThresholdScheduler::elastic_pool() {
-  if (!frontier_.uniform_speeds() || config_.k_override) return nullptr;
-  return &frontier_;
 }
 
 ThresholdScheduler make_goldwasser_kerbikov(double eps) {

@@ -53,10 +53,6 @@ struct ThresholdConfig {
 /// decision stream is pinned byte-identical to the sort-based seed
 /// implementation (tests/support/threshold_reference.hpp) by randomized
 /// equivalence tests.
-///
-/// Elastic capacity lives entirely in the FrontierSet (elastic_pool()):
-/// the scheduler owns no pool state beyond it and follows a resize through
-/// the solution cache.
 class ThresholdScheduler final : public OnlineScheduler {
  public:
   explicit ThresholdScheduler(const ThresholdConfig& config);
@@ -75,16 +71,12 @@ class ThresholdScheduler final : public OnlineScheduler {
   bool restore_commitment(const Job& job, int machine,
                           TimePoint start) override;
 
-  /// The frontiers, on identical machines without a k override (a forced
-  /// k may not exist for another machine count); nullptr otherwise.
-  [[nodiscard]] FrontierSet* elastic_pool() override;
-
   /// The admission threshold d_lim the algorithm would apply at time `now`
   /// in its current state (exposed for tests and the adversary analysis).
   [[nodiscard]] TimePoint deadline_threshold(TimePoint now) const;
 
-  /// The solved ratio-function parameters for the active machine count.
-  [[nodiscard]] const RatioSolution& solution() const;
+  /// The solved ratio-function parameters for (eps, m).
+  [[nodiscard]] const RatioSolution& solution() const { return solution_; }
 
   /// Outstanding load of every machine at time `now` (unsorted, indexed by
   /// physical machine). Exposed for analysis and the Lemma-5 property
@@ -93,11 +85,8 @@ class ThresholdScheduler final : public OnlineScheduler {
 
  private:
   ThresholdConfig config_;
-  /// c(eps, m) is a pure function of eps and the active machine count, so
-  /// the solution is a cache keyed by its own m: solution() re-solves it
-  /// when a resize of the elastic pool moved active_machines() since the
-  /// last use, and every decision matches a fresh scheduler on that pool.
-  mutable RatioSolution solution_;
+  /// c(eps, m) and the factors f_h, solved once: m is fixed.
+  const RatioSolution solution_;
   /// Absolute completion time of the last committed job per machine, kept
   /// sorted incrementally (relative load order is time-invariant).
   FrontierSet frontier_;

@@ -28,10 +28,7 @@ StreamingRunner::StreamingRunner(ResumeTag, OnlineScheduler& scheduler,
       options_(options),
       result_(std::move(state)),
       contract_(scheduler.commitment_contract()) {
-  // A recovered schedule may lag an elastically grown scheduler (or match
-  // it exactly, the fixed-capacity case); it can never lead it.
-  SLACKSCHED_EXPECTS(result_.schedule.machines() <= scheduler.machines());
-  sync_machines();
+  SLACKSCHED_EXPECTS(result_.schedule.machines() == scheduler.machines());
 }
 
 StreamingRunner StreamingRunner::resumed(OnlineScheduler& scheduler,
@@ -44,17 +41,6 @@ void StreamingRunner::reserve_decisions(std::size_t n) {
   if (options_.record_decisions) result_.decisions.reserve(n);
 }
 
-void StreamingRunner::sync_machines() {
-  // An elastic scheduler may have grown its pool since the last decision;
-  // the committed schedule follows (identical machines only — elastic
-  // growth is not defined for speed vectors). Retirements need no sync:
-  // the schedule keeps the retired machine's history and simply receives
-  // no further placements on it.
-  if (scheduler_->machines() > result_.schedule.machines()) {
-    result_.schedule.ensure_machines(scheduler_->machines());
-  }
-}
-
 void StreamingRunner::drain_resolutions(TimePoint now) {
   resolved_.clear();
   scheduler_->advance_to(now, resolved_);
@@ -65,7 +51,6 @@ void StreamingRunner::drain_resolutions(TimePoint now) {
 }
 
 void StreamingRunner::apply_resolution(const DeferredResolution& resolution) {
-  sync_machines();
   if (options_.record_decisions) {
     result_.decisions.push_back({resolution.job, resolution.decision});
   }
@@ -106,7 +91,6 @@ FeedOutcome StreamingRunner::feed(const Job& job) {
   outcome.decided = true;
   last_release_ = job.release;
   outcome.decision = scheduler_->on_arrival(job);
-  sync_machines();
   ++result_.metrics.submitted;
   if (outcome.decision.deferred) {
     // Tentative: the binding decision (and its DecisionRecord) arrives

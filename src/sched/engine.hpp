@@ -28,8 +28,7 @@
 /// schedule refuses any start before a machine's settled mark. Every
 /// in-tree scheduler places at t + load(m, t) >= frontier(m), so that
 /// refusal never hits a legal decision, even when a multi-producer shard
-/// feeds releases out of order (a reused elastic machine keeps its drained
-/// frontier, core/frontier_set.hpp).
+/// feeds releases out of order.
 /// run_online never settles: its RunResult keeps the whole schedule.
 ///
 /// Deferred commitment (models/commitment.hpp): when the scheduler's
@@ -175,9 +174,6 @@ class StreamingRunner {
   /// Pulls and applies every decision that became binding up to `now`.
   void drain_resolutions(TimePoint now);
   void apply_resolution(const DeferredResolution& resolution);
-
-  /// Grows the committed schedule to match an elastically grown scheduler.
-  void sync_machines();
 
   OnlineScheduler* scheduler_;
   RunOptions options_;

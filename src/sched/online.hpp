@@ -6,8 +6,7 @@
 /// interactively. Commit-on-arrival schedulers answer every on_arrival with
 /// a binding accept/reject; deferred-commitment schedulers may answer
 /// Decision::defer() and deliver the binding decision later through
-/// advance_to. An elastic scheduler also hands out its machine pool
-/// (elastic_pool()); nothing else about a resize is part of the interface.
+/// advance_to.
 #pragma once
 
 #include <memory>
@@ -20,8 +19,6 @@
 #include "sched/decision.hpp"
 
 namespace slacksched {
-
-class FrontierSet;
 
 /// A decision rendered after its job's arrival by a deferred-commitment
 /// scheduler, stamped with the simulated time it became binding.
@@ -95,13 +92,6 @@ class OnlineScheduler {
     (void)now;
     (void)resolved;
   }
-
-  /// The machine pool a resize acts on (policy/capacity_controller.hpp),
-  /// or nullptr for a fixed pool (the default). An elastic scheduler's
-  /// whole machine state is its FrontierSet, so it hands that set out and
-  /// the caller grows, drains and retires machines on it directly; the
-  /// scheduler reads the active pool off the set on its next decision.
-  [[nodiscard]] virtual FrontierSet* elastic_pool() { return nullptr; }
 };
 
 }  // namespace slacksched

@@ -57,15 +57,6 @@ void Schedule::commit(const Job& job, int machine, TimePoint start) {
   }
 }
 
-void Schedule::ensure_machines(int machines) {
-  if (machines <= this->machines()) return;
-  SLACKSCHED_EXPECTS(speed_.empty());
-  per_machine_.resize(static_cast<std::size_t>(machines));
-  frontier_.resize(static_cast<std::size_t>(machines), 0.0);
-  settled_until_.resize(static_cast<std::size_t>(machines), -kTimeInfinity);
-  ids_ascending_.resize(static_cast<std::size_t>(machines), true);
-}
-
 std::size_t Schedule::settle_before(TimePoint horizon) {
   std::size_t held = 0;
   for (std::size_t m = 0; m < per_machine_.size(); ++m) {

@@ -86,11 +86,6 @@ class Schedule {
   /// machine; never allocates.
   std::size_t settle_before(TimePoint horizon);
 
-  /// Grows the machine dimension to at least `machines` empty machines
-  /// (elastic capacity; no-op when already large enough). Identical
-  /// machines only — a grown machine has no defined speed otherwise.
-  void ensure_machines(int machines);
-
   /// Whether [start, start + exec_time(machine, proc)) is free on the
   /// machine; `proc` is the processing requirement, not the wall time.
   /// False for any start definitely before the machine's settled mark: a

@@ -177,13 +177,6 @@ void CommitLog::append(const Job& job, int machine, TimePoint start) {
   }
 }
 
-void CommitLog::append_control(JobId control, int machine) {
-  SLACKSCHED_EXPECTS(wal_is_control_id(control));
-  Job job;
-  job.id = control;
-  append(job, machine, 0.0);
-}
-
 void CommitLog::sync_batch() {
   // A batch that appended nothing since the last fsync has nothing to make
   // durable: skip the syscall (a fresh log still fsyncs once, for its

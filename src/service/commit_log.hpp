@@ -51,19 +51,6 @@ inline constexpr std::size_t kWalFrameBytes = 8;
 inline constexpr std::size_t kWalRecordBytes =
     kWalFrameBytes + kWalPayloadBytes;
 
-// Control records: elastic capacity changes (policy/capacity_controller.hpp)
-// interleave with commit records in the same fixed-width framing, so the
-// replication layer ships them verbatim and replay reproduces the exact
-// machine count at every point of the log. A control record carries a
-// negative sentinel job id (real job ids are non-negative by construction),
-// the target machine in the `machine` field and zeros elsewhere. The header
-// keeps the *initial* machine count; the control stream derives the rest.
-inline constexpr JobId kWalControlGrow = -1;         ///< machine activated
-inline constexpr JobId kWalControlRetireBegin = -2;  ///< machine draining
-inline constexpr JobId kWalControlRetireDone = -3;   ///< machine retired
-/// True iff a decoded record is a control record, not a commitment.
-[[nodiscard]] constexpr bool wal_is_control_id(JobId id) { return id < 0; }
-
 /// Thrown on I/O failure or header mismatch.
 class CommitLogError : public std::runtime_error {
  public:
@@ -141,11 +128,6 @@ class CommitLog {
   /// stable storage when this returns. Throws CommitLogError on I/O
   /// failure and InjectedFault at the fsync crash site.
   void append(const Job& job, int machine, TimePoint start);
-
-  /// Appends one capacity control record (kWalControlGrow / RetireBegin /
-  /// RetireDone) targeting `machine`. Same durability and observer
-  /// semantics as append().
-  void append_control(JobId control, int machine);
 
   /// Batch boundary: under kBatch, flushes and fsyncs everything appended
   /// since the last fsync — skipped when nothing was, except that the first

@@ -36,10 +36,6 @@ std::string to_string(FaultSite site) {
       return "replication-frame";
     case FaultSite::kFailover:
       return "failover";
-    case FaultSite::kResizeGrow:
-      return "resize-grow";
-    case FaultSite::kResizeShrink:
-      return "resize-shrink";
   }
   return "unknown";
 }

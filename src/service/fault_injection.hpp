@@ -32,9 +32,6 @@ enum class FaultSite : std::uint8_t {
                       ///< replication APPEND frame (torn frame on the wire)
   kFailover,  ///< follower crashes between per-shard replays during its
               ///< own promotion (failover of the failover)
-  kResizeGrow,    ///< worker crashes right after logging a pool grow
-  kResizeShrink,  ///< worker crashes right after logging a retire-begin
-                  ///< or retire-done control record (mid-drain)
 };
 
 /// What a fired trigger does. kThrow is the in-process crash model (the

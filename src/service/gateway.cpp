@@ -94,11 +94,6 @@ std::vector<std::string> GatewayConfig::validate() const {
       errors.push_back("shed_policy: " + problem);
     }
   }
-  if (elastic.has_value()) {
-    for (const std::string& problem : elastic->validate()) {
-      errors.push_back("elastic: " + problem);
-    }
-  }
   if (replication.has_value()) {
     if (wal_dir.empty()) {
       errors.push_back(
@@ -151,7 +146,6 @@ AdmissionGateway::AdmissionGateway(const GatewayConfig& config,
   shard_config.pop_timeout = config.pop_timeout;
   shard_config.wal_fsync = config.wal_fsync;
   shard_config.faults = config.fault_injector;
-  shard_config.elastic = config.elastic;
   const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
   if (config.enable_tracing) {
     traces_.reserve(static_cast<std::size_t>(config.shards));
@@ -291,7 +285,6 @@ BatchSubmitResult AdmissionGateway::submit_batch(std::span<const Job> jobs,
                                          config_.queue_capacity)) {
       ++result.rejected_criticality;
       metrics_.on_class_shed(target, job.criticality);
-      shard.note_refused();
       trace(target, job.id, home, target, Outcome::kRejectedCriticality);
       report(i, Outcome::kRejectedCriticality);
       continue;
@@ -302,7 +295,6 @@ BatchSubmitResult AdmissionGateway::submit_batch(std::span<const Job> jobs,
                                target)) {
       ++result.rejected_queue_full;
       metrics_.on_backpressure(target);
-      shard.note_refused();
       report(i, Outcome::kRejectedQueueFull);
       continue;
     }

@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "models/model_factory.hpp"
-#include "policy/capacity_controller.hpp"
 #include "policy/shed_policy.hpp"
 #include "replication/replicator.hpp"
 #include "sched/engine.hpp"
@@ -116,20 +115,13 @@ struct GatewayConfig {
   /// Optional deterministic fault injector (tests/benches only).
   FaultInjector* fault_injector = nullptr;
 
-  // --- criticality & elasticity (see docs/service.md) ---
+  // --- criticality (see docs/service.md) ---
   /// Class-aware load shedding (policy/shed_policy.hpp): under queue
   /// pressure, low-criticality jobs are shed with kRejectedCriticality
   /// before they touch the queue, per-class occupancy thresholds, lowest
   /// class first. Disengaged = the original class-blind behavior (only a
   /// truly full ring sheds, with kRejectedQueueFull).
   std::optional<ShedPolicyConfig> shed_policy;
-  /// Elastic per-shard machine pools (policy/capacity_controller.hpp):
-  /// each shard grows its pool under sustained load/shedding and drains
-  /// machines for retirement when idle, write-ahead-logging every resize.
-  /// Requires a scheduler with an elastic pool (OnlineScheduler::
-  /// elastic_pool(), identical machines); silently ignored otherwise.
-  /// Disengaged = fixed pools.
-  std::optional<CapacityControllerConfig> elastic;
 
   // --- observability (see docs/observability.md) ---
   /// Record one TraceEvent per rendered decision, failover, and shed into

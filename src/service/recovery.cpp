@@ -7,7 +7,6 @@
 #include <cstring>
 #include <vector>
 
-#include "core/frontier_set.hpp"
 #include "policy/criticality.hpp"
 #include "sched/decision.hpp"
 #include "sched/validator.hpp"
@@ -120,10 +119,6 @@ RecoveryResult recover_commit_log(const std::string& path, int machines,
                     std::to_string(machines));
   }
 
-  // Control records resize the scheduler's elastic pool directly; a fixed
-  // pool (nullptr) refuses every one of them.
-  FrontierSet* const pool =
-      scheduler != nullptr ? scheduler->elastic_pool() : nullptr;
   std::size_t offset = kWalHeaderBytes;
   // The first short, implausible or CRC-failing record starts the torn
   // tail: a length field the writer never produced is not a record to skip.
@@ -150,73 +145,15 @@ RecoveryResult recover_commit_log(const std::string& path, int machines,
     }
     job.criticality = static_cast<Criticality>(criticality);
 
-    if (wal_is_control_id(job.id)) {
-      // Capacity control record: replay the resize at exactly this point
-      // of the log, so every subsequent commitment sees the machine pool
-      // the original run committed against. Control records count toward
-      // records_replayed (the replication sequence space) but are not
-      // jobs, so the run metrics ignore them.
-      if (job.id == kWalControlGrow) {
-        if (!result.schedule.uniform_speeds()) {
-          ::close(fd);
-          return fail(std::move(result),
-                      path + ": grow control record under a machine-speed "
-                             "profile; elastic capacity requires identical "
-                             "machines");
-        }
-        // A grow reuses a retired index or appends the next one; an index
-        // past that was never written by this log's writer.
-        if (machine < 0 || machine > result.schedule.machines()) {
-          ::close(fd);
-          return fail(std::move(result),
-                      path + ": grow control record names machine " +
-                          std::to_string(machine) + " on a pool of " +
-                          std::to_string(result.schedule.machines()) +
-                          " machines");
-        }
-        if (scheduler != nullptr) {
-          const int grown = pool != nullptr ? pool->add_machine() : -1;
-          if (grown != machine) {
-            ::close(fd);
-            return fail(std::move(result),
-                        path + ": grow control record names machine " +
-                            std::to_string(machine) +
-                            " but the scheduler grew machine " +
-                            std::to_string(grown) +
-                            "; the replayed resize sequence diverged");
-          }
-        }
-        result.schedule.ensure_machines(machine + 1);
-      } else if (job.id == kWalControlRetireBegin) {
-        if (scheduler != nullptr &&
-            (pool == nullptr || !pool->begin_retire(machine))) {
-          ::close(fd);
-          return fail(std::move(result),
-                      path + ": retire-begin control record for machine " +
-                          std::to_string(machine) +
-                          " is not applicable to scheduler '" +
-                          scheduler->name() + "'");
-        }
-      } else if (job.id == kWalControlRetireDone) {
-        // The original run observed the drain before logging this, so the
-        // retirement finishes unconditionally on replay.
-        if (scheduler != nullptr &&
-            (pool == nullptr || !pool->finish_retire(machine))) {
-          ::close(fd);
-          return fail(std::move(result),
-                      path + ": retire-done control record for machine " +
-                          std::to_string(machine) +
-                          " but that machine is not retiring");
-        }
-      } else {
-        ::close(fd);
-        return fail(std::move(result),
-                    path + ": unknown control record id " +
-                        std::to_string(job.id));
-      }
-      ++result.records_replayed;
-      offset += kWalRecordBytes;
-      continue;
+    if (!job.structurally_valid()) {
+      // Every scheduler requires a structurally valid job before it can
+      // accept one, so no live shard logs such a record: it is corrupt in a
+      // way the CRC cannot see.
+      ::close(fd);
+      return fail(std::move(result),
+                  path + ": record " +
+                      std::to_string(result.records_replayed + 1) + " (" +
+                      job.to_string() + ") is not a valid job");
     }
 
     const Decision decision = Decision::accept(machine, start);

@@ -31,7 +31,8 @@ struct RecoveryResult {
   std::size_t bytes_truncated = 0;
   bool tail_truncated = false;
   /// False on a hard failure: I/O error, bad magic/version, machine-count
-  /// mismatch, or a CRC-valid record that fails commitment validation.
+  /// mismatch, or a CRC-valid record that is not a valid job or fails
+  /// commitment validation.
   bool ok = true;
   std::string error;
 
@@ -59,19 +60,10 @@ struct RecoveryResult {
 ///    for a scheduler-less replay — so replayed occupancies use the same
 ///    execution times p_j / s_i the original run committed with. Passing
 ///    neither replays under the identical-machine model.
-///  - Elastic capacity: control records (commit_log.hpp sentinel ids)
-///    replay the original run's grow / retire-begin / retire-done sequence
-///    in log order against the scheduler's elastic pool
-///    (OnlineScheduler::elastic_pool()), so the machine
-///    pool at every replayed commitment — and the final post-crash machine
-///    count — exactly matches the pre-crash run. `machines` stays the
-///    *initial* count the log header was written with. A grow that lands
-///    on a different machine index than the logged one is a hard error
-///    (the deterministic resize sequence diverged), as is a control record
-///    the pool refuses (a fixed pool, a retire of a machine that is not
-///    active or of the last active one, a retire-done of a machine that is
-///    not retiring) and, with or without a scheduler, a grow naming a
-///    machine past the next new index.
+///  - A CRC-valid record whose job is not structurally valid
+///    (Job::structurally_valid: p > 0, d > r, r >= 0, no NaN) is a hard
+///    error too: no scheduler accepts such a job, so the log is corrupt.
+///    A job id is an opaque i64; a negative id replays like any other.
 ///
 /// The caller resets the scheduler before invoking recovery.
 [[nodiscard]] RecoveryResult recover_commit_log(

@@ -1,6 +1,5 @@
 #include "service/shard.hpp"
 
-#include <algorithm>
 #include <array>
 #include <utility>
 
@@ -8,7 +7,6 @@
 #include <sched.h>
 
 #include "common/expects.hpp"
-#include "core/frontier_set.hpp"
 #include "service/recovery.hpp"
 
 namespace slacksched {
@@ -71,17 +69,13 @@ void Shard::spawn(bool is_restart) {
   scheduler_ = factory_();
   SLACKSCHED_EXPECTS(scheduler_ != nullptr);
   const RunOptions options = to_run_options(config_);
-  // The WAL header stores the machine count the pool *starts* with;
-  // elastic replay grows the live scheduler past it, so capture the
-  // initial count before recovery touches anything.
-  wal_initial_machines_ = scheduler_->machines();
 
   if (config_.wal_path.empty()) {
     runner_.emplace(*scheduler_, options);
   } else {
     scheduler_->reset();
     RecoveryResult recovered = recover_commit_log(
-        config_.wal_path, wal_initial_machines_, scheduler_.get());
+        config_.wal_path, scheduler_->machines(), scheduler_.get());
     if (!recovered.ok) {
       throw CommitLogError("shard " + std::to_string(index_) +
                            " recovery failed: " + recovered.error);
@@ -98,7 +92,7 @@ void Shard::spawn(bool is_restart) {
     // follower sees one gapless per-shard sequence whatever crashed here.
     log_config.base_records = recovered.records_replayed;
     log_config.observer = config_.wal_observer;
-    wal_ = CommitLog::open(config_.wal_path, wal_initial_machines_,
+    wal_ = CommitLog::open(config_.wal_path, scheduler_->machines(),
                            log_config, config_.faults, index_);
     RunResult state{std::move(recovered.schedule), recovered.metrics, {}, {}};
     runner_.emplace(
@@ -125,27 +119,6 @@ void Shard::spawn(bool is_restart) {
   // decisions died with the worker, like unsent replies in a crash.
   deferred_ctx_.clear();
   pending_.clear();
-
-  // Elastic control loop: a fresh controller every spawn (its window is
-  // transient load state — the durable truth, the machine counts, was just
-  // replayed from the WAL). An in-flight drain survives the crash as a
-  // RetireBegin record without its RetireDone: rediscover it from the
-  // replayed pool so the new worker finishes the drain.
-  controller_.reset();
-  pool_ = config_.elastic.has_value() ? scheduler_->elastic_pool() : nullptr;
-  retiring_machine_ = -1;
-  sim_now_ = 0.0;
-  offered_.store(0, std::memory_order_relaxed);
-  shed_.store(0, std::memory_order_relaxed);
-  if (pool_ != nullptr) {
-    controller_.emplace(*config_.elastic);
-    for (int m = 0; m < pool_->size(); ++m) {
-      if (pool_->is_retiring(m)) {
-        retiring_machine_ = m;
-        break;
-      }
-    }
-  }
 
   worker_failed_.store(false, std::memory_order_release);
   worker_exited_.store(false, std::memory_order_release);
@@ -176,12 +149,6 @@ Shard::BatchEnqueueResult Shard::try_enqueue_batch(
   }
   if (!result.closed) {
     metrics_.on_backpressure(index_, count - result.taken);
-  }
-  if (config_.elastic.has_value()) {
-    offered_.fetch_add(count, std::memory_order_relaxed);
-    if (!result.closed) {
-      shed_.fetch_add(count - result.taken, std::memory_order_relaxed);
-    }
   }
   return result;
 }
@@ -230,7 +197,7 @@ RunResult Shard::take_result() {
     // durable truth. Read-only replay: finish() may still be mid-shutdown
     // elsewhere, and the next restart will truncate the tail itself.
     RecoveryResult recovered =
-        recover_commit_log(config_.wal_path, wal_initial_machines_,
+        recover_commit_log(config_.wal_path, scheduler_->machines(),
                            /*scheduler=*/nullptr, /*truncate_file=*/false,
                            scheduler_->speed_profile());
     RunResult from_log{std::move(recovered.schedule), recovered.metrics,
@@ -288,9 +255,6 @@ void Shard::worker_loop() {
       metrics_.on_schedule_held(index_, runner_->settle());
       SLACKSCHED_FAULT_CRASH_POINT(config_.faults, FaultSite::kWorkerPanic,
                                    index_);
-      // Elastic control: one observation + at most one applied resize per
-      // consumed batch, at a clean batch boundary (nothing mid-decision).
-      run_capacity_control();
     }
     result_ = runner_->finish();
     publish();  // the resolutions finish() drained at the end of the stream
@@ -300,65 +264,6 @@ void Shard::worker_loop() {
     worker_failed_.store(true, std::memory_order_release);
   }
   worker_exited_.store(true, std::memory_order_release);
-}
-
-void Shard::run_capacity_control() {
-  if (!controller_.has_value()) return;
-
-  // Resize bookkeeping is apply-then-log, uniformly: this thread is the
-  // only mutator, so file order equals operation order, and a crash between
-  // the two wipes the in-memory half — replay then reproduces the exact
-  // pre-resize pool, on which no commitment can depend yet (a retiring
-  // machine accepts nothing; a grown machine's commitments are themselves
-  // logged after the grow record).
-
-  // 1. Finish an in-flight retirement once its machine has drained. The
-  // commitment guarantee holds by construction: every allocation on the
-  // machine completed at or before sim_now_.
-  if (retiring_machine_ >= 0 &&
-      pool_->retire_drained(retiring_machine_, sim_now_)) {
-    const bool finished = pool_->finish_retire(retiring_machine_);
-    SLACKSCHED_EXPECTS(finished);
-    if (wal_) wal_->append_control(kWalControlRetireDone, retiring_machine_);
-    retiring_machine_ = -1;
-    SLACKSCHED_FAULT_CRASH_POINT(config_.faults, FaultSite::kResizeShrink,
-                                 index_);
-  }
-
-  // 2. One observation per consumed batch. Sorted positions [0, p) hold
-  // the active machines with outstanding load at sim_now_.
-  const std::uint64_t offered =
-      offered_.exchange(0, std::memory_order_relaxed);
-  const std::uint64_t shed = shed_.exchange(0, std::memory_order_relaxed);
-  controller_->observe(pool_->first_position_not_above(sim_now_),
-                       pool_->active_machines(),
-                       static_cast<std::size_t>(shed),
-                       static_cast<std::size_t>(offered));
-
-  // 3. Apply at most one decision.
-  switch (controller_->decide(pool_->active_machines())) {
-    case CapacityAction::kGrow: {
-      const int machine = pool_->add_machine();
-      if (wal_) wal_->append_control(kWalControlGrow, machine);
-      controller_->on_resized();
-      SLACKSCHED_FAULT_CRASH_POINT(config_.faults, FaultSite::kResizeGrow,
-                                   index_);
-      break;
-    }
-    case CapacityAction::kShrink: {
-      if (retiring_machine_ >= 0) break;  // one drain at a time
-      const int candidate = pool_->retire_candidate();
-      if (!pool_->begin_retire(candidate)) break;
-      if (wal_) wal_->append_control(kWalControlRetireBegin, candidate);
-      retiring_machine_ = candidate;
-      controller_->on_resized();
-      SLACKSCHED_FAULT_CRASH_POINT(config_.faults, FaultSite::kResizeShrink,
-                                   index_);
-      break;
-    }
-    case CapacityAction::kNone:
-      break;
-  }
 }
 
 void Shard::on_resolution(const Job& job, const Decision& decision) {
@@ -377,10 +282,6 @@ void Shard::on_resolution(const Job& job, const Decision& decision) {
 }
 
 void Shard::decide(const Task& task) {
-  // The simulated clock the elastic control loop reads: releases arrive in
-  // FIFO order per producer but can interleave across producers, so track
-  // the max rather than the last.
-  sim_now_ = std::max(sim_now_, task.job.release);
   const FeedOutcome outcome = runner_->feed(task.job);
   // Poisoned shard (drained without deciding) or an illegal commitment:
   // neither counts as a served decision in the live metrics.

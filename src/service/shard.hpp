@@ -36,7 +36,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "policy/capacity_controller.hpp"
 #include "sched/engine.hpp"
 #include "sched/online.hpp"
 #include "service/bounded_queue.hpp"
@@ -98,16 +97,6 @@ struct ShardConfig {
   /// dies mid-batch publishes none of that batch. Runs on the decision hot
   /// path: must be fast and must not throw.
   ShardDecisionCallback on_decision;
-  /// Optional elastic machine pool (policy/capacity_controller.hpp). When
-  /// set and the shard's scheduler has an elastic pool
-  /// (OnlineScheduler::elastic_pool()), the consumer thread runs the
-  /// capacity control loop between batches: grows the pool under
-  /// sustained high utilization or shedding, drains a machine for
-  /// retirement under sustained low utilization. Every applied resize is
-  /// write-ahead-logged as a control record, so WAL replay reproduces the
-  /// exact machine count at every point of the log. Ignored (with the
-  /// original fixed-pool behavior) when the scheduler is not elastic.
-  std::optional<CapacityControllerConfig> elastic;
 };
 
 /// An independent scheduler + queue + consumer thread. Like run_online, a
@@ -182,23 +171,6 @@ class Shard {
     return *scheduler_;
   }
 
-  /// Counts one job the gateway refused before it ever reached this
-  /// shard's queue (a class-aware shed, or the kEnqueue ingest fault) —
-  /// the refusal feeds the capacity controller's shed-rate signal exactly
-  /// like backpressure. Callable from any producer thread.
-  void note_refused() {
-    offered_.fetch_add(1, std::memory_order_relaxed);
-    shed_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// The machine pool the control loop resizes, or nullptr when the shard
-  /// is not elastic. Consumer-thread state: read it once the worker exits.
-  [[nodiscard]] const FrontierSet* elastic_pool() const { return pool_; }
-
-  /// The machine currently draining for retirement (-1 when none).
-  /// Consumer-thread state exposed for tests; racy reads are benign.
-  [[nodiscard]] int retiring_machine() const { return retiring_machine_; }
-
   // --- supervision surface (service/supervisor.hpp) ---
   /// Monotone progress counter the worker bumps on every wake-up and every
   /// decided job; a supervisor that sees it unchanged past the stall
@@ -245,10 +217,6 @@ class Shard {
   /// the worker thread. Throws when recovery fails.
   void spawn(bool is_restart);
   void worker_loop();
-  /// One turn of the elastic control loop (consumer thread, between
-  /// batches): finish a drained retirement, feed the controller one
-  /// observation, apply its grow/shrink decision, WAL the resize.
-  void run_capacity_control();
   /// Decide pass, one job: feeds it and queues its binding decision (if
   /// any) for publication. Counts, traces and notifies nothing.
   void decide(const Task& task);
@@ -286,22 +254,6 @@ class Shard {
   std::unique_ptr<OnlineScheduler> scheduler_;
   std::unique_ptr<CommitLog> wal_;
   std::optional<StreamingRunner> runner_;
-  /// Machine count the factory's scheduler starts with — the count in the
-  /// WAL header. Elastic resizes grow scheduler_->machines() past it, so
-  /// every header check after recovery must use this, not the live count.
-  int wal_initial_machines_ = 0;
-  /// Elastic control loop state; touched only by the consumer thread.
-  /// pool_ is scheduler_'s elastic pool, engaged together with controller_.
-  std::optional<CapacityController> controller_;
-  FrontierSet* pool_ = nullptr;
-  int retiring_machine_ = -1;  ///< machine mid-drain, -1 when none
-  /// Latest release time fed to the engine — the simulated "now" frontier
-  /// utilization and drain checks are evaluated at.
-  TimePoint sim_now_ = 0.0;
-  /// Producer-side window counters the controller consumes (offered
-  /// submissions / shed submissions since the last observation).
-  std::atomic<std::uint64_t> offered_{0};
-  std::atomic<std::uint64_t> shed_{0};
   RunResult result_;  ///< taken from runner_ when the consumer exits
   bool started_ = false;
   bool joined_ = false;

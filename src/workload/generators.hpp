@@ -100,8 +100,8 @@ struct WorkloadConfig {
 ///   "diurnal"            day/night sinusoidal rate with a bimodal
 ///                        (interactive vs. batch) size mix
 ///   "mixed-criticality"  the overload regime with all four criticality
-///                        classes present — the class-aware shed and
-///                        elastic-capacity evaluation stream
+///                        classes present — the class-aware shed
+///                        evaluation stream
 [[nodiscard]] WorkloadConfig scenario(std::string_view name, double eps,
                                       std::uint64_t seed);
 

@@ -468,59 +468,60 @@ TEST(Recovery, SchedulerThatCannotRestoreFailsRecovery) {
       << recovered.error;
 }
 
-/// A fresh 2-machine log holding only the given control records.
-std::string control_log(const std::string& name,
-                        const std::vector<std::pair<JobId, int>>& records) {
-  const std::string path = wal_path(name);
-  auto log = CommitLog::open(path, 2);
-  for (const auto& [id, machine] : records) log->append_control(id, machine);
-  log->close();
-  return path;
-}
-
-TEST(Recovery, GrowPastTheNextMachineIndexIsAHardError) {
-  // A grow reuses a retired index or appends the next one (2 on a fresh
-  // 2-machine pool). The scheduler-less replay must not size the rebuilt
-  // schedule by whatever index a CRC-valid record carries.
-  for (const int machine : {5, 100'000'000, std::numeric_limits<int>::max()}) {
-    SCOPED_TRACE(machine);
-    const std::string path =
-        control_log("grow_past_end", {{kWalControlGrow, machine}});
-    const RecoveryResult recovered = recover_commit_log(path, 2);
-    EXPECT_FALSE(recovered.ok);
-    EXPECT_NE(recovered.error.find("grow control record"), std::string::npos)
-        << recovered.error;
-  }
-  const std::string path = control_log("grow_next", {{kWalControlGrow, 2}});
-  const RecoveryResult recovered = recover_commit_log(path, 2);
-  ASSERT_TRUE(recovered.ok) << recovered.error;
-  EXPECT_EQ(recovered.schedule.machines(), 3);
-}
-
-TEST(Recovery, RetireRecordsThePoolRefusesAreHardErrors) {
-  // Retire records name a machine read from disk; the elastic pool refuses
-  // one it cannot apply, and recovery reports it rather than throwing.
-  const std::vector<std::pair<const char*, std::vector<std::pair<JobId, int>>>>
-      cases = {
-          {"retire-begin past the pool", {{kWalControlRetireBegin, 7}}},
-          {"retire-done of an active machine", {{kWalControlRetireDone, 0}}},
-          {"retire-begin of the last active machine",
-           {{kWalControlRetireBegin, 0}, {kWalControlRetireBegin, 1}}},
-      };
-  for (const auto& [name, records] : cases) {
-    SCOPED_TRACE(name);
-    const std::string path = control_log("retire_refused", records);
-    ThresholdScheduler scheduler(0.5, 2);
-    scheduler.reset();
-    bool ok = true;
-    std::string error;
-    EXPECT_NO_THROW({
-      const RecoveryResult recovered = recover_commit_log(path, 2, &scheduler);
-      ok = recovered.ok;
-      error = recovered.error;
-    });
-    EXPECT_FALSE(ok);
-    EXPECT_NE(error.find("control record"), std::string::npos) << error;
+TEST(Recovery, RecordThatIsNotAValidJobIsAHardError) {
+  // A CRC-valid record whose job no scheduler would accept is corrupt in a
+  // way framing cannot see. The first case carries the exact bytes an
+  // older writer used for a machine-pool control record (id -1, r = p = d
+  // = start = 0, machine 1): replay must refuse it loudly instead of
+  // committing a zero-length job. Each bad record follows one good one.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Case {
+    const char* name;
+    Job job;
+    int machine;
+    TimePoint start;
+  };
+  Job control;
+  control.id = -1;
+  const std::vector<Case> cases = {
+      {"old control record", control, 1, 0.0},
+      {"zero processing time", make_job(2, 1.0, 0.0, 5.0), 1, 1.0},
+      {"negative processing time", make_job(2, 1.0, -1.0, 5.0), 1, 1.0},
+      {"deadline at the release", make_job(2, 1.0, 1.0, 1.0), 1, 1.0},
+      {"deadline before the release", make_job(2, 3.0, 1.0, 2.0), 1, 3.0},
+      {"negative release", make_job(2, -1.0, 1.0, 5.0), 1, 0.0},
+      {"NaN release", make_job(2, nan, 1.0, 5.0), 1, 1.0},
+      {"NaN processing time", make_job(2, 1.0, nan, 5.0), 1, 1.0},
+      {"NaN deadline", make_job(2, 1.0, 1.0, nan), 1, 1.0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string path = wal_path("invalid_job");
+    {
+      auto log = CommitLog::open(path, 2);
+      log->append(make_job(1, 0.0, 1.0, 4.0), 0, 0.0);
+      log->append(c.job, c.machine, c.start);
+      log->close();
+    }
+    for (const bool with_scheduler : {false, true}) {
+      SCOPED_TRACE(with_scheduler ? "with a scheduler" : "scheduler-less");
+      ThresholdScheduler scheduler(0.5, 2);
+      scheduler.reset();
+      bool ok = true;
+      std::string error;
+      EXPECT_NO_THROW({
+        const RecoveryResult recovered = recover_commit_log(
+            path, 2, with_scheduler ? &scheduler : nullptr,
+            /*truncate_file=*/false);
+        ok = recovered.ok;
+        error = recovered.error;
+      });
+      EXPECT_FALSE(ok);
+      EXPECT_NE(error.find("record 2 (J" + std::to_string(c.job.id) + "("),
+                std::string::npos)
+          << error;
+      EXPECT_NE(error.find("not a valid job"), std::string::npos) << error;
+    }
   }
 }
 

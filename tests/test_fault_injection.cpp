@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -118,10 +119,16 @@ TEST(FaultPlan, DifferentSeedsExploreDifferentCrashes) {
 }
 
 TEST(FaultSiteNames, EverySiteHasAName) {
+  std::vector<std::string> names;
   for (const FaultSite site :
        {FaultSite::kEnqueue, FaultSite::kDequeue, FaultSite::kCommit,
-        FaultSite::kFsync, FaultSite::kWorkerPanic}) {
-    EXPECT_FALSE(to_string(site).empty());
+        FaultSite::kFsync, FaultSite::kWorkerPanic,
+        FaultSite::kReplicationFrame, FaultSite::kFailover}) {
+    const std::string name = to_string(site);
+    EXPECT_FALSE(name.empty());
+    EXPECT_NE(name, "unknown");
+    EXPECT_EQ(std::count(names.begin(), names.end(), name), 0) << name;
+    names.push_back(name);
   }
 }
 
@@ -251,6 +258,62 @@ TEST(FaultInjection, MidBatchCrashPublishesNothingFromItsBatch) {
   }
   std::sort(logged.begin(), logged.end());
   EXPECT_EQ(logged, (std::vector<JobId>{1, 2, 3}));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(WalRecovery, NegativeJobIdsReplayAsAcceptedCommitments) {
+  // A job id is an opaque i64 from the client, so a negative one is an
+  // ordinary commitment: recovery must replay every accepted job whatever
+  // its id, on the machine and at the start it was promised.
+  const std::string dir = wal_dir("negative_ids");
+  static constexpr int kPool = 4;
+  GatewayConfig config;
+  config.shards = 1;
+  config.wal_dir = dir;
+  config.supervisor.enabled = false;
+  ShardDecisionLogs logs;
+  capture_decisions(config, logs);
+  AdmissionGateway gateway(config, [](int) {
+    return std::make_unique<ThresholdScheduler>(kEps, kPool);
+  });
+
+  const std::vector<JobId> ids = {5, -1, 6, -2, -3, 7, -7,
+                                  std::numeric_limits<JobId>::min(), 8};
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    Job job;
+    job.id = ids[i];
+    job.release = static_cast<double>(i);
+    job.proc = 1.0 + 0.25 * static_cast<double>(i);
+    job.deadline = job.release + 100.0;
+    ASSERT_EQ(gateway.submit(job), Outcome::kEnqueued) << job.id;
+  }
+  const GatewayResult result = gateway.finish();
+  ASSERT_TRUE(result.clean());
+  ASSERT_EQ(logs[0].size(), ids.size());
+  for (const DecisionRecord& record : logs[0]) {
+    ASSERT_TRUE(record.decision.accepted) << record.job.id;
+  }
+
+  ThresholdScheduler fresh(kEps, kPool);
+  fresh.reset();
+  const RecoveryResult recovered =
+      recover_commit_log(dir + "/shard-0.wal", kPool, &fresh);
+  ASSERT_TRUE(recovered.ok) << recovered.error;
+  EXPECT_EQ(recovered.metrics.accepted, result.shards[0].metrics.accepted);
+  EXPECT_EQ(recovered.metrics.accepted_volume,
+            result.shards[0].metrics.accepted_volume);
+  EXPECT_EQ(recovered.schedule.machines(), kPool);
+  EXPECT_EQ(fresh.machines(), kPool);
+  for (const DecisionRecord& record : logs[0]) {
+    const std::vector<Placement>& placed =
+        recovered.schedule.on_machine(record.decision.machine);
+    const bool found =
+        std::any_of(placed.begin(), placed.end(), [&](const Placement& p) {
+          return p.job.id == record.job.id && p.start == record.decision.start;
+        });
+    EXPECT_TRUE(found) << "job " << record.job.id << " is not on machine "
+                       << record.decision.machine << " after recovery";
+  }
   std::filesystem::remove_all(dir);
 }
 

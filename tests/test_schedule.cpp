@@ -215,13 +215,5 @@ TEST(ScheduleSettle, RelatedSpeedsSettleByExecutionTime) {
   EXPECT_EQ(s.frontier(1), 2.0);
 }
 
-TEST(ScheduleSettle, GrownMachinesStartUnsettled) {
-  Schedule s = settling_fixture();
-  s.settle_before(6.0);
-  s.ensure_machines(3);
-  EXPECT_TRUE(s.interval_free(2, 0.0, 1.0));
-  EXPECT_EQ(s.settle_before(6.0), 1u);
-}
-
 }  // namespace
 }  // namespace slacksched
