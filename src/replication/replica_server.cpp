@@ -1,7 +1,6 @@
 #include "replication/replica_server.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -12,7 +11,6 @@
 #include <cstring>
 
 #include "common/expects.hpp"
-#include "common/wire.hpp"
 #include "service/commit_log.hpp"
 
 namespace slacksched::repl {
@@ -21,37 +19,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Structural scan of a WAL body: counts whole, CRC-valid records from
-/// `offset` and reports where the clean prefix ends. Purely framing-level
-/// — semantic validation (legality of the commitments) happens once, at
-/// promotion, through recover_commit_log.
-struct ScanResult {
-  std::uint64_t records = 0;
-  off_t clean_end = 0;
-  bool torn = false;
-};
-
-ScanResult scan_records(int fd, off_t file_size) {
-  ScanResult scan;
-  scan.clean_end = static_cast<off_t>(kWalHeaderBytes);
-  char record[kWalRecordBytes];
-  while (scan.clean_end + static_cast<off_t>(kWalRecordBytes) <= file_size) {
-    if (::pread(fd, record, kWalRecordBytes, scan.clean_end) !=
-        static_cast<ssize_t>(kWalRecordBytes)) {
-      scan.torn = true;
-      return scan;
-    }
-    if (!wal_record_intact(record)) {
-      scan.torn = true;
-      return scan;
-    }
-    ++scan.records;
-    scan.clean_end += static_cast<off_t>(kWalRecordBytes);
-  }
-  scan.torn = scan.clean_end != file_size;
-  return scan;
-}
-
 /// True iff every record in an APPEND body passes its frame check.
 bool records_well_formed(const char* records, std::uint32_t count) {
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -59,19 +26,6 @@ bool records_well_formed(const char* records, std::uint32_t count) {
                            static_cast<std::size_t>(i) * kWalRecordBytes)) {
       return false;
     }
-  }
-  return true;
-}
-
-bool write_fully(int fd, const char* data, std::size_t size) {
-  std::size_t done = 0;
-  while (done < size) {
-    const ssize_t n = ::write(fd, data + done, size - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    done += static_cast<std::size_t>(n);
   }
   return true;
 }
@@ -258,73 +212,34 @@ void ReplicaServer::handle_connection(int fd) {
 
 bool ReplicaServer::open_shard_log(ShardState& state, int shard,
                                    std::uint32_t machines, std::string* why) {
+  // Opened beside the live descriptor, which a refused HELLO leaves alone.
   const std::string path = shard_log_path(shard);
-  if (state.fd < 0) {
-    state.fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
-    if (state.fd < 0) {
-      *why = "cannot open replica log " + path + ": " + std::strerror(errno);
-      return false;
-    }
-  }
-  const off_t size = ::lseek(state.fd, 0, SEEK_END);
-  if (size < 0) {
-    *why = "cannot seek replica log " + path + ": " + std::strerror(errno);
-    return false;
-  }
-  if (static_cast<std::size_t>(size) < kWalHeaderBytes) {
-    // Fresh (or torn-inside-the-header) log: write a clean header carrying
-    // the leader's machine count — byte-identical to CommitLog::open's.
-    if (::ftruncate(state.fd, 0) != 0) {
-      *why = "cannot reset replica log " + path + ": " + std::strerror(errno);
-      return false;
-    }
-    std::vector<char> header;
-    header.insert(header.end(), kWalMagic, kWalMagic + sizeof(kWalMagic));
-    wire::put(header, kWalVersion);
-    wire::put(header, machines);
-    if (::lseek(state.fd, 0, SEEK_SET) != 0 ||
-        !write_fully(state.fd, header.data(), header.size())) {
-      *why = "cannot write replica log header " + path;
-      return false;
-    }
-    state.records.store(0, std::memory_order_release);
-    return true;
-  }
-  char header[kWalHeaderBytes];
-  if (::pread(state.fd, header, sizeof(header), 0) !=
-      static_cast<ssize_t>(sizeof(header))) {
-    *why = "cannot read replica log header " + path;
-    return false;
-  }
-  if (std::memcmp(header, kWalMagic, sizeof(kWalMagic)) != 0) {
-    *why = path + ": not a commit log (bad magic)";
-    return false;
-  }
-  std::uint32_t version = 0;
-  std::uint32_t header_machines = 0;
-  std::memcpy(&version, header + 8, sizeof(version));
-  std::memcpy(&header_machines, header + 12, sizeof(header_machines));
-  if (version != kWalVersion) {
-    *why = path + ": unsupported commit log version " +
-           std::to_string(version);
-    return false;
-  }
-  if (header_machines != machines) {
-    *why = path + ": replica log is for " + std::to_string(header_machines) +
-           " machines, leader has " + std::to_string(machines);
-    return false;
-  }
-  const ScanResult scan = scan_records(state.fd, size);
-  if (scan.torn && ::ftruncate(state.fd, scan.clean_end) != 0) {
+  std::size_t size = 0;
+  const int fd = open_wal(path, static_cast<int>(machines), WalMode::kAppend,
+                          &size, why);
+  if (fd < 0) return false;
+  // Framing only: the commitments are validated once, at promotion,
+  // through recover_commit_log.
+  std::uint64_t records = 0;
+  const std::size_t end = scan_wal(
+      fd, size, path,
+      [&records](const char*) {
+        ++records;
+        return true;
+      },
+      why);
+  if (why->empty() && end < size &&
+      ::ftruncate(fd, static_cast<off_t>(end)) != 0) {
     *why = "cannot truncate torn replica tail " + path + ": " +
            std::strerror(errno);
+  }
+  if (!why->empty()) {
+    ::close(fd);
     return false;
   }
-  if (::lseek(state.fd, scan.clean_end, SEEK_SET) != scan.clean_end) {
-    *why = "cannot seek replica log tail " + path;
-    return false;
-  }
-  state.records.store(scan.records, std::memory_order_release);
+  if (state.fd >= 0) ::close(state.fd);
+  state.fd = fd;
+  state.records.store(records, std::memory_order_release);
   return true;
 }
 
@@ -420,7 +335,7 @@ bool ReplicaServer::handle_frame(
     }
     const std::size_t bytes =
         static_cast<std::size_t>(count) * kWalRecordBytes;
-    if (!write_fully(state.fd, records, bytes) || ::fsync(state.fd) != 0) {
+    if (!write_wal(state.fd, records, bytes) || ::fsync(state.fd) != 0) {
       encode_nack(reply, frame.word, NackReason::kBadState, have,
                   "replica log write failed: " +
                       std::string(std::strerror(errno)));

@@ -107,9 +107,10 @@ class ReplicaServer {
   /// the connection's shard -> session-epoch map.
   bool handle_frame(int fd, const ReplFrame& frame,
                     std::unordered_map<int, std::uint64_t>& epochs);
-  /// Opens (creating/validating the header) and structurally scans the
-  /// shard's replica log, truncating a torn tail. Caller holds the shard
-  /// mutex. Returns false (with `why`) on an unusable log.
+  /// (Re)opens the shard's replica log through open_wal (kAppend: created,
+  /// its header checked against the leader's `machines`) and counts its
+  /// intact records, truncating a torn tail. Caller holds the shard mutex.
+  /// Returns false (with `why`) on an unusable log, leaving the live one.
   bool open_shard_log(ShardState& state, int shard, std::uint32_t machines,
                       std::string* why);
   void touch_activity();

@@ -1,6 +1,5 @@
 #include "replication/replicator.hpp"
 
-#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -65,14 +64,6 @@ std::vector<std::string> ReplicationConfig::validate() const {
   if (heartbeat_interval.count() < 0) {
     problems.emplace_back(
         "replication.heartbeat_interval must be >= 0 (0 disables)");
-  }
-  if (max_pending_bytes < kWalRecordBytes ||
-      max_pending_bytes > kCatchUpRecords * kWalRecordBytes) {
-    problems.emplace_back(
-        "replication.max_pending_bytes must hold at least one record (" +
-        std::to_string(kWalRecordBytes) + " bytes) and at most one full "
-        "APPEND (" + std::to_string(kCatchUpRecords * kWalRecordBytes) +
-        " bytes)");
   }
   return problems;
 }
@@ -146,7 +137,9 @@ void ShardReplicator::on_open(const std::string& path, int machines,
                           std::to_string(base_records));
     }
     acked_.store(follower, std::memory_order_release);
-    if (follower < base_records) catch_up(path, follower, base_records);
+    if (follower < base_records) {
+      catch_up(path, machines, follower, base_records);
+    }
     next_seq_ = base_records;
     connected_.store(true, std::memory_order_release);
   } catch (const FailSafeError&) {
@@ -181,8 +174,7 @@ void ShardReplicator::on_record(const char* frame, std::size_t size,
     if (config_.ack_mode == ReplAckMode::kAckOnCommit) {
       flush_pending();
       wait_for_ack(seq);
-    } else if (pending_.size() - kAppendPrefixBytes >=
-               config_.max_pending_bytes) {
+    } else if (pending_.size() - kAppendPrefixBytes >= kWalFlushBytes) {
       flush_pending();
       if (config_.ack_mode == ReplAckMode::kAsync) (void)drain_acks();
     }
@@ -383,15 +375,17 @@ void ShardReplicator::handle_frame(const ReplFrame& frame) {
   }
 }
 
-void ShardReplicator::catch_up(const std::string& path, std::uint64_t from,
-                               std::uint64_t to) {
-  const int file = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+void ShardReplicator::catch_up(const std::string& path, int machines,
+                               std::uint64_t from, std::uint64_t to) {
+  std::size_t size = 0;
+  std::string error;
+  const int file = open_wal(path, machines, WalMode::kRead, &size, &error);
   if (file < 0) {
-    throw FailSafeError("catch-up cannot read leader log " + path + ": " +
-                        std::strerror(errno));
+    throw FailSafeError(error.empty() ? "catch-up: no leader log " + path
+                                      : "catch-up: " + error);
   }
   try {
-    // One frame buffer for the whole stream: records are pread straight
+    // One frame buffer for the whole stream: records are read straight
     // behind the APPEND prefix and the header is sealed in place.
     std::vector<char> frame(
         kAppendPrefixBytes +
@@ -399,22 +393,11 @@ void ShardReplicator::catch_up(const std::string& path, std::uint64_t from,
     for (std::uint64_t base = from; base < to;) {
       const std::uint64_t count =
           std::min<std::uint64_t>(kCatchUpRecords, to - base);
-      char* records = frame.data() + kAppendPrefixBytes;
-      const std::size_t bytes =
-          static_cast<std::size_t>(count) * kWalRecordBytes;
-      const off_t offset = static_cast<off_t>(
-          kWalHeaderBytes + base * kWalRecordBytes);
-      std::size_t got = 0;
-      while (got < bytes) {
-        const ssize_t n = ::pread(file, records + got, bytes - got,
-                                  offset + static_cast<off_t>(got));
-        if (n < 0 && errno == EINTR) continue;
-        if (n <= 0) {
-          throw FailSafeError("leader log " + path +
-                              " is shorter than its recovered record count "
-                              "during catch-up");
-        }
-        got += static_cast<std::size_t>(n);
+      if (!read_wal_records(file, base, count,
+                            frame.data() + kAppendPrefixBytes)) {
+        throw FailSafeError("leader log " + path +
+                            " is shorter than its recovered record count "
+                            "during catch-up");
       }
       send_append(frame.data(), base, count);
       // Frame k is on the wire; settle frame k-1, whose ACK is `base`. The

@@ -7,7 +7,7 @@
 /// events of the log it mirrors:
 ///
 ///   on_open    connect + HELLO/WELCOME handshake; ship the catch-up delta
-///              (records the follower is missing, pread from the leader's
+///              (records the follower is missing, read from the leader's
 ///              own log in cap-sized APPENDs, two in flight) before any
 ///              new append streams
 ///   on_record  buffer the record; under ack-on-commit, flush and block
@@ -58,6 +58,9 @@ static_assert(kAppendPrefixBytes - kReplHeaderSize +
                       kCatchUpRecords * kWalRecordBytes <=
                   kMaxReplPayload,
               "a full catch-up APPEND must fit the payload cap");
+static_assert(kWalFlushBytes <= kCatchUpRecords * kWalRecordBytes,
+              "a live APPEND flushed at kWalFlushBytes must fit the "
+              "payload cap");
 
 /// Leader-side replication knobs (one set shared by every shard).
 struct ReplicationConfig {
@@ -71,10 +74,6 @@ struct ReplicationConfig {
   std::chrono::milliseconds ack_timeout{5000};
   /// Idle liveness probe cadence (0 disables the heartbeat thread).
   std::chrono::milliseconds heartbeat_interval{100};
-  /// Flush threshold for buffered live records (bytes) between batch
-  /// boundaries; at most kCatchUpRecords records' worth, so every live
-  /// APPEND fits kMaxReplPayload.
-  std::size_t max_pending_bytes = std::size_t{1} << 16;
   /// Observer of follower acknowledgement progress, invoked (under the
   /// replicator's I/O lock — keep it fast) whenever the acked watermark
   /// advances. The chaos harness journals this to prove the ack contract.
@@ -149,11 +148,12 @@ class ShardReplicator : public CommitLogObserver {
   /// Applies one follower frame (ACK/HEARTBEAT_ACK advance the watermark,
   /// NACK throws). Caller holds io_mutex_.
   void handle_frame(const ReplFrame& frame);
-  /// Ships records [from, to) of the leader's log file as kCatchUpRecords
-  /// APPENDs, two in flight: frame k goes out before frame k-1's ACK is
-  /// awaited, so the follower's write+fsync overlaps the next read and
-  /// send. Returns once the follower ACKs `to`. Caller holds io_mutex_.
-  void catch_up(const std::string& path, std::uint64_t from,
+  /// Ships records [from, to) of the leader's log, read by sequence number,
+  /// as kCatchUpRecords APPENDs, two in flight: frame k goes out before
+  /// frame k-1's ACK is awaited, so the follower's write+fsync overlaps the
+  /// next read and send. Returns once the follower ACKs `to`. Caller holds
+  /// io_mutex_.
+  void catch_up(const std::string& path, int machines, std::uint64_t from,
                 std::uint64_t to);
   /// Tears the session down (closes the socket); kAsync also marks the
   /// replicator dead until the next on_open. Caller holds io_mutex_.

@@ -3,7 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <array>
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -18,9 +18,26 @@ namespace {
 
 using wire::put;
 
-[[noreturn]] void throw_errno(const std::string& what,
-                              const std::string& path) {
-  throw CommitLogError(what + " " + path + ": " + std::strerror(errno));
+/// Records per scan_wal read: 896 KiB, a few reads for a long history.
+constexpr std::size_t kScanRecords = 16384;
+
+std::string errno_text(const std::string& what, const std::string& path) {
+  return what + " " + path + ": " + std::strerror(errno);
+}
+
+/// preads `n` bytes at `offset`; returns the bytes read (fewer only at
+/// the end of the file), or -1 on a read failure.
+ssize_t read_at(int fd, char* out, std::size_t n, std::size_t offset) {
+  std::size_t got = 0;
+  while (got < n) {
+    const ssize_t r =
+        ::pread(fd, out + got, n - got, static_cast<off_t>(offset + got));
+    if (r < 0 && errno == EINTR) continue;
+    if (r < 0) return -1;
+    if (r == 0) break;
+    got += static_cast<std::size_t>(r);
+  }
+  return static_cast<ssize_t>(got);
 }
 
 }  // namespace
@@ -66,64 +83,136 @@ bool wal_record_intact(const char* record) {
          wire::crc32_ieee(record + kWalFrameBytes, kWalPayloadBytes) == crc;
 }
 
+bool decode_wal_record(const char* record, Job& job, int& machine,
+                       TimePoint& start) {
+  const char* cursor = record + kWalFrameBytes;
+  job.id = static_cast<JobId>(wire::get<std::int64_t>(&cursor));
+  job.release = wire::get<double>(&cursor);
+  job.proc = wire::get<double>(&cursor);
+  job.deadline = wire::get<double>(&cursor);
+  machine = static_cast<int>(wire::get<std::int32_t>(&cursor));
+  const auto criticality = wire::get<std::uint32_t>(&cursor);
+  start = wire::get<double>(&cursor);
+  if (criticality >= kCriticalityCount) return false;
+  job.criticality = static_cast<Criticality>(criticality);
+  return true;
+}
+
+int open_wal(const std::string& path, int machines, WalMode mode,
+             std::size_t* size, std::string* error) {
+  const int flags = mode == WalMode::kAppend      ? O_RDWR | O_CREAT | O_APPEND
+                    : mode == WalMode::kReadWrite ? O_RDWR
+                                                  : O_RDONLY;
+  const int fd = ::open(path.c_str(), flags | O_CLOEXEC, 0644);
+  error->clear();
+  if (fd < 0) {
+    if (errno != ENOENT || mode == WalMode::kAppend) {
+      *error = errno_text("cannot open commit log", path);
+    }
+    return -1;
+  }
+  const off_t end = ::lseek(fd, 0, SEEK_END);
+  char header[kWalHeaderBytes] = {};
+  if (end < 0) {
+    *error = errno_text("cannot seek commit log", path);
+  } else if (static_cast<std::size_t>(end) < kWalHeaderBytes) {
+    if (mode != WalMode::kAppend) {
+      *size = static_cast<std::size_t>(end);
+      return fd;
+    }
+    // Fresh, or torn inside the header: reset it to a fresh header. The
+    // descriptor appends, so the header lands at offset 0.
+    std::vector<char> fresh(kWalMagic, kWalMagic + sizeof(kWalMagic));
+    put(fresh, kWalVersion);
+    put(fresh, static_cast<std::uint32_t>(machines));
+    if (::ftruncate(fd, 0) == 0 && write_wal(fd, fresh.data(), fresh.size())) {
+      *size = kWalHeaderBytes;
+      return fd;
+    }
+    *error = errno_text("cannot reset commit log", path);
+  } else if (read_at(fd, header, kWalHeaderBytes, 0) !=
+             static_cast<ssize_t>(kWalHeaderBytes)) {
+    *error = errno_text("cannot read commit log header", path);
+  } else {
+    const char* cursor = header + sizeof(kWalMagic);
+    const auto version = wire::get<std::uint32_t>(&cursor);
+    const auto header_machines = wire::get<std::uint32_t>(&cursor);
+    if (std::memcmp(header, kWalMagic, sizeof(kWalMagic)) != 0) {
+      *error = path + ": not a commit log (bad magic)";
+    } else if (version != kWalVersion) {
+      *error = path + ": unsupported commit log version " +
+               std::to_string(version);
+    } else if (header_machines != static_cast<std::uint32_t>(machines)) {
+      *error = path + ": commit log is for " +
+               std::to_string(header_machines) + " machines, expected " +
+               std::to_string(machines);
+    } else {
+      *size = static_cast<std::size_t>(end);
+      return fd;
+    }
+  }
+  ::close(fd);
+  return -1;
+}
+
+std::size_t scan_wal(int fd, std::size_t size, const std::string& path,
+                     const std::function<bool(const char* record)>& visit,
+                     std::string* error) {
+  if (size < kWalHeaderBytes) return 0;
+  const std::size_t chunk =
+      std::min((size - kWalHeaderBytes) / kWalRecordBytes, kScanRecords) *
+      kWalRecordBytes;
+  // Left uninitialised: only bytes just read are visited.
+  const auto buffer = std::make_unique_for_overwrite<char[]>(chunk);
+  std::size_t end = kWalHeaderBytes;
+  while (end + kWalRecordBytes <= size) {
+    const std::size_t want = std::min(chunk, size - end);
+    const ssize_t got = read_at(fd, buffer.get(), want, end);
+    if (got < 0) {
+      *error = errno_text("cannot read commit log", path);
+      return end;
+    }
+    for (const char* record = buffer.get();
+         record + kWalRecordBytes <= buffer.get() + got;
+         record += kWalRecordBytes) {
+      if (!wal_record_intact(record) || !visit(record)) return end;
+      end += kWalRecordBytes;
+    }
+    if (static_cast<std::size_t>(got) < want) break;  // the file shrank
+  }
+  return end;
+}
+
+bool read_wal_records(int fd, std::uint64_t first, std::uint64_t count,
+                      char* out) {
+  const std::size_t bytes = static_cast<std::size_t>(count) * kWalRecordBytes;
+  return read_at(fd, out, bytes,
+                 kWalHeaderBytes +
+                     static_cast<std::size_t>(first) * kWalRecordBytes) ==
+         static_cast<ssize_t>(bytes);
+}
+
+bool write_wal(int fd, const char* data, std::size_t size) {
+  while (size > 0) {
+    const ssize_t written = ::write(fd, data, size);
+    if (written < 0 && errno == EINTR) continue;
+    if (written < 0) return false;
+    data += written;
+    size -= static_cast<std::size_t>(written);
+  }
+  return true;
+}
+
 std::unique_ptr<CommitLog> CommitLog::open(const std::string& path,
                                            int machines,
                                            const CommitLogConfig& config,
                                            FaultInjector* faults, int shard) {
   SLACKSCHED_EXPECTS(!path.empty());
   SLACKSCHED_EXPECTS(machines >= 1);
-  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
-  if (fd < 0) throw_errno("cannot open commit log", path);
-
-  const off_t size = ::lseek(fd, 0, SEEK_END);
-  if (size < 0) {
-    ::close(fd);
-    throw_errno("cannot seek commit log", path);
-  }
-  if (static_cast<std::size_t>(size) < kWalHeaderBytes) {
-    // Fresh log (or a tail torn inside the header): reset and write the
-    // header.
-    if (::ftruncate(fd, 0) != 0) {
-      ::close(fd);
-      throw_errno("cannot reset commit log", path);
-    }
-    std::vector<char> header;
-    header.insert(header.end(), kWalMagic, kWalMagic + sizeof(kWalMagic));
-    put(header, kWalVersion);
-    put(header, static_cast<std::uint32_t>(machines));
-    SLACKSCHED_ENSURES(header.size() == kWalHeaderBytes);
-    if (::write(fd, header.data(), header.size()) !=
-        static_cast<ssize_t>(header.size())) {
-      ::close(fd);
-      throw_errno("cannot write commit log header", path);
-    }
-  } else {
-    char header[kWalHeaderBytes];
-    if (::pread(fd, header, sizeof(header), 0) !=
-        static_cast<ssize_t>(sizeof(header))) {
-      ::close(fd);
-      throw_errno("cannot read commit log header", path);
-    }
-    if (std::memcmp(header, kWalMagic, sizeof(kWalMagic)) != 0) {
-      ::close(fd);
-      throw CommitLogError(path + ": not a commit log (bad magic)");
-    }
-    std::uint32_t version = 0;
-    std::uint32_t header_machines = 0;
-    std::memcpy(&version, header + 8, sizeof(version));
-    std::memcpy(&header_machines, header + 12, sizeof(header_machines));
-    if (version != kWalVersion) {
-      ::close(fd);
-      throw CommitLogError(path + ": unsupported commit log version " +
-                           std::to_string(version));
-    }
-    if (header_machines != static_cast<std::uint32_t>(machines)) {
-      ::close(fd);
-      throw CommitLogError(path + ": commit log is for " +
-                           std::to_string(header_machines) +
-                           " machines, shard has " + std::to_string(machines));
-    }
-  }
+  std::size_t size = 0;
+  std::string error;
+  const int fd = open_wal(path, machines, WalMode::kAppend, &size, &error);
+  if (fd < 0) throw CommitLogError(error);
   auto log = std::unique_ptr<CommitLog>(
       new CommitLog(path, fd, config, faults, shard));
   // The observer learns of the open last: it may throw (a stale leader
@@ -142,7 +231,7 @@ CommitLog::CommitLog(std::string path, int fd, const CommitLogConfig& config,
       config_(config),
       faults_(faults),
       shard_(shard) {
-  buffer_.reserve(config_.buffer_bytes + kWalRecordBytes);
+  buffer_.reserve(kWalFlushBytes + kWalRecordBytes);
 }
 
 CommitLog::~CommitLog() {
@@ -167,7 +256,7 @@ void CommitLog::append(const Job& job, int machine, TimePoint start) {
   if (config_.fsync == FsyncPolicy::kEveryCommit) {
     flush_buffer();
     fsync_now();
-  } else if (buffer_.size() >= config_.buffer_bytes) {
+  } else if (buffer_.size() >= kWalFlushBytes) {
     flush_buffer();
   }
   // Local durability first, then replication: under an ack-on-commit
@@ -207,23 +296,17 @@ void CommitLog::close() {
 }
 
 void CommitLog::flush_buffer() {
-  const char* data = buffer_.data();
-  std::size_t remaining = buffer_.size();
-  while (remaining > 0) {
-    const ssize_t written = ::write(fd_, data, remaining);
-    if (written < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("cannot append to commit log", path_);
-    }
-    data += written;
-    remaining -= static_cast<std::size_t>(written);
+  if (!write_wal(fd_, buffer_.data(), buffer_.size())) {
+    throw CommitLogError(errno_text("cannot append to commit log", path_));
   }
   buffer_.clear();
 }
 
 void CommitLog::fsync_now() {
   SLACKSCHED_FAULT_CRASH_POINT(faults_, FaultSite::kFsync, shard_);
-  if (::fsync(fd_) != 0) throw_errno("cannot fsync commit log", path_);
+  if (::fsync(fd_) != 0) {
+    throw CommitLogError(errno_text("cannot fsync commit log", path_));
+  }
   ++fsyncs_;
   unsynced_ = false;
 }

@@ -20,9 +20,14 @@
 // passes the CRC but describes an illegal commitment (overlap, deadline
 // miss) is detected semantically during replay by validate_commitment and
 // fails recovery outright.
+//
+// This file owns the layout: the writer, recovery, the follower's replica
+// log and the leader's catch-up open, scan, read, decode and write a log
+// only through the functions below; none of them knows an offset.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -50,6 +55,9 @@ inline constexpr std::size_t kWalPayloadBytes = 48;
 inline constexpr std::size_t kWalFrameBytes = 8;
 inline constexpr std::size_t kWalRecordBytes =
     kWalFrameBytes + kWalPayloadBytes;
+/// The writer's flush size, and the leader's flush size for the live
+/// records it streams to a follower.
+inline constexpr std::size_t kWalFlushBytes = std::size_t{1} << 16;
 
 /// Thrown on I/O failure or header mismatch.
 class CommitLogError : public std::runtime_error {
@@ -95,9 +103,6 @@ class CommitLogObserver {
 
 struct CommitLogConfig {
   FsyncPolicy fsync = FsyncPolicy::kBatch;
-  /// User-space buffer flush threshold (write() granularity under
-  /// kNever/kBatch; kEveryCommit flushes per record regardless).
-  std::size_t buffer_bytes = 1 << 16;
   /// Records already in the file when this writer opens (what recovery
   /// replayed); the base of the observer's global sequence numbers.
   std::uint64_t base_records = 0;
@@ -109,7 +114,7 @@ struct CommitLogConfig {
 /// shard's consumer thread); not thread-safe by design.
 class CommitLog {
  public:
-  /// Opens (creating if needed) the log at `path` for appending. An
+  /// Opens the log at `path` for appending (open_wal's kAppend): an
   /// existing file must carry a valid header with a matching machine
   /// count; a file shorter than the header is reset to a fresh log.
   /// Recovery runs *before* open — open never replays.
@@ -158,7 +163,7 @@ class CommitLog {
   CommitLog(std::string path, int fd, const CommitLogConfig& config,
             FaultInjector* faults, int shard);
 
-  void flush_buffer();  ///< write() the buffer to the fd
+  void flush_buffer();  ///< write_wal the buffer to the fd
   void fsync_now();     ///< fault point + ::fsync
 
   std::string path_;
@@ -175,15 +180,61 @@ class CommitLog {
   bool unsynced_ = true;
 };
 
+/// How open_wal opens a log file.
+enum class WalMode : std::uint8_t {
+  /// The writer and the replica: create the file, and reset one shorter
+  /// than the header to a fresh header; every write lands at the end.
+  kAppend,
+  /// A reader: a missing or short file comes back unchanged.
+  kRead,
+  /// Recovery that may truncate a torn tail: as kRead, but writable.
+  kReadWrite,
+};
+
+/// The one opener of a log file (always O_CLOEXEC). Returns the descriptor
+/// and sets `*size` to the file's length. A whole header must carry the
+/// magic, kWalVersion and `machines`. kAppend resets a file shorter than
+/// the header by writing a fresh one at offset 0. kRead/kReadWrite hand a
+/// short file back unchecked, and return -1 with `*error` empty when there
+/// is no file. Any other failure returns -1 with `*error` set.
+[[nodiscard]] int open_wal(const std::string& path, int machines,
+                           WalMode mode, std::size_t* size,
+                           std::string* error);
+
+/// Hands each intact record of the open log `fd` (`path`, `size` bytes) to
+/// `visit`, in file order, reading in large chunks. Stops at the first
+/// short or non-intact record, or when `visit` returns false. Returns the
+/// clean end: the offset just past the last record `visit` accepted, or 0
+/// for a file torn inside its header. A read failure sets `*error`.
+std::size_t scan_wal(int fd, std::size_t size, const std::string& path,
+                     const std::function<bool(const char* record)>& visit,
+                     std::string* error);
+
+/// Reads records [first, first + count) — 0-based sequence numbers — of the
+/// open log `fd` into `out` (count * kWalRecordBytes bytes). False when the
+/// file holds fewer or a read fails.
+[[nodiscard]] bool read_wal_records(int fd, std::uint64_t first,
+                                    std::uint64_t count, char* out);
+
+/// Writes all `size` bytes at the end of a kAppend log, retrying short
+/// writes. False, with errno set, on failure. The one write loop of the
+/// writer and the replica.
+[[nodiscard]] bool write_wal(int fd, const char* data, std::size_t size);
+
 /// Encodes one record (frame + payload) into `out` — the single encoding
 /// path shared by the writer and the tests that forge torn/corrupt logs.
 void encode_wal_record(const Job& job, int machine, TimePoint start,
                        std::vector<char>& out);
 
+/// Decodes one intact record into the committed job and its placement.
+/// False when its criticality lies outside the class range — corruption
+/// the CRC cannot see.
+[[nodiscard]] bool decode_wal_record(const char* record, Job& job,
+                                     int& machine, TimePoint& start);
+
 /// True iff the kWalRecordBytes bytes at `record` are one intact record:
 /// its length field is kWalPayloadBytes and its CRC matches the payload.
-/// The single framing check of recovery, the replica's tail scan and the
-/// replica's APPEND check.
+/// The framing check of scan_wal and of the replica's APPEND check.
 [[nodiscard]] bool wal_record_intact(const char* record);
 
 }  // namespace slacksched

@@ -176,6 +176,26 @@ TEST(CommitLog, ReopenAppendsAfterExistingRecords) {
   EXPECT_EQ(recovered.records_replayed, 2u);
 }
 
+TEST(CommitLog, OpenResetsAFileTornInsideItsHeader) {
+  // A crash inside the header write leaves 1..15 stray bytes. The writer
+  // must reset them to a fresh header at offset 0, not append after a hole.
+  for (const std::size_t stray : {1u, 5u, 15u}) {
+    SCOPED_TRACE(std::to_string(stray) + " stray bytes");
+    const std::string path = wal_path("torn_header");
+    append_bytes(path, std::vector<char>(stray, 'S'));
+    {
+      auto log = CommitLog::open(path, 2);
+      log->append(make_job(1, 0.0, 1.0, 4.0), 1, 0.0);
+      log->close();
+    }
+    EXPECT_EQ(file_size(path), kWalHeaderBytes + kWalRecordBytes);
+    const RecoveryResult recovered = recover_commit_log(path, 2);
+    ASSERT_TRUE(recovered.ok) << recovered.error;
+    EXPECT_TRUE(recovered.clean());
+    EXPECT_EQ(recovered.records_replayed, 1u);
+  }
+}
+
 TEST(CommitLog, DestructionWithoutCloseDropsTheBufferedTail) {
   // ~CommitLog models a crash: under kNever the buffered record must NOT
   // reach the file. (close() would have flushed it.)

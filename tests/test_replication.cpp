@@ -393,16 +393,22 @@ class RawLeader {
     }
   }
 
-  /// HELLO/WELCOME handshake; returns the follower's watermark.
-  std::uint64_t handshake(std::uint64_t leader_records) {
+  /// Sends a HELLO for shard 0; returns the follower's reply.
+  ReplFrame hello(std::uint64_t leader_records,
+                  std::uint32_t machines = kMachines) {
     std::vector<char> bytes;
     HelloMsg hello;
-    hello.machines = kMachines;
+    hello.machines = machines;
     hello.ack_mode = ReplAckMode::kAckOnBatch;
     hello.leader_records = leader_records;
     encode_hello(bytes, 0, hello);
     send_bytes(bytes);
-    const ReplFrame frame = read_frame();
+    return read_frame();
+  }
+
+  /// HELLO/WELCOME handshake; returns the follower's watermark.
+  std::uint64_t handshake(std::uint64_t leader_records) {
+    const ReplFrame frame = hello(leader_records);
     EXPECT_EQ(frame.type, ReplFrameType::kWelcome);
     std::uint64_t mark = 0;
     std::string error;
@@ -506,6 +512,124 @@ TEST(Replication, TornFrameAtDisconnectIsDiscarded) {
   // A reconnecting leader finds exactly the pre-tear watermark.
   RawLeader again(replica.port());
   EXPECT_EQ(again.handshake(2), 1u);
+}
+
+TEST(Replication, RefusedHelloLeavesTheAttachedSessionServing) {
+  ReplicaServerConfig config;
+  config.dir = fresh_dir("refused_hello_replica");
+  ReplicaServer replica(config);
+  RawLeader leader(replica.port());
+  EXPECT_EQ(leader.handshake(0), 0u);
+  const auto append = [&leader](std::uint64_t base) {
+    const std::vector<char> records = one_record(static_cast<JobId>(base + 1));
+    std::vector<char> bytes;
+    encode_append(bytes, 0, base, 1, records.data(), records.size());
+    leader.send_bytes(bytes);
+    return leader.read_frame();
+  };
+  ASSERT_EQ(append(0).type, ReplFrameType::kAck);
+
+  // A second connection's HELLO for another machine count is refused...
+  {
+    RawLeader intruder(replica.port());
+    const ReplFrame reply = intruder.hello(1, kMachines + 1);
+    ASSERT_EQ(reply.type, ReplFrameType::kNack);
+    NackMsg nack;
+    std::string error;
+    ASSERT_TRUE(parse_nack(reply, nack, &error)) << error;
+    EXPECT_EQ(nack.reason, NackReason::kBadState) << nack.message;
+  }
+  // ...and the attached session's log and stream are untouched.
+  const ReplFrame ack = append(1);
+  ASSERT_EQ(ack.type, ReplFrameType::kAck);
+  std::uint64_t mark = 0;
+  std::string error;
+  ASSERT_TRUE(parse_watermark(ack, mark, &error)) << error;
+  EXPECT_EQ(mark, 2u);
+  EXPECT_EQ(replica.watermark(0), 2u);
+  EXPECT_TRUE(replica.attached(0));
+}
+
+/// A 16-byte replica log header with the given fields.
+std::vector<char> wal_header(const char* magic, std::uint32_t version,
+                             std::uint32_t machines) {
+  std::vector<char> header(kWalHeaderBytes);
+  std::memcpy(header.data(), magic, sizeof(kWalMagic));
+  std::memcpy(header.data() + 8, &version, sizeof(version));
+  std::memcpy(header.data() + 12, &machines, sizeof(machines));
+  return header;
+}
+
+TEST(Replication, ReplicaLogHeaderIsRefusedOrReset) {
+  // An 8-machine leader meets a replica log already on disk. A whole
+  // header that is not its own is refused and left untouched; stray bytes
+  // shorter than a header are reset, like the writer's own torn header.
+  constexpr std::uint32_t kLeaderMachines = 8;
+  const std::vector<char> fresh =
+      wal_header(kWalMagic, kWalVersion, kLeaderMachines);
+  struct Case {
+    const char* name;
+    std::vector<char> on_disk;
+    bool refused;
+  };
+  const Case cases[] = {
+      {"bad_magic", wal_header("NOTAWAL0", kWalVersion, kLeaderMachines),
+       true},
+      {"version_1", wal_header(kWalMagic, 1, kLeaderMachines), true},
+      {"four_machines", wal_header(kWalMagic, kWalVersion, 4), true},
+      {"nine_stray_bytes", std::vector<char>(9, 'S'), false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ReplicaServerConfig config;
+    config.dir = fresh_dir(std::string("header_") + c.name);
+    const std::string log_path = config.dir + "/shard-0.wal";
+    {
+      std::ofstream out(log_path, std::ios::binary);
+      out.write(c.on_disk.data(),
+                static_cast<std::streamsize>(c.on_disk.size()));
+    }
+    ReplicaServer replica(config);
+    {
+      RawLeader leader(replica.port());
+      const ReplFrame reply = leader.hello(0, kLeaderMachines);
+      std::string error;
+      if (c.refused) {
+        ASSERT_EQ(reply.type, ReplFrameType::kNack);
+        NackMsg nack;
+        ASSERT_TRUE(parse_nack(reply, nack, &error)) << error;
+        EXPECT_EQ(nack.reason, NackReason::kBadState) << nack.message;
+      } else {
+        ASSERT_EQ(reply.type, ReplFrameType::kWelcome);
+        std::uint64_t mark = 1;
+        ASSERT_TRUE(parse_watermark(reply, mark, &error)) << error;
+        EXPECT_EQ(mark, 0u);
+      }
+    }
+    const std::vector<char>& expect = c.refused ? c.on_disk : fresh;
+    EXPECT_EQ(read_file(log_path), std::string(expect.begin(), expect.end()));
+    EXPECT_EQ(replica.watermark(0), 0u);
+
+    // An ack-on-batch leader opens its log only against a usable replica.
+    ReplicationConfig repl;
+    repl.port = replica.port();
+    repl.ack_mode = ReplAckMode::kAckOnBatch;
+    repl.heartbeat_interval = std::chrono::milliseconds(0);
+    ShardReplicator replicator(0, repl);
+    CommitLogConfig log_config;
+    log_config.observer = &replicator;
+    const std::string leader_log =
+        fresh_dir(std::string("header_leader_") + c.name) + "/shard-0.wal";
+    if (c.refused) {
+      EXPECT_THROW(
+          (void)CommitLog::open(leader_log, kLeaderMachines, log_config),
+          ReplError);
+    } else {
+      auto log = CommitLog::open(leader_log, kLeaderMachines, log_config);
+      EXPECT_TRUE(replicator.connected());
+      log->close();
+    }
+  }
 }
 
 // ---------- catch-up ----------
@@ -771,12 +895,6 @@ TEST(Replication, ConfigValidateNamesProblems) {
   config.ack_timeout = std::chrono::milliseconds(0);
   const std::vector<std::string> problems = config.validate();
   EXPECT_GE(problems.size(), 2u);
-
-  // Live APPENDs must fit the payload cap the follower enforces.
-  ReplicationConfig oversized;
-  oversized.port = 9;
-  oversized.max_pending_bytes = kMaxReplPayload;
-  EXPECT_EQ(oversized.validate().size(), 1u);
 
   GatewayConfig gateway = leader_config("");
   gateway.replication.emplace();

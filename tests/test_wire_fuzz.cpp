@@ -17,7 +17,10 @@
 //     point, yield their frames identically under any chunking;
 //   - recover_commit_log on a mutated log either fails with an error or
 //     replays a prefix of the original records and truncates the file to
-//     that prefix;
+//     that prefix; besides the seeded cases, every bit of the 16-byte
+//     header is flipped and the log is cut to every length below it;
+//   - CommitLog::open on a mutated log either throws CommitLogError or
+//     leaves a log whose header opens;
 //   - the budget reaches every decoder rejection (version, type, cap,
 //     checksum), a failed recovery and a truncating one, so the checks
 //     are not vacuous.
@@ -27,6 +30,7 @@
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
@@ -401,6 +405,52 @@ TEST(WireFuzz, MutatedCommitLogsRecoverAPrefixOrFail) {
 
   int failed = 0;
   int truncated = 0;
+  const auto check = [&](const std::vector<char>& bytes) {
+    write_file(path, bytes);
+    const RecoveryResult result = recover_commit_log(path, kLogMachines);
+    if (!result.ok) {
+      EXPECT_FALSE(result.error.empty());
+      ++failed;
+    } else {
+      truncated += result.tail_truncated ? 1 : 0;
+      const std::size_t k = result.records_replayed;
+      ASSERT_LE(k, original.size());
+      std::vector<Placement> expect(
+          original.begin(), original.begin() + static_cast<std::ptrdiff_t>(k));
+      std::sort(expect.begin(), expect.end(),
+                [](const auto& a, const auto& b) {
+                  return a.machine != b.machine ? a.machine < b.machine
+                                                : a.start < b.start;
+                });
+      const std::vector<Placement> got = result.schedule.all_placements();
+      ASSERT_EQ(got.size(), k);
+      for (std::size_t j = 0; j < k; ++j) {
+        EXPECT_EQ(got[j].job, expect[j].job);
+        EXPECT_EQ(got[j].machine, expect[j].machine);
+        EXPECT_EQ(got[j].start, expect[j].start);
+      }
+      EXPECT_EQ(file_size(path), bytes.size() < kWalHeaderBytes
+                                     ? 0
+                                     : kWalHeaderBytes + k * kWalRecordBytes);
+    }
+    // The writer on the unrecovered bytes: it refuses, or it leaves a
+    // header the one opener accepts.
+    write_file(path, bytes);
+    CommitLogConfig config;
+    config.fsync = FsyncPolicy::kNever;
+    try {
+      CommitLog::open(path, kLogMachines, config)->close();
+    } catch (const CommitLogError&) {
+      return;
+    }
+    std::size_t size = 0;
+    std::string error;
+    const int fd =
+        open_wal(path, kLogMachines, WalMode::kRead, &size, &error);
+    EXPECT_GE(fd, 0) << error;
+    EXPECT_GE(size, kWalHeaderBytes);
+    if (fd >= 0) ::close(fd);
+  };
   for (int i = 0; i < kLogCases; ++i) {
     const std::uint64_t seed = kBaseSeed ^ (std::uint64_t{0x3A1} << 32) ^
                                static_cast<std::uint64_t>(i);
@@ -408,37 +458,29 @@ TEST(WireFuzz, MutatedCommitLogsRecoverAPrefixOrFail) {
     Rng rng(seed);
     std::vector<char> bytes = log_bytes;
     mutate(bytes, fields, foreign, kWalPayloadBytes, /*reseal=*/false, rng);
-    write_file(path, bytes);
-    const RecoveryResult result = recover_commit_log(path, kLogMachines);
-    if (!result.ok) {
-      EXPECT_FALSE(result.error.empty());
-      ++failed;
-      continue;
-    }
-    truncated += result.tail_truncated ? 1 : 0;
-    const std::size_t k = result.records_replayed;
-    ASSERT_LE(k, original.size());
-    std::vector<Placement> expect(original.begin(),
-                                  original.begin() +
-                                      static_cast<std::ptrdiff_t>(k));
-    std::sort(expect.begin(), expect.end(), [](const auto& a, const auto& b) {
-      return a.machine != b.machine ? a.machine < b.machine
-                                    : a.start < b.start;
-    });
-    const std::vector<Placement> got = result.schedule.all_placements();
-    ASSERT_EQ(got.size(), k);
-    for (std::size_t j = 0; j < k; ++j) {
-      EXPECT_EQ(got[j].job, expect[j].job);
-      EXPECT_EQ(got[j].machine, expect[j].machine);
-      EXPECT_EQ(got[j].start, expect[j].start);
-    }
-    EXPECT_EQ(file_size(path), bytes.size() < kWalHeaderBytes
-                                   ? 0
-                                   : kWalHeaderBytes + k * kWalRecordBytes);
+    check(bytes);
     if (HasFailure()) return;  // the first failing seed
   }
+  // The seeded mutator alone reaches both outcomes.
   EXPECT_GT(failed, 0);
   EXPECT_GT(truncated, 0);
+  for (std::size_t at = 0; at < kWalHeaderBytes; ++at) {
+    for (int bit = 0; bit < 8; ++bit) {
+      SCOPED_TRACE("header byte " + std::to_string(at) + " bit " +
+                   std::to_string(bit));
+      std::vector<char> bytes = log_bytes;
+      bytes[at] ^= static_cast<char>(1 << bit);
+      check(bytes);
+      if (HasFailure()) return;
+    }
+  }
+  for (std::size_t cut = 0; cut < kWalHeaderBytes; ++cut) {
+    SCOPED_TRACE("cut to " + std::to_string(cut) + " bytes");
+    check(std::vector<char>(log_bytes.begin(),
+                            log_bytes.begin() +
+                                static_cast<std::ptrdiff_t>(cut)));
+    if (HasFailure()) return;
+  }
   std::remove(path.c_str());
 }
 
