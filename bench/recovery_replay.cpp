@@ -1,8 +1,8 @@
 // RECOVERY: commit-log write amplification and crash-recovery replay rate.
 //
 // Measures the two costs the durability layer adds to the gateway:
-//   1. append throughput under each fsync policy (never / batch /
-//      every-commit) — what a shard pays per accepted job;
+//   1. append throughput under each fsync policy (never / batch) — what a
+//      shard pays per accepted job;
 //   2. replay rate of recover_commit_log at 1k/10k/100k records — how fast
 //      a restarted shard rebuilds its committed schedule, with every
 //      record CRC-checked and re-validated through validate_commitment;
@@ -225,10 +225,8 @@ int main(int argc, char** argv) {
   std::printf("  %-14s  %10s  %10s  %14s  %8s\n", "fsync policy", "records",
               "seconds", "records/sec", "fsyncs");
   std::vector<AppendStats> appends;
-  // every-commit pays one fsync per record: measure fewer of them.
   appends.push_back(bench_append(FsyncPolicy::kNever, 200'000));
   appends.push_back(bench_append(FsyncPolicy::kBatch, 200'000));
-  appends.push_back(bench_append(FsyncPolicy::kEveryCommit, 2'000));
   for (const AppendStats& a : appends) {
     std::printf("  %-14s  %10zu  %10.4f  %14.0f  %8llu\n", a.policy.c_str(),
                 a.records, a.seconds, a.records_per_sec,

@@ -2,7 +2,7 @@
 // over when the leader dies.
 //
 // Phase 1 (overhead): replays the same synthetic stream through a durable
-// 2-shard gateway four times — no replication (the baseline), then each
+// 2-shard gateway three times — no replication (the baseline), then each
 // replication ack mode streaming into an in-process loopback
 // ReplicaServer. The producer is a windowed closed loop: batches of
 // kSubmitBatch, at most kWindow jobs in flight (counted through
@@ -10,9 +10,9 @@
 // decides the same problem — equal leader_records across modes. Every
 // replicated run must end with the follower's logs holding exactly the
 // leader's records; the decided-jobs/sec column is the price of that
-// guarantee. Expectation: async and ack-on-batch pay the record
-// formatting and follower I/O, ack-on-commit pays one follower round-trip
-// per accepted job and lands well below the others.
+// guarantee. Expectation: both modes pay the record formatting and
+// follower I/O; ack-on-batch also waits for one follower round trip per
+// shard batch.
 //
 // Phase 2 (failover): repeatedly runs leader traffic into a follower,
 // destroys the leader mid-stream (the process-death model: heartbeats
@@ -336,8 +336,7 @@ int main(int argc, char** argv) {
   std::vector<ModeRun> modes;
   bool all_clean = true;
   const std::optional<repl::ReplAckMode> kModes[] = {
-      std::nullopt, repl::ReplAckMode::kAsync, repl::ReplAckMode::kAckOnBatch,
-      repl::ReplAckMode::kAckOnCommit};
+      std::nullopt, repl::ReplAckMode::kAsync, repl::ReplAckMode::kAckOnBatch};
   for (const auto& mode : kModes) {
     const ModeRun run = run_mode(instance, mode);
     std::printf("  %-14s  %10.3f  %14.0f  %14llu  %14llu  %s\n",

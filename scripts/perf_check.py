@@ -11,7 +11,7 @@ Validates the five machine-readable bench artifacts:
       - every replay pass was clean (all records recovered + re-validated)
       - the torn-tail log truncated on the first pass, replayed clean on
         the second
-      - fsync ordering holds: never >= batch >= every-commit append rate
+      - fsync ordering holds: never >= batch append rate
   BENCH_matrix.json     (bench/model_matrix [jobs-per-row])
       - every (commit model x eps x m x speed profile x workload) row
         finished clean (every decision legal under that model's
@@ -22,14 +22,14 @@ Validates the five machine-readable bench artifacts:
         of the committed BENCH_threshold.json trajectory at matching m
         (ratio floor --matrix-min-ratio of the micro-bench rate)
   BENCH_repl.json       (bench/repl_failover [jobs])
-      - all four replication modes present (baseline + async +
-        ack-on-batch + ack-on-commit) and clean: the drain validated and
-        the follower's logs held exactly the leader's accepted records
+      - all three replication modes present (baseline + async +
+        ack-on-batch) and clean: the drain validated and the follower's
+        logs held exactly the leader's accepted records
       - every mode accepted the same number of jobs (leader_records): the
         rows decided the same stream, so their rates compare
-      - durability ordering holds: ack-on-commit (one follower round trip
-        per accepted job) must not outrun async — a faster "synchronous"
-        mode means the ack path is not actually waiting
+      - durability ordering holds: ack-on-batch (one follower round trip
+        per shard batch) must not outrun async by more than 1.5x — a much
+        faster synchronous mode means the ack path is not actually waiting
       - the failover drill ran >= 5 iterations with positive, ordered
         detect/serve percentiles (p50 <= p99, detect <= serve at p50)
   BENCH_obs.json        (bench/obs_overhead [jobs])
@@ -155,13 +155,13 @@ def check_recovery(path: Path, errors: list[str]) -> None:
             fail(errors, f"{path}: append policy={policy} reports "
                          "non-positive throughput")
         rate_by_policy[str(policy)] = rate
-    for stronger, weaker in (("batch", "never"), ("every-commit", "batch")):
-        if stronger in rate_by_policy and weaker in rate_by_policy:
-            # Durability is never free: a stronger policy being *faster*
-            # means the fsync path is not actually syncing.
-            if rate_by_policy[stronger] > rate_by_policy[weaker] * 1.5:
-                fail(errors, f"{path}: fsync={stronger} outran "
-                             f"fsync={weaker} — the sync path looks inert")
+    batch = rate_by_policy.get("batch", 0.0)
+    never = rate_by_policy.get("never", 0.0)
+    # Durability is never free: batch fsync being *faster* than no fsync
+    # means the fsync path is not actually syncing.
+    if batch > 0.0 and never > 0.0 and batch > never * 1.5:
+        fail(errors, f"{path}: fsync=batch outran fsync=never — the sync "
+                     "path looks inert")
 
     for run in replays:
         records = run.get("records")
@@ -265,7 +265,7 @@ def check_repl(path: Path, errors: list[str]) -> None:
         return
     check_provenance(path, data, errors)
     runs = {run.get("mode"): run for run in data.get("runs", [])}
-    for mode in ("baseline", "async", "ack-on-batch", "ack-on-commit"):
+    for mode in ("baseline", "async", "ack-on-batch"):
         run = runs.get(mode)
         if run is None:
             fail(errors, f"{path}: missing mode {mode!r}")
@@ -292,15 +292,15 @@ def check_repl(path: Path, errors: list[str]) -> None:
         fail(errors, f"{path}: modes accepted different job counts "
                      f"{accepted} — they decided different streams")
 
-    # Durability is never free: the per-commit round-trip mode being
+    # Durability is never free: the per-batch round-trip mode being much
     # faster than fire-and-forget means the ack wait is inert. (1.5x
     # headroom absorbs run-to-run noise.)
-    sync = runs.get("ack-on-commit", {}).get("jobs_per_sec", 0.0)
+    sync = runs.get("ack-on-batch", {}).get("jobs_per_sec", 0.0)
     fire = runs.get("async", {}).get("jobs_per_sec", 0.0)
     if sync > 0.0 and fire > 0.0 and sync > fire * 1.5:
-        fail(errors, f"{path}: ack-on-commit outran async "
+        fail(errors, f"{path}: ack-on-batch outran async "
                      f"({sync:.0f} vs {fire:.0f} jobs/sec) — the "
-                     "per-commit ack path looks inert")
+                     "per-batch ack path looks inert")
 
     failover = data.get("failover", {})
     iterations = failover.get("iterations", 0)
@@ -320,7 +320,7 @@ def check_repl(path: Path, errors: list[str]) -> None:
     if 0.0 < s50 < d50:
         fail(errors, f"{path}: serve p50 ({s50}ms) beat detect p50 "
                      f"({d50}ms) — serving cannot precede detection")
-    print(f"ok: {path}: 4 replication modes clean, failover over "
+    print(f"ok: {path}: 3 replication modes clean, failover over "
           f"{iterations} drills detect p50={d50:.1f}ms serve "
           f"p50={s50:.1f}ms")
 

@@ -89,12 +89,13 @@ enum class NackReason : std::uint8_t {
 [[nodiscard]] std::string to_string(NackReason reason);
 
 /// When the leader blocks on follower acknowledgement — the replication
-/// mirror of FsyncPolicy (async ~ kNever, ack-on-batch ~ kBatch,
-/// ack-on-commit ~ kEveryCommit). Wire values are frozen (HELLO payload).
+/// mirror of FsyncPolicy (async ~ kNever, ack-on-batch ~ kBatch). Wire
+/// values are frozen (HELLO payload); the retired value 2 is refused.
 enum class ReplAckMode : std::uint8_t {
-  kAsync = 0,        ///< stream without waiting; acks drain opportunistically
-  kAckOnBatch = 1,   ///< block at each shard batch boundary
-  kAckOnCommit = 2,  ///< block on every record before it externalizes
+  kAsync = 0,       ///< stream without waiting: a node loss can lose told
+                    ///< accepts
+  kAckOnBatch = 1,  ///< block at each shard batch boundary, before the
+                    ///< batch's decisions are published
 };
 
 [[nodiscard]] std::string to_string(ReplAckMode mode);

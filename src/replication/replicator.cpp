@@ -147,7 +147,7 @@ void ShardReplicator::on_open(const std::string& path, int machines,
     throw;
   } catch (const ReplError&) {
     // A transport lost after connect: kAsync degrades exactly as it does
-    // for a refused connect; the synchronous modes fail the open.
+    // for a refused connect; ack-on-batch fails the open.
     fail_session();
     if (config_.ack_mode != ReplAckMode::kAsync) throw;
   } catch (...) {
@@ -171,10 +171,7 @@ void ShardReplicator::on_record(const char* frame, std::size_t size,
   }
   pending_.insert(pending_.end(), frame, frame + size);
   try {
-    if (config_.ack_mode == ReplAckMode::kAckOnCommit) {
-      flush_pending();
-      wait_for_ack(seq);
-    } else if (pending_.size() - kAppendPrefixBytes >= kWalFlushBytes) {
+    if (pending_.size() - kAppendPrefixBytes >= kWalFlushBytes) {
       flush_pending();
       if (config_.ack_mode == ReplAckMode::kAsync) (void)drain_acks();
     }

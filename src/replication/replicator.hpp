@@ -10,13 +10,14 @@
 ///              (records the follower is missing, read from the leader's
 ///              own log in cap-sized APPENDs, two in flight) before any
 ///              new append streams
-///   on_record  buffer the record; under ack-on-commit, flush and block
-///              until the follower's ACK covers it
-///   on_batch   flush; under ack-on-batch, block for the batch's ACK
+///   on_record  buffer the record; flush a full APPEND
+///   on_batch   flush; under ack-on-batch, block for the batch's ACK —
+///              the shard publishes the batch's decisions only after it,
+///              so every accept a client is told is on the follower
 ///   on_close   flush and drain the final ACK in every mode — a clean
 ///              shutdown leaves follower == leader
 ///
-/// Failure semantics mirror the ack contract. In the synchronous modes a
+/// Failure semantics mirror the ack contract. Under ack-on-batch a
 /// replication failure (connect refusal, NACK, ack timeout, torn
 /// connection) throws ReplError out of the commit path: the shard worker
 /// dies, the supervisor restarts it, and the restart's on_open reconnects
@@ -69,7 +70,7 @@ struct ReplicationConfig {
   ReplAckMode ack_mode = ReplAckMode::kAckOnBatch;
   /// Longest on_open blocks establishing the session.
   std::chrono::milliseconds connect_timeout{2000};
-  /// Longest a synchronous mode blocks on one follower ACK, and longest
+  /// Longest the leader blocks on one follower ACK, and longest
   /// any one frame send may block on a follower that does not read.
   std::chrono::milliseconds ack_timeout{5000};
   /// Idle liveness probe cadence (0 disables the heartbeat thread).

@@ -48,8 +48,6 @@ std::string to_string(FsyncPolicy policy) {
       return "never";
     case FsyncPolicy::kBatch:
       return "batch";
-    case FsyncPolicy::kEveryCommit:
-      return "every-commit";
   }
   return "unknown";
 }
@@ -253,14 +251,7 @@ void CommitLog::append(const Job& job, int machine, TimePoint start) {
   if (config_.observer != nullptr) {
     std::memcpy(frame, buffer_.data() + offset, kWalRecordBytes);
   }
-  if (config_.fsync == FsyncPolicy::kEveryCommit) {
-    flush_buffer();
-    fsync_now();
-  } else if (buffer_.size() >= kWalFlushBytes) {
-    flush_buffer();
-  }
-  // Local durability first, then replication: under an ack-on-commit
-  // contract this blocks until the follower holds the record too.
+  if (buffer_.size() >= kWalFlushBytes) flush_buffer();
   if (config_.observer != nullptr) {
     config_.observer->on_record(frame, kWalRecordBytes, records_total());
   }
@@ -277,11 +268,6 @@ void CommitLog::sync_batch() {
   if (config_.observer != nullptr) {
     config_.observer->on_batch(records_total());
   }
-}
-
-void CommitLog::sync() {
-  flush_buffer();
-  fsync_now();
 }
 
 void CommitLog::close() {

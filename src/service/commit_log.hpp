@@ -1,8 +1,9 @@
 // Durable write-ahead log of committed admission decisions — the crash-safe
 // half of the paper's immediate-commitment contract. A shard appends each
 // accepted (job, machine, start) allocation to its own append-only binary
-// log *before* applying the in-memory commit, so any accept that could have
-// become externally visible is recoverable after a crash; recovery
+// log *before* applying the in-memory commit, and tells no client of an
+// accept until sync_batch() has made its record durable, so every accept
+// that became externally visible is recoverable after a crash; recovery
 // (service/recovery.hpp) replays the log, truncating a torn tail, and
 // rebuilds the shard's committed schedule and scheduler frontier state.
 //
@@ -39,11 +40,12 @@
 
 namespace slacksched {
 
-/// When appended records are forced to stable storage.
+/// When appended records are forced to stable storage. The shard publishes
+/// a batch's decisions after its sync_batch(), so under kBatch no accept a
+/// client was told is lost in a crash.
 enum class FsyncPolicy : std::uint8_t {
-  kNever,        ///< OS-buffered only; fastest, loses the unflushed tail
-  kBatch,        ///< one fsync per consumed shard batch (sync_batch())
-  kEveryCommit,  ///< fsync after every append; zero accepted jobs lost
+  kNever,  ///< no fsync: a crash can lose told accepts
+  kBatch,  ///< one fsync per consumed shard batch (sync_batch())
 };
 
 [[nodiscard]] std::string to_string(FsyncPolicy policy);
@@ -85,14 +87,17 @@ class CommitLogObserver {
 
   /// One record was appended: `frame` spans the kWalRecordBytes encoded
   /// bytes (length + CRC + payload), `seq` its global 1-based sequence
-  /// number. Under an ack-on-commit contract this call blocks until the
-  /// follower acknowledged the record.
+  /// number. Must not wait for an acknowledgement: that happens at
+  /// on_batch, before the batch is published.
   virtual void on_record(const char* frame, std::size_t size,
                          std::uint64_t seq) = 0;
 
-  /// Batch boundary (sync_batch), fired whatever the local FsyncPolicy:
-  /// replication batching is independent of local fsync batching.
-  /// `watermark` is the global record count at the boundary.
+  /// Batch boundary (sync_batch), after the local fsync and fired whatever
+  /// the local FsyncPolicy: replication batching is independent of local
+  /// fsync batching. `watermark` is the global record count at the
+  /// boundary. The shard publishes the batch's decisions only after this
+  /// returns, so an observer that blocks here (ack-on-batch) holds every
+  /// reply until the follower has the batch.
   virtual void on_batch(std::uint64_t watermark) = 0;
 
   /// Clean close (close()), after the local flush+fsync. An observer that
@@ -129,9 +134,9 @@ class CommitLog {
   CommitLog(const CommitLog&) = delete;
   CommitLog& operator=(const CommitLog&) = delete;
 
-  /// Appends one committed allocation. Under kEveryCommit the record is on
-  /// stable storage when this returns. Throws CommitLogError on I/O
-  /// failure and InjectedFault at the fsync crash site.
+  /// Appends one committed allocation to the user-space buffer, flushing it
+  /// to the file at kWalFlushBytes; durability waits for sync_batch().
+  /// Throws CommitLogError on I/O failure.
   void append(const Job& job, int machine, TimePoint start);
 
   /// Batch boundary: under kBatch, flushes and fsyncs everything appended
@@ -141,9 +146,6 @@ class CommitLog {
   /// Always notifies the observer's on_batch — replication batch
   /// boundaries exist whatever the local fsync policy.
   void sync_batch();
-
-  /// Unconditional flush + fsync.
-  void sync();
 
   /// Flushes (and fsyncs unless kNever) and closes the descriptor. The log
   /// must not be appended to afterwards.

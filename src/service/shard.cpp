@@ -221,18 +221,17 @@ void Shard::set_error(std::string message) {
 void Shard::worker_loop() {
   // One binding decision per job in FIFO (= submission) order, through the
   // engine's StreamingRunner, in two passes per popped batch: decide every
-  // job, then publish every decision. Any exception — injected fault, WAL
-  // I/O error, scheduler bug — marks the shard failed (one thrown in the
-  // decide pass publishes nothing of its batch); the supervisor decides
-  // whether to restart it.
-  const auto beat = [this] {
-    heartbeat_.store(heartbeat_.load(std::memory_order_relaxed) + 1,
-                     std::memory_order_relaxed);
-  };
+  // job, then, once the batch's records are durable (local fsync, then the
+  // follower's ACK when replicating), publish every decision. Any
+  // exception — injected fault, WAL I/O error, replication loss, scheduler
+  // bug — marks the shard failed (one thrown before the publish pass
+  // publishes nothing of its batch); the supervisor decides whether to
+  // restart it.
   try {
     pin_current_thread(config_.pin_cpu);
     while (true) {
-      beat();
+      heartbeat_.store(heartbeat_.load(std::memory_order_relaxed) + 1,
+                       std::memory_order_relaxed);
       const PopOutcome popped = queue_.pop_batch_for(
           batch_.get(), config_.batch_size, config_.pop_timeout);
       if (popped.count == 0) {
@@ -244,12 +243,9 @@ void Shard::worker_loop() {
       // undecided (never accepted, so nothing durable is owed for them).
       SLACKSCHED_FAULT_CRASH_POINT(config_.faults, FaultSite::kDequeue,
                                    index_);
-      for (std::size_t i = 0; i < popped.count; ++i) {
-        decide(batch_[i]);
-        beat();  // a long kEveryCommit batch must not look stalled
-      }
-      publish();
+      for (std::size_t i = 0; i < popped.count; ++i) decide(batch_[i]);
       if (wal_) wal_->sync_batch();
+      publish();
       // Bound the held schedule by the live commitments: one
       // partition_point per machine, no allocation.
       metrics_.on_schedule_held(index_, runner_->settle());
@@ -257,8 +253,8 @@ void Shard::worker_loop() {
                                    index_);
     }
     result_ = runner_->finish();
-    publish();  // the resolutions finish() drained at the end of the stream
     if (wal_) wal_->close();
+    publish();  // the resolutions finish() drained at the end of the stream
   } catch (const std::exception& e) {
     set_error(e.what());
     worker_failed_.store(true, std::memory_order_release);

@@ -15,7 +15,8 @@
 ///
 /// Crash safety (optional, enabled by ShardConfig::wal_path): every
 /// accepted commitment is appended to a per-shard commit log *before* it is
-/// applied in memory, the worker publishes a heartbeat the supervisor
+/// applied in memory, a batch's decisions are published only once its
+/// records are durable, the worker publishes a heartbeat the supervisor
 /// (service/supervisor.hpp) watches, and a crashed worker can be restarted
 /// in place — the replacement replays the log, rebuilds the committed
 /// schedule and the scheduler's frontiers, and resumes consuming the same
@@ -93,9 +94,12 @@ struct ShardConfig {
   /// after each rendered, legal decision has been validated, counted and
   /// traced — in decision (FIFO) order. Decisions are published at their
   /// batch's boundary: a job's call comes after the rest of its popped
-  /// batch (at most batch_size jobs) has been decided, and a worker that
-  /// dies mid-batch publishes none of that batch. Runs on the decision hot
-  /// path: must be fast and must not throw.
+  /// batch (at most batch_size jobs) has been decided and, with a WAL, after
+  /// the batch's records are durable (CommitLog::sync_batch: the fsync
+  /// under kBatch, then the follower's ACK under kAckOnBatch). A worker that
+  /// dies before then publishes none of that batch, so under kBatch an
+  /// accept it reports survives a crash. Runs on the decision hot path:
+  /// must be fast and must not throw.
   ShardDecisionCallback on_decision;
 };
 
@@ -225,8 +229,9 @@ class Shard {
   void on_resolution(const Job& job, const Decision& decision);
   /// Publish pass: the one bookkeeping path of every binding decision,
   /// immediate or resolved. Reads the clock once, then per queued decision
-  /// in order: metrics, trace event, on_decision. An immediate decision's
-  /// admit latency runs from queue entry to this publication.
+  /// in order: metrics, trace event, on_decision. Runs after the batch's
+  /// records are durable. An immediate decision's admit latency runs from
+  /// queue entry to this publication.
   void publish();
   void set_error(std::string message);
 
@@ -240,7 +245,8 @@ class Shard {
   /// Decisions rendered by the current batch's decide pass, in decision
   /// order, awaiting the publish pass. Reserved for batch_size entries
   /// once per shard (it grows only for a burst of resolutions) and cleared
-  /// on (re)spawn: a worker that dies mid-batch publishes none of it.
+  /// on (re)spawn: a worker that dies before its batch is durable publishes
+  /// none of it.
   std::vector<Publication> pending_;
 
   int index_;

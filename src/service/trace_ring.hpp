@@ -202,8 +202,6 @@ template <typename Int>
       e.fsync_class = static_cast<std::uint8_t>(FsyncPolicy::kNever);
     } else if (cells[6] == to_string(FsyncPolicy::kBatch)) {
       e.fsync_class = static_cast<std::uint8_t>(FsyncPolicy::kBatch);
-    } else if (cells[6] == to_string(FsyncPolicy::kEveryCommit)) {
-      e.fsync_class = static_cast<std::uint8_t>(FsyncPolicy::kEveryCommit);
     } else {
       throw bad_row("a bad fsync class");
     }

@@ -7,7 +7,7 @@
 //
 // Roles:
 //
-//   leader <port> <wal_dir> <ledger_dir> <ack_mode 0|1|2> <site> <hit>
+//   leader <port> <wal_dir> <ledger_dir> <ack_mode 0|1> <site> <hit>
 //          <seed> <jobs>
 //       Runs an AdmissionGateway replicating to 127.0.0.1:<port>, with a
 //       SIGKILL trigger armed at the named fault site (commit | fsync |
@@ -15,7 +15,10 @@
 //       watermark is journaled durably (pwrite + fsync) to
 //       <ledger_dir>/ack-<shard>.bin BEFORE the next submission proceeds,
 //       so the driver knows a lower bound on what the dead leader had been
-//       promised was replicated. Prints "DONE <accepted>" on clean exit.
+//       promised was replicated. The id of every ACCEPTED the gateway hands
+//       to on_decision — what a client would be told — is appended durably
+//       to <ledger_dir>/accepted.bin before the callback returns. Prints
+//       "DONE <accepted>" on clean exit.
 //
 //   promote <wal_dir> <shards> <kill_shard>
 //       Promotes the replica logs with a SIGKILL armed at the kFailover
@@ -94,6 +97,34 @@ class AckLedger {
   std::vector<int> fds_;
 };
 
+/// Durable journal of every accepted job id handed to on_decision, one i64
+/// per accept in decision order. An id is on disk before the callback
+/// returns, so a kill never loses a told accept from the journal.
+class AcceptJournal {
+ public:
+  explicit AcceptJournal(const std::string& dir)
+      : fd_(::open((dir + "/accepted.bin").c_str(),
+                   O_CREAT | O_TRUNC | O_WRONLY | O_CLOEXEC, 0644)) {}
+  ~AcceptJournal() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+
+  void record(JobId id) {
+    if (fd_ < 0) return;
+    const auto value = static_cast<std::int64_t>(id);
+    char bytes[8];
+    std::memcpy(bytes, &value, 8);  // LE on every supported target
+    if (::pwrite(fd_, bytes, 8, static_cast<off_t>(count_ * 8)) == 8) {
+      (void)::fsync(fd_);
+      ++count_;
+    }
+  }
+
+ private:
+  int fd_;
+  std::size_t count_ = 0;
+};
+
 int run_leader(int argc, char** argv) {
   if (argc != 10) return usage(argv[0]);
   const auto port = static_cast<std::uint16_t>(std::atoi(argv[2]));
@@ -113,6 +144,7 @@ int run_leader(int argc, char** argv) {
   }
   FaultInjector injector(std::move(plan));
   AckLedger ledger(ledger_dir, 1);
+  AcceptJournal told(ledger_dir);
 
   GatewayConfig config;
   config.shards = 1;
@@ -126,6 +158,10 @@ int run_leader(int argc, char** argv) {
   config.replication->faults = &injector;
   config.replication->on_ack = [&ledger](int shard, std::uint64_t mark) {
     ledger.record(shard, mark);
+  };
+  config.on_decision = [&told](int, const Job& job, const Decision& decision,
+                               std::uint64_t) {
+    if (decision.accepted) told.record(job.id);
   };
 
   AdmissionGateway gateway(config, factory());

@@ -214,16 +214,6 @@ TEST(CommitLog, DestructionWithoutCloseDropsTheBufferedTail) {
 }
 
 TEST(CommitLog, FsyncPolicyControlsWhenRecordsAreSynced) {
-  CommitLogConfig every;
-  every.fsync = FsyncPolicy::kEveryCommit;
-  {
-    auto log = CommitLog::open(wal_path("fsync_every"), 1, every);
-    log->append(make_job(1, 0.0, 1.0, 4.0), 0, 0.0);
-    log->append(make_job(2, 1.0, 1.0, 5.0), 0, 1.0);
-    EXPECT_EQ(log->fsync_count(), 2u);
-    log->sync_batch();  // no-op under kEveryCommit
-    EXPECT_EQ(log->fsync_count(), 2u);
-  }
   CommitLogConfig batch;
   batch.fsync = FsyncPolicy::kBatch;
   {
@@ -265,7 +255,6 @@ TEST(CommitLog, FsyncPolicyControlsWhenRecordsAreSynced) {
 TEST(CommitLog, ToStringNamesEveryPolicy) {
   EXPECT_EQ(to_string(FsyncPolicy::kNever), "never");
   EXPECT_EQ(to_string(FsyncPolicy::kBatch), "batch");
-  EXPECT_EQ(to_string(FsyncPolicy::kEveryCommit), "every-commit");
 }
 
 TEST(Recovery, TornPartialRecordIsTruncated) {

@@ -1,7 +1,8 @@
 // Deterministic fault injection, and the crash-recovery property the whole
-// fault-tolerance layer exists for: under fsync=every-commit, a randomly
-// placed worker crash loses no accepted job — the state recovered from the
-// commit log is exactly the committed schedule, record for record.
+// fault-tolerance layer exists for: under fsync=batch, a randomly placed
+// worker crash loses no accepted job — the state recovered from the commit
+// log is exactly the committed schedule, record for record, and it holds
+// every accept the shard told through on_decision.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -190,75 +191,88 @@ TEST(FaultInjection, EnqueueFaultRefusesOneJobOfABatch) {
 }
 
 TEST(FaultInjection, MidBatchCrashPublishesNothingFromItsBatch) {
-  // A shard publishes a popped batch only after deciding all of it. A
-  // worker that dies mid-batch (here at the third commit) has told nobody
-  // anything about that batch, although the WAL already holds the records
-  // it appended before the crash — recovery replays them, as after a
-  // process crash that lost its unsent replies.
-  const std::string dir = wal_dir("mid_batch_crash");
-  const std::string wal_path = dir + "/shard-0.wal";
-  FaultPlan plan;
-  plan.add({FaultSite::kCommit, /*shard=*/0, /*hit=*/3});
-  FaultInjector injector(plan);
+  // A shard publishes a popped batch only after deciding all of it and
+  // making its records durable. A worker that dies mid-batch (at the third
+  // commit) or at the batch's fsync has told nobody anything about that
+  // batch. The log holds whatever reached the file before the crash —
+  // nothing at the commit (kBatch buffers until the boundary), all eight
+  // records at the fsync (written, never synced) — and recovery replays
+  // exactly that, as after a process crash that lost its unsent replies.
+  struct Input {
+    FaultSite site;
+    std::vector<JobId> logged;
+  };
+  const Input inputs[] = {
+      {FaultSite::kCommit, {}},
+      {FaultSite::kFsync, {1, 2, 3, 4, 5, 6, 7, 8}},
+  };
+  for (const Input& input : inputs) {
+    SCOPED_TRACE("site=" + to_string(input.site));
+    const std::string dir = wal_dir("mid_batch_crash");
+    const std::string wal_path = dir + "/shard-0.wal";
+    FaultPlan plan;
+    plan.add({input.site, /*shard=*/0,
+              /*hit=*/input.site == FaultSite::kCommit ? 3u : 1u});
+    FaultInjector injector(plan);
 
-  MetricsRegistry metrics(1);
-  std::size_t notified = 0;
-  ShardConfig config;
-  config.wal_path = wal_path;
-  config.wal_fsync = FsyncPolicy::kEveryCommit;
-  config.faults = &injector;
-  config.on_decision = [&notified](const Job&, const Decision&,
-                                   std::uint64_t) { ++notified; };
-  Shard shard(
-      0, [] { return std::make_unique<ThresholdScheduler>(kEps, kMachines); },
-      config, metrics);
+    MetricsRegistry metrics(1);
+    std::size_t notified = 0;
+    ShardConfig config;
+    config.wal_path = wal_path;
+    config.wal_fsync = FsyncPolicy::kBatch;
+    config.faults = &injector;
+    config.on_decision = [&notified](const Job&, const Decision&,
+                                     std::uint64_t) { ++notified; };
+    Shard shard(
+        0,
+        [] { return std::make_unique<ThresholdScheduler>(kEps, kMachines); },
+        config, metrics);
 
-  // Queued before start(): the first pop is one batch of eight jobs, each
-  // of which fits and is accepted.
-  std::vector<Job> jobs;
-  for (JobId id = 1; id <= 8; ++id) {
-    Job job;
-    job.id = id;
-    job.release = 0.0;
-    job.proc = 1.0;
-    job.deadline = 1000.0;
-    jobs.push_back(job);
-  }
-  ASSERT_EQ(shard
-                .try_enqueue_batch(jobs.data(), nullptr, jobs.size(),
-                                   Shard::Clock::now())
-                .taken,
-            jobs.size());
-  shard.start();
-  while (!shard.worker_exited()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_TRUE(shard.worker_failed());
-  EXPECT_EQ(injector.fired(), 1u);
-  shard.close();
-  shard.join();
-
-  EXPECT_EQ(notified, 0u) << "a crashed batch published decisions";
-  const MetricsSnapshot snap = metrics.snapshot();
-  EXPECT_EQ(snap.total.submitted, 0u);
-  EXPECT_EQ(snap.total.batches, 1u);
-
-  // Exactly the three records appended before the crash, the third logged
-  // but never applied in memory.
-  const RecoveryResult recovered =
-      recover_commit_log(wal_path, kMachines, nullptr,
-                         /*truncate_file=*/false);
-  ASSERT_TRUE(recovered.ok) << recovered.error;
-  EXPECT_EQ(recovered.records_replayed, 3u);
-  std::vector<JobId> logged;
-  for (int m = 0; m < recovered.schedule.machines(); ++m) {
-    for (const Placement& placement : recovered.schedule.on_machine(m)) {
-      logged.push_back(placement.job.id);
+    // Queued before start(): the first pop is one batch of eight jobs, each
+    // of which fits and is accepted.
+    std::vector<Job> jobs;
+    for (JobId id = 1; id <= 8; ++id) {
+      Job job;
+      job.id = id;
+      job.release = 0.0;
+      job.proc = 1.0;
+      job.deadline = 1000.0;
+      jobs.push_back(job);
     }
+    ASSERT_EQ(shard
+                  .try_enqueue_batch(jobs.data(), nullptr, jobs.size(),
+                                     Shard::Clock::now())
+                  .taken,
+              jobs.size());
+    shard.start();
+    while (!shard.worker_exited()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_TRUE(shard.worker_failed());
+    EXPECT_EQ(injector.fired(), 1u);
+    shard.close();
+    shard.join();
+
+    EXPECT_EQ(notified, 0u) << "a crashed batch published decisions";
+    const MetricsSnapshot snap = metrics.snapshot();
+    EXPECT_EQ(snap.total.submitted, 0u);
+    EXPECT_EQ(snap.total.batches, 1u);
+
+    const RecoveryResult recovered =
+        recover_commit_log(wal_path, kMachines, nullptr,
+                           /*truncate_file=*/false);
+    ASSERT_TRUE(recovered.ok) << recovered.error;
+    EXPECT_EQ(recovered.records_replayed, input.logged.size());
+    std::vector<JobId> logged;
+    for (int m = 0; m < recovered.schedule.machines(); ++m) {
+      for (const Placement& placement : recovered.schedule.on_machine(m)) {
+        logged.push_back(placement.job.id);
+      }
+    }
+    std::sort(logged.begin(), logged.end());
+    EXPECT_EQ(logged, input.logged);
+    std::filesystem::remove_all(dir);
   }
-  std::sort(logged.begin(), logged.end());
-  EXPECT_EQ(logged, (std::vector<JobId>{1, 2, 3}));
-  std::filesystem::remove_all(dir);
 }
 
 TEST(WalRecovery, NegativeJobIdsReplayAsAcceptedCommitments) {
@@ -317,11 +331,29 @@ TEST(WalRecovery, NegativeJobIdsReplayAsAcceptedCommitments) {
   std::filesystem::remove_all(dir);
 }
 
+/// Every accept the shard told through on_decision is in `replayed`, on the
+/// machine and at the start it was told.
+void expect_told_accepts_logged(const std::vector<DecisionRecord>& told,
+                                const Schedule& replayed) {
+  for (const DecisionRecord& record : told) {
+    if (!record.decision.accepted) continue;
+    const std::vector<Placement>& placed =
+        replayed.on_machine(record.decision.machine);
+    const bool found =
+        std::any_of(placed.begin(), placed.end(), [&](const Placement& p) {
+          return p.job.id == record.job.id && p.start == record.decision.start;
+        });
+    EXPECT_TRUE(found) << "told accept of job " << record.job.id
+                       << " is not in the replayed log";
+  }
+}
+
 /// The acceptance property: a randomized workload, a seeded random crash
-/// site, a 1-shard WAL-backed gateway under fsync=every-commit. After the
-/// run (crash, supervised restart, replay, resume), the committed schedule
+/// site, a 1-shard WAL-backed gateway under fsync=batch. After the run
+/// (crash, supervised restart, replay, resume), the committed schedule
 /// must equal the accepted-and-logged set record for record, every record
-/// must re-validate, and the schedule must be legal for the instance.
+/// must re-validate, the schedule must be legal for the instance, and every
+/// accept told through on_decision must be in the log.
 void run_crash_recovery_property(std::uint64_t seed, int* crashes_fired) {
   SCOPED_TRACE("seed=" + std::to_string(seed));
   WorkloadConfig wconfig;
@@ -340,10 +372,12 @@ void run_crash_recovery_property(std::uint64_t seed, int* crashes_fired) {
   config.queue_capacity = 4096;
   config.batch_size = 32;
   config.wal_dir = wal_dir("crash_prop_" + std::to_string(seed));
-  config.wal_fsync = FsyncPolicy::kEveryCommit;
+  config.wal_fsync = FsyncPolicy::kBatch;
   config.supervisor = fast_supervisor();
   config.pop_timeout = std::chrono::milliseconds(5);
   config.fault_injector = &injector;
+  ShardDecisionLogs told;
+  capture_decisions(config, told);
   AdmissionGateway gateway(config, [](int) {
     return std::make_unique<ThresholdScheduler>(kEps, kMachines);
   });
@@ -373,9 +407,9 @@ void run_crash_recovery_property(std::uint64_t seed, int* crashes_fired) {
       recover_commit_log(config.wal_dir + "/shard-0.wal", kMachines, nullptr,
                          /*truncate_file=*/false);
   ASSERT_TRUE(replayed.ok) << replayed.error;
-  EXPECT_FALSE(replayed.tail_truncated)
-      << "every-commit fsync left a torn tail";
+  EXPECT_FALSE(replayed.tail_truncated) << "batch fsync left a torn tail";
   expect_held_suffix(committed, replayed.schedule);
+  expect_told_accepts_logged(told[0], replayed.schedule);
 
   // 2. The full replayed schedule is legal for the instance (starts,
   //    deadlines, no overlap) — recovery resurrected no illegal state.
@@ -432,10 +466,12 @@ void run_model_crash_recovery(std::uint64_t seed, const ModelConfig& model,
   config.queue_capacity = 4096;
   config.batch_size = 32;
   config.wal_dir = wal_dir("model_crash_" + tag + "_" + std::to_string(seed));
-  config.wal_fsync = FsyncPolicy::kEveryCommit;
+  config.wal_fsync = FsyncPolicy::kBatch;
   config.supervisor = fast_supervisor();
   config.pop_timeout = std::chrono::milliseconds(5);
   config.fault_injector = &injector;
+  ShardDecisionLogs told;
+  capture_decisions(config, told);
   config.model = model;
   AdmissionGateway gateway(config);
 
@@ -466,10 +502,10 @@ void run_model_crash_recovery(std::uint64_t seed, const ModelConfig& model,
       config.wal_dir + "/shard-0.wal", model.machines, nullptr,
       /*truncate_file=*/false, profile.uniform() ? nullptr : &profile);
   ASSERT_TRUE(replayed.ok) << replayed.error;
-  EXPECT_FALSE(replayed.tail_truncated)
-      << "every-commit fsync left a torn tail";
+  EXPECT_FALSE(replayed.tail_truncated) << "batch fsync left a torn tail";
   EXPECT_EQ(replayed.schedule.uniform_speeds(), committed.uniform_speeds());
   expect_held_suffix(committed, replayed.schedule);
+  expect_told_accepts_logged(told[0], replayed.schedule);
 
   const ValidationReport report =
       validate_schedule(instance, replayed.schedule);

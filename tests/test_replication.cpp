@@ -95,7 +95,7 @@ TEST(ReplProtocol, HelloRoundTrip) {
   std::vector<char> bytes;
   HelloMsg hello;
   hello.machines = 8;
-  hello.ack_mode = ReplAckMode::kAckOnCommit;
+  hello.ack_mode = ReplAckMode::kAckOnBatch;
   hello.leader_records = 12345;
   encode_hello(bytes, 3, hello);
 
@@ -109,9 +109,19 @@ TEST(ReplProtocol, HelloRoundTrip) {
   std::string error;
   ASSERT_TRUE(parse_hello(frame, out, &error)) << error;
   EXPECT_EQ(out.machines, 8u);
-  EXPECT_EQ(out.ack_mode, ReplAckMode::kAckOnCommit);
+  EXPECT_EQ(out.ack_mode, ReplAckMode::kAckOnBatch);
   EXPECT_EQ(out.leader_records, 12345u);
   EXPECT_EQ(decoder.next(frame), ReplFrameDecoder::Status::kNeedMore);
+
+  // Ack mode 2 (the retired per-record mode) is refused like any unknown
+  // byte.
+  bytes.clear();
+  hello.ack_mode = static_cast<ReplAckMode>(2);
+  encode_hello(bytes, 3, hello);
+  decoder.feed(bytes.data(), bytes.size());
+  ASSERT_EQ(decoder.next(frame), ReplFrameDecoder::Status::kFrame);
+  EXPECT_FALSE(parse_hello(frame, out, &error));
+  EXPECT_NE(error.find("unknown ack mode 2"), std::string::npos) << error;
 }
 
 TEST(ReplProtocol, WatermarkFramesRoundTrip) {
@@ -248,7 +258,6 @@ TEST(ReplProtocol, EnumNamesAreStable) {
   EXPECT_EQ(to_string(NackReason::kBadState), "bad-state");
   EXPECT_EQ(to_string(ReplAckMode::kAsync), "async");
   EXPECT_EQ(to_string(ReplAckMode::kAckOnBatch), "ack-on-batch");
-  EXPECT_EQ(to_string(ReplAckMode::kAckOnCommit), "ack-on-commit");
 }
 
 // ---------- leader -> follower streaming, every ack mode ----------
@@ -295,8 +304,7 @@ TEST_P(ReplicationStream, FollowerLogIsByteIdenticalAfterCleanDrain) {
 
 INSTANTIATE_TEST_SUITE_P(AllAckModes, ReplicationStream,
                          ::testing::Values(ReplAckMode::kAsync,
-                                           ReplAckMode::kAckOnBatch,
-                                           ReplAckMode::kAckOnCommit),
+                                           ReplAckMode::kAckOnBatch),
                          [](const auto& param_info) {
                            std::string name = to_string(param_info.param);
                            for (char& c : name) {
@@ -305,9 +313,9 @@ INSTANTIATE_TEST_SUITE_P(AllAckModes, ReplicationStream,
                            return name;
                          });
 
-TEST(Replication, AckOnCommitWatermarkCoversEveryRecordAtClose) {
-  const std::string leader_dir = fresh_dir("ackcommit_leader");
-  const std::string replica_dir = fresh_dir("ackcommit_replica");
+TEST(Replication, AckOnBatchWatermarkCoversEveryRecordAtClose) {
+  const std::string leader_dir = fresh_dir("ackbatch_leader");
+  const std::string replica_dir = fresh_dir("ackbatch_replica");
   ReplicaServerConfig replica_config;
   replica_config.dir = replica_dir;
   ReplicaServer replica(replica_config);
@@ -315,7 +323,7 @@ TEST(Replication, AckOnCommitWatermarkCoversEveryRecordAtClose) {
   GatewayConfig config = leader_config(leader_dir);
   config.replication.emplace();
   config.replication->port = replica.port();
-  config.replication->ack_mode = ReplAckMode::kAckOnCommit;
+  config.replication->ack_mode = ReplAckMode::kAckOnBatch;
   std::uint64_t last_ack = 0;
   config.replication->on_ack = [&](int, std::uint64_t mark) {
     last_ack = mark;

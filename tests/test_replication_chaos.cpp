@@ -11,11 +11,16 @@
 //              durably by the leader before proceeding) is present in the
 //              replica's log — an acked-per-contract commitment survives
 //              the node loss
+//   told       every ACCEPTED the leader handed to on_decision (journaled
+//              durably before the callback returned) is in the dead
+//              leader's log and, under ack-on-batch, in the replica's log
+//              and in the gateway promoted from it — no client holds an
+//              accept the node loss erased
 //   promote    the replica's logs promote into a serving gateway with full
 //              commitment re-validation, each job id appearing exactly
 //              once — nothing double-issued, nothing broken
 //
-// The matrix runs >= 6 seeds x 4 kill sites x 3 ack modes; a separate
+// The matrix runs >= 6 seeds x 4 kill sites x 2 ack modes; a separate
 // scenario kills the follower during its own promotion and proves a second
 // promotion still lands on the same records.
 #include <gtest/gtest.h>
@@ -102,6 +107,14 @@ std::uint64_t read_ledger(const std::string& dir, int shard) {
   return in.gcount() == 8 ? mark : 0;
 }
 
+/// The job ids the leader journaled as told ACCEPTED, in decision order.
+std::vector<std::int64_t> read_told(const std::string& dir) {
+  const std::string bytes = read_file(dir + "/accepted.bin");
+  std::vector<std::int64_t> ids(bytes.size() / 8);
+  std::memcpy(ids.data(), bytes.data(), ids.size() * 8);
+  return ids;
+}
+
 /// Job ids of every whole record in a commit-log byte string.
 std::vector<std::int64_t> log_job_ids(const std::string& bytes) {
   std::vector<std::int64_t> ids;
@@ -128,7 +141,7 @@ std::uint64_t hit_for(const std::string& site, std::uint64_t seed) {
 
 TEST(ReplicationChaos, KilledLeaderNeverLosesAnAckedCommitment) {
   const char* kSites[] = {"commit", "fsync", "frame", "batch"};
-  const int kAckModes[] = {0, 1, 2};  // async, ack-on-batch, ack-on-commit
+  const int kAckModes[] = {0, 1};  // async, ack-on-batch
   constexpr std::uint64_t kSeeds = 6;
   constexpr std::size_t kJobs = 256;
 
@@ -191,6 +204,24 @@ TEST(ReplicationChaos, KilledLeaderNeverLosesAnAckedCommitment) {
         EXPECT_GE(replica_records, acked)
             << "an acked commitment vanished from the replica";
 
+        // Told accepts: each is durable in the dead leader's log; under
+        // ack-on-batch also in the replica's log (the promoted gateway is
+        // checked below).
+        const std::vector<std::int64_t> told = read_told(ledger_dir);
+        const std::vector<std::int64_t> leader_ids = log_job_ids(leader_log);
+        const std::set<std::int64_t> in_leader(leader_ids.begin(),
+                                               leader_ids.end());
+        const std::vector<std::int64_t> ids = log_job_ids(replica_log);
+        const std::set<std::int64_t> in_replica(ids.begin(), ids.end());
+        for (const std::int64_t id : told) {
+          EXPECT_TRUE(in_leader.count(id) == 1)
+              << "told accept " << id << " is not in the dead leader's log";
+          if (mode == 1) {
+            EXPECT_TRUE(in_replica.count(id) == 1)
+                << "told accept " << id << " is not in the replica's log";
+          }
+        }
+
         // Promotion: the replica's log replays with full commitment
         // re-validation, each job id exactly once.
         GatewayConfig promoted_config;
@@ -201,11 +232,22 @@ TEST(ReplicationChaos, KilledLeaderNeverLosesAnAckedCommitment) {
             promote_replica(promoted_config, threshold_factory());
         ASSERT_TRUE(promoted.ok) << promoted.error;
         EXPECT_EQ(promoted.records_recovered, replica_records);
-        const std::vector<std::int64_t> ids = log_job_ids(replica_log);
-        const std::set<std::int64_t> unique(ids.begin(), ids.end());
-        EXPECT_EQ(unique.size(), ids.size())
+        EXPECT_EQ(in_replica.size(), ids.size())
             << "a commitment was double-issued in the replica log";
-        EXPECT_TRUE(promoted.gateway->finish().clean());
+        const GatewayResult served = promoted.gateway->finish();
+        EXPECT_TRUE(served.clean());
+        if (mode == 1) {
+          // Every job is released at 0, so settling drops no placement.
+          std::set<std::int64_t> in_promoted;
+          for (const Placement& p :
+               served.shards[0].schedule.all_placements()) {
+            in_promoted.insert(p.job.id);
+          }
+          for (const std::int64_t id : told) {
+            EXPECT_TRUE(in_promoted.count(id) == 1)
+                << "told accept " << id << " is not in the promoted gateway";
+          }
+        }
       }
     }
   }

@@ -225,9 +225,9 @@ TEST(ServiceEquivalence, RoundRobinPartitionCoversTheStream) {
 
 TEST(ServiceEquivalence, WalBackedShardMatchesEngineByteForByte) {
   // Durability must be invisible to the algorithm: a 1-shard gateway with
-  // the commit log enabled (fsync=every-commit, the strictest policy)
-  // renders the exact engine decision stream, and the log it leaves behind
-  // replays to the exact committed schedule.
+  // the commit log enabled (fsync=batch, the strictest policy) renders the
+  // exact engine decision stream, and the log it leaves behind replays to
+  // the exact committed schedule.
   const Instance instance = test_instance(2000, 26);
   ThresholdScheduler reference(0.1, 4);
   const RunResult engine = run_online(reference, instance);
@@ -241,7 +241,7 @@ TEST(ServiceEquivalence, WalBackedShardMatchesEngineByteForByte) {
   config.routing = RoutingPolicy::kRoundRobin;
   config.queue_capacity = std::bit_ceil(instance.size());
   config.wal_dir = dir;
-  config.wal_fsync = FsyncPolicy::kEveryCommit;
+  config.wal_fsync = FsyncPolicy::kBatch;
   GatewayRun run;
   capture_decisions(config, run.decisions);
   AdmissionGateway gateway(config, [](int) {

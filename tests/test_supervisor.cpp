@@ -114,7 +114,7 @@ TEST(Supervisor, CrashedWorkerIsRestartedInPlaceFromItsLog) {
   GatewayConfig config;
   config.shards = 1;
   config.wal_dir = wal_dir("restart");
-  config.wal_fsync = FsyncPolicy::kEveryCommit;
+  config.wal_fsync = FsyncPolicy::kBatch;
   config.supervisor = fast_supervisor();
   config.pop_timeout = milliseconds(5);
   config.fault_injector = &injector;

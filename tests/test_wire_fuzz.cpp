@@ -103,7 +103,7 @@ std::vector<char> replication_stream() {
   encode_wal_record(make_job(7, 0.5, 2.0, 9.0), 1, 3.5, records);
   encode_wal_record(make_job(8, 0.0, 1.0, 9.0), 0, 0.0, records);
   std::vector<char> out;
-  encode_hello(out, 3, HelloMsg{8, ReplAckMode::kAckOnCommit, 12345});
+  encode_hello(out, 3, HelloMsg{8, ReplAckMode::kAckOnBatch, 12345});
   encode_welcome(out, 3, 40);
   encode_append(out, 3, 40, 2, records.data(), records.size());
   encode_ack(out, 3, 42);

@@ -125,9 +125,9 @@ TEST(WireGolden, ReplicationFrames) {
   std::vector<char> bytes;
 
   encode_hello(bytes, 3,
-               HelloMsg{8, ReplAckMode::kAckOnCommit, 12345});
+               HelloMsg{8, ReplAckMode::kAckOnBatch, 12345});
   EXPECT_EQ(hex(bytes),
-            "010103000d0000006d50604908000000023930000000000000")
+            "010103000d000000a86ced7008000000013930000000000000")
       << "HELLO";
 
   bytes.clear();
