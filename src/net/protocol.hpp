@@ -117,7 +117,9 @@ struct DrainedMsg {
   double accepted_volume = 0.0;
   double rejected_volume = 0.0;
   double makespan = 0.0;
-  std::uint8_t clean = 1;  ///< 0 iff some shard attempted an illegal commit
+  /// GatewayResult::clean(): 0 iff a shard worker died or attempted an
+  /// illegal commitment.
+  std::uint8_t clean = 1;
 };
 
 // --- encoders: append one complete frame (header + payload) to `out` ---

@@ -11,35 +11,14 @@ namespace slacksched {
 
 namespace {
 
-TraceEvent routing_event(JobId job_id, int home, int shard, Outcome kind) {
-  TraceEvent event;
-  event.job_id = job_id;
-  event.home_shard = static_cast<std::int16_t>(home);
-  event.shard = static_cast<std::int16_t>(shard);
-  event.kind = kind;
-  return event;  // latency_bin / fsync_class keep their no-value sentinels
-}
-
 bool is_power_of_two(std::size_t v) { return v != 0 && (v & (v - 1)) == 0; }
 
-/// One producer thread's grouping scratch for submit_batch, reused across
+/// One producer thread's grouping scratch for submit_batch: per shard, the
+/// indices of the jobs grouped for it, in submission order. Reused across
 /// calls and gateways: once its vectors have grown to the thread's largest
 /// batch and shard count, ingest makes no heap allocation. Each thread
 /// owns its copy and submit_batch never re-enters itself, so no lock.
-struct IngestScratch {
-  /// Per target shard: the indices of the jobs grouped for it, in
-  /// submission order, and parallel to them the router's home shard of
-  /// each (several homes can fail over to the same target in one batch).
-  std::vector<std::vector<std::uint32_t>> groups;
-  std::vector<std::vector<std::int16_t>> homes;
-  /// Per home shard: its resolved target (-1: none available), or
-  /// kUnresolved until the batch's first job homed there.
-  std::vector<int> target_of;
-};
-
-constexpr int kUnresolved = -2;
-
-thread_local IngestScratch t_ingest;
+thread_local std::vector<std::vector<std::uint32_t>> t_groups;
 
 }  // namespace
 
@@ -109,7 +88,8 @@ std::vector<std::string> GatewayConfig::validate() const {
 }
 
 bool GatewayResult::clean() const {
-  return std::all_of(shards.begin(), shards.end(),
+  return errors.empty() &&
+         std::all_of(shards.begin(), shards.end(),
                      [](const RunResult& r) { return r.clean(); });
 }
 
@@ -229,87 +209,74 @@ BatchSubmitResult AdmissionGateway::submit_batch(std::span<const Job> jobs,
     std::fill(statuses.begin(), statuses.end(), Outcome::kRejectedClosed);
     return result;
   }
-  const auto trace = [this](int ring, JobId job_id, int home, int shard,
-                            Outcome kind) {
+  const auto trace = [this](int shard, JobId job_id, Outcome kind) {
     if (traces_.empty()) return;
-    traces_[static_cast<std::size_t>(ring)]->record(
-        routing_event(job_id, home, shard, kind));
+    TraceEvent event;  // latency_bin / fsync_class keep their sentinels
+    event.job_id = job_id;
+    event.shard = static_cast<std::int16_t>(shard);
+    event.kind = kind;
+    traces_[static_cast<std::size_t>(shard)]->record(event);
   };
   const auto shard_count = static_cast<std::size_t>(config_.shards);
-  IngestScratch& scratch = t_ingest;
-  if (scratch.groups.size() < shard_count) {
-    scratch.groups.resize(shard_count);
-    scratch.homes.resize(shard_count);
-  }
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    scratch.groups[s].clear();
-    scratch.homes[s].clear();
-  }
-  scratch.target_of.assign(shard_count, kUnresolved);
+  std::vector<std::vector<std::uint32_t>>& groups = t_groups;
+  if (groups.size() < shard_count) groups.resize(shard_count);
+  for (std::size_t s = 0; s < shard_count; ++s) groups[s].clear();
 
-  // Route every job and resolve each home shard's target once (the
-  // availability view is sampled once per batch), refuse what never
-  // reaches a queue, and group the rest by target shard, preserving
-  // submission order within each group.
+  // Refuse what never reaches a queue, and group the rest by the router's
+  // shard, preserving submission order within each group. A job is decided
+  // on its own shard or not at all: while that shard is unavailable its
+  // jobs are refused with retry-after, never sent to another shard.
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const Job& job = jobs[i];
-    const int home = router_.route(job);
-    int& target = scratch.target_of[static_cast<std::size_t>(home)];
-    if (target == kUnresolved) {
-      target = supervisor_->available(home)
-                   ? home
-                   : router_.failover_target(home, [this](int s) {
-                       return supervisor_->available(s);
-                     });
+    // A job no scheduler may see (proc <= 0, deadline <= release, negative
+    // release or NaN) is refused here, before it can reach a worker.
+    if (!job.structurally_valid()) {
+      ++result.rejected_invalid;
+      report(i, Outcome::kRejectedInvalid);
+      continue;
     }
-    if (target < 0) {
+    const int shard_index = router_.route(job);
+    if (!supervisor_->available(shard_index)) {
       ++result.rejected_retry_after;
-      metrics_.on_degraded_reject(home);
-      trace(home, job.id, home, /*shard=*/-1, Outcome::kRejectedRetryAfter);
+      metrics_.on_degraded_reject(shard_index);
+      trace(shard_index, job.id, Outcome::kRejectedRetryAfter);
       report(i, Outcome::kRejectedRetryAfter);
       continue;
     }
-    if (target != home) {
-      metrics_.on_failover(home);
-      trace(target, job.id, home, target, Outcome::kFailover);
-    }
-    Shard& shard = *shards_[static_cast<std::size_t>(target)];
+    Shard& shard = *shards_[static_cast<std::size_t>(shard_index)];
     std::vector<std::uint32_t>& group =
-        scratch.groups[static_cast<std::size_t>(target)];
+        groups[static_cast<std::size_t>(shard_index)];
     // Class-aware shed gate, against the occupancy the job would actually
     // see: the live queue size plus what this batch already grouped for
-    // the target (a single huge batch must not bypass the thresholds).
+    // the shard (a single huge batch must not bypass the thresholds).
     if (config_.shed_policy.has_value() &&
         config_.shed_policy->should_shed(job.criticality,
                                          shard.queue_size() + group.size(),
                                          config_.queue_capacity)) {
       ++result.rejected_criticality;
-      metrics_.on_class_shed(target, job.criticality);
-      trace(target, job.id, home, target, Outcome::kRejectedCriticality);
+      metrics_.on_class_shed(shard_index, job.criticality);
+      trace(shard_index, job.id, Outcome::kRejectedCriticality);
       report(i, Outcome::kRejectedCriticality);
       continue;
     }
     // Simulated ingest drop: refuses exactly this job, as a full queue
     // would, whether it arrived alone or in a batch.
     if (SLACKSCHED_FAULT_FIRES(config_.fault_injector, FaultSite::kEnqueue,
-                               target)) {
+                               shard_index)) {
       ++result.rejected_queue_full;
-      metrics_.on_backpressure(target);
+      metrics_.on_backpressure(shard_index);
       report(i, Outcome::kRejectedQueueFull);
       continue;
     }
     group.push_back(static_cast<std::uint32_t>(i));
-    scratch.homes[static_cast<std::size_t>(target)].push_back(
-        static_cast<std::int16_t>(home));
   }
 
   const auto now = Shard::Clock::now();
   for (std::size_t s = 0; s < shard_count; ++s) {
-    const std::vector<std::uint32_t>& group = scratch.groups[s];
+    const std::vector<std::uint32_t>& group = groups[s];
     if (group.empty()) continue;
     const Shard::BatchEnqueueResult pushed = shards_[s]->try_enqueue_batch(
-        jobs.data(), group.data(), group.size(), now, scratch.homes[s].data(),
-        route_ctx);
+        jobs.data(), group.data(), group.size(), now, route_ctx);
     result.enqueued += pushed.taken;
     // A shed tail on a closed queue is not backpressure: the shard shut
     // down mid-batch, and the caller must treat the tail as unserviceable

@@ -4,8 +4,8 @@
 /// queues with explicit backpressure. The paper's model (immediate
 /// commitment on m identical machines with slack eps) maps onto each shard
 /// unchanged; the gateway adds the serving-side concerns — concurrent
-/// ingest, batching, load shedding, durability, failover, and live metrics
-/// — without touching the algorithms.
+/// ingest, batching, load shedding, durability, supervision, and live
+/// metrics — without touching the algorithms.
 ///
 /// Overload semantics: submissions are never silently dropped and never
 /// block. When a shard's queue is full the submit call returns
@@ -15,12 +15,13 @@
 ///
 /// Failure semantics: with a wal_dir configured each shard appends every
 /// accepted commitment to its own durable log before applying it, and the
-/// supervisor restarts crashed shard workers in place from that log. While
-/// a shard is unavailable, *new* jobs spill to the next healthy shard in
-/// cyclic order (existing commitments never migrate — they belong to the
-/// down shard's machine group and are replayed there on restart); when no
-/// shard is available the gateway sheds with kRejectedRetryAfter and the
-/// suggested back-off from retry_after().
+/// supervisor restarts crashed shard workers in place from that log. A job
+/// is decided on the shard the router chose or not at all: while that
+/// shard is unavailable the gateway refuses the job with
+/// kRejectedRetryAfter and the suggested back-off from retry_after(). Jobs
+/// homed on the other shards are served as usual, and commitments never
+/// move — they belong to the down shard's machine group and are replayed
+/// there on restart.
 #pragma once
 
 #include <atomic>
@@ -124,7 +125,7 @@ struct GatewayConfig {
   std::optional<ShedPolicyConfig> shed_policy;
 
   // --- observability (see docs/observability.md) ---
-  /// Record one TraceEvent per rendered decision, failover, and shed into
+  /// Record one TraceEvent per rendered decision and ingest refusal into
   /// per-shard lock-free rings (service/trace_ring.hpp). Drop-on-full:
   /// tracing never blocks or slows ingest; drops are counted and exported.
   bool enable_tracing = false;
@@ -168,6 +169,8 @@ struct BatchSubmitResult {
   /// Shed by the class-aware policy (kRejectedCriticality); always 0
   /// without GatewayConfig::shed_policy.
   std::size_t rejected_criticality = 0;
+  /// Refused as not structurally valid (kRejectedInvalid).
+  std::size_t rejected_invalid = 0;
 };
 
 /// Everything a finished gateway run produced: one RunResult per shard
@@ -185,10 +188,12 @@ struct GatewayResult {
   /// empty when every worker exited cleanly.
   std::vector<std::string> errors;
 
-  /// True iff no shard attempted an illegal commitment.
+  /// True iff no worker died and no shard attempted an illegal
+  /// commitment.
   [[nodiscard]] bool clean() const;
 
-  /// First commitment violation across shards (empty when clean).
+  /// First commitment violation across shards (empty when there is none;
+  /// a dead worker's error is in `errors`).
   [[nodiscard]] std::string first_violation() const;
 };
 
@@ -217,14 +222,13 @@ class AdmissionGateway {
   /// the job and is echoed verbatim to on_decision.
   [[nodiscard]] Outcome submit(const Job& job, std::uint64_t route_ctx = 0);
 
-  /// The gateway's only ingest path. Non-blocking: routes every job, spills
-  /// a job whose home shard is unavailable to the next healthy shard
-  /// (cyclic probe) or, with none available, sheds it with
-  /// kRejectedRetryAfter, applies the class-aware shed gate, then claims
-  /// each target shard's group with one CAS on that shard's lock-free
-  /// ring. Jobs keep their relative order within a shard. When `statuses`
-  /// is non-empty it must have jobs.size() entries and receives the
-  /// per-job outcome. jobs[i] is echoed to on_decision with
+  /// The gateway's only ingest path. Non-blocking: refuses a job that is
+  /// not structurally valid with kRejectedInvalid, routes every other job,
+  /// refuses one whose shard is unavailable with kRejectedRetryAfter,
+  /// applies the class-aware shed gate, then claims each shard's group
+  /// with one CAS on that shard's lock-free ring. Jobs keep their relative
+  /// order within a shard. When `statuses` is non-empty it must have
+  /// jobs.size() entries and receives the per-job outcome. jobs[i] is echoed to on_decision with
   /// `route_ctx + i` (0 when `route_ctx` is 0), so a producer can number a
   /// batch's jobs with one value. Makes no heap allocation once the
   /// calling thread's grouping scratch has grown to its largest batch.

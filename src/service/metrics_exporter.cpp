@@ -66,11 +66,8 @@ constexpr Field<std::size_t> kCountFields[] = {
      "Jobs shed because the routed shard queue was full.", "counter",
      &ShardMetricsSnapshot::backpressure_rejected},
     {"degraded_rejected_total",
-     "Jobs shed with retry-after because no shard was available.", "counter",
-     &ShardMetricsSnapshot::degraded_rejected},
-    {"failovers_total",
-     "Jobs rerouted away from an unavailable home shard.", "counter",
-     &ShardMetricsSnapshot::failovers},
+     "Jobs refused with retry-after because their shard was unavailable.",
+     "counter", &ShardMetricsSnapshot::degraded_rejected},
     {"batches_total", "Consumer wake-ups that found work.", "counter",
      &ShardMetricsSnapshot::batches},
     {"recoveries_total", "Completed WAL replays / shard restarts.",
@@ -124,7 +121,9 @@ std::string render_prometheus(const ExporterInput& input,
     // One family keyed by the frozen outcome registry (service/outcome.hpp):
     // the label strings here are byte-identical to the trace-CSV `kind`
     // cells and the wire protocol's outcome names. kRejectedClosed is not
-    // emitted — refusals after shutdown happen outside the metrics window.
+    // emitted — refusals after shutdown happen outside the metrics window —
+    // nor is kRejectedInvalid, refused before routing gives it a shard; the
+    // submitter's BatchSubmitResult counts both. kFailover is retired.
     struct OutcomeField {
       Outcome outcome;
       std::size_t ShardMetricsSnapshot::* member;
@@ -137,7 +136,6 @@ std::string render_prometheus(const ExporterInput& input,
          &ShardMetricsSnapshot::backpressure_rejected},
         {Outcome::kRejectedRetryAfter,
          &ShardMetricsSnapshot::degraded_rejected},
-        {Outcome::kFailover, &ShardMetricsSnapshot::failovers},
         {Outcome::kRejectedCriticality,
          &ShardMetricsSnapshot::criticality_shed},
     };

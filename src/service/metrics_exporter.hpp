@@ -1,7 +1,7 @@
 // Prometheus text-exposition rendering of the gateway's live metrics:
 // MetricsRegistry counters and gauges, the admit-latency histogram with
-// cumulative `le` buckets, supervisor health / restart state, WAL and
-// failover counters, trace-ring drop counts, and the admission server's
+// cumulative `le` buckets, supervisor health / restart state, WAL
+// counters, trace-ring drop counts, and the admission server's
 // connection counters. The output follows the
 // Prometheus exposition format v0.0.4 (one `# HELP` / `# TYPE` pair per
 // family, `\n`-terminated samples), so it can be served by any HTTP

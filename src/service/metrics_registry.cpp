@@ -40,7 +40,6 @@ std::string MetricsSnapshot::to_string() const {
      << " recoveries=" << total.recoveries
      << " replayed=" << total.wal_records_replayed
      << " truncations=" << total.wal_truncations
-     << " failovers=" << total.failovers
      << " degraded_rejected=" << total.degraded_rejected;
   return os.str();
 }
@@ -129,15 +128,9 @@ void MetricsRegistry::on_recovery(int shard, std::size_t records_replayed,
   }
 }
 
-void MetricsRegistry::on_failover(int home_shard, std::size_t count) {
+void MetricsRegistry::on_degraded_reject(int shard, std::size_t count) {
   if (count == 0) return;
-  slots_[static_cast<std::size_t>(home_shard)].failovers.fetch_add(
-      count, std::memory_order_relaxed);
-}
-
-void MetricsRegistry::on_degraded_reject(int home_shard, std::size_t count) {
-  if (count == 0) return;
-  slots_[static_cast<std::size_t>(home_shard)].degraded_rejected.fetch_add(
+  slots_[static_cast<std::size_t>(shard)].degraded_rejected.fetch_add(
       count, std::memory_order_relaxed);
 }
 
@@ -171,7 +164,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     row.wal_records_replayed =
         slot.wal_records_replayed.load(std::memory_order_relaxed);
     row.wal_truncations = slot.wal_truncations.load(std::memory_order_relaxed);
-    row.failovers = slot.failovers.load(std::memory_order_relaxed);
     row.degraded_rejected =
         slot.degraded_rejected.load(std::memory_order_relaxed);
     for (std::size_t cls = 0; cls < kCriticalityCount; ++cls) {
@@ -219,7 +211,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     snap.total.recoveries += row.recoveries;
     snap.total.wal_records_replayed += row.wal_records_replayed;
     snap.total.wal_truncations += row.wal_truncations;
-    snap.total.failovers += row.failovers;
     snap.total.degraded_rejected += row.degraded_rejected;
     snap.total.criticality_shed += row.criticality_shed;
     for (std::size_t cls = 0; cls < kCriticalityCount; ++cls) {

@@ -59,8 +59,7 @@ struct ShardMetricsSnapshot {
   std::size_t recoveries = 0;            ///< WAL replays / restarts completed
   std::size_t wal_records_replayed = 0;  ///< records re-applied by recovery
   std::size_t wal_truncations = 0;       ///< torn tails truncated
-  std::size_t failovers = 0;         ///< jobs rerouted away from this shard
-  std::size_t degraded_rejected = 0; ///< rejected: no healthy shard available
+  std::size_t degraded_rejected = 0;  ///< refused: this shard unavailable
 
   // --- criticality classes (policy/criticality.hpp) ---
   /// Jobs shed with kRejectedCriticality: the class-aware policy refused
@@ -127,13 +126,12 @@ class MetricsRegistry {
                           double latency_seconds,
                           Criticality criticality = Criticality::kBackground);
 
-  // --- writer side (recovery / supervisor / failover router) ---
+  // --- writer side (recovery / ingest refusals) ---
   /// Records one completed WAL replay for the shard.
   void on_recovery(int shard, std::size_t records_replayed, bool truncated);
-  /// Records one job routed away from its (unavailable) home shard.
-  void on_failover(int home_shard, std::size_t count = 1);
-  /// Records jobs rejected with retry_after because no shard was available.
-  void on_degraded_reject(int home_shard, std::size_t count = 1);
+  /// Records jobs refused with retry_after because their shard was
+  /// unavailable.
+  void on_degraded_reject(int shard, std::size_t count = 1);
 
   [[nodiscard]] int shards() const { return shard_count_; }
 
@@ -154,14 +152,13 @@ class MetricsRegistry {
 
  private:
   struct alignas(64) Slot {
-    // fetch_add: many writers (producers, recovery, supervisor, failover
-    // router), except batches, bumped once per batch by the consumer.
+    // fetch_add: many writers (producers, recovery), except batches,
+    // bumped once per batch by the consumer.
     std::atomic<std::uint64_t> backpressure_rejected{0};
     std::atomic<std::uint64_t> batches{0};
     std::atomic<std::uint64_t> recoveries{0};
     std::atomic<std::uint64_t> wal_records_replayed{0};
     std::atomic<std::uint64_t> wal_truncations{0};
-    std::atomic<std::uint64_t> failovers{0};
     std::atomic<std::uint64_t> degraded_rejected{0};
     std::atomic<std::int64_t> queue_depth{0};
     std::atomic<std::uint64_t> peak_queue_depth{0};

@@ -12,6 +12,7 @@ std::string_view outcome_label(Outcome outcome) {
     case Outcome::kRejectedRetryAfter: return "retry_after";
     case Outcome::kFailover: return "failover";
     case Outcome::kRejectedCriticality: return "criticality";
+    case Outcome::kRejectedInvalid: return "invalid";
   }
   return "unknown";
 }
@@ -21,9 +22,6 @@ std::optional<Outcome> outcome_from_label(std::string_view label) {
     const auto outcome = static_cast<Outcome>(v);
     if (label == outcome_label(outcome)) return outcome;
   }
-  // Pre-unification trace CSVs wrote "shed" for a no-shard-available
-  // rejection; keep old audit artifacts replayable.
-  if (label == "shed") return Outcome::kRejectedRetryAfter;
   return std::nullopt;
 }
 
@@ -44,12 +42,14 @@ std::string describe(Outcome outcome) {
     case Outcome::kRejectedClosed:
       return "rejected: gateway closed";
     case Outcome::kRejectedRetryAfter:
-      return "rejected: no shard available (retry later)";
+      return "rejected: the job's shard is unavailable (retry later)";
     case Outcome::kFailover:
-      return "re-routed away from an unavailable home shard";
+      return "retired outcome, never produced";
     case Outcome::kRejectedCriticality:
       return "shed under queue pressure: criticality class below the "
              "occupancy cut";
+    case Outcome::kRejectedInvalid:
+      return "rejected: the job is not structurally valid";
   }
   return "unknown";
 }

@@ -1,6 +1,6 @@
 /// \file
 /// The one public outcome vocabulary of the admission service. Every
-/// submission attempt, rendered decision, and routing event is described
+/// submission attempt and rendered decision is described
 /// by a single `Outcome` value with a FIXED uint8_t wire encoding shared
 /// verbatim by the network protocol (net/protocol.hpp), the trace-ring
 /// CSV (service/trace_ring.hpp), and the Prometheus exporter's label
@@ -16,7 +16,8 @@
 /// outcomes append after the last value; existing values are NEVER
 /// renumbered or reused (a decoder from protocol version N must be able
 /// to name every outcome produced by version N, and unknown higher
-/// values must fail parsing loudly, not silently alias).
+/// values must fail parsing loudly, not silently alias). A retired outcome
+/// keeps its value and label and is never produced again.
 #pragma once
 
 #include <cstdint>
@@ -33,17 +34,21 @@ enum class Outcome : std::uint8_t {
   kRejected = 2,  ///< decision rendered: declined by the admission policy
   kRejectedQueueFull = 3,   ///< backpressure: the routed shard queue is full
   kRejectedClosed = 4,      ///< the gateway/shard has been shut down
-  kRejectedRetryAfter = 5,  ///< every shard unavailable; retry after backoff
-  kFailover = 6,  ///< routing event: re-homed away from an unavailable shard
+  kRejectedRetryAfter = 5,  ///< the job's shard is unavailable; retry later
+  kFailover = 6,  ///< retired, never produced; value and label reserved
   /// Shed by the class-aware policy: the routed shard is under queue
   /// pressure and the job's criticality class (policy/criticality.hpp) is
   /// below the occupancy cut. The queue was NOT full — higher classes were
   /// still admitted.
   kRejectedCriticality = 7,
+  /// Refused at ingest: the job is not structurally valid (proc <= 0,
+  /// deadline <= release, a negative release or a NaN), so no scheduler
+  /// may see it.
+  kRejectedInvalid = 8,
 };
 
 /// Number of defined outcomes (wire values 0..kOutcomeCount-1).
-inline constexpr std::uint8_t kOutcomeCount = 8;
+inline constexpr std::uint8_t kOutcomeCount = 9;
 
 /// True iff `value` is a defined wire value.
 [[nodiscard]] constexpr bool outcome_valid(std::uint8_t value) {
@@ -51,7 +56,7 @@ inline constexpr std::uint8_t kOutcomeCount = 8;
 }
 
 /// True iff the outcome is a rendered decision (a shard engine consulted
-/// the scheduler), as opposed to an ingest result or routing event.
+/// the scheduler), as opposed to an ingest result.
 [[nodiscard]] constexpr bool outcome_is_decision(Outcome outcome) {
   return outcome == Outcome::kAccepted || outcome == Outcome::kRejected;
 }
@@ -62,18 +67,18 @@ inline constexpr std::uint8_t kOutcomeCount = 8;
   return outcome == Outcome::kRejectedQueueFull ||
          outcome == Outcome::kRejectedClosed ||
          outcome == Outcome::kRejectedRetryAfter ||
-         outcome == Outcome::kRejectedCriticality;
+         outcome == Outcome::kRejectedCriticality ||
+         outcome == Outcome::kRejectedInvalid;
 }
 
 /// The canonical registry label: "enqueued", "accepted", "rejected",
-/// "queue_full", "closed", "retry_after", "failover", "criticality".
-/// These exact strings
+/// "queue_full", "closed", "retry_after", "failover" (retired),
+/// "criticality", "invalid". These exact strings
 /// appear as the trace CSV `kind` cells and the exporter's `outcome="…"`
 /// label values; they are as frozen as the numeric wire values.
 [[nodiscard]] std::string_view outcome_label(Outcome outcome);
 
-/// Inverse of outcome_label. Also accepts the pre-unification trace-CSV
-/// name "shed" (== kRejectedRetryAfter) so old audit artifacts replay.
+/// Inverse of outcome_label.
 [[nodiscard]] std::optional<Outcome> outcome_from_label(
     std::string_view label);
 

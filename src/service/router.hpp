@@ -2,7 +2,8 @@
 // stream across shards before any scheduling happens, so the same policy,
 // shard count and submission order always reproduce the same partition —
 // a sharded run is therefore directly comparable against a single-engine
-// run on the merged instance.
+// run on the merged instance. The router's choice is final: a job is
+// decided on its shard or refused, never sent to another shard.
 #pragma once
 
 #include <atomic>
@@ -41,20 +42,6 @@ class ShardRouter {
   /// The 64-bit mix (splitmix64 finalizer) used by kHash; exposed so tests
   /// can predict placements.
   [[nodiscard]] static std::uint64_t mix_id(JobId id);
-
-  /// Failover probe: the first shard in the deterministic cyclic order
-  /// home, home+1, ..., home-1 for which `available(shard)` holds, or -1
-  /// when none does. Deterministic given the availability view, so a fixed
-  /// set of down shards yields a stable spill pattern. Templated on the
-  /// predicate to keep the per-job hot path free of std::function.
-  template <typename Available>
-  [[nodiscard]] int failover_target(int home, Available&& available) const {
-    for (int step = 0; step < shards_; ++step) {
-      const int candidate = (home + step) % shards_;
-      if (available(candidate)) return candidate;
-    }
-    return -1;
-  }
 
  private:
   RoutingPolicy policy_;

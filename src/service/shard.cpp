@@ -127,8 +127,7 @@ void Shard::spawn(bool is_restart) {
 
 Shard::BatchEnqueueResult Shard::try_enqueue_batch(
     const Job* jobs, const std::uint32_t* indices, std::size_t count,
-    Clock::time_point now, const std::int16_t* homes,
-    std::uint64_t route_ctx) {
+    Clock::time_point now, std::uint64_t route_ctx) {
   BatchEnqueueResult result;
   // Tasks are constructed directly in their claimed ring cells: the
   // producer path performs no staging copy and no heap allocation.
@@ -138,8 +137,6 @@ Shard::BatchEnqueueResult Shard::try_enqueue_batch(
         const std::size_t index = indices != nullptr ? indices[i] : i;
         slot.job = jobs[index];
         slot.enqueued_at = now;
-        slot.home =
-            homes != nullptr ? homes[i] : static_cast<std::int16_t>(index_);
         slot.route_ctx = route_ctx == 0 ? 0 : route_ctx + index;
         ++per_class[criticality_index(slot.job.criticality)];
       });
@@ -272,9 +269,8 @@ void Shard::on_resolution(const Job& job, const Decision& decision) {
     parked->second.pop_front();
     if (parked->second.empty()) deferred_ctx_.erase(parked);
   }
-  pending_.push_back({job, decision, Clock::time_point{}, route_ctx,
-                      static_cast<std::int16_t>(index_),
-                      /*resolution=*/true});
+  pending_.push_back(
+      {job, decision, Clock::time_point{}, route_ctx, /*resolution=*/true});
 }
 
 void Shard::decide(const Task& task) {
@@ -292,7 +288,7 @@ void Shard::decide(const Task& task) {
     return;
   }
   pending_.push_back({task.job, outcome.decision, task.enqueued_at,
-                      task.route_ctx, task.home, /*resolution=*/false});
+                      task.route_ctx, /*resolution=*/false});
 }
 
 void Shard::publish() {
@@ -315,7 +311,6 @@ void Shard::publish() {
     if (config_.trace != nullptr) {
       TraceEvent event;
       event.job_id = entry.job.id;
-      event.home_shard = entry.home;
       event.shard = static_cast<std::int16_t>(index_);
       event.kind =
           entry.decision.accepted ? Outcome::kAccepted : Outcome::kRejected;

@@ -137,14 +137,11 @@ class Shard {
   /// null) with one claim on the lock-free ring. The accepted prefix is
   /// counted as enqueued; a shed tail is counted as backpressure only when
   /// the queue was full, not when it was closed (the shard is gone, not
-  /// busy). `homes`, when non-null, carries the router's home shard for
-  /// each offered job (parallel to `indices`; null means "this shard"),
-  /// recorded in trace events. The job at jobs[indices[i]] is echoed to
-  /// on_decision with `route_ctx + indices[i]`, or 0 when `route_ctx` is 0.
+  /// busy). The job at jobs[indices[i]] is echoed to on_decision with
+  /// `route_ctx + indices[i]`, or 0 when `route_ctx` is 0.
   [[nodiscard]] BatchEnqueueResult try_enqueue_batch(
       const Job* jobs, const std::uint32_t* indices, std::size_t count,
-      Clock::time_point now, const std::int16_t* homes = nullptr,
-      std::uint64_t route_ctx = 0);
+      Clock::time_point now, std::uint64_t route_ctx = 0);
 
   /// Closes the queue: producers start failing, the consumer drains the
   /// backlog and exits.
@@ -184,7 +181,7 @@ class Shard {
   }
   /// True once the worker died on an exception (injected fault, I/O error,
   /// scheduler bug). The queue stays open; jobs keep buffering until the
-  /// supervisor restarts the shard or routes around it.
+  /// supervisor restarts the shard.
   [[nodiscard]] bool worker_failed() const {
     return worker_failed_.load(std::memory_order_acquire);
   }
@@ -199,9 +196,12 @@ class Shard {
   struct Task {
     Job job;
     Clock::time_point enqueued_at;
-    std::int16_t home = -1;  ///< router's home shard (trace provenance)
     std::uint64_t route_ctx = 0;  ///< producer's context, echoed on decide
   };
+  /// A queue cell (the ring's 8-byte sequence number plus a Task) fits one
+  /// cache line, so a producer's claim and the consumer's pop each touch
+  /// one line per job.
+  static_assert(sizeof(std::uint64_t) + sizeof(Task) <= 64);
 
   /// A binding decision the decide pass rendered and the publish pass has
   /// yet to count, trace and notify.
@@ -211,7 +211,6 @@ class Shard {
     /// Queue entry of an immediate decision; ignored for a resolution.
     Clock::time_point enqueued_at;
     std::uint64_t route_ctx = 0;
-    std::int16_t home = -1;
     /// A δ-model resolution: its job left the queue when it was fed, so
     /// its admit latency is 0.
     bool resolution = false;

@@ -29,13 +29,6 @@ void ShardSupervisor::start() {
   });
 }
 
-bool ShardSupervisor::any_available() const {
-  for (std::size_t s = 0; s < states_.size(); ++s) {
-    if (available(static_cast<int>(s))) return true;
-  }
-  return false;
-}
-
 void ShardSupervisor::force_down(int shard) {
   State& state = *states_[static_cast<std::size_t>(shard)];
   state.forced_down.store(true, std::memory_order_release);
@@ -120,7 +113,7 @@ void ShardSupervisor::tick(std::chrono::steady_clock::time_point now) {
       continue;
     }
     // A live-but-wedged thread cannot be joined safely; a long stall only
-    // excludes it from routing until the heartbeat resumes. A young
+    // makes the shard refuse new jobs until the heartbeat resumes. A young
     // silence keeps the current state.
     const Health stalled = config_.classify(now - state.last_progress);
     if (stalled != Health::kHealthy) {

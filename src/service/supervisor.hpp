@@ -1,8 +1,8 @@
 // Shard supervision: a health state machine per shard, driven by the
 // worker heartbeat and exit flags Shard publishes, with in-place restart
 // of crashed workers (exponential backoff, deterministic jitter, circuit
-// breaker) and the availability view the gateway's failover routing reads
-// on its hot path.
+// breaker) and the availability view the gateway's ingest reads on its hot
+// path: a job whose shard is unavailable is refused with retry-after.
 //
 // Health FSM per shard:
 //
@@ -20,7 +20,7 @@
 //
 // Only a *dead* worker is restarted (the thread has exited and can be
 // joined). A live-but-wedged worker cannot be safely torn down, so a
-// stalled shard is merely excluded from routing (Degraded/Down) until its
+// stalled shard merely refuses new jobs (Degraded/Down) until its
 // heartbeat resumes. Commitments never migrate: a restart replays the
 // shard's own commit log onto the same machine group.
 #pragma once
@@ -45,8 +45,8 @@ struct SupervisorConfig : HealthPolicy {
   /// When false no monitor thread runs; health stays kHealthy unless
   /// forced (force_down) — supervision becomes a manual-only facility.
   bool enabled = true;
-  /// Suggested client back-off returned with a retry_after rejection when
-  /// no shard is available.
+  /// Suggested client back-off returned with a retry_after rejection of a
+  /// job whose shard is unavailable.
   std::chrono::milliseconds retry_after{50};
 };
 
@@ -78,8 +78,6 @@ class ShardSupervisor {
   [[nodiscard]] bool available(int shard) const {
     return health(shard) == Health::kHealthy;
   }
-
-  [[nodiscard]] bool any_available() const;
 
   /// Completed automatic + forced restarts of the shard.
   [[nodiscard]] int restarts(int shard) const {

@@ -2,7 +2,7 @@
 /// Per-decision structured tracing for the admission gateway: one
 /// fixed-capacity ring of TraceEvents per shard. The ring is the shard
 /// queue's lock-free BoundedRing (service/bounded_queue.hpp), so the
-/// shard's consumer thread and the gateway's failover path — which runs on
+/// shard's consumer thread and the gateway's ingest refusals — which run on
 /// arbitrary producer threads — can record into it concurrently. Nobody
 /// parks on a trace ring, so recording pays no fence. When the ring is
 /// full the event is DROPPED and an atomic counter is bumped: tracing never
@@ -19,8 +19,7 @@
 /// fixed header, round-trip-exact cells, and a strict parser that rejects
 /// malformed rows — a trace is an audit artifact, not best-effort output.
 /// The `kind` cell uses the frozen outcome_label() registry
-/// (service/outcome.hpp); the parser also accepts the pre-unification
-/// "shed" spelling of retry_after.
+/// (service/outcome.hpp).
 #pragma once
 
 #include <atomic>
@@ -44,7 +43,7 @@
 namespace slacksched {
 
 /// Sentinel for TraceEvent::latency_bin on events that carry no latency
-/// (failover/shed happen before any decision is rendered).
+/// (an ingest refusal happens before any decision is rendered).
 inline constexpr std::uint8_t kTraceNoLatencyBin = 0xff;
 /// Sentinel for TraceEvent::fsync_class when the shard runs without a WAL.
 inline constexpr std::uint8_t kTraceNoWal = 0xff;
@@ -54,11 +53,10 @@ inline constexpr std::uint8_t kTraceNoWal = 0xff;
 struct TraceEvent {
   std::uint64_t seq = 0;        ///< global record order (sort key)
   JobId job_id = 0;
-  std::int16_t home_shard = -1; ///< shard the router chose
-  std::int16_t shard = -1;      ///< shard that handled/recorded the event
+  std::int16_t shard = -1;  ///< the router's shard, which recorded the event
   Outcome kind = Outcome::kRejected;
   /// MetricsRegistry::latency_bin of the admit latency, or
-  /// kTraceNoLatencyBin for routing events.
+  /// kTraceNoLatencyBin for ingest refusals.
   std::uint8_t latency_bin = kTraceNoLatencyBin;
   /// FsyncPolicy of the recording shard's WAL, or kTraceNoWal.
   std::uint8_t fsync_class = kTraceNoWal;
@@ -119,15 +117,14 @@ class TraceRing {
   alignas(64) std::atomic<std::uint64_t> dropped_{0};
 };
 
-/// Writes `seq,job_id,home_shard,shard,kind,latency_bin,fsync` rows.
+/// Writes `seq,job_id,shard,kind,latency_bin,fsync` rows.
 inline void write_trace_csv(std::ostream& out,
                             const std::vector<TraceEvent>& events) {
-  CsvWriter writer(out, {"seq", "job_id", "home_shard", "shard", "kind",
-                         "latency_bin", "fsync"});
+  CsvWriter writer(out,
+                   {"seq", "job_id", "shard", "kind", "latency_bin", "fsync"});
   for (const TraceEvent& e : events) {
     writer.row({std::to_string(e.seq), std::to_string(e.job_id),
-                std::to_string(e.home_shard), std::to_string(e.shard),
-                to_string(e.kind),
+                std::to_string(e.shard), to_string(e.kind),
                 e.latency_bin == kTraceNoLatencyBin
                     ? std::string("-")
                     : std::to_string(e.latency_bin),
@@ -163,8 +160,8 @@ template <typename Int>
     std::istream& in) {
   const auto rows = parse_csv(in);
   if (rows.empty() ||
-      rows.front() != std::vector<std::string>{"seq", "job_id", "home_shard",
-                                               "shard", "kind", "latency_bin",
+      rows.front() != std::vector<std::string>{"seq", "job_id", "shard",
+                                               "kind", "latency_bin",
                                                "fsync"}) {
     throw PreconditionError("trace csv: missing or malformed header");
   }
@@ -176,31 +173,29 @@ template <typename Int>
       return PreconditionError("trace csv: row " + std::to_string(r) + " has " +
                                what);
     };
-    if (cells.size() != 7) throw bad_row("wrong arity");
+    if (cells.size() != 6) throw bad_row("wrong arity");
     TraceEvent e;
     e.seq = detail::trace_int<std::uint64_t>(cells[0], r);
     e.job_id = detail::trace_int<JobId>(cells[1], r);
-    e.home_shard = detail::trace_int<std::int16_t>(cells[2], r, -1);
-    e.shard = detail::trace_int<std::int16_t>(cells[3], r, -1);
-    const std::optional<Outcome> kind = outcome_from_label(cells[4]);
-    // Only decision, routing and policy-shed outcomes are recordable trace
-    // kinds.
+    e.shard = detail::trace_int<std::int16_t>(cells[2], r, 0);
+    const std::optional<Outcome> kind = outcome_from_label(cells[3]);
+    // Only decisions and the two recorded ingest refusals are trace kinds.
     if (!kind.has_value() ||
-        (!outcome_is_decision(*kind) && *kind != Outcome::kFailover &&
+        (!outcome_is_decision(*kind) &&
          *kind != Outcome::kRejectedRetryAfter &&
          *kind != Outcome::kRejectedCriticality)) {
       throw bad_row("a bad kind");
     }
     e.kind = *kind;
-    e.latency_bin = cells[5] == "-"
+    e.latency_bin = cells[4] == "-"
                         ? kTraceNoLatencyBin
                         : detail::trace_int<std::uint8_t>(
-                              cells[5], r, 0, kAdmitLatencyBins - 1);
-    if (cells[6] == "-") {
+                              cells[4], r, 0, kAdmitLatencyBins - 1);
+    if (cells[5] == "-") {
       e.fsync_class = kTraceNoWal;
-    } else if (cells[6] == to_string(FsyncPolicy::kNever)) {
+    } else if (cells[5] == to_string(FsyncPolicy::kNever)) {
       e.fsync_class = static_cast<std::uint8_t>(FsyncPolicy::kNever);
-    } else if (cells[6] == to_string(FsyncPolicy::kBatch)) {
+    } else if (cells[5] == to_string(FsyncPolicy::kBatch)) {
       e.fsync_class = static_cast<std::uint8_t>(FsyncPolicy::kBatch);
     } else {
       throw bad_row("a bad fsync class");

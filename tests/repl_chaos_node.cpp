@@ -182,7 +182,8 @@ int run_leader(int argc, char** argv) {
   const GatewayResult result = gateway.finish();
   if (!result.clean()) {
     std::fprintf(stderr, "unclean drain: %s\n",
-                 result.first_violation().c_str());
+                 result.errors.empty() ? result.first_violation().c_str()
+                                       : result.errors.front().c_str());
     return 1;
   }
   std::printf("DONE %llu\n",

@@ -192,6 +192,12 @@ TEST(FrontierSet, BestFitBreaksLoadTiesByLowestIndex) {
   EXPECT_EQ(set.best_fit(0.0, 1.0, 100.0), 1);
   // Zero-load tie between machines 0 and 2: index 0 wins.
   EXPECT_EQ(set.best_fit(0.0, 1.0, 4.0), 0);
+  // Related speeds take the linear scan; index order wins there too.
+  FrontierSet related(4, {1.0, 2.0, 1.0, 2.0});
+  related.update(1, 5.0);
+  related.update(3, 5.0);
+  EXPECT_EQ(related.best_fit(0.0, 1.0, 100.0), 1);
+  EXPECT_EQ(related.best_fit(0.0, 1.0, 4.0), 0);
 }
 
 TEST(FrontierSet, MinIdleMachineAdvancesWithTime) {

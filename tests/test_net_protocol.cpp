@@ -51,7 +51,8 @@ TEST(OutcomeWire, ValuesArePinned) {
   EXPECT_EQ(static_cast<std::uint8_t>(Outcome::kRejectedRetryAfter), 5);
   EXPECT_EQ(static_cast<std::uint8_t>(Outcome::kFailover), 6);
   EXPECT_EQ(static_cast<std::uint8_t>(Outcome::kRejectedCriticality), 7);
-  EXPECT_EQ(kOutcomeCount, 8);
+  EXPECT_EQ(static_cast<std::uint8_t>(Outcome::kRejectedInvalid), 8);
+  EXPECT_EQ(kOutcomeCount, 9);
 }
 
 TEST(OutcomeWire, LabelsArePinned) {
@@ -63,8 +64,8 @@ TEST(OutcomeWire, LabelsArePinned) {
   EXPECT_EQ(outcome_label(Outcome::kRejectedRetryAfter), "retry_after");
   EXPECT_EQ(outcome_label(Outcome::kFailover), "failover");
   EXPECT_EQ(outcome_label(Outcome::kRejectedCriticality), "criticality");
-  // Legacy trace spelling maps onto the unified vocabulary.
-  EXPECT_EQ(outcome_from_label("shed"), Outcome::kRejectedRetryAfter);
+  EXPECT_EQ(outcome_label(Outcome::kRejectedInvalid), "invalid");
+  EXPECT_FALSE(outcome_from_label("shed").has_value());
   EXPECT_FALSE(outcome_from_label("bogus").has_value());
 }
 

@@ -153,6 +153,45 @@ TEST(NetServer, BatchedSubmitMatchesSingleSubmits) {
   }
 }
 
+TEST(NetServer, InvalidJobInABatchIsRefusedAlone) {
+  // A client can put any doubles on the wire. The one job without
+  // processing time is answered REJECT invalid; the other seven are
+  // decided, and the drained gateway is clean.
+  AdmissionServer server(loopback_config(64), [](int) {
+    return std::make_unique<ThresholdScheduler>(0.1, 4);
+  });
+  AdmissionClient client("127.0.0.1", server.port());
+  std::vector<Job> jobs;
+  for (JobId id = 0; id < 8; ++id) {
+    Job job;
+    job.id = id;
+    job.proc = 1.0;
+    job.deadline = 10.0;
+    jobs.push_back(job);
+  }
+  jobs[5].proc = 0.0;
+  const std::uint64_t base = client.submit_batch(jobs);
+  const DrainedMsg drained = client.drain();
+  EXPECT_EQ(drained.submitted, 7u);
+  EXPECT_EQ(drained.clean, 1);
+
+  std::map<std::uint64_t, DecisionReply> by_request;
+  DecisionReply reply;
+  while (client.try_reply(reply)) by_request[reply.request_id] = reply;
+  ASSERT_EQ(by_request.size(), jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    ASSERT_TRUE(by_request.count(base + i)) << "job " << i;
+    const DecisionReply& got = by_request[base + i];
+    EXPECT_EQ(got.job_id, jobs[i].id);
+    if (i == 5) {
+      EXPECT_EQ(got.outcome, Outcome::kRejectedInvalid);
+    } else {
+      EXPECT_TRUE(got.is_decision()) << "job " << i << ": "
+                                     << to_string(got.outcome);
+    }
+  }
+}
+
 // ---------- no silent drops under backpressure ----------
 
 TEST(NetServer, EverySubmitIsAnsweredUnderBackpressure) {

@@ -307,6 +307,41 @@ TEST(Gateway, SubmitAfterFinishIsRejectedClosed) {
   EXPECT_EQ(statuses[0], Outcome::kRejectedClosed);
 }
 
+TEST(Gateway, InvalidJobIsRefusedAloneAtIngest) {
+  // One job of the batch has no processing time: no scheduler may see it.
+  // It alone is refused; its valid neighbours are decided in order.
+  GatewayConfig config;
+  config.shards = 1;
+  ShardDecisionLogs logs;
+  capture_decisions(config, logs);
+  AdmissionGateway gateway(
+      config, [](int) { return std::make_unique<ThresholdScheduler>(0.1, 4); });
+
+  std::vector<Job> jobs;
+  for (JobId id = 0; id < 8; ++id) {
+    jobs.push_back(make_job(id, 0.0, 1.0, 10.0));
+  }
+  jobs[3].proc = 0.0;
+  std::vector<Outcome> statuses(jobs.size());
+  const BatchSubmitResult batch = gateway.submit_batch(jobs, statuses);
+  EXPECT_EQ(batch.rejected_invalid, 1u);
+  EXPECT_EQ(batch.enqueued, 7u);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(statuses[i],
+              i == 3 ? Outcome::kRejectedInvalid : Outcome::kEnqueued)
+        << "job " << i;
+  }
+
+  const GatewayResult result = gateway.finish();
+  EXPECT_TRUE(result.errors.empty()) << result.errors.front();
+  EXPECT_TRUE(result.clean());
+  EXPECT_EQ(result.metrics.total.submitted, 7u);
+  ASSERT_EQ(logs[0].size(), 7u);
+  for (std::size_t k = 0; k < logs[0].size(); ++k) {
+    EXPECT_EQ(logs[0][k].job.id, static_cast<JobId>(k < 3 ? k : k + 1));
+  }
+}
+
 // ---------- gateway: multi-shard processing ----------
 
 TEST(Gateway, HashRoutedShardsProcessEverything) {

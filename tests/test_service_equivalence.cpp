@@ -337,8 +337,6 @@ TEST(ServiceEquivalence, RoutingSurvivesAFailoverAndRecoveryRoundTrip) {
   EXPECT_EQ(decided, instance.size());
   EXPECT_EQ(plain.result.merged.accepted_volume,
             bounced.result.merged.accepted_volume);
-  // Nothing was rerouted.
-  EXPECT_EQ(bounced.result.metrics.total.failovers, 0u);
 }
 
 }  // namespace

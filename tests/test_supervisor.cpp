@@ -1,6 +1,6 @@
 // Shard supervision: the health FSM, in-place restart of crashed workers,
 // the circuit breaker, administrative force_down/force_recover, and the
-// gateway's failover routing around unavailable shards. Also the shared
+// gateway's refusal of the jobs whose shard is unavailable. Also the shared
 // health pieces both supervisors run on: the one Backoff, HealthPolicy
 // validation, and the monitor thread's prompt stop.
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include <cmath>
 #include <filesystem>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "replication/replica_server.hpp"
 #include "service/fault_injection.hpp"
 #include "service/gateway.hpp"
+#include "support/gateway_capture.hpp"
 
 namespace slacksched {
 namespace {
@@ -257,27 +259,78 @@ TEST(Supervisor, ForceDownDrainsAndForceRecoverRestarts) {
   std::filesystem::remove_all(config.wal_dir);
 }
 
-TEST(Supervisor, FailoverSpillsNewJobsToTheHealthyShard) {
+TEST(Supervisor, UnavailableShardRefusesOnlyItsOwnJobs) {
   GatewayConfig config;
   config.shards = 2;
-  config.routing = RoutingPolicy::kRoundRobin;
+  config.routing = RoutingPolicy::kHash;
   config.supervisor.enabled = false;  // manual control only
+  config.wal_dir = wal_dir("own_jobs");  // force_recover replays the log
+  config.enable_tracing = true;
+  ShardDecisionLogs logs;
+  capture_decisions(config, logs);
   AdmissionGateway gateway(
       config, [](int) { return std::make_unique<GreedyScheduler>(2); });
 
   gateway.supervisor().force_down(0);
   EXPECT_FALSE(gateway.supervisor().available(0));
-  EXPECT_TRUE(gateway.supervisor().any_available());
 
-  // Round-robin homes half the jobs on shard 0; every one of those must
-  // spill to shard 1, and existing commitments must not move.
-  submit_now(gateway, easy_jobs(20, 0, 0.0));
+  // Hash routing homes each job by its id alone; a job homed on the down
+  // shard is refused, never decided by the healthy one.
+  const std::vector<Job> jobs = easy_jobs(20, 0, 0.0);
+  std::vector<Outcome> statuses(jobs.size());
+  const BatchSubmitResult batch = gateway.submit_batch(jobs, statuses);
+  std::vector<Job> refused;
+  std::set<JobId> homed_on_1;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    if (ShardRouter::mix_id(jobs[i].id) % 2 == 0) {
+      EXPECT_EQ(statuses[i], Outcome::kRejectedRetryAfter) << jobs[i].id;
+      refused.push_back(jobs[i]);
+    } else {
+      EXPECT_EQ(statuses[i], Outcome::kEnqueued) << jobs[i].id;
+      homed_on_1.insert(jobs[i].id);
+    }
+  }
+  ASSERT_FALSE(refused.empty());
+  ASSERT_FALSE(homed_on_1.empty());
+  EXPECT_EQ(batch.rejected_retry_after, refused.size());
+  EXPECT_EQ(batch.enqueued, homed_on_1.size());
+  ASSERT_TRUE(eventually([&] {
+    return gateway.metrics_snapshot().shards[1].submitted ==
+           homed_on_1.size();
+  }));
+  const MetricsSnapshot live = gateway.metrics_snapshot();
+  EXPECT_EQ(live.shards[0].degraded_rejected, refused.size());
+  EXPECT_EQ(live.shards[1].degraded_rejected, 0u);
+  EXPECT_EQ(live.shards[0].submitted, 0u);  // shard 0 decided nothing
+
+  // Each refusal is traced on its own shard's ring, naming that shard.
+  std::vector<TraceEvent> events;
+  gateway.trace_ring(0)->drain(events);
+  ASSERT_EQ(events.size(), refused.size());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].job_id, refused[i].id);
+    EXPECT_EQ(events[i].shard, 0);
+    EXPECT_EQ(events[i].kind, Outcome::kRejectedRetryAfter);
+  }
+
+  // Once shard 0 is back, the refused jobs are decided there on retry.
+  ASSERT_TRUE(eventually([&] { return gateway.supervisor().force_recover(0); }))
+      << "force_recover never succeeded";
+  std::vector<Outcome> retried(refused.size());
+  EXPECT_EQ(gateway.submit_batch(refused, retried).enqueued, refused.size());
   const GatewayResult result = gateway.finish();
   EXPECT_TRUE(result.clean());
-  EXPECT_EQ(result.shards[0].schedule.job_count(), 0u);
-  EXPECT_EQ(result.shards[1].schedule.job_count(), 20u);
-  EXPECT_EQ(result.metrics.total.failovers, 10u);
-  EXPECT_EQ(result.metrics.shards[0].failovers, 10u);  // charged to the home
+  ASSERT_EQ(logs[0].size(), refused.size());
+  for (std::size_t i = 0; i < refused.size(); ++i) {
+    EXPECT_EQ(logs[0][i].job.id, refused[i].id);
+  }
+  ASSERT_EQ(logs[1].size(), homed_on_1.size());
+  for (const DecisionRecord& record : logs[1]) {
+    EXPECT_TRUE(homed_on_1.count(record.job.id)) << record.job.id;
+  }
+  EXPECT_EQ(result.shards[0].schedule.job_count(), refused.size());
+  EXPECT_EQ(result.shards[1].schedule.job_count(), homed_on_1.size());
+  std::filesystem::remove_all(config.wal_dir);
 }
 
 TEST(Supervisor, AllShardsDownShedsWithRetryAfter) {
@@ -289,7 +342,6 @@ TEST(Supervisor, AllShardsDownShedsWithRetryAfter) {
       config, [](int) { return std::make_unique<GreedyScheduler>(2); });
 
   gateway.supervisor().force_down(0);
-  EXPECT_FALSE(gateway.supervisor().any_available());
   EXPECT_EQ(gateway.submit(make_job(1, 0.0, 1.0, 10.0)),
             Outcome::kRejectedRetryAfter);
   EXPECT_EQ(gateway.retry_after(), milliseconds(7));

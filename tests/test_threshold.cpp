@@ -67,6 +67,14 @@ TEST(Threshold, RejectsBelowThresholdAcceptsAtThreshold) {
       alg.on_arrival(make_job(2, 0.0, 1.0, d_lim - 0.01)).accepted);
   // ...and one at the threshold is accepted.
   EXPECT_TRUE(alg.on_arrival(make_job(3, 0.0, 1.0, d_lim)).accepted);
+  // The comparison tolerates rounding: half a kTimeEps below the
+  // threshold still counts as at it (same state, fresh scheduler).
+  ThresholdScheduler tolerant(eps, 1);
+  ASSERT_TRUE(tolerant.on_arrival(make_job(1, 0.0, 2.0, 100.0)).accepted);
+  ASSERT_EQ(tolerant.deadline_threshold(0.0), d_lim);
+  EXPECT_TRUE(
+      tolerant.on_arrival(make_job(4, 0.0, 1.0, d_lim - kTimeEps / 2))
+          .accepted);
 }
 
 TEST(Threshold, MultiMachineThresholdUsesLeastLoaded) {

@@ -22,7 +22,6 @@ namespace {
 TraceEvent decision_event(JobId id, int shard, bool accepted) {
   TraceEvent e;
   e.job_id = id;
-  e.home_shard = static_cast<std::int16_t>(shard);
   e.shard = static_cast<std::int16_t>(shard);
   e.kind = accepted ? Outcome::kAccepted : Outcome::kRejected;
   e.latency_bin = 3;
@@ -172,25 +171,22 @@ TEST(TraceCsv, RoundTripsEveryFieldIncludingSentinels) {
   std::vector<TraceEvent> events;
   TraceEvent d = decision_event(42, 3, true);
   d.seq = 7;
-  d.home_shard = 1;  // failed over: home != actual
   events.push_back(d);
-  TraceEvent f;
-  f.seq = 8;
-  f.job_id = 43;
-  f.home_shard = 1;
-  f.shard = 3;
-  f.kind = Outcome::kFailover;  // routing event: no latency, no WAL
-  events.push_back(f);
-  TraceEvent s;
-  s.seq = 9;
-  s.job_id = 44;
-  s.home_shard = 2;
-  s.shard = -1;  // shed: never reached a shard
-  s.kind = Outcome::kRejectedRetryAfter;
-  events.push_back(s);
+  TraceEvent r;
+  r.seq = 8;
+  r.job_id = 43;
+  r.shard = 1;
+  r.kind = Outcome::kRejectedRetryAfter;  // refused: no latency, no WAL
+  events.push_back(r);
+  TraceEvent c;
+  c.seq = 9;
+  c.job_id = 44;
+  c.shard = 2;
+  c.kind = Outcome::kRejectedCriticality;
+  events.push_back(c);
   TraceEvent edge = decision_event(45, 0, false);  // every range's edge
   edge.seq = std::numeric_limits<std::uint64_t>::max();
-  edge.home_shard = std::numeric_limits<std::int16_t>::max();
+  edge.shard = std::numeric_limits<std::int16_t>::max();
   edge.latency_bin = static_cast<std::uint8_t>(kAdmitLatencyBins - 1);
   events.push_back(edge);
 
@@ -210,29 +206,35 @@ TEST(TraceCsv, RejectsMalformedInput) {
     EXPECT_THROW((void)read_trace_csv(in), PreconditionError);
   }
   {
+    // The old 7-column header (the router's shard before the recording
+    // one), with a row it would have read.
     std::istringstream in(
-        "seq,job_id,home_shard,shard,kind,latency_bin,fsync\n"
-        "0,1,0,0,exploded,-,-\n");
+        "seq,job_id,home_"
+        "shard,shard,kind,latency_bin,fsync\n"
+        "0,1,0,0,accepted,3,-\n");
     EXPECT_THROW((void)read_trace_csv(in), PreconditionError);
   }
   {
     std::istringstream in(
-        "seq,job_id,home_shard,shard,kind,latency_bin,fsync\n"
-        "0,1,0,0,accepted,3\n");
+        "seq,job_id,shard,kind,latency_bin,fsync\n"
+        "0,1,0,accepted,3\n");
     EXPECT_THROW((void)read_trace_csv(in), PreconditionError);
   }
   // Cells that a narrowing parse would silently wrap: a latency bin past
   // the uint8 range, below zero (it would alias the "-" sentinel) or past
-  // the last admit-latency bin; a signed seq; a shard past int16.
-  for (const char* row : {"0,1,0,0,accepted,300,-", "0,1,0,0,accepted,-1,-",
-                          "0,1,0,0,accepted,28,-", "-1,1,0,0,accepted,3,-",
-                          "0,1,70000,0,accepted,3,-",
-                          "0,1,0,70000,accepted,3,-",
-                          "0,1,-2,0,accepted,3,-"}) {
+  // the last admit-latency bin; a signed seq; a shard past int16 or below
+  // 0. Kinds no trace records: an unknown one, the retired "failover", the
+  // pre-unification "shed", and the ingest results "enqueued" and
+  // "invalid".
+  for (const char* row :
+       {"0,1,0,accepted,300,-", "0,1,0,accepted,-1,-", "0,1,0,accepted,28,-",
+        "-1,1,0,accepted,3,-", "0,1,70000,accepted,3,-",
+        "0,1,-1,accepted,3,-", "0,1,0,exploded,-,-", "0,1,0,failover,-,-",
+        "0,1,0,shed,-,-", "0,1,0,enqueued,-,-", "0,1,0,invalid,-,-"}) {
     SCOPED_TRACE(row);
     std::istringstream in(
-        std::string("seq,job_id,home_shard,shard,kind,latency_bin,fsync\n") +
-        row + "\n");
+        std::string("seq,job_id,shard,kind,latency_bin,fsync\n") + row +
+        "\n");
     EXPECT_THROW((void)read_trace_csv(in), PreconditionError);
   }
 }

@@ -83,8 +83,11 @@ std::vector<char> admission_stream() {
   using namespace net;
   std::vector<char> out;
   encode_submit(out, SubmitMsg{1, make_job(42, 1.5, 2.25, 10.0)});
+  // The third job has no processing time: the decoder must hand it on
+  // unchanged, for the gateway to refuse.
   const std::vector<Job> jobs = {make_job(1, 0.0, 1.0, 4.0),
-                                 make_job(2, 0.5, 2.0, 8.0)};
+                                 make_job(2, 0.5, 2.0, 8.0),
+                                 make_job(3, 0.0, 0.0, 4.0)};
   encode_submit_batch(out, 1000, jobs);
   encode_decision(out, DecisionMsg{9, 1234, Outcome::kAccepted, 3, 17.75});
   encode_reject(out, RejectMsg{5, -1, Outcome::kRejectedRetryAfter, 250});

@@ -1,5 +1,6 @@
 // Golden bytes of every framed format the project puts on a wire or a disk:
-// one fixed input per admission frame type, per replication frame type
+// one fixed input per admission frame type (REJECT twice: retry-after and
+// an invalid job), per replication frame type
 // (APPEND both through encode_append and sealed in place by seal_append),
 // and one WAL record, each compared with the hex it encoded to before the
 // three formats shared one frame codec. A round trip still passes when the
@@ -91,6 +92,13 @@ TEST(WireGolden, AdmissionFrames) {
             "0104000015000000316961040500000000000000ffffffffffffffff"
             "05fa000000")
       << "REJECT";
+
+  bytes.clear();
+  encode_reject(bytes, RejectMsg{6, 42, Outcome::kRejectedInvalid, 0});
+  EXPECT_EQ(hex(bytes),
+            "01040000150000005fa6680e06000000000000002a00000000000000"
+            "0800000000")
+      << "REJECT invalid";
 
   bytes.clear();
   encode_drain(bytes);
