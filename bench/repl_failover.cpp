@@ -12,7 +12,7 @@
 // leader's records; the decided-jobs/sec column is the price of that
 // guarantee. Expectation: both modes pay the record formatting and
 // follower I/O; ack-on-batch also waits for one follower round trip per
-// shard batch.
+// shard group (every batch a shard decides under one sync).
 //
 // Phase 2 (failover): repeatedly runs leader traffic into a follower,
 // destroys the leader mid-stream (the process-death model: heartbeats

@@ -94,8 +94,9 @@ enum class NackReason : std::uint8_t {
 enum class ReplAckMode : std::uint8_t {
   kAsync = 0,       ///< stream without waiting: a node loss can lose told
                     ///< accepts
-  kAckOnBatch = 1,  ///< block at each shard batch boundary, before the
-                    ///< batch's decisions are published
+  kAckOnBatch = 1,  ///< block at each shard group boundary (one sync per
+                    ///< group of batches), before the group's decisions
+                    ///< are published
 };
 
 [[nodiscard]] std::string to_string(ReplAckMode mode);

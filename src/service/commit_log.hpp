@@ -41,11 +41,12 @@
 namespace slacksched {
 
 /// When appended records are forced to stable storage. The shard publishes
-/// a batch's decisions after its sync_batch(), so under kBatch no accept a
+/// a group's decisions after its sync_batch(), so under kBatch no accept a
 /// client was told is lost in a crash.
 enum class FsyncPolicy : std::uint8_t {
   kNever,  ///< no fsync: a crash can lose told accepts
-  kBatch,  ///< one fsync per consumed shard batch (sync_batch())
+  kBatch,  ///< one fsync per shard group (sync_batch()): every batch the
+           ///< shard decided since its last publication
 };
 
 [[nodiscard]] std::string to_string(FsyncPolicy policy);

@@ -27,7 +27,7 @@ enum class FaultSite : std::uint8_t {
   kCommit,       ///< worker crashes after the WAL append, before the
                  ///< in-memory commit (recovery must replay the record)
   kFsync,        ///< worker crashes at the fsync point of the commit log
-  kWorkerPanic,  ///< worker crashes at a clean batch boundary
+  kWorkerPanic,  ///< worker crashes at a clean group boundary
   kReplicationFrame,  ///< leader crashes mid-way through sending one
                       ///< replication APPEND frame (torn frame on the wire)
   kFailover,  ///< follower crashes between per-shard replays during its
@@ -94,7 +94,7 @@ class FaultPlan {
   /// Like random_crash but the trigger SIGKILLs the whole process
   /// (FaultAction::kKill) and the site pool covers the node-failure
   /// surface: kCommit (mid-batch), kFsync (mid-fsync), kReplicationFrame
-  /// (mid-frame on the replication wire), kWorkerPanic (batch boundary).
+  /// (mid-frame on the replication wire), kWorkerPanic (group boundary).
   [[nodiscard]] static FaultPlan random_kill(std::uint64_t seed, int shards,
                                              std::uint64_t max_hit);
 

@@ -59,8 +59,8 @@ using ShardSchedulerFactory =
 
 /// Invoked by shard consumer threads for every rendered, legal decision
 /// (see GatewayConfig::on_decision). Calls arrive in decision order per
-/// shard, from that shard's consumer thread, once the decision's popped
-/// batch has been decided whole. `route_ctx` is the opaque value the
+/// shard, from that shard's consumer thread, once the decision's group
+/// has been decided whole. `route_ctx` is the opaque value the
 /// producer passed to submit(), or `route_ctx + i` for job i of a
 /// submit_batch() (0 by default, and 0 stays 0 for every job of a
 /// batch: no context). The network front end stores (loop << 56) | ticket
@@ -77,7 +77,7 @@ struct GatewayConfig {
   /// lock-free ring indexes slots with a mask, and silently rounding a
   /// bound the operator configured would skew shed-rate math.
   std::size_t queue_capacity = 4096;
-  std::size_t batch_size = 256;       ///< max jobs per consumer wake-up
+  std::size_t batch_size = 256;       ///< max jobs per consumer pop
   RoutingPolicy routing = RoutingPolicy::kRoundRobin;
   /// Keep every shard's per-job decision log (ShardConfig twin). Off by
   /// default; collect decisions through on_decision instead.
@@ -142,12 +142,12 @@ struct GatewayConfig {
   // --- integration hooks (see net/admission_server.hpp) ---
   /// Per-decision notification: invoked by the deciding shard's consumer
   /// thread after the decision is validated, counted and traced, in
-  /// decision order within the shard. A shard publishes at its batch
-  /// boundary: it decides a popped batch whole, then notifies each of its
-  /// decisions (ShardConfig::on_decision). The network front end uses
-  /// this to answer each SUBMIT frame; leave empty when unused. The
-  /// callback runs on the decision hot path — it must be fast and must
-  /// not throw.
+  /// decision order within the shard. A shard publishes at its group
+  /// boundary: it decides a group of popped batches whole (one pop without
+  /// a WAL), then notifies each of its decisions (ShardConfig::on_decision).
+  /// The network front end uses this to answer each SUBMIT frame; leave
+  /// empty when unused. The callback runs on the decision hot path — it
+  /// must be fast and must not throw.
   GatewayDecisionCallback on_decision;
 
   /// Checks the configuration for values that would otherwise misbehave

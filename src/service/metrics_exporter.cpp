@@ -68,8 +68,12 @@ constexpr Field<std::size_t> kCountFields[] = {
     {"degraded_rejected_total",
      "Jobs refused with retry-after because their shard was unavailable.",
      "counter", &ShardMetricsSnapshot::degraded_rejected},
-    {"batches_total", "Consumer wake-ups that found work.", "counter",
+    {"batches_total", "Consumer pops that found work.", "counter",
      &ShardMetricsSnapshot::batches},
+    {"wal_syncs_total",
+     "Commit-log syncs (fsync, then the follower ACK), one per group of "
+     "batches decided before it publishes.",
+     "counter", &ShardMetricsSnapshot::wal_syncs},
     {"recoveries_total", "Completed WAL replays / shard restarts.",
      "counter", &ShardMetricsSnapshot::recoveries},
     {"wal_records_replayed_total",

@@ -93,6 +93,13 @@ void MetricsRegistry::on_batch(int shard, std::size_t popped) {
                              std::memory_order_relaxed);
 }
 
+void MetricsRegistry::on_wal_sync(int shard) {
+  std::atomic<std::uint64_t>& syncs =
+      slots_[static_cast<std::size_t>(shard)].wal_syncs;
+  syncs.store(syncs.load(std::memory_order_relaxed) + 1,
+              std::memory_order_relaxed);
+}
+
 void MetricsRegistry::on_schedule_held(int shard, std::size_t held) {
   slots_[static_cast<std::size_t>(shard)].schedule_held_placements.store(
       held, std::memory_order_relaxed);
@@ -158,6 +165,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     row.peak_queue_depth =
         slot.peak_queue_depth.load(std::memory_order_relaxed);
     row.batches = slot.batches.load(std::memory_order_relaxed);
+    row.wal_syncs = slot.wal_syncs.load(std::memory_order_relaxed);
     row.schedule_held_placements =
         slot.schedule_held_placements.load(std::memory_order_relaxed);
     row.recoveries = slot.recoveries.load(std::memory_order_relaxed);
@@ -207,6 +215,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     snap.total.peak_queue_depth =
         std::max(snap.total.peak_queue_depth, row.peak_queue_depth);
     snap.total.batches += row.batches;
+    snap.total.wal_syncs += row.wal_syncs;
     snap.total.schedule_held_placements += row.schedule_held_placements;
     snap.total.recoveries += row.recoveries;
     snap.total.wal_records_replayed += row.wal_records_replayed;

@@ -3,8 +3,8 @@
 // gateway's producer threads (enqueue/backpressure counters) and each
 // shard's consumer thread (decision counters); every field is an atomic,
 // so snapshot() is a lock-free read that never stalls the ingest path.
-// A shard publishes its decisions at its batch boundary (service/shard.hpp),
-// so a decision is counted when its batch is published.
+// A shard publishes its decisions at its group boundary (service/shard.hpp),
+// so a decision is counted when its group is published.
 //
 // The per-shard decision counters are the live analogue of RunMetrics, and
 // the snapshot carries the same totals the dashboard statistics of
@@ -50,9 +50,10 @@ struct ShardMetricsSnapshot {
   /// cursors, so under concurrency the observed peak can transiently
   /// exceed the queue capacity by up to one consumer batch.
   std::size_t peak_queue_depth = 0;
-  std::size_t batches = 0;           ///< consumer wake-ups that found work
+  std::size_t batches = 0;           ///< consumer pops that found work
+  std::size_t wal_syncs = 0;  ///< sync_batch() calls, one per WAL group
   /// Committed placements the shard's schedule still holds, as of its last
-  /// batch boundary (the settled past excluded): the live-state size.
+  /// group boundary (the settled past excluded): the live-state size.
   std::size_t schedule_held_placements = 0;
 
   // --- fault-tolerance counters (service/supervisor.hpp) ---
@@ -115,10 +116,12 @@ class MetricsRegistry {
 
   // --- writer side (the shard's single consumer thread) ---
   void on_batch(int shard, std::size_t popped);
-  /// Stores the shard's held-placement gauge (one relaxed write per batch).
+  /// Records one group made durable by one sync_batch().
+  void on_wal_sync(int shard);
+  /// Stores the shard's held-placement gauge (one relaxed write per group).
   void on_schedule_held(int shard, std::size_t held);
   /// Records one published decision. `latency_seconds` is queue-entry to
-  /// batch-publication wall time (0 for a δ-model resolution);
+  /// group-publication wall time (0 for a δ-model resolution);
   /// `criticality` attributes the decision to its class family. Returns
   /// the latency bin the decision landed in so decision tracing can reuse
   /// it without a second search. Single writer per shard.
@@ -165,9 +168,10 @@ class MetricsRegistry {
     // Single writer, the shard's consumer thread (one at a time: a
     // restarted worker starts after the dead one is joined): plain
     // load+store, no locked read-modify-write. schedule_held_placements,
-    // the volumes, class_accepted, class_rejected, class_latency_sum and
-    // class_latency.
+    // wal_syncs, the volumes, class_accepted, class_rejected,
+    // class_latency_sum and class_latency.
     std::atomic<std::uint64_t> schedule_held_placements{0};
+    std::atomic<std::uint64_t> wal_syncs{0};
     std::atomic<double> accepted_volume{0.0};
     std::atomic<double> rejected_volume{0.0};
     // Per-criticality-class counters (policy/criticality.hpp);

@@ -1,5 +1,6 @@
 #include "service/shard.hpp"
 
+#include <algorithm>
 #include <array>
 #include <utility>
 
@@ -44,7 +45,8 @@ Shard::Shard(int index, SchedulerFactory factory, const ShardConfig& config,
   SLACKSCHED_EXPECTS(config.batch_size >= 1);
   SLACKSCHED_EXPECTS(config.pop_timeout.count() >= 1);
   SLACKSCHED_EXPECTS(factory_ != nullptr);
-  pending_.reserve(config.batch_size);
+  pending_.reserve(config.wal_path.empty() ? config.batch_size
+                                           : config.queue_capacity);
 }
 
 Shard::~Shard() {
@@ -217,31 +219,45 @@ void Shard::set_error(std::string message) {
 
 void Shard::worker_loop() {
   // One binding decision per job in FIFO (= submission) order, through the
-  // engine's StreamingRunner, in two passes per popped batch: decide every
-  // job, then, once the batch's records are durable (local fsync, then the
-  // follower's ACK when replicating), publish every decision. Any
+  // engine's StreamingRunner, in two passes per group: decide every job,
+  // then, once the group's records are durable (local fsync, then the
+  // follower's ACK when replicating), publish every decision. A group is
+  // one pop without a WAL. With one, it is every batch the ring already
+  // holds, up to one ring's worth (queue_capacity jobs, so sustained
+  // overload still publishes): one sync covers the whole backlog. Any
   // exception — injected fault, WAL I/O error, replication loss, scheduler
   // bug — marks the shard failed (one thrown before the publish pass
-  // publishes nothing of its batch); the supervisor decides whether to
+  // publishes nothing of its group); the supervisor decides whether to
   // restart it.
   try {
     pin_current_thread(config_.pin_cpu);
     while (true) {
       heartbeat_.store(heartbeat_.load(std::memory_order_relaxed) + 1,
                        std::memory_order_relaxed);
-      const PopOutcome popped = queue_.pop_batch_for(
+      PopOutcome popped = queue_.pop_batch_for(
           batch_.get(), config_.batch_size, config_.pop_timeout);
       if (popped.count == 0) {
         if (popped.closed) break;  // closed and drained
         continue;                  // idle wake: heartbeat already advanced
       }
-      metrics_.on_batch(index_, popped.count);
-      // Crash after the pop, before any decision: the popped jobs are lost
-      // undecided (never accepted, so nothing durable is owed for them).
-      SLACKSCHED_FAULT_CRASH_POINT(config_.faults, FaultSite::kDequeue,
-                                   index_);
-      for (std::size_t i = 0; i < popped.count; ++i) decide(batch_[i]);
-      if (wal_) wal_->sync_batch();
+      std::size_t grouped = 0;
+      while (popped.count > 0) {
+        metrics_.on_batch(index_, popped.count);
+        // Crash after a pop, before its decisions: the popped jobs are lost
+        // undecided (never accepted, so nothing durable is owed for them).
+        SLACKSCHED_FAULT_CRASH_POINT(config_.faults, FaultSite::kDequeue,
+                                     index_);
+        for (std::size_t i = 0; i < popped.count; ++i) decide(batch_[i]);
+        grouped += popped.count;
+        if (!wal_ || grouped >= config_.queue_capacity) break;
+        popped = queue_.try_pop_batch(
+            batch_.get(),
+            std::min(config_.batch_size, config_.queue_capacity - grouped));
+      }
+      if (wal_) {
+        wal_->sync_batch();
+        metrics_.on_wal_sync(index_);
+      }
       publish();
       // Bound the held schedule by the live commitments: one
       // partition_point per machine, no allocation.

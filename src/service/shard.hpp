@@ -7,7 +7,7 @@
 /// gateway is byte-identical to the sequential engine. With decision
 /// recording disabled (the default) the consumer loop accumulates metrics
 /// reserve-free and allocation-free outside the committed schedule, and
-/// after every consumed batch it settles that schedule
+/// after every published group it settles that schedule
 /// (StreamingRunner::settle): the placements a shard holds are bounded by
 /// its live commitments, not by its history. The aggregates (job count,
 /// volume, makespan, frontiers) keep counting the whole run; the commit log
@@ -15,7 +15,7 @@
 ///
 /// Crash safety (optional, enabled by ShardConfig::wal_path): every
 /// accepted commitment is appended to a per-shard commit log *before* it is
-/// applied in memory, a batch's decisions are published only once its
+/// applied in memory, a group's decisions are published only once its
 /// records are durable, the worker publishes a heartbeat the supervisor
 /// (service/supervisor.hpp) watches, and a crashed worker can be restarted
 /// in place — the replacement replays the log, rebuilds the committed
@@ -93,13 +93,15 @@ struct ShardConfig {
   /// Optional per-decision notification, invoked by the consumer thread
   /// after each rendered, legal decision has been validated, counted and
   /// traced — in decision (FIFO) order. Decisions are published at their
-  /// batch's boundary: a job's call comes after the rest of its popped
-  /// batch (at most batch_size jobs) has been decided and, with a WAL, after
-  /// the batch's records are durable (CommitLog::sync_batch: the fsync
-  /// under kBatch, then the follower's ACK under kAckOnBatch). A worker that
-  /// dies before then publishes none of that batch, so under kBatch an
-  /// accept it reports survives a crash. Runs on the decision hot path:
-  /// must be fast and must not throw.
+  /// group's boundary: a job's call comes after the rest of its group has
+  /// been decided and, with a WAL, after the group's records are durable
+  /// (CommitLog::sync_batch: the fsync under kBatch, then the follower's
+  /// ACK under kAckOnBatch). Without a WAL a group is one pop (at most
+  /// batch_size jobs); with one, it is every batch the queue holds when the
+  /// worker gets to it, up to queue_capacity jobs. A worker that dies before
+  /// the sync publishes none of that group, so under kBatch an accept it
+  /// reports survives a crash. Runs on the decision hot path: must be fast
+  /// and must not throw.
   ShardDecisionCallback on_decision;
 };
 
@@ -228,7 +230,7 @@ class Shard {
   void on_resolution(const Job& job, const Decision& decision);
   /// Publish pass: the one bookkeeping path of every binding decision,
   /// immediate or resolved. Reads the clock once, then per queued decision
-  /// in order: metrics, trace event, on_decision. Runs after the batch's
+  /// in order: metrics, trace event, on_decision. Runs after the group's
   /// records are durable. An immediate decision's admit latency runs from
   /// queue entry to this publication.
   void publish();
@@ -241,11 +243,12 @@ class Shard {
   /// by the consumer thread, so no lock; cleared on (re)spawn — a crashed
   /// worker's parked contexts die with it, like its undecided queue tail.
   std::unordered_map<JobId, std::deque<std::uint64_t>> deferred_ctx_;
-  /// Decisions rendered by the current batch's decide pass, in decision
-  /// order, awaiting the publish pass. Reserved for batch_size entries
-  /// once per shard (it grows only for a burst of resolutions) and cleared
-  /// on (re)spawn: a worker that dies before its batch is durable publishes
-  /// none of it.
+  /// Decisions rendered by the current group's decide pass, in decision
+  /// order, awaiting the publish pass. Reserved once per shard for the
+  /// largest group (queue_capacity entries with a WAL, batch_size without),
+  /// so the steady state makes no allocation; it grows only for a burst of
+  /// resolutions. Cleared on (re)spawn: a worker that dies before its
+  /// group is durable publishes none of it.
   std::vector<Publication> pending_;
 
   int index_;
@@ -254,7 +257,7 @@ class Shard {
   MetricsRegistry& metrics_;
   BoundedMpscQueue<Task> queue_;
   /// The consumer's popped batch (batch_size Tasks), made once per shard
-  /// and reused by every batch and every restarted worker.
+  /// and reused by every pop and every restarted worker.
   std::unique_ptr<Task[]> batch_;
   std::unique_ptr<OnlineScheduler> scheduler_;
   std::unique_ptr<CommitLog> wal_;

@@ -17,8 +17,10 @@
 //       so the driver knows a lower bound on what the dead leader had been
 //       promised was replicated. The id of every ACCEPTED the gateway hands
 //       to on_decision — what a client would be told — is appended durably
-//       to <ledger_dir>/accepted.bin before the callback returns. Prints
-//       "DONE <accepted>" on clean exit.
+//       to <ledger_dir>/accepted.bin before the callback returns. Jobs go
+//       in waves, each submitted once the previous one is decided, so the
+//       run crosses several group boundaries. Prints "DONE <accepted>" on
+//       clean exit.
 //
 //   promote <wal_dir> <shards> <kill_shard>
 //       Promotes the replica logs with a SIGKILL armed at the kFailover
@@ -27,12 +29,15 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "common/rng.hpp"
 #include "core/threshold.hpp"
@@ -159,12 +164,16 @@ int run_leader(int argc, char** argv) {
   config.replication->on_ack = [&ledger](int shard, std::uint64_t mark) {
     ledger.record(shard, mark);
   };
-  config.on_decision = [&told](int, const Job& job, const Decision& decision,
-                               std::uint64_t) {
+  std::atomic<std::size_t> decided{0};
+  config.on_decision = [&told, &decided](int, const Job& job,
+                                         const Decision& decision,
+                                         std::uint64_t) {
     if (decision.accepted) told.record(job.id);
+    decided.fetch_add(1);
   };
 
   AdmissionGateway gateway(config, factory());
+  constexpr std::size_t kWave = 40;  // batch_size 32: two pops
   SplitMix64 mix(seed);
   for (std::size_t i = 0; i < jobs; ++i) {
     Job job;
@@ -177,6 +186,20 @@ int run_leader(int argc, char** argv) {
     if (gateway.submit(job) != Outcome::kEnqueued) {
       std::fprintf(stderr, "submission %zu shed unexpectedly\n", i);
       return 1;
+    }
+    // A shard with a WAL decides its whole backlog under one sync, so a
+    // run submitted at once would cross one or two group boundaries and
+    // the per-group sites (fsync, frame, batch) would fire for the first
+    // seeds only. A wave of more than one pop is usually one group of two.
+    if ((i + 1) % kWave != 0 && i + 1 != jobs) continue;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (decided.load() < i + 1) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        std::fprintf(stderr, "wave ending at job %zu undecided\n", i + 1);
+        return 1;
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
   }
   const GatewayResult result = gateway.finish();

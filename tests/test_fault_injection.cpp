@@ -191,13 +191,15 @@ TEST(FaultInjection, EnqueueFaultRefusesOneJobOfABatch) {
 }
 
 TEST(FaultInjection, MidBatchCrashPublishesNothingFromItsBatch) {
-  // A shard publishes a popped batch only after deciding all of it and
-  // making its records durable. A worker that dies mid-batch (at the third
-  // commit) or at the batch's fsync has told nobody anything about that
-  // batch. The log holds whatever reached the file before the crash —
-  // nothing at the commit (kBatch buffers until the boundary), all eight
-  // records at the fsync (written, never synced) — and recovery replays
-  // exactly that, as after a process crash that lost its unsent replies.
+  // A shard with a WAL publishes a group of popped batches only after
+  // deciding all of it and making its records durable. Here the group is
+  // four pops of two jobs. A worker that dies mid-group (at the seventh
+  // commit, in the last pop) or at the group's fsync has told nobody
+  // anything about that group. The log holds whatever reached the file
+  // before the crash — nothing at the commit (kBatch buffers until the
+  // boundary), all eight records at the fsync (written, never synced) —
+  // and recovery replays exactly that, as after a process crash that lost
+  // its unsent replies.
   struct Input {
     FaultSite site;
     std::vector<JobId> logged;
@@ -212,12 +214,13 @@ TEST(FaultInjection, MidBatchCrashPublishesNothingFromItsBatch) {
     const std::string wal_path = dir + "/shard-0.wal";
     FaultPlan plan;
     plan.add({input.site, /*shard=*/0,
-              /*hit=*/input.site == FaultSite::kCommit ? 3u : 1u});
+              /*hit=*/input.site == FaultSite::kCommit ? 7u : 1u});
     FaultInjector injector(plan);
 
     MetricsRegistry metrics(1);
     std::size_t notified = 0;
     ShardConfig config;
+    config.batch_size = 2;
     config.wal_path = wal_path;
     config.wal_fsync = FsyncPolicy::kBatch;
     config.faults = &injector;
@@ -228,7 +231,7 @@ TEST(FaultInjection, MidBatchCrashPublishesNothingFromItsBatch) {
         [] { return std::make_unique<ThresholdScheduler>(kEps, kMachines); },
         config, metrics);
 
-    // Queued before start(): the first pop is one batch of eight jobs, each
+    // Queued before start(): the first group is four pops of two jobs, each
     // of which fits and is accepted.
     std::vector<Job> jobs;
     for (JobId id = 1; id <= 8; ++id) {
@@ -253,10 +256,11 @@ TEST(FaultInjection, MidBatchCrashPublishesNothingFromItsBatch) {
     shard.close();
     shard.join();
 
-    EXPECT_EQ(notified, 0u) << "a crashed batch published decisions";
+    EXPECT_EQ(notified, 0u) << "a crashed group published decisions";
     const MetricsSnapshot snap = metrics.snapshot();
     EXPECT_EQ(snap.total.submitted, 0u);
-    EXPECT_EQ(snap.total.batches, 1u);
+    EXPECT_EQ(snap.total.batches, 4u);
+    EXPECT_EQ(snap.total.wal_syncs, 0u);
 
     const RecoveryResult recovered =
         recover_commit_log(wal_path, kMachines, nullptr,

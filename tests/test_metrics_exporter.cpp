@@ -98,6 +98,24 @@ TEST(MetricsExporter, ScheduleHeldPlacementsGaugeMatchesGoldenText) {
   EXPECT_NE(page.find(golden), std::string::npos) << page;
 }
 
+TEST(MetricsExporter, WalSyncsCounterMatchesGoldenText) {
+  // Jobs per durability wait is submitted_total / wal_syncs_total.
+  MetricsSnapshot snap = small_snapshot();
+  snap.shards[0].wal_syncs = 3;
+  snap.shards[1].wal_syncs = 1;
+  snap.total.wal_syncs = 4;
+  const std::string page = render_prometheus(snap);
+  const std::string golden =
+      "# HELP slacksched_wal_syncs_total Commit-log syncs (fsync, then the "
+      "follower ACK), one per group of batches decided before it "
+      "publishes.\n"
+      "# TYPE slacksched_wal_syncs_total counter\n"
+      "slacksched_wal_syncs_total 4\n"
+      "slacksched_wal_syncs_total{shard=\"0\"} 3\n"
+      "slacksched_wal_syncs_total{shard=\"1\"} 1\n";
+  EXPECT_NE(page.find(golden), std::string::npos) << page;
+}
+
 TEST(MetricsExporter, OutcomeFamilyIncludesTheCriticalityShedRow) {
   MetricsSnapshot snap = small_snapshot();
   snap.total.criticality_shed = 3;

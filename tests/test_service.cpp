@@ -11,6 +11,8 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
+#include <functional>
 #include <new>
 #include <set>
 #include <string>
@@ -668,6 +670,174 @@ TEST(Shard, BatchIsCountedAndTracedBeforeItIsObserved) {
   EXPECT_EQ(miscounted, 0u) << "a decision was observed before it counted";
   EXPECT_EQ(unhistogrammed, 0u) << "a count ran ahead of its latency bin";
   EXPECT_EQ(untraced, 0u) << "a decision was observed before it was traced";
+}
+
+// ---------- shard: group commit ----------
+
+/// Counts a shard commit log's syncs (CommitLogObserver::on_batch).
+class SyncCounter final : public CommitLogObserver {
+ public:
+  void on_open(const std::string&, int, std::uint64_t) override {}
+  void on_record(const char*, std::size_t, std::uint64_t) override {}
+  void on_batch(std::uint64_t) override { ++syncs; }
+  void on_close(std::uint64_t) override {}
+
+  std::size_t syncs = 0;
+};
+
+/// Rejects every job after calling a hook on the shard's worker thread.
+class HookedScheduler final : public OnlineScheduler {
+ public:
+  explicit HookedScheduler(std::function<void()> on_arrival)
+      : on_arrival_(std::move(on_arrival)) {}
+  Decision on_arrival(const Job&) override {
+    on_arrival_();
+    return Decision::reject();
+  }
+  int machines() const override { return 1; }
+  void reset() override {}
+  std::string name() const override { return "Hooked"; }
+
+ private:
+  std::function<void()> on_arrival_;
+};
+
+/// A fresh WAL path for one shard test.
+std::string fresh_wal(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + "slacksched_" + name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir + "/shard-0.wal";
+}
+
+TEST(Shard, WalGroupSyncsOnceForItsBacklog) {
+  // A shard with a WAL decides every batch its queue already holds before
+  // one sync: 13 jobs queued before start() pop as 4 + 4 + 4 + 1, the log
+  // syncs once, and no decision is published before that sync.
+  constexpr std::size_t kJobs = 13;
+  MetricsRegistry metrics(1);
+  SyncCounter log;
+  std::vector<std::size_t> syncs_at_decision;
+  ShardConfig config;
+  config.batch_size = 4;
+  config.wal_path = fresh_wal("group_sync");
+  config.wal_fsync = FsyncPolicy::kBatch;
+  config.wal_observer = &log;
+  config.on_decision = [&](const Job&, const Decision&, std::uint64_t) {
+    syncs_at_decision.push_back(log.syncs);
+  };
+  Shard shard(
+      0, [] { return std::make_unique<GreedyScheduler>(2); }, config,
+      metrics);
+  std::vector<Job> jobs;
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    jobs.push_back(make_job(static_cast<JobId>(i), 0.0, 1.0, 1e9));
+  }
+  ASSERT_EQ(shard
+                .try_enqueue_batch(jobs.data(), nullptr, jobs.size(),
+                                   Shard::Clock::now())
+                .taken,
+            kJobs);
+  shard.close();
+  shard.start();
+  shard.join();
+
+  const MetricsSnapshot snap = metrics.snapshot();
+  EXPECT_EQ(snap.total.batches, 4u);
+  EXPECT_EQ(snap.total.wal_syncs, 1u);
+  EXPECT_EQ(log.syncs, 1u) << "each pop paid its own sync";
+  ASSERT_EQ(syncs_at_decision.size(), kJobs);
+  EXPECT_EQ(syncs_at_decision.front(), 1u)
+      << "a decision was published before the sync that covers it";
+  std::filesystem::remove_all(std::filesystem::path(config.wal_path)
+                                  .parent_path());
+}
+
+TEST(Shard, WalGroupStopsAtOneRingsWorth) {
+  // Sustained overload must still publish. Every arrival pushes a fresh
+  // job into its own shard, so the ring never empties; the first group
+  // still ends at one ring's worth of decisions. The pushes stop once a
+  // group has published, or at a deadline: an uncapped group would
+  // otherwise never end.
+  constexpr std::size_t kCapacity = 64;
+  MetricsRegistry metrics(1);
+  std::size_t decided = 0;
+  std::atomic<std::size_t> decided_at_publication{0};
+  Shard* self = nullptr;
+  const auto deadline = Shard::Clock::now() + std::chrono::seconds(5);
+  const auto refill = [&] {
+    ++decided;
+    if (decided_at_publication.load() != 0 ||
+        Shard::Clock::now() > deadline) {
+      return;
+    }
+    const Job job =
+        make_job(static_cast<JobId>(kCapacity + decided), 0.0, 1.0, 2.0);
+    (void)self->try_enqueue_batch(&job, nullptr, 1, Shard::Clock::now());
+  };
+  ShardConfig config;
+  config.queue_capacity = kCapacity;
+  config.batch_size = 4;
+  config.wal_path = fresh_wal("group_cap");
+  config.on_decision = [&](const Job&, const Decision&, std::uint64_t) {
+    if (decided_at_publication.load() == 0) decided_at_publication = decided;
+  };
+  Shard shard(
+      0, [&] { return std::make_unique<HookedScheduler>(refill); }, config,
+      metrics);
+  self = &shard;
+  std::vector<Job> jobs;
+  for (std::size_t i = 0; i < kCapacity; ++i) {
+    jobs.push_back(make_job(static_cast<JobId>(i), 0.0, 1.0, 2.0));
+  }
+  ASSERT_EQ(shard
+                .try_enqueue_batch(jobs.data(), nullptr, jobs.size(),
+                                   Shard::Clock::now())
+                .taken,
+            kCapacity);
+  shard.start();
+  while (decided_at_publication.load() == 0 &&
+         Shard::Clock::now() < deadline + std::chrono::seconds(1)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  shard.close();
+  shard.join();
+
+  EXPECT_EQ(decided_at_publication.load(), kCapacity)
+      << "the first group did not end at one ring's worth";
+  std::filesystem::remove_all(std::filesystem::path(config.wal_path)
+                                  .parent_path());
+}
+
+TEST(Shard, ShardWithoutWalPublishesEveryPop) {
+  // Without a WAL there is no sync to amortize: each pop is published
+  // before the next one is decided.
+  MetricsRegistry metrics(1);
+  std::size_t arrivals = 0;
+  std::size_t arrivals_at_publication = 0;
+  ShardConfig config;
+  config.batch_size = 2;
+  config.on_decision = [&](const Job&, const Decision&, std::uint64_t) {
+    if (arrivals_at_publication == 0) arrivals_at_publication = arrivals;
+  };
+  Shard shard(
+      0,
+      [&] { return std::make_unique<HookedScheduler>([&] { ++arrivals; }); },
+      config, metrics);
+  std::vector<Job> jobs;
+  for (JobId id = 0; id < 8; ++id) jobs.push_back(make_job(id, 0.0, 1.0, 2.0));
+  ASSERT_EQ(shard
+                .try_enqueue_batch(jobs.data(), nullptr, jobs.size(),
+                                   Shard::Clock::now())
+                .taken,
+            jobs.size());
+  shard.close();
+  shard.start();
+  shard.join();
+
+  EXPECT_EQ(arrivals, 8u);
+  EXPECT_EQ(arrivals_at_publication, 2u);
+  EXPECT_EQ(metrics.snapshot().total.wal_syncs, 0u);
 }
 
 // ---------- gateway: one ingest path ----------
