@@ -2,25 +2,26 @@
 // over when the leader dies.
 //
 // Phase 1 (overhead): replays the same synthetic stream through a durable
-// 2-shard gateway three times — no replication (the baseline), then each
-// replication ack mode streaming into an in-process loopback
-// ReplicaServer. The producer is a windowed closed loop: batches of
-// kSubmitBatch, at most kWindow jobs in flight (counted through
-// on_decision), so no job is ever shed for a full queue and every mode
-// decides the same problem — equal leader_records across modes. Every
-// replicated run must end with the follower's logs holding exactly the
-// leader's records; the decided-jobs/sec column is the price of that
-// guarantee. Expectation: both modes pay the record formatting and
-// follower I/O; ack-on-batch also waits for one follower round trip per
-// shard group (every batch a shard decides under one sync).
+// 2-shard gateway twice — no replication (the baseline), then ack-on-batch
+// replication streaming into an in-process loopback ReplicaServer. The
+// producer is a windowed closed loop: batches of kSubmitBatch, at most
+// kWindow jobs in flight (counted through on_decision), so no job is ever
+// shed for a full queue and both modes decide the same problem — equal
+// leader_records. The replicated run must end with the follower's logs
+// holding exactly the leader's records; the decided-jobs/sec column is the
+// price of that guarantee. Expectation: ack-on-batch pays the record formatting, the
+// follower I/O and one follower round trip per shard group (every batch a
+// shard decides under one sync).
 //
 // Phase 2 (failover): repeatedly runs leader traffic into a follower,
 // destroys the leader mid-stream (the process-death model: heartbeats
 // stop, the session drops), and measures two latencies from the moment of
-// death: detect (FailoverDriver breaks the circuit) and serve (a promoted
+// death — the leader's last frame as the follower received it, where its
+// silence begins: detect (FailoverDriver breaks the circuit, which the one
+// failover rule puts at down_threshold of silence) and serve (a promoted
 // gateway renders its first admission decision from the replica's logs).
-// Reports p50/p99 across iterations. Emits BENCH_repl.json, gated by
-// scripts/perf_check.py --repl-json.
+// Reports p50/p99 across iterations and the drill's down_threshold. Emits
+// BENCH_repl.json, gated by scripts/perf_check.py --repl-json.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -73,7 +74,7 @@ std::string fresh_dir(const std::string& name) {
 void drop_dir(const std::string& dir) { std::filesystem::remove_all(dir); }
 
 struct ModeRun {
-  std::string mode;  ///< "baseline" or a ReplAckMode name
+  std::string mode;  ///< "baseline" or "ack-on-batch"
   std::size_t jobs = 0;
   std::size_t decided = 0;  ///< jobs answered through on_decision
   double seconds = 0.0;
@@ -83,12 +84,10 @@ struct ModeRun {
   bool clean = false;
 };
 
-/// One full replay of `instance` through a durable gateway; `ack_mode`
-/// empty means the unreplicated baseline.
-ModeRun run_mode(const Instance& instance,
-                 std::optional<repl::ReplAckMode> ack_mode) {
-  const std::string tag =
-      ack_mode ? std::string(repl::to_string(*ack_mode)) : "baseline";
+/// One full replay of `instance` through a durable gateway, replicated or
+/// not (the baseline).
+ModeRun run_mode(const Instance& instance, bool replicated) {
+  const std::string tag = replicated ? "ack-on-batch" : "baseline";
   ModeRun run;
   run.mode = tag;
   run.jobs = instance.size();
@@ -96,7 +95,7 @@ ModeRun run_mode(const Instance& instance,
   const std::string leader_dir = fresh_dir("leader_" + tag);
   std::optional<repl::ReplicaServerConfig> replica_config;
   std::unique_ptr<repl::ReplicaServer> replica;
-  if (ack_mode) {
+  if (replicated) {
     replica_config.emplace();
     replica_config->dir = fresh_dir("replica_" + tag);
     replica_config->shards = kShards;
@@ -115,10 +114,9 @@ ModeRun run_mode(const Instance& instance,
     decided.fetch_add(1, std::memory_order_release);
     decided.notify_one();
   };
-  if (ack_mode) {
+  if (replicated) {
     config.replication.emplace();
     config.replication->port = replica->port();
-    config.replication->ack_mode = *ack_mode;
   }
 
   // Sleeps until at least `target` jobs are decided.
@@ -155,12 +153,22 @@ ModeRun run_mode(const Instance& instance,
   }
   // Clean means the drain validated, every job was decided (none shed),
   // AND (when replicating) the follower holds every accepted record — an
-  // orderly close drains in every mode.
+  // orderly close drains.
   run.clean = result.clean() && run.decided == run.jobs &&
-              (!ack_mode || run.follower_records == run.leader_records);
+              (!replicated || run.follower_records == run.leader_records);
   drop_dir(leader_dir);
   if (replica_config) drop_dir(replica_config->dir);
   return run;
+}
+
+/// The drill's failover policy: against the leader's 5 ms heartbeat, a
+/// 25 ms stall and a 100 ms down threshold, polled every millisecond.
+repl::FailoverConfig drill_failover() {
+  repl::FailoverConfig failover;
+  failover.poll_interval = std::chrono::milliseconds(1);
+  failover.stall_threshold = std::chrono::milliseconds(25);
+  failover.down_threshold = std::chrono::milliseconds(100);
+  return failover;
 }
 
 struct FailoverSample {
@@ -184,26 +192,20 @@ FailoverSample run_failover_once(const Instance& instance, int iteration) {
   config.wal_dir = leader_dir;
   config.replication.emplace();
   config.replication->port = replica.port();
-  config.replication->ack_mode = repl::ReplAckMode::kAckOnBatch;
   config.replication->heartbeat_interval = std::chrono::milliseconds(5);
   auto gateway = std::make_unique<AdmissionGateway>(config, factory());
   for (const Job& job : instance.jobs()) (void)gateway->submit(job);
 
-  repl::FailoverConfig failover;
-  failover.poll_interval = std::chrono::milliseconds(1);
-  failover.stall_threshold = std::chrono::milliseconds(25);
-  failover.down_threshold = std::chrono::milliseconds(100);
-  failover.backoff.initial = std::chrono::milliseconds(5);
-  failover.backoff.max = std::chrono::milliseconds(20);
-  failover.backoff.seed = 0xb0b0b0b0ULL + static_cast<std::uint64_t>(iteration);
-  repl::FailoverDriver driver(replica, failover, [] {});
+  repl::FailoverDriver driver(replica, drill_failover(), [] {});
   driver.start();
 
   // Node death: drain + destroy stops the heartbeats and drops the
-  // session. The clock starts here.
+  // session. The clock starts at the leader's last frame as the follower
+  // received it — the moment its silence began.
   (void)gateway->finish();
-  const auto died = std::chrono::steady_clock::now();
   gateway.reset();
+  const auto died =
+      std::chrono::steady_clock::now() - replica.last_activity_age();
   while (!driver.circuit_broken()) {
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
@@ -296,6 +298,8 @@ void write_json(const std::vector<ModeRun>& modes,
   out << "  ],\n"
       << "  \"failover\": {\n"
       << "    \"iterations\": " << samples.size() << ",\n"
+      << "    \"down_threshold_ms\": "
+      << drill_failover().down_threshold.count() << ",\n"
       << "    \"detect_ms_p50\": " << percentile(detect, 0.50) << ",\n"
       << "    \"detect_ms_p99\": " << percentile(detect, 0.99) << ",\n"
       << "    \"serve_ms_p50\": " << percentile(serve, 0.50) << ",\n"
@@ -335,10 +339,8 @@ int main(int argc, char** argv) {
               "jobs/sec", "leader-recs", "follower-recs", "status");
   std::vector<ModeRun> modes;
   bool all_clean = true;
-  const std::optional<repl::ReplAckMode> kModes[] = {
-      std::nullopt, repl::ReplAckMode::kAsync, repl::ReplAckMode::kAckOnBatch};
-  for (const auto& mode : kModes) {
-    const ModeRun run = run_mode(instance, mode);
+  for (const bool replicated : {false, true}) {
+    const ModeRun run = run_mode(instance, replicated);
     std::printf("  %-14s  %10.3f  %14.0f  %14llu  %14llu  %s\n",
                 run.mode.c_str(), run.seconds, run.jobs_per_sec,
                 static_cast<unsigned long long>(run.leader_records),

@@ -22,16 +22,19 @@ Validates the five machine-readable bench artifacts:
         of the committed BENCH_threshold.json trajectory at matching m
         (ratio floor --matrix-min-ratio of the micro-bench rate)
   BENCH_repl.json       (bench/repl_failover [jobs])
-      - all three replication modes present (baseline + async +
-        ack-on-batch) and clean: the drain validated and the follower's
-        logs held exactly the leader's accepted records
-      - every mode accepted the same number of jobs (leader_records): the
+      - both modes present (baseline + ack-on-batch) and clean: the drain
+        validated and the follower's logs held exactly the leader's
+        accepted records
+      - both modes accepted the same number of jobs (leader_records): the
         rows decided the same stream, so their rates compare
       - durability ordering holds: ack-on-batch (one follower round trip
-        per shard batch) must not outrun async by more than 1.5x — a much
-        faster synchronous mode means the ack path is not actually waiting
+        per shard group) must not outrun the unreplicated baseline by more
+        than 1.5x — a much faster replicated mode means the ack path is not
+        actually waiting
       - the failover drill ran >= 5 iterations with positive, ordered
-        detect/serve percentiles (p50 <= p99, detect <= serve at p50)
+        detect/serve percentiles (p50 <= p99, detect <= serve at p50), and
+        detect p50 >= the drill's down_threshold_ms: the leader is Down only
+        once its silence reaches down_threshold
   BENCH_obs.json        (bench/obs_overhead [jobs])
       - every mode finished clean
       - decision tracing costs at most --max-overhead of the baseline
@@ -265,7 +268,7 @@ def check_repl(path: Path, errors: list[str]) -> None:
         return
     check_provenance(path, data, errors)
     runs = {run.get("mode"): run for run in data.get("runs", [])}
-    for mode in ("baseline", "async", "ack-on-batch"):
+    for mode in ("baseline", "ack-on-batch"):
         run = runs.get(mode)
         if run is None:
             fail(errors, f"{path}: missing mode {mode!r}")
@@ -281,7 +284,7 @@ def check_repl(path: Path, errors: list[str]) -> None:
             if leader != follower:
                 fail(errors, f"{path}: mode={mode} follower holds "
                              f"{follower} of {leader} leader records — an "
-                             "orderly close must drain in every mode")
+                             "orderly close must drain")
 
     # Every mode replays the same stream through a closed loop that sheds
     # nothing, so every mode must accept the same jobs; different counts
@@ -292,15 +295,15 @@ def check_repl(path: Path, errors: list[str]) -> None:
         fail(errors, f"{path}: modes accepted different job counts "
                      f"{accepted} — they decided different streams")
 
-    # Durability is never free: the per-batch round-trip mode being much
-    # faster than fire-and-forget means the ack wait is inert. (1.5x
-    # headroom absorbs run-to-run noise.)
+    # Durability is never free: the per-group round-trip mode being much
+    # faster than not replicating at all means the ack wait is inert.
+    # (1.5x headroom absorbs run-to-run noise.)
     sync = runs.get("ack-on-batch", {}).get("jobs_per_sec", 0.0)
-    fire = runs.get("async", {}).get("jobs_per_sec", 0.0)
-    if sync > 0.0 and fire > 0.0 and sync > fire * 1.5:
-        fail(errors, f"{path}: ack-on-batch outran async "
-                     f"({sync:.0f} vs {fire:.0f} jobs/sec) — the "
-                     "per-batch ack path looks inert")
+    base = runs.get("baseline", {}).get("jobs_per_sec", 0.0)
+    if sync > 0.0 and base > 0.0 and sync > base * 1.5:
+        fail(errors, f"{path}: ack-on-batch outran baseline "
+                     f"({sync:.0f} vs {base:.0f} jobs/sec) — the "
+                     "per-group ack path looks inert")
 
     failover = data.get("failover", {})
     iterations = failover.get("iterations", 0)
@@ -320,7 +323,16 @@ def check_repl(path: Path, errors: list[str]) -> None:
     if 0.0 < s50 < d50:
         fail(errors, f"{path}: serve p50 ({s50}ms) beat detect p50 "
                      f"({d50}ms) — serving cannot precede detection")
-    print(f"ok: {path}: 3 replication modes clean, failover over "
+    # The one failover rule: Down iff the silence reaches down_threshold.
+    # An earlier detection means something other than the silence decided.
+    down = failover.get("down_threshold_ms")
+    if down is None:
+        fail(errors, f"{path}: failover block lacks down_threshold_ms")
+    elif d50 < down:
+        fail(errors, f"{path}: detect p50 ({d50}ms) is below the drill's "
+                     f"down_threshold_ms ({down}) — the leader was declared "
+                     "Down before its silence reached the threshold")
+    print(f"ok: {path}: 2 replication modes clean, failover over "
           f"{iterations} drills detect p50={d50:.1f}ms serve "
           f"p50={s50:.1f}ms")
 

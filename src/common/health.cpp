@@ -59,15 +59,6 @@ std::vector<std::string> HealthPolicy::validate() const {
                        "ms) must be below down_threshold (" +
                        std::to_string(down_threshold.count()) + "ms)");
   }
-  if (max_attempts < 0) {
-    problems.push_back("max_attempts must be >= 0 (got " +
-                       std::to_string(max_attempts) + ")");
-  }
-  if (!(backoff.factor >= 1.0)) {
-    problems.push_back("backoff.factor must be >= 1 (got " +
-                       std::to_string(backoff.factor) +
-                       "): the delay would shrink");
-  }
   return problems;
 }
 

@@ -47,16 +47,13 @@ struct Backoff {
                                                 std::uint64_t stream = 0) const;
 };
 
-/// How a silence is judged, and how recovery from it is paced.
+/// How a silence is judged.
 struct HealthPolicy {
   std::chrono::milliseconds poll_interval{10};
   /// Silence this long marks the signal Degraded.
   std::chrono::milliseconds stall_threshold{500};
   /// Silence this long marks it Down.
   std::chrono::milliseconds down_threshold{2000};
-  /// Backoff attempts (restarts, probes) before the circuit breaks.
-  int max_attempts = 5;
-  Backoff backoff;
 
   /// Healthy below stall_threshold, Degraded below down_threshold, else
   /// Down.

@@ -28,48 +28,16 @@ void FailoverDriver::start() {
 }
 
 bool FailoverDriver::tick() {
-  const auto now = Clock::now();
   // A leader that never connected has been "silent" since start();
   // otherwise silence is measured from its last valid frame.
   const auto silence = std::min<Clock::duration>(
-      replica_.last_activity_age(), now - started_at_);
+      replica_.last_activity_age(), Clock::now() - started_at_);
   const Health judged = config_.classify(silence);
-
-  if (judged == Health::kHealthy) {
-    if (health_.load(std::memory_order_relaxed) != Health::kHealthy) {
-      health_.store(Health::kHealthy, std::memory_order_release);
-    }
-    attempts_ = 0;
-    probes_.store(0, std::memory_order_relaxed);
-    return true;
-  }
-
-  if (health_.load(std::memory_order_relaxed) == Health::kHealthy) {
-    health_.store(Health::kDegraded, std::memory_order_release);
-    attempts_ = 1;
-    probes_.store(1, std::memory_order_relaxed);
-    next_probe_ = now + config_.backoff.delay(attempts_);
-  }
-
-  const bool probes_exhausted =
-      attempts_ > config_.max_attempts ||
-      (now >= next_probe_ && attempts_ >= config_.max_attempts);
-  if (judged == Health::kDown || probes_exhausted) {
-    health_.store(Health::kDown, std::memory_order_release);
-    if (!circuit_broken_.exchange(true, std::memory_order_acq_rel)) {
-      if (on_down_) on_down_();
-    }
-    return false;  // terminal: no automatic fail-back
-  }
-
-  if (now >= next_probe_) {
-    // The probe found the leader still silent (a resumed leader was
-    // caught by the stall check above): burn one attempt, back off.
-    ++attempts_;
-    probes_.store(attempts_, std::memory_order_relaxed);
-    next_probe_ = now + config_.backoff.delay(attempts_);
-  }
-  return true;
+  health_.store(judged, std::memory_order_release);
+  if (judged != Health::kDown) return true;
+  circuit_broken_.store(true, std::memory_order_release);
+  if (on_down_) on_down_();
+  return false;  // terminal: the loop ends, so on_down fires once
 }
 
 PromotionResult promote_replica(const GatewayConfig& config,

@@ -8,20 +8,20 @@
 /// the same Healthy -> Degraded -> Down classification, driven by leader
 /// silence instead of worker heartbeats:
 ///
-///                  leader silent              silence persists /
-///      Healthy ──────────────────► Degraded ── probes exhausted ──► Down
-///         ▲      (>= stall_threshold)  │                             │
-///         └────── traffic resumes ─────┘                             │
-///                                                      on_down fires │
-///                                                      exactly once ─┘
+///                  leader silent                silence persists
+///      Healthy ──────────────────► Degraded ──────────────────────► Down
+///         ▲      (>= stall_threshold)  │      (>= down_threshold)     │
+///         └────── traffic resumes ─────┘                              │
+///                                                       on_down fires │
+///                                                       exactly once ─┘
 ///
-/// While Degraded the driver probes on the policy's Backoff (the same
-/// jittered delay the supervisor restarts on); a probe that sees fresh
-/// traffic returns the node to Healthy and re-arms the budget of
-/// max_attempts probes. Down is terminal — the circuit breaks, on_down
-/// fires exactly once, and the owner runs promote_replica. There is no
-/// automatic fail-back: a returned leader finds the promoted node ahead
-/// and is refused as stale by its own replication handshake.
+/// The one rule: the leader is Down if and only if its silence reaches
+/// down_threshold. Degraded only reports the stall; traffic that resumes
+/// before down_threshold returns the node to Healthy. Down is terminal —
+/// the circuit breaks, on_down fires exactly once, and the owner runs
+/// promote_replica. There is no automatic fail-back: a returned leader
+/// finds the promoted node ahead and is refused as stale by its own
+/// replication handshake.
 ///
 /// promote_replica replays the replica's per-shard logs through the
 /// existing gateway recovery machinery (Shard::spawn ->
@@ -48,9 +48,8 @@ class ReplicaServer;
 
 /// Failover detection policy: leader silence past stall_threshold is
 /// Degraded (stall_threshold must exceed the leader's heartbeat interval
-/// by a healthy margin), past down_threshold Down whatever the probe
-/// budget; max_attempts backoff probes while Degraded before giving up
-/// early.
+/// by a healthy margin), past down_threshold Down; the monitor looks every
+/// poll_interval.
 using FailoverConfig = HealthPolicy;
 
 /// Watches a ReplicaServer's leader-traffic signals and fires `on_down`
@@ -78,11 +77,6 @@ class FailoverDriver {
     return health_.load(std::memory_order_acquire);
   }
 
-  /// Backoff probes spent in the current / final Degraded episode.
-  [[nodiscard]] int probes() const {
-    return probes_.load(std::memory_order_relaxed);
-  }
-
   /// True once on_down fired (terminal; no further transitions).
   [[nodiscard]] bool circuit_broken() const {
     return circuit_broken_.load(std::memory_order_acquire);
@@ -99,13 +93,9 @@ class FailoverDriver {
   std::function<void()> on_down_;
 
   std::atomic<Health> health_{Health::kHealthy};
-  std::atomic<int> probes_{0};
   std::atomic<bool> circuit_broken_{false};
 
-  // Monitor-thread-only probe state.
-  std::chrono::steady_clock::time_point started_at_{};
-  std::chrono::steady_clock::time_point next_probe_{};
-  int attempts_ = 0;
+  std::chrono::steady_clock::time_point started_at_{};  ///< monitor-only
   PeriodicThread monitor_;
 };
 

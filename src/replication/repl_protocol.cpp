@@ -30,8 +30,6 @@ std::string to_string(NackReason reason) {
 
 std::string to_string(ReplAckMode mode) {
   switch (mode) {
-    case ReplAckMode::kAsync:
-      return "async";
     case ReplAckMode::kAckOnBatch:
       return "ack-on-batch";
   }
@@ -114,7 +112,7 @@ bool parse_hello(const ReplFrame& frame, HelloMsg& out, std::string* error) {
   const char* cursor = frame.payload.data();
   out.machines = get<std::uint32_t>(&cursor);
   const std::uint8_t mode = get<std::uint8_t>(&cursor);
-  if (mode > static_cast<std::uint8_t>(ReplAckMode::kAckOnBatch)) {
+  if (mode != static_cast<std::uint8_t>(ReplAckMode::kAckOnBatch)) {
     if (error != nullptr) {
       *error = "HELLO carries unknown ack mode " + std::to_string(mode);
     }

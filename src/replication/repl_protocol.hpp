@@ -88,15 +88,13 @@ enum class NackReason : std::uint8_t {
 
 [[nodiscard]] std::string to_string(NackReason reason);
 
-/// When the leader blocks on follower acknowledgement — the replication
-/// mirror of FsyncPolicy (async ~ kNever, ack-on-batch ~ kBatch). Wire
-/// values are frozen (HELLO payload); the retired value 2 is refused.
+/// When the leader blocks on follower acknowledgement: at each shard group
+/// boundary (one sync per group of batches), before the group's decisions
+/// are published, so every accept a client is told is on the follower.
+/// Wire value 1 is frozen (HELLO payload); the retired values 0 (async)
+/// and 2 (per-record) are refused.
 enum class ReplAckMode : std::uint8_t {
-  kAsync = 0,       ///< stream without waiting: a node loss can lose told
-                    ///< accepts
-  kAckOnBatch = 1,  ///< block at each shard group boundary (one sync per
-                    ///< group of batches), before the group's decisions
-                    ///< are published
+  kAckOnBatch = 1,
 };
 
 [[nodiscard]] std::string to_string(ReplAckMode mode);

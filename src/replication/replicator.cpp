@@ -17,15 +17,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// A failure no ack mode may degrade past: the follower refused the
-/// session (NACK, or it holds more records than this log), or the leader's
-/// own log is unreadable. kAsync degrades on a lost transport, never on
-/// these.
-class FailSafeError final : public ReplError {
- public:
-  using ReplError::ReplError;
-};
-
 int ceil_ms(Clock::duration d) {
   const auto ms = std::chrono::ceil<std::chrono::milliseconds>(d).count();
   return static_cast<int>(std::clamp<std::int64_t>(ms, 0, 1 << 30));
@@ -87,25 +78,14 @@ ShardReplicator::~ShardReplicator() {
 void ShardReplicator::on_open(const std::string& path, int machines,
                               std::uint64_t base_records) {
   std::lock_guard lock(io_mutex_);
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
+  fail_session();
   decoder_ = ReplFrameDecoder();
-  dead_ = false;
-  connected_.store(false, std::memory_order_release);
   pending_.clear();
 
   try {
     fd_ = net::connect_with_timeout(config_.host, config_.port,
                                     config_.connect_timeout);
   } catch (const net::NetError& e) {
-    if (config_.ack_mode == ReplAckMode::kAsync) {
-      // Best-effort mode: the leader serves without a follower; catch-up
-      // re-syncs when a later open reconnects.
-      dead_ = true;
-      return;
-    }
     throw ReplError(std::string("replication connect failed: ") + e.what());
   }
 
@@ -131,10 +111,9 @@ void ShardReplicator::on_open(const std::string& path, int machines,
     std::string error;
     if (!parse_watermark(frame, follower, &error)) throw ReplError(error);
     if (follower > base_records) {
-      throw FailSafeError("stale leader: follower holds " +
-                          std::to_string(follower) +
-                          " records, this log only " +
-                          std::to_string(base_records));
+      throw ReplError("stale leader: follower holds " +
+                      std::to_string(follower) + " records, this log only " +
+                      std::to_string(base_records));
     }
     acked_.store(follower, std::memory_order_release);
     if (follower < base_records) {
@@ -142,14 +121,6 @@ void ShardReplicator::on_open(const std::string& path, int machines,
     }
     next_seq_ = base_records;
     connected_.store(true, std::memory_order_release);
-  } catch (const FailSafeError&) {
-    fail_session();
-    throw;
-  } catch (const ReplError&) {
-    // A transport lost after connect: kAsync degrades exactly as it does
-    // for a refused connect; ack-on-batch fails the open.
-    fail_session();
-    if (config_.ack_mode != ReplAckMode::kAsync) throw;
   } catch (...) {
     fail_session();
     throw;
@@ -159,9 +130,7 @@ void ShardReplicator::on_open(const std::string& path, int machines,
 void ShardReplicator::on_record(const char* frame, std::size_t size,
                                 std::uint64_t seq) {
   std::lock_guard lock(io_mutex_);
-  if (dead_) return;
   if (fd_ < 0) {
-    if (config_.ack_mode == ReplAckMode::kAsync) return;
     throw ReplError("replication session lost before record " +
                     std::to_string(seq));
   }
@@ -170,49 +139,41 @@ void ShardReplicator::on_record(const char* frame, std::size_t size,
     pending_.resize(kAppendPrefixBytes);
   }
   pending_.insert(pending_.end(), frame, frame + size);
-  try {
-    if (pending_.size() - kAppendPrefixBytes >= kWalFlushBytes) {
+  if (pending_.size() - kAppendPrefixBytes >= kWalFlushBytes) {
+    try {
       flush_pending();
-      if (config_.ack_mode == ReplAckMode::kAsync) (void)drain_acks();
+    } catch (const ReplError&) {
+      fail_session();
+      throw;
     }
-  } catch (const ReplError&) {
-    fail_session();
-    if (config_.ack_mode != ReplAckMode::kAsync) throw;
   }
 }
 
 void ShardReplicator::on_batch(std::uint64_t watermark) {
   std::lock_guard lock(io_mutex_);
-  if (dead_) return;
-  if (fd_ < 0) {
-    if (config_.ack_mode == ReplAckMode::kAsync) return;
-    throw ReplError("replication session lost at batch watermark " +
-                    std::to_string(watermark));
-  }
-  try {
-    flush_pending();
-    if (config_.ack_mode == ReplAckMode::kAckOnBatch) {
-      wait_for_ack(watermark);
-    } else if (config_.ack_mode == ReplAckMode::kAsync) {
-      (void)drain_acks();
-    }
-  } catch (const ReplError&) {
-    fail_session();
-    if (config_.ack_mode != ReplAckMode::kAsync) throw;
-  }
+  sync_to(watermark);
 }
 
 void ShardReplicator::on_close(std::uint64_t watermark) {
   std::lock_guard lock(io_mutex_);
-  if (dead_ || fd_ < 0) return;
-  // A clean close drains in every mode — even kAsync promises nothing
-  // mid-run but leaves follower == leader on an orderly shutdown.
+  // The heartbeat can tear the session down after the last batch; that
+  // close is clean only if the follower already acked every record.
+  if (fd_ < 0 && acked_.load(std::memory_order_acquire) >= watermark) return;
+  sync_to(watermark);
+}
+
+void ShardReplicator::sync_to(std::uint64_t watermark) {
+  if (fd_ < 0) {
+    throw ReplError("replication session lost at watermark " +
+                    std::to_string(watermark) + " (follower acked " +
+                    std::to_string(acked_.load()) + ")");
+  }
   try {
     flush_pending();
     wait_for_ack(watermark);
   } catch (const ReplError&) {
     fail_session();
-    if (config_.ack_mode != ReplAckMode::kAsync) throw;
+    throw;
   }
 }
 
@@ -290,37 +251,29 @@ void ShardReplicator::wait_for_ack(std::uint64_t target) {
   }
 }
 
-bool ShardReplicator::drain_acks() {
-  try {
-    while (true) {
-      ReplFrame frame;
-      const ReplFrameDecoder::Status status = decoder_.next(frame);
-      if (status == ReplFrameDecoder::Status::kFrame) {
-        handle_frame(frame);
-        continue;
-      }
-      if (status == ReplFrameDecoder::Status::kError) {
-        throw ReplError("replication ack stream corrupt: " +
-                        decoder_.error());
-      }
-      pollfd pfd{fd_, POLLIN, 0};
-      const int ready = ::poll(&pfd, 1, 0);
-      if (ready <= 0) return true;  // nothing buffered right now
-      char buf[65536];
-      const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-      if (n > 0) {
-        decoder_.feed(buf, static_cast<std::size_t>(n));
-        continue;
-      }
-      if (n < 0 && (errno == EINTR || errno == EAGAIN)) return true;
-      if (n == 0) throw ReplError("follower closed the connection");
-      throw ReplError(std::string("replication recv: ") +
-                      std::strerror(errno));
+void ShardReplicator::drain_acks() {
+  while (true) {
+    ReplFrame frame;
+    const ReplFrameDecoder::Status status = decoder_.next(frame);
+    if (status == ReplFrameDecoder::Status::kFrame) {
+      handle_frame(frame);
+      continue;
     }
-  } catch (const ReplError&) {
-    if (config_.ack_mode != ReplAckMode::kAsync) throw;
-    fail_session();
-    return false;
+    if (status == ReplFrameDecoder::Status::kError) {
+      throw ReplError("replication ack stream corrupt: " + decoder_.error());
+    }
+    pollfd pfd{fd_, POLLIN, 0};
+    const int ready = ::poll(&pfd, 1, 0);
+    if (ready <= 0) return;  // nothing buffered right now
+    char buf[65536];
+    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+    if (n > 0) {
+      decoder_.feed(buf, static_cast<std::size_t>(n));
+      continue;
+    }
+    if (n < 0 && (errno == EINTR || errno == EAGAIN)) return;
+    if (n == 0) throw ReplError("follower closed the connection");
+    throw ReplError(std::string("replication recv: ") + std::strerror(errno));
   }
 }
 
@@ -363,8 +316,8 @@ void ShardReplicator::handle_frame(const ReplFrame& frame) {
     case ReplFrameType::kNack: {
       NackMsg nack;
       if (!parse_nack(frame, nack, &error)) throw ReplError(error);
-      throw FailSafeError("follower refused (" + to_string(nack.reason) +
-                          "): " + nack.message);
+      throw ReplError("follower refused (" + to_string(nack.reason) +
+                      "): " + nack.message);
     }
     default:
       throw ReplError("unexpected replication frame type " +
@@ -378,8 +331,8 @@ void ShardReplicator::catch_up(const std::string& path, int machines,
   std::string error;
   const int file = open_wal(path, machines, WalMode::kRead, &size, &error);
   if (file < 0) {
-    throw FailSafeError(error.empty() ? "catch-up: no leader log " + path
-                                      : "catch-up: " + error);
+    throw ReplError(error.empty() ? "catch-up: no leader log " + path
+                                  : "catch-up: " + error);
   }
   try {
     // One frame buffer for the whole stream: records are read straight
@@ -392,9 +345,9 @@ void ShardReplicator::catch_up(const std::string& path, int machines,
           std::min<std::uint64_t>(kCatchUpRecords, to - base);
       if (!read_wal_records(file, base, count,
                             frame.data() + kAppendPrefixBytes)) {
-        throw FailSafeError("leader log " + path +
-                            " is shorter than its recovered record count "
-                            "during catch-up");
+        throw ReplError("leader log " + path +
+                        " is shorter than its recovered record count "
+                        "during catch-up");
       }
       send_append(frame.data(), base, count);
       // Frame k is on the wire; settle frame k-1, whose ACK is `base`. The
@@ -416,7 +369,6 @@ void ShardReplicator::fail_session() {
     fd_ = -1;
   }
   connected_.store(false, std::memory_order_release);
-  if (config_.ack_mode == ReplAckMode::kAsync) dead_ = true;
 }
 
 void ShardReplicator::heartbeat() {
@@ -424,15 +376,15 @@ void ShardReplicator::heartbeat() {
   // A busy worker holds the lock — and a busy worker is already making
   // progress the follower can see; skip the beat.
   if (!lock.owns_lock()) return;
-  if (dead_ || fd_ < 0 || !connected_.load(std::memory_order_acquire)) return;
+  if (fd_ < 0 || !connected_.load(std::memory_order_acquire)) return;
   try {
     std::vector<char> out;
     encode_heartbeat(out, static_cast<std::uint16_t>(shard_), next_seq_);
     send_all(out.data(), out.size(), /*crash_point=*/false);
-    (void)drain_acks();
+    drain_acks();
   } catch (const ReplError&) {
     // Cannot throw from a background thread: tear the session down and
-    // let the worker's next send (sync modes) report the loss.
+    // let the worker's next commit-path call report the loss.
     fail_session();
   }
 }

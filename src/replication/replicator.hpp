@@ -11,28 +11,24 @@
 ///              own log in cap-sized APPENDs, two in flight) before any
 ///              new append streams
 ///   on_record  buffer the record; flush a full APPEND
-///   on_batch   flush; under ack-on-batch, block for the batch's ACK —
-///              the shard publishes the batch's decisions only after it,
-///              so every accept a client is told is on the follower
-///   on_close   flush and drain the final ACK in every mode — a clean
-///              shutdown leaves follower == leader
+///   on_batch   flush and block for the group's ACK — the shard publishes
+///              the group's decisions only after it, so every accept a
+///              client is told is on the follower
+///   on_close   flush and drain the final ACK — a clean shutdown leaves
+///              follower == leader, and a close after the session was
+///              lost is clean only if the follower had acked every record
 ///
-/// Failure semantics mirror the ack contract. Under ack-on-batch a
-/// replication failure (connect refusal, NACK, ack timeout, torn
-/// connection) throws ReplError out of the commit path: the shard worker
+/// There is one failure rule: every replication failure (connect refusal,
+/// NACK, stale leader, ack timeout, torn connection, unreadable leader
+/// log) throws ReplError out of the commit path, so no commit
+/// externalizes beyond what the follower acknowledged. The shard worker
 /// dies, the supervisor restarts it, and the restart's on_open reconnects
-/// — replication self-heals through the existing restart machinery, and no
-/// commit externalizes beyond what the follower acknowledged. In kAsync
-/// the replicator degrades instead: it marks itself dead, stops streaming
-/// and lets the leader run on (the follower re-syncs via catch-up when the
-/// session re-opens). That holds for a transport loss during on_open's
-/// handshake or catch-up too. Every blocking send and ack wait is bounded
-/// by ack_timeout, so a follower that stops reading cannot hang the leader.
-///
-/// A refusal fails safe in every mode: if the follower NACKs the session
-/// or already holds more records than the opening log, on_open throws and
-/// the open fails — a leader that lost the newest records must not serve,
-/// let alone overwrite them.
+/// and catches the follower up; while the follower stays unreachable the
+/// restarts fail, the shard stops admitting, and once its circuit breaks
+/// only force_recover re-arms it. A leader that lost the newest records
+/// (the follower holds more) must not serve, let alone overwrite them.
+/// Every blocking send and ack wait is bounded by ack_timeout, so a
+/// follower that stops reading cannot hang the leader.
 #pragma once
 
 #include <atomic>
@@ -67,6 +63,7 @@ static_assert(kWalFlushBytes <= kCatchUpRecords * kWalRecordBytes,
 struct ReplicationConfig {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
+  /// The one ack contract (kAckOnBatch), sent in HELLO.
   ReplAckMode ack_mode = ReplAckMode::kAckOnBatch;
   /// Longest on_open blocks establishing the session.
   std::chrono::milliseconds connect_timeout{2000};
@@ -115,7 +112,7 @@ class ShardReplicator : public CommitLogObserver {
     return acked_.load(std::memory_order_acquire);
   }
 
-  /// True while a session is established and not degraded.
+  /// True while a session is established.
   [[nodiscard]] bool connected() const {
     return connected_.load(std::memory_order_acquire);
   }
@@ -139,9 +136,13 @@ class ShardReplicator : public CommitLogObserver {
   void flush_pending();
   /// Blocks until acked_ >= target or ack_timeout. Caller holds io_mutex_.
   void wait_for_ack(std::uint64_t target);
+  /// Flushes and waits for the ACK of `watermark`; throws ReplError (and
+  /// tears the session down) when there is no session or it fails.
+  /// Caller holds io_mutex_.
+  void sync_to(std::uint64_t watermark);
   /// Non-blocking drain of whatever ACK/HEARTBEAT_ACK frames arrived.
-  /// Caller holds io_mutex_. Returns false when the connection died.
-  bool drain_acks();
+  /// Caller holds io_mutex_. Throws ReplError when the connection died.
+  void drain_acks();
   /// Reads one frame by `deadline`. Caller holds io_mutex_. Throws
   /// ReplError on corruption, connection loss or timeout.
   void read_frame(ReplFrame& out,
@@ -156,8 +157,7 @@ class ShardReplicator : public CommitLogObserver {
   /// io_mutex_.
   void catch_up(const std::string& path, int machines, std::uint64_t from,
                 std::uint64_t to);
-  /// Tears the session down (closes the socket); kAsync also marks the
-  /// replicator dead until the next on_open. Caller holds io_mutex_.
+  /// Tears the session down (closes the socket). Caller holds io_mutex_.
   void fail_session();
   /// One heartbeat-thread beat: an idle-liveness HEARTBEAT plus an ACK
   /// drain, skipped while the worker holds the socket.
@@ -168,7 +168,6 @@ class ShardReplicator : public CommitLogObserver {
 
   std::mutex io_mutex_;
   int fd_ = -1;
-  bool dead_ = false;  ///< kAsync degraded: stop streaming until re-open
   ReplFrameDecoder decoder_;
   /// The next live APPEND: kAppendPrefixBytes, then the buffered records
   /// (raw WAL); empty when nothing is buffered.

@@ -110,8 +110,9 @@ struct GatewayConfig {
   std::chrono::milliseconds pop_timeout{50};
   /// Commit-log replication to a follower node (docs/replication.md):
   /// when engaged, every shard streams its WAL records to the configured
-  /// ReplicaServer, blocking per the ack mode. Requires wal_dir — the
-  /// replication stream is the WAL's write stream.
+  /// ReplicaServer and publishes a group only once the follower acked it;
+  /// while the follower is unreachable the shard admits nothing. Requires
+  /// wal_dir — the replication stream is the WAL's write stream.
   std::optional<repl::ReplicationConfig> replication;
   /// Optional deterministic fault injector (tests/benches only).
   FaultInjector* fault_injector = nullptr;

@@ -4,6 +4,20 @@
 
 namespace slacksched {
 
+std::vector<std::string> SupervisorConfig::validate() const {
+  std::vector<std::string> problems = HealthPolicy::validate();
+  if (max_attempts < 0) {
+    problems.push_back("max_attempts must be >= 0 (got " +
+                       std::to_string(max_attempts) + ")");
+  }
+  if (!(backoff.factor >= 1.0)) {
+    problems.push_back("backoff.factor must be >= 1 (got " +
+                       std::to_string(backoff.factor) +
+                       "): the delay would shrink");
+  }
+  return problems;
+}
+
 ShardSupervisor::ShardSupervisor(std::vector<std::unique_ptr<Shard>>& shards,
                                  const SupervisorConfig& config)
     : shards_(shards), config_(config) {

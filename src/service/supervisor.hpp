@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "common/health.hpp"
@@ -38,16 +39,22 @@
 namespace slacksched {
 
 /// Supervision policy: the shared HealthPolicy (a wedged heartbeat past
-/// stall_threshold is Degraded, past down_threshold Down; max_attempts
-/// restarts per shard before the circuit breaks, paced by backoff on the
-/// shard's own jitter stream) plus two supervisor-only knobs.
+/// stall_threshold is Degraded, past down_threshold Down) plus the
+/// restart pacing and two supervisor-only knobs.
 struct SupervisorConfig : HealthPolicy {
+  /// Restarts per shard before the circuit breaks.
+  int max_attempts = 5;
+  /// Pacing of those restarts, on the shard's own jitter stream.
+  Backoff backoff;
   /// When false no monitor thread runs; health stays kHealthy unless
   /// forced (force_down) — supervision becomes a manual-only facility.
   bool enabled = true;
   /// Suggested client back-off returned with a retry_after rejection of a
   /// job whose shard is unavailable.
   std::chrono::milliseconds retry_after{50};
+
+  /// HealthPolicy's problems plus the restart pacing's; empty when valid.
+  [[nodiscard]] std::vector<std::string> validate() const;
 };
 
 /// Watches a gateway's shards. Health reads are lock-free atomics, safe

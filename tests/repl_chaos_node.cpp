@@ -7,8 +7,7 @@
 //
 // Roles:
 //
-//   leader <port> <wal_dir> <ledger_dir> <ack_mode 0|1> <site> <hit>
-//          <seed> <jobs>
+//   leader <port> <wal_dir> <ledger_dir> <site> <hit> <seed> <jobs>
 //       Runs an AdmissionGateway replicating to 127.0.0.1:<port>, with a
 //       SIGKILL trigger armed at the named fault site (commit | fsync |
 //       frame | batch | none) on its <hit>-th arrival. Every follower-ack
@@ -52,8 +51,8 @@ using namespace slacksched;
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s leader <port> <wal_dir> <ledger_dir> <ack_mode> "
-               "<site> <hit> <seed> <jobs>\n"
+               "usage: %s leader <port> <wal_dir> <ledger_dir> <site> <hit> "
+               "<seed> <jobs>\n"
                "       %s promote <wal_dir> <shards> <kill_shard>\n",
                argv0, argv0);
   return 2;
@@ -131,15 +130,14 @@ class AcceptJournal {
 };
 
 int run_leader(int argc, char** argv) {
-  if (argc != 10) return usage(argv[0]);
+  if (argc != 9) return usage(argv[0]);
   const auto port = static_cast<std::uint16_t>(std::atoi(argv[2]));
   const std::string wal_dir = argv[3];
   const std::string ledger_dir = argv[4];
-  const int ack_mode = std::atoi(argv[5]);
-  const std::string site_name = argv[6];
-  const auto hit = static_cast<std::uint64_t>(std::atoll(argv[7]));
-  const auto seed = static_cast<std::uint64_t>(std::atoll(argv[8]));
-  const auto jobs = static_cast<std::size_t>(std::atoll(argv[9]));
+  const std::string site_name = argv[5];
+  const auto hit = static_cast<std::uint64_t>(std::atoll(argv[6]));
+  const auto seed = static_cast<std::uint64_t>(std::atoll(argv[7]));
+  const auto jobs = static_cast<std::size_t>(std::atoll(argv[8]));
 
   FaultPlan plan;
   if (site_name != "none") {
@@ -159,7 +157,6 @@ int run_leader(int argc, char** argv) {
   config.fault_injector = &injector;
   config.replication.emplace();
   config.replication->port = port;
-  config.replication->ack_mode = static_cast<repl::ReplAckMode>(ack_mode);
   config.replication->faults = &injector;
   config.replication->on_ack = [&ledger](int shard, std::uint64_t mark) {
     ledger.record(shard, mark);

@@ -360,6 +360,17 @@ TEST(GatewayValidate, ShedPolicyProblemsArePrefixed) {
   EXPECT_TRUE(has_message(errors, "shed_policy: "));
 }
 
+TEST(GatewayValidate, SupervisorRestartProblemsArePrefixed) {
+  // Restart pacing belongs to the shard supervisor alone: a failover
+  // driver has neither knob.
+  GatewayConfig config;
+  config.supervisor.max_attempts = -1;
+  config.supervisor.backoff.factor = 0.5;
+  const auto errors = config.validate();
+  EXPECT_TRUE(has_message(errors, "supervisor: max_attempts must be >= 0"));
+  EXPECT_TRUE(has_message(errors, "supervisor: backoff.factor must be >= 1"));
+}
+
 // ---------- gateway: class-aware shed ordering ----------
 
 /// Accept-everything scheduler whose on_arrival blocks until released, so

@@ -1,11 +1,11 @@
 // Commit-log replication: wire protocol round trips and decoder framing,
-// leader -> follower streaming across every ack mode (the follower's log
-// must be byte-identical to the leader's), the fail-safe refusals
-// (stale leader, sequence gap, corrupt record, torn stream — each persists
-// nothing), catch-up of a behind follower in full-size frames (also when
-// it is interrupted, or the follower dies or stalls mid-way), the
-// node-level failover FSM, and promotion of the replica logs into a
-// serving gateway.
+// leader -> follower streaming (the follower's log must be byte-identical
+// to the leader's), the fail-safe refusals (stale leader, sequence gap,
+// corrupt record, torn stream — each persists nothing), catch-up of a
+// behind follower in full-size frames (also when it is interrupted, or
+// the follower dies or stalls mid-way), the one failure rule (a lost
+// follower fails the commit path, a clean close included), the node-level
+// failover FSM, and promotion of the replica logs into a serving gateway.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -113,15 +113,19 @@ TEST(ReplProtocol, HelloRoundTrip) {
   EXPECT_EQ(out.leader_records, 12345u);
   EXPECT_EQ(decoder.next(frame), ReplFrameDecoder::Status::kNeedMore);
 
-  // Ack mode 2 (the retired per-record mode) is refused like any unknown
-  // byte.
-  bytes.clear();
-  hello.ack_mode = static_cast<ReplAckMode>(2);
-  encode_hello(bytes, 3, hello);
-  decoder.feed(bytes.data(), bytes.size());
-  ASSERT_EQ(decoder.next(frame), ReplFrameDecoder::Status::kFrame);
-  EXPECT_FALSE(parse_hello(frame, out, &error));
-  EXPECT_NE(error.find("unknown ack mode 2"), std::string::npos) << error;
+  // Ack modes 0 (the retired async mode) and 2 (the retired per-record
+  // mode) are refused like any unknown byte.
+  for (const int retired : {0, 2}) {
+    bytes.clear();
+    hello.ack_mode = static_cast<ReplAckMode>(retired);
+    encode_hello(bytes, 3, hello);
+    decoder.feed(bytes.data(), bytes.size());
+    ASSERT_EQ(decoder.next(frame), ReplFrameDecoder::Status::kFrame);
+    EXPECT_FALSE(parse_hello(frame, out, &error));
+    EXPECT_NE(error.find("unknown ack mode " + std::to_string(retired)),
+              std::string::npos)
+        << error;
+  }
 }
 
 TEST(ReplProtocol, WatermarkFramesRoundTrip) {
@@ -256,19 +260,14 @@ TEST(ReplProtocol, EnumNamesAreStable) {
   EXPECT_EQ(to_string(NackReason::kSequenceGap), "sequence-gap");
   EXPECT_EQ(to_string(NackReason::kCorruptRecord), "corrupt-record");
   EXPECT_EQ(to_string(NackReason::kBadState), "bad-state");
-  EXPECT_EQ(to_string(ReplAckMode::kAsync), "async");
   EXPECT_EQ(to_string(ReplAckMode::kAckOnBatch), "ack-on-batch");
 }
 
-// ---------- leader -> follower streaming, every ack mode ----------
+// ---------- leader -> follower streaming ----------
 
-class ReplicationStream : public ::testing::TestWithParam<ReplAckMode> {};
-
-TEST_P(ReplicationStream, FollowerLogIsByteIdenticalAfterCleanDrain) {
-  const std::string leader_dir = fresh_dir(
-      "stream_leader_" + to_string(GetParam()));
-  const std::string replica_dir = fresh_dir(
-      "stream_replica_" + to_string(GetParam()));
+TEST(ReplicationStream, FollowerLogIsByteIdenticalAfterCleanDrain) {
+  const std::string leader_dir = fresh_dir("stream_leader");
+  const std::string replica_dir = fresh_dir("stream_replica");
 
   ReplicaServerConfig replica_config;
   replica_config.dir = replica_dir;
@@ -278,7 +277,6 @@ TEST_P(ReplicationStream, FollowerLogIsByteIdenticalAfterCleanDrain) {
   GatewayConfig config = leader_config(leader_dir, 2);
   config.replication.emplace();
   config.replication->port = replica.port();
-  config.replication->ack_mode = GetParam();
   {
     AdmissionGateway gateway(config, threshold_factory());
     const GatewayResult result = run_leader(gateway, 200);
@@ -293,25 +291,13 @@ TEST_P(ReplicationStream, FollowerLogIsByteIdenticalAfterCleanDrain) {
     const std::string leader_bytes = read_file(leader_log);
     const std::string replica_bytes = read_file(replica.shard_log_path(s));
     EXPECT_EQ(replica_bytes, leader_bytes)
-        << "shard " << s << " replica log diverged ("
-        << to_string(GetParam()) << ")";
+        << "shard " << s << " replica log diverged";
     EXPECT_EQ(replica.watermark(s),
               (leader_bytes.size() - kWalHeaderBytes) / kWalRecordBytes);
     total += replica.watermark(s);
   }
   EXPECT_GT(total, 0u);
 }
-
-INSTANTIATE_TEST_SUITE_P(AllAckModes, ReplicationStream,
-                         ::testing::Values(ReplAckMode::kAsync,
-                                           ReplAckMode::kAckOnBatch),
-                         [](const auto& param_info) {
-                           std::string name = to_string(param_info.param);
-                           for (char& c : name) {
-                             if (c == '-') c = '_';
-                           }
-                           return name;
-                         });
 
 TEST(Replication, AckOnBatchWatermarkCoversEveryRecordAtClose) {
   const std::string leader_dir = fresh_dir("ackbatch_leader");
@@ -323,7 +309,6 @@ TEST(Replication, AckOnBatchWatermarkCoversEveryRecordAtClose) {
   GatewayConfig config = leader_config(leader_dir);
   config.replication.emplace();
   config.replication->port = replica.port();
-  config.replication->ack_mode = ReplAckMode::kAckOnBatch;
   std::uint64_t last_ack = 0;
   config.replication->on_ack = [&](int, std::uint64_t mark) {
     last_ack = mark;
@@ -618,10 +603,9 @@ TEST(Replication, ReplicaLogHeaderIsRefusedOrReset) {
     EXPECT_EQ(read_file(log_path), std::string(expect.begin(), expect.end()));
     EXPECT_EQ(replica.watermark(0), 0u);
 
-    // An ack-on-batch leader opens its log only against a usable replica.
+    // A replicated leader opens its log only against a usable replica.
     ReplicationConfig repl;
     repl.port = replica.port();
-    repl.ack_mode = ReplAckMode::kAckOnBatch;
     repl.heartbeat_interval = std::chrono::milliseconds(0);
     ShardReplicator replicator(0, repl);
     CommitLogConfig log_config;
@@ -810,28 +794,12 @@ class RawFollower {
   std::thread thread_;
 };
 
-TEST(Replication, AsyncDegradesWhenTheFollowerDiesDuringCatchUp) {
+TEST(Replication, FollowerThatDiesDuringCatchUpFailsTheOpen) {
   const std::string leader_dir = fresh_dir("dies_leader");
   write_history(leader_dir, 2000);
-
-  // kAsync: the transport loss marks the replicator dead; the leader serves.
-  {
-    RawFollower follower;
-    follower.serve(/*hang_up=*/true);
-    GatewayConfig config = replicated_config(leader_dir, follower.port());
-    config.replication->ack_mode = ReplAckMode::kAsync;
-    AdmissionGateway gateway(config, threshold_factory());
-    EXPECT_FALSE(gateway.replicator(0)->connected());
-    const GatewayResult result = run_leader(gateway, 50);
-    EXPECT_TRUE(result.clean());
-    EXPECT_GT(result.merged.accepted, 0u);
-  }
-
-  // kAckOnBatch: the same loss fails the open.
   RawFollower follower;
   follower.serve(/*hang_up=*/true);
   GatewayConfig config = replicated_config(leader_dir, follower.port());
-  config.replication->ack_mode = ReplAckMode::kAckOnBatch;
   EXPECT_THROW(
       { AdmissionGateway gateway(config, threshold_factory()); }, ReplError);
 }
@@ -871,7 +839,7 @@ TEST(Replication, StalledFollowerFailsTheOpenWithinTheAckTimeout) {
   EXPECT_FALSE(replicator.connected());
 }
 
-// ---------- connection failure semantics per ack mode ----------
+// ---------- the one failure rule ----------
 
 TEST(Replication, SyncModeRefusesToServeWithoutAFollower) {
   // Port 1 on loopback: nothing listens there.
@@ -879,22 +847,45 @@ TEST(Replication, SyncModeRefusesToServeWithoutAFollower) {
   config.replication.emplace();
   config.replication->port = 1;
   config.replication->connect_timeout = std::chrono::milliseconds(200);
-  config.replication->ack_mode = ReplAckMode::kAckOnBatch;
   EXPECT_THROW(
       { AdmissionGateway gateway(config, threshold_factory()); }, ReplError);
 }
 
-TEST(Replication, AsyncModeDegradesAndServesWithoutAFollower) {
-  GatewayConfig config = leader_config(fresh_dir("noreplica_async"));
-  config.replication.emplace();
-  config.replication->port = 1;
-  config.replication->connect_timeout = std::chrono::milliseconds(200);
-  config.replication->ack_mode = ReplAckMode::kAsync;
-  AdmissionGateway gateway(config, threshold_factory());
-  EXPECT_FALSE(gateway.replicator(0)->connected());
-  const GatewayResult result = run_leader(gateway, 50);
-  EXPECT_TRUE(result.clean());
-  EXPECT_GT(result.merged.accepted, 0u);  // availability over replication
+TEST(Replication, CloseWithLostSessionBelowWatermarkThrows) {
+  ReplicaServerConfig replica_config;
+  replica_config.dir = fresh_dir("close_lost_replica");
+  ReplicaServer replica(replica_config);
+  ReplicationConfig config;
+  config.port = replica.port();
+  config.heartbeat_interval = std::chrono::milliseconds(5);
+  ShardReplicator replicator(0, config);
+  replicator.on_open(fresh_dir("close_lost_leader") + "/shard-0.wal",
+                     kMachines, 0);
+  const auto append = [&replicator](JobId id) {
+    const std::vector<char> record = one_record(id);
+    replicator.on_record(record.data(), record.size(),
+                         static_cast<std::uint64_t>(id));
+  };
+  for (JobId id = 1; id <= 4; ++id) append(id);
+  replicator.on_batch(4);
+  ASSERT_EQ(replicator.acked_watermark(), 4u);
+  for (JobId id = 5; id <= 7; ++id) append(id);  // buffered, never sent
+
+  // The follower goes away; the heartbeat tears the session down.
+  replica.stop();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (replicator.connected() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_FALSE(replicator.connected());
+
+  // Closing at the acked watermark is clean; closing past it is not — the
+  // follower lacks records 5..7.
+  EXPECT_NO_THROW(replicator.on_close(4));
+  EXPECT_THROW(replicator.on_close(7), ReplError);
+  EXPECT_EQ(replicator.acked_watermark(), 4u);
 }
 
 TEST(Replication, ConfigValidateNamesProblems) {
@@ -922,8 +913,6 @@ FailoverConfig tight_failover() {
   config.poll_interval = std::chrono::milliseconds(5);
   config.stall_threshold = std::chrono::milliseconds(50);
   config.down_threshold = std::chrono::milliseconds(200);
-  config.backoff.initial = std::chrono::milliseconds(5);
-  config.backoff.max = std::chrono::milliseconds(20);
   return config;
 }
 
@@ -932,7 +921,13 @@ TEST(Failover, LeaderThatNeverAppearsIsDeclaredDownOnce) {
   config.dir = fresh_dir("failover_silent");
   ReplicaServer replica(config);
   int downs = 0;
-  FailoverDriver driver(replica, tight_failover(), [&] { ++downs; });
+  std::chrono::steady_clock::time_point started{};
+  std::chrono::steady_clock::duration broke_after{};
+  FailoverDriver driver(replica, tight_failover(), [&] {
+    ++downs;
+    broke_after = std::chrono::steady_clock::now() - started;
+  });
+  started = std::chrono::steady_clock::now();
   driver.start();
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
@@ -944,6 +939,8 @@ TEST(Failover, LeaderThatNeverAppearsIsDeclaredDownOnce) {
   EXPECT_EQ(driver.health(), Health::kDown);
   EXPECT_TRUE(driver.circuit_broken());
   EXPECT_EQ(downs, 1);
+  // The one rule: Down only once the silence reaches down_threshold.
+  EXPECT_GE(broke_after, tight_failover().down_threshold);
 }
 
 TEST(Failover, LiveLeaderTrafficKeepsTheNodeHealthy) {

@@ -13,14 +13,14 @@
 //              the node loss
 //   told       every ACCEPTED the leader handed to on_decision (journaled
 //              durably before the callback returned) is in the dead
-//              leader's log and, under ack-on-batch, in the replica's log
-//              and in the gateway promoted from it — no client holds an
-//              accept the node loss erased
+//              leader's log, in the replica's log and in the gateway
+//              promoted from it — no client holds an accept the node loss
+//              erased
 //   promote    the replica's logs promote into a serving gateway with full
 //              commitment re-validation, each job id appearing exactly
 //              once — nothing double-issued, nothing broken
 //
-// The matrix runs >= 6 seeds x 4 kill sites x 2 ack modes; a separate
+// The matrix runs 6 seeds x 4 kill sites; a separate
 // scenario kills the follower during its own promotion and proves a second
 // promotion still lands on the same records.
 #include <gtest/gtest.h>
@@ -141,113 +141,100 @@ std::uint64_t hit_for(const std::string& site, std::uint64_t seed) {
 
 TEST(ReplicationChaos, KilledLeaderNeverLosesAnAckedCommitment) {
   const char* kSites[] = {"commit", "fsync", "frame", "batch"};
-  const int kAckModes[] = {0, 1};  // async, ack-on-batch
   constexpr std::uint64_t kSeeds = 6;
   constexpr std::size_t kJobs = 256;
 
   int runs = 0;
   int kills = 0;
   for (const char* site : kSites) {
-    for (const int mode : kAckModes) {
-      for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
-        SCOPED_TRACE(std::string("site=") + site +
-                     " mode=" + std::to_string(mode) +
-                     " seed=" + std::to_string(seed));
-        const std::string tag = std::string(site) + "_" +
-                                std::to_string(mode) + "_" +
-                                std::to_string(seed);
-        const std::string wal_dir = fresh_dir("leader_" + tag);
-        const std::string ledger_dir = fresh_dir("ledger_" + tag);
-        ReplicaServerConfig replica_config;
-        replica_config.dir = fresh_dir("replica_" + tag);
-        auto replica = std::make_unique<ReplicaServer>(replica_config);
+    for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+      SCOPED_TRACE(std::string("site=") + site +
+                   " seed=" + std::to_string(seed));
+      const std::string tag = std::string(site) + "_" + std::to_string(seed);
+      const std::string wal_dir = fresh_dir("leader_" + tag);
+      const std::string ledger_dir = fresh_dir("ledger_" + tag);
+      ReplicaServerConfig replica_config;
+      replica_config.dir = fresh_dir("replica_" + tag);
+      auto replica = std::make_unique<ReplicaServer>(replica_config);
 
-        const pid_t pid = spawn_node(
-            {"leader", std::to_string(replica->port()), wal_dir, ledger_dir,
-             std::to_string(mode), site,
-             std::to_string(hit_for(site, seed)), std::to_string(seed),
-             std::to_string(kJobs)});
-        ASSERT_GT(pid, 0);
-        const NodeExit exit = wait_node(pid);
-        // The armed trigger SIGKILLs the node; a trigger whose site was
-        // never reached that often lets the run drain clean instead.
-        ASSERT_TRUE(exit.signaled ? exit.signal == SIGKILL : exit.code == 0)
-            << "signal=" << exit.signal << " code=" << exit.code;
-        ++runs;
-        if (exit.signaled) ++kills;
+      const pid_t pid = spawn_node(
+          {"leader", std::to_string(replica->port()), wal_dir, ledger_dir,
+           site, std::to_string(hit_for(site, seed)), std::to_string(seed),
+           std::to_string(kJobs)});
+      ASSERT_GT(pid, 0);
+      const NodeExit exit = wait_node(pid);
+      // The armed trigger SIGKILLs the node; a trigger whose site was
+      // never reached that often lets the run drain clean instead.
+      ASSERT_TRUE(exit.signaled ? exit.signal == SIGKILL : exit.code == 0)
+          << "signal=" << exit.signal << " code=" << exit.code;
+      ++runs;
+      if (exit.signaled) ++kills;
 
-        // Let the replica observe the dead leader's connection closing.
-        for (int i = 0; i < 400 && replica->attached(0); ++i) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        }
-        EXPECT_FALSE(replica->attached(0));
-        const std::uint64_t replica_records = replica->watermark(0);
-        const std::string replica_log_path = replica->shard_log_path(0);
-        replica->stop();
-        replica.reset();
+      // Let the replica observe the dead leader's connection closing.
+      for (int i = 0; i < 400 && replica->attached(0); ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      }
+      EXPECT_FALSE(replica->attached(0));
+      const std::uint64_t replica_records = replica->watermark(0);
+      const std::string replica_log_path = replica->shard_log_path(0);
+      replica->stop();
+      replica.reset();
 
-        // Prefix property: the two logs agree byte-for-byte as far as
-        // both go. (The shorter side depends on where the kill landed —
-        // a record can be streamed before the leader's own buffer flushed
-        // to its file, and vice versa.)
-        const std::string leader_log = read_file(wal_dir + "/shard-0.wal");
-        const std::string replica_log = read_file(replica_log_path);
-        const std::size_t common =
-            std::min(leader_log.size(), replica_log.size());
-        ASSERT_GE(common, kWalHeaderBytes);
-        EXPECT_EQ(std::memcmp(leader_log.data(), replica_log.data(), common),
-                  0)
-            << "logs diverged within their common prefix";
+      // Prefix property: the two logs agree byte-for-byte as far as
+      // both go. (The shorter side depends on where the kill landed —
+      // a record can be streamed before the leader's own buffer flushed
+      // to its file, and vice versa.)
+      const std::string leader_log = read_file(wal_dir + "/shard-0.wal");
+      const std::string replica_log = read_file(replica_log_path);
+      const std::size_t common =
+          std::min(leader_log.size(), replica_log.size());
+      ASSERT_GE(common, kWalHeaderBytes);
+      EXPECT_EQ(std::memcmp(leader_log.data(), replica_log.data(), common),
+                0)
+          << "logs diverged within their common prefix";
 
-        // Ack bound: everything the follower ever acked is in its log.
-        const std::uint64_t acked = read_ledger(ledger_dir, 0);
-        EXPECT_GE(replica_records, acked)
-            << "an acked commitment vanished from the replica";
+      // Ack bound: everything the follower ever acked is in its log.
+      const std::uint64_t acked = read_ledger(ledger_dir, 0);
+      EXPECT_GE(replica_records, acked)
+          << "an acked commitment vanished from the replica";
 
-        // Told accepts: each is durable in the dead leader's log; under
-        // ack-on-batch also in the replica's log (the promoted gateway is
-        // checked below).
-        const std::vector<std::int64_t> told = read_told(ledger_dir);
-        const std::vector<std::int64_t> leader_ids = log_job_ids(leader_log);
-        const std::set<std::int64_t> in_leader(leader_ids.begin(),
-                                               leader_ids.end());
-        const std::vector<std::int64_t> ids = log_job_ids(replica_log);
-        const std::set<std::int64_t> in_replica(ids.begin(), ids.end());
-        for (const std::int64_t id : told) {
-          EXPECT_TRUE(in_leader.count(id) == 1)
-              << "told accept " << id << " is not in the dead leader's log";
-          if (mode == 1) {
-            EXPECT_TRUE(in_replica.count(id) == 1)
-                << "told accept " << id << " is not in the replica's log";
-          }
-        }
+      // Told accepts: each is durable in the dead leader's log and in the
+      // replica's log (the promoted gateway is checked below).
+      const std::vector<std::int64_t> told = read_told(ledger_dir);
+      const std::vector<std::int64_t> leader_ids = log_job_ids(leader_log);
+      const std::set<std::int64_t> in_leader(leader_ids.begin(),
+                                             leader_ids.end());
+      const std::vector<std::int64_t> ids = log_job_ids(replica_log);
+      const std::set<std::int64_t> in_replica(ids.begin(), ids.end());
+      for (const std::int64_t id : told) {
+        EXPECT_TRUE(in_leader.count(id) == 1)
+            << "told accept " << id << " is not in the dead leader's log";
+        EXPECT_TRUE(in_replica.count(id) == 1)
+            << "told accept " << id << " is not in the replica's log";
+      }
 
-        // Promotion: the replica's log replays with full commitment
-        // re-validation, each job id exactly once.
-        GatewayConfig promoted_config;
-        promoted_config.shards = 1;
-        promoted_config.queue_capacity = 512;
-        promoted_config.wal_dir = replica_config.dir;
-        PromotionResult promoted =
-            promote_replica(promoted_config, threshold_factory());
-        ASSERT_TRUE(promoted.ok) << promoted.error;
-        EXPECT_EQ(promoted.records_recovered, replica_records);
-        EXPECT_EQ(in_replica.size(), ids.size())
-            << "a commitment was double-issued in the replica log";
-        const GatewayResult served = promoted.gateway->finish();
-        EXPECT_TRUE(served.clean());
-        if (mode == 1) {
-          // Every job is released at 0, so settling drops no placement.
-          std::set<std::int64_t> in_promoted;
-          for (const Placement& p :
-               served.shards[0].schedule.all_placements()) {
-            in_promoted.insert(p.job.id);
-          }
-          for (const std::int64_t id : told) {
-            EXPECT_TRUE(in_promoted.count(id) == 1)
-                << "told accept " << id << " is not in the promoted gateway";
-          }
-        }
+      // Promotion: the replica's log replays with full commitment
+      // re-validation, each job id exactly once.
+      GatewayConfig promoted_config;
+      promoted_config.shards = 1;
+      promoted_config.queue_capacity = 512;
+      promoted_config.wal_dir = replica_config.dir;
+      PromotionResult promoted =
+          promote_replica(promoted_config, threshold_factory());
+      ASSERT_TRUE(promoted.ok) << promoted.error;
+      EXPECT_EQ(promoted.records_recovered, replica_records);
+      EXPECT_EQ(in_replica.size(), ids.size())
+          << "a commitment was double-issued in the replica log";
+      const GatewayResult served = promoted.gateway->finish();
+      EXPECT_TRUE(served.clean());
+      // Every job is released at 0, so settling drops no placement.
+      std::set<std::int64_t> in_promoted;
+      for (const Placement& p : served.shards[0].schedule.all_placements()) {
+        in_promoted.insert(p.job.id);
+      }
+      for (const std::int64_t id : told) {
+        EXPECT_TRUE(in_promoted.count(id) == 1)
+            << "told accept " << id << " is not in the promoted gateway";
       }
     }
   }
