@@ -34,6 +34,11 @@ constexpr unsigned kLoopShift = 56;
 constexpr std::uint64_t kTicketMask = (std::uint64_t{1} << kLoopShift) - 1;
 constexpr int kMaxLoops = 1 << (64 - kLoopShift);
 
+/// The event loop running on this thread (null off the loop threads). A
+/// decision a combining submit renders here for one of this loop's own
+/// tickets is answered inline at the end of submit_staged.
+thread_local const void* t_current_loop = nullptr;
+
 [[noreturn]] void throw_errno(const std::string& what) {
   throw NetError(what + ": " + std::strerror(errno));
 }
@@ -287,6 +292,11 @@ void AdmissionServer::on_gateway_decision(const Job& job,
   posted.outcome = decision.accepted ? Outcome::kAccepted : Outcome::kRejected;
   posted.machine = decision.accepted ? decision.machine : -1;
   posted.start = decision.accepted ? decision.start : 0.0;
+  if (t_current_loop == &loop) {
+    // Rendered inside this loop's own submit_batch: no lock, no eventfd.
+    loop.decided_here.push_back(posted);
+    return;
+  }
   bool wake = false;
   {
     // The one lock a decision takes. Resolving the ticket and encoding the
@@ -301,6 +311,7 @@ void AdmissionServer::on_gateway_decision(const Job& job,
 }
 
 void AdmissionServer::event_loop(EventLoop& loop) {
+  t_current_loop = &loop;
   constexpr int kMaxEvents = 64;
   epoll_event events[kMaxEvents];
   // With a reaper the wait becomes a tick (so idleness is noticed without
@@ -633,15 +644,22 @@ void AdmissionServer::submit_staged(EventLoop& loop, Connection& conn) {
   (void)gateway_->submit_batch(jobs, statuses, route_ctx);
   // Shed synchronously: no decision will follow, so the ticket is retired
   // now and the REJECT leaves with this pass's other answers.
-  std::vector<char>* out = nullptr;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (statuses[i] == Outcome::kEnqueued) continue;
     retire_ticket(loop, loop.tickets[first + i - loop.ticket_base], &conn);
-    if (out == nullptr) out = &output(conn);
-    encode_reject(*out,
+    encode_reject(output(conn),
                   make_reject(request_ids[i], jobs[i].id, statuses[i]));
+    touch(loop, conn);
   }
-  if (out != nullptr) send_output(loop, conn);
+  // Decisions the submit rendered on this thread for this loop's tickets,
+  // after those other threads already posted: a shard decided those
+  // before this thread claimed its role, and replies keep decision order.
+  if (!loop.decided_here.empty()) {
+    resolve_decisions(loop);
+    answer(loop, loop.decided_here);
+    loop.decided_here.clear();
+  }
+  send_touched(loop);
   loop.staged_jobs.clear();
   loop.staged_request_ids.clear();
 }
@@ -683,6 +701,7 @@ void AdmissionServer::settle(EventLoop& loop) {
   // a wrong REJECT closed.
   const bool drained = drained_.load(std::memory_order_acquire);
   resolve_decisions(loop);
+  send_touched(loop);
   if (drained) reject_leftovers(loop);
 }
 
@@ -703,8 +722,28 @@ void AdmissionServer::resolve_decisions(EventLoop& loop) {
     std::lock_guard lock(loop.inbox_mutex);
     loop.resolving.swap(loop.inbox);
   }
+  answer(loop, loop.resolving);
+}
+
+void AdmissionServer::touch(EventLoop& loop, Connection& conn) {
+  if (conn.touched) return;
+  conn.touched = true;
+  loop.touched.push_back(&conn);
+}
+
+void AdmissionServer::send_touched(EventLoop& loop) {
+  // One send per connection per pass, however many answers it got.
+  for (Connection* c : loop.touched) {
+    c->touched = false;
+    send_output(loop, *c);
+  }
+  loop.touched.clear();
+}
+
+void AdmissionServer::answer(EventLoop& loop,
+                             const std::vector<PostedDecision>& decisions) {
   Connection* conn = nullptr;  // consecutive decisions mostly share one
-  for (const PostedDecision& posted : loop.resolving) {
+  for (const PostedDecision& posted : decisions) {
     // A ticket outside the window or already retired has been answered
     // (a drain's REJECT): its late decision resolves to nothing.
     const std::uint64_t offset = posted.ticket - loop.ticket_base;
@@ -725,19 +764,10 @@ void AdmissionServer::resolve_decisions(EventLoop& loop) {
       msg.machine = posted.machine;
       msg.start = posted.start;
       encode_decision(output(*conn), msg);
-      if (!conn->touched) {
-        conn->touched = true;
-        loop.touched.push_back(conn);
-      }
+      touch(loop, *conn);
     }
     retire_ticket(loop, slot, conn);
   }
-  // One send per connection per wake-up, however many DECISIONs it got.
-  for (Connection* c : loop.touched) {
-    c->touched = false;
-    send_output(loop, *c);
-  }
-  loop.touched.clear();
 }
 
 void AdmissionServer::reject_leftovers(EventLoop& loop) {

@@ -14,7 +14,11 @@
 /// wake-up. The decision hot path never blocks on a socket. On the way
 /// in, every SUBMIT and SUBMIT_BATCH one socket read pass decodes goes to
 /// the gateway as one submit_batch, so a burst of lone SUBMITs costs each
-/// shard one ring claim and at most one wake-up, not one per frame.
+/// shard one ring claim and at most one wake-up, not one per frame. On a
+/// shard without a WAL that submit_batch usually decides the jobs on the
+/// loop's own thread (the shard's combining hand-off); a decision rendered
+/// there for one of the loop's own tickets is answered at the end of the
+/// same pass, with no inbox lock and no eventfd write.
 ///
 /// Contract: every SUBMIT is answered by exactly one DECISION (the shard's
 /// scheduler rendered accept/reject — with the committed machine and start
@@ -179,8 +183,8 @@ class AdmissionServer {
     bool live = false;
   };
 
-  /// A rendered decision as a shard thread hands it to the owning loop:
-  /// plain data, no lookup and no encoding on the shard thread.
+  /// A rendered decision as the deciding thread hands it to the owning
+  /// loop: plain data, no lookup and no encoding on the deciding thread.
   struct PostedDecision {
     std::uint64_t ticket = 0;
     JobId job_id = 0;
@@ -191,7 +195,7 @@ class AdmissionServer {
 
   /// One shared-nothing event loop: epoll set, wake eventfd, its own
   /// SO_REUSEPORT listener, the connections it owns, its ticket window and
-  /// the inbox shard threads post decisions to. Everything without a
+  /// the inbox other threads post its decisions to. Everything without a
   /// mutex is loop-thread-only.
   struct EventLoop {
     int index = 0;
@@ -227,15 +231,20 @@ class AdmissionServer {
     /// to; both reused across wake-ups.
     std::vector<PostedDecision> resolving;
     std::vector<Connection*> touched;
+    /// Decisions rendered on this loop's thread, inside its own
+    /// submit_batch, for its own tickets; answered by submit_staged.
+    std::vector<PostedDecision> decided_here;
 
-    // --- shared with shard consumer threads ---
+    // --- shared with the threads that decide for other loops ---
     std::mutex inbox_mutex;
     std::vector<PostedDecision> inbox;
   };
 
   /// The gateway's on_decision hook target: posts the decision to the
   /// loop named by route_ctx's top 8 bits, waking it when its inbox was
-  /// empty. Runs on shard consumer threads.
+  /// empty. Runs on whichever thread holds the deciding shard's consumer
+  /// role; on the owning loop's own thread it only stages the decision in
+  /// decided_here.
   void on_gateway_decision(const Job& job, const Decision& decision,
                            std::uint64_t route_ctx);
 
@@ -254,9 +263,10 @@ class AdmissionServer {
   /// Submits the stage and empties it: one ticket per staged job, then
   /// one gateway submit_batch; synchronously shed jobs give their tickets
   /// back and are answered with REJECT at once, each under its own
-  /// request id. Called before any non-submit frame or protocol error,
-  /// once the stage reaches the gateway's batch_size, and at the end of
-  /// each read pass.
+  /// request id, and the decisions the submit rendered on this thread for
+  /// this loop are answered with them. Called before any non-submit frame
+  /// or protocol error, once the stage reaches the gateway's batch_size,
+  /// and at the end of each read pass.
   void submit_staged(EventLoop& loop, Connection& conn);
   void handle_drain(EventLoop& loop, Connection& conn);
   void handle_http(EventLoop& loop, Connection& conn);
@@ -279,10 +289,16 @@ class AdmissionServer {
   /// Marks `slot` answered: its connection owes one answer less, and the
   /// answered prefix of the window is popped.
   void retire_ticket(EventLoop& loop, TicketSlot& slot, Connection* conn);
-  /// Takes the inbox, resolves every decision's ticket to its connection,
-  /// encodes the DECISIONs into the write buffers and flushes each touched
-  /// connection once. Decisions for departed clients are dropped.
+  /// Takes the inbox and answers it (see answer); the caller flushes.
   void resolve_decisions(EventLoop& loop);
+  /// Resolves every decision's ticket to its connection and encodes the
+  /// DECISIONs into the write buffers, touching each connection written.
+  /// Decisions for departed clients are dropped.
+  void answer(EventLoop& loop, const std::vector<PostedDecision>& decisions);
+  /// Queues `conn` for this pass's flush (once).
+  void touch(EventLoop& loop, Connection& conn);
+  /// Flushes every touched connection once and clears the list.
+  void send_touched(EventLoop& loop);
   /// Answers every still-live ticket on `loop` with REJECT closed.
   void reject_leftovers(EventLoop& loop);
   /// Resolves the inbox, then — when the gateway had already drained

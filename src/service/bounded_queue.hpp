@@ -38,7 +38,9 @@
 /// The queue's idle consumer parks on a futex; producers only touch the
 /// parking path when the consumer has registered itself as sleeping (a
 /// Dekker-style seq_cst fence pair closes the lost-wakeup window), so the
-/// uncontended push is purely atomics plus that one fence.
+/// uncontended push is purely atomics plus that one fence. A producer may
+/// also push without waking anyone and decide for itself whether the
+/// consumer needs a notify() (the shard's combining hand-off does).
 ///
 /// Capacity must be a power of two (slot = pos & mask). A non-power-of-two
 /// capacity is rejected loudly — silently rounding a bound the operator
@@ -161,8 +163,11 @@ class BoundedRing {
     return PopOutcome{n, false};
   }
 
-  /// Consumer-only: true when try_pop_batch would deliver an item or
-  /// report closed-and-drained.
+  /// True when try_pop_batch would deliver an item or report
+  /// closed-and-drained. Exact for the consumer. Any other thread may ask
+  /// too (it reads only atomics): while nobody consumes, the answer is
+  /// exact up to publications still in flight; while someone does, a
+  /// stale answer only means a wake-up the consumer did not need.
   [[nodiscard]] bool ready() const {
     const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
     const std::uint64_t head = head_.load(std::memory_order_acquire);
@@ -352,15 +357,37 @@ class BoundedMpscQueue {
   }
 
   /// BoundedRing::try_push_batch_with, then a wake-up for a parked
-  /// consumer.
+  /// consumer. With `wake` false the push leaves the consumer asleep: the
+  /// caller must follow a push that took items with notify(), or consume
+  /// them itself.
   template <typename Writer>
   [[nodiscard]] std::size_t try_push_batch_with(std::size_t count,
-                                                bool* closed, Writer&& write) {
+                                                bool* closed, Writer&& write,
+                                                bool wake = true) {
     const std::size_t taken =
         ring_.try_push_batch_with(count, closed, std::forward<Writer>(write));
-    if (taken > 0) parker_.notify();
+    if (taken > 0 && wake) parker_.notify();
     return taken;
   }
+
+  /// Wakes the consumer iff it is parked or about to park (one seq_cst
+  /// fence and one relaxed load when it is not).
+  void notify() { parker_.notify(); }
+
+  /// Consumer side: sleeps until `recheck()` holds, a notify() lands or
+  /// `deadline` passes. `recheck` is evaluated after the consumer has
+  /// registered as a waiter, behind a seq_cst fence, so whatever a
+  /// notifier stored before its own fence is seen either by `recheck` or
+  /// through the wake-up.
+  template <typename Recheck>
+  void park(Recheck&& recheck,
+            std::chrono::steady_clock::time_point deadline) {
+    parker_.park(std::forward<Recheck>(recheck), deadline);
+  }
+
+  /// BoundedRing::ready: try_pop_batch would deliver an item or report
+  /// closed-and-drained.
+  [[nodiscard]] bool ready() const { return ring_.ready(); }
 
   /// Consumer side for supervised consumers: waits at most `timeout` for
   /// an item, so the worker wakes periodically to publish a heartbeat even
@@ -383,7 +410,7 @@ class BoundedMpscQueue {
     // The clock is read only once the ring has come up empty.
     const auto deadline = std::chrono::steady_clock::now() + timeout;
     while (true) {
-      parker_.park([this] { return ring_.ready(); }, deadline);
+      park([this] { return ring_.ready(); }, deadline);
       // After a wake-up or the deadline, one more look: a publication that
       // raced the deadline is delivered, not reported as an idle timeout.
       outcome = ring_.try_pop_batch(out, max_items);

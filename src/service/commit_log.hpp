@@ -117,7 +117,8 @@ struct CommitLogConfig {
 };
 
 /// Append-only writer for one shard's commit log. Single-writer (the
-/// shard's consumer thread); not thread-safe by design.
+/// shard's worker thread: a shard with a WAL never lets a producer decide);
+/// not thread-safe by design.
 class CommitLog {
  public:
   /// Opens the log at `path` for appending (open_wal's kAppend): an

@@ -17,7 +17,8 @@ bool is_power_of_two(std::size_t v) { return v != 0 && (v & (v - 1)) == 0; }
 /// indices of the jobs grouped for it, in submission order. Reused across
 /// calls and gateways: once its vectors have grown to the thread's largest
 /// batch and shard count, ingest makes no heap allocation. Each thread
-/// owns its copy and submit_batch never re-enters itself, so no lock.
+/// owns its copy, and submit_batch never re-enters itself (an on_decision
+/// hook it runs inline must not submit), so no lock.
 thread_local std::vector<std::vector<std::uint32_t>> t_groups;
 
 }  // namespace
@@ -293,6 +294,12 @@ BatchSubmitResult AdmissionGateway::submit_batch(std::span<const Job> jobs,
     for (std::size_t g = 0; g < group.size(); ++g) {
       statuses[group[g]] = g < pushed.taken ? Outcome::kEnqueued : tail_status;
     }
+  }
+  // Every group is queued before any shard is handed its jobs, so no
+  // shard's worker waits behind the decisions this thread makes inline
+  // for another shard.
+  for (std::size_t s = 0; s < shard_count; ++s) {
+    if (!groups[s].empty()) shards_[s]->hand_off();
   }
   return result;
 }

@@ -57,10 +57,11 @@ namespace slacksched {
 using ShardSchedulerFactory =
     std::function<std::unique_ptr<OnlineScheduler>(int shard)>;
 
-/// Invoked by shard consumer threads for every rendered, legal decision
-/// (see GatewayConfig::on_decision). Calls arrive in decision order per
-/// shard, from that shard's consumer thread, once the decision's group
-/// has been decided whole. `route_ctx` is the opaque value the
+/// Invoked for every rendered, legal decision (see
+/// GatewayConfig::on_decision). Calls arrive in decision order per shard,
+/// on the thread that holds that shard's consumer role — its worker, or on
+/// a shard without a WAL a producer inside submit()/submit_batch() — once
+/// the decision's group has been decided whole. `route_ctx` is the opaque value the
 /// producer passed to submit(), or `route_ctx + i` for job i of a
 /// submit_batch() (0 by default, and 0 stays 0 for every job of a
 /// batch: no context). The network front end stores (loop << 56) | ticket
@@ -141,14 +142,16 @@ struct GatewayConfig {
   std::chrono::milliseconds metrics_period{1000};
 
   // --- integration hooks (see net/admission_server.hpp) ---
-  /// Per-decision notification: invoked by the deciding shard's consumer
-  /// thread after the decision is validated, counted and traced, in
-  /// decision order within the shard. A shard publishes at its group
-  /// boundary: it decides a group of popped batches whole (one pop without
-  /// a WAL), then notifies each of its decisions (ShardConfig::on_decision).
-  /// The network front end uses this to answer each SUBMIT frame; leave
-  /// empty when unused. The callback runs on the decision hot path — it
-  /// must be fast and must not throw.
+  /// Per-decision notification: invoked on the thread that holds the
+  /// deciding shard's consumer role (see submit_batch) after the decision
+  /// is validated, counted and traced, in decision order within the
+  /// shard. A shard publishes at its group boundary: it decides a group of
+  /// popped batches whole (one pop without a WAL), then notifies each of
+  /// its decisions (ShardConfig::on_decision). The network front end uses
+  /// this to answer each SUBMIT frame; leave empty when unused. The
+  /// callback runs on the decision hot path, possibly inside a submit: it
+  /// must be fast, must not throw and must not call submit() or
+  /// submit_batch().
   GatewayDecisionCallback on_decision;
 
   /// Checks the configuration for values that would otherwise misbehave
@@ -200,7 +203,9 @@ struct GatewayResult {
 
 /// The service front end. Thread-safe ingest: any number of producer
 /// threads may call submit()/submit_batch() concurrently; each shard's
-/// decisions are rendered by its own consumer thread.
+/// decisions are rendered by whichever thread holds its consumer role, one
+/// at a time: its worker, or on a shard without a WAL the submitting
+/// thread itself.
 class AdmissionGateway {
  public:
   AdmissionGateway(const GatewayConfig& config,
@@ -220,7 +225,8 @@ class AdmissionGateway {
 
   /// Routes and enqueues one job: submit_batch on a batch of one. Returns
   /// kEnqueued or one of the kRejected* outcomes. `route_ctx` travels with
-  /// the job and is echoed verbatim to on_decision.
+  /// the job and is echoed verbatim to on_decision — on a shard without a
+  /// WAL usually before submit returns, on the calling thread.
   [[nodiscard]] Outcome submit(const Job& job, std::uint64_t route_ctx = 0);
 
   /// The gateway's only ingest path. Non-blocking: refuses a job that is
@@ -229,10 +235,21 @@ class AdmissionGateway {
   /// applies the class-aware shed gate, then claims each shard's group
   /// with one CAS on that shard's lock-free ring. Jobs keep their relative
   /// order within a shard. When `statuses` is non-empty it must have
-  /// jobs.size() entries and receives the per-job outcome. jobs[i] is echoed to on_decision with
-  /// `route_ctx + i` (0 when `route_ctx` is 0), so a producer can number a
-  /// batch's jobs with one value. Makes no heap allocation once the
-  /// calling thread's grouping scratch has grown to its largest batch.
+  /// jobs.size() entries and receives the per-job outcome. jobs[i] is
+  /// echoed to on_decision with `route_ctx + i` (0 when `route_ctx` is 0),
+  /// so a producer can number a batch's jobs with one value.
+  ///
+  /// Once every group is queued, each shard is handed its jobs
+  /// (Shard::hand_off). On a shard without a WAL whose consumer role is
+  /// free, the calling thread claims it and decides up to queue_capacity
+  /// queued jobs — its own and other producers' — running their
+  /// on_decision hooks here before it returns; a shard with a WAL, or one
+  /// whose role is held, is only woken. The call never waits for a fsync
+  /// or a follower's ACK, and never throws for a decision: a fault while
+  /// deciding fails that shard (GatewayResult::errors) and the supervisor
+  /// refuses its jobs. Makes no heap allocation once the calling thread's
+  /// grouping scratch has grown to its largest batch and the shards'
+  /// schedules to their working size.
   BatchSubmitResult submit_batch(std::span<const Job> jobs,
                                  std::span<Outcome> statuses = {},
                                  std::uint64_t route_ctx = 0);

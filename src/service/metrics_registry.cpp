@@ -10,8 +10,8 @@ namespace slacksched {
 
 namespace {
 
-/// Relaxed single-writer accumulate: only the shard's consumer thread
-/// read-modify-writes these counters, so load+store (no locked RMW) is
+/// Relaxed single-writer accumulate: only the holder of the shard's
+/// consumer role read-modify-writes these counters, so load+store (no locked RMW) is
 /// race-free; readers still see each store whole.
 template <class T>
 void accumulate(std::atomic<T>& target, T delta) {

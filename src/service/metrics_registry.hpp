@@ -1,7 +1,8 @@
 // Live serving-side counters for the admission gateway: what a provider's
 // dashboard would watch while the system admits traffic. Writers are the
-// gateway's producer threads (enqueue/backpressure counters) and each
-// shard's consumer thread (decision counters); every field is an atomic,
+// gateway's producer threads (enqueue/backpressure counters) and whichever
+// thread holds each shard's consumer role (decision counters: the worker,
+// or a combining producer); every field is an atomic,
 // so snapshot() is a lock-free read that never stalls the ingest path.
 // A shard publishes its decisions at its group boundary (service/shard.hpp),
 // so a decision is counted when its group is published.
@@ -114,7 +115,7 @@ class MetricsRegistry {
   /// Records one job shed by the class-aware policy (kRejectedCriticality).
   void on_class_shed(int shard, Criticality criticality);
 
-  // --- writer side (the shard's single consumer thread) ---
+  // --- writer side (the holder of the shard's consumer role) ---
   void on_batch(int shard, std::size_t popped);
   /// Records one group made durable by one sync_batch().
   void on_wal_sync(int shard);
@@ -165,9 +166,10 @@ class MetricsRegistry {
     std::atomic<std::uint64_t> degraded_rejected{0};
     std::atomic<std::int64_t> queue_depth{0};
     std::atomic<std::uint64_t> peak_queue_depth{0};
-    // Single writer, the shard's consumer thread (one at a time: a
-    // restarted worker starts after the dead one is joined): plain
-    // load+store, no locked read-modify-write. schedule_held_placements,
+    // Single writer, the holder of the shard's consumer role (one at a
+    // time: the role's release/acquire hand-over orders one holder's stores
+    // before the next one's loads, and a restarted worker starts after the
+    // dead one is joined): plain load+store, no locked read-modify-write. schedule_held_placements,
     // wal_syncs, the volumes, class_accepted, class_rejected,
     // class_latency_sum and class_latency.
     std::atomic<std::uint64_t> schedule_held_placements{0};

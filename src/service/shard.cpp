@@ -135,13 +135,15 @@ Shard::BatchEnqueueResult Shard::try_enqueue_batch(
   // producer path performs no staging copy and no heap allocation.
   std::array<std::size_t, kCriticalityCount> per_class{};
   result.taken = queue_.try_push_batch_with(
-      count, &result.closed, [&](std::size_t i, Task& slot) {
+      count, &result.closed,
+      [&](std::size_t i, Task& slot) {
         const std::size_t index = indices != nullptr ? indices[i] : i;
         slot.job = jobs[index];
         slot.enqueued_at = now;
         slot.route_ctx = route_ctx == 0 ? 0 : route_ctx + index;
         ++per_class[criticality_index(slot.job.criticality)];
-      });
+      },
+      /*wake=*/false);
   for (std::size_t cls = 0; cls < kCriticalityCount; ++cls) {
     metrics_.on_enqueued(index_, per_class[cls],
                          static_cast<Criticality>(cls));
@@ -150,6 +152,55 @@ Shard::BatchEnqueueResult Shard::try_enqueue_batch(
     metrics_.on_backpressure(index_, count - result.taken);
   }
   return result;
+}
+
+void Shard::hand_off() noexcept {
+  // The durability wait never runs on a producer: a shard with a WAL
+  // leaves its decisions, and with them the fsync and the follower's ACK,
+  // to its worker.
+  if (!config_.wal_path.empty()) {
+    queue_.notify();
+    return;
+  }
+  // Dekker pair with release_role() and the worker's park: the push above
+  // is ordered before this thread reads the role, a release before its
+  // holder rereads the ring, so at least one side sees the other's store.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (!try_claim()) {
+    queue_.notify();
+    return;
+  }
+  try {
+    // Bounded: one claim decides at most one ring's worth, so a producer
+    // is never kept deciding other producers' jobs for ever.
+    std::size_t decided = 0;
+    while (decided < config_.queue_capacity) {
+      const std::size_t popped =
+          consume(config_.queue_capacity - decided).count;
+      if (popped == 0) break;
+      decided += popped;
+    }
+  } catch (const std::exception& e) {
+    fail(e);
+    queue_.notify();  // the parked worker sees the failure and exits
+    return;
+  }
+  release_role();
+}
+
+bool Shard::try_claim() {
+  bool held = false;
+  return role_.compare_exchange_strong(held, true, std::memory_order_acquire,
+                                       std::memory_order_relaxed);
+}
+
+void Shard::release_role() {
+  role_.store(false, std::memory_order_release);
+  // A producer that found the role still held pushed before its own fence;
+  // this one orders the release before the reread, so its jobs show here
+  // and the worker is woken for them.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (queue_.ready()) queue_.notify();
 }
 
 void Shard::close() { queue_.close(); }
@@ -218,61 +269,92 @@ void Shard::set_error(std::string message) {
 }
 
 void Shard::worker_loop() {
+  // The worker holds the consumer role from spawn() and keeps it while the
+  // ring has work; it parks without it, so on a shard without a WAL a
+  // producer can decide its own job meanwhile (hand_off). It takes the
+  // role back to drain the closed ring and keeps it, so nothing decides on
+  // the finished runner. Any exception — injected fault, WAL I/O error,
+  // replication loss, scheduler bug — marks the shard failed (one thrown
+  // before a group's publish pass publishes nothing of it); the supervisor
+  // decides whether to restart it.
+  try {
+    pin_current_thread(config_.pin_cpu);
+    beat();
+    while (true) {
+      const PopOutcome popped = consume(config_.queue_capacity);
+      if (popped.count > 0) continue;
+      if (popped.closed) {  // closed and drained
+        result_ = runner_->finish();
+        if (wal_) wal_->close();
+        publish();  // the resolutions finish() drained at the end
+        break;
+      }
+      if (!await_role()) break;  // a combiner failed the shard
+      beat();  // an idle wake counts only once the role is claimed
+    }
+  } catch (const std::exception& e) {
+    fail(e);
+  }
+  worker_exited_.store(true, std::memory_order_release);
+}
+
+PopOutcome Shard::consume(std::size_t budget) {
   // One binding decision per job in FIFO (= submission) order, through the
   // engine's StreamingRunner, in two passes per group: decide every job,
   // then, once the group's records are durable (local fsync, then the
   // follower's ACK when replicating), publish every decision. A group is
   // one pop without a WAL. With one, it is every batch the ring already
-  // holds, up to one ring's worth (queue_capacity jobs, so sustained
-  // overload still publishes): one sync covers the whole backlog. Any
-  // exception — injected fault, WAL I/O error, replication loss, scheduler
-  // bug — marks the shard failed (one thrown before the publish pass
-  // publishes nothing of its group); the supervisor decides whether to
-  // restart it.
-  try {
-    pin_current_thread(config_.pin_cpu);
-    while (true) {
-      heartbeat_.store(heartbeat_.load(std::memory_order_relaxed) + 1,
-                       std::memory_order_relaxed);
-      PopOutcome popped = queue_.pop_batch_for(
-          batch_.get(), config_.batch_size, config_.pop_timeout);
-      if (popped.count == 0) {
-        if (popped.closed) break;  // closed and drained
-        continue;                  // idle wake: heartbeat already advanced
-      }
-      std::size_t grouped = 0;
-      while (popped.count > 0) {
-        metrics_.on_batch(index_, popped.count);
-        // Crash after a pop, before its decisions: the popped jobs are lost
-        // undecided (never accepted, so nothing durable is owed for them).
-        SLACKSCHED_FAULT_CRASH_POINT(config_.faults, FaultSite::kDequeue,
-                                     index_);
-        for (std::size_t i = 0; i < popped.count; ++i) decide(batch_[i]);
-        grouped += popped.count;
-        if (!wal_ || grouped >= config_.queue_capacity) break;
-        popped = queue_.try_pop_batch(
-            batch_.get(),
-            std::min(config_.batch_size, config_.queue_capacity - grouped));
-      }
-      if (wal_) {
-        wal_->sync_batch();
-        metrics_.on_wal_sync(index_);
-      }
-      publish();
-      // Bound the held schedule by the live commitments: one
-      // partition_point per machine, no allocation.
-      metrics_.on_schedule_held(index_, runner_->settle());
-      SLACKSCHED_FAULT_CRASH_POINT(config_.faults, FaultSite::kWorkerPanic,
-                                   index_);
-    }
-    result_ = runner_->finish();
-    if (wal_) wal_->close();
-    publish();  // the resolutions finish() drained at the end of the stream
-  } catch (const std::exception& e) {
-    set_error(e.what());
-    worker_failed_.store(true, std::memory_order_release);
+  // holds, up to `budget` jobs (one ring's worth, so sustained overload
+  // still publishes): one sync covers the whole backlog.
+  PopOutcome popped = queue_.try_pop_batch(
+      batch_.get(), std::min(config_.batch_size, budget));
+  std::size_t grouped = 0;
+  while (popped.count > 0) {
+    beat();
+    metrics_.on_batch(index_, popped.count);
+    // Crash after a pop, before its decisions: the popped jobs are lost
+    // undecided (never accepted, so nothing durable is owed for them).
+    SLACKSCHED_FAULT_CRASH_POINT(config_.faults, FaultSite::kDequeue, index_);
+    for (std::size_t i = 0; i < popped.count; ++i) decide(batch_[i]);
+    grouped += popped.count;
+    if (!wal_ || grouped >= budget) break;
+    popped = queue_.try_pop_batch(
+        batch_.get(), std::min(config_.batch_size, budget - grouped));
   }
-  worker_exited_.store(true, std::memory_order_release);
+  if (grouped == 0) return popped;
+  if (wal_) {
+    wal_->sync_batch();
+    metrics_.on_wal_sync(index_);
+  }
+  publish();
+  // Bound the held schedule by the live commitments: one partition_point
+  // per machine, no allocation.
+  metrics_.on_schedule_held(index_, runner_->settle());
+  SLACKSCHED_FAULT_CRASH_POINT(config_.faults, FaultSite::kWorkerPanic,
+                               index_);
+  return PopOutcome{grouped, false};
+}
+
+bool Shard::await_role() {
+  role_.store(false, std::memory_order_release);
+  while (true) {
+    // Parks on "role free and work ready", never on the ring alone, so it
+    // does not spin behind a combiner. The recheck runs after the worker
+    // registered as a waiter: its half of the Dekker pair with hand_off().
+    queue_.park(
+        [this] {
+          return worker_failed() ||
+                 (!role_.load(std::memory_order_relaxed) && queue_.ready());
+        },
+        Clock::now() + config_.pop_timeout);
+    if (worker_failed()) return false;
+    if (try_claim()) return true;
+  }
+}
+
+void Shard::fail(const std::exception& error) {
+  set_error(error.what());
+  worker_failed_.store(true, std::memory_order_release);
 }
 
 void Shard::on_resolution(const Job& job, const Decision& decision) {

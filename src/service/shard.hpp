@@ -1,6 +1,7 @@
 /// \file
 /// One shard of the admission gateway: an independent machine group owned
-/// by its own OnlineScheduler instance and consumer thread. The shard
+/// by its own OnlineScheduler instance, decided by whichever thread holds
+/// the shard's consumer role. The shard
 /// replays its queue in FIFO order through the engine's StreamingRunner —
 /// literally the same code path as run_online (decision recording,
 /// commitment-legality check, halt-on-violation rule) — so a single-shard
@@ -12,6 +13,17 @@
 /// its live commitments, not by its history. The aggregates (job count,
 /// volume, makespan, frontiers) keep counting the whole run; the commit log
 /// keeps every placement.
+///
+/// The consumer role (flat combining, Hendler et al., SPAA 2010): one
+/// atomic flag; its holder is the ring's single consumer and the only user
+/// of the runner, the popped batch and the publication list. The shard's
+/// worker thread holds it while it has work and parks without it. On a
+/// shard without a WAL a producer whose push finds the role free claims it
+/// with one CAS and decides the queued jobs itself — its own and anyone
+/// else's, at most queue_capacity per claim — so a lone job costs no
+/// cross-thread hand-off. A shard with a WAL never lets a producer claim:
+/// its worker keeps group commit, and the fsync and the follower's ACK
+/// never run on a submitting thread.
 ///
 /// Crash safety (optional, enabled by ShardConfig::wal_path): every
 /// accepted commitment is appended to a per-shard commit log *before* it is
@@ -28,6 +40,7 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -68,10 +81,11 @@ struct ShardConfig {
   /// default: the log grows with history, and a decision already leaves
   /// the shard through on_decision, the trace ring and the WAL.
   bool record_decisions = false;
-  /// Longest the worker sleeps on an empty queue before waking to publish
-  /// a heartbeat; must stay well below the supervisor's stall threshold.
+  /// Longest the worker sleeps without the consumer role before waking to
+  /// claim it and publish a heartbeat; must stay well below the
+  /// supervisor's stall threshold.
   std::chrono::milliseconds pop_timeout{50};
-  /// CPU to pin the consumer thread to (-1: unpinned), through
+  /// CPU to pin the worker thread to (-1: unpinned), through
   /// pthread_setaffinity_np. Pinning is a locality hint, never a
   /// correctness requirement: a failed affinity call is ignored.
   int pin_cpu = -1;
@@ -90,22 +104,24 @@ struct ShardConfig {
   /// consumer records one TraceEvent per rendered decision; recording is
   /// drop-on-full and never blocks the decision path.
   TraceRing* trace = nullptr;
-  /// Optional per-decision notification, invoked by the consumer thread
-  /// after each rendered, legal decision has been validated, counted and
-  /// traced — in decision (FIFO) order. Decisions are published at their
-  /// group's boundary: a job's call comes after the rest of its group has
-  /// been decided and, with a WAL, after the group's records are durable
-  /// (CommitLog::sync_batch: the fsync under kBatch, then the follower's
-  /// ACK under kAckOnBatch). Without a WAL a group is one pop (at most
-  /// batch_size jobs); with one, it is every batch the queue holds when the
-  /// worker gets to it, up to queue_capacity jobs. A worker that dies before
-  /// the sync publishes none of that group, so under kBatch an accept it
-  /// reports survives a crash. Runs on the decision hot path: must be fast
-  /// and must not throw.
+  /// Optional per-decision notification, invoked on the thread that holds
+  /// the consumer role (the worker, or on a shard without a WAL a
+  /// combining producer) after each rendered, legal decision has been
+  /// validated, counted and traced — in decision (FIFO) order. Decisions
+  /// are published at their group's boundary: a job's call comes after the
+  /// rest of its group has been decided and, with a WAL, after the group's
+  /// records are durable (CommitLog::sync_batch: the fsync under kBatch,
+  /// then the follower's ACK under kAckOnBatch). Without a WAL a group is
+  /// one pop (at most batch_size jobs); with one, it is every batch the
+  /// queue holds when the worker gets to it, up to queue_capacity jobs. A
+  /// worker that dies before the sync publishes none of that group, so
+  /// under kBatch an accept it reports survives a crash. Runs on the
+  /// decision hot path: must be fast and must not throw.
   ShardDecisionCallback on_decision;
 };
 
-/// An independent scheduler + queue + consumer thread. Like run_online, a
+/// An independent scheduler + queue + consumer role, and the worker thread
+/// that takes the role whenever no producer holds it. Like run_online, a
 /// shard stops rendering decisions after the first illegal commitment; its
 /// queue keeps draining, so producers are never blocked by a poisoned
 /// shard.
@@ -130,8 +146,10 @@ class Shard {
   Shard(const Shard&) = delete;
   Shard& operator=(const Shard&) = delete;
 
-  /// Spawns the consumer thread (running recovery first when a WAL is
+  /// Spawns the worker thread (running recovery first when a WAL is
   /// configured and a log already exists). Must be called exactly once.
+  /// The worker holds the consumer role until its first park, so jobs
+  /// queued before start() are decided by the worker.
   void start();
 
   /// The shard's only enqueue: non-blocking, it offers
@@ -140,16 +158,26 @@ class Shard {
   /// counted as enqueued; a shed tail is counted as backpressure only when
   /// the queue was full, not when it was closed (the shard is gone, not
   /// busy). The job at jobs[indices[i]] is echoed to on_decision with
-  /// `route_ctx + indices[i]`, or 0 when `route_ctx` is 0.
+  /// `route_ctx + indices[i]`, or 0 when `route_ctx` is 0. Wakes nobody:
+  /// follow a push that took jobs with hand_off().
   [[nodiscard]] BatchEnqueueResult try_enqueue_batch(
       const Job* jobs, const std::uint32_t* indices, std::size_t count,
       Clock::time_point now, std::uint64_t route_ctx = 0);
+
+  /// Hands the queued jobs to a consumer. On a shard without a WAL, when
+  /// the consumer role is free, the calling thread claims it, decides at
+  /// most queue_capacity queued jobs (running their on_decision hooks
+  /// here) and releases it; otherwise — a WAL, or the role already held —
+  /// it wakes the worker. Never waits for a fsync or an ACK, and never
+  /// throws: a combiner that fails marks the shard failed and keeps the
+  /// role, and the worker exits.
+  void hand_off() noexcept;
 
   /// Closes the queue: producers start failing, the consumer drains the
   /// backlog and exits.
   void close();
 
-  /// Joins the consumer thread. Safe without close() only when the worker
+  /// Joins the worker thread. Safe without close() only when the worker
   /// has already exited (crashed or drained).
   void join();
 
@@ -175,15 +203,19 @@ class Shard {
   }
 
   // --- supervision surface (service/supervisor.hpp) ---
-  /// Monotone progress counter the worker bumps on every wake-up and every
-  /// decided job; a supervisor that sees it unchanged past the stall
-  /// threshold declares the shard degraded.
+  /// Monotone progress counter, advanced only under the consumer role:
+  /// per pop by whoever holds it, and by the worker on an idle wake once
+  /// it has claimed the role. A supervisor that sees it unchanged past the
+  /// stall threshold declares the shard degraded — also while a combining
+  /// producer is wedged with the role.
   [[nodiscard]] std::uint64_t heartbeat() const {
     return heartbeat_.load(std::memory_order_relaxed);
   }
-  /// True once the worker died on an exception (injected fault, I/O error,
-  /// scheduler bug). The queue stays open; jobs keep buffering until the
-  /// supervisor restarts the shard.
+  /// True once the worker, or a combining producer, died on an exception
+  /// (injected fault, I/O error, scheduler bug). The failed holder keeps
+  /// the consumer role, so nothing decides on the broken runner. The queue
+  /// stays open; jobs keep buffering until the supervisor restarts the
+  /// shard.
   [[nodiscard]] bool worker_failed() const {
     return worker_failed_.load(std::memory_order_acquire);
   }
@@ -222,6 +254,28 @@ class Shard {
   /// the worker thread. Throws when recovery fails.
   void spawn(bool is_restart);
   void worker_loop();
+  /// Role holder: pops and decides one group (one pop without a WAL; with
+  /// one, every batch the ring holds), at most `budget` jobs, makes it
+  /// durable and publishes it. Returns the first pop's outcome with
+  /// `count` the group's size.
+  PopOutcome consume(std::size_t budget);
+  /// Worker only, holding the role over an empty open ring: releases it,
+  /// parks until the role is free with work ready (or pop_timeout passes)
+  /// and claims it back. Returns false once a combiner failed the shard.
+  bool await_role();
+  /// One CAS: true when the caller now holds the role.
+  bool try_claim();
+  /// Releases the role, then rechecks the ring and wakes the worker for
+  /// what a producer pushed while the role looked held.
+  void release_role();
+  /// Advances the heartbeat; called only under the role.
+  void beat() {
+    heartbeat_.store(heartbeat_.load(std::memory_order_relaxed) + 1,
+                     std::memory_order_relaxed);
+  }
+  /// The one failure path of a role holder: records the error and marks
+  /// the shard failed. The holder keeps the role.
+  void fail(const std::exception& error);
   /// Decide pass, one job: feeds it and queues its binding decision (if
   /// any) for publication. Counts, traces and notifies nothing.
   void decide(const Task& task);
@@ -240,7 +294,7 @@ class Shard {
   /// feed() call, but the Task (and its route_ctx) dies with the batch
   /// iteration. Parked contexts bridge the gap: decide() records the
   /// ctx when a hooked job defers, on_resolution() pops it. Touched only
-  /// by the consumer thread, so no lock; cleared on (re)spawn — a crashed
+  /// under the consumer role, so no lock; cleared on (re)spawn — a crashed
   /// worker's parked contexts die with it, like its undecided queue tail.
   std::unordered_map<JobId, std::deque<std::uint64_t>> deferred_ctx_;
   /// Decisions rendered by the current group's decide pass, in decision
@@ -256,7 +310,7 @@ class Shard {
   SchedulerFactory factory_;
   MetricsRegistry& metrics_;
   BoundedMpscQueue<Task> queue_;
-  /// The consumer's popped batch (batch_size Tasks), made once per shard
+  /// The role holder's popped batch (batch_size Tasks), made once per shard
   /// and reused by every pop and every restarted worker.
   std::unique_ptr<Task[]> batch_;
   std::unique_ptr<OnlineScheduler> scheduler_;
@@ -267,7 +321,11 @@ class Shard {
   bool joined_ = false;
   std::thread worker_;
 
-  /// Written only by the consumer thread (load+store, no RMW).
+  /// The consumer role. Held from construction: the worker releases it at
+  /// its first park, and keeps it once the ring is closed and drained (or
+  /// the shard failed), so nothing decides on a finished runner.
+  alignas(64) std::atomic<bool> role_{true};
+  /// Written only under the role (load+store, no RMW).
   std::atomic<std::uint64_t> heartbeat_{0};
   std::atomic<bool> worker_failed_{false};
   std::atomic<bool> worker_exited_{false};

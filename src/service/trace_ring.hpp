@@ -2,8 +2,9 @@
 /// Per-decision structured tracing for the admission gateway: one
 /// fixed-capacity ring of TraceEvents per shard. The ring is the shard
 /// queue's lock-free BoundedRing (service/bounded_queue.hpp), so the
-/// shard's consumer thread and the gateway's ingest refusals — which run on
-/// arbitrary producer threads — can record into it concurrently. Nobody
+/// holder of the shard's consumer role and the gateway's ingest refusals —
+/// which run on arbitrary producer threads — can record into it
+/// concurrently. Nobody
 /// parks on a trace ring, so recording pays no fence. When the ring is
 /// full the event is DROPPED and an atomic counter is bumped: tracing never
 /// blocks or slows the decision path to preserve an event, and the drop

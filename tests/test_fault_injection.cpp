@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -276,6 +277,120 @@ TEST(FaultInjection, MidBatchCrashPublishesNothingFromItsBatch) {
     std::sort(logged.begin(), logged.end());
     EXPECT_EQ(logged, input.logged);
     std::filesystem::remove_all(dir);
+  }
+}
+
+TEST(FaultInjection, CombinerFaultStaysOnItsShard) {
+  // Without a WAL a submit decides inline, so a crash site can fire on the
+  // submitting thread. The fault must not escape submit_batch: the shard
+  // is failed and keeps its consumer role (nothing decides on the broken
+  // runner again), its worker exits, the run is not clean, and the
+  // supervisor refuses the shard's jobs with retry-after. One pop per job:
+  // job 1's pop passes, job 2's pop fires.
+  using std::chrono::milliseconds;
+  using std::chrono::seconds;
+  const auto make = [](JobId id) {
+    Job job;
+    job.id = id;
+    job.release = 0.0;
+    job.proc = 1.0;
+    job.deadline = 1000.0;
+    return job;
+  };
+  const auto eventually = [](auto pred) {
+    const auto give_up = std::chrono::steady_clock::now() + seconds(5);
+    while (!pred() && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(milliseconds(1));
+    }
+    return pred();
+  };
+  const std::thread::id self = std::this_thread::get_id();
+  FaultPlan plan;
+  plan.add({FaultSite::kDequeue, 0, 2});
+
+  // The shard itself: the failed holder keeps the role.
+  {
+    FaultInjector injector(plan);
+    MetricsRegistry metrics(1);
+    std::atomic<std::size_t> decided_here{0};
+    std::atomic<std::size_t> decided{0};
+    ShardConfig config;
+    config.batch_size = 1;
+    config.pop_timeout = seconds(10);  // the worker wakes only when told
+    config.faults = &injector;
+    config.on_decision = [&](const Job&, const Decision&, std::uint64_t) {
+      if (std::this_thread::get_id() == self) ++decided_here;
+      ++decided;
+    };
+    Shard shard(
+        0, [] { return std::make_unique<ThresholdScheduler>(kEps, 2); },
+        config, metrics);
+    shard.start();
+    // The worker holds the role until its first park.
+    std::this_thread::sleep_for(milliseconds(100));
+    const std::vector<Job> jobs = {make(1), make(2), make(3)};
+    ASSERT_EQ(shard
+                  .try_enqueue_batch(jobs.data(), nullptr, jobs.size(),
+                                     Shard::Clock::now())
+                  .taken,
+              jobs.size());
+    shard.hand_off();
+    // One claim runs on one thread: the claim that decided job 1 here
+    // popped job 2 here too, and the fault fired on this thread.
+    EXPECT_EQ(decided_here.load(), 1u);
+    EXPECT_EQ(decided.load(), 1u);
+    EXPECT_EQ(injector.fired(), 1u);
+    EXPECT_TRUE(shard.worker_failed());
+    EXPECT_TRUE(eventually([&] { return shard.worker_exited(); }))
+        << "the worker outlived its failed shard";
+    const Job late = make(4);
+    ASSERT_EQ(shard.try_enqueue_batch(&late, nullptr, 1, Shard::Clock::now())
+                  .taken,
+              1u);
+    shard.hand_off();
+    EXPECT_EQ(decided.load(), 1u) << "a job was decided on a failed shard";
+    EXPECT_EQ(shard.queue_size(), 2u) << "jobs 3 and 4 left the queue";
+    shard.close();
+    shard.join();
+  }
+
+  // The gateway around it: supervision and the run's result.
+  {
+    FaultInjector injector(plan);
+    std::atomic<std::size_t> decided_here{0};
+    GatewayConfig config;
+    config.shards = 1;
+    config.batch_size = 1;
+    config.fault_injector = &injector;
+    config.supervisor = fast_supervisor();
+    // Silence alone never marks this shard down: only its exit does.
+    config.supervisor.stall_threshold = seconds(20);
+    config.supervisor.down_threshold = seconds(30);
+    config.pop_timeout = seconds(10);
+    config.on_decision = [&](int, const Job&, const Decision&,
+                             std::uint64_t) {
+      if (std::this_thread::get_id() == self) ++decided_here;
+    };
+    AdmissionGateway gateway(config, [](int) {
+      return std::make_unique<ThresholdScheduler>(kEps, 2);
+    });
+    std::this_thread::sleep_for(milliseconds(100));
+    const std::vector<Job> jobs = {make(1), make(2), make(3)};
+    std::vector<Outcome> statuses(jobs.size());
+    const BatchSubmitResult batch = gateway.submit_batch(jobs, statuses);
+    EXPECT_EQ(batch.enqueued, jobs.size());
+    EXPECT_EQ(decided_here.load(), 1u);
+    EXPECT_EQ(injector.fired(), 1u);
+    EXPECT_TRUE(eventually(
+        [&] { return gateway.shard_health(0) == Health::kDown; }))
+        << "the supervisor never saw the failed shard";
+    EXPECT_EQ(gateway.submit(make(4)), Outcome::kRejectedRetryAfter);
+    const GatewayResult result = gateway.finish();
+    EXPECT_FALSE(result.clean());
+    ASSERT_EQ(result.errors.size(), 1u);
+    EXPECT_NE(result.errors[0].find("injected fault"), std::string::npos)
+        << result.errors[0];
+    EXPECT_EQ(result.metrics.total.submitted, 1u);
   }
 }
 

@@ -405,13 +405,16 @@ class GatedScheduler final : public OnlineScheduler {
 
 /// Threshold whose on_arrival blocks until released: the consumer holds
 /// still while the test offers a whole stream, so the shed policy sees a
-/// queue that only the submissions fill.
+/// queue that only the submissions fill. `entered` turns true once a
+/// decision is held.
 class GatedThreshold final : public OnlineScheduler {
  public:
-  GatedThreshold(double eps, int machines, const std::atomic<bool>* released)
-      : inner_(eps, machines), released_(released) {}
+  GatedThreshold(double eps, int machines, const std::atomic<bool>* released,
+                 std::atomic<bool>* entered)
+      : inner_(eps, machines), released_(released), entered_(entered) {}
 
   Decision on_arrival(const Job& job) override {
+    entered_->store(true, std::memory_order_release);
     while (!released_->load(std::memory_order_acquire)) {
       std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
@@ -424,7 +427,20 @@ class GatedThreshold final : public OnlineScheduler {
  private:
   ThresholdScheduler inner_;
   const std::atomic<bool>* released_;
+  std::atomic<bool>* entered_;
 };
+
+/// Submits `job` on a helper thread and returns that thread once the job's
+/// decision is held inside `gate`, with the consumer role. Release the
+/// gate, then join it; `status` is the helper's submit outcome.
+std::thread hold_role(AdmissionGateway& gateway, const Job& job,
+                      GatedScheduler& gate, Outcome& status) {
+  std::thread holder([&gateway, job, &status] { status = gateway.submit(job); });
+  while (gate.entered.load(std::memory_order_acquire) == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return holder;
+}
 
 Job make_class_job(JobId id, Criticality criticality) {
   Job job;
@@ -451,13 +467,13 @@ TEST(GatewayShed, ScriptedOccupancyShedsExactlyByClassThreshold) {
   ASSERT_NE(gate, nullptr);
 
   // Park the consumer inside the first decision so the queue occupancy
-  // from here on is exactly what this thread scripted.
+  // from here on is exactly what this thread scripted. A submit on an idle
+  // shard decides its job itself, so a helper thread submits it and holds
+  // the consumer role there.
   JobId next = 1;
-  ASSERT_EQ(gateway.submit(make_class_job(next++, Criticality::kCritical)),
-            Outcome::kEnqueued);
-  while (gate->entered.load(std::memory_order_acquire) == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  Outcome first = Outcome::kRejectedClosed;
+  std::thread holder = hold_role(
+      gateway, make_class_job(next++, Criticality::kCritical), *gate, first);
 
   auto fill = [&](Criticality criticality, int count) {
     for (int i = 0; i < count; ++i) {
@@ -487,6 +503,8 @@ TEST(GatewayShed, ScriptedOccupancyShedsExactlyByClassThreshold) {
             Outcome::kRejectedQueueFull);
 
   gate->released.store(true, std::memory_order_release);
+  holder.join();
+  ASSERT_EQ(first, Outcome::kEnqueued);
   const GatewayResult result = gateway.finish();
   EXPECT_TRUE(result.clean());
 
@@ -514,6 +532,12 @@ TEST(GatewayShed, BatchOccupancyCountsTheJobsAlreadyGrouped) {
     return scheduler;
   });
 
+  // A helper's job holds the consumer role, so the batch below only queues
+  // (on an idle shard its submit would decide the jobs it grouped).
+  Outcome first = Outcome::kRejectedClosed;
+  std::thread holder = hold_role(
+      gateway, make_class_job(100, Criticality::kCritical), *gate, first);
+
   std::vector<Job> jobs;
   for (JobId id = 0; id < 10; ++id) {
     jobs.push_back(make_class_job(id, Criticality::kBackground));
@@ -527,6 +551,7 @@ TEST(GatewayShed, BatchOccupancyCountsTheJobsAlreadyGrouped) {
   EXPECT_EQ(statuses[9], Outcome::kRejectedCriticality);
 
   gate->released.store(true, std::memory_order_release);
+  holder.join();
   (void)gateway.finish();
 }
 
@@ -551,12 +576,34 @@ TEST(GatewayShed, RandomizedOverloadShedsLowClassesFirst) {
     return scheduler;
   });
 
+  // Several producers: whichever holds the consumer role decides slowly
+  // while the others keep offering, so the queue stays under pressure (a
+  // lone producer would decide each of its own jobs inline).
+  constexpr std::size_t kProducers = 4;
+  std::array<std::array<std::size_t, kCriticalityCount>, kProducers>
+      offered_by{};
+  std::array<std::array<std::size_t, kCriticalityCount>, kProducers> shed_by{};
+  std::vector<std::thread> producers;
+  for (std::size_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      const std::vector<Job>& jobs = instance.jobs();
+      for (std::size_t i = p; i < jobs.size(); i += kProducers) {
+        const std::size_t cls = criticality_index(jobs[i].criticality);
+        ++offered_by[p][cls];
+        if (gateway.submit(jobs[i]) == Outcome::kRejectedCriticality) {
+          ++shed_by[p][cls];
+        }
+      }
+    });
+  }
+  for (std::thread& producer : producers) producer.join();
   std::array<std::size_t, kCriticalityCount> offered{};
   std::array<std::size_t, kCriticalityCount> shed{};
-  for (const Job& job : instance.jobs()) {
-    const std::size_t cls = criticality_index(job.criticality);
-    ++offered[cls];
-    if (gateway.submit(job) == Outcome::kRejectedCriticality) ++shed[cls];
+  for (std::size_t p = 0; p < kProducers; ++p) {
+    for (std::size_t cls = 0; cls < kCriticalityCount; ++cls) {
+      offered[cls] += offered_by[p][cls];
+      shed[cls] += shed_by[p][cls];
+    }
   }
   const GatewayResult result = gateway.finish();
   EXPECT_TRUE(result.clean());
@@ -592,24 +639,39 @@ TEST(GatewayShed, HeldOverloadShedsStrictlyLowBeforeHigh) {
   const Instance instance = generate_workload(wconfig);
 
   std::atomic<bool> released{false};
+  std::atomic<bool> entered{false};
   GatewayConfig config;
   config.shards = 1;
   config.queue_capacity = 256;
   config.batch_size = 1;
   config.supervisor.enabled = false;
   config.shed_policy = ShedPolicyConfig{};
-  AdmissionGateway gateway(config, [&released](int) {
-    return std::make_unique<GatedThreshold>(kEps, 4, &released);
+  AdmissionGateway gateway(config, [&released, &entered](int) {
+    return std::make_unique<GatedThreshold>(kEps, 4, &released, &entered);
   });
 
   std::array<std::size_t, kCriticalityCount> offered{};
   std::array<std::size_t, kCriticalityCount> shed{};
-  for (const Job& job : instance.jobs()) {
+  const auto offer = [&](const Job& job, Outcome outcome) {
     const std::size_t cls = criticality_index(job.criticality);
     ++offered[cls];
-    if (gateway.submit(job) == Outcome::kRejectedCriticality) ++shed[cls];
+    if (outcome == Outcome::kRejectedCriticality) ++shed[cls];
+  };
+  // The first job holds the consumer role on a helper thread (a submit on
+  // an idle shard decides its job itself); this thread offers the rest.
+  const std::vector<Job>& jobs = instance.jobs();
+  Outcome first = Outcome::kRejectedClosed;
+  std::thread holder(
+      [&gateway, &jobs, &first] { first = gateway.submit(jobs.front()); });
+  while (!entered.load(std::memory_order_acquire)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (std::size_t i = 1; i < jobs.size(); ++i) {
+    offer(jobs[i], gateway.submit(jobs[i]));
   }
   released.store(true, std::memory_order_release);
+  holder.join();
+  offer(jobs.front(), first);
   const GatewayResult result = gateway.finish();
   EXPECT_TRUE(result.clean());
 

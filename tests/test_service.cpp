@@ -7,12 +7,14 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <barrier>
 #include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
+#include <memory>
 #include <new>
 #include <set>
 #include <string>
@@ -34,16 +36,18 @@ thread_local bool t_count_allocations = false;
 thread_local std::size_t t_allocations = 0;
 }  // namespace
 
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+// Not inlined, neither the news nor the deletes: a new-expression inlined
+// down to malloc(), or a delete-expression inlined down to free(), trips
+// GCC's -Wmismatched-new-delete, although the pairs are matched here.
+[[gnu::noinline]] void* operator new(std::size_t size,
+                                     const std::nothrow_t&) noexcept {
   if (t_count_allocations) ++t_allocations;
   return std::malloc(size == 0 ? 1 : size);
 }
-void* operator new(std::size_t size) {
+[[gnu::noinline]] void* operator new(std::size_t size) {
   if (void* block = operator new(size, std::nothrow)) return block;
   throw std::bad_alloc();
 }
-// Not inlined: a delete-expression inlined down to free() trips GCC's
-// -Wmismatched-new-delete, although the pair is matched here.
 [[gnu::noinline]] void operator delete(void* block) noexcept {
   std::free(block);
 }
@@ -244,8 +248,11 @@ TEST(MetricsRegistry, LatencySumAccumulatesPerShardAndTotal) {
 /// fast producer outruns the consumer and hits the bounded queue.
 class SlowScheduler final : public OnlineScheduler {
  public:
+  explicit SlowScheduler(
+      std::chrono::microseconds delay = std::chrono::microseconds(200))
+      : delay_(delay) {}
   Decision on_arrival(const Job& job) override {
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    std::this_thread::sleep_for(delay_);
     const TimePoint start = std::max(frontier_, job.release);
     frontier_ = start + job.proc;
     return Decision::accept(0, start);
@@ -255,24 +262,70 @@ class SlowScheduler final : public OnlineScheduler {
   std::string name() const override { return "Slow"; }
 
  private:
+  std::chrono::microseconds delay_;
   TimePoint frontier_ = 0.0;
 };
+
+/// Holds a shard's consumer role away from the test thread: the first job
+/// the wrapped scheduler sees blocks in on_arrival until `released`, so
+/// whoever decides it (a helper's combining submit, or the worker) keeps
+/// the role, and the test thread's own submits on that shard only queue.
+struct RoleGate {
+  std::atomic<bool> entered{false};
+  std::atomic<bool> released{false};
+};
+
+class GatedScheduler final : public OnlineScheduler {
+ public:
+  GatedScheduler(std::unique_ptr<OnlineScheduler> inner, RoleGate* gate)
+      : inner_(std::move(inner)), gate_(gate) {}
+  Decision on_arrival(const Job& job) override {
+    if (!gated_) {
+      gated_ = true;
+      gate_->entered.store(true, std::memory_order_release);
+      while (!gate_->released.load(std::memory_order_acquire)) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    }
+    return inner_->on_arrival(job);
+  }
+  int machines() const override { return inner_->machines(); }
+  void reset() override { inner_->reset(); }
+  std::string name() const override { return "Gated"; }
+
+ private:
+  std::unique_ptr<OnlineScheduler> inner_;
+  RoleGate* gate_;
+  bool gated_ = false;
+};
+
+/// Submits `job` on a helper thread and returns that thread once the job's
+/// decision holds the role inside `gate`. Open the gate, then join it;
+/// `status` is the helper's submit outcome.
+std::thread hold_role(AdmissionGateway& gateway, const Job& job,
+                      RoleGate& gate, Outcome& status) {
+  std::thread holder([&gateway, job, &status] { status = gateway.submit(job); });
+  while (!gate.entered.load(std::memory_order_acquire)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return holder;
+}
 
 TEST(Gateway, QueueFullIsExplicitNeverSilent) {
   GatewayConfig config;
   config.shards = 1;
   config.queue_capacity = 2;  // tiny on purpose
   config.batch_size = 2;
-  AdmissionGateway gateway(
-      config, [](int) { return std::make_unique<SlowScheduler>(); });
+  RoleGate gate;
+  AdmissionGateway gateway(config, [&gate](int) {
+    return std::make_unique<GatedScheduler>(std::make_unique<SlowScheduler>(),
+                                            &gate);
+  });
 
   const int n = 200;
   int enqueued = 0;
   int shed = 0;
-  for (JobId id = 0; id < n; ++id) {
-    // Loose deadlines: the slow scheduler accepts whatever arrives.
-    const Outcome status =
-        gateway.submit(make_job(id, 0.0, 1.0, 1e9));
+  const auto account = [&](Outcome status) {
     if (status == Outcome::kEnqueued) {
       ++enqueued;
     } else {
@@ -280,9 +333,21 @@ TEST(Gateway, QueueFullIsExplicitNeverSilent) {
       EXPECT_NE(describe(status).find("backpressure"), std::string::npos);
       ++shed;
     }
+  };
+  // Job 0 holds the consumer role on a helper thread while this thread
+  // offers the rest (loose deadlines: the slow scheduler accepts whatever
+  // arrives).
+  Outcome first = Outcome::kRejectedClosed;
+  std::thread holder =
+      hold_role(gateway, make_job(0, 0.0, 1.0, 1e9), gate, first);
+  for (JobId id = 1; id < n; ++id) {
+    account(gateway.submit(make_job(id, 0.0, 1.0, 1e9)));
   }
-  // The producer outruns a 200us-per-decision consumer through a 2-slot
-  // queue: some jobs must be shed, and every job is accounted for.
+  gate.released.store(true, std::memory_order_release);
+  holder.join();
+  account(first);
+  // The producer outruns a held consumer through a 2-slot queue: some
+  // jobs must be shed, and every job is accounted for.
   EXPECT_GT(shed, 0);
   EXPECT_EQ(enqueued + shed, n);
 
@@ -845,23 +910,43 @@ TEST(Shard, ShardWithoutWalPublishesEveryPop) {
 TEST(Gateway, SteadyStateIngestDoesNotAllocate) {
   // A lone job is a batch of one: submit(), submit_batch(1) and
   // submit_batch(256) share one path, and in steady state none of them
-  // touches the heap on the producer thread.
+  // touches the heap on the producer thread. Helper threads hold both
+  // shards' consumer roles meanwhile, so every submit here only queues.
   GatewayConfig config;
   config.shards = 2;
   config.routing = RoutingPolicy::kHash;
   config.queue_capacity = std::size_t{1} << 16;
   config.supervisor.enabled = false;
-  AdmissionGateway gateway(
-      config, [](int) { return std::make_unique<GreedyScheduler>(2); });
+  std::array<RoleGate, 2> gates;
+  AdmissionGateway gateway(config, [&gates](int shard) {
+    return std::make_unique<GatedScheduler>(
+        std::make_unique<GreedyScheduler>(2),
+        &gates[static_cast<std::size_t>(shard)]);
+  });
 
   constexpr std::size_t kBatch = 256;
   constexpr int kRounds = 20;
   std::vector<Job> jobs;
-  for (JobId id = 0; id < static_cast<JobId>((kBatch + 2) * (kRounds + 1));
-       ++id) {
+  for (JobId id = 0;
+       id < static_cast<JobId>((kBatch + 2) * (kRounds + 1) + 2); ++id) {
     jobs.push_back(make_job(id, 0.0, 1.0, 1e9));
   }
-  std::size_t next = 0;
+  // jobs[0] and jobs[1] hold the roles: one per shard.
+  ShardRouter router(config.routing, config.shards);
+  const int first_shard = router.route(jobs[0]);
+  const auto other =
+      std::find_if(jobs.begin() + 1, jobs.end(), [&](const Job& job) {
+        return router.route(job) != first_shard;
+      });
+  ASSERT_NE(other, jobs.end());
+  std::iter_swap(jobs.begin() + 1, other);
+  std::array<Outcome, 2> held{};
+  std::array<std::thread, 2> holders = {
+      hold_role(gateway, jobs[0],
+                gates[static_cast<std::size_t>(first_shard)], held[0]),
+      hold_role(gateway, jobs[1],
+                gates[static_cast<std::size_t>(1 - first_shard)], held[1])};
+  std::size_t next = 2;
   const auto one_round = [&](std::array<std::size_t, 3>& counts) {
     t_allocations = 0;
     t_count_allocations = true;
@@ -890,9 +975,220 @@ TEST(Gateway, SteadyStateIngestDoesNotAllocate) {
   EXPECT_EQ(counts[1], 0u) << "submit_batch(1) allocated";
   EXPECT_EQ(counts[2], 0u) << "submit_batch(256) allocated";
 
+  for (RoleGate& gate : gates) {
+    gate.released.store(true, std::memory_order_release);
+  }
+  for (std::thread& holder : holders) holder.join();
   const GatewayResult result = gateway.finish();
   EXPECT_TRUE(result.clean());
   EXPECT_EQ(result.merged.submitted, next);
+}
+
+// ---------- gateway: the combining hand-off ----------
+
+/// Long enough that a parked worker wakes only when told to.
+constexpr std::chrono::seconds kNoIdleWake{10};
+
+/// Counts on_decision calls, and those made on the thread that built it.
+struct DecisionThreads {
+  std::thread::id self = std::this_thread::get_id();
+  std::atomic<std::size_t> calls{0};
+  std::atomic<std::size_t> calls_here{0};
+
+  void hook(GatewayConfig& config) {
+    config.on_decision = [this](int, const Job&, const Decision&,
+                                std::uint64_t) {
+      if (std::this_thread::get_id() == self) ++calls_here;
+      ++calls;
+    };
+  }
+};
+
+/// The worker holds the consumer role from start() until its first park;
+/// give it that moment, so the role is free when the test submits.
+void let_worker_park() {
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+}
+
+TEST(Gateway, CombiningSubmitDoesNotAllocate) {
+  // A submit that finds its shard idle decides the job itself. On jobs
+  // that settle (each placement ends by the next release), that inline
+  // decision makes no allocation once the schedule and the publication
+  // list have reached their working size.
+  GatewayConfig config;
+  config.shards = 1;
+  config.supervisor.enabled = false;
+  config.pop_timeout = kNoIdleWake;
+  DecisionThreads threads;
+  threads.hook(config);
+  AdmissionGateway gateway(
+      config, [](int) { return std::make_unique<GreedyScheduler>(2); });
+
+  constexpr std::size_t kBatch = 256;
+  constexpr int kRounds = 20;
+  std::vector<Job> jobs;
+  for (JobId id = 0; id < static_cast<JobId>((kBatch + 2) * (kRounds + 1));
+       ++id) {
+    const auto release = static_cast<TimePoint>(id);
+    jobs.push_back(make_job(id, release, 1.0, release + 2.0));
+  }
+  std::size_t next = 0;
+  const auto one_round = [&](std::array<std::size_t, 3>& counts) {
+    t_allocations = 0;
+    t_count_allocations = true;
+    (void)gateway.submit(jobs[next++]);
+    t_count_allocations = false;
+    counts[0] += t_allocations;
+
+    t_allocations = 0;
+    t_count_allocations = true;
+    (void)gateway.submit_batch(std::span<const Job>(&jobs[next++], 1));
+    t_count_allocations = false;
+    counts[1] += t_allocations;
+
+    t_allocations = 0;
+    t_count_allocations = true;
+    (void)gateway.submit_batch(std::span<const Job>(&jobs[next], kBatch));
+    t_count_allocations = false;
+    counts[2] += t_allocations;
+    next += kBatch;
+  };
+  let_worker_park();
+  std::array<std::size_t, 3> warm_up{};
+  one_round(warm_up);
+  const std::size_t warm = next;
+  ASSERT_EQ(threads.calls.load(), warm);
+  const std::size_t here_before = threads.calls_here.load();
+  std::array<std::size_t, 3> counts{};
+  for (int round = 0; round < kRounds; ++round) one_round(counts);
+  EXPECT_EQ(threads.calls_here.load() - here_before, next - warm)
+      << "a submit on an idle shard left its job to the worker";
+  EXPECT_EQ(counts[0], 0u) << "combining submit allocated";
+  EXPECT_EQ(counts[1], 0u) << "combining submit_batch(1) allocated";
+  EXPECT_EQ(counts[2], 0u) << "combining submit_batch(256) allocated";
+
+  const GatewayResult result = gateway.finish();
+  EXPECT_TRUE(result.clean());
+  EXPECT_EQ(result.merged.submitted, next);
+}
+
+TEST(Gateway, LoneSubmitOnAnIdleShardIsDecidedOnTheCallingThread) {
+  // Without a WAL, a lone submit that finds the consumer role free claims
+  // it and decides its own job: on_decision has run on this thread by the
+  // time submit returns, with no hand-off to the worker.
+  GatewayConfig config;
+  config.shards = 1;
+  config.supervisor.enabled = false;
+  config.pop_timeout = kNoIdleWake;
+  DecisionThreads threads;
+  threads.hook(config);
+  AdmissionGateway gateway(
+      config, [](int) { return std::make_unique<GreedyScheduler>(2); });
+  let_worker_park();
+  for (JobId id = 0; id < 3; ++id) {
+    ASSERT_EQ(gateway.submit(make_job(id, 0.0, 1.0, 1e9)),
+              Outcome::kEnqueued);
+    const auto expected = static_cast<std::size_t>(id + 1);
+    EXPECT_EQ(threads.calls.load(), expected)
+        << "submit returned before its decision";
+    EXPECT_EQ(threads.calls_here.load(), expected)
+        << "job " << id << " was decided off the calling thread";
+  }
+  EXPECT_TRUE(gateway.finish().clean());
+}
+
+TEST(Gateway, WalShardNeverDecidesOnTheSubmittingThread) {
+  // A shard with a WAL never lets a producer claim its role: the fsync
+  // and the follower's ACK stay off the submitting thread.
+  const std::string dir = ::testing::TempDir() + "slacksched_wal_no_combine";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  GatewayConfig config;
+  config.shards = 1;
+  config.supervisor.enabled = false;
+  config.pop_timeout = kNoIdleWake;
+  config.wal_dir = dir;
+  DecisionThreads threads;
+  threads.hook(config);
+  constexpr std::size_t kJobs = 200;
+  {
+    AdmissionGateway gateway(
+        config, [](int) { return std::make_unique<GreedyScheduler>(2); });
+    let_worker_park();
+    for (JobId id = 0; id < static_cast<JobId>(kJobs); ++id) {
+      ASSERT_EQ(gateway.submit(make_job(id, 0.0, 1.0, 1e9)),
+                Outcome::kEnqueued);
+    }
+    EXPECT_TRUE(gateway.finish().clean());
+  }
+  EXPECT_EQ(threads.calls.load(), kJobs);
+  EXPECT_EQ(threads.calls_here.load(), 0u)
+      << "a WAL shard decided on the submitting thread";
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Gateway, ContendedLoneSubmitsNeverLoseTheirHandOff) {
+  // Four producers submit one job each per round, all at once, and each
+  // waits for its own answer. Decisions are slow and one claim decides at
+  // most the ring's two slots, so a combiner often releases the role with
+  // a job still queued that it never saw: only its release-side recheck
+  // wakes a consumer for it. A hand-off lost there waits for the worker's
+  // 10-s idle wake, and every other producer waits with it at the next
+  // round. A job the full ring refuses is answered at once.
+  constexpr int kProducers = 4;
+  constexpr int kPerProducer = 2000;
+  constexpr auto kAnswerBound = std::chrono::seconds(2);
+  GatewayConfig config;
+  config.shards = 1;
+  config.queue_capacity = 2;
+  config.batch_size = 1;
+  config.supervisor.enabled = false;
+  config.pop_timeout = kNoIdleWake;
+  std::vector<std::atomic<bool>> answered(
+      static_cast<std::size_t>(kProducers * kPerProducer));
+  config.on_decision = [&answered](int, const Job& job, const Decision&,
+                                   std::uint64_t) {
+    answered[static_cast<std::size_t>(job.id)].store(
+        true, std::memory_order_release);
+  };
+  AdmissionGateway gateway(config, [](int) {
+    return std::make_unique<SlowScheduler>(std::chrono::microseconds(20));
+  });
+
+  std::barrier round(kProducers);
+  std::atomic<bool> stop{false};
+  std::atomic<std::size_t> late{0};
+  std::atomic<std::size_t> queued{0};
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      for (int i = 0; i < kPerProducer; ++i) {
+        round.arrive_and_wait();
+        if (stop.load(std::memory_order_acquire)) break;
+        const JobId id = static_cast<JobId>(p * kPerProducer + i);
+        const auto submitted = std::chrono::steady_clock::now();
+        const Outcome status = gateway.submit(make_job(id, 0.0, 1.0, 1e9));
+        if (status == Outcome::kRejectedQueueFull) continue;
+        ASSERT_EQ(status, Outcome::kEnqueued);
+        ++queued;
+        while (!answered[static_cast<std::size_t>(id)].load(
+            std::memory_order_acquire)) {
+          if (std::chrono::steady_clock::now() - submitted > kAnswerBound) {
+            ++late;
+            stop.store(true, std::memory_order_release);
+            break;
+          }
+          std::this_thread::yield();
+        }
+      }
+      round.arrive_and_drop();
+    });
+  }
+  for (std::thread& producer : producers) producer.join();
+  EXPECT_EQ(late.load(), 0u) << "a job waited past 2 s for its answer";
+  const GatewayResult result = gateway.finish();
+  EXPECT_TRUE(result.clean());
+  EXPECT_EQ(result.metrics.total.submitted, queued.load());
 }
 
 }  // namespace

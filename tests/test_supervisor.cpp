@@ -144,8 +144,8 @@ TEST(Supervisor, CrashedWorkerIsRestartedInPlaceFromItsLog) {
 }
 
 TEST(Supervisor, HeartbeatStallDegradesThenHealthyOnResume) {
-  /// Wedges the worker inside one on_arrival call long enough to trip the
-  /// stall threshold, then behaves normally.
+  /// Wedges the role holder inside one on_arrival call long enough to trip
+  /// the stall threshold, then behaves normally.
   class WedgeScheduler final : public OnlineScheduler {
    public:
     explicit WedgeScheduler(milliseconds wedge) : wedge_(wedge), inner_(2) {}
@@ -176,13 +176,19 @@ TEST(Supervisor, HeartbeatStallDegradesThenHealthyOnResume) {
     return std::make_unique<WedgeScheduler>(milliseconds(250));
   });
 
-  submit_now(gateway, easy_jobs(1, 0, 0.0));
+  // Without a WAL the submit decides its job inline, so the wedge holds
+  // the submitting thread and the consumer role with it: submit from a
+  // helper, once the worker has parked, and watch from here. The parked
+  // worker's idle wakes must not count as progress while the role is held.
+  std::this_thread::sleep_for(milliseconds(50));
+  std::thread submitter([&] { submit_now(gateway, easy_jobs(1, 0, 0.0)); });
   EXPECT_TRUE(eventually(
       [&] { return gateway.shard_health(0) == Health::kDegraded; }))
       << "stalled worker never marked degraded";
   EXPECT_TRUE(eventually(
       [&] { return gateway.shard_health(0) == Health::kHealthy; }))
       << "resumed worker never marked healthy again";
+  submitter.join();
   const GatewayResult result = gateway.finish();
   EXPECT_TRUE(result.clean());
   EXPECT_EQ(result.merged.accepted, 1u);
