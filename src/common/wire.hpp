@@ -21,7 +21,7 @@
 //                    index in replication
 //   u32 payload_len  <= FrameSpec::max_payload, checked from the header
 //                    alone, before any payload is awaited
-//   u32 crc          crc32_ieee of the payload bytes
+//   u32 crc          crc32c of the payload bytes
 //   ... payload_len bytes of payload
 //
 // Encoding is little-endian, fixed-width, via memcpy (never pointer
@@ -38,10 +38,20 @@
 
 namespace slacksched::wire {
 
-/// IEEE CRC-32 (reflected, poly 0xEDB88320) over `n` bytes — the framing
-/// checksum of the commit log, the admission protocol and the replication
-/// protocol. Slice-by-8: eight bytes per step, any alignment.
-[[nodiscard]] std::uint32_t crc32_ieee(const void* data, std::size_t n);
+/// CRC-32C (Castagnoli: reflected, poly 0x82F63B78) over `n` bytes — the
+/// framing checksum of the commit log, the admission protocol and the
+/// replication protocol. The CPU chooses the implementation once per
+/// process: the SSE4.2 `crc32` instruction, eight bytes per step, on an
+/// x86-64 CPU that has it; detail::crc32c_portable everywhere else. Any
+/// alignment.
+[[nodiscard]] std::uint32_t crc32c(const void* data, std::size_t n);
+
+namespace detail {
+/// The table path of crc32c (slice-by-8: eight table reads fold eight
+/// bytes), compiled in on every host. Exposed so tests check it on hosts
+/// whose crc32c never selects it.
+[[nodiscard]] std::uint32_t crc32c_portable(const void* data, std::size_t n);
+}  // namespace detail
 
 /// Appends `value`'s little-endian bytes to `out`.
 template <typename T>

@@ -163,7 +163,11 @@ std::uint64_t AdmissionClient::submit_batch(std::span<const Job> jobs) {
   const std::uint64_t base = next_request_id_;
   next_request_id_ += jobs.size();
   std::vector<char> bytes;
-  encode_submit_batch(bytes, base, jobs);
+  for (std::size_t first = 0; first < jobs.size(); first += kMaxBatchJobs) {
+    const auto frame_jobs = jobs.subspan(
+        first, std::min(kMaxBatchJobs, jobs.size() - first));
+    encode_submit_batch(bytes, base + first, frame_jobs);
+  }
   send_all(bytes);
   outstanding_ += jobs.size();
   return base;

@@ -97,8 +97,8 @@ class AdmissionClient {
   /// without waiting for the reply.
   std::uint64_t submit(const Job& job);
 
-  /// Pipelined batch submit: one SUBMIT_BATCH frame; job i is answered
-  /// under request id `returned + i`.
+  /// Pipelined batch submit: one SUBMIT_BATCH frame per kMaxBatchJobs
+  /// jobs; job i is answered under request id `returned + i`.
   std::uint64_t submit_batch(std::span<const Job> jobs);
 
   /// Blocks until the next reply (buffered or from the socket).
@@ -156,8 +156,8 @@ class RetryingSubmitter {
   /// Pipelines one job (attempt 1).
   void enqueue(const Job& job);
 
-  /// Pipelines a batch in one SUBMIT_BATCH frame (each job at attempt 1);
-  /// retries are per-job, resubmitted individually.
+  /// Pipelines a batch through AdmissionClient::submit_batch (each job at
+  /// attempt 1); retries are per-job, resubmitted individually.
   void enqueue_batch(std::span<const Job> jobs);
 
   /// Blocks for the next final reply; false when nothing is in flight.

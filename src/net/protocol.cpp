@@ -4,6 +4,7 @@
 #include <cstring>
 #include <type_traits>
 
+#include "common/expects.hpp"
 #include "common/wire.hpp"
 
 namespace slacksched::net {
@@ -53,6 +54,7 @@ void encode_submit(std::vector<char>& out, const SubmitMsg& msg) {
 void encode_submit_batch(std::vector<char>& out,
                          std::uint64_t base_request_id,
                          std::span<const Job> jobs) {
+  SLACKSCHED_EXPECTS(12 + jobs.size() * kJobBytes <= kMaxPayload);
   const std::size_t start = wire::begin_frame(out);
   put<std::uint64_t>(out, base_request_id);
   put<std::uint32_t>(out, static_cast<std::uint32_t>(jobs.size()));

@@ -2,20 +2,20 @@
 /// The admission wire protocol: a versioned, length-prefixed, CRC-framed
 /// binary format spoken between AdmissionClient and AdmissionServer. Its
 /// frames use the shared 12-byte header and the one frame codec of
-/// common/wire.hpp (little-endian fixed-width fields, IEEE CRC-32 over the
+/// common/wire.hpp (little-endian fixed-width fields, CRC-32C over the
 /// payload), so one codec and one checksum cover every byte the project
 /// puts on a wire or a disk. What is the admission protocol's own:
 ///
-///   version      kProtocolVersion (1); mismatch rejects the frame
+///   version      kProtocolVersion (2); mismatch rejects the frame
 ///   type         FrameType (1..9); unknown values reject the frame
 ///   u16 word     reserved: 0 on send, ignored on receive
 ///   payload cap  kMaxPayload (1 MiB); bigger frames reject loudly
 ///
 /// Versioning rules (see docs/net.md): the header layout itself is frozen
-/// forever — a future version 2 keeps the 12-byte header so a version-1
-/// decoder can still *reject* v2 frames cleanly. Within version 1,
-/// payloads may only grow by appending fields; decoders accept payloads
-/// longer than they need and reject shorter ones. Outcome codes travel as
+/// forever — every version keeps the 12-byte header so an older decoder
+/// can still *reject* a newer frame cleanly. Within a version, payloads
+/// may only grow by appending fields; decoders accept payloads longer
+/// than they need and reject shorter ones. Outcome codes travel as
 /// their frozen `slacksched::Outcome` wire values (service/outcome.hpp).
 ///
 /// Conversation shape: clients send SUBMIT / SUBMIT_BATCH / PING / DRAIN;
@@ -41,15 +41,21 @@
 
 namespace slacksched::net {
 
-/// Protocol version this build speaks (header `version` byte).
-inline constexpr std::uint8_t kProtocolVersion = 1;
+/// Protocol version this build speaks (header `version` byte). A new
+/// checksum is a new version, so a peer that frames with another one is
+/// refused by its header, never by a CRC mismatch.
+inline constexpr std::uint8_t kProtocolVersion = 2;
 
 /// Size of the fixed frame header in bytes (frozen across versions).
 inline constexpr std::size_t kFrameHeaderSize = wire::kFrameHeaderBytes;
 
 /// Largest accepted payload. Bounds decoder memory against hostile or
-/// corrupt length fields; also caps SUBMIT_BATCH to ~32k jobs per frame.
+/// corrupt length fields; also caps SUBMIT_BATCH at kMaxBatchJobs.
 inline constexpr std::uint32_t kMaxPayload = 1u << 20;
+
+/// Most jobs one SUBMIT_BATCH frame carries under kMaxPayload: its payload
+/// is a 12-byte prefix, then 32 bytes per job. 32,767.
+inline constexpr std::size_t kMaxBatchJobs = (kMaxPayload - 12) / 32;
 
 /// Frame type tags. Values are frozen; new types append.
 enum class FrameType : std::uint8_t {
@@ -127,6 +133,7 @@ struct DrainedMsg {
 void encode_submit(std::vector<char>& out, const SubmitMsg& msg);
 /// Jobs are assigned request ids base_request_id .. base_request_id+n-1
 /// in order; the server answers each as if submitted individually.
+/// Requires jobs.size() <= kMaxBatchJobs.
 void encode_submit_batch(std::vector<char>& out,
                          std::uint64_t base_request_id,
                          std::span<const Job> jobs);

@@ -7,7 +7,7 @@
 /// protocol (net/protocol.hpp, docs/net.md) is untouched and versions
 /// independently. What is the replication protocol's own:
 ///
-///   version      kReplProtocolVersion (1); mismatch rejects the frame
+///   version      kReplProtocolVersion (2); mismatch rejects the frame
 ///   type         ReplFrameType (1..7); unknown values reject the frame
 ///   u16 word     the shard index the frame belongs to
 ///   payload cap  kMaxReplPayload (1 MiB); bigger frames reject loudly
@@ -42,8 +42,9 @@
 
 namespace slacksched::repl {
 
-/// Replication protocol version this build speaks.
-inline constexpr std::uint8_t kReplProtocolVersion = 1;
+/// Replication protocol version this build speaks. A new checksum is a
+/// new version, as in the admission protocol.
+inline constexpr std::uint8_t kReplProtocolVersion = 2;
 
 /// Size of the fixed frame header in bytes (frozen across versions).
 inline constexpr std::size_t kReplHeaderSize = wire::kFrameHeaderBytes;

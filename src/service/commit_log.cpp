@@ -68,8 +68,8 @@ void encode_wal_record(const Job& job, int machine, TimePoint start,
   put(out, start);
   SLACKSCHED_ENSURES(out.size() - frame == kWalRecordBytes);
   wire::patch(out, frame + 4,
-              wire::crc32_ieee(out.data() + frame + kWalFrameBytes,
-                               kWalPayloadBytes));
+              wire::crc32c(out.data() + frame + kWalFrameBytes,
+                           kWalPayloadBytes));
 }
 
 bool wal_record_intact(const char* record) {
@@ -78,7 +78,7 @@ bool wal_record_intact(const char* record) {
   std::memcpy(&len, record, sizeof(len));
   std::memcpy(&crc, record + 4, sizeof(crc));
   return len == kWalPayloadBytes &&
-         wire::crc32_ieee(record + kWalFrameBytes, kWalPayloadBytes) == crc;
+         wire::crc32c(record + kWalFrameBytes, kWalPayloadBytes) == crc;
 }
 
 bool decode_wal_record(const char* record, Job& job, int& machine,

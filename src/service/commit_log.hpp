@@ -9,8 +9,8 @@
 //
 // On-disk format (little-endian, fixed-width):
 //
-//   header   : magic "SLKWAL02" (8) | u32 version | u32 machines     = 16 B
-//   record   : u32 payload_len (=48) | u32 crc32(payload) | payload  = 56 B
+//   header   : magic "SLKWAL03" (8) | u32 version | u32 machines     = 16 B
+//   record   : u32 payload_len (=48) | u32 crc32c(payload) | payload = 56 B
 //   payload  : i64 job_id | f64 release | f64 proc | f64 deadline
 //              | i32 machine | u32 criticality | f64 start           = 48 B
 //
@@ -51,8 +51,10 @@ enum class FsyncPolicy : std::uint8_t {
 
 [[nodiscard]] std::string to_string(FsyncPolicy policy);
 
-inline constexpr char kWalMagic[8] = {'S', 'L', 'K', 'W', 'A', 'L', '0', '2'};
-inline constexpr std::uint32_t kWalVersion = 2;
+/// A new record checksum is a new magic and version: a log in an older
+/// format is refused by its header, never read as a torn tail.
+inline constexpr char kWalMagic[8] = {'S', 'L', 'K', 'W', 'A', 'L', '0', '3'};
+inline constexpr std::uint32_t kWalVersion = 3;
 inline constexpr std::size_t kWalHeaderBytes = 16;
 inline constexpr std::size_t kWalPayloadBytes = 48;
 inline constexpr std::size_t kWalFrameBytes = 8;

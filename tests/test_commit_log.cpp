@@ -1,7 +1,7 @@
 // Commit-log (WAL) format, durability policies, and crash recovery.
 //
 // The torn-tail tests forge log files byte-by-byte through the same
-// encode_wal_record/wire::crc32_ieee primitives the writer uses, so every
+// encode_wal_record/wire::crc32c primitives the writer uses, so every
 // framing rule (length plausibility, CRC, short payload) is pinned
 // independently of the writer's behavior.
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <utility>
@@ -55,10 +56,10 @@ std::size_t file_size(const std::string& path) {
 
 TEST(WalCrc32, SensitiveToEveryByte) {
   std::vector<char> payload(kWalPayloadBytes, 'x');
-  const std::uint32_t base = wire::crc32_ieee(payload.data(), payload.size());
+  const std::uint32_t base = wire::crc32c(payload.data(), payload.size());
   for (std::size_t i = 0; i < payload.size(); ++i) {
     payload[i] ^= 0x01;
-    EXPECT_NE(wire::crc32_ieee(payload.data(), payload.size()), base)
+    EXPECT_NE(wire::crc32c(payload.data(), payload.size()), base)
         << "flip at byte " << i << " not detected";
     payload[i] ^= 0x01;
   }
@@ -75,7 +76,7 @@ TEST(WalRecord, EncodesTheDocumentedFixedWidthLayout) {
   std::memcpy(&crc, out.data() + 4, 4);
   EXPECT_EQ(len, kWalPayloadBytes);
   EXPECT_EQ(crc,
-            wire::crc32_ieee(out.data() + kWalFrameBytes, kWalPayloadBytes));
+            wire::crc32c(out.data() + kWalFrameBytes, kWalPayloadBytes));
 
   std::int64_t id = 0;
   double release = 0.0, proc = 0.0, deadline = 0.0, start = 0.0;
@@ -99,12 +100,12 @@ TEST(WalRecord, EncodesTheDocumentedFixedWidthLayout) {
 }
 
 TEST(WalRecord, EncodesTheGoldenRecordByteForByte) {
-  // One v2 record pinned byte for byte, CRC included: u32 length 48,
+  // One v3 record pinned byte for byte, CRC-32C included: u32 length 48,
   // u32 crc, i64 id, f64 release/proc/deadline, i32 machine,
   // u32 criticality, f64 start. A change to the encoder or the CRC that
   // moves one bit of the on-disk format fails here.
   const std::vector<unsigned char> golden = {
-      0x30, 0x00, 0x00, 0x00, 0x0b, 0x88, 0xc1, 0xb1,  //
+      0x30, 0x00, 0x00, 0x00, 0xdf, 0x16, 0x99, 0x3d,  //
       0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01,  //
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf4, 0x3f,  //
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x40,  //
@@ -385,6 +386,60 @@ TEST(Recovery, BadMagicIsAHardError) {
   const RecoveryResult recovered = recover_commit_log(path, 1);
   EXPECT_FALSE(recovered.ok);
   EXPECT_THROW((void)CommitLog::open(path, 1), CommitLogError);
+}
+
+/// The textbook bit-at-a-time IEEE CRC-32 (reflected, poly 0xEDB88320):
+/// the record checksum of the previous log format, version 2.
+std::uint32_t crc32_ieee_bitwise(const char* data, std::size_t n) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    crc ^= static_cast<unsigned char>(data[i]);
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+    }
+  }
+  return ~crc;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+TEST(Recovery, PreviousFormatLogIsRefusedAndLeftUntouched) {
+  // A whole history in the previous format: magic SLKWAL02, version 2,
+  // records framed with IEEE CRC-32. Its records fail today's CRC, so
+  // without the version bump recovery would read the first one as a torn
+  // tail and truncate the whole history. The header refuses it instead.
+  const std::string path = wal_path("previous_format");
+  const std::uint32_t version = 2;
+  const std::uint32_t machines = 2;
+  std::vector<char> bytes(kWalHeaderBytes);
+  std::memcpy(bytes.data(), "SLKWAL02", 8);
+  std::memcpy(bytes.data() + 8, &version, sizeof(version));
+  std::memcpy(bytes.data() + 12, &machines, sizeof(machines));
+  for (int i = 0; i < 3; ++i) {
+    const std::size_t record = bytes.size();
+    encode_wal_record(make_job(i, 4.0 * i, 1.0, 4.0 * i + 4.0), i % 2,
+                      4.0 * i, bytes);
+    wire::patch(bytes, record + 4,
+                crc32_ieee_bitwise(bytes.data() + record + kWalFrameBytes,
+                                   kWalPayloadBytes));
+    EXPECT_FALSE(wal_record_intact(bytes.data() + record));
+  }
+  append_bytes(path, bytes);
+  const std::string before = read_file(path);
+  ASSERT_EQ(before.size(), kWalHeaderBytes + 3 * kWalRecordBytes);
+
+  const RecoveryResult recovered = recover_commit_log(path, 2);
+  EXPECT_FALSE(recovered.ok);
+  EXPECT_NE(recovered.error.find("bad magic"), std::string::npos)
+      << recovered.error;
+  EXPECT_FALSE(recovered.tail_truncated);
+  EXPECT_EQ(recovered.records_replayed, 0u);
+  EXPECT_THROW((void)CommitLog::open(path, 2), CommitLogError);
+  EXPECT_EQ(read_file(path), before);
 }
 
 TEST(Recovery, FileShorterThanTheHeaderIsResetToFresh) {

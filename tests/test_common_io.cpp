@@ -156,29 +156,33 @@ TEST(Cli, ListsKeys) {
   EXPECT_EQ(keys.size(), 2u);
 }
 
-// ---------- CRC-32 ----------
+// ---------- CRC-32C ----------
 
-/// The textbook bit-at-a-time IEEE CRC-32 (reflected, poly 0xEDB88320):
-/// no tables, so it shares nothing with the implementation under test.
-std::uint32_t crc32_bitwise(const unsigned char* data, std::size_t n) {
+/// The textbook bit-at-a-time CRC-32C (reflected, poly 0x82F63B78): no
+/// tables, so it shares nothing with either implementation under test.
+std::uint32_t crc32c_bitwise(const unsigned char* data, std::size_t n) {
   std::uint32_t crc = 0xFFFFFFFFu;
   for (std::size_t i = 0; i < n; ++i) {
     crc ^= data[i];
     for (int bit = 0; bit < 8; ++bit) {
-      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+      crc = (crc >> 1) ^ (0x82F63B78u & (0u - (crc & 1u)));
     }
   }
   return ~crc;
 }
 
 TEST(Crc32, KnownAnswers) {
-  EXPECT_EQ(wire::crc32_ieee("123456789", 9), 0xCBF43926u);
-  EXPECT_EQ(wire::crc32_ieee("", 0), 0u);
+  EXPECT_EQ(wire::crc32c("123456789", 9), 0xE3069283u);
+  EXPECT_EQ(wire::crc32c("", 0), 0u);
+  EXPECT_EQ(wire::detail::crc32c_portable("123456789", 9), 0xE3069283u);
+  EXPECT_EQ(wire::detail::crc32c_portable("", 0), 0u);
 }
 
 TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
   // Lengths 0..300 from each start offset 0..7: every tail length after
-  // the 8-byte stride, every load alignment, and multi-stride runs.
+  // the 8-byte stride, every load alignment, and multi-stride runs. Both
+  // the dispatched function (the hardware path where the CPU has one) and
+  // the table path, which such a host never selects.
   std::vector<unsigned char> buffer(8 + 300);
   std::uint32_t x = 0x9E3779B9u;
   for (unsigned char& b : buffer) {
@@ -188,8 +192,11 @@ TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
   for (std::size_t offset = 0; offset < 8; ++offset) {
     for (std::size_t len = 0; len <= 300; ++len) {
       const unsigned char* data = buffer.data() + offset;
-      ASSERT_EQ(wire::crc32_ieee(data, len), crc32_bitwise(data, len))
+      const std::uint32_t expect = crc32c_bitwise(data, len);
+      ASSERT_EQ(wire::crc32c(data, len), expect)
           << "offset " << offset << ", length " << len;
+      ASSERT_EQ(wire::detail::crc32c_portable(data, len), expect)
+          << "table path, offset " << offset << ", length " << len;
     }
   }
 }

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/expects.hpp"
 #include "common/wire.hpp"
 #include "net/protocol.hpp"
 
@@ -81,7 +82,7 @@ TEST(FrameLayout, HeaderIsTwelveLittleEndianBytes) {
   EXPECT_EQ(len, 8u);
   std::uint32_t crc = 0;
   std::memcpy(&crc, bytes.data() + 8, 4);
-  EXPECT_EQ(crc, wire::crc32_ieee(bytes.data() + kFrameHeaderSize, 8));
+  EXPECT_EQ(crc, wire::crc32c(bytes.data() + kFrameHeaderSize, 8));
 }
 
 // ---------- round trips ----------
@@ -159,6 +160,27 @@ TEST(FrameCodec, SubmitBatchIntoHandlesEmptyBatch) {
       << error;
   EXPECT_EQ(base, 3u);
   EXPECT_TRUE(scratch.empty());
+}
+
+TEST(FrameCodec, SubmitBatchStopsAtThePayloadCap) {
+  // kMaxBatchJobs jobs fill one frame to within 20 bytes of kMaxPayload
+  // and decode; one more job would overflow the cap the decoder enforces,
+  // so the encoder refuses it rather than emit a frame every peer rejects.
+  const std::vector<Job> jobs(kMaxBatchJobs, make_job(1, 0.0, 1.0, 2.0));
+  std::vector<char> bytes;
+  encode_submit_batch(bytes, 1, jobs);
+  EXPECT_LE(bytes.size() - kFrameHeaderSize, kMaxPayload);
+  EXPECT_GT(bytes.size() - kFrameHeaderSize + 32, kMaxPayload);
+  std::uint64_t base = 0;
+  std::vector<Job> back;
+  std::string error;
+  ASSERT_TRUE(parse_submit_batch_into(decode_one(bytes), base, back, &error))
+      << error;
+  EXPECT_EQ(back.size(), kMaxBatchJobs);
+
+  const std::vector<Job> over(kMaxBatchJobs + 1, make_job(1, 0.0, 1.0, 2.0));
+  bytes.clear();
+  EXPECT_THROW(encode_submit_batch(bytes, 1, over), PreconditionError);
 }
 
 TEST(FrameCodec, DecisionRoundTrip) {
@@ -374,7 +396,7 @@ TEST(FrameParsers, BatchCountBeyondPayloadIsRejected) {
   const std::uint32_t lie = 1000;
   std::memcpy(bytes.data() + kFrameHeaderSize + 8, &lie, 4);
   // CRC must match for the frame to reach the parser at all.
-  const std::uint32_t crc = wire::crc32_ieee(
+  const std::uint32_t crc = wire::crc32c(
       bytes.data() + kFrameHeaderSize, bytes.size() - kFrameHeaderSize);
   std::memcpy(bytes.data() + 8, &crc, 4);
   std::uint64_t base = 0;
@@ -400,7 +422,7 @@ TEST(FrameParsers, DecisionRejectsNonDecisionOutcomes) {
   // Patch the outcome byte (offset: header + 8 + 8) to a shed code.
   bytes[kFrameHeaderSize + 16] =
       static_cast<char>(Outcome::kRejectedQueueFull);
-  const std::uint32_t crc = wire::crc32_ieee(
+  const std::uint32_t crc = wire::crc32c(
       bytes.data() + kFrameHeaderSize, bytes.size() - kFrameHeaderSize);
   std::memcpy(bytes.data() + 8, &crc, 4);
   DecisionMsg out;
@@ -415,7 +437,7 @@ TEST(FrameParsers, RejectRejectsNonShedOutcomes) {
   std::vector<char> bytes;
   encode_reject(bytes, msg);
   bytes[kFrameHeaderSize + 16] = static_cast<char>(Outcome::kAccepted);
-  const std::uint32_t crc = wire::crc32_ieee(
+  const std::uint32_t crc = wire::crc32c(
       bytes.data() + kFrameHeaderSize, bytes.size() - kFrameHeaderSize);
   std::memcpy(bytes.data() + 8, &crc, 4);
   RejectMsg out;

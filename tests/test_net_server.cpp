@@ -192,6 +192,43 @@ TEST(NetServer, InvalidJobInABatchIsRefusedAlone) {
   }
 }
 
+TEST(NetServer, BatchBeyondOneFramesCapIsAnsweredInFull) {
+  // One frame of 40,000 jobs would carry a 1,280,012-byte payload, over
+  // the 1 MiB cap, and the server would refuse it and close the connection
+  // with no job answered. submit_batch splits at kMaxBatchJobs, so every
+  // job is answered under its own request id.
+  constexpr std::size_t kJobs = 40'000;
+  static_assert(kJobs > kMaxBatchJobs);
+  AdmissionServer server(loopback_config(kJobs), [](int) {
+    return std::make_unique<GreedyScheduler>(2);
+  });
+  AdmissionClient client("127.0.0.1", server.port());
+  std::vector<Job> jobs(kJobs);
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    jobs[i].id = static_cast<JobId>(i);
+    jobs[i].proc = 1.0;
+    jobs[i].deadline = 1e9;
+  }
+  const std::uint64_t base = client.submit_batch(jobs);
+  const DrainedMsg drained = client.drain();
+  EXPECT_EQ(drained.submitted, kJobs);
+  EXPECT_EQ(drained.clean, 1);
+
+  std::vector<bool> answered(kJobs, false);
+  DecisionReply reply;
+  while (client.try_reply(reply)) {
+    ASSERT_GE(reply.request_id, base);
+    const std::uint64_t i = reply.request_id - base;
+    ASSERT_LT(i, kJobs);
+    EXPECT_FALSE(answered[i]) << "job " << i << " answered twice";
+    EXPECT_EQ(reply.job_id, jobs[i].id);
+    EXPECT_TRUE(reply.is_decision()) << to_string(reply.outcome);
+    answered[i] = true;
+  }
+  EXPECT_EQ(std::count(answered.begin(), answered.end(), true),
+            static_cast<std::ptrdiff_t>(kJobs));
+}
+
 // ---------- no silent drops under backpressure ----------
 
 TEST(NetServer, EverySubmitIsAnsweredUnderBackpressure) {
@@ -637,7 +674,7 @@ TEST(NetServer, TrickledBinaryFirstByteReachesDecoder) {
   // One byte, then silence: the old sniffer buffered anything under 4
   // bytes without feeding the FrameDecoder, so a client that paused after
   // a short first write hung forever. The first byte of every protocol
-  // frame (version = 1) already rules out "GET ".
+  // frame (its version, kProtocolVersion) already rules out "GET ".
   AdmissionServerConfig config = loopback_config(16);
   AdmissionServer server(config, [](int) {
     return std::make_unique<GreedyScheduler>(1);

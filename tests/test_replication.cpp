@@ -569,6 +569,7 @@ TEST(Replication, ReplicaLogHeaderIsRefusedOrReset) {
       {"bad_magic", wal_header("NOTAWAL0", kWalVersion, kLeaderMachines),
        true},
       {"version_1", wal_header(kWalMagic, 1, kLeaderMachines), true},
+      {"previous_format", wal_header("SLKWAL02", 2, kLeaderMachines), true},
       {"four_machines", wal_header(kWalMagic, kWalVersion, 4), true},
       {"nine_stray_bytes", std::vector<char>(9, 'S'), false},
   };

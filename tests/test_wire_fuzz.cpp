@@ -188,7 +188,7 @@ void mutate(std::vector<char>& bytes,
         std::memcpy(bytes.data() + field, &len, sizeof(len));
         if (reseal && rng.bernoulli(0.5) && field + 8 + len <= bytes.size()) {
           const std::uint32_t crc =
-              wire::crc32_ieee(bytes.data() + field + 8, len);
+              wire::crc32c(bytes.data() + field + 8, len);
           std::memcpy(bytes.data() + field + 4, &crc, sizeof(crc));
         }
         break;
@@ -243,7 +243,7 @@ Decoded decode(const FrameSpec& spec, const std::vector<char>& bytes,
       EXPECT_EQ(word, frame.word);
       EXPECT_EQ(load_u32(header + 4), len);
       EXPECT_EQ(load_u32(header + 8),
-                wire::crc32_ieee(frame.payload.data(), len));
+                wire::crc32c(frame.payload.data(), len));
       EXPECT_TRUE(std::equal(frame.payload.begin(), frame.payload.end(),
                              header + kFrameHeaderBytes));
       consumed += kFrameHeaderBytes + len;

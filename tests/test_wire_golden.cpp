@@ -3,7 +3,9 @@
 // an invalid job), per replication frame type
 // (APPEND both through encode_append and sealed in place by seal_append),
 // and one WAL record, each compared with the hex it encoded to before the
-// three formats shared one frame codec. A round trip still passes when the
+// three formats shared one frame codec. Since the checksum became CRC-32C
+// only each frame's version byte (0) and CRC (8..11) and the record's CRC
+// (4..7) differ from those bytes. A round trip still passes when the
 // encoder and the decoder change together; these bytes do not move unless
 // the format does.
 #include <gtest/gtest.h>
@@ -49,7 +51,7 @@ std::vector<char> golden_record() {
 }
 
 constexpr const char* kRecordHex =
-    "30000000c6ba9a890700000000000000000000000000e03f"
+    "300000004f6957b70700000000000000000000000000e03f"
     "0000000000000040000000000000224001000000030000000000000000000c40";
 
 TEST(WireGolden, WalRecord) {
@@ -63,7 +65,7 @@ TEST(WireGolden, AdmissionFrames) {
   encode_submit(bytes, SubmitMsg{0x0102030405060708ull,
                                  make_job(42, 1.5, 2.25, 10.0)});
   EXPECT_EQ(hex(bytes),
-            "0101000028000000274e452b08070605040302012a00000000000000"
+            "02010000280000002014488c08070605040302012a00000000000000"
             "000000000000f83f00000000000002400000000000002440")
       << "SUBMIT";
 
@@ -72,7 +74,7 @@ TEST(WireGolden, AdmissionFrames) {
                                  make_job(2, 0.5, 2.0, 8.0)};
   encode_submit_batch(bytes, 1000, jobs);
   EXPECT_EQ(hex(bytes),
-            "010200004c000000eabbdf50e80300000000000002000000"
+            "020200004c000000902edce7e80300000000000002000000"
             "01000000000000000000000000000000000000000000f03f"
             "0000000000001040020000000000000000000000"
             "0000e03f00000000000000400000000000002040")
@@ -81,7 +83,7 @@ TEST(WireGolden, AdmissionFrames) {
   bytes.clear();
   encode_decision(bytes, DecisionMsg{9, 1234, Outcome::kAccepted, 3, 17.75});
   EXPECT_EQ(hex(bytes),
-            "010300001d0000002d2a366a0900000000000000d204000000000000"
+            "020300001d0000000effabe40900000000000000d204000000000000"
             "01030000000000000000c03140")
       << "DECISION";
 
@@ -89,42 +91,42 @@ TEST(WireGolden, AdmissionFrames) {
   encode_reject(bytes,
                 RejectMsg{5, -1, Outcome::kRejectedRetryAfter, 250});
   EXPECT_EQ(hex(bytes),
-            "0104000015000000316961040500000000000000ffffffffffffffff"
+            "02040000150000009a85f7a60500000000000000ffffffffffffffff"
             "05fa000000")
       << "REJECT";
 
   bytes.clear();
   encode_reject(bytes, RejectMsg{6, 42, Outcome::kRejectedInvalid, 0});
   EXPECT_EQ(hex(bytes),
-            "01040000150000005fa6680e06000000000000002a00000000000000"
+            "0204000015000000fb98f7c106000000000000002a00000000000000"
             "0800000000")
       << "REJECT invalid";
 
   bytes.clear();
   encode_drain(bytes);
-  EXPECT_EQ(hex(bytes), "010500000000000000000000") << "DRAIN";
+  EXPECT_EQ(hex(bytes), "020500000000000000000000") << "DRAIN";
 
   bytes.clear();
   encode_drained(bytes, DrainedMsg{1000, 900, 100, 1234.5, 99.25, 810.0, 1});
   EXPECT_EQ(hex(bytes),
-            "0106000031000000eb546afae8030000000000008403000000000000"
+            "02060000310000005f9866f3e8030000000000008403000000000000"
             "640000000000000000000000004a93400000000000d05840"
             "000000000050894001")
       << "DRAINED";
 
   bytes.clear();
   encode_ping(bytes, 0x1122334455667788ull);
-  EXPECT_EQ(hex(bytes), "01070000080000002ef1341d8877665544332211")
+  EXPECT_EQ(hex(bytes), "0207000008000000165159af8877665544332211")
       << "PING";
 
   bytes.clear();
   encode_pong(bytes, 77);
-  EXPECT_EQ(hex(bytes), "01080000080000005508bad74d00000000000000")
+  EXPECT_EQ(hex(bytes), "0208000008000000288232bc4d00000000000000")
       << "PONG";
 
   bytes.clear();
   encode_error(bytes, "bad frame");
-  EXPECT_EQ(hex(bytes), "0109000009000000b9bb5283626164206672616d65")
+  EXPECT_EQ(hex(bytes), "0209000009000000ff3e8c55626164206672616d65")
       << "ERROR";
 }
 
@@ -135,18 +137,18 @@ TEST(WireGolden, ReplicationFrames) {
   encode_hello(bytes, 3,
                HelloMsg{8, ReplAckMode::kAckOnBatch, 12345});
   EXPECT_EQ(hex(bytes),
-            "010103000d000000a86ced7008000000013930000000000000")
+            "020103000d000000beaa69e808000000013930000000000000")
       << "HELLO";
 
   bytes.clear();
   encode_welcome(bytes, 1, 0xDEADBEEFCAFEull);
-  EXPECT_EQ(hex(bytes), "010201000800000014df5d97fecaefbeadde0000")
+  EXPECT_EQ(hex(bytes), "02020100080000003d40ca15fecaefbeadde0000")
       << "WELCOME";
 
   // APPEND: shard 2, base_seq 40, one record.
   const std::vector<char> record = golden_record();
   const std::string append_hex =
-      "0103020044000000bccd5703280000000000000001000000" +
+      "0203020044000000928afcd5280000000000000001000000" +
       std::string(kRecordHex);
   bytes.clear();
   encode_append(bytes, 2, 40, 1, record.data(), record.size());
@@ -159,23 +161,23 @@ TEST(WireGolden, ReplicationFrames) {
 
   bytes.clear();
   encode_ack(bytes, 1, 77);
-  EXPECT_EQ(hex(bytes), "01040100080000005508bad74d00000000000000")
+  EXPECT_EQ(hex(bytes), "0204010008000000288232bc4d00000000000000")
       << "ACK";
 
   bytes.clear();
   encode_heartbeat(bytes, 0, 5);
-  EXPECT_EQ(hex(bytes), "01050000080000000dd1c22d0500000000000000")
+  EXPECT_EQ(hex(bytes), "0205000008000000c04d09e40500000000000000")
       << "HEARTBEAT";
 
   bytes.clear();
   encode_heartbeat_ack(bytes, 0xFFFF, 6);
-  EXPECT_EQ(hex(bytes), "0106ffff08000000eed64da30600000000000000")
+  EXPECT_EQ(hex(bytes), "0206ffff08000000a9ca4d3f0600000000000000")
       << "HEARTBEAT_ACK";
 
   bytes.clear();
   encode_nack(bytes, 0, NackReason::kSequenceGap, 17, "expected base 17");
   EXPECT_EQ(hex(bytes),
-            "010700001900000079b43f01021100000000000000"
+            "0207000019000000287e6905021100000000000000"
             "65787065637465642062617365203137")
       << "NACK";
 }
