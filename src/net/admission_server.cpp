@@ -890,7 +890,7 @@ void AdmissionServer::close_connection(EventLoop& loop,
 
 void AdmissionServer::reap_idle(EventLoop& loop,
                                 std::chrono::steady_clock::time_point now) {
-  // A connection owed an answer (slow shard, δ-deferred resolution) is
+  // A connection owed an answer (slow shard, durability wait) is
   // never reaped, however long the wire stays silent: one answer per
   // SUBMIT outranks idleness. Tickets open and retire only on this (the
   // loop) thread, so `owed` is exact here — it drops when the DECISION is

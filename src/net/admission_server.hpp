@@ -74,7 +74,7 @@ struct AdmissionServerConfig {
   /// connection holds its fd until the peer resets or the server shuts
   /// down. Reaped closes are counted in connections_reaped(). Connections
   /// owed an answer are exempt: one-answer-per-SUBMIT outlives any idle
-  /// deadline (δ-commitment decisions legitimately defer past τ_j).
+  /// deadline (a slow shard or a durability wait can hold an answer).
   std::chrono::milliseconds idle_timeout{0};
   /// How often each event loop wakes to scan for idle connections when
   /// idle_timeout is enabled; bounds how far past its deadline a
@@ -101,6 +101,8 @@ struct AdmissionServerConfig {
 /// The server. Construction binds, listens, builds the gateway (wiring
 /// its on_decision hook to the response path) and spawns the event-loop
 /// threads; the listeners are accepting before the constructor returns.
+/// A scheduler the gateway refuses (one that defers its decisions or runs
+/// on related machines) fails construction with the gateway's message.
 class AdmissionServer {
  public:
   AdmissionServer(const AdmissionServerConfig& config,

@@ -58,9 +58,7 @@ PromotionResult promote_replica(const GatewayConfig& config,
     // commitment re-validation and resumes serving from the result. An
     // unreadable or foreign log fails it ("shard N recovery failed: ..."),
     // which lands in result.error below.
-    result.gateway = factory
-                         ? std::make_unique<AdmissionGateway>(config, factory)
-                         : std::make_unique<AdmissionGateway>(config);
+    result.gateway = std::make_unique<AdmissionGateway>(config, factory);
     result.records_recovered =
         result.gateway->metrics_snapshot().total.wal_records_replayed;
     result.ok = true;

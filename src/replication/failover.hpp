@@ -114,10 +114,10 @@ struct PromotionResult {
 /// kill the promotion between shards); then the gateway constructor
 /// replays every log through recover_commit_log — full commitment
 /// re-validation included — and an unreadable or foreign log fails it.
-/// With `factory` null the gateway is built from config.model.
-/// Never throws: a failed promotion reports ok = false and the reason.
+/// A scheduler the service does not serve (see AdmissionGateway) fails it
+/// too. Never throws: a failed promotion reports ok = false and the reason.
 [[nodiscard]] PromotionResult promote_replica(
-    const GatewayConfig& config, const ShardSchedulerFactory& factory = {},
+    const GatewayConfig& config, const ShardSchedulerFactory& factory,
     FaultInjector* faults = nullptr);
 
 }  // namespace slacksched::repl

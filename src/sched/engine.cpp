@@ -73,10 +73,6 @@ void StreamingRunner::apply_resolution(const DeferredResolution& resolution) {
     ++result_.metrics.rejected;
     result_.metrics.rejected_volume += resolution.job.proc;
   }
-  if (resolution_hook_) {
-    resolution_hook_(resolution.job, resolution.decision,
-                     resolution.decided_at);
-  }
 }
 
 FeedOutcome StreamingRunner::feed(const Job& job) {

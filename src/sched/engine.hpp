@@ -108,13 +108,6 @@ class StreamingRunner {
   /// crash at that point.
   using CommitHook = std::function<void(const Job&, const Decision&)>;
 
-  /// Invoked for every legal resolution of a previously deferred job,
-  /// after it was applied (committed or counted as a rejection). Lets a
-  /// consumer that reports per-job outcomes (e.g. a gateway shard) observe
-  /// decisions that arrive outside any feed() call.
-  using ResolutionHook =
-      std::function<void(const Job&, const Decision&, TimePoint decided_at)>;
-
   /// Resets the scheduler and starts an empty run.
   explicit StreamingRunner(OnlineScheduler& scheduler,
                            const RunOptions& options = {});
@@ -132,11 +125,6 @@ class StreamingRunner {
 
   /// Installs (or clears, with nullptr) the write-ahead commit hook.
   void set_commit_hook(CommitHook hook) { commit_hook_ = std::move(hook); }
-
-  /// Installs (or clears, with nullptr) the deferred-resolution hook.
-  void set_resolution_hook(ResolutionHook hook) {
-    resolution_hook_ = std::move(hook);
-  }
 
   /// Pre-sizes the decision log (no-op when recording is disabled).
   void reserve_decisions(std::size_t n);
@@ -179,7 +167,6 @@ class StreamingRunner {
   RunOptions options_;
   RunResult result_;
   CommitHook commit_hook_;
-  ResolutionHook resolution_hook_;
   CommitmentContract contract_;
   /// Scratch buffer reused across drain_resolutions calls.
   std::vector<DeferredResolution> resolved_;

@@ -64,11 +64,6 @@ std::vector<std::string> GatewayConfig::validate() const {
                      "is set (got " + std::to_string(metrics_period.count()) +
                      "ms): the publisher would busy-loop");
   }
-  if (model.has_value()) {
-    for (const std::string& problem : model->validate()) {
-      errors.push_back("model (" + model->label() + "): " + problem);
-    }
-  }
   if (shed_policy.has_value()) {
     for (const std::string& problem : shed_policy->validate()) {
       errors.push_back("shed_policy: " + problem);
@@ -100,15 +95,6 @@ std::string GatewayResult::first_violation() const {
   }
   return {};
 }
-
-AdmissionGateway::AdmissionGateway(const GatewayConfig& config)
-    : AdmissionGateway(config, [&config]() -> ShardSchedulerFactory {
-        // The selector is the whole point of this constructor: refusing a
-        // disengaged model here (not in validate()) keeps the factory form
-        // usable with a model-free config.
-        SLACKSCHED_EXPECTS(config.model.has_value());
-        return [model = *config.model](int) { return make_scheduler(model); };
-      }()) {}
 
 AdmissionGateway::AdmissionGateway(const GatewayConfig& config,
                                    const ShardSchedulerFactory& factory)

@@ -3,9 +3,11 @@
 /// OnlineScheduler over its own machine group, fed through bounded MPSC
 /// queues with explicit backpressure. The paper's model (immediate
 /// commitment on m identical machines with slack eps) maps onto each shard
-/// unchanged; the gateway adds the serving-side concerns — concurrent
-/// ingest, batching, load shedding, durability, supervision, and live
-/// metrics — without touching the algorithms.
+/// unchanged, and it is the only model served: a shard refuses a
+/// scheduler that defers its decisions or runs on related machines. The
+/// gateway adds the serving-side concerns — concurrent ingest, batching,
+/// load shedding, durability, supervision, and live metrics — without
+/// touching the algorithms.
 ///
 /// Overload semantics: submissions are never silently dropped and never
 /// block. When a shard's queue is full the submit call returns
@@ -34,7 +36,6 @@
 #include <string>
 #include <vector>
 
-#include "models/model_factory.hpp"
 #include "policy/shed_policy.hpp"
 #include "replication/replicator.hpp"
 #include "sched/engine.hpp"
@@ -88,15 +89,6 @@ struct GatewayConfig {
   /// Pinning is a locality hint, never a correctness requirement: a failed
   /// affinity call is ignored.
   bool pin_shards = false;
-
-  // --- scheduler-model selector (see docs/models.md) ---
-  /// Which point of the commitment-model matrix every shard runs. This is
-  /// purely server-side configuration: clients speak the same frozen wire
-  /// protocol whatever the model, and the factory-less constructor
-  /// AdmissionGateway(config) builds each shard's scheduler from this
-  /// value via make_scheduler(). Leave disengaged when constructing with
-  /// an explicit ShardSchedulerFactory.
-  std::optional<ModelConfig> model;
 
   // --- fault tolerance (see docs/service.md, "Failure model") ---
   /// Directory for the per-shard commit logs ("<wal_dir>/shard-<s>.wal").
@@ -208,14 +200,10 @@ struct GatewayResult {
 /// thread itself.
 class AdmissionGateway {
  public:
+  /// Throws a PreconditionError for an invalid config, and for a
+  /// scheduler that does not commit on arrival on identical machines.
   AdmissionGateway(const GatewayConfig& config,
                    const ShardSchedulerFactory& factory);
-
-  /// Model-selector form: builds every shard's scheduler from
-  /// `config.model` (which must be engaged and valid). Equivalent to the
-  /// factory form with `[m = *config.model](int) { return
-  /// make_scheduler(m); }`.
-  explicit AdmissionGateway(const GatewayConfig& config);
 
   /// Shuts down (close + join) if finish() was never called.
   ~AdmissionGateway();

@@ -122,10 +122,10 @@ class MetricsRegistry {
   /// Stores the shard's held-placement gauge (one relaxed write per group).
   void on_schedule_held(int shard, std::size_t held);
   /// Records one published decision. `latency_seconds` is queue-entry to
-  /// group-publication wall time (0 for a δ-model resolution);
-  /// `criticality` attributes the decision to its class family. Returns
-  /// the latency bin the decision landed in so decision tracing can reuse
-  /// it without a second search. Single writer per shard.
+  /// group-publication wall time; `criticality` attributes the decision
+  /// to its class family. Returns the latency bin the decision landed in
+  /// so decision tracing can reuse it without a second search. Single
+  /// writer per shard.
   std::size_t on_decision(int shard, double job_volume, bool accepted,
                           double latency_seconds,
                           Criticality criticality = Criticality::kBackground);

@@ -2,10 +2,12 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
 
+#include "common/expects.hpp"
 #include "sched/decision.hpp"
 #include "sched/validator.hpp"
 #include "service/commit_log.hpp"
@@ -24,15 +26,13 @@ RecoveryResult fail(RecoveryResult result, std::string error) {
 
 RecoveryResult recover_commit_log(const std::string& path, int machines,
                                   OnlineScheduler* scheduler,
-                                  bool truncate_file,
-                                  const SpeedProfile* speeds) {
-  const SpeedProfile* profile =
-      speeds != nullptr
-          ? speeds
-          : (scheduler != nullptr ? scheduler->speed_profile() : nullptr);
-  RecoveryResult result{.schedule = profile != nullptr
-                                        ? Schedule(machines, profile->speeds())
-                                        : Schedule(machines),
+                                  bool truncate_file) {
+  SLACKSCHED_EXPECTS(scheduler == nullptr ||
+                     scheduler->speed_profile() == nullptr ||
+                     scheduler->speed_profile()->uniform());
+  // Schedule(machines) refuses m < 1, so the empty schedule takes one
+  // machine until the check below reports the bad count.
+  RecoveryResult result{.schedule = Schedule(std::max(machines, 1)),
                         .metrics = {},
                         .records_replayed = 0,
                         .bytes_truncated = 0,

@@ -55,11 +55,10 @@ struct RecoveryResult {
 ///    OnlineScheduler::restore_commitment so the algorithm's internal
 ///    state (e.g. machine frontiers) matches the rebuilt schedule; a
 ///    scheduler that cannot restore (returns false) is a hard error.
-///  - Related machines: the rebuilt Schedule carries the speed profile of
-///    the recovering scheduler (speed_profile()), or the explicit `speeds`
-///    for a scheduler-less replay — so replayed occupancies use the same
-///    execution times p_j / s_i the original run committed with. Passing
-///    neither replays under the identical-machine model.
+///  - The rebuilt Schedule is over `machines` identical machines, the only
+///    model the service serves; a `scheduler` with a non-uniform
+///    speed_profile() is a PreconditionError. `machines` < 1 is a hard
+///    error (ok = false).
 ///  - A CRC-valid record whose job is not structurally valid
 ///    (Job::structurally_valid: p > 0, d > r, r >= 0, no NaN) is a hard
 ///    error too: no scheduler accepts such a job, so the log is corrupt.
@@ -68,7 +67,6 @@ struct RecoveryResult {
 /// The caller resets the scheduler before invoking recovery.
 [[nodiscard]] RecoveryResult recover_commit_log(
     const std::string& path, int machines,
-    OnlineScheduler* scheduler = nullptr, bool truncate_file = true,
-    const SpeedProfile* speeds = nullptr);
+    OnlineScheduler* scheduler = nullptr, bool truncate_file = true);
 
 }  // namespace slacksched

@@ -30,6 +30,22 @@ void pin_current_thread(int cpu) {
   (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
 }
 
+/// Why the service does not serve `scheduler`, or empty when it does: only
+/// the paper's model, commitment on arrival on identical machines.
+std::string unserved_because(const OnlineScheduler& scheduler) {
+  const CommitModel model = scheduler.commitment_contract().model;
+  if (model != CommitModel::kOnArrival) {
+    return "its commitment model is '" + to_string(model) + "', not '" +
+           to_string(CommitModel::kOnArrival) + "'";
+  }
+  const auto* speeds = scheduler.speed_profile();
+  if (speeds != nullptr && !speeds->uniform()) {
+    return "it runs on related machines (" + speeds->label() +
+           "), not identical ones";
+  }
+  return {};
+}
+
 }  // namespace
 
 Shard::Shard(int index, SchedulerFactory factory, const ShardConfig& config,
@@ -70,6 +86,14 @@ void Shard::spawn(bool is_restart) {
   runner_.reset();
   scheduler_ = factory_();
   SLACKSCHED_EXPECTS(scheduler_ != nullptr);
+  if (const std::string why = unserved_because(*scheduler_); !why.empty()) {
+    throw PreconditionError(
+        "shard " + std::to_string(index_) + " refuses scheduler '" +
+        scheduler_->name() + "': " + why +
+        "; the service serves commitment on arrival on identical machines "
+        "only (compare other models offline with run_online, "
+        "docs/models.md)");
+  }
   const RunOptions options = to_run_options(config_);
 
   if (config_.wal_path.empty()) {
@@ -108,18 +132,8 @@ void Shard::spawn(bool is_restart) {
                                    index_);
     });
   }
-  // Deferred-commitment schedulers resolve jobs outside their own feed()
-  // call; the resolution hook queues the binding decision on the same
-  // publication list as immediate decisions, in the order rendered.
-  runner_->set_resolution_hook(
-      [this](const Job& job, const Decision& decision, TimePoint) {
-        on_resolution(job, decision);
-      });
-
-  // Parked contexts belong to the previous worker's deferred jobs; a
-  // restart re-feeds nothing, so they can never resolve. Unpublished
-  // decisions died with the worker, like unsent replies in a crash.
-  deferred_ctx_.clear();
+  // Unpublished decisions died with the worker, like unsent replies in a
+  // crash.
   pending_.clear();
 
   worker_failed_.store(false, std::memory_order_release);
@@ -248,8 +262,7 @@ RunResult Shard::take_result() {
     // elsewhere, and the next restart will truncate the tail itself.
     RecoveryResult recovered =
         recover_commit_log(config_.wal_path, scheduler_->machines(),
-                           /*scheduler=*/nullptr, /*truncate_file=*/false,
-                           scheduler_->speed_profile());
+                           /*scheduler=*/nullptr, /*truncate_file=*/false);
     RunResult from_log{std::move(recovered.schedule), recovered.metrics,
                        {}, {}};
     if (!recovered.ok) from_log.commitment_violation = recovered.error;
@@ -286,7 +299,6 @@ void Shard::worker_loop() {
       if (popped.closed) {  // closed and drained
         result_ = runner_->finish();
         if (wal_) wal_->close();
-        publish();  // the resolutions finish() drained at the end
         break;
       }
       if (!await_role()) break;  // a combiner failed the shard
@@ -357,36 +369,20 @@ void Shard::fail(const std::exception& error) {
   worker_failed_.store(true, std::memory_order_release);
 }
 
-void Shard::on_resolution(const Job& job, const Decision& decision) {
-  // Reclaim the routing context parked when this job's decision deferred.
-  // Submission order per id is preserved (deque).
-  std::uint64_t route_ctx = 0;
-  auto parked = deferred_ctx_.find(job.id);
-  if (parked != deferred_ctx_.end()) {
-    route_ctx = parked->second.front();
-    parked->second.pop_front();
-    if (parked->second.empty()) deferred_ctx_.erase(parked);
-  }
-  pending_.push_back(
-      {job, decision, Clock::time_point{}, route_ctx, /*resolution=*/true});
-}
-
 void Shard::decide(const Task& task) {
   const FeedOutcome outcome = runner_->feed(task.job);
   // Poisoned shard (drained without deciding) or an illegal commitment:
   // neither counts as a served decision in the live metrics.
   if (!outcome.decided || !outcome.legal) return;
-  // A deferred decision is not a decision yet — it is queued by
-  // on_resolution when the binding answer lands. Park the routing context
-  // so the eventual resolution can still find its way home.
+  // spawn() admitted the scheduler as committing on arrival; a deferral
+  // would leave the job tentative and its client unanswered for good.
   if (outcome.decision.deferred) {
-    if (config_.on_decision) {
-      deferred_ctx_[task.job.id].push_back(task.route_ctx);
-    }
-    return;
+    throw PostconditionError("scheduler '" + scheduler_->name() +
+                             "' deferred job " + std::to_string(task.job.id) +
+                             " although it commits on arrival");
   }
-  pending_.push_back({task.job, outcome.decision, task.enqueued_at,
-                      task.route_ctx, /*resolution=*/false});
+  pending_.push_back(
+      {task.job, outcome.decision, task.enqueued_at, task.route_ctx});
 }
 
 void Shard::publish() {
@@ -399,10 +395,8 @@ void Shard::publish() {
                       : kTraceNoWal;
   for (const Publication& entry : pending_) {
     const double latency =
-        entry.resolution
-            ? 0.0
-            : std::chrono::duration<double>(published_at - entry.enqueued_at)
-                  .count();
+        std::chrono::duration<double>(published_at - entry.enqueued_at)
+            .count();
     const std::size_t latency_bin =
         metrics_.on_decision(index_, entry.job.proc, entry.decision.accepted,
                              latency, entry.job.criticality);

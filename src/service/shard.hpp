@@ -39,7 +39,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -47,7 +46,6 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "sched/engine.hpp"
@@ -242,16 +240,17 @@ class Shard {
   struct Publication {
     Job job;
     Decision decision;
-    /// Queue entry of an immediate decision; ignored for a resolution.
     Clock::time_point enqueued_at;
     std::uint64_t route_ctx = 0;
-    /// A δ-model resolution: its job left the queue when it was fed, so
-    /// its admit latency is 0.
-    bool resolution = false;
   };
 
   /// Builds scheduler + runner (+ WAL recovery when configured) and spawns
-  /// the worker thread. Throws when recovery fails.
+  /// the worker thread. Throws when recovery fails, and a PreconditionError
+  /// when the scheduler is not one the service serves: it must commit on
+  /// arrival (commitment_contract()) on identical machines (speed_profile()
+  /// null or uniform). Every served scheduler is built here — at gateway
+  /// construction, on each restart and in promote_replica — so this is the
+  /// one place that refuses the other models.
   void spawn(bool is_restart);
   void worker_loop();
   /// Role holder: pops and decides one group (one pop without a WAL; with
@@ -277,32 +276,22 @@ class Shard {
   /// the shard failed. The holder keeps the role.
   void fail(const std::exception& error);
   /// Decide pass, one job: feeds it and queues its binding decision (if
-  /// any) for publication. Counts, traces and notifies nothing.
+  /// any) for publication. Counts, traces and notifies nothing. Throws
+  /// when the scheduler defers a decision it promised on arrival, which
+  /// fails the shard.
   void decide(const Task& task);
-  /// Resolution hook for a deferred job: reclaims its parked routing
-  /// context and queues the binding decision for publication.
-  void on_resolution(const Job& job, const Decision& decision);
-  /// Publish pass: the one bookkeeping path of every binding decision,
-  /// immediate or resolved. Reads the clock once, then per queued decision
-  /// in order: metrics, trace event, on_decision. Runs after the group's
-  /// records are durable. An immediate decision's admit latency runs from
-  /// queue entry to this publication.
+  /// Publish pass: the one bookkeeping path of every binding decision.
+  /// Reads the clock once, then per queued decision in order: metrics,
+  /// trace event, on_decision. Runs after the group's records are durable.
+  /// A decision's admit latency runs from queue entry to this publication.
   void publish();
   void set_error(std::string message);
 
-  /// δ-commitment schedulers defer a job's binding decision past its
-  /// feed() call, but the Task (and its route_ctx) dies with the batch
-  /// iteration. Parked contexts bridge the gap: decide() records the
-  /// ctx when a hooked job defers, on_resolution() pops it. Touched only
-  /// under the consumer role, so no lock; cleared on (re)spawn — a crashed
-  /// worker's parked contexts die with it, like its undecided queue tail.
-  std::unordered_map<JobId, std::deque<std::uint64_t>> deferred_ctx_;
   /// Decisions rendered by the current group's decide pass, in decision
   /// order, awaiting the publish pass. Reserved once per shard for the
   /// largest group (queue_capacity entries with a WAL, batch_size without),
-  /// so the steady state makes no allocation; it grows only for a burst of
-  /// resolutions. Cleared on (re)spawn: a worker that dies before its
-  /// group is durable publishes none of it.
+  /// so the steady state makes no allocation. Cleared on (re)spawn: a
+  /// worker that dies before its group is durable publishes none of it.
   std::vector<Publication> pending_;
 
   int index_;

@@ -371,6 +371,14 @@ TEST(Recovery, MachineCountMismatchIsAHardError) {
       << recovered.error;
   // CommitLog::open enforces the same invariant.
   EXPECT_THROW((void)CommitLog::open(path, 3), CommitLogError);
+
+  // No machines at all is reported the same way, for an existing log and
+  // for a missing one, not thrown.
+  for (const std::string& log : {path, wal_path("mismatch_missing")}) {
+    const RecoveryResult none = recover_commit_log(log, 0);
+    EXPECT_FALSE(none.ok) << log;
+    EXPECT_EQ(none.error, "recovery requires machines >= 1") << log;
+  }
 }
 
 TEST(Recovery, BadMagicIsAHardError) {

@@ -16,8 +16,6 @@
 #include <vector>
 
 #include "core/threshold.hpp"
-#include "models/model_factory.hpp"
-#include "models/speed_profile.hpp"
 #include "sched/validator.hpp"
 #include "service/fault_injection.hpp"
 #include "service/gateway.hpp"
@@ -558,126 +556,6 @@ TEST(CrashRecoveryProperty, NoAcceptedJobIsLostAcrossRandomCrashSites) {
   // The property is vacuous if the armed crashes never trigger: with six
   // seeds and hit counts in [1, 60] on an 800-job stream, most must fire.
   EXPECT_GE(crashes_fired, 3);
-}
-
-/// The same WAL round-trip property for the deferred-commitment and
-/// related-machine schedulers, driven through the gateway's model selector.
-/// After crash, supervised restart, replay and resume: the committed
-/// schedule is legal, and an independent read-only replay of the log —
-/// under the model's speed profile — reproduces it placement for
-/// placement, including the speed-aware durations. Tentative (undecided)
-/// jobs lost in the crash are permitted casualties under δ-commitment; the
-/// property covers every *committed* job.
-void run_model_crash_recovery(std::uint64_t seed, const ModelConfig& model,
-                              const std::string& tag, int* crashes_fired) {
-  SCOPED_TRACE("seed=" + std::to_string(seed) + " model=" + model.label());
-  WorkloadConfig wconfig;
-  wconfig.n = 600;
-  wconfig.eps = kEps;
-  wconfig.arrival_rate = 2.0;
-  wconfig.seed = static_cast<unsigned>(2000 + seed);
-  const Instance instance = generate_workload(wconfig);
-
-  FaultInjector injector(FaultPlan::random_crash(seed, 1, 60));
-
-  GatewayConfig config;
-  config.shards = 1;
-  config.queue_capacity = 4096;
-  config.batch_size = 32;
-  config.wal_dir = wal_dir("model_crash_" + tag + "_" + std::to_string(seed));
-  config.wal_fsync = FsyncPolicy::kBatch;
-  config.supervisor = fast_supervisor();
-  config.pop_timeout = std::chrono::milliseconds(5);
-  config.fault_injector = &injector;
-  ShardDecisionLogs told;
-  capture_decisions(config, told);
-  config.model = model;
-  AdmissionGateway gateway(config);
-
-  for (const Job& job : instance.jobs()) {
-    const auto give_up =
-        std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    for (;;) {
-      const Outcome status = gateway.submit(job);
-      if (status == Outcome::kEnqueued) break;
-      ASSERT_NE(status, Outcome::kRejectedClosed);
-      ASSERT_LT(std::chrono::steady_clock::now(), give_up)
-          << "submission stuck while shard recovering";
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  }
-  const GatewayResult result = gateway.finish();
-  ASSERT_EQ(result.shards.size(), 1u);
-  const Schedule& committed = result.shards[0].schedule;
-  // No illegal commitment. A crash that fires too late for a restart
-  // leaves the worker dead at finish(): its error, and only it, is
-  // reported, so that run is not clean.
-  EXPECT_TRUE(result.first_violation().empty()) << result.first_violation();
-  if (!result.errors.empty()) {
-    EXPECT_GT(injector.fired(), 0u) << result.errors.front();
-    EXPECT_EQ(result.errors.size(), 1u);
-    EXPECT_FALSE(result.clean());
-  }
-
-  // Read-only replay under the model's speed profile: the recovered
-  // schedule must be speed-aware (durations p_j / s_i, not p_j), and the
-  // shard holds its live tail.
-  const SpeedProfile profile = model.speeds.empty()
-                                   ? SpeedProfile(model.machines)
-                                   : SpeedProfile(model.speeds);
-  const RecoveryResult replayed = recover_commit_log(
-      config.wal_dir + "/shard-0.wal", model.machines, nullptr,
-      /*truncate_file=*/false, profile.uniform() ? nullptr : &profile);
-  ASSERT_TRUE(replayed.ok) << replayed.error;
-  EXPECT_FALSE(replayed.tail_truncated) << "batch fsync left a torn tail";
-  EXPECT_EQ(replayed.schedule.uniform_speeds(), committed.uniform_speeds());
-  expect_held_suffix(committed, replayed.schedule);
-  expect_told_accepts_logged(told[0], replayed.schedule);
-
-  const ValidationReport report =
-      validate_schedule(instance, replayed.schedule);
-  EXPECT_TRUE(report.ok) << report.to_string();
-
-  if (injector.fired() > 0) ++*crashes_fired;
-  std::filesystem::remove_all(config.wal_dir);
-}
-
-TEST(CrashRecoveryProperty, DeltaCommitmentSurvivesTheSameCrashSites) {
-  ModelConfig model;
-  model.model = CommitModel::kDelta;
-  model.delta = 0.5;
-  model.machines = kMachines;
-  int crashes_fired = 0;
-  for (const std::uint64_t seed : {1ull, 2ull, 3ull, 4ull}) {
-    run_model_crash_recovery(seed, model, "delta", &crashes_fired);
-  }
-  EXPECT_GE(crashes_fired, 2);
-}
-
-TEST(CrashRecoveryProperty, RelatedMachinesRestoreTheirSpeeds) {
-  ModelConfig model;
-  model.model = CommitModel::kOnArrival;
-  model.arrival = ArrivalPolicy::kGreedyBestFit;
-  model.machines = kMachines;
-  model.speeds = SpeedProfile::two_tier(kMachines, 1, 4.0).speeds();
-  int crashes_fired = 0;
-  for (const std::uint64_t seed : {1ull, 2ull, 3ull, 4ull}) {
-    run_model_crash_recovery(seed, model, "speeds", &crashes_fired);
-  }
-  EXPECT_GE(crashes_fired, 2);
-}
-
-TEST(CrashRecoveryProperty, DeltaOnRelatedMachinesRoundTrips) {
-  ModelConfig model;
-  model.model = CommitModel::kDelta;
-  model.delta = 1.0;
-  model.machines = kMachines;
-  model.speeds = SpeedProfile::geometric(kMachines, 0.75).speeds();
-  int crashes_fired = 0;
-  for (const std::uint64_t seed : {5ull, 6ull}) {
-    run_model_crash_recovery(seed, model, "delta_speeds", &crashes_fired);
-  }
-  (void)crashes_fired;  // two seeds may both miss; the round trip is the point
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Unit tests for the commitment-model subsystem (src/models/): speed
 // profiles, commitment contracts, the speed-aware core containers, the
 // contract-aware validator overload, the δ-commitment scheduler, and the
-// model factory + gateway selector. The cross-model boundary equivalences
+// model factory. The cross-model boundary equivalences
 // (δ→0 vs. commit-on-arrival, τ=∞ vs. run_delayed_commit, uniform-speed
 // bit-identity) live in test_model_equivalence.cpp.
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include "models/speed_profile.hpp"
 #include "sched/engine.hpp"
 #include "sched/validator.hpp"
-#include "service/gateway.hpp"
 
 namespace slacksched {
 namespace {
@@ -363,36 +362,6 @@ TEST(ModelFactory, ValidatesItsConfig) {
   config.model = CommitModel::kDelta;
   config.delta = -1.0;
   EXPECT_FALSE(config.validate().empty());
-}
-
-TEST(GatewaySelector, RunsAModelBehindTheShards) {
-  GatewayConfig config;
-  config.shards = 2;
-  config.model = ModelConfig{};
-  config.model->model = CommitModel::kDelta;
-  config.model->delta = 0.5;
-  config.model->machines = 2;
-
-  AdmissionGateway gateway(config);
-  for (int i = 0; i < 20; ++i) {
-    const Job job = make_job(i + 1, static_cast<double>(i), 1.0,
-                             static_cast<double>(i) + 10.0);
-    EXPECT_EQ(gateway.submit(job), Outcome::kEnqueued);
-  }
-  const GatewayResult result = gateway.finish();
-  EXPECT_TRUE(result.clean()) << result.first_violation();
-  EXPECT_EQ(result.merged.submitted, 20u);
-  EXPECT_EQ(result.merged.accepted + result.merged.rejected, 20u);
-  ASSERT_EQ(result.shards.size(), 2u);
-}
-
-TEST(GatewaySelector, ValidateSurfacesModelProblems) {
-  GatewayConfig config;
-  config.model = ModelConfig{};
-  config.model->machines = 0;
-  const std::vector<std::string> errors = config.validate();
-  ASSERT_FALSE(errors.empty());
-  EXPECT_NE(errors.front().find("model"), std::string::npos);
 }
 
 }  // namespace

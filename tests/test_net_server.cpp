@@ -30,7 +30,6 @@
 #include "baselines/greedy.hpp"
 #include "common/expects.hpp"
 #include "core/threshold.hpp"
-#include "models/model_factory.hpp"
 #include "net/admission_client.hpp"
 #include "net/admission_server.hpp"
 #include "sched/engine.hpp"
@@ -959,42 +958,6 @@ TEST(NetServer, DuplicateJobIdsAreAnsweredPerSubmission) {
   EXPECT_EQ(by_request[base + 1].outcome, Outcome::kRejected);
   EXPECT_EQ(a.outstanding(), 0u);
   EXPECT_EQ(b.outstanding(), 0u);
-}
-
-TEST(NetServer, DeltaCommitmentModelAnswersEverySubmit) {
-  // δ-commitment defers decisions past the arrival that caused them; the
-  // last ones resolve only when DRAIN finishes the gateway. Each SUBMIT
-  // still gets exactly one DECISION, and none is pre-empted by a REJECT.
-  ModelConfig model;
-  model.model = CommitModel::kDelta;
-  model.delta = 0.5;
-  model.machines = 3;
-  const Instance instance = test_instance(300, 99);
-  AdmissionServerConfig config = loopback_config(instance.size());
-  AdmissionServer server(config,
-                         [model](int) { return make_scheduler(model); });
-  AdmissionClient client("127.0.0.1", server.port());
-
-  std::map<std::uint64_t, JobId> sent;
-  for (const Job& job : instance.jobs()) sent[client.submit(job)] = job.id;
-  const DrainedMsg drained = client.drain();
-
-  std::map<std::uint64_t, DecisionReply> got;
-  DecisionReply reply;
-  while (client.try_reply(reply)) {
-    EXPECT_TRUE(got.emplace(reply.request_id, reply).second)
-        << "request " << reply.request_id << " answered twice";
-  }
-  ASSERT_EQ(got.size(), sent.size());
-  for (const auto& [request_id, job_id] : sent) {
-    ASSERT_TRUE(got.count(request_id)) << "request " << request_id;
-    EXPECT_EQ(got[request_id].job_id, job_id);
-    EXPECT_TRUE(got[request_id].is_decision())
-        << "job " << job_id << " ended as "
-        << static_cast<int>(got[request_id].outcome);
-  }
-  EXPECT_EQ(drained.submitted, instance.size());
-  EXPECT_EQ(drained.clean, 1);
 }
 
 TEST(NetServer, ShedBatchReclaimsTicketsSoTheReaperCanClose) {

@@ -22,7 +22,11 @@
 #include <vector>
 
 #include "baselines/greedy.hpp"
+#include "baselines/random_admission.hpp"
 #include "core/threshold.hpp"
+#include "models/delta_commit.hpp"
+#include "net/admission_server.hpp"
+#include "replication/failover.hpp"
 #include "sched/validator.hpp"
 #include "service/gateway.hpp"
 #include "support/gateway_capture.hpp"
@@ -628,6 +632,135 @@ TEST(Gateway, HaltsPoisonedShardAndReportsViolation) {
   EXPECT_EQ(result.shards[0].metrics.accepted, 1u);
 }
 
+// ---------- the served model ----------
+
+std::string fresh_dir(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + "slacksched_" + name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+TEST(Gateway, RefusesDeferredAndRelatedSpeedSchedulersAtEveryEntryPoint) {
+  constexpr int kMachines = 4;
+  const ShardSchedulerFactory threshold = [=](int) {
+    return std::make_unique<ThresholdScheduler>(0.1, kMachines);
+  };
+  // A valid replica directory: the log of a served Threshold shard, which
+  // a served scheduler promotes.
+  GatewayConfig replica;
+  replica.wal_dir = fresh_dir("served_model");
+  {
+    AdmissionGateway leader(replica, threshold);
+    for (JobId id = 1; id <= 20; ++id) {
+      const double r = static_cast<double>(id);
+      ASSERT_EQ(leader.submit(make_job(id, r, 1.0, r + 10.0)),
+                Outcome::kEnqueued);
+    }
+    ASSERT_TRUE(leader.finish().clean());
+  }
+  ASSERT_TRUE(repl::promote_replica(replica, threshold).ok);
+
+  DeltaCommitConfig admission;
+  admission.machines = kMachines;
+  admission.commit_on_admission = true;
+  ThresholdConfig two_tier;
+  two_tier.machines = kMachines;
+  two_tier.speeds = SpeedProfile::two_tier(kMachines, 1, 4.0);
+  struct Refused {
+    std::string reason;
+    ShardSchedulerFactory factory;
+  };
+  const std::vector<Refused> refused = {
+      {"commitment model is 'delta'",
+       [=](int) {
+         return std::make_unique<DeltaCommitScheduler>(0.5, kMachines);
+       }},
+      {"commitment model is 'on-admission'",
+       [=](int) { return std::make_unique<DeltaCommitScheduler>(admission); }},
+      {"related machines (two-tier",
+       [=](int) { return std::make_unique<ThresholdScheduler>(two_tier); }},
+      {"related machines (geometric",
+       [=](int) {
+         return std::make_unique<GreedyScheduler>(
+             SpeedProfile::geometric(kMachines, 0.75));
+       }},
+  };
+  for (const Refused& model : refused) {
+    SCOPED_TRACE(model.reason);
+    const std::string name = model.factory(0)->name();
+    const auto expect_reason = [&](const std::string& error) {
+      EXPECT_NE(error.find(model.reason), std::string::npos) << error;
+      EXPECT_NE(error.find("'" + name + "'"), std::string::npos) << error;
+    };
+    try {
+      AdmissionGateway gateway(GatewayConfig{}, model.factory);
+      ADD_FAILURE() << "the gateway served " << name;
+    } catch (const PreconditionError& e) {
+      expect_reason(e.what());
+    }
+    try {
+      net::AdmissionServer server(net::AdmissionServerConfig{}, model.factory);
+      ADD_FAILURE() << "the server served " << name;
+    } catch (const PreconditionError& e) {
+      expect_reason(e.what());
+    }
+    const repl::PromotionResult promoted =
+        repl::promote_replica(replica, model.factory);
+    EXPECT_FALSE(promoted.ok);
+    expect_reason(promoted.error);
+  }
+
+  // Positive control: the immediate-commitment schedulers on identical
+  // machines still construct and serve.
+  const std::vector<ShardSchedulerFactory> served = {
+      threshold,
+      [=](int) { return std::make_unique<GreedyScheduler>(kMachines); },
+      [=](int) {
+        return std::make_unique<RandomAdmissionScheduler>(kMachines, 0.5, 7);
+      },
+  };
+  for (const ShardSchedulerFactory& factory : served) {
+    SCOPED_TRACE(factory(0)->name());
+    AdmissionGateway gateway(GatewayConfig{}, factory);
+    for (JobId id = 1; id <= 20; ++id) {
+      const double r = static_cast<double>(id);
+      EXPECT_EQ(gateway.submit(make_job(id, r, 1.0, r + 10.0)),
+                Outcome::kEnqueued);
+    }
+    const GatewayResult result = gateway.finish();
+    EXPECT_TRUE(result.clean()) << result.first_violation();
+    EXPECT_EQ(result.merged.accepted + result.merged.rejected, 20u);
+    const net::AdmissionServer server(net::AdmissionServerConfig{}, factory);
+    EXPECT_NE(server.port(), 0);
+  }
+}
+
+/// Claims commitment on arrival (the default contract), then defers.
+class DeferringScheduler final : public OnlineScheduler {
+ public:
+  Decision on_arrival(const Job&) override { return Decision::defer(); }
+  int machines() const override { return 1; }
+  void reset() override {}
+  std::string name() const override { return "Deferring"; }
+};
+
+TEST(Gateway, DeferralFromAnOnArrivalSchedulerFailsItsShard) {
+  // The job would stay tentative in the engine and its client would never
+  // be answered; the shard fails loudly instead.
+  GatewayConfig config;
+  config.shards = 1;
+  AdmissionGateway gateway(
+      config, [](int) { return std::make_unique<DeferringScheduler>(); });
+  EXPECT_EQ(gateway.submit(make_job(1, 0.0, 1.0, 10.0)), Outcome::kEnqueued);
+  const GatewayResult result = gateway.finish();
+  EXPECT_FALSE(result.clean());
+  ASSERT_EQ(result.errors.size(), 1u);
+  EXPECT_NE(result.errors.front().find("'Deferring' deferred job 1"),
+            std::string::npos)
+      << result.errors.front();
+}
+
 // ---------- closed-tail vs backpressure accounting ----------
 
 TEST(Shard, BatchOnAClosedQueueIsClosedNotBackpressure) {
@@ -769,10 +902,7 @@ class HookedScheduler final : public OnlineScheduler {
 
 /// A fresh WAL path for one shard test.
 std::string fresh_wal(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "slacksched_" + name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir + "/shard-0.wal";
+  return fresh_dir(name) + "/shard-0.wal";
 }
 
 TEST(Shard, WalGroupSyncsOnceForItsBacklog) {

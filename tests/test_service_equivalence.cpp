@@ -19,7 +19,6 @@
 #include "baselines/greedy.hpp"
 #include "baselines/random_admission.hpp"
 #include "core/threshold.hpp"
-#include "models/delta_commit.hpp"
 #include "sched/engine.hpp"
 #include "service/gateway.hpp"
 #include "service/recovery.hpp"
@@ -141,29 +140,6 @@ TEST(ServiceEquivalence, RandomAdmissionMatchesEngine) {
       },
       instance);
   expect_identical(engine, gateway);
-}
-
-TEST(ServiceEquivalence, DeltaCommitmentMatchesEngineWhileSettling) {
-  // Deferred jobs resolve in later drains, across the batch boundaries the
-  // shard settles at (small batches settle often): the resolution stream,
-  // the metrics and the schedule's live tail still match run_online.
-  const Instance instance = test_instance(2000, 29);
-  for (const bool on_admission : {false, true}) {
-    SCOPED_TRACE(on_admission ? "on admission" : "delta");
-    DeltaCommitConfig delta;
-    delta.machines = 3;
-    delta.delta = 0.5;
-    delta.commit_on_admission = on_admission;
-    DeltaCommitScheduler reference(delta);
-    const RunResult engine = run_online(reference, instance);
-    ASSERT_TRUE(engine.clean());
-    const GatewayRun gateway = run_single_shard(
-        [delta](int) { return std::make_unique<DeltaCommitScheduler>(delta); },
-        instance, /*batch_size=*/16);
-    expect_identical(engine, gateway);
-    EXPECT_LT(gateway.result.shards[0].schedule.all_placements().size(),
-              engine.schedule.job_count());
-  }
 }
 
 TEST(ServiceEquivalence, ShardedRunIsReproducible) {
