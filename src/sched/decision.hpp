@@ -10,6 +10,7 @@
 #include <string>
 
 #include "common/time.hpp"
+#include "job/job.hpp"
 
 namespace slacksched {
 
@@ -47,6 +48,12 @@ struct Decision {
   }
 
   friend bool operator==(const Decision&, const Decision&) = default;
+};
+
+/// Per-job record of what the algorithm decided.
+struct DecisionRecord {
+  Job job;
+  Decision decision;
 };
 
 }  // namespace slacksched

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "common/expects.hpp"
 #include "sched/validator.hpp"
 
 namespace slacksched {
@@ -20,21 +19,6 @@ StreamingRunner::StreamingRunner(OnlineScheduler& scheduler,
       result_{make_schedule(scheduler), RunMetrics{}, {}, {}},
       contract_(scheduler.commitment_contract()) {
   scheduler_->reset();
-}
-
-StreamingRunner::StreamingRunner(ResumeTag, OnlineScheduler& scheduler,
-                                 const RunOptions& options, RunResult state)
-    : scheduler_(&scheduler),
-      options_(options),
-      result_(std::move(state)),
-      contract_(scheduler.commitment_contract()) {
-  SLACKSCHED_EXPECTS(result_.schedule.machines() == scheduler.machines());
-}
-
-StreamingRunner StreamingRunner::resumed(OnlineScheduler& scheduler,
-                                         const RunOptions& options,
-                                         RunResult state) {
-  return StreamingRunner(ResumeTag{}, scheduler, options, std::move(state));
 }
 
 void StreamingRunner::reserve_decisions(std::size_t n) {
@@ -64,7 +48,6 @@ void StreamingRunner::apply_resolution(const DeferredResolution& resolution) {
     return;  // poisoned: the illegal commitment is never applied
   }
   if (resolution.decision.accepted) {
-    if (commit_hook_) commit_hook_(resolution.job, resolution.decision);
     result_.schedule.commit(resolution.job, resolution.decision.machine,
                             resolution.decision.start);
     ++result_.metrics.accepted;
@@ -85,7 +68,6 @@ FeedOutcome StreamingRunner::feed(const Job& job) {
     if (halted_) return outcome;
   }
   outcome.decided = true;
-  last_release_ = job.release;
   outcome.decision = scheduler_->on_arrival(job);
   ++result_.metrics.submitted;
   if (outcome.decision.deferred) {
@@ -108,9 +90,6 @@ FeedOutcome StreamingRunner::feed(const Job& job) {
   outcome.legal = true;
 
   if (outcome.decision.accepted) {
-    // Write-ahead ordering: the durability hook runs before the in-memory
-    // commit, so every commit that becomes visible is already logged.
-    if (commit_hook_) commit_hook_(job, outcome.decision);
     result_.schedule.commit(job, outcome.decision.machine,
                             outcome.decision.start);
     ++result_.metrics.accepted;
@@ -120,10 +99,6 @@ FeedOutcome StreamingRunner::feed(const Job& job) {
     result_.metrics.rejected_volume += job.proc;
   }
   return outcome;
-}
-
-std::size_t StreamingRunner::settle() {
-  return result_.schedule.settle_before(last_release_);
 }
 
 RunResult StreamingRunner::finish() {

@@ -10,39 +10,26 @@
 /// promise. This realizes the "immediate commitment" model of the paper.
 ///
 /// Two entry points share one implementation: run_online replays a whole
-/// Instance, and StreamingRunner feeds one job at a time — the streaming
-/// fast path the gateway shards (service/shard.cpp) drive directly. With
-/// decision recording disabled (RunOptions::record_decisions) the streaming
-/// path accumulates metrics only and performs no per-job heap allocation
-/// beyond the committed schedule itself.
-///
-/// Settling (StreamingRunner::settle): a long-lived runner bounds the
-/// schedule it holds by its live commitments. The horizon is the release of
-/// the job fed last. Under on-arrival commitment every later decision is
-/// for a job released no earlier (callers feed non-decreasing releases) and
-/// starts at or after that release, so no future placement can overlap one
-/// that completed by then. Under the δ-model a later drain may resolve a
-/// still-pending job at a start before the *next* release, but never before
-/// the current one: every pending decision binds at or after the time the
-/// last drain reached. Soundness does not rest on the horizon, though: the
-/// schedule refuses any start before a machine's settled mark. Every
-/// in-tree scheduler places at t + load(m, t) >= frontier(m), so that
-/// refusal never hits a legal decision, even when a multi-producer shard
-/// feeds releases out of order.
-/// run_online never settles: its RunResult keeps the whole schedule.
+/// Instance, and StreamingRunner feeds one job at a time. With decision
+/// recording disabled (RunOptions::record_decisions) the streaming path
+/// accumulates metrics only and performs no per-job heap allocation beyond
+/// the committed schedule itself. Both keep the whole schedule, every
+/// model and every speed profile: this is the offline engine the
+/// experiments, the model matrix and the benchmark's oracle run. The
+/// service does not run it — a gateway shard holds only m busy-until marks
+/// and checks each decision with validate_served_commitment
+/// (sched/validator.hpp).
 ///
 /// Deferred commitment (models/commitment.hpp): when the scheduler's
 /// contract allows deferral, feed() first drains every decision that became
 /// binding before the new arrival (OnlineScheduler::advance_to), applies
 /// each one under the model-aware validate_commitment overload — same
-/// write-ahead hook, same halt-on-violation rule — and only then consults
-/// on_arrival, which may answer Decision::defer(). finish() drains to the
-/// end of time so every submitted job ends the run decided. Commit-on-
-/// arrival schedulers never defer and take the original path untouched.
+/// halt-on-violation rule — and only then consults on_arrival, which may
+/// answer Decision::defer(). finish() drains to the end of time so every
+/// submitted job ends the run decided. Commit-on-arrival schedulers never
+/// defer and take the original path untouched.
 #pragma once
 
-#include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -52,12 +39,6 @@
 #include "sched/schedule.hpp"
 
 namespace slacksched {
-
-/// Per-job record of what the algorithm decided.
-struct DecisionRecord {
-  Job job;
-  Decision decision;
-};
 
 /// Everything a run produced.
 struct RunResult {
@@ -94,37 +75,12 @@ struct FeedOutcome {
 /// The engine's inner loop as an incremental object: feed jobs one at a
 /// time in submission order, read live metrics, take the RunResult at the
 /// end. Exactly the semantics of run_online — same decision recording,
-/// same commitment-legality check, same halt-on-violation rule — so a
-/// consumer built on StreamingRunner (e.g. a gateway shard) is
-/// byte-identical to the sequential engine.
+/// same commitment-legality check, same halt-on-violation rule.
 class StreamingRunner {
  public:
-  /// Invoked for every legal accepting decision after validation succeeds
-  /// and *before* the in-memory commit is applied — the write-ahead
-  /// ordering a durable commit log (service/commit_log.hpp) needs: if the
-  /// process dies between the hook and the commit, replaying the log
-  /// re-applies the allocation. A throwing hook aborts the commit; the
-  /// job is then neither counted nor scheduled in memory, matching a
-  /// crash at that point.
-  using CommitHook = std::function<void(const Job&, const Decision&)>;
-
   /// Resets the scheduler and starts an empty run.
   explicit StreamingRunner(OnlineScheduler& scheduler,
                            const RunOptions& options = {});
-
-  /// Resumes a run from previously recovered state (service/recovery.hpp):
-  /// the schedule and metrics continue from `state`, and — unlike the
-  /// resetting constructor — the scheduler is taken as-is; the caller has
-  /// already restored its internal state to match the schedule.
-  [[nodiscard]] static StreamingRunner resumed(OnlineScheduler& scheduler,
-                                               const RunOptions& options,
-                                               RunResult state);
-
-  StreamingRunner(StreamingRunner&&) = default;
-  StreamingRunner& operator=(StreamingRunner&&) = default;
-
-  /// Installs (or clears, with nullptr) the write-ahead commit hook.
-  void set_commit_hook(CommitHook hook) { commit_hook_ = std::move(hook); }
 
   /// Pre-sizes the decision log (no-op when recording is disabled).
   void reserve_decisions(std::size_t n);
@@ -132,12 +88,6 @@ class StreamingRunner {
   /// Decides one job (now == job.release; callers feed non-decreasing
   /// release dates). No-op returning decided == false once halted.
   FeedOutcome feed(const Job& job);
-
-  /// Drops the committed placements no future decision can overlap (see
-  /// the file comment for the horizon) and returns the number still held.
-  /// Aggregates — job count, volume, makespan, frontiers, metrics — keep
-  /// counting the whole run. A no-op before the first feed().
-  std::size_t settle();
 
   /// True once an illegal commitment occurred: the runner stops deciding.
   [[nodiscard]] bool halted() const { return halted_; }
@@ -151,10 +101,6 @@ class StreamingRunner {
   [[nodiscard]] RunResult finish();
 
  private:
-  struct ResumeTag {};
-  StreamingRunner(ResumeTag, OnlineScheduler& scheduler,
-                  const RunOptions& options, RunResult state);
-
   /// Builds the empty schedule, speed-aware when the scheduler reports a
   /// related-machine profile.
   [[nodiscard]] static Schedule make_schedule(const OnlineScheduler& s);
@@ -166,12 +112,9 @@ class StreamingRunner {
   OnlineScheduler* scheduler_;
   RunOptions options_;
   RunResult result_;
-  CommitHook commit_hook_;
   CommitmentContract contract_;
   /// Scratch buffer reused across drain_resolutions calls.
   std::vector<DeferredResolution> resolved_;
-  /// Release of the job fed last: the settle() horizon.
-  TimePoint last_release_ = -kTimeInfinity;
   bool halted_ = false;
 };
 

@@ -10,7 +10,6 @@ Schedule::Schedule(int machines) {
   SLACKSCHED_EXPECTS(machines >= 1);
   per_machine_.resize(static_cast<std::size_t>(machines));
   frontier_.resize(static_cast<std::size_t>(machines), 0.0);
-  settled_until_.resize(static_cast<std::size_t>(machines), -kTimeInfinity);
   ids_ascending_.resize(static_cast<std::size_t>(machines), true);
 }
 
@@ -57,29 +56,9 @@ void Schedule::commit(const Job& job, int machine, TimePoint start) {
   }
 }
 
-std::size_t Schedule::settle_before(TimePoint horizon) {
-  std::size_t held = 0;
-  for (std::size_t m = 0; m < per_machine_.size(); ++m) {
-    auto& list = per_machine_[m];
-    const auto settled = std::partition_point(
-        list.begin(), list.end(),
-        [&](const Placement& p) { return p.completion() <= horizon; });
-    if (settled != list.begin()) {
-      settled_until_[m] = std::prev(settled)->completion();
-      list.erase(list.begin(), settled);
-    }
-    held += list.size();
-  }
-  return held;
-}
-
 bool Schedule::interval_free(int machine, TimePoint start,
                              Duration proc) const {
   SLACKSCHED_EXPECTS(machine >= 0 && machine < machines());
-  if (definitely_less(start,
-                      settled_until_[static_cast<std::size_t>(machine)])) {
-    return false;
-  }
   const auto& list = per_machine_[static_cast<std::size_t>(machine)];
   const TimePoint end = start + exec_time(machine, proc);
   // Placements are sorted by start and non-overlapping, so completions are
@@ -108,10 +87,8 @@ const std::vector<Placement>& Schedule::on_machine(int machine) const {
 }
 
 std::vector<Placement> Schedule::all_placements() const {
-  std::size_t held = 0;
-  for (const auto& list : per_machine_) held += list.size();
   std::vector<Placement> out;
-  out.reserve(held);
+  out.reserve(job_count_);
   for (const auto& list : per_machine_)
     out.insert(out.end(), list.begin(), list.end());
   return out;

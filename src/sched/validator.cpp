@@ -39,6 +39,36 @@ std::string validate_commitment(const Schedule& schedule, const Job& job,
   return {};
 }
 
+std::string validate_served_commitment(std::span<const TimePoint> busy_until,
+                                      const Job& job,
+                                      const Decision& decision) {
+  if (!decision.accepted) return {};
+  if (decision.machine < 0 ||
+      static_cast<std::size_t>(decision.machine) >= busy_until.size()) {
+    return job.to_string() + ": machine index " +
+           std::to_string(decision.machine) + " out of range";
+  }
+  if (definitely_less(decision.start, job.release)) {
+    return job.to_string() + ": committed start " +
+           std::to_string(decision.start) + " precedes release";
+  }
+  const TimePoint completion = decision.start + job.proc;
+  if (definitely_greater(completion, job.deadline)) {
+    return job.to_string() + ": committed completion " +
+           std::to_string(completion) + " misses deadline";
+  }
+  const TimePoint mark =
+      busy_until[static_cast<std::size_t>(decision.machine)];
+  if (definitely_less(decision.start, mark)) {
+    return job.to_string() + ": committed start " +
+           std::to_string(decision.start) +
+           " overlaps earlier commitment on machine " +
+           std::to_string(decision.machine) + ", busy until " +
+           std::to_string(mark);
+  }
+  return {};
+}
+
 std::string validate_commitment(const Schedule& schedule, const Job& job,
                                 const Decision& decision, TimePoint decided_at,
                                 const CommitmentContract& contract) {

@@ -5,6 +5,7 @@
 /// is asserted empirically on every run.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,9 +36,6 @@ struct ValidationReport {
 ///  - starts respect release dates (start >= r_j),
 ///  - completions respect deadlines (start + p_j <= d_j),
 ///  - no two placements overlap on a machine.
-/// Only the placements `schedule` still holds are checked: on a settled
-/// schedule (Schedule::settle_before) that is the live tail, so validate a
-/// gateway shard's full history on a read-only replay of its commit log.
 [[nodiscard]] ValidationReport validate_schedule(const Instance& instance,
                                                  const Schedule& schedule);
 
@@ -46,12 +44,28 @@ struct ValidationReport {
 /// must name a machine in range, start no earlier than the job's release,
 /// complete by its deadline, and not overlap earlier commitments on that
 /// machine. Returns a description of the first violation, or an empty
-/// string when the commitment is legal. This is the single legality path
-/// shared by the sequential engine (sched/engine.cpp) and the sharded
-/// gateway (service/shard.cpp).
+/// string when the commitment is legal. This is the engine's legality path
+/// (sched/engine.cpp); the service checks with validate_served_commitment.
 [[nodiscard]] std::string validate_commitment(const Schedule& schedule,
                                               const Job& job,
                                               const Decision& decision);
+
+/// Claim 1 for a served decision, against the one piece of state the
+/// service keeps per machine: its busy-until mark, the latest completion
+/// committed to it (0 before the first). Algorithm 1 starts an accepted
+/// job right after its machine's outstanding load, so an accepting
+/// decision must name a machine in [0, busy_until.size()), start no
+/// earlier than r_j, complete (start + p_j, identical machines) by d_j,
+/// and start no earlier than the machine's mark. A start in an idle gap
+/// before the mark is refused: no served scheduler places one. Same
+/// tolerance as validate_commitment. Returns the first violation, or an
+/// empty string; a rejecting decision is always legal. The one check of
+/// a gateway shard (service/shard.cpp) and of commit-log recovery
+/// (service/recovery.cpp). On accept the caller raises the mark to
+/// max(mark, start + p_j).
+[[nodiscard]] std::string validate_served_commitment(
+    std::span<const TimePoint> busy_until, const Job& job,
+    const Decision& decision);
 
 /// Commitment-model-aware variant: the physical checks above plus the
 /// irrevocability contract (models/commitment.hpp). `decided_at` is the

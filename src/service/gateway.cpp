@@ -86,11 +86,11 @@ std::vector<std::string> GatewayConfig::validate() const {
 bool GatewayResult::clean() const {
   return errors.empty() &&
          std::all_of(shards.begin(), shards.end(),
-                     [](const RunResult& r) { return r.clean(); });
+                     [](const ShardResult& r) { return r.clean(); });
 }
 
 std::string GatewayResult::first_violation() const {
-  for (const RunResult& r : shards) {
+  for (const ShardResult& r : shards) {
     if (!r.clean()) return r.commitment_violation;
   }
   return {};
@@ -318,7 +318,7 @@ GatewayResult AdmissionGateway::finish() {
     }
     result.shards.push_back(shard->take_result());
   }
-  for (const RunResult& r : result.shards) {
+  for (const ShardResult& r : result.shards) {
     result.merged.submitted += r.metrics.submitted;
     result.merged.accepted += r.metrics.accepted;
     result.merged.rejected += r.metrics.rejected;

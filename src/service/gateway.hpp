@@ -38,7 +38,7 @@
 
 #include "policy/shed_policy.hpp"
 #include "replication/replicator.hpp"
-#include "sched/engine.hpp"
+#include "sched/metrics.hpp"
 #include "sched/online.hpp"
 #include "service/commit_log.hpp"
 #include "service/fault_injection.hpp"
@@ -169,15 +169,14 @@ struct BatchSubmitResult {
   std::size_t rejected_invalid = 0;
 };
 
-/// Everything a finished gateway run produced: one RunResult per shard
-/// (its committed schedule, settled down to the placements still live at
-/// the last batch boundary, and a decision log only with record_decisions),
-/// the merged RunMetrics, and the final metrics snapshot. For a shard whose
-/// worker crashed, the RunResult is reconstructed from its commit log (the
-/// durable truth, every placement) and the fatal error is reported in
-/// `errors`.
+/// Everything a finished gateway run produced: one ShardResult per shard
+/// (its RunMetrics, its m busy-until marks, a decision log only with
+/// record_decisions, and its first commitment violation), the merged
+/// RunMetrics, and the final metrics snapshot. For a shard whose worker
+/// failed on a WAL, the ShardResult is reconstructed from its commit log
+/// (the durable truth) and the fatal error is reported in `errors`.
 struct GatewayResult {
-  std::vector<RunResult> shards;
+  std::vector<ShardResult> shards;
   RunMetrics merged;
   MetricsSnapshot metrics;
   /// Fatal per-shard worker errors ("shard 2: injected fault: ...");
@@ -236,8 +235,8 @@ class AdmissionGateway {
   /// or a follower's ACK, and never throws for a decision: a fault while
   /// deciding fails that shard (GatewayResult::errors) and the supervisor
   /// refuses its jobs. Makes no heap allocation once the calling thread's
-  /// grouping scratch has grown to its largest batch and the shards'
-  /// schedules to their working size.
+  /// grouping scratch has grown to its largest batch (a shard's live state
+  /// is m marks, allocated at start).
   BatchSubmitResult submit_batch(std::span<const Job> jobs,
                                  std::span<Outcome> statuses = {},
                                  std::uint64_t route_ctx = 0);

@@ -81,10 +81,6 @@ constexpr Field<std::size_t> kCountFields[] = {
      &ShardMetricsSnapshot::wal_records_replayed},
     {"wal_truncations_total", "Torn commit-log tails truncated.", "counter",
      &ShardMetricsSnapshot::wal_truncations},
-    {"schedule_held_placements",
-     "Committed placements the shard schedules still hold at their last "
-     "batch boundary: the live commitments, the settled past excluded.",
-     "gauge", &ShardMetricsSnapshot::schedule_held_placements},
 };
 
 constexpr Field<double> kVolumeFields[] = {

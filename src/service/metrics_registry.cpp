@@ -100,11 +100,6 @@ void MetricsRegistry::on_wal_sync(int shard) {
               std::memory_order_relaxed);
 }
 
-void MetricsRegistry::on_schedule_held(int shard, std::size_t held) {
-  slots_[static_cast<std::size_t>(shard)].schedule_held_placements.store(
-      held, std::memory_order_relaxed);
-}
-
 std::size_t MetricsRegistry::on_decision(int shard, double job_volume,
                                          bool accepted,
                                          double latency_seconds,
@@ -166,8 +161,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
         slot.peak_queue_depth.load(std::memory_order_relaxed);
     row.batches = slot.batches.load(std::memory_order_relaxed);
     row.wal_syncs = slot.wal_syncs.load(std::memory_order_relaxed);
-    row.schedule_held_placements =
-        slot.schedule_held_placements.load(std::memory_order_relaxed);
     row.recoveries = slot.recoveries.load(std::memory_order_relaxed);
     row.wal_records_replayed =
         slot.wal_records_replayed.load(std::memory_order_relaxed);
@@ -216,7 +209,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
         std::max(snap.total.peak_queue_depth, row.peak_queue_depth);
     snap.total.batches += row.batches;
     snap.total.wal_syncs += row.wal_syncs;
-    snap.total.schedule_held_placements += row.schedule_held_placements;
     snap.total.recoveries += row.recoveries;
     snap.total.wal_records_replayed += row.wal_records_replayed;
     snap.total.wal_truncations += row.wal_truncations;

@@ -53,9 +53,6 @@ struct ShardMetricsSnapshot {
   std::size_t peak_queue_depth = 0;
   std::size_t batches = 0;           ///< consumer pops that found work
   std::size_t wal_syncs = 0;  ///< sync_batch() calls, one per WAL group
-  /// Committed placements the shard's schedule still holds, as of its last
-  /// group boundary (the settled past excluded): the live-state size.
-  std::size_t schedule_held_placements = 0;
 
   // --- fault-tolerance counters (service/supervisor.hpp) ---
   std::size_t recoveries = 0;            ///< WAL replays / restarts completed
@@ -119,8 +116,6 @@ class MetricsRegistry {
   void on_batch(int shard, std::size_t popped);
   /// Records one group made durable by one sync_batch().
   void on_wal_sync(int shard);
-  /// Stores the shard's held-placement gauge (one relaxed write per group).
-  void on_schedule_held(int shard, std::size_t held);
   /// Records one published decision. `latency_seconds` is queue-entry to
   /// group-publication wall time; `criticality` attributes the decision
   /// to its class family. Returns the latency bin the decision landed in
@@ -169,10 +164,9 @@ class MetricsRegistry {
     // Single writer, the holder of the shard's consumer role (one at a
     // time: the role's release/acquire hand-over orders one holder's stores
     // before the next one's loads, and a restarted worker starts after the
-    // dead one is joined): plain load+store, no locked read-modify-write. schedule_held_placements,
+    // dead one is joined): plain load+store, no locked read-modify-write:
     // wal_syncs, the volumes, class_accepted, class_rejected,
     // class_latency_sum and class_latency.
-    std::atomic<std::uint64_t> schedule_held_placements{0};
     std::atomic<std::uint64_t> wal_syncs{0};
     std::atomic<double> accepted_volume{0.0};
     std::atomic<double> rejected_volume{0.0};

@@ -30,9 +30,7 @@ RecoveryResult recover_commit_log(const std::string& path, int machines,
   SLACKSCHED_EXPECTS(scheduler == nullptr ||
                      scheduler->speed_profile() == nullptr ||
                      scheduler->speed_profile()->uniform());
-  // Schedule(machines) refuses m < 1, so the empty schedule takes one
-  // machine until the check below reports the bad count.
-  RecoveryResult result{.schedule = Schedule(std::max(machines, 1)),
+  RecoveryResult result{.busy_until = {},
                         .metrics = {},
                         .records_replayed = 0,
                         .bytes_truncated = 0,
@@ -42,6 +40,7 @@ RecoveryResult recover_commit_log(const std::string& path, int machines,
   if (machines < 1) {
     return fail(std::move(result), "recovery requires machines >= 1");
   }
+  result.busy_until.assign(static_cast<std::size_t>(machines), 0.0);
 
   std::size_t size = 0;
   std::string error;
@@ -79,13 +78,15 @@ RecoveryResult recover_commit_log(const std::string& path, int machines,
           // corrupt in a way the CRC cannot see.
           return refuse(" (" + job.to_string() + ") is not a valid job");
         }
-        const std::string violation = validate_commitment(
-            result.schedule, job, Decision::accept(machine, start));
+        const std::string violation = validate_served_commitment(
+            result.busy_until, job, Decision::accept(machine, start));
         if (!violation.empty()) {
           return refuse(" (job " + std::to_string(job.id) +
                         ") fails commitment validation: " + violation);
         }
-        result.schedule.commit(job, machine, start);
+        TimePoint& mark = result.busy_until[static_cast<std::size_t>(machine)];
+        mark = std::max(mark, start + job.proc);
+        result.metrics.makespan = std::max(result.metrics.makespan, mark);
         if (scheduler != nullptr &&
             !scheduler->restore_commitment(job, machine, start)) {
           return refuse(": scheduler '" + scheduler->name() +
@@ -112,7 +113,6 @@ RecoveryResult recover_commit_log(const std::string& path, int machines,
   }
   ::close(fd);
   if (!error.empty()) return fail(std::move(result), std::move(error));
-  result.metrics.makespan = result.schedule.makespan();
   return result;
 }
 

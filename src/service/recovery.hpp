@@ -1,30 +1,33 @@
 /// \file
 /// Crash recovery for a shard's commit log: replays the WAL written by
 /// service/commit_log.hpp, truncates a torn tail, and rebuilds the shard's
-/// committed Schedule (and, optionally, the scheduler's internal state via
-/// OnlineScheduler::restore_commitment). Every replayed record passes
-/// through validate_commitment — the same legality path the live engine
-/// uses — so a log that decodes cleanly but describes an impossible
-/// schedule (overlap, deadline miss) fails recovery outright instead of
-/// resurrecting a corrupt state.
+/// live state — one busy-until mark per machine (and, optionally, the
+/// scheduler's internal state via OnlineScheduler::restore_commitment).
+/// Every replayed record passes validate_served_commitment, the check the
+/// live shard runs on each decision, so a log that decodes cleanly but
+/// describes an impossible schedule (overlap, deadline miss) fails
+/// recovery outright instead of resurrecting a corrupt state. Recovery
+/// holds O(m) state whatever the length of the history.
 #pragma once
 
 #include <cstddef>
 #include <string>
+#include <vector>
 
+#include "common/time.hpp"
 #include "sched/metrics.hpp"
 #include "sched/online.hpp"
-#include "sched/schedule.hpp"
 
 namespace slacksched {
 
 /// What replaying one commit log produced.
 struct RecoveryResult {
-  /// The committed schedule rebuilt from the log (empty for a fresh or
-  /// missing log).
-  Schedule schedule;
+  /// Per machine, the latest completion the log commits to it (0 for a
+  /// machine with no record, all 0 for a fresh or missing log); empty only
+  /// when `machines` < 1.
+  std::vector<TimePoint> busy_until;
   /// Engine-equivalent counters for the replayed commitments: every record
-  /// is one submitted-and-accepted job.
+  /// is one submitted-and-accepted job; makespan is the largest mark.
   RunMetrics metrics;
   std::size_t records_replayed = 0;
   /// Bytes discarded from a torn tail (0 when the log ended cleanly).
@@ -47,16 +50,16 @@ struct RecoveryResult {
 ///    `truncate_file` is set (the default) the file is truncated back to
 ///    that offset so a subsequent CommitLog::open appends from a clean
 ///    boundary.
-///  - Each record is re-validated against the schedule built so far with
-///    validate_commitment; a semantic violation is a hard error (ok =
-///    false), not a truncation — the log lied, and silently dropping the
+///  - Each record is re-validated against the marks built so far with
+///    validate_served_commitment; a semantic violation is a hard error (ok
+///    = false), not a truncation — the log lied, and silently dropping the
 ///    record would un-commit an accepted job.
 ///  - When `scheduler` is non-null each valid record is also pushed into
 ///    OnlineScheduler::restore_commitment so the algorithm's internal
-///    state (e.g. machine frontiers) matches the rebuilt schedule; a
+///    state (e.g. machine frontiers) matches the rebuilt marks; a
 ///    scheduler that cannot restore (returns false) is a hard error.
-///  - The rebuilt Schedule is over `machines` identical machines, the only
-///    model the service serves; a `scheduler` with a non-uniform
+///  - The marks are over `machines` identical machines, the only model
+///    the service serves; a `scheduler` with a non-uniform
 ///    speed_profile() is a PreconditionError. `machines` < 1 is a hard
 ///    error (ok = false).
 ///  - A CRC-valid record whose job is not structurally valid

@@ -8,17 +8,12 @@
 #include <sched.h>
 
 #include "common/expects.hpp"
+#include "sched/validator.hpp"
 #include "service/recovery.hpp"
 
 namespace slacksched {
 
 namespace {
-
-RunOptions to_run_options(const ShardConfig& config) {
-  RunOptions options;
-  options.record_decisions = config.record_decisions;
-  return options;
-}
 
 /// Best-effort consumer-thread pinning; a failed affinity call is a lost
 /// locality hint, never an error (the shard runs fine unpinned).
@@ -55,8 +50,7 @@ Shard::Shard(int index, SchedulerFactory factory, const ShardConfig& config,
       factory_(std::move(factory)),
       metrics_(metrics),
       queue_(config.queue_capacity),
-      batch_(std::make_unique<Task[]>(config.batch_size)),
-      result_{Schedule(1), RunMetrics{}, {}, {}} {
+      batch_(std::make_unique<Task[]>(config.batch_size)) {
   SLACKSCHED_EXPECTS(index >= 0);
   SLACKSCHED_EXPECTS(config.batch_size >= 1);
   SLACKSCHED_EXPECTS(config.pop_timeout.count() >= 1);
@@ -83,7 +77,6 @@ void Shard::spawn(bool is_restart) {
   // without flushing: whatever the crashed worker had buffered but not
   // written is lost, exactly as it would be in a process crash.
   wal_.reset();
-  runner_.reset();
   scheduler_ = factory_();
   SLACKSCHED_EXPECTS(scheduler_ != nullptr);
   if (const std::string why = unserved_because(*scheduler_); !why.empty()) {
@@ -94,14 +87,15 @@ void Shard::spawn(bool is_restart) {
         "only (compare other models offline with run_online, "
         "docs/models.md)");
   }
-  const RunOptions options = to_run_options(config_);
+  const int machines = scheduler_->machines();
+  scheduler_->reset();
 
   if (config_.wal_path.empty()) {
-    runner_.emplace(*scheduler_, options);
+    live_ = ShardResult{};
+    live_.busy_until.assign(static_cast<std::size_t>(machines), 0.0);
   } else {
-    scheduler_->reset();
-    RecoveryResult recovered = recover_commit_log(
-        config_.wal_path, scheduler_->machines(), scheduler_.get());
+    RecoveryResult recovered =
+        recover_commit_log(config_.wal_path, machines, scheduler_.get());
     if (!recovered.ok) {
       throw CommitLogError("shard " + std::to_string(index_) +
                            " recovery failed: " + recovered.error);
@@ -118,19 +112,13 @@ void Shard::spawn(bool is_restart) {
     // follower sees one gapless per-shard sequence whatever crashed here.
     log_config.base_records = recovered.records_replayed;
     log_config.observer = config_.wal_observer;
-    wal_ = CommitLog::open(config_.wal_path, scheduler_->machines(),
-                           log_config, config_.faults, index_);
-    RunResult state{std::move(recovered.schedule), recovered.metrics, {}, {}};
-    runner_.emplace(
-        StreamingRunner::resumed(*scheduler_, options, std::move(state)));
-    runner_->set_commit_hook([this](const Job& job, const Decision& decision) {
-      wal_->append(job, decision.machine, decision.start);
-      // The commit crash site sits between the WAL append and the
-      // in-memory commit: recovery must replay the logged-but-unapplied
-      // record.
-      SLACKSCHED_FAULT_CRASH_POINT(config_.faults, FaultSite::kCommit,
-                                   index_);
-    });
+    wal_ = CommitLog::open(config_.wal_path, machines, log_config,
+                           config_.faults, index_);
+    // Replaced only once recovery succeeded: a failed restart keeps the
+    // last marks, whose count take_result() replays over.
+    live_ = ShardResult{};
+    live_.metrics = recovered.metrics;
+    live_.busy_until = std::move(recovered.busy_until);
   }
   // Unpublished decisions died with the worker, like unsent replies in a
   // crash.
@@ -220,8 +208,8 @@ void Shard::release_role() {
 void Shard::close() { queue_.close(); }
 
 void Shard::join() {
-  SLACKSCHED_EXPECTS(worker_.joinable());
-  worker_.join();
+  SLACKSCHED_EXPECTS(started_);
+  if (worker_.joinable()) worker_.join();
   joined_ = true;
 }
 
@@ -249,26 +237,24 @@ bool Shard::restart() {
   return true;
 }
 
-const RunResult& Shard::result() const {
-  SLACKSCHED_EXPECTS(joined_);
-  return result_;
-}
-
-RunResult Shard::take_result() {
+ShardResult Shard::take_result() {
   SLACKSCHED_EXPECTS(joined_);
   if (worker_failed() && !config_.wal_path.empty()) {
-    // The in-memory result died with the worker; the commit log is the
+    // The in-memory state died with the worker; the commit log is the
     // durable truth. Read-only replay: finish() may still be mid-shutdown
-    // elsewhere, and the next restart will truncate the tail itself.
-    RecoveryResult recovered =
-        recover_commit_log(config_.wal_path, scheduler_->machines(),
-                           /*scheduler=*/nullptr, /*truncate_file=*/false);
-    RunResult from_log{std::move(recovered.schedule), recovered.metrics,
-                       {}, {}};
+    // elsewhere, and the next restart will truncate the tail itself. The
+    // marks of the last spawn carry the machine count even when a failed
+    // restart left no scheduler.
+    RecoveryResult recovered = recover_commit_log(
+        config_.wal_path, static_cast<int>(live_.busy_until.size()),
+        /*scheduler=*/nullptr, /*truncate_file=*/false);
+    ShardResult from_log;
+    from_log.metrics = recovered.metrics;
+    from_log.busy_until = std::move(recovered.busy_until);
     if (!recovered.ok) from_log.commitment_violation = recovered.error;
     return from_log;
   }
-  return std::move(result_);
+  return std::move(live_);
 }
 
 std::string Shard::last_error() const {
@@ -286,7 +272,7 @@ void Shard::worker_loop() {
   // ring has work; it parks without it, so on a shard without a WAL a
   // producer can decide its own job meanwhile (hand_off). It takes the
   // role back to drain the closed ring and keeps it, so nothing decides on
-  // the finished runner. Any exception — injected fault, WAL I/O error,
+  // the finished shard. Any exception — injected fault, WAL I/O error,
   // replication loss, scheduler bug — marks the shard failed (one thrown
   // before a group's publish pass publishes nothing of it); the supervisor
   // decides whether to restart it.
@@ -297,7 +283,6 @@ void Shard::worker_loop() {
       const PopOutcome popped = consume(config_.queue_capacity);
       if (popped.count > 0) continue;
       if (popped.closed) {  // closed and drained
-        result_ = runner_->finish();
         if (wal_) wal_->close();
         break;
       }
@@ -311,13 +296,13 @@ void Shard::worker_loop() {
 }
 
 PopOutcome Shard::consume(std::size_t budget) {
-  // One binding decision per job in FIFO (= submission) order, through the
-  // engine's StreamingRunner, in two passes per group: decide every job,
-  // then, once the group's records are durable (local fsync, then the
-  // follower's ACK when replicating), publish every decision. A group is
-  // one pop without a WAL. With one, it is every batch the ring already
-  // holds, up to `budget` jobs (one ring's worth, so sustained overload
-  // still publishes): one sync covers the whole backlog.
+  // One binding decision per job in FIFO (= submission) order, in two
+  // passes per group: decide every job, then, once the group's records are
+  // durable (local fsync, then the follower's ACK when replicating),
+  // publish every decision. A group is one pop without a WAL. With one, it
+  // is every batch the ring already holds, up to `budget` jobs (one ring's
+  // worth, so sustained overload still publishes): one sync covers the
+  // whole backlog.
   PopOutcome popped = queue_.try_pop_batch(
       batch_.get(), std::min(config_.batch_size, budget));
   std::size_t grouped = 0;
@@ -339,9 +324,6 @@ PopOutcome Shard::consume(std::size_t budget) {
     metrics_.on_wal_sync(index_);
   }
   publish();
-  // Bound the held schedule by the live commitments: one partition_point
-  // per machine, no allocation.
-  metrics_.on_schedule_held(index_, runner_->settle());
   SLACKSCHED_FAULT_CRASH_POINT(config_.faults, FaultSite::kWorkerPanic,
                                index_);
   return PopOutcome{grouped, false};
@@ -370,19 +352,46 @@ void Shard::fail(const std::exception& error) {
 }
 
 void Shard::decide(const Task& task) {
-  const FeedOutcome outcome = runner_->feed(task.job);
-  // Poisoned shard (drained without deciding) or an illegal commitment:
-  // neither counts as a served decision in the live metrics.
-  if (!outcome.decided || !outcome.legal) return;
+  if (!live_.clean()) return;  // poisoned: drain without deciding
+  const Job& job = task.job;
+  const Decision decision = scheduler_->on_arrival(job);
+  RunMetrics& counts = live_.metrics;
+  ++counts.submitted;
   // spawn() admitted the scheduler as committing on arrival; a deferral
   // would leave the job tentative and its client unanswered for good.
-  if (outcome.decision.deferred) {
+  if (decision.deferred) {
     throw PostconditionError("scheduler '" + scheduler_->name() +
-                             "' deferred job " + std::to_string(task.job.id) +
+                             "' deferred job " + std::to_string(job.id) +
                              " although it commits on arrival");
   }
-  pending_.push_back(
-      {task.job, outcome.decision, task.enqueued_at, task.route_ctx});
+  if (config_.record_decisions) live_.decisions.push_back({job, decision});
+  std::string violation =
+      validate_served_commitment(live_.busy_until, job, decision);
+  if (!violation.empty()) {
+    // Never applied, logged or published: the shard stops deciding.
+    live_.commitment_violation = std::move(violation);
+    return;
+  }
+  if (decision.accepted) {
+    if (wal_) {
+      // Write-ahead: the record precedes the in-memory commit. The commit
+      // crash site sits between the two, so recovery must replay the
+      // logged-but-unapplied record.
+      wal_->append(job, decision.machine, decision.start);
+      SLACKSCHED_FAULT_CRASH_POINT(config_.faults, FaultSite::kCommit,
+                                   index_);
+    }
+    TimePoint& mark =
+        live_.busy_until[static_cast<std::size_t>(decision.machine)];
+    mark = std::max(mark, decision.start + job.proc);
+    counts.makespan = std::max(counts.makespan, mark);
+    ++counts.accepted;
+    counts.accepted_volume += job.proc;
+  } else {
+    ++counts.rejected;
+    counts.rejected_volume += job.proc;
+  }
+  pending_.push_back({job, decision, task.enqueued_at, task.route_ctx});
 }
 
 void Shard::publish() {

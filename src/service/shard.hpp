@@ -1,22 +1,21 @@
 /// \file
 /// One shard of the admission gateway: an independent machine group owned
 /// by its own OnlineScheduler instance, decided by whichever thread holds
-/// the shard's consumer role. The shard
-/// replays its queue in FIFO order through the engine's StreamingRunner —
-/// literally the same code path as run_online (decision recording,
-/// commitment-legality check, halt-on-violation rule) — so a single-shard
-/// gateway is byte-identical to the sequential engine. With decision
-/// recording disabled (the default) the consumer loop accumulates metrics
-/// reserve-free and allocation-free outside the committed schedule, and
-/// after every published group it settles that schedule
-/// (StreamingRunner::settle): the placements a shard holds are bounded by
-/// its live commitments, not by its history. The aggregates (job count,
-/// volume, makespan, frontiers) keep counting the whole run; the commit log
-/// keeps every placement.
+/// the shard's consumer role. The shard decides its queue in FIFO order and
+/// keeps one live state: the scheduler, one busy-until mark per machine
+/// (the latest completion committed to it) and the run's RunMetrics. Every
+/// decision passes validate_served_commitment against those marks — start
+/// at or after r_j and the machine's mark, completion by d_j — and the
+/// shard stops deciding at the first violation, like run_online. Accepts
+/// raise the mark exactly as Schedule::commit raises a frontier, so a
+/// single-shard gateway renders the sequential engine's decisions and
+/// metrics bit for bit. With decision recording disabled (the default) the
+/// state is O(m) whatever the history and the consumer loop allocates
+/// nothing; the commit log keeps every placement.
 ///
 /// The consumer role (flat combining, Hendler et al., SPAA 2010): one
 /// atomic flag; its holder is the ring's single consumer and the only user
-/// of the runner, the popped batch and the publication list. The shard's
+/// of the live state, the popped batch and the publication list. The shard's
 /// worker thread holds it while it has work and parks without it. On a
 /// shard without a WAL a producer whose push finds the role free claims it
 /// with one CAS and decides the queued jobs itself — its own and anyone
@@ -30,10 +29,10 @@
 /// applied in memory, a group's decisions are published only once its
 /// records are durable, the worker publishes a heartbeat the supervisor
 /// (service/supervisor.hpp) watches, and a crashed worker can be restarted
-/// in place — the replacement replays the log, rebuilds the committed
-/// schedule and the scheduler's frontiers, and resumes consuming the same
-/// queue. Commitments never migrate between shards: a restart resumes the
-/// same machine group from its own durable log.
+/// in place — the replacement replays the log, rebuilds the marks and the
+/// scheduler's frontiers, and resumes consuming the same queue. Commitments
+/// never migrate between shards: a restart resumes the same machine group
+/// from its own durable log.
 #pragma once
 
 #include <atomic>
@@ -43,12 +42,13 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "sched/engine.hpp"
+#include "common/time.hpp"
+#include "sched/decision.hpp"
+#include "sched/metrics.hpp"
 #include "sched/online.hpp"
 #include "service/bounded_queue.hpp"
 #include "service/commit_log.hpp"
@@ -75,7 +75,7 @@ using ShardDecisionCallback = std::function<void(
 struct ShardConfig {
   std::size_t queue_capacity = 4096;
   std::size_t batch_size = 256;
-  /// Record per-job DecisionRecords in the shard's RunResult. Off by
+  /// Record per-job DecisionRecords in the shard's ShardResult. Off by
   /// default: the log grows with history, and a decision already leaves
   /// the shard through on_decision, the trace ring and the WAL.
   bool record_decisions = false;
@@ -116,6 +116,20 @@ struct ShardConfig {
   /// under kBatch an accept it reports survives a crash. Runs on the
   /// decision hot path: must be fast and must not throw.
   ShardDecisionCallback on_decision;
+};
+
+/// What one shard's run produced: its live state when it stopped.
+struct ShardResult {
+  /// Served-decision counters; makespan is the largest busy-until mark.
+  RunMetrics metrics;
+  /// Per machine, the latest completion committed to it (0 for none).
+  std::vector<TimePoint> busy_until;
+  /// Every decision in decision order; only with record_decisions.
+  std::vector<DecisionRecord> decisions;
+  /// The first commitment violation, empty when clean.
+  std::string commitment_violation;
+
+  [[nodiscard]] bool clean() const { return commitment_violation.empty(); }
 };
 
 /// An independent scheduler + queue + consumer role, and the worker thread
@@ -175,8 +189,9 @@ class Shard {
   /// backlog and exits.
   void close();
 
-  /// Joins the worker thread. Safe without close() only when the worker
-  /// has already exited (crashed or drained).
+  /// Joins the worker thread, if one is running: a failed restart leaves
+  /// none. Requires start(). Safe without close() only when the worker has
+  /// already exited (crashed or drained).
   void join();
 
   /// Restarts a dead worker in place: joins the old thread if needed,
@@ -188,10 +203,11 @@ class Shard {
   [[nodiscard]] bool restart();
 
   /// The shard's run outcome; only valid after join(). When the worker
-  /// crashed, take_result() reconstructs the durable truth by replaying
-  /// the commit log (the in-memory result died with the worker).
-  [[nodiscard]] const RunResult& result() const;
-  [[nodiscard]] RunResult take_result();
+  /// failed on a shard with a WAL, it reconstructs the durable truth by a
+  /// read-only replay of the commit log over the shard's machine count
+  /// (the in-memory state died with the worker; a failed restart may have
+  /// left no scheduler).
+  [[nodiscard]] ShardResult take_result();
 
   [[nodiscard]] int index() const { return index_; }
   [[nodiscard]] std::size_t queue_size() const { return queue_.size(); }
@@ -211,7 +227,7 @@ class Shard {
   }
   /// True once the worker, or a combining producer, died on an exception
   /// (injected fault, I/O error, scheduler bug). The failed holder keeps
-  /// the consumer role, so nothing decides on the broken runner. The queue
+  /// the consumer role, so nothing decides on the broken state. The queue
   /// stays open; jobs keep buffering until the supervisor restarts the
   /// shard.
   [[nodiscard]] bool worker_failed() const {
@@ -244,13 +260,14 @@ class Shard {
     std::uint64_t route_ctx = 0;
   };
 
-  /// Builds scheduler + runner (+ WAL recovery when configured) and spawns
-  /// the worker thread. Throws when recovery fails, and a PreconditionError
-  /// when the scheduler is not one the service serves: it must commit on
-  /// arrival (commitment_contract()) on identical machines (speed_profile()
-  /// null or uniform). Every served scheduler is built here — at gateway
-  /// construction, on each restart and in promote_replica — so this is the
-  /// one place that refuses the other models.
+  /// Builds the scheduler and the live state (from WAL recovery when
+  /// configured) and spawns the worker thread. Throws when recovery fails,
+  /// and a PreconditionError when the scheduler is not one the service
+  /// serves: it must commit on arrival (commitment_contract()) on identical
+  /// machines (speed_profile() null or uniform). Every served scheduler is
+  /// built here — at gateway construction, on each restart and in
+  /// promote_replica — so this is the one place that refuses the other
+  /// models.
   void spawn(bool is_restart);
   void worker_loop();
   /// Role holder: pops and decides one group (one pop without a WAL; with
@@ -275,10 +292,12 @@ class Shard {
   /// The one failure path of a role holder: records the error and marks
   /// the shard failed. The holder keeps the role.
   void fail(const std::exception& error);
-  /// Decide pass, one job: feeds it and queues its binding decision (if
-  /// any) for publication. Counts, traces and notifies nothing. Throws
-  /// when the scheduler defers a decision it promised on arrival, which
-  /// fails the shard.
+  /// Decide pass, one job: asks the scheduler, checks the decision against
+  /// the marks, appends an accept to the WAL (write-ahead), then raises the
+  /// mark, updates the RunMetrics and queues the decision for publication.
+  /// A violation poisons the shard: it decides nothing more. Throws when
+  /// the scheduler defers a decision it promised on arrival, which fails
+  /// the shard.
   void decide(const Task& task);
   /// Publish pass: the one bookkeeping path of every binding decision.
   /// Reads the clock once, then per queued decision in order: metrics,
@@ -304,15 +323,17 @@ class Shard {
   std::unique_ptr<Task[]> batch_;
   std::unique_ptr<OnlineScheduler> scheduler_;
   std::unique_ptr<CommitLog> wal_;
-  std::optional<StreamingRunner> runner_;
-  RunResult result_;  ///< taken from runner_ when the consumer exits
+  /// The live state, used only under the consumer role: m marks, the
+  /// RunMetrics, the decision log (record_decisions only) and the halting
+  /// violation. Rebuilt by every spawn; take_result() moves it out.
+  ShardResult live_;
   bool started_ = false;
   bool joined_ = false;
   std::thread worker_;
 
   /// The consumer role. Held from construction: the worker releases it at
   /// its first park, and keeps it once the ring is closed and drained (or
-  /// the shard failed), so nothing decides on a finished runner.
+  /// the shard failed), so nothing decides on a finished shard.
   alignas(64) std::atomic<bool> role_{true};
   /// Written only under the role (load+store, no RMW).
   std::atomic<std::uint64_t> heartbeat_{0};

@@ -1,16 +1,17 @@
 // What the gateway tests read off a run through the production paths: the
 // decisions every shard notified through GatewayConfig::on_decision, and
-// the check that a shard's settled schedule is the live tail of the full
-// schedule it was cut from (a run_online result or a WAL replay).
+// the check that a shard's busy-until marks are the frontiers of the full
+// schedule of the same run (a run_online result, or the commit log read
+// back with schedule_from_wal).
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
-#include "sched/engine.hpp"
 #include "sched/schedule.hpp"
 #include "service/gateway.hpp"
 
@@ -31,28 +32,14 @@ inline void capture_decisions(GatewayConfig& config, ShardDecisionLogs& logs) {
   };
 }
 
-/// The settling contract: machine by machine, the placements `held` still
-/// holds are exactly the last ones of `full`, and the whole-run aggregates
-/// (job count, volume, makespan, every frontier) equal `full`'s.
-inline void expect_held_suffix(const Schedule& held, const Schedule& full) {
-  ASSERT_EQ(held.machines(), full.machines());
-  EXPECT_EQ(held.job_count(), full.job_count());
-  EXPECT_EQ(held.total_volume(), full.total_volume());
-  EXPECT_EQ(held.makespan(), full.makespan());
+/// Machine by machine, each busy-until mark equals `full`'s frontier: the
+/// latest completion committed to that machine.
+inline void expect_marks_match(std::span<const TimePoint> busy_until,
+                               const Schedule& full) {
+  ASSERT_EQ(busy_until.size(), static_cast<std::size_t>(full.machines()));
   for (int m = 0; m < full.machines(); ++m) {
-    EXPECT_EQ(held.frontier(m), full.frontier(m)) << "machine " << m;
-    const std::vector<Placement>& tail = held.on_machine(m);
-    const std::vector<Placement>& all = full.on_machine(m);
-    ASSERT_LE(tail.size(), all.size()) << "machine " << m;
-    const std::size_t offset = all.size() - tail.size();
-    for (std::size_t i = 0; i < tail.size(); ++i) {
-      const Placement& a = tail[i];
-      const Placement& b = all[offset + i];
-      EXPECT_EQ(a.job, b.job) << "machine " << m << " placement " << i;
-      EXPECT_EQ(a.start, b.start) << "machine " << m << " placement " << i;
-      EXPECT_EQ(a.duration, b.duration)
-          << "machine " << m << " placement " << i;
-    }
+    EXPECT_EQ(busy_until[static_cast<std::size_t>(m)], full.frontier(m))
+        << "machine " << m;
   }
 }
 

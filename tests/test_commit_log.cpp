@@ -22,6 +22,7 @@
 #include "sched/validator.hpp"
 #include "service/commit_log.hpp"
 #include "service/recovery.hpp"
+#include "support/wal_schedule.hpp"
 
 namespace slacksched {
 namespace {
@@ -139,13 +140,13 @@ TEST(CommitLog, AppendCloseRecoverRoundTrips) {
   ASSERT_TRUE(recovered.ok) << recovered.error;
   EXPECT_TRUE(recovered.clean());
   EXPECT_EQ(recovered.records_replayed, 3u);
-  EXPECT_EQ(recovered.schedule.job_count(), 3u);
+  EXPECT_EQ(recovered.busy_until, (std::vector<TimePoint>{2.0, 1.0}));
   EXPECT_EQ(recovered.metrics.submitted, 3u);
   EXPECT_EQ(recovered.metrics.accepted, 3u);
   EXPECT_DOUBLE_EQ(recovered.metrics.accepted_volume, 3.0);
   EXPECT_DOUBLE_EQ(recovered.metrics.makespan, 2.0);
 
-  const auto p3 = recovered.schedule.find(3);
+  const auto p3 = schedule_from_wal(path, 2).find(3);
   ASSERT_TRUE(p3.has_value());
   EXPECT_EQ(p3->machine, 0);
   EXPECT_DOUBLE_EQ(p3->start, 1.0);
@@ -157,7 +158,7 @@ TEST(CommitLog, MissingLogRecoversToFreshState) {
   EXPECT_TRUE(recovered.ok);
   EXPECT_TRUE(recovered.clean());
   EXPECT_EQ(recovered.records_replayed, 0u);
-  EXPECT_EQ(recovered.schedule.job_count(), 0u);
+  EXPECT_EQ(recovered.busy_until, std::vector<TimePoint>(4, 0.0));
 }
 
 TEST(CommitLog, ReopenAppendsAfterExistingRecords) {
@@ -340,22 +341,47 @@ TEST(Recovery, ReadOnlyModeDetectsButDoesNotTruncate) {
 }
 
 TEST(Recovery, SemanticallyIllegalRecordIsAHardErrorNotATruncation) {
-  // Two CRC-valid records that overlap on machine 0: the log lied, and
-  // recovery must refuse rather than silently drop an "accepted" job.
-  const std::string path = wal_path("overlap");
-  {
-    auto log = CommitLog::open(path, 1);
-    log->append(make_job(1, 0.0, 2.0, 4.0), 0, 0.0);
-    log->close();
-  }
-  std::vector<char> record;
-  encode_wal_record(make_job(2, 0.0, 2.0, 4.0), 0, 1.0, record);  // overlaps
-  append_bytes(path, record);
+  // A CRC-valid second record that breaks Claim 1 against the first, which
+  // keeps machine 0 busy over [3, 5): the log lied, and recovery must
+  // refuse rather than silently drop an "accepted" job. One row per
+  // comparison of the served check.
+  struct Case {
+    const char* what;
+    Job job;
+    int machine;
+    TimePoint start;
+    const char* reason;
+  };
+  const Case cases[] = {
+      {"overlap", make_job(2, 0.0, 2.0, 10.0), 0, 4.0, "overlaps"},
+      {"idle gap before the mark", make_job(2, 0.0, 1.0, 10.0), 0, 0.0,
+       "overlaps"},
+      {"start before release", make_job(2, 6.0, 1.0, 10.0), 0, 5.5,
+       "precedes release"},
+      {"completion after deadline", make_job(2, 5.0, 2.0, 6.0), 0, 5.0,
+       "misses deadline"},
+      {"machine out of range", make_job(2, 5.0, 1.0, 10.0), 1, 5.0,
+       "out of range"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    const std::string path = wal_path("illegal");
+    {
+      auto log = CommitLog::open(path, 1);
+      log->append(make_job(1, 0.0, 2.0, 10.0), 0, 3.0);
+      log->close();
+    }
+    std::vector<char> record;
+    encode_wal_record(c.job, c.machine, c.start, record);
+    append_bytes(path, record);
 
-  const RecoveryResult recovered = recover_commit_log(path, 1);
-  EXPECT_FALSE(recovered.ok);
-  EXPECT_NE(recovered.error.find("record 2"), std::string::npos)
-      << recovered.error;
+    const RecoveryResult recovered = recover_commit_log(path, 1);
+    EXPECT_FALSE(recovered.ok);
+    EXPECT_NE(recovered.error.find("record 2"), std::string::npos)
+        << recovered.error;
+    EXPECT_NE(recovered.error.find(c.reason), std::string::npos)
+        << recovered.error;
+  }
 }
 
 TEST(Recovery, MachineCountMismatchIsAHardError) {
@@ -617,10 +643,14 @@ TEST(Recovery, RecoveredScheduleValidatesAgainstTheInstance) {
   }
   const RecoveryResult recovered = recover_commit_log(path, 2);
   ASSERT_TRUE(recovered.ok) << recovered.error;
+  const Schedule logged = schedule_from_wal(path, 2);
   const Instance instance(jobs);
-  const ValidationReport report =
-      validate_schedule(instance, recovered.schedule);
+  const ValidationReport report = validate_schedule(instance, logged);
   EXPECT_TRUE(report.ok) << report.to_string();
+  for (int m = 0; m < 2; ++m) {
+    EXPECT_EQ(recovered.busy_until[static_cast<std::size_t>(m)],
+              logged.frontier(m));
+  }
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Deterministic fault injection, and the crash-recovery property the whole
 // fault-tolerance layer exists for: under fsync=batch, a randomly placed
 // worker crash loses no accepted job — the state recovered from the commit
-// log is exactly the committed schedule, record for record, and it holds
-// every accept the shard told through on_decision.
+// log is exactly the shard's committed state, mark for mark, and the log
+// holds every accept the shard told through on_decision.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +21,7 @@
 #include "service/gateway.hpp"
 #include "service/recovery.hpp"
 #include "support/gateway_capture.hpp"
+#include "support/wal_schedule.hpp"
 #include "workload/generators.hpp"
 
 namespace slacksched {
@@ -267,10 +268,9 @@ TEST(FaultInjection, MidBatchCrashPublishesNothingFromItsBatch) {
     ASSERT_TRUE(recovered.ok) << recovered.error;
     EXPECT_EQ(recovered.records_replayed, input.logged.size());
     std::vector<JobId> logged;
-    for (int m = 0; m < recovered.schedule.machines(); ++m) {
-      for (const Placement& placement : recovered.schedule.on_machine(m)) {
-        logged.push_back(placement.job.id);
-      }
+    for (const Placement& placement :
+         schedule_from_wal(wal_path, kMachines).all_placements()) {
+      logged.push_back(placement.job.id);
     }
     std::sort(logged.begin(), logged.end());
     EXPECT_EQ(logged, input.logged);
@@ -433,11 +433,13 @@ TEST(WalRecovery, NegativeJobIdsReplayAsAcceptedCommitments) {
   EXPECT_EQ(recovered.metrics.accepted, result.shards[0].metrics.accepted);
   EXPECT_EQ(recovered.metrics.accepted_volume,
             result.shards[0].metrics.accepted_volume);
-  EXPECT_EQ(recovered.schedule.machines(), kPool);
+  EXPECT_EQ(recovered.busy_until.size(), static_cast<std::size_t>(kPool));
+  EXPECT_EQ(recovered.busy_until, result.shards[0].busy_until);
   EXPECT_EQ(fresh.machines(), kPool);
+  const Schedule logged = schedule_from_wal(dir + "/shard-0.wal", kPool);
   for (const DecisionRecord& record : logs[0]) {
     const std::vector<Placement>& placed =
-        recovered.schedule.on_machine(record.decision.machine);
+        logged.on_machine(record.decision.machine);
     const bool found =
         std::any_of(placed.begin(), placed.end(), [&](const Placement& p) {
           return p.job.id == record.job.id && p.start == record.decision.start;
@@ -467,10 +469,10 @@ void expect_told_accepts_logged(const std::vector<DecisionRecord>& told,
 
 /// The acceptance property: a randomized workload, a seeded random crash
 /// site, a 1-shard WAL-backed gateway under fsync=batch. After the run
-/// (crash, supervised restart, replay, resume), the committed schedule
-/// must equal the accepted-and-logged set record for record, every record
-/// must re-validate, the schedule must be legal for the instance, and every
-/// accept told through on_decision must be in the log.
+/// (crash, supervised restart, replay, resume), the shard's marks and
+/// accepted totals must equal the log's, every record must re-validate,
+/// the logged schedule must be legal for the instance, and every accept
+/// told through on_decision must be in the log.
 void run_crash_recovery_property(std::uint64_t seed, int* crashes_fired) {
   SCOPED_TRACE("seed=" + std::to_string(seed));
   WorkloadConfig wconfig;
@@ -513,25 +515,28 @@ void run_crash_recovery_property(std::uint64_t seed, int* crashes_fired) {
   }
   const GatewayResult result = gateway.finish();
   ASSERT_EQ(result.shards.size(), 1u);
-  const Schedule& committed = result.shards[0].schedule;
+  const ShardResult& committed = result.shards[0];
 
   // 1. Replaying the log independently (read-only) reproduces the committed
-  //    schedule exactly: zero accepted-and-logged jobs lost, none invented.
-  //    recover_commit_log re-validates every record on the way. The shard
-  //    holds the replay's live tail (it settles at every batch boundary)
-  //    and the replay's whole-run aggregates.
+  //    state exactly: zero accepted-and-logged jobs lost, none invented.
+  //    recover_commit_log re-validates every record on the way.
+  const std::string wal_path = config.wal_dir + "/shard-0.wal";
   const RecoveryResult replayed =
-      recover_commit_log(config.wal_dir + "/shard-0.wal", kMachines, nullptr,
+      recover_commit_log(wal_path, kMachines, nullptr,
                          /*truncate_file=*/false);
   ASSERT_TRUE(replayed.ok) << replayed.error;
   EXPECT_FALSE(replayed.tail_truncated) << "batch fsync left a torn tail";
-  expect_held_suffix(committed, replayed.schedule);
-  expect_told_accepts_logged(told[0], replayed.schedule);
+  EXPECT_EQ(committed.busy_until, replayed.busy_until);
+  EXPECT_EQ(committed.metrics.accepted, replayed.records_replayed);
+  EXPECT_EQ(committed.metrics.accepted_volume,
+            replayed.metrics.accepted_volume);
+  EXPECT_EQ(committed.metrics.makespan, replayed.metrics.makespan);
+  const Schedule logged = schedule_from_wal(wal_path, kMachines);
+  expect_told_accepts_logged(told[0], logged);
 
-  // 2. The full replayed schedule is legal for the instance (starts,
+  // 2. The full logged schedule is legal for the instance (starts,
   //    deadlines, no overlap) — recovery resurrected no illegal state.
-  const ValidationReport report =
-      validate_schedule(instance, replayed.schedule);
+  const ValidationReport report = validate_schedule(instance, logged);
   EXPECT_TRUE(report.ok) << report.to_string();
 
   // 3. When the armed crash fired, the run must also report the recovery:

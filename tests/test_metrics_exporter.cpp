@@ -46,9 +46,6 @@ MetricsSnapshot small_snapshot() {
   snap.total.latency_sum_seconds = 0.75;
   snap.total.queue_depth = 1;
   snap.total.peak_queue_depth = 6;  // max across shards, not sum
-  snap.shards[0].schedule_held_placements = 12;
-  snap.shards[1].schedule_held_placements = 30;
-  snap.total.schedule_held_placements = 42;
   return snap;
 }
 
@@ -83,19 +80,6 @@ TEST(MetricsExporter, PeakQueueDepthAggregateIsTheMax) {
             std::string::npos);
   EXPECT_NE(page.find("slacksched_queue_depth_peak{shard=\"1\"} 6\n"),
             std::string::npos);
-}
-
-TEST(MetricsExporter, ScheduleHeldPlacementsGaugeMatchesGoldenText) {
-  const std::string page = render_prometheus(small_snapshot());
-  const std::string golden =
-      "# HELP slacksched_schedule_held_placements Committed placements the "
-      "shard schedules still hold at their last batch boundary: the live "
-      "commitments, the settled past excluded.\n"
-      "# TYPE slacksched_schedule_held_placements gauge\n"
-      "slacksched_schedule_held_placements 42\n"
-      "slacksched_schedule_held_placements{shard=\"0\"} 12\n"
-      "slacksched_schedule_held_placements{shard=\"1\"} 30\n";
-  EXPECT_NE(page.find(golden), std::string::npos) << page;
 }
 
 TEST(MetricsExporter, WalSyncsCounterMatchesGoldenText) {
@@ -371,16 +355,6 @@ TEST(MetricsExporter, LiveGatewayPageMatchesGatewayResult) {
   EXPECT_NE(page.find("slacksched_admit_latency_seconds_count " +
                       std::to_string(result.merged.submitted) + "\n"),
             std::string::npos);
-  // The held-placement gauge is what the shard schedules still hold.
-  std::size_t held = 0;
-  for (const RunResult& shard : result.shards) {
-    held += shard.schedule.all_placements().size();
-  }
-  EXPECT_GT(held, 0u);
-  EXPECT_NE(page.find("slacksched_schedule_held_placements " +
-                      std::to_string(held) + "\n"),
-            std::string::npos)
-      << page;
   // Health rows for both shards, tracing counters present.
   EXPECT_NE(page.find("slacksched_shard_health{shard=\"0\",state=\""),
             std::string::npos);

@@ -45,6 +45,7 @@
 #include "replication/replica_server.hpp"
 #include "service/commit_log.hpp"
 #include "service/gateway.hpp"
+#include "support/wal_schedule.hpp"
 
 namespace slacksched::repl {
 namespace {
@@ -227,9 +228,11 @@ TEST(ReplicationChaos, KilledLeaderNeverLosesAnAckedCommitment) {
           << "a commitment was double-issued in the replica log";
       const GatewayResult served = promoted.gateway->finish();
       EXPECT_TRUE(served.clean());
-      // Every job is released at 0, so settling drops no placement.
+      // The promoted gateway's log holds every placement it served.
       std::set<std::int64_t> in_promoted;
-      for (const Placement& p : served.shards[0].schedule.all_placements()) {
+      for (const Placement& p :
+           schedule_from_wal(promoted_config.wal_dir + "/shard-0.wal", 4)
+               .all_placements()) {
         in_promoted.insert(p.job.id);
       }
       for (const std::int64_t id : told) {

@@ -10,7 +10,6 @@
 #include <barrier>
 #include <bit>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
@@ -441,7 +440,8 @@ TEST(Gateway, HashRoutedShardsProcessEverything) {
 
   // Each shard's full schedule, rebuilt from the decisions it notified, is
   // independently legal against the merged instance (placed jobs are a
-  // subset with identical parameters), and the shard still holds its tail.
+  // subset with identical parameters), and its frontiers are the shard's
+  // marks.
   ASSERT_EQ(logs.size(), result.shards.size());
   for (std::size_t s = 0; s < logs.size(); ++s) {
     SCOPED_TRACE("shard " + std::to_string(s));
@@ -452,7 +452,8 @@ TEST(Gateway, HashRoutedShardsProcessEverything) {
                      record.decision.start);
     }
     EXPECT_TRUE(validate_schedule(instance, rebuilt).ok);
-    expect_held_suffix(result.shards[s].schedule, rebuilt);
+    expect_marks_match(result.shards[s].busy_until, rebuilt);
+    EXPECT_EQ(result.shards[s].metrics.makespan, rebuilt.makespan());
   }
   // Every job decided exactly once, as notified through on_decision.
   std::set<JobId> decided;
@@ -509,127 +510,57 @@ TEST(Gateway, ConcurrentProducersAccountForEveryJob) {
   EXPECT_EQ(result.metrics.total.backpressure_rejected, shed.load());
 }
 
-// ---------- gateway: live state is bounded by the live commitments ----------
-
-TEST(Gateway, SettlingBoundsHeldPlacementsOverAMultiMillionJobStream) {
-  // The overload stream replayed in chunks with shifted releases: 2^21 jobs
-  // through 2 hash shards of 8 machines running Threshold. The live bound:
-  // a shard settles at the release h it fed last, and then holds only
-  // placements completing after h. Every deadline is r + (1 + eps) p, so
-  // they all complete by h + (1 + eps) p_max; on each machine at most one
-  // straddles h and the rest fit in that window at >= p_min each. Without
-  // settling each shard holds every acceptance (about 380k here).
-  constexpr double kEps = 0.1;
-  constexpr int kMachines = 8;
-  constexpr std::size_t kChunkJobs = std::size_t{1} << 16;
-  constexpr std::size_t kChunks = 32;
-  WorkloadConfig wconfig = scenario("overload", kEps, 7);
-  wconfig.n = kChunkJobs;
-  const Instance base = generate_workload(wconfig);
-  const std::size_t live_bound = static_cast<std::size_t>(
-      kMachines * (1 + std::floor((1.0 + kEps) * wconfig.size_max /
-                                  wconfig.size_min)));
-  const double span = std::ceil(base.jobs().back().release) + 1.0;
-
-  GatewayConfig config;
-  config.shards = 2;
-  config.routing = RoutingPolicy::kHash;
-  AdmissionGateway gateway(config, [=](int) {
-    return std::make_unique<ThresholdScheduler>(kEps, kMachines);
-  });
-
-  constexpr std::size_t kSlice = 256;
-  std::vector<Job> chunk(base.jobs().begin(), base.jobs().end());
-  std::vector<Job> pending;
-  std::vector<Outcome> statuses;
-  std::size_t peak_held = 0;
-  for (std::size_t c = 0; c < kChunks; ++c) {
-    const double shift = span * static_cast<double>(c);
-    for (std::size_t i = 0; i < chunk.size(); ++i) {
-      chunk[i].id = base[i].id + static_cast<JobId>(c * kChunkJobs);
-      chunk[i].release = base[i].release + shift;
-      chunk[i].deadline = base[i].deadline + shift;
-    }
-    // Resubmitting a slice's queue-full tail before moving on keeps every
-    // shard's feed in release order.
-    for (std::size_t at = 0; at < chunk.size(); at += kSlice) {
-      pending.assign(chunk.begin() + static_cast<std::ptrdiff_t>(at),
-                     chunk.begin() + static_cast<std::ptrdiff_t>(std::min(
-                                         at + kSlice, chunk.size())));
-      while (!pending.empty()) {
-        statuses.assign(pending.size(), Outcome::kEnqueued);
-        (void)gateway.submit_batch(pending, statuses);
-        std::size_t kept = 0;
-        for (std::size_t i = 0; i < pending.size(); ++i) {
-          if (statuses[i] == Outcome::kRejectedQueueFull) {
-            pending[kept++] = pending[i];
-          } else {
-            ASSERT_EQ(statuses[i], Outcome::kEnqueued);
-          }
-        }
-        pending.resize(kept);
-        if (kept > 0) std::this_thread::yield();
-      }
-    }
-    const MetricsSnapshot snap = gateway.metrics_snapshot();
-    for (std::size_t s = 0; s < snap.shards.size(); ++s) {
-      EXPECT_LE(snap.shards[s].schedule_held_placements, live_bound)
-          << "chunk " << c << " shard " << s;
-      peak_held = std::max(peak_held, snap.shards[s].schedule_held_placements);
-    }
-  }
-
-  const GatewayResult result = gateway.finish();
-  EXPECT_TRUE(result.clean()) << result.first_violation();
-  EXPECT_EQ(result.merged.submitted, kChunks * kChunkJobs);
-  EXPECT_GT(result.merged.accepted, kChunks * kChunkJobs / 4);
-  EXPECT_GT(peak_held, 0u);
-  for (std::size_t s = 0; s < result.shards.size(); ++s) {
-    const Schedule& schedule = result.shards[s].schedule;
-    const std::size_t held = schedule.all_placements().size();
-    EXPECT_LE(held, live_bound) << "shard " << s;
-    EXPECT_EQ(held, result.metrics.shards[s].schedule_held_placements);
-    EXPECT_EQ(schedule.job_count(), result.shards[s].metrics.accepted);
-  }
-}
-
 // ---------- gateway: commitment violations ----------
 
-/// Commits every job at its release on machine 0: from the second arrival
-/// on, the interval overlaps the first commitment.
+/// Commits the first job on machine 0 at `first_start` and every later job
+/// at its release. With `first_start` at the release, the second interval
+/// overlaps the first commitment; with it later, the second job starts in
+/// the idle gap before machine 0's busy-until mark.
 class CheatingScheduler final : public OnlineScheduler {
  public:
+  explicit CheatingScheduler(TimePoint first_start)
+      : first_start_(first_start) {}
   Decision on_arrival(const Job& job) override {
-    ++seen_;
-    return Decision::accept(0, job.release);
+    return Decision::accept(0, seen_++ == 0 ? first_start_ : job.release);
   }
   int machines() const override { return 1; }
   void reset() override { seen_ = 0; }
   std::string name() const override { return "Cheater"; }
 
  private:
+  TimePoint first_start_;
   int seen_ = 0;
 };
 
 TEST(Gateway, HaltsPoisonedShardAndReportsViolation) {
-  GatewayConfig config;
-  config.shards = 1;
-  config.queue_capacity = 16;
-  AdmissionGateway gateway(
-      config, [](int) { return std::make_unique<CheatingScheduler>(); });
-  for (JobId id = 1; id <= 5; ++id) {
-    // Retry on transient backpressure; the shard keeps draining even after
-    // it halts, so this always terminates.
-    while (gateway.submit(make_job(id, 0.0, 2.0, 100.0)) !=
-           Outcome::kEnqueued) {
-      std::this_thread::yield();
+  struct Case {
+    const char* what;
+    TimePoint first_start;
+  };
+  for (const Case& c : {Case{"overlap", 0.0},
+                        Case{"idle gap before the mark", 10.0}}) {
+    SCOPED_TRACE(c.what);
+    GatewayConfig config;
+    config.shards = 1;
+    config.queue_capacity = 16;
+    AdmissionGateway gateway(config, [&c](int) {
+      return std::make_unique<CheatingScheduler>(c.first_start);
+    });
+    for (JobId id = 1; id <= 5; ++id) {
+      // Retry on transient backpressure; the shard keeps draining even
+      // after it halts, so this always terminates.
+      while (gateway.submit(make_job(id, 0.0, 2.0, 100.0)) !=
+             Outcome::kEnqueued) {
+        std::this_thread::yield();
+      }
     }
+    const GatewayResult result = gateway.finish();
+    EXPECT_FALSE(result.clean());
+    EXPECT_NE(result.first_violation().find("overlaps"), std::string::npos)
+        << result.first_violation();
+    // Halted at the violation, exactly like run_online: one commitment.
+    EXPECT_EQ(result.shards[0].metrics.accepted, 1u);
   }
-  const GatewayResult result = gateway.finish();
-  EXPECT_FALSE(result.clean());
-  EXPECT_NE(result.first_violation().find("overlaps"), std::string::npos);
-  // Halted at the violation, exactly like run_online: one commitment.
-  EXPECT_EQ(result.shards[0].metrics.accepted, 1u);
 }
 
 // ---------- the served model ----------
@@ -1141,10 +1072,9 @@ void let_worker_park() {
 }
 
 TEST(Gateway, CombiningSubmitDoesNotAllocate) {
-  // A submit that finds its shard idle decides the job itself. On jobs
-  // that settle (each placement ends by the next release), that inline
-  // decision makes no allocation once the schedule and the publication
-  // list have reached their working size.
+  // A submit that finds its shard idle decides the job itself, and that
+  // inline decision makes no allocation: the shard's live state is its
+  // marks, and the publication list is reserved at construction.
   GatewayConfig config;
   config.shards = 1;
   config.supervisor.enabled = false;

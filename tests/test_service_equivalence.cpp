@@ -1,11 +1,11 @@
 // Sharded-vs-single equivalence: a 1-shard gateway with round-robin
-// routing must be byte-identical — decisions, metrics, committed schedule
-// — to run_online on the same instance, for every immediate-commitment
+// routing must be byte-identical — decisions, metrics, committed state —
+// to run_online on the same instance, for every immediate-commitment
 // algorithm. This pins the gateway to the engine semantics the paper's
 // guarantees are proved against: sharding may partition the stream, but it
 // must never change what a shard decides. Decisions are read where
-// production reads them (GatewayConfig::on_decision); a shard's settled
-// schedule must be the live tail of the engine's full one.
+// production reads them (GatewayConfig::on_decision); a shard's busy-until
+// marks must be the frontiers of the engine's schedule.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -23,6 +23,7 @@
 #include "service/gateway.hpp"
 #include "service/recovery.hpp"
 #include "support/gateway_capture.hpp"
+#include "support/wal_schedule.hpp"
 #include "workload/generators.hpp"
 
 namespace slacksched {
@@ -74,7 +75,7 @@ GatewayRun run_single_shard(const ShardSchedulerFactory& factory,
 void expect_identical(const RunResult& engine, const GatewayRun& run) {
   const GatewayResult& gateway = run.result;
   ASSERT_EQ(gateway.shards.size(), 1u);
-  const RunResult& shard = gateway.shards[0];
+  const ShardResult& shard = gateway.shards[0];
 
   // Decisions: same jobs, same verdicts, same machines, same start times.
   expect_same_log(run.decisions[0], engine.decisions);
@@ -90,10 +91,9 @@ void expect_identical(const RunResult& engine, const GatewayRun& run) {
   EXPECT_EQ(shard.metrics.makespan, engine.metrics.makespan);
   EXPECT_EQ(gateway.merged.accepted_volume, engine.metrics.accepted_volume);
 
-  // Committed schedules agree placement for placement: the shard holds
-  // the live tail of the engine's schedule, and the aggregates cover the
-  // whole run.
-  expect_held_suffix(shard.schedule, engine.schedule);
+  // Committed state: each of the shard's marks is the frontier of that
+  // machine in the engine's schedule.
+  expect_marks_match(shard.busy_until, engine.schedule);
 
   // Cleanliness matches.
   EXPECT_EQ(shard.commitment_violation, engine.commitment_violation);
@@ -202,8 +202,8 @@ TEST(ServiceEquivalence, RoundRobinPartitionCoversTheStream) {
 TEST(ServiceEquivalence, WalBackedShardMatchesEngineByteForByte) {
   // Durability must be invisible to the algorithm: a 1-shard gateway with
   // the commit log enabled (fsync=batch, the strictest policy) renders the
-  // exact engine decision stream, and the log it leaves behind replays to
-  // the exact committed schedule.
+  // exact engine decision stream, and the log it leaves behind holds the
+  // exact committed schedule.
   const Instance instance = test_instance(2000, 26);
   ThresholdScheduler reference(0.1, 4);
   const RunResult engine = run_online(reference, instance);
@@ -227,17 +227,24 @@ TEST(ServiceEquivalence, WalBackedShardMatchesEngineByteForByte) {
   run.result = gateway.finish();
   expect_identical(engine, run);
 
-  // The log keeps what the shard settled: its replay is the engine's full
-  // schedule, and the shard holds that schedule's live tail.
+  // The log keeps every placement: read back, it is the engine's full
+  // schedule placement for placement, and its replay rebuilds the marks.
   const RecoveryResult replayed =
       recover_commit_log(dir + "/shard-0.wal", 4);
   ASSERT_TRUE(replayed.ok) << replayed.error;
   EXPECT_TRUE(replayed.clean());
   EXPECT_EQ(replayed.records_replayed, engine.metrics.accepted);
-  expect_held_suffix(replayed.schedule, engine.schedule);
-  EXPECT_EQ(replayed.schedule.all_placements().size(),
-            engine.schedule.job_count());
-  expect_held_suffix(run.result.shards[0].schedule, replayed.schedule);
+  expect_marks_match(replayed.busy_until, engine.schedule);
+  const std::vector<Placement> logged =
+      schedule_from_wal(dir + "/shard-0.wal", 4).all_placements();
+  const std::vector<Placement> committed = engine.schedule.all_placements();
+  ASSERT_EQ(logged.size(), committed.size());
+  for (std::size_t i = 0; i < committed.size(); ++i) {
+    EXPECT_EQ(logged[i].job, committed[i].job) << "placement " << i;
+    EXPECT_EQ(logged[i].machine, committed[i].machine) << "placement " << i;
+    EXPECT_EQ(logged[i].start, committed[i].start) << "placement " << i;
+    EXPECT_EQ(logged[i].duration, committed[i].duration) << "placement " << i;
+  }
   std::filesystem::remove_all(dir);
 }
 

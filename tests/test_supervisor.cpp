@@ -6,11 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,9 +22,11 @@
 #include "common/health.hpp"
 #include "replication/failover.hpp"
 #include "replication/replica_server.hpp"
+#include "service/commit_log.hpp"
 #include "service/fault_injection.hpp"
 #include "service/gateway.hpp"
 #include "support/gateway_capture.hpp"
+#include "support/wal_schedule.hpp"
 
 namespace slacksched {
 namespace {
@@ -137,7 +142,8 @@ TEST(Supervisor, CrashedWorkerIsRestartedInPlaceFromItsLog) {
   // Every accepted job survived the crash: the pre-crash commitments came
   // back from the log, the post-restart ones were decided live.
   EXPECT_EQ(result.merged.accepted, 20u);
-  EXPECT_EQ(result.shards[0].schedule.job_count(), 20u);
+  EXPECT_EQ(schedule_from_wal(config.wal_dir + "/shard-0.wal", 4).job_count(),
+            20u);
   EXPECT_GE(result.metrics.total.recoveries, 1u);
   EXPECT_GE(result.metrics.total.wal_records_replayed, 1u);
   std::filesystem::remove_all(config.wal_dir);
@@ -260,9 +266,66 @@ TEST(Supervisor, ForceDownDrainsAndForceRecoverRestarts) {
   EXPECT_TRUE(result.clean());
   EXPECT_TRUE(result.errors.empty());
   EXPECT_EQ(result.merged.accepted, 10u);
-  EXPECT_EQ(result.shards[0].schedule.job_count(), 10u);
+  EXPECT_EQ(schedule_from_wal(config.wal_dir + "/shard-0.wal", 2).job_count(),
+            10u);
   EXPECT_GE(result.metrics.total.recoveries, 1u);
   std::filesystem::remove_all(config.wal_dir);
+}
+
+TEST(Supervisor, FailedRestartStillFinishesAndReportsTheShard) {
+  // A restart that fails leaves the shard without a worker thread. finish()
+  // must still join and collect it, and name the shard and the reason.
+  struct Case {
+    const char* what;
+    bool overlap_in_log;  ///< else the factory throws on the rebuild
+    const char* reason;
+  };
+  for (const Case& c : {Case{"log record overlaps", true, "overlaps"},
+                        Case{"factory throws", false, "no rebuild"}}) {
+    SCOPED_TRACE(c.what);
+    GatewayConfig config;
+    config.shards = 1;
+    config.supervisor.enabled = false;  // manual control only
+    config.wal_dir = wal_dir("failed_restart");
+    std::atomic<int> built{0};
+    AdmissionGateway gateway(config, [&built, &c](int) {
+      if (built.fetch_add(1) > 0 && !c.overlap_in_log) {
+        throw std::runtime_error("no rebuild");
+      }
+      return std::make_unique<GreedyScheduler>(1);
+    });
+    submit_now(gateway, easy_jobs(1, 0, 0.0));  // accepted on [0, 1)
+    ASSERT_TRUE(eventually(
+        [&] { return gateway.metrics_snapshot().total.submitted == 1; }));
+    gateway.supervisor().force_down(0);
+    if (c.overlap_in_log) {
+      // A CRC-valid record the replay refuses: it starts inside [0, 1).
+      std::vector<char> record;
+      encode_wal_record(make_job(1, 0.0, 1.0, 100.0), 0, 0.5, record);
+      std::ofstream(config.wal_dir + "/shard-0.wal",
+                    std::ios::binary | std::ios::app)
+          .write(record.data(), static_cast<std::streamsize>(record.size()));
+    }
+    // force_recover refuses without a rebuild until the worker exited.
+    bool recovered = true;
+    ASSERT_TRUE(eventually([&] {
+      recovered = gateway.supervisor().force_recover(0);
+      return built.load() == 2;
+    }));
+    EXPECT_FALSE(recovered);
+    EXPECT_EQ(gateway.shard_health(0), Health::kDown);
+
+    const GatewayResult result = gateway.finish();
+    EXPECT_FALSE(result.clean());
+    ASSERT_EQ(result.errors.size(), 1u);
+    EXPECT_NE(result.errors[0].find("shard 0"), std::string::npos)
+        << result.errors[0];
+    EXPECT_NE(result.errors[0].find(c.reason), std::string::npos)
+        << result.errors[0];
+    // The one commitment the log holds before the bad record.
+    EXPECT_EQ(result.shards[0].metrics.accepted, 1u);
+    std::filesystem::remove_all(config.wal_dir);
+  }
 }
 
 TEST(Supervisor, UnavailableShardRefusesOnlyItsOwnJobs) {
@@ -334,8 +397,10 @@ TEST(Supervisor, UnavailableShardRefusesOnlyItsOwnJobs) {
   for (const DecisionRecord& record : logs[1]) {
     EXPECT_TRUE(homed_on_1.count(record.job.id)) << record.job.id;
   }
-  EXPECT_EQ(result.shards[0].schedule.job_count(), refused.size());
-  EXPECT_EQ(result.shards[1].schedule.job_count(), homed_on_1.size());
+  EXPECT_EQ(schedule_from_wal(config.wal_dir + "/shard-0.wal", 2).job_count(),
+            refused.size());
+  EXPECT_EQ(schedule_from_wal(config.wal_dir + "/shard-1.wal", 2).job_count(),
+            homed_on_1.size());
   std::filesystem::remove_all(config.wal_dir);
 }
 

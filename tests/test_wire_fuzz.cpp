@@ -47,6 +47,7 @@
 #include "replication/repl_protocol.hpp"
 #include "service/commit_log.hpp"
 #include "service/recovery.hpp"
+#include "support/wal_schedule.hpp"
 
 namespace slacksched {
 namespace {
@@ -425,7 +426,8 @@ TEST(WireFuzz, MutatedCommitLogsRecoverAPrefixOrFail) {
                   return a.machine != b.machine ? a.machine < b.machine
                                                 : a.start < b.start;
                 });
-      const std::vector<Placement> got = result.schedule.all_placements();
+      const std::vector<Placement> got =
+          schedule_from_wal(path, kLogMachines).all_placements();
       ASSERT_EQ(got.size(), k);
       for (std::size_t j = 0; j < k; ++j) {
         EXPECT_EQ(got[j].job, expect[j].job);
