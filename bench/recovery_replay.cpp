@@ -5,7 +5,9 @@
 //      shard pays per accepted job;
 //   2. replay rate of recover_commit_log at 1k/10k/100k records — how fast
 //      a restarted shard rebuilds its busy-until marks, with every record
-//      CRC-checked and re-validated through validate_served_commitment;
+//      CRC-checked and re-validated through validate_served_commitment,
+//      and restores its Threshold scheduler from them, as Shard::spawn
+//      does;
 // plus one torn-tail datapoint (a log ending in a partial record must
 // truncate on the first recovery and replay clean on the second).
 // Emits BENCH_recovery.json so scripts/perf_check.py can gate the results.
@@ -19,6 +21,7 @@
 #include <vector>
 
 #include "bench_env.hpp"
+#include "core/threshold.hpp"
 #include "service/commit_log.hpp"
 #include "service/recovery.hpp"
 
@@ -27,6 +30,8 @@ namespace {
 using namespace slacksched;
 
 constexpr int kMachines = 8;
+/// Threshold's slack, as slackbench's deployment serves it.
+constexpr double kEps = 0.1;
 
 struct AppendStats {
   std::string policy;
@@ -128,12 +133,17 @@ ReplayStats bench_replay(std::size_t records) {
 
   ReplayStats stats;
   stats.records = records;
+  ThresholdScheduler scheduler(kEps, kMachines);
+  scheduler.reset();
   const auto t0 = std::chrono::steady_clock::now();
-  const RecoveryResult recovered = recover_commit_log(path, kMachines);
+  const RecoveryResult recovered =
+      recover_commit_log(path, kMachines, &scheduler);
   stats.seconds = seconds_since(t0);
   stats.records_per_sec =
       static_cast<double>(records) / std::max(stats.seconds, 1e-12);
-  stats.clean = recovered.clean() && recovered.records_replayed == records;
+  // At time 0 each machine's load is its frontier: the restored state.
+  stats.clean = recovered.clean() && recovered.records_replayed == records &&
+                scheduler.loads(0.0) == recovered.busy_until;
   std::filesystem::remove(path);
   return stats;
 }

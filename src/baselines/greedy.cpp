@@ -44,9 +44,9 @@ const SpeedProfile* GreedyScheduler::speed_profile() const {
   return profile_ ? &*profile_ : nullptr;
 }
 
-bool GreedyScheduler::restore_commitment(const Job& job, int machine,
-                                         TimePoint start) {
-  return frontier_.restore(machine, start, job.proc);
+bool GreedyScheduler::restore_frontiers(
+    const std::vector<TimePoint>& busy_until) {
+  return frontier_.assign(busy_until);
 }
 
 Decision GreedyScheduler::on_arrival(const Job& job) {

@@ -50,8 +50,7 @@ class GreedyScheduler final : public OnlineScheduler {
   [[nodiscard]] const SpeedProfile* speed_profile() const override;
 
   /// Greedy's entire mutable state is the machine frontiers: restorable.
-  bool restore_commitment(const Job& job, int machine,
-                          TimePoint start) override;
+  bool restore_frontiers(const std::vector<TimePoint>& busy_until) override;
 
  private:
   GreedyPolicy policy_;

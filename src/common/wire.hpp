@@ -9,8 +9,8 @@
 //     it. A protocol is only a FrameSpec: its version byte, its highest
 //     frame type, its payload cap and its name.
 //   - the commit log (service/commit_log.hpp) frames each fixed-width
-//     record with a u32 length and the same CRC (wal_record_intact checks
-//     one record, for recovery and the replica alike).
+//     record with a u32 length and the same CRC (intact_records checks a
+//     run of them, for recovery and the replica alike).
 //
 // Frame header (kFrameHeaderBytes = 12, frozen across protocol versions so
 // an old decoder can still *reject* a newer frame cleanly):
@@ -46,11 +46,33 @@ namespace slacksched::wire {
 /// alignment.
 [[nodiscard]] std::uint32_t crc32c(const void* data, std::size_t n);
 
+/// Bytes before each record's payload in a run checked by intact_records:
+/// u32 payload length, then u32 crc32c of the payload.
+inline constexpr std::size_t kRecordFrameBytes = 8;
+
+/// Checks a run of `count` records laid end to end, each kRecordFrameBytes
+/// of frame and then `payload` bytes — the commit log's record framing. A
+/// record is intact iff its length field is `payload` and its CRC field is
+/// the crc32c of its payload. Returns how many leading records are intact
+/// (`count` when all are). One call checks the whole run: the SSE4.2 path
+/// checks three records side by side. Any alignment.
+[[nodiscard]] std::size_t intact_records(const char* records,
+                                         std::size_t count,
+                                         std::size_t payload);
+
 namespace detail {
-/// The table path of crc32c (slice-by-8: eight table reads fold eight
-/// bytes), compiled in on every host. Exposed so tests check it on hosts
-/// whose crc32c never selects it.
+/// Bytes per lane of crc32c's SSE4.2 path: a whole 3 * kCrc32cLaneBytes
+/// block runs as three interleaved lanes; shorter input and the rest
+/// after the last block run as one.
+inline constexpr std::size_t kCrc32cLaneBytes = 512;
+
+/// The table paths of crc32c (slice-by-8: eight table reads fold eight
+/// bytes) and intact_records, compiled in on every host. Exposed so tests
+/// check them on hosts that never select them.
 [[nodiscard]] std::uint32_t crc32c_portable(const void* data, std::size_t n);
+[[nodiscard]] std::size_t intact_records_portable(const char* records,
+                                                  std::size_t count,
+                                                  std::size_t payload);
 }  // namespace detail
 
 /// Appends `value`'s little-endian bytes to `out`.

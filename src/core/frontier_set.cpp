@@ -135,10 +135,19 @@ void FrontierSet::update(int machine, TimePoint value) {
   set_idle_bit(machine, value <= idle_watermark_);
 }
 
-bool FrontierSet::restore(int machine, TimePoint start, Duration proc) {
-  if (machine < 0 || machine >= machines_) return false;
-  update(machine,
-         std::max(frontier(machine), start + exec_time(machine, proc)));
+bool FrontierSet::assign(const std::vector<TimePoint>& frontiers) {
+  if (static_cast<int>(frontiers.size()) != machines_) return false;
+  for (const TimePoint f : frontiers) SLACKSCHED_EXPECTS(f >= 0.0);
+  std::copy(frontiers.begin(), frontiers.end(), frontier_.begin());
+  std::iota(order_.begin(), order_.end(), std::int32_t{0});
+  std::sort(order_.begin(), order_.end(),
+            [this](int a, int b) { return ordered_before(a, b); });
+  for (int q = 0; q < machines_; ++q) {
+    position_[static_cast<std::size_t>(order_[static_cast<std::size_t>(q)])] =
+        q;
+  }
+  // update() leaves the watermark where reset() put it, at 0.
+  rebuild_idle_bits(0.0);
   return true;
 }
 

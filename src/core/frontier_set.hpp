@@ -101,11 +101,13 @@ class FrontierSet {
   /// binary-search find and a single rotate of the displaced range.
   void update(int machine, TimePoint frontier);
 
-  /// Replays one committed allocation (crash recovery): advances the
-  /// machine's frontier to the allocation's completion start + p / s_i
-  /// unless it already lies further. Returns false for a machine index
-  /// outside [0, size()).
-  bool restore(int machine, TimePoint start, Duration proc);
+  /// Replaces every frontier at once (crash recovery): machine i gets
+  /// `frontiers[i]`, then one sort rebuilds the order and the idle bits.
+  /// The result equals the set a reset() followed by one update() per
+  /// machine would hold — the same order, positions and idle bits.
+  /// Returns false, changing nothing, unless there is one frontier per
+  /// machine.
+  bool assign(const std::vector<TimePoint>& frontiers);
 
   /// First sorted position whose frontier is <= `value` (== size() when
   /// every frontier is larger). The suffix from this position holds the

@@ -103,9 +103,9 @@ Decision ThresholdScheduler::on_arrival(const Job& job) {
   return Decision::accept(best, start);
 }
 
-bool ThresholdScheduler::restore_commitment(const Job& job, int machine,
-                                            TimePoint start) {
-  return frontier_.restore(machine, start, job.proc);
+bool ThresholdScheduler::restore_frontiers(
+    const std::vector<TimePoint>& busy_until) {
+  return frontier_.assign(busy_until);
 }
 
 ThresholdScheduler make_goldwasser_kerbikov(double eps) {

@@ -66,10 +66,9 @@ class ThresholdScheduler final : public OnlineScheduler {
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] const SpeedProfile* speed_profile() const override;
 
-  /// Threshold's entire mutable state is the machine frontiers, so a
-  /// committed allocation restores exactly (FrontierSet::restore).
-  bool restore_commitment(const Job& job, int machine,
-                          TimePoint start) override;
+  /// Threshold's entire mutable state is the machine frontiers, so the
+  /// busy-until marks restore it exactly (FrontierSet::assign).
+  bool restore_frontiers(const std::vector<TimePoint>& busy_until) override;
 
   /// The admission threshold d_lim the algorithm would apply at time `now`
   /// in its current state (exposed for tests and the adversary analysis).

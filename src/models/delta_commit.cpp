@@ -230,15 +230,4 @@ void DeltaCommitScheduler::step(TimePoint now,
   }
 }
 
-bool DeltaCommitScheduler::restore_commitment(const Job& job, int machine,
-                                              TimePoint start) {
-  if (!frontier_.restore(machine, start, job.proc)) return false;
-  // The original decision was rendered no later than min(start, τ_j); the
-  // clock must not re-simulate any of that history. Tentative jobs lost in
-  // the crash stay lost — an undecided job was never promised anything.
-  vt_ = std::max(vt_, std::min(start, commit_deadline(job)));
-  dirty_ = false;
-  return true;
-}
-
 }  // namespace slacksched

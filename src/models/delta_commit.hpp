@@ -90,14 +90,6 @@ class DeltaCommitScheduler final : public OnlineScheduler {
   void advance_to(TimePoint now,
                   std::vector<DeferredResolution>& resolved) override;
 
-  /// Committed state is the machine frontiers, which restore exactly; the
-  /// tentative queue is abandoned, which δ-commitment semantics permit
-  /// (an undecided job was never promised anything). The internal clock
-  /// advances to the restored commitment's decision time so replayed
-  /// history is never re-simulated.
-  bool restore_commitment(const Job& job, int machine,
-                          TimePoint start) override;
-
  private:
   /// Runs the event loop up to (exclusive of) `target`, resolving every
   /// decision that becomes binding strictly before it.

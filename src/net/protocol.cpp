@@ -1,9 +1,5 @@
 #include "net/protocol.hpp"
 
-#include <bit>
-#include <cstring>
-#include <type_traits>
-
 #include "common/expects.hpp"
 #include "common/wire.hpp"
 
@@ -16,15 +12,6 @@ using wire::put;
 
 /// Per-job body inside SUBMIT and SUBMIT_BATCH frames.
 constexpr std::size_t kJobBytes = 32;  // i64 id + 3 x f64
-
-/// True when an in-memory Job is byte-for-byte the wire job: little-endian
-/// host, no padding, fields at the wire offsets. Then a SUBMIT_BATCH job
-/// array decodes with one memcpy instead of four field reads per job.
-constexpr bool kJobMatchesWire =
-    std::endian::native == std::endian::little && sizeof(Job) == kJobBytes &&
-    std::is_trivially_copyable_v<Job> && offsetof(Job, id) == 0 &&
-    offsetof(Job, release) == 8 && offsetof(Job, proc) == 16 &&
-    offsetof(Job, deadline) == 24;
 
 void put_job(std::vector<char>& out, const Job& job) {
   put<std::int64_t>(out, job.id);
@@ -146,14 +133,7 @@ bool parse_submit_batch_into(const Frame& frame,
     return false;
   }
   jobs.resize(count);
-  if constexpr (kJobMatchesWire) {
-    if (count > 0) {
-      std::memcpy(jobs.data(), cursor,
-                  static_cast<std::size_t>(count) * kJobBytes);
-    }
-  } else {
-    for (std::uint32_t i = 0; i < count; ++i) jobs[i] = get_job(&cursor);
-  }
+  for (std::uint32_t i = 0; i < count; ++i) jobs[i] = get_job(&cursor);
   return true;
 }
 

@@ -150,12 +150,11 @@ void encode_error(std::vector<char>& out, std::string_view message);
 [[nodiscard]] bool parse_submit(const Frame& frame, SubmitMsg& out,
                                 std::string* error);
 /// Decodes a SUBMIT_BATCH payload straight into `jobs`, reusing its
-/// storage across calls (resized to the batch's count; capacity is kept).
-/// On little-endian hosts whose Job layout equals the 32-byte wire job the
-/// whole array is one memcpy; otherwise it decodes field by field. The
-/// server's ingest path calls this with a per-loop scratch vector so a
-/// SUBMIT_BATCH reaches the gateway's span ingest with zero per-frame
-/// allocations.
+/// storage across calls (resized to the batch's count; capacity is kept),
+/// field by field: a wire job carries no criticality, so every decoded
+/// job gets the default class. The server's ingest path calls this with
+/// a per-loop scratch vector so a SUBMIT_BATCH reaches the gateway's span
+/// ingest with zero per-frame allocations.
 [[nodiscard]] bool parse_submit_batch_into(const Frame& frame,
                                            std::uint64_t& base_request_id,
                                            std::vector<Job>& jobs,

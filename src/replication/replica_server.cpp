@@ -19,17 +19,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// True iff every record in an APPEND body passes its frame check.
-bool records_well_formed(const char* records, std::uint32_t count) {
-  for (std::uint32_t i = 0; i < count; ++i) {
-    if (!wal_record_intact(records +
-                           static_cast<std::size_t>(i) * kWalRecordBytes)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 ReplicaServer::ReplicaServer(ReplicaServerConfig config)
@@ -324,7 +313,7 @@ bool ReplicaServer::handle_frame(
       send_frame(fd, reply);
       return false;
     }
-    if (!records_well_formed(records, count)) {
+    if (wal_intact_records(records, count) != count) {
       // All-or-nothing: one bad record quarantines the whole frame, so a
       // valid prefix never mixes with corruption on disk.
       quarantined_.fetch_add(1, std::memory_order_relaxed);

@@ -50,19 +50,19 @@ class OnlineScheduler {
   /// Resets all internal state to an empty system.
   virtual void reset() = 0;
 
-  /// Restores one previously committed allocation during crash recovery
-  /// (service/recovery.hpp): bring internal state to exactly what it was
-  /// after the original accepting on_arrival, without re-deciding. Called
-  /// on a freshly reset() scheduler in original commit order. Returns
-  /// false when the algorithm cannot reconstruct its state from the
-  /// committed allocations alone (e.g. it carries hidden randomized
-  /// state); recovery then fails rather than resuming with a diverged
-  /// scheduler. The default is conservative: not restorable.
-  virtual bool restore_commitment(const Job& job, int machine,
-                                  TimePoint start) {
-    (void)job;
-    (void)machine;
-    (void)start;
+  /// Restores the state the scheduler had after committing a history
+  /// during crash recovery (service/recovery.hpp), without re-deciding:
+  /// `busy_until[i]` is the latest completion committed to machine i (0
+  /// for a machine with none). Recovery validates every committed
+  /// allocation first and then calls this once, with one mark per
+  /// machine. Returns false when the algorithm cannot reconstruct its
+  /// state from those marks alone (e.g. it carries hidden randomized
+  /// state, or decides from more than the machine loads) or when the mark
+  /// count is not machines(); recovery then fails rather than resuming
+  /// with a diverged scheduler. The default is conservative: not
+  /// restorable.
+  virtual bool restore_frontiers(const std::vector<TimePoint>& busy_until) {
+    (void)busy_until;
     return false;
   }
 

@@ -72,13 +72,11 @@ void encode_wal_record(const Job& job, int machine, TimePoint start,
                            kWalPayloadBytes));
 }
 
-bool wal_record_intact(const char* record) {
-  std::uint32_t len = 0;
-  std::uint32_t crc = 0;
-  std::memcpy(&len, record, sizeof(len));
-  std::memcpy(&crc, record + 4, sizeof(crc));
-  return len == kWalPayloadBytes &&
-         wire::crc32c(record + kWalFrameBytes, kWalPayloadBytes) == crc;
+static_assert(kWalFrameBytes == wire::kRecordFrameBytes,
+              "a WAL record is framed as wire::intact_records checks");
+
+std::size_t wal_intact_records(const char* records, std::size_t count) {
+  return wire::intact_records(records, count, kWalPayloadBytes);
 }
 
 bool decode_wal_record(const char* record, Job& job, int& machine,
@@ -170,12 +168,13 @@ std::size_t scan_wal(int fd, std::size_t size, const std::string& path,
       *error = errno_text("cannot read commit log", path);
       return end;
     }
-    for (const char* record = buffer.get();
-         record + kWalRecordBytes <= buffer.get() + got;
-         record += kWalRecordBytes) {
-      if (!wal_record_intact(record) || !visit(record)) return end;
+    const std::size_t whole = static_cast<std::size_t>(got) / kWalRecordBytes;
+    const std::size_t intact = wal_intact_records(buffer.get(), whole);
+    for (std::size_t i = 0; i < intact; ++i) {
+      if (!visit(buffer.get() + i * kWalRecordBytes)) return end;
       end += kWalRecordBytes;
     }
+    if (intact < whole) return end;
     if (static_cast<std::size_t>(got) < want) break;  // the file shrank
   }
   return end;

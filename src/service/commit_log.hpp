@@ -238,9 +238,11 @@ void encode_wal_record(const Job& job, int machine, TimePoint start,
 [[nodiscard]] bool decode_wal_record(const char* record, Job& job,
                                      int& machine, TimePoint& start);
 
-/// True iff the kWalRecordBytes bytes at `record` are one intact record:
-/// its length field is kWalPayloadBytes and its CRC matches the payload.
-/// The framing check of scan_wal and of the replica's APPEND check.
-[[nodiscard]] bool wal_record_intact(const char* record);
+/// How many of the `count` records at `records` (count * kWalRecordBytes
+/// bytes) are intact before the first that is not: its length field is
+/// kWalPayloadBytes and its CRC matches the payload. The framing check of
+/// scan_wal and of the replica's APPEND check, one call per run.
+[[nodiscard]] std::size_t wal_intact_records(const char* records,
+                                             std::size_t count);
 
 }  // namespace slacksched

@@ -87,12 +87,6 @@ RecoveryResult recover_commit_log(const std::string& path, int machines,
         TimePoint& mark = result.busy_until[static_cast<std::size_t>(machine)];
         mark = std::max(mark, start + job.proc);
         result.metrics.makespan = std::max(result.metrics.makespan, mark);
-        if (scheduler != nullptr &&
-            !scheduler->restore_commitment(job, machine, start)) {
-          return refuse(": scheduler '" + scheduler->name() +
-                        "' cannot restore commitments; recovery for it is "
-                        "unsupported");
-        }
         ++result.records_replayed;
         ++result.metrics.submitted;
         ++result.metrics.accepted;
@@ -100,6 +94,13 @@ RecoveryResult recover_commit_log(const std::string& path, int machines,
         return true;
       },
       &error);
+  // Every record is validated; the scheduler takes the marks in one step.
+  if (error.empty() && scheduler != nullptr && result.records_replayed > 0 &&
+      !scheduler->restore_frontiers(result.busy_until)) {
+    error = path + ": scheduler '" + scheduler->name() +
+            "' cannot restore its state from the busy-until marks; "
+            "recovery for it is unsupported";
+  }
   if (error.empty() && end < size) {
     // The first short, implausible or CRC-failing record starts the torn
     // tail, which is 0 for a file torn inside its header: nothing after it

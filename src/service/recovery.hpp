@@ -2,7 +2,7 @@
 /// Crash recovery for a shard's commit log: replays the WAL written by
 /// service/commit_log.hpp, truncates a torn tail, and rebuilds the shard's
 /// live state — one busy-until mark per machine (and, optionally, the
-/// scheduler's internal state via OnlineScheduler::restore_commitment).
+/// scheduler's internal state via OnlineScheduler::restore_frontiers).
 /// Every replayed record passes validate_served_commitment, the check the
 /// live shard runs on each decision, so a log that decodes cleanly but
 /// describes an impossible schedule (overlap, deadline miss) fails
@@ -54,10 +54,12 @@ struct RecoveryResult {
 ///    validate_served_commitment; a semantic violation is a hard error (ok
 ///    = false), not a truncation — the log lied, and silently dropping the
 ///    record would un-commit an accepted job.
-///  - When `scheduler` is non-null each valid record is also pushed into
-///    OnlineScheduler::restore_commitment so the algorithm's internal
-///    state (e.g. machine frontiers) matches the rebuilt marks; a
-///    scheduler that cannot restore (returns false) is a hard error.
+///  - When `scheduler` is non-null and the log holds at least one record,
+///    the marks go to OnlineScheduler::restore_frontiers once, after
+///    every record has passed the checks above, so the algorithm's
+///    internal state (e.g. machine frontiers) matches them; a scheduler
+///    that cannot restore (returns false) is a hard error, and the file
+///    is then left as it was. An empty or header-only log never asks.
 ///  - The marks are over `machines` identical machines, the only model
 ///    the service serves; a `scheduler` with a non-uniform
 ///    speed_profile() is a PreconditionError. `machines` < 1 is a hard
@@ -67,7 +69,8 @@ struct RecoveryResult {
 ///    error too: no scheduler accepts such a job, so the log is corrupt.
 ///    A job id is an opaque i64; a negative id replays like any other.
 ///
-/// The caller resets the scheduler before invoking recovery.
+/// The caller resets the scheduler before invoking recovery: a log with
+/// no record leaves it as it was.
 [[nodiscard]] RecoveryResult recover_commit_log(
     const std::string& path, int machines,
     OnlineScheduler* scheduler = nullptr, bool truncate_file = true);

@@ -6,23 +6,28 @@
 // independently of the writer's behavior.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "baselines/greedy.hpp"
+#include "common/rng.hpp"
 #include "common/wire.hpp"
 #include "core/threshold.hpp"
 #include "sched/validator.hpp"
 #include "service/commit_log.hpp"
 #include "service/recovery.hpp"
 #include "support/wal_schedule.hpp"
+#include "workload/generators.hpp"
 
 namespace slacksched {
 namespace {
@@ -460,7 +465,7 @@ TEST(Recovery, PreviousFormatLogIsRefusedAndLeftUntouched) {
     wire::patch(bytes, record + 4,
                 crc32_ieee_bitwise(bytes.data() + record + kWalFrameBytes,
                                    kWalPayloadBytes));
-    EXPECT_FALSE(wal_record_intact(bytes.data() + record));
+    EXPECT_EQ(wal_intact_records(bytes.data() + record, 1), 0u);
   }
   append_bytes(path, bytes);
   const std::string before = read_file(path);
@@ -476,6 +481,65 @@ TEST(Recovery, PreviousFormatLogIsRefusedAndLeftUntouched) {
   EXPECT_EQ(read_file(path), before);
 }
 
+TEST(Recovery, BrokenRecordEndsTheReplayWhereverItSits) {
+  // A history long enough for scan_wal to read it in more than one piece.
+  // One field of one record is broken — first, middle or last — and both
+  // scan_wal and recovery stop exactly at it, keeping what precedes it.
+  constexpr std::size_t kRecords = 20000;
+  const std::string clean_path = wal_path("long_history");
+  {
+    auto log = CommitLog::open(clean_path, 1);
+    for (std::size_t i = 0; i < kRecords; ++i) {
+      const double r = static_cast<double>(i);
+      log->append(make_job(static_cast<JobId>(i), r, 1.0, r + 2.0), 0, r);
+    }
+    log->close();
+  }
+  const std::string clean = read_file(clean_path);
+  ASSERT_EQ(clean.size(), kWalHeaderBytes + kRecords * kWalRecordBytes);
+  const struct {
+    const char* name;
+    std::size_t at;  // byte offset inside the record
+  } fields[] = {{"payload byte", kWalFrameBytes + 17},
+                {"CRC field", 6},
+                {"length field", 1}};
+  for (const auto& field : fields) {
+    for (const std::size_t bad : {std::size_t{0}, kRecords / 2, kRecords - 1}) {
+      SCOPED_TRACE(std::string(field.name) + " of record " +
+                   std::to_string(bad));
+      std::string bytes = clean;
+      bytes[kWalHeaderBytes + bad * kWalRecordBytes + field.at] ^= 0x08;
+      const std::string path = wal_path("broken_record");
+      append_bytes(path, std::vector<char>(bytes.begin(), bytes.end()));
+      const std::size_t good = kWalHeaderBytes + bad * kWalRecordBytes;
+
+      std::size_t size = 0;
+      std::string error;
+      const int fd = open_wal(path, 1, WalMode::kRead, &size, &error);
+      ASSERT_GE(fd, 0) << error;
+      std::size_t visited = 0;
+      const std::size_t end = scan_wal(
+          fd, size, path,
+          [&visited](const char*) {
+            ++visited;
+            return true;
+          },
+          &error);
+      ::close(fd);
+      EXPECT_TRUE(error.empty()) << error;
+      EXPECT_EQ(end, good);
+      EXPECT_EQ(visited, bad);
+
+      const RecoveryResult recovered = recover_commit_log(path, 1);
+      ASSERT_TRUE(recovered.ok) << recovered.error;
+      EXPECT_TRUE(recovered.tail_truncated);
+      EXPECT_EQ(recovered.records_replayed, bad);
+      EXPECT_EQ(recovered.bytes_truncated, bytes.size() - good);
+      EXPECT_EQ(file_size(path), good);
+    }
+  }
+}
+
 TEST(Recovery, FileShorterThanTheHeaderIsResetToFresh) {
   const std::string path = wal_path("stub");
   append_bytes(path, std::vector<char>(9, 'S'));
@@ -486,59 +550,86 @@ TEST(Recovery, FileShorterThanTheHeaderIsResetToFresh) {
   EXPECT_EQ(file_size(path), 0u);
 }
 
-/// Drives a scheduler over a prefix of jobs, logging accepts, then checks
-/// that a reset + recovery brings a second instance to a state that
-/// decides the *next* jobs identically to the uninterrupted original.
+/// A seeded overload stream, or (`whole_units`) unit jobs at integer
+/// releases with integer slack, whose frontiers tie exactly.
+std::vector<Job> restore_stream(std::uint64_t seed, bool whole_units) {
+  constexpr std::size_t kJobs = 12000;
+  if (!whole_units) {
+    WorkloadConfig config = scenario("overload", 0.1, seed);
+    config.n = kJobs;
+    return generate_workload(config).jobs();
+  }
+  Rng rng(seed);
+  std::vector<Job> jobs;
+  TimePoint release = 0.0;
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    release += static_cast<double>(rng.uniform_int(0, 1));
+    jobs.push_back(make_job(static_cast<JobId>(i + 1), release, 1.0,
+                            release + 2.0 +
+                                static_cast<double>(rng.uniform_int(0, 4))));
+  }
+  return jobs;
+}
+
+/// Drives a scheduler over a history, logging its accepts, then checks
+/// that recovery brings a fresh instance — reset, then one
+/// restore_frontiers from the marks — to a state that decides the next
+/// 10k jobs exactly as the uninterrupted original does.
 template <typename MakeScheduler>
 void expect_restore_equivalence(MakeScheduler make, const std::string& tag) {
-  const std::string path = wal_path("restore_" + tag);
-  auto original = make();
-  auto recovered_instance = make();
-  {
-    auto log = CommitLog::open(path, original->machines());
-    for (int i = 0; i < 40; ++i) {
-      const double r = 0.37 * i;
-      const Job job = make_job(i, r, 1.0 + 0.13 * (i % 5),
-                               r + 2.5 + 0.29 * (i % 7));
-      const Decision decision = original->on_arrival(job);
-      if (decision.accepted) {
-        log->append(job, decision.machine, decision.start);
+  constexpr std::size_t kHistory = 2000;
+  for (const int m : {1, 2, 8, 64}) {
+    for (const bool whole_units : {false, true}) {
+      SCOPED_TRACE(tag + ", m=" + std::to_string(m) +
+                   (whole_units ? ", exact ties" : ", seeded"));
+      const std::vector<Job> jobs =
+          restore_stream(0x5EEDu + static_cast<std::uint64_t>(m), whole_units);
+      const std::string path = wal_path("restore_" + tag);
+      auto original = make(m);
+      {
+        auto log = CommitLog::open(path, m);
+        for (std::size_t i = 0; i < kHistory; ++i) {
+          const Decision decision = original->on_arrival(jobs[i]);
+          if (decision.accepted) {
+            log->append(jobs[i], decision.machine, decision.start);
+          }
+        }
+        log->close();
       }
-    }
-    log->close();
-  }
-
-  recovered_instance->reset();
-  const RecoveryResult recovered = recover_commit_log(
-      path, recovered_instance->machines(), recovered_instance.get());
-  ASSERT_TRUE(recovered.ok) << recovered.error;
-  EXPECT_GT(recovered.records_replayed, 0u);
-
-  // Both instances must now be in identical states: same decisions on a
-  // fresh tail of jobs.
-  for (int i = 100; i < 130; ++i) {
-    const double r = 15.0 + 0.41 * (i - 100);
-    const Job job = make_job(i, r, 1.0 + 0.17 * (i % 4),
-                             r + 2.0 + 0.31 * (i % 6));
-    const Decision a = original->on_arrival(job);
-    const Decision b = recovered_instance->on_arrival(job);
-    EXPECT_EQ(a.accepted, b.accepted) << tag << " job " << i;
-    if (a.accepted && b.accepted) {
-      EXPECT_EQ(a.machine, b.machine) << tag << " job " << i;
-      EXPECT_DOUBLE_EQ(a.start, b.start) << tag << " job " << i;
+      auto restored = make(m);
+      restored->reset();
+      const RecoveryResult recovered =
+          recover_commit_log(path, m, restored.get());
+      ASSERT_TRUE(recovered.ok) << recovered.error;
+      ASSERT_GT(recovered.records_replayed, 0u);
+      for (std::size_t i = kHistory; i < jobs.size(); ++i) {
+        const Decision a = original->on_arrival(jobs[i]);
+        const Decision b = restored->on_arrival(jobs[i]);
+        ASSERT_EQ(a.accepted, b.accepted) << "job " << i;
+        if (a.accepted) {
+          ASSERT_EQ(a.machine, b.machine) << "job " << i;
+          ASSERT_EQ(a.start, b.start) << "job " << i;
+        }
+      }
     }
   }
 }
 
 TEST(Recovery, RestoresThresholdSchedulerStateExactly) {
   expect_restore_equivalence(
-      [] { return std::make_unique<ThresholdScheduler>(0.5, 3); },
+      [](int m) { return std::make_unique<ThresholdScheduler>(0.1, m); },
       "threshold");
 }
 
 TEST(Recovery, RestoresGreedySchedulerStateExactly) {
-  expect_restore_equivalence(
-      [] { return std::make_unique<GreedyScheduler>(3); }, "greedy");
+  for (const GreedyPolicy policy :
+       {GreedyPolicy::kBestFit, GreedyPolicy::kLeastLoaded}) {
+    expect_restore_equivalence(
+        [policy](int m) {
+          return std::make_unique<GreedyScheduler>(m, policy);
+        },
+        "greedy_" + to_string(policy));
+  }
 }
 
 TEST(Recovery, SchedulerThatCannotRestoreFailsRecovery) {
@@ -552,18 +643,30 @@ TEST(Recovery, SchedulerThatCannotRestoreFailsRecovery) {
     void reset() override {}
     [[nodiscard]] std::string name() const override { return "Opaque"; }
   };
+  Opaque opaque;
 
+  // Nothing to restore: a missing, an empty and a header-only log recover.
   const std::string path = wal_path("opaque");
+  EXPECT_TRUE(recover_commit_log(path, 1, &opaque).ok);
+  append_bytes(path, {});
+  EXPECT_TRUE(recover_commit_log(path, 1, &opaque).ok);
+  CommitLog::open(path, 1)->close();
+  EXPECT_TRUE(recover_commit_log(path, 1, &opaque).ok);
+
+  // One record is state the scheduler cannot take: a hard error, and the
+  // torn tail behind it stays in the file.
   {
     auto log = CommitLog::open(path, 1);
     log->append(make_job(1, 0.0, 1.0, 4.0), 0, 0.0);
     log->close();
   }
-  Opaque opaque;
+  append_bytes(path, std::vector<char>(9, 'T'));
+  const std::size_t size = file_size(path);
   const RecoveryResult recovered = recover_commit_log(path, 1, &opaque);
   EXPECT_FALSE(recovered.ok);
   EXPECT_NE(recovered.error.find("Opaque"), std::string::npos)
       << recovered.error;
+  EXPECT_EQ(file_size(path), size);
 }
 
 TEST(Recovery, RecordThatIsNotAValidJobIsAHardError) {

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <limits>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/ascii_chart.hpp"
@@ -197,6 +198,88 @@ TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
           << "offset " << offset << ", length " << len;
       ASSERT_EQ(wire::detail::crc32c_portable(data, len), expect)
           << "table path, offset " << offset << ", length " << len;
+    }
+  }
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAroundLaneBlocks) {
+  // Around one and two whole three-lane blocks of the hardware path, and a
+  // long buffer with a ragged tail, from each start offset 0..7.
+  constexpr std::size_t kLane = wire::detail::kCrc32cLaneBytes;
+  const std::size_t lengths[] = {3 * kLane - 1, 3 * kLane,     3 * kLane + 1,
+                                 6 * kLane - 1, 6 * kLane + 1, (1u << 20) + 7};
+  std::vector<unsigned char> buffer(8 + (1u << 20) + 7);
+  std::uint32_t x = 0x2545F491u;
+  for (unsigned char& b : buffer) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<unsigned char>(x >> 24);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (const std::size_t len : lengths) {
+      const unsigned char* data = buffer.data() + offset;
+      const std::uint32_t expect = crc32c_bitwise(data, len);
+      ASSERT_EQ(wire::crc32c(data, len), expect)
+          << "offset " << offset << ", length " << len;
+      ASSERT_EQ(wire::detail::crc32c_portable(data, len), expect)
+          << "table path, offset " << offset << ", length " << len;
+    }
+  }
+}
+
+/// `count` framed records of `payload` bytes each: u32 length, u32
+/// crc32c of the payload, then the payload.
+std::vector<char> framed_records(std::size_t count, std::size_t payload) {
+  std::vector<char> out;
+  std::uint32_t x = 0x9E3779B9u;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t at = out.size();
+    wire::put(out, static_cast<std::uint32_t>(payload));
+    wire::put(out, std::uint32_t{0});
+    for (std::size_t k = 0; k < payload; ++k) {
+      x = x * 1664525u + 1013904223u;
+      out.push_back(static_cast<char>(x >> 24));
+    }
+    wire::patch(out, at + 4,
+                crc32c_bitwise(reinterpret_cast<const unsigned char*>(
+                                   out.data() + at + wire::kRecordFrameBytes),
+                               payload));
+  }
+  return out;
+}
+
+TEST(Crc32, IntactRecordsStopsAtTheFirstBrokenRecord) {
+  // Runs whose last record falls at each place of a three-record group,
+  // with the WAL's 48-byte payload and a payload that is no multiple of 8.
+  // One field of one record is broken at the first, a middle and the last
+  // position; both paths must return exactly the records before it.
+  for (const std::size_t payload : {std::size_t{48}, std::size_t{13}}) {
+    const std::size_t stride = wire::kRecordFrameBytes + payload;
+    for (const std::size_t count : {7u, 8u, 9u}) {
+      const std::vector<char> run = framed_records(count, payload);
+      ASSERT_EQ(wire::intact_records(run.data(), count, payload), count);
+      ASSERT_EQ(wire::detail::intact_records_portable(run.data(), count,
+                                                      payload),
+                count);
+      ASSERT_EQ(wire::intact_records(run.data(), 0, payload), 0u);
+      const struct {
+        const char* name;
+        std::size_t at;  // byte offset inside the record
+      } fields[] = {{"payload byte", wire::kRecordFrameBytes + payload / 2},
+                    {"CRC field", 5},
+                    {"length field", 0}};
+      for (const auto& field : fields) {
+        for (const std::size_t bad : {std::size_t{0}, count / 2, count - 1}) {
+          SCOPED_TRACE(std::string(field.name) + ", payload " +
+                       std::to_string(payload) + ", record " +
+                       std::to_string(bad) + " of " + std::to_string(count));
+          std::vector<char> broken = run;
+          broken[bad * stride + field.at] ^= 0x10;
+          EXPECT_EQ(wire::intact_records(broken.data(), count, payload), bad);
+          EXPECT_EQ(wire::detail::intact_records_portable(broken.data(),
+                                                          count, payload),
+                    bad);
+        }
+      }
     }
   }
 }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "common/expects.hpp"
@@ -283,6 +284,83 @@ TEST(FrontierSet, ConstantSizesKeepExactTieBreaking) {
     if (best >= 0) set.update(best, now + set.load(best, now) + proc);
   }
   expect_order_invariant(set);
+}
+
+/// Crash recovery loads the m marks in one step. The result must be the
+/// set one update per commitment builds: the same order and positions,
+/// and the same answers to every query as both sets take the same further
+/// commitments. `whole_units` draws integer times and unit jobs, so many
+/// frontiers tie exactly.
+void expect_assign_matches_updates(int m, std::uint64_t seed,
+                                   bool whole_units) {
+  Rng rng(seed);
+  FrontierSet live(m);
+  TimePoint now = 0.0;
+  const auto next_job = [&](Duration& proc, TimePoint& deadline) {
+    now += whole_units ? static_cast<double>(rng.uniform_int(0, 1))
+                       : rng.uniform(0.0, 1.5);
+    proc = whole_units ? 1.0 : rng.uniform(0.1, 5.0);
+    deadline = now + proc + (whole_units ? static_cast<double>(
+                                               rng.uniform_int(0, 6))
+                                         : rng.uniform(0.0, 8.0));
+  };
+  // The history, committed one best-fit placement at a time.
+  for (int step = 0; step < 2000; ++step) {
+    Duration proc = 0.0;
+    TimePoint deadline = 0.0;
+    next_job(proc, deadline);
+    const int best = live.best_fit(now, proc, deadline);
+    if (best >= 0) live.update(best, now + live.load(best, now) + proc);
+  }
+  // assign replaces whatever was there: order, positions and idle bits.
+  FrontierSet loaded(m);
+  for (int i = 0; i < m; ++i) loaded.update(i, 123.0 + i);
+  std::vector<TimePoint> marks;
+  for (int i = 0; i < m; ++i) marks.push_back(live.frontier(i));
+  ASSERT_TRUE(loaded.assign(marks));
+  for (int i = 0; i < m; ++i) {
+    ASSERT_EQ(loaded.machine_at(i), live.machine_at(i)) << "position " << i;
+    ASSERT_EQ(loaded.position_of(i), live.position_of(i)) << "machine " << i;
+  }
+  expect_order_invariant(loaded);
+  for (int step = 0; step < 10000; ++step) {
+    Duration proc = 0.0;
+    TimePoint deadline = 0.0;
+    next_job(proc, deadline);
+    ASSERT_EQ(loaded.min_idle_machine(now), live.min_idle_machine(now))
+        << "step " << step;
+    ASSERT_EQ(loaded.least_loaded_fit(now, proc, deadline),
+              live.least_loaded_fit(now, proc, deadline))
+        << "step " << step;
+    const int best = live.best_fit(now, proc, deadline);
+    ASSERT_EQ(loaded.best_fit(now, proc, deadline), best) << "step " << step;
+    if (best >= 0) {
+      const TimePoint frontier = now + live.load(best, now) + proc;
+      live.update(best, frontier);
+      loaded.update(best, frontier);
+    }
+  }
+}
+
+TEST(FrontierSet, AssignEqualsOneUpdatePerCommitment) {
+  for (const int m : {1, 2, 8, 64}) {
+    for (const bool whole_units : {false, true}) {
+      SCOPED_TRACE("m=" + std::to_string(m) +
+                   (whole_units ? ", exact ties" : ", seeded"));
+      expect_assign_matches_updates(m, 0xA551u + static_cast<std::uint64_t>(m),
+                                    whole_units);
+    }
+  }
+}
+
+TEST(FrontierSet, AssignWantsOneFrontierPerMachine) {
+  FrontierSet set(3);
+  set.update(1, 5.0);
+  EXPECT_FALSE(set.assign({1.0, 2.0}));
+  EXPECT_FALSE(set.assign({1.0, 2.0, 3.0, 4.0}));
+  EXPECT_EQ(set.frontier(1), 5.0);  // a refused assign changes nothing
+  EXPECT_EQ(set.machine_at(0), 1);
+  EXPECT_THROW((void)set.assign({1.0, -1.0, 0.0}), PreconditionError);
 }
 
 }  // namespace

@@ -442,34 +442,50 @@ TEST(Replication, SequenceGapIsNackedAndPersistsNothing) {
 }
 
 TEST(Replication, CorruptRecordIsQuarantinedWholeFrame) {
-  ReplicaServerConfig config;
-  config.dir = fresh_dir("corrupt_replica");
-  ReplicaServer replica(config);
-  RawLeader leader(replica.port());
-  EXPECT_EQ(leader.handshake(0), 0u);
+  // Seven records with one field of one record broken — first, middle or
+  // last: the whole APPEND must be refused (all-or-nothing), the valid
+  // records around the broken one included.
+  constexpr std::uint32_t kRecords = 7;
+  const struct {
+    const char* name;
+    std::size_t at;  // byte offset inside the record
+  } fields[] = {{"payload byte", kWalFrameBytes + 3},
+                {"CRC field", 4},
+                {"length field", 0}};
+  for (const auto& field : fields) {
+    for (const std::uint32_t bad : {0u, kRecords / 2, kRecords - 1}) {
+      SCOPED_TRACE(std::string(field.name) + " of record " +
+                   std::to_string(bad));
+      ReplicaServerConfig config;
+      config.dir = fresh_dir("corrupt_replica");
+      ReplicaServer replica(config);
+      RawLeader leader(replica.port());
+      EXPECT_EQ(leader.handshake(0), 0u);
 
-  // Two records, the second corrupted: the whole APPEND must be refused
-  // (all-or-nothing), including the first, valid record.
-  std::vector<char> records = one_record(1);
-  std::vector<char> second = one_record(2);
-  second[kWalFrameBytes + 3] ^= 0x40;  // payload flip breaks the CRC
-  records.insert(records.end(), second.begin(), second.end());
-  std::vector<char> bytes;
-  encode_append(bytes, 0, 0, 2, records.data(), records.size());
-  leader.send_bytes(bytes);
-  const ReplFrame frame = leader.read_frame();
-  ASSERT_EQ(frame.type, ReplFrameType::kNack);
-  NackMsg nack;
-  std::string error;
-  ASSERT_TRUE(parse_nack(frame, nack, &error)) << error;
-  EXPECT_EQ(nack.reason, NackReason::kCorruptRecord);
-  EXPECT_EQ(replica.watermark(0), 0u);
-  EXPECT_EQ(replica.records_quarantined(), 1u);
+      std::vector<char> records;
+      for (std::uint32_t i = 0; i < kRecords; ++i) {
+        const std::vector<char> one = one_record(i + 1);
+        records.insert(records.end(), one.begin(), one.end());
+      }
+      records[bad * kWalRecordBytes + field.at] ^= 0x40;
+      std::vector<char> bytes;
+      encode_append(bytes, 0, 0, kRecords, records.data(), records.size());
+      leader.send_bytes(bytes);
+      const ReplFrame frame = leader.read_frame();
+      ASSERT_EQ(frame.type, ReplFrameType::kNack);
+      NackMsg nack;
+      std::string error;
+      ASSERT_TRUE(parse_nack(frame, nack, &error)) << error;
+      EXPECT_EQ(nack.reason, NackReason::kCorruptRecord);
+      EXPECT_EQ(replica.watermark(0), 0u);
+      EXPECT_EQ(replica.records_quarantined(), 1u);
 
-  // The replica log holds nothing but its header (nothing leaked).
-  struct stat st{};
-  ASSERT_EQ(::stat(replica.shard_log_path(0).c_str(), &st), 0);
-  EXPECT_EQ(static_cast<std::size_t>(st.st_size), kWalHeaderBytes);
+      // The replica log holds nothing but its header (nothing leaked).
+      struct stat st{};
+      ASSERT_EQ(::stat(replica.shard_log_path(0).c_str(), &st), 0);
+      EXPECT_EQ(static_cast<std::size_t>(st.st_size), kWalHeaderBytes);
+    }
+  }
 }
 
 TEST(Replication, TornFrameAtDisconnectIsDiscarded) {
