@@ -14,7 +14,7 @@ constexpr std::size_t kWordBits = 64;
 
 FrontierSet::FrontierSet(int machines)
     : machines_(machines),
-      frontier_(static_cast<std::size_t>(machines), 0.0),
+      sorted_(static_cast<std::size_t>(machines), 0.0),
       order_(static_cast<std::size_t>(machines)),
       position_(static_cast<std::size_t>(machines)),
       idle_bits_((static_cast<std::size_t>(machines) + kWordBits - 1) /
@@ -44,7 +44,7 @@ double FrontierSet::speed(int machine) const {
 }
 
 void FrontierSet::reset() {
-  std::fill(frontier_.begin(), frontier_.end(), 0.0);
+  std::fill(sorted_.begin(), sorted_.end(), 0.0);
   std::iota(order_.begin(), order_.end(), std::int32_t{0});
   std::iota(position_.begin(), position_.end(), std::int32_t{0});
   idle_watermark_ = 0.0;
@@ -52,99 +52,49 @@ void FrontierSet::reset() {
   for (int i = 0; i < machines_; ++i) set_idle_bit(i, true);
 }
 
-TimePoint FrontierSet::frontier(int machine) const {
-  SLACKSCHED_EXPECTS(machine >= 0 && machine < machines_);
-  return frontier_[static_cast<std::size_t>(machine)];
-}
-
-int FrontierSet::machine_at(int position) const {
-  SLACKSCHED_EXPECTS(position >= 0 && position < machines_);
-  return order_[static_cast<std::size_t>(position)];
-}
-
-TimePoint FrontierSet::frontier_at(int position) const {
-  SLACKSCHED_EXPECTS(position >= 0 && position < machines_);
-  return frontier_[static_cast<std::size_t>(
-      order_[static_cast<std::size_t>(position)])];
-}
-
-int FrontierSet::position_of(int machine) const {
-  SLACKSCHED_EXPECTS(machine >= 0 && machine < machines_);
-  return position_[static_cast<std::size_t>(machine)];
-}
-
-Duration FrontierSet::load(int machine, TimePoint now) const {
-  return std::max(0.0, frontier(machine) - now);
-}
-
-Duration FrontierSet::load_at(int position, TimePoint now) const {
-  return std::max(0.0, frontier_at(position) - now);
-}
-
-bool FrontierSet::ordered_before(int a, int b) const {
-  const TimePoint fa = frontier_[static_cast<std::size_t>(a)];
-  const TimePoint fb = frontier_[static_cast<std::size_t>(b)];
-  return fa > fb || (fa == fb && a < b);
-}
-
 void FrontierSet::update(int machine, TimePoint value) {
-  SLACKSCHED_EXPECTS(machine >= 0 && machine < machines_);
-  const int p = position_[static_cast<std::size_t>(machine)];
-  frontier_[static_cast<std::size_t>(machine)] = value;
-  if (p > 0 && ordered_before(machine, order_[static_cast<std::size_t>(p - 1)])) {
-    // Moves toward the front: the insertion point is the first position in
-    // [0, p) whose machine no longer precedes the updated one. The range
-    // excluding position p is still sorted, so the predicate is monotone.
-    int lo = 0;
-    int hi = p;
-    while (lo < hi) {
-      const int mid = lo + (hi - lo) / 2;
-      if (ordered_before(order_[static_cast<std::size_t>(mid)], machine)) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    std::rotate(order_.begin() + lo, order_.begin() + p,
-                order_.begin() + p + 1);
-    for (int q = lo; q <= p; ++q) {
-      position_[static_cast<std::size_t>(order_[static_cast<std::size_t>(q)])] =
-          q;
-    }
-  } else if (p + 1 < machines_ &&
-             ordered_before(order_[static_cast<std::size_t>(p + 1)], machine)) {
-    // Moves toward the back: the updated machine belongs immediately before
-    // the first position in (p, m) whose machine it precedes.
-    int lo = p + 1;
-    int hi = machines_;
-    while (lo < hi) {
-      const int mid = lo + (hi - lo) / 2;
-      if (ordered_before(order_[static_cast<std::size_t>(mid)], machine)) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    std::rotate(order_.begin() + p, order_.begin() + p + 1,
-                order_.begin() + lo);
-    for (int q = p; q < lo; ++q) {
-      position_[static_cast<std::size_t>(order_[static_cast<std::size_t>(q)])] =
-          q;
-    }
+  auto p = static_cast<std::size_t>(position_of(machine));  // checks machine
+  // Insertion pass: walk the hole from the machine's old position toward
+  // its new one, shifting each displaced entry (value, id and position
+  // together) one step into the hole.
+  const auto shift_from = [this, &p](std::size_t q) {
+    sorted_[p] = sorted_[q];
+    order_[p] = order_[q];
+    position_[static_cast<std::size_t>(order_[p])] =
+        static_cast<std::int32_t>(p);
+    p = q;
+  };
+  // Toward the front while the updated machine precedes its neighbour.
+  while (p > 0 && (value > sorted_[p - 1] ||
+                   (value == sorted_[p - 1] && machine < order_[p - 1]))) {
+    shift_from(p - 1);
   }
+  // Toward the back while the neighbour precedes the updated machine.
+  const auto last = static_cast<std::size_t>(machines_ - 1);
+  while (p < last && (sorted_[p + 1] > value ||
+                      (sorted_[p + 1] == value && order_[p + 1] < machine))) {
+    shift_from(p + 1);
+  }
+  sorted_[p] = value;
+  order_[p] = machine;
+  position_[static_cast<std::size_t>(machine)] = static_cast<std::int32_t>(p);
   set_idle_bit(machine, value <= idle_watermark_);
 }
 
 bool FrontierSet::assign(const std::vector<TimePoint>& frontiers) {
   if (static_cast<int>(frontiers.size()) != machines_) return false;
   for (const TimePoint f : frontiers) SLACKSCHED_EXPECTS(f >= 0.0);
-  std::copy(frontiers.begin(), frontiers.end(), frontier_.begin());
   std::iota(order_.begin(), order_.end(), std::int32_t{0});
-  std::sort(order_.begin(), order_.end(),
-            [this](int a, int b) { return ordered_before(a, b); });
-  for (int q = 0; q < machines_; ++q) {
-    position_[static_cast<std::size_t>(order_[static_cast<std::size_t>(q)])] =
-        q;
+  // Larger frontier first, ties by ascending machine index.
+  std::sort(order_.begin(), order_.end(), [&frontiers](int a, int b) {
+    const TimePoint fa = frontiers[static_cast<std::size_t>(a)];
+    const TimePoint fb = frontiers[static_cast<std::size_t>(b)];
+    return fa > fb || (fa == fb && a < b);
+  });
+  for (std::size_t q = 0; q < order_.size(); ++q) {
+    sorted_[q] = frontiers[static_cast<std::size_t>(order_[q])];
+    position_[static_cast<std::size_t>(order_[q])] =
+        static_cast<std::int32_t>(q);
   }
   // update() leaves the watermark where reset() put it, at 0.
   rebuild_idle_bits(0.0);
@@ -257,12 +207,11 @@ int FrontierSet::min_machine_with_load_at(int position, TimePoint now) {
   // ordered by ascending index, so each run's head is its lowest index.
   // Distinct frontiers can still round to the same load; jump across run
   // heads (each found by binary search) until the load changes.
-  int best = order_[static_cast<std::size_t>(position)];
-  int q = first_position_below(frontier_[static_cast<std::size_t>(best)]);
+  int best = machine_at(position);
+  int q = first_position_below(frontier_at(position));
   while (q < machines_ && load_at(q, now) == value) {
-    const int machine = order_[static_cast<std::size_t>(q)];
-    best = std::min(best, machine);
-    q = first_position_below(frontier_[static_cast<std::size_t>(machine)]);
+    best = std::min(best, machine_at(q));
+    q = first_position_below(frontier_at(q));
   }
   return best;
 }
@@ -296,8 +245,8 @@ void FrontierSet::set_idle_bit(int machine, bool idle) {
 
 void FrontierSet::rebuild_idle_bits(TimePoint now) {
   std::fill(idle_bits_.begin(), idle_bits_.end(), std::uint64_t{0});
-  for (int i = 0; i < machines_; ++i) {
-    if (frontier_[static_cast<std::size_t>(i)] <= now) set_idle_bit(i, true);
+  for (int p = first_position_not_above(now); p < machines_; ++p) {
+    set_idle_bit(machine_at(p), true);
   }
   idle_watermark_ = now;
 }

@@ -1,6 +1,6 @@
 /// \file
 /// Incrementally maintained sorted machine frontiers — the data structure
-/// behind the O(log m) admission hot path.
+/// behind the allocation-free admission hot path.
 ///
 /// Every immediate-commitment algorithm in this library tracks one number
 /// per machine: the absolute completion time of its last committed job (the
@@ -8,10 +8,17 @@
 /// a non-decreasing function of the frontier, so the *relative* order of the
 /// machines by load is time-invariant: sorting the frontiers once descending
 /// sorts the loads descending for every `now`. A commitment moves exactly
-/// one machine to a new frontier, which re-sorts with a single binary-search
-/// find plus one std::rotate of the displaced range — O(log m) compare cost
-/// and an amortized-cheap contiguous memmove — instead of the O(m log m)
-/// full sort the naive arrival loop pays.
+/// one machine to a new frontier, which re-sorts with one insertion pass
+/// over the displaced range — O(distance moved) — instead of the
+/// O(m log m) full sort the naive arrival loop pays.
+///
+/// Layout: the frontier values live in one array in sorted position
+/// order, beside the machine at each position and each machine's
+/// position. Every positional query (the Threshold scan, the binary
+/// searches, the run-head jumps, the idle-watermark advance) reads that
+/// array alone, with no id-to-value hop; a per-machine read goes through
+/// the machine's position. The insertion pass shifts value, id and
+/// position together.
 ///
 /// Order and tie-breaking: machines are kept sorted by (frontier descending,
 /// machine index ascending). The secondary index order reproduces, by
@@ -35,15 +42,18 @@
 /// paths untouched, bit for bit.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "common/expects.hpp"
 #include "common/time.hpp"
 
 namespace slacksched {
 
-/// Sorted multiset of machine frontiers with O(log m) point updates and
-/// the position/feasibility queries Algorithm 1 and the greedy baselines
+/// Sorted multiset of machine frontiers with insertion-pass point updates
+/// and the position/feasibility queries Algorithm 1 and the greedy baselines
 /// need. All storage is preallocated at construction; no member function
 /// allocates, so the arrival hot path built on top is allocation-free.
 class FrontierSet {
@@ -78,27 +88,48 @@ class FrontierSet {
 
   /// Frontier (absolute completion time of the last commitment) of a
   /// physical machine.
-  [[nodiscard]] TimePoint frontier(int machine) const;
+  [[nodiscard]] TimePoint frontier(int machine) const {
+    return frontier_at(position_of(machine));
+  }
 
   /// Machine occupying sorted position `position` (0 = largest frontier;
   /// ties ordered by ascending machine index).
-  [[nodiscard]] int machine_at(int position) const;
+  [[nodiscard]] int machine_at(int position) const {
+    SLACKSCHED_EXPECTS(position >= 0 && position < machines_);
+    return order_[static_cast<std::size_t>(position)];
+  }
 
   /// Frontier at sorted position `position`.
-  [[nodiscard]] TimePoint frontier_at(int position) const;
+  [[nodiscard]] TimePoint frontier_at(int position) const {
+    SLACKSCHED_EXPECTS(position >= 0 && position < machines_);
+    return sorted_[static_cast<std::size_t>(position)];
+  }
+
+  /// Every frontier in sorted position order (non-increasing); entry p
+  /// equals frontier_at(p). For scans that walk the order front to back.
+  [[nodiscard]] std::span<const TimePoint> sorted_frontiers() const {
+    return sorted_;
+  }
 
   /// Current sorted position of a physical machine.
-  [[nodiscard]] int position_of(int machine) const;
+  [[nodiscard]] int position_of(int machine) const {
+    SLACKSCHED_EXPECTS(machine >= 0 && machine < machines_);
+    return position_[static_cast<std::size_t>(machine)];
+  }
 
   /// Outstanding load of a physical machine at time `now`.
-  [[nodiscard]] Duration load(int machine, TimePoint now) const;
+  [[nodiscard]] Duration load(int machine, TimePoint now) const {
+    return std::max(0.0, frontier(machine) - now);
+  }
 
   /// Outstanding load at sorted position `position` (loads are
   /// non-increasing in the position for every `now`).
-  [[nodiscard]] Duration load_at(int position, TimePoint now) const;
+  [[nodiscard]] Duration load_at(int position, TimePoint now) const {
+    return std::max(0.0, frontier_at(position) - now);
+  }
 
-  /// Moves one machine to a new frontier and restores sorted order with a
-  /// binary-search find and a single rotate of the displaced range.
+  /// Moves one machine to a new frontier and restores sorted order with
+  /// one insertion pass that shifts the displaced entries by one position.
   void update(int machine, TimePoint frontier);
 
   /// Replaces every frontier at once (crash recovery): machine i gets
@@ -139,10 +170,6 @@ class FrontierSet {
   [[nodiscard]] int min_idle_machine(TimePoint now);
 
  private:
-  /// Strict weak order of the maintained sequence: larger frontier first,
-  /// ties by ascending machine index.
-  [[nodiscard]] bool ordered_before(int a, int b) const;
-
   /// First sorted position whose frontier is strictly below `value`.
   [[nodiscard]] int first_position_below(TimePoint value) const;
 
@@ -167,10 +194,10 @@ class FrontierSet {
   int machines_;
   /// Per-machine speeds; empty means identical machines (all s_i = 1).
   std::vector<double> speed_;
-  std::vector<TimePoint> frontier_;    ///< per physical machine
-  std::vector<std::int32_t> order_;    ///< machine ids, sorted
+  std::vector<TimePoint> sorted_;      ///< frontier at each sorted position
+  std::vector<std::int32_t> order_;    ///< machine at each sorted position
   std::vector<std::int32_t> position_; ///< inverse of order_
-  /// Bit i set iff frontier_[i] <= idle_watermark_.
+  /// Bit i set iff frontier(i) <= idle_watermark_.
   std::vector<std::uint64_t> idle_bits_;
   TimePoint idle_watermark_ = 0.0;
 };

@@ -35,11 +35,6 @@ double f_m_of_c(double c, int m, int k, std::vector<double>& scratch) {
 
 }  // namespace
 
-double RatioSolution::f_at(int q) const {
-  SLACKSCHED_EXPECTS(q >= k && q <= m);
-  return f[static_cast<std::size_t>(q - k)];
-}
-
 double RatioSolution::theorem2_bound() const {
   constexpr double kDelayedExecutionPenalty =
       (3.0 - 2.718281828459045235) / (2.718281828459045235 - 1.0);

@@ -18,6 +18,8 @@
 
 #include <vector>
 
+#include "common/expects.hpp"
+
 namespace slacksched {
 
 /// The solved recursion for one (eps, m) pair.
@@ -31,7 +33,10 @@ struct RatioSolution {
   std::vector<double> f;
 
   /// Accessor with the paper's 1-based q indexing. Requires k <= q <= m.
-  [[nodiscard]] double f_at(int q) const;
+  [[nodiscard]] double f_at(int q) const {
+    SLACKSCHED_EXPECTS(q >= k && q <= m);
+    return f[static_cast<std::size_t>(q - k)];
+  }
 
   /// Theorem 2's upper bound on Algorithm 1: c for k <= 3, else c + 0.164.
   [[nodiscard]] double theorem2_bound() const;

@@ -1,6 +1,7 @@
 #include "core/threshold.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "common/expects.hpp"
 
@@ -55,17 +56,19 @@ std::vector<Duration> ThresholdScheduler::loads(TimePoint now) const {
 }
 
 TimePoint ThresholdScheduler::deadline_threshold(TimePoint now) const {
-  // Position h (1-based, decreasing load) carries factor f_h for h >= k.
-  // The FrontierSet maintains that order incrementally, so no sort and no
-  // load snapshot: scan the maintained order and stop at the first idle
-  // machine — every later position has load 0 and contributes only `now`,
-  // which d_lim already starts from.
-  const RatioSolution& sol = solution_;
+  // Position h (1-based, decreasing load) carries factor f_h = f[h - k]
+  // for h >= k. The FrontierSet keeps the frontiers in that order, so no
+  // sort and no load snapshot: scan the sorted frontiers from position k
+  // and stop at the first idle machine — every later position has load 0
+  // and contributes only `now`, which d_lim already starts from.
+  const std::span<const TimePoint> sorted = frontier_.sorted_frontiers();
+  const std::span<const double> f = solution_.f;
+  const std::size_t first = static_cast<std::size_t>(solution_.k - 1);
   TimePoint d_lim = now;  // with zero loads the threshold is `now`
-  for (int h = sol.k; h <= sol.m; ++h) {
-    const TimePoint frontier = frontier_.frontier_at(h - 1);
+  for (std::size_t q = 0; q < f.size(); ++q) {
+    const TimePoint frontier = sorted[first + q];
     if (frontier <= now) break;
-    d_lim = std::max(d_lim, now + (frontier - now) * sol.f_at(h));
+    d_lim = std::max(d_lim, now + (frontier - now) * f[q]);
   }
   return d_lim;
 }

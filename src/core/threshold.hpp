@@ -46,11 +46,12 @@ struct ThresholdConfig {
 ///
 /// The arrival loop is sort-free and allocation-free: machine frontiers
 /// live in an incrementally maintained FrontierSet, the admission threshold
-/// is a descending scan over the maintained order with an early exit once
-/// loads hit zero, and best-fit allocation is a binary search for the most
-/// loaded feasible machine — O(log m) plus the scan/rotate lengths per
-/// arrival instead of the O(m log m) sort the naive loop pays. The
-/// decision stream is pinned byte-identical to the sort-based seed
+/// is one pass over its position-ordered frontiers and the f factors, both
+/// contiguous arrays, with an early exit once loads hit zero; best-fit
+/// allocation is a binary search for the most loaded feasible machine, and
+/// the commitment one insertion pass — O(log m) plus the scan and move
+/// lengths per arrival instead of the O(m log m) sort the naive loop pays.
+/// The decision stream is pinned byte-identical to the sort-based seed
 /// implementation (tests/support/threshold_reference.hpp) by randomized
 /// equivalence tests.
 class ThresholdScheduler final : public OnlineScheduler {

@@ -1,7 +1,10 @@
 #include "service/metrics_registry.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <span>
 #include <sstream>
 
 #include "common/expects.hpp"
@@ -53,12 +56,29 @@ MetricsRegistry::MetricsRegistry(int shards)
   const Histogram reference =
       Histogram::logarithmic(kAdmitLatencyLo, kAdmitLatencyHi,
                              kAdmitLatencyBins);
-  latency_edges_.reserve(kAdmitLatencyBins + 1);
   for (std::size_t bin = 0; bin < kAdmitLatencyBins; ++bin) {
-    latency_edges_.push_back(reference.bin_range(bin).first);
+    latency_edges_[bin] = reference.bin_range(bin).first;
   }
-  latency_edges_.push_back(
-      reference.bin_range(kAdmitLatencyBins - 1).second);
+  latency_edges_[kAdmitLatencyBins] =
+      reference.bin_range(kAdmitLatencyBins - 1).second;
+  std::ranges::fill(std::span(latency_edges_).last(2),
+                    std::numeric_limits<double>::infinity());
+  // One merge pass over the octaves and the edges. The smallest double
+  // whose biased exponent is e has the bit pattern e << 52 (0.0 for e = 0,
+  // +inf for e = 2047).
+  std::size_t at_or_below = 0;
+  for (std::size_t e = 0; e < edges_below_octave_.size(); ++e) {
+    const double lo = std::bit_cast<double>(std::uint64_t{e} << 52);
+    const std::size_t below_lo = at_or_below;
+    while (at_or_below <= kAdmitLatencyBins &&
+           latency_edges_[at_or_below] <= lo) {
+      ++at_or_below;
+    }
+    // Bins are 10^0.25 wide, so the octave below lo holds at most two
+    // edges: latency_bin's two compares reach every one of them.
+    SLACKSCHED_ENSURES(at_or_below - below_lo <= 2);
+    edges_below_octave_[e] = static_cast<std::uint8_t>(at_or_below);
+  }
 }
 
 void MetricsRegistry::on_enqueued(int shard, std::size_t count,
@@ -137,11 +157,17 @@ void MetricsRegistry::on_degraded_reject(int shard, std::size_t count) {
 }
 
 std::size_t MetricsRegistry::latency_bin(double seconds) const {
-  const auto it = std::upper_bound(latency_edges_.begin(),
-                                   latency_edges_.end(), seconds);
-  const auto raw = std::distance(latency_edges_.begin(), it);
-  if (raw <= 0) return 0;
-  return std::min(static_cast<std::size_t>(raw - 1), kAdmitLatencyBins - 1);
+  if (seconds < 0.0) return 0;
+  // How many edges are <= seconds: the octave's count, then the at most
+  // two edges inside the octave, compared without a branch. NaN reads
+  // the inf/NaN row and fails both compares, so it lands past the top
+  // edge, where std::upper_bound puts it.
+  const std::size_t exponent =
+      (std::bit_cast<std::uint64_t>(seconds) >> 52) & 0x7ff;
+  std::size_t edges = edges_below_octave_[exponent];
+  edges += static_cast<std::size_t>(latency_edges_[edges] <= seconds);
+  edges += static_cast<std::size_t>(latency_edges_[edges] <= seconds);
+  return std::clamp<std::size_t>(edges, 1, kAdmitLatencyBins) - 1;
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {

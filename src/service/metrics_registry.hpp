@@ -182,7 +182,12 @@ class MetricsRegistry {
         class_latency{};
   };
 
-  std::vector<double> latency_edges_;  ///< kAdmitLatencyBins + 1 edges
+  /// The kAdmitLatencyBins + 1 bin edges, then two +inf pads so
+  /// latency_bin's two compares stay inside the array.
+  std::array<double, kAdmitLatencyBins + 3> latency_edges_{};
+  /// Entry e: how many edges are <= the smallest double whose biased
+  /// binary exponent is e (0.0 for e = 0; +inf for e = 2047, inf and NaN).
+  std::array<std::uint8_t, 2048> edges_below_octave_{};
   std::unique_ptr<Slot[]> slots_;
   int shard_count_;
 };

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -264,7 +265,104 @@ TEST_P(FrontierSetRandomSweep, AgreesWithNaiveOracle) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Machines, FrontierSetRandomSweep,
-                         ::testing::Values(1, 2, 3, 7, 64, 200));
+                         ::testing::Values(1, 2, 3, 7, 64, 200, 1024));
+
+/// The position-ordered frontiers against the frontiers the caller set
+/// (`model`, per machine): every position holds its machine's value,
+/// position_of inverts machine_at, and the order is strictly (frontier
+/// descending, index ascending).
+::testing::AssertionResult coherent(const FrontierSet& set,
+                                    const std::vector<TimePoint>& model) {
+  const std::span<const TimePoint> sorted = set.sorted_frontiers();
+  if (sorted.size() != model.size()) {
+    return ::testing::AssertionFailure() << "sorted_frontiers() has "
+                                         << sorted.size() << " entries";
+  }
+  for (int p = 0; p < set.size(); ++p) {
+    const int machine = set.machine_at(p);
+    const TimePoint value = set.frontier_at(p);
+    if (set.frontier(machine) != model[static_cast<std::size_t>(machine)]) {
+      return ::testing::AssertionFailure()
+             << "machine " << machine << " holds " << set.frontier(machine)
+             << ", set to " << model[static_cast<std::size_t>(machine)];
+    }
+    if (value != set.frontier(machine) ||
+        sorted[static_cast<std::size_t>(p)] != value) {
+      return ::testing::AssertionFailure()
+             << "position " << p << " holds " << value << " / "
+             << sorted[static_cast<std::size_t>(p)] << ", its machine "
+             << machine << " " << set.frontier(machine);
+    }
+    if (set.position_of(machine) != p) {
+      return ::testing::AssertionFailure()
+             << "machine " << machine << " at position " << p
+             << " reports position " << set.position_of(machine);
+    }
+    if (p > 0) {
+      const int prev = set.machine_at(p - 1);
+      const TimePoint prev_value = set.frontier_at(p - 1);
+      if (!(prev_value > value || (prev_value == value && prev < machine))) {
+        return ::testing::AssertionFailure()
+               << "positions " << p - 1 << "," << p << " hold (" << prev_value
+               << ", " << prev << ") before (" << value << ", " << machine
+               << ")";
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Best-fit commitments (moves toward the front), arbitrary updates that
+/// also lower a frontier (moves toward the back), and the odd reset and
+/// assign, with coherence checked after every one. `whole_units` draws
+/// integer times and values, so many frontiers tie exactly.
+void expect_coherent_stream(int m, std::uint64_t seed, bool whole_units) {
+  Rng rng(seed);
+  FrontierSet set(m);
+  std::vector<TimePoint> model(static_cast<std::size_t>(m), 0.0);
+  ASSERT_TRUE(coherent(set, model));
+  TimePoint now = 0.0;
+  const auto later = [&](int span) {
+    return whole_units ? now + static_cast<double>(rng.uniform_int(0, span))
+                       : now + rng.uniform(0.0, static_cast<double>(span));
+  };
+  for (int step = 0; step < 3000; ++step) {
+    now = whole_units ? now + static_cast<double>(rng.uniform_int(0, 1))
+                      : now + rng.uniform(0.0, 1.5);
+    const double roll = rng.uniform(0.0, 1.0);
+    if (roll < 0.003) {
+      set.reset();
+      std::fill(model.begin(), model.end(), 0.0);
+    } else if (roll < 0.006) {
+      for (TimePoint& mark : model) mark = later(8);
+      ASSERT_TRUE(set.assign(model));
+    } else {
+      const Duration proc = whole_units ? 1.0 : rng.uniform(0.1, 5.0);
+      int machine = set.best_fit(now, proc, later(6) + proc);
+      TimePoint value = 0.0;
+      if (machine >= 0 && roll < 0.7) {
+        value = now + set.load(machine, now) + proc;
+      } else {
+        machine = static_cast<int>(rng.uniform_int(0, m - 1));
+        value = std::max(0.0, later(10) - 4.0);
+      }
+      set.update(machine, value);
+      model[static_cast<std::size_t>(machine)] = value;
+    }
+    ASSERT_TRUE(coherent(set, model)) << "step " << step;
+  }
+}
+
+TEST(FrontierSet, PositionOrderedFrontiersStayCoherent) {
+  for (const int m : {1, 2, 8, 64, 1024}) {
+    for (const bool whole_units : {false, true}) {
+      SCOPED_TRACE("m=" + std::to_string(m) +
+                   (whole_units ? ", exact ties" : ", seeded"));
+      expect_coherent_stream(m, 0xC0Au + static_cast<std::uint64_t>(m),
+                             whole_units);
+    }
+  }
+}
 
 /// Duplicate-heavy sweep: constant processing times force large
 /// equal-frontier runs, stressing the tie-breaking and run-jumping logic.

@@ -182,7 +182,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(GreedyPolicy::kBestFit,
                                          GreedyPolicy::kFirstFit,
                                          GreedyPolicy::kLeastLoaded),
-                       ::testing::Values(1, 2, 7, 64),
+                       ::testing::Values(1, 2, 7, 8, 16, 64),
                        ::testing::Values(0.1, 0.5, 1.0)));
 
 TEST(GreedyEquivalence, RunOnlineStreamsAreIdenticalOnGeneratedWorkloads) {

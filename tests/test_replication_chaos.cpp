@@ -112,7 +112,8 @@ std::uint64_t read_ledger(const std::string& dir, int shard) {
 std::vector<std::int64_t> read_told(const std::string& dir) {
   const std::string bytes = read_file(dir + "/accepted.bin");
   std::vector<std::int64_t> ids(bytes.size() / 8);
-  std::memcpy(ids.data(), bytes.data(), ids.size() * 8);
+  // An empty vector's data() may be null, which memcpy must not be given.
+  if (!ids.empty()) std::memcpy(ids.data(), bytes.data(), ids.size() * 8);
   return ids;
 }
 

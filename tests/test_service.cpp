@@ -10,9 +10,11 @@
 #include <barrier>
 #include <bit>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <new>
 #include <set>
@@ -22,6 +24,7 @@
 
 #include "baselines/greedy.hpp"
 #include "baselines/random_admission.hpp"
+#include "common/rng.hpp"
 #include "core/threshold.hpp"
 #include "models/delta_commit.hpp"
 #include "net/admission_server.hpp"
@@ -216,6 +219,43 @@ TEST(MetricsRegistry, SnapshotCopiesLatencyBinsExactly) {
   for (std::size_t bin = 0; bin < kAdmitLatencyBins; ++bin) {
     EXPECT_EQ(snap.admit_latency.count_in_bin(bin), 1u)
         << "count deposited in bin " << bin << " leaked to a neighbor";
+  }
+}
+
+TEST(MetricsRegistry, LatencyBinEqualsUpperBoundOverTheEdges) {
+  // latency_bin reads a per-exponent table and compares at most two
+  // edges; it must answer what a std::upper_bound over the same edges
+  // does, clamped into the bins, for every double.
+  MetricsRegistry registry(1);
+  const Histogram reference = Histogram::logarithmic(
+      kAdmitLatencyLo, kAdmitLatencyHi, kAdmitLatencyBins);
+  std::vector<double> edges;
+  for (std::size_t bin = 0; bin < kAdmitLatencyBins; ++bin) {
+    edges.push_back(reference.bin_range(bin).first);
+  }
+  edges.push_back(reference.bin_range(kAdmitLatencyBins - 1).second);
+  const auto expected_bin = [&](double seconds) {
+    const auto raw =
+        std::upper_bound(edges.begin(), edges.end(), seconds) - edges.begin();
+    if (raw <= 0) return std::size_t{0};
+    return std::min(static_cast<std::size_t>(raw - 1), kAdmitLatencyBins - 1);
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> probes = {0.0,   -0.0,  -1.0,   5e-324, 1e-12,
+                                1e300, kInf,  -kInf,  std::nan(""),
+                                -std::nan("")};
+  for (const double edge : edges) {
+    probes.push_back(edge);
+    probes.push_back(std::nextafter(edge, 0.0));
+    probes.push_back(std::nextafter(edge, kInf));
+  }
+  Rng rng(0xB1Au);
+  for (int i = 0; i < 100000; ++i) {
+    probes.push_back(std::pow(10.0, rng.uniform(-30.0, 5.0)));
+  }
+  for (const double probe : probes) {
+    ASSERT_EQ(registry.latency_bin(probe), expected_bin(probe))
+        << "latency " << probe;
   }
 }
 

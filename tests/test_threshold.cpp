@@ -368,7 +368,7 @@ TEST_P(ThresholdEquivalence, MatchesSeedDecisionForDecision) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ThresholdEquivalence,
     ::testing::Combine(::testing::Values(0.1, 0.5, 1.0),
-                       ::testing::Values(1, 2, 7, 64),
+                       ::testing::Values(1, 2, 7, 8, 16, 64),
                        ::testing::Values(StreamKind::kAdversarial,
                                          StreamKind::kBurst,
                                          StreamKind::kPoisson)));
