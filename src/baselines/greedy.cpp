@@ -65,8 +65,7 @@ Decision GreedyScheduler::on_arrival(const Job& job) {
       // First fit is inherently an index-order question; the early-exit
       // scan stops at the first feasible machine (usually machine 0).
       for (int i = 0; i < frontier_.size(); ++i) {
-        const Duration load = frontier_.load(i, t);
-        if (approx_le(t + load + frontier_.exec_time(i, job.proc),
+        if (approx_le(frontier_.start(i, t) + frontier_.exec_time(i, job.proc),
                       job.deadline)) {
           chosen = i;
           break;
@@ -76,7 +75,7 @@ Decision GreedyScheduler::on_arrival(const Job& job) {
   }
   if (chosen < 0) return Decision::reject();
 
-  const TimePoint start = t + frontier_.load(chosen, t);
+  const TimePoint start = frontier_.start(chosen, t);
   frontier_.update(chosen, start + frontier_.exec_time(chosen, job.proc));
   return Decision::accept(chosen, start);
 }

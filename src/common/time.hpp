@@ -9,6 +9,7 @@
 // default 1e-6).
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -54,6 +55,18 @@ inline constexpr TimePoint kTimeInfinity =
 [[nodiscard]] inline bool definitely_greater(double a, double b,
                                              double tol = kTimeEps) {
   return a > b + tol;
+}
+
+/// When work released at `now` starts on a machine busy until `frontier`:
+/// `now` plus the outstanding load, which is the frontier up to one
+/// rounding. Past 2^23, where an ulp exceeds kTimeEps, that rounding alone
+/// can land definitely before the frontier, overlapping the work that set
+/// it; the start is then the frontier itself. Below 2^23 it is always
+/// now + load, bit for bit.
+[[nodiscard]] inline TimePoint start_after(TimePoint frontier,
+                                           TimePoint now) {
+  const TimePoint start = now + std::max(0.0, frontier - now);
+  return definitely_less(start, frontier) ? frontier : start;
 }
 
 }  // namespace slacksched

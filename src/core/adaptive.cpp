@@ -34,16 +34,19 @@ Decision WideSlackScheduler::on_arrival(const Job& job) {
   int chosen = -1;
   Duration chosen_load = 0.0;
   for (int i = 0; i < machines_; ++i) {
-    const Duration load =
-        std::max(0.0, frontier_[static_cast<std::size_t>(i)] - t);
-    if (!approx_le(t + load + job.proc, job.deadline)) continue;
+    const TimePoint frontier = frontier_[static_cast<std::size_t>(i)];
+    const Duration load = std::max(0.0, frontier - t);
+    if (!approx_le(start_after(frontier, t) + job.proc, job.deadline)) {
+      continue;
+    }
     if (chosen < 0 || load < chosen_load) {
       chosen = i;
       chosen_load = load;
     }
   }
   if (chosen < 0) return Decision::reject();
-  const TimePoint start = t + chosen_load;
+  const TimePoint start =
+      start_after(frontier_[static_cast<std::size_t>(chosen)], t);
   frontier_[static_cast<std::size_t>(chosen)] = start + job.proc;
   return Decision::accept(chosen, start);
 }

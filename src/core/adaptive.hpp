@@ -27,6 +27,7 @@ class WideSlackScheduler final : public OnlineScheduler {
   [[nodiscard]] int machines() const override;
   void reset() override;
   [[nodiscard]] std::string name() const override;
+  [[nodiscard]] double assumed_slack() const override { return eps_; }
 
   /// The constant guarantee of the wide-slack regime.
   [[nodiscard]] static double guarantee() { return 3.0; }

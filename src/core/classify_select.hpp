@@ -41,6 +41,7 @@ class ClassifySelectScheduler final : public OnlineScheduler {
   void reset() override;
 
   [[nodiscard]] std::string name() const override;
+  [[nodiscard]] double assumed_slack() const override { return config_.eps; }
 
   /// The virtual machine currently selected (for tests).
   [[nodiscard]] int selected_machine() const { return selected_; }

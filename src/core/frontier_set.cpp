@@ -131,7 +131,7 @@ int FrontierSet::first_position_below(TimePoint value) const {
 
 int FrontierSet::best_fit(TimePoint now, Duration proc, TimePoint deadline) {
   if (!speed_.empty()) return best_fit_scan(now, proc, deadline);
-  // Loads are non-increasing in the sorted position and floating-point
+  // Starts are non-increasing in the sorted position and floating-point
   // addition is weakly monotone, so feasibility splits the order into an
   // infeasible prefix and a feasible suffix; the first feasible position
   // carries the maximum feasible load.
@@ -139,7 +139,7 @@ int FrontierSet::best_fit(TimePoint now, Duration proc, TimePoint deadline) {
   int hi = machines_;
   while (lo < hi) {
     const int mid = lo + (hi - lo) / 2;
-    if (approx_le(now + load_at(mid, now) + proc, deadline)) {
+    if (approx_le(start_at(mid, now) + proc, deadline)) {
       hi = mid;
     } else {
       lo = mid + 1;
@@ -185,7 +185,7 @@ int FrontierSet::least_loaded_fit(TimePoint now, Duration proc,
   // The last position holds the minimum load, and feasibility is monotone
   // in the position, so the least loaded machine is feasible iff any is.
   const int tail = machines_ - 1;
-  if (!approx_le(now + load_at(tail, now) + proc, deadline)) return -1;
+  if (!approx_le(start_at(tail, now) + proc, deadline)) return -1;
   const Duration min_load = load_at(tail, now);
   int lo = 0;
   int hi = tail;

@@ -128,6 +128,18 @@ class FrontierSet {
     return std::max(0.0, frontier_at(position) - now);
   }
 
+  /// When a job released at `now` starts on a physical machine
+  /// (start_after its frontier).
+  [[nodiscard]] TimePoint start(int machine, TimePoint now) const {
+    return start_after(frontier(machine), now);
+  }
+
+  /// start() for the machine at sorted position `position` (non-increasing
+  /// in the position for every `now`).
+  [[nodiscard]] TimePoint start_at(int position, TimePoint now) const {
+    return start_after(frontier_at(position), now);
+  }
+
   /// Moves one machine to a new frontier and restores sorted order with
   /// one insertion pass that shifts the displaced entries by one position.
   void update(int machine, TimePoint frontier);

@@ -101,7 +101,7 @@ Decision ThresholdScheduler::on_arrival(const Job& job) {
   // < l (1+eps)/eps = l * f_m <= d_lim - t <= d - t). So acceptance always
   // allocates.
 
-  const TimePoint start = t + frontier_.load(best, t);
+  const TimePoint start = frontier_.start(best, t);
   frontier_.update(best, start + frontier_.exec_time(best, job.proc));
   return Decision::accept(best, start);
 }

@@ -65,6 +65,7 @@ class ThresholdScheduler final : public OnlineScheduler {
   [[nodiscard]] int machines() const override;
   void reset() override;
   [[nodiscard]] std::string name() const override;
+  [[nodiscard]] double assumed_slack() const override { return config_.eps; }
   [[nodiscard]] const SpeedProfile* speed_profile() const override;
 
   /// Threshold's entire mutable state is the machine frontiers, so the

@@ -3,11 +3,11 @@
 // the slack condition d_j >= (1 + eps) * p_j + r_j.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 
 #include "common/time.hpp"
-#include "policy/criticality.hpp"
 
 namespace slacksched {
 
@@ -20,12 +20,6 @@ struct Job {
   TimePoint release = 0.0;   ///< r_j: submission time
   Duration proc = 0.0;       ///< p_j: processing time, > 0
   TimePoint deadline = 0.0;  ///< d_j: absolute deadline
-  /// Admission criticality class (policy/criticality.hpp). Defaults to the
-  /// lowest class, so instances that predate the class dimension — and the
-  /// WAL / wire codecs, which do not carry it — behave exactly as before.
-  /// The class steers gateway load shedding only; the scheduling algorithms
-  /// and the commitment guarantee are class-blind.
-  Criticality criticality = Criticality::kBackground;
 
   /// The window length d_j - r_j available to the job.
   [[nodiscard]] Duration window() const { return deadline - release; }
@@ -46,6 +40,16 @@ struct Job {
   /// Structurally valid: positive processing time, deadline after release.
   [[nodiscard]] bool structurally_valid() const {
     return proc > 0.0 && deadline > release && release >= 0.0;
+  }
+
+  /// The served instance class at slack `eps`: finite fields, structurally
+  /// valid, and the slack condition (3). The service refuses every other
+  /// job at ingest (Outcome::kRejectedInvalid), so no scheduler is asked to
+  /// decide a job its guarantee does not cover.
+  [[nodiscard]] bool servable(double eps) const {
+    return std::isfinite(release) && std::isfinite(proc) &&
+           std::isfinite(deadline) && structurally_valid() &&
+           satisfies_slack(eps);
   }
 
   [[nodiscard]] std::string to_string() const {

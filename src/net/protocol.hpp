@@ -151,10 +151,9 @@ void encode_error(std::vector<char>& out, std::string_view message);
                                 std::string* error);
 /// Decodes a SUBMIT_BATCH payload straight into `jobs`, reusing its
 /// storage across calls (resized to the batch's count; capacity is kept),
-/// field by field: a wire job carries no criticality, so every decoded
-/// job gets the default class. The server's ingest path calls this with
-/// a per-loop scratch vector so a SUBMIT_BATCH reaches the gateway's span
-/// ingest with zero per-frame allocations.
+/// field by field. The server's ingest path calls this with a per-loop
+/// scratch vector so a SUBMIT_BATCH reaches the gateway's span ingest with
+/// zero per-frame allocations.
 [[nodiscard]] bool parse_submit_batch_into(const Frame& frame,
                                            std::uint64_t& base_request_id,
                                            std::vector<Job>& jobs,

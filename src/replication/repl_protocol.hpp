@@ -25,7 +25,7 @@
 ///   follower: NACK{reason, detail}             (fail-safe refusal: the
 ///             session ends, nothing was persisted from the bad frame)
 ///
-/// APPEND payloads carry raw commit-log records byte-for-byte (the 56-byte
+/// APPEND payloads carry raw commit-log records byte-for-byte (the 52-byte
 /// kWalRecordBytes frame of service/commit_log.hpp, each independently
 /// CRC-framed), so a follower's log is verbatim-identical to the leader's
 /// and replays through the exact same recover_commit_log path.

@@ -47,7 +47,7 @@
 namespace slacksched::repl {
 
 /// Records per catch-up APPEND: as many as the protocol's payload cap holds
-/// (18,724), so a 95k-record history ships in a handful of frames.
+/// (20,164), so a 95k-record history ships in a handful of frames.
 inline constexpr std::size_t kCatchUpRecords =
     (kMaxReplPayload - (kAppendPrefixBytes - kReplHeaderSize)) /
     kWalRecordBytes;

@@ -75,6 +75,12 @@ class OnlineScheduler {
     return CommitmentContract{};
   }
 
+  /// The slack eps the scheduler's guarantee assumes of every job:
+  /// d_j >= (1 + eps) p_j + r_j (Job::satisfies_slack). The service refuses
+  /// a job without it at ingest (Job::servable). The default, 0, asks only
+  /// that the job fit its window.
+  [[nodiscard]] virtual double assumed_slack() const { return 0.0; }
+
   /// The machine-speed model, or nullptr for identical machines (the
   /// default). The pointed-to profile must outlive the scheduler's use.
   [[nodiscard]] virtual const SpeedProfile* speed_profile() const {

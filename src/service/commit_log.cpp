@@ -10,7 +10,6 @@
 
 #include "common/expects.hpp"
 #include "common/wire.hpp"
-#include "policy/criticality.hpp"
 
 namespace slacksched {
 
@@ -18,7 +17,7 @@ namespace {
 
 using wire::put;
 
-/// Records per scan_wal read: 896 KiB, a few reads for a long history.
+/// Records per scan_wal read: 832 KiB, a few reads for a long history.
 constexpr std::size_t kScanRecords = 16384;
 
 std::string errno_text(const std::string& what, const std::string& path) {
@@ -64,7 +63,6 @@ void encode_wal_record(const Job& job, int machine, TimePoint start,
   put(out, job.proc);
   put(out, job.deadline);
   put(out, static_cast<std::int32_t>(machine));
-  put(out, static_cast<std::uint32_t>(criticality_index(job.criticality)));
   put(out, start);
   SLACKSCHED_ENSURES(out.size() - frame == kWalRecordBytes);
   wire::patch(out, frame + 4,
@@ -79,7 +77,7 @@ std::size_t wal_intact_records(const char* records, std::size_t count) {
   return wire::intact_records(records, count, kWalPayloadBytes);
 }
 
-bool decode_wal_record(const char* record, Job& job, int& machine,
+void decode_wal_record(const char* record, Job& job, int& machine,
                        TimePoint& start) {
   const char* cursor = record + kWalFrameBytes;
   job.id = static_cast<JobId>(wire::get<std::int64_t>(&cursor));
@@ -87,11 +85,7 @@ bool decode_wal_record(const char* record, Job& job, int& machine,
   job.proc = wire::get<double>(&cursor);
   job.deadline = wire::get<double>(&cursor);
   machine = static_cast<int>(wire::get<std::int32_t>(&cursor));
-  const auto criticality = wire::get<std::uint32_t>(&cursor);
   start = wire::get<double>(&cursor);
-  if (criticality >= kCriticalityCount) return false;
-  job.criticality = static_cast<Criticality>(criticality);
-  return true;
 }
 
 int open_wal(const std::string& path, int machines, WalMode mode,

@@ -9,10 +9,10 @@
 //
 // On-disk format (little-endian, fixed-width):
 //
-//   header   : magic "SLKWAL03" (8) | u32 version | u32 machines     = 16 B
-//   record   : u32 payload_len (=48) | u32 crc32c(payload) | payload = 56 B
+//   header   : magic "SLKWAL04" (8) | u32 version | u32 machines     = 16 B
+//   record   : u32 payload_len (=44) | u32 crc32c(payload) | payload = 52 B
 //   payload  : i64 job_id | f64 release | f64 proc | f64 deadline
-//              | i32 machine | u32 criticality | f64 start           = 48 B
+//              | i32 machine | f64 start                             = 44 B
 //
 // The CRC frames each record independently: a record whose frame or
 // payload is short, whose length field is implausible, or whose CRC does
@@ -51,12 +51,12 @@ enum class FsyncPolicy : std::uint8_t {
 
 [[nodiscard]] std::string to_string(FsyncPolicy policy);
 
-/// A new record checksum is a new magic and version: a log in an older
-/// format is refused by its header, never read as a torn tail.
-inline constexpr char kWalMagic[8] = {'S', 'L', 'K', 'W', 'A', 'L', '0', '3'};
-inline constexpr std::uint32_t kWalVersion = 3;
+/// A new record layout or checksum is a new magic and version: a log in an
+/// older format is refused by its header, never read as a torn tail.
+inline constexpr char kWalMagic[8] = {'S', 'L', 'K', 'W', 'A', 'L', '0', '4'};
+inline constexpr std::uint32_t kWalVersion = 4;
 inline constexpr std::size_t kWalHeaderBytes = 16;
-inline constexpr std::size_t kWalPayloadBytes = 48;
+inline constexpr std::size_t kWalPayloadBytes = 44;
 inline constexpr std::size_t kWalFrameBytes = 8;
 inline constexpr std::size_t kWalRecordBytes =
     kWalFrameBytes + kWalPayloadBytes;
@@ -233,10 +233,8 @@ void encode_wal_record(const Job& job, int machine, TimePoint start,
                        std::vector<char>& out);
 
 /// Decodes one intact record into the committed job and its placement.
-/// False when its criticality lies outside the class range — corruption
-/// the CRC cannot see.
-[[nodiscard]] bool decode_wal_record(const char* record, Job& job,
-                                     int& machine, TimePoint& start);
+void decode_wal_record(const char* record, Job& job, int& machine,
+                       TimePoint& start);
 
 /// How many of the `count` records at `records` (count * kWalRecordBytes
 /// bytes) are intact before the first that is not: its length field is

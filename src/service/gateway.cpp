@@ -64,11 +64,6 @@ std::vector<std::string> GatewayConfig::validate() const {
                      "is set (got " + std::to_string(metrics_period.count()) +
                      "ms): the publisher would busy-loop");
   }
-  if (shed_policy.has_value()) {
-    for (const std::string& problem : shed_policy->validate()) {
-      errors.push_back("shed_policy: " + problem);
-    }
-  }
   if (replication.has_value()) {
     if (wal_dir.empty()) {
       errors.push_back(
@@ -157,7 +152,11 @@ AdmissionGateway::AdmissionGateway(const GatewayConfig& config,
     shards_.push_back(std::make_unique<Shard>(
         s, [factory, s] { return factory(s); }, shard_config, metrics_));
   }
-  for (auto& shard : shards_) shard->start();
+  for (auto& shard : shards_) {
+    shard->start();
+    served_slack_ =
+        std::max(served_slack_, shard->scheduler().assumed_slack());
+  }
   supervisor_ = std::make_unique<ShardSupervisor>(shards_, config.supervisor);
   supervisor_->start();
   if (!config.metrics_textfile.empty()) {
@@ -215,9 +214,9 @@ BatchSubmitResult AdmissionGateway::submit_batch(std::span<const Job> jobs,
   // jobs are refused with retry-after, never sent to another shard.
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const Job& job = jobs[i];
-    // A job no scheduler may see (proc <= 0, deadline <= release, negative
-    // release or NaN) is refused here, before it can reach a worker.
-    if (!job.structurally_valid()) {
+    // A job outside the served instance class is refused here, before
+    // it can reach a scheduler whose guarantee does not cover it.
+    if (!job.servable(served_slack_)) {
       ++result.rejected_invalid;
       report(i, Outcome::kRejectedInvalid);
       continue;
@@ -230,22 +229,6 @@ BatchSubmitResult AdmissionGateway::submit_batch(std::span<const Job> jobs,
       report(i, Outcome::kRejectedRetryAfter);
       continue;
     }
-    Shard& shard = *shards_[static_cast<std::size_t>(shard_index)];
-    std::vector<std::uint32_t>& group =
-        groups[static_cast<std::size_t>(shard_index)];
-    // Class-aware shed gate, against the occupancy the job would actually
-    // see: the live queue size plus what this batch already grouped for
-    // the shard (a single huge batch must not bypass the thresholds).
-    if (config_.shed_policy.has_value() &&
-        config_.shed_policy->should_shed(job.criticality,
-                                         shard.queue_size() + group.size(),
-                                         config_.queue_capacity)) {
-      ++result.rejected_criticality;
-      metrics_.on_class_shed(shard_index, job.criticality);
-      trace(shard_index, job.id, Outcome::kRejectedCriticality);
-      report(i, Outcome::kRejectedCriticality);
-      continue;
-    }
     // Simulated ingest drop: refuses exactly this job, as a full queue
     // would, whether it arrived alone or in a batch.
     if (SLACKSCHED_FAULT_FIRES(config_.fault_injector, FaultSite::kEnqueue,
@@ -255,7 +238,8 @@ BatchSubmitResult AdmissionGateway::submit_batch(std::span<const Job> jobs,
       report(i, Outcome::kRejectedQueueFull);
       continue;
     }
-    group.push_back(static_cast<std::uint32_t>(i));
+    groups[static_cast<std::size_t>(shard_index)].push_back(
+        static_cast<std::uint32_t>(i));
   }
 
   const auto now = Shard::Clock::now();

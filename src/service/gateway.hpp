@@ -36,7 +36,6 @@
 #include <string>
 #include <vector>
 
-#include "policy/shed_policy.hpp"
 #include "replication/replicator.hpp"
 #include "sched/metrics.hpp"
 #include "sched/online.hpp"
@@ -110,14 +109,6 @@ struct GatewayConfig {
   /// Optional deterministic fault injector (tests/benches only).
   FaultInjector* fault_injector = nullptr;
 
-  // --- criticality (see docs/service.md) ---
-  /// Class-aware load shedding (policy/shed_policy.hpp): under queue
-  /// pressure, low-criticality jobs are shed with kRejectedCriticality
-  /// before they touch the queue, per-class occupancy thresholds, lowest
-  /// class first. Disengaged = the original class-blind behavior (only a
-  /// truly full ring sheds, with kRejectedQueueFull).
-  std::optional<ShedPolicyConfig> shed_policy;
-
   // --- observability (see docs/observability.md) ---
   /// Record one TraceEvent per rendered decision and ingest refusal into
   /// per-shard lock-free rings (service/trace_ring.hpp). Drop-on-full:
@@ -162,10 +153,7 @@ struct BatchSubmitResult {
   std::size_t rejected_queue_full = 0;
   std::size_t rejected_closed = 0;
   std::size_t rejected_retry_after = 0;
-  /// Shed by the class-aware policy (kRejectedCriticality); always 0
-  /// without GatewayConfig::shed_policy.
-  std::size_t rejected_criticality = 0;
-  /// Refused as not structurally valid (kRejectedInvalid).
+  /// Refused as outside the served instance class (kRejectedInvalid).
   std::size_t rejected_invalid = 0;
 };
 
@@ -216,15 +204,16 @@ class AdmissionGateway {
   /// WAL usually before submit returns, on the calling thread.
   [[nodiscard]] Outcome submit(const Job& job, std::uint64_t route_ctx = 0);
 
-  /// The gateway's only ingest path. Non-blocking: refuses a job that is
-  /// not structurally valid with kRejectedInvalid, routes every other job,
-  /// refuses one whose shard is unavailable with kRejectedRetryAfter,
-  /// applies the class-aware shed gate, then claims each shard's group
-  /// with one CAS on that shard's lock-free ring. Jobs keep their relative
-  /// order within a shard. When `statuses` is non-empty it must have
-  /// jobs.size() entries and receives the per-job outcome. jobs[i] is
-  /// echoed to on_decision with `route_ctx + i` (0 when `route_ctx` is 0),
-  /// so a producer can number a batch's jobs with one value.
+  /// The gateway's only ingest path. Non-blocking: refuses with
+  /// kRejectedInvalid a job outside the served instance class
+  /// (Job::servable at served_slack()), routes every other job, refuses
+  /// one whose shard is unavailable with kRejectedRetryAfter, then claims
+  /// each shard's group with one CAS on that shard's lock-free ring. Jobs
+  /// keep their relative order within a shard. When `statuses` is
+  /// non-empty it must have jobs.size() entries and receives the per-job
+  /// outcome. jobs[i] is echoed to on_decision with `route_ctx + i` (0 when
+  /// `route_ctx` is 0), so a producer can number a batch's jobs with one
+  /// value.
   ///
   /// Once every group is queued, each shard is handed its jobs
   /// (Shard::hand_off). On a shard without a WAL whose consumer role is
@@ -292,8 +281,14 @@ class AdmissionGateway {
   [[nodiscard]] const GatewayConfig& config() const { return config_; }
   [[nodiscard]] int shards() const { return config_.shards; }
 
+  /// The slack ingest requires of every job: the largest slack any
+  /// shard's scheduler assumes (OnlineScheduler::assumed_slack), read once
+  /// at construction.
+  [[nodiscard]] double served_slack() const { return served_slack_; }
+
  private:
   GatewayConfig config_;
+  double served_slack_ = 0.0;
   MetricsRegistry metrics_;
   ShardRouter router_;
   /// One global seq counter + one ring per shard; declared before shards_

@@ -1,10 +1,8 @@
 #include "service/metrics_exporter.hpp"
 
-#include <array>
 #include <sstream>
 
 #include "common/csv.hpp"
-#include "policy/criticality.hpp"
 #include "service/gateway.hpp"
 #include "service/outcome.hpp"
 
@@ -123,7 +121,8 @@ std::string render_prometheus(const ExporterInput& input,
     // cells and the wire protocol's outcome names. kRejectedClosed is not
     // emitted — refusals after shutdown happen outside the metrics window —
     // nor is kRejectedInvalid, refused before routing gives it a shard; the
-    // submitter's BatchSubmitResult counts both. kFailover is retired.
+    // submitter's BatchSubmitResult counts both. kFailover and
+    // kRejectedCriticality are retired.
     struct OutcomeField {
       Outcome outcome;
       std::size_t ShardMetricsSnapshot::* member;
@@ -136,8 +135,6 @@ std::string render_prometheus(const ExporterInput& input,
          &ShardMetricsSnapshot::backpressure_rejected},
         {Outcome::kRejectedRetryAfter,
          &ShardMetricsSnapshot::degraded_rejected},
-        {Outcome::kRejectedCriticality,
-         &ShardMetricsSnapshot::criticality_shed},
     };
     FamilyWriter family(
         os, options.prefix, "outcomes_total",
@@ -147,42 +144,6 @@ std::string render_prometheus(const ExporterInput& input,
       family.sample("outcome=\"" + std::string(outcome_label(field.outcome)) +
                         "\"",
                     std::to_string(snap.total.*field.member));
-    }
-  }
-
-  {
-    // Per-criticality-class outcome counters. The `class` label values are
-    // the frozen criticality_label() registry (policy/criticality.hpp);
-    // the `outcome` label values reuse the outcome registry above. The
-    // "criticality" outcome counts jobs the class-aware shed policy
-    // refused — by construction it is zero for the top class only under
-    // correct low-before-high ordering.
-    struct ClassOutcomeField {
-      Outcome outcome;
-      std::array<std::size_t, kCriticalityCount> ShardMetricsSnapshot::*
-          member;
-    };
-    static constexpr ClassOutcomeField kClassOutcomeFields[] = {
-        {Outcome::kEnqueued, &ShardMetricsSnapshot::class_enqueued},
-        {Outcome::kAccepted, &ShardMetricsSnapshot::class_accepted},
-        {Outcome::kRejected, &ShardMetricsSnapshot::class_rejected},
-        {Outcome::kRejectedCriticality, &ShardMetricsSnapshot::class_shed},
-    };
-    FamilyWriter family(
-        os, options.prefix, "class_outcomes_total",
-        "Submission outcomes keyed by criticality class and outcome.",
-        "counter");
-    for (std::uint8_t cls = 0; cls < kCriticalityCount; ++cls) {
-      const std::string class_label =
-          "class=\"" +
-          std::string(criticality_label(static_cast<Criticality>(cls))) +
-          "\"";
-      for (const ClassOutcomeField& field : kClassOutcomeFields) {
-        family.sample(class_label + ",outcome=\"" +
-                          std::string(outcome_label(field.outcome)) + "\"",
-                      std::to_string(
-                          (snap.total.*field.member)[cls]));
-      }
     }
   }
 
@@ -245,35 +206,6 @@ std::string render_prometheus(const ExporterInput& input,
     family.sample("le=\"+Inf\"", std::to_string(cumulative), "_bucket");
     family.sample("", fmt(snap.total.latency_sum_seconds), "_sum");
     family.sample("", std::to_string(cumulative), "_count");
-  }
-
-  {
-    // Per-class admit-latency histograms: same log-spaced edges as the
-    // merged histogram above, one labelled series per criticality class.
-    // The registry clamps into the edge bins, so the top bin already plays
-    // the +Inf role and the +Inf bucket equals _count exactly.
-    const Histogram& edges = snap.admit_latency;
-    FamilyWriter family(
-        os, options.prefix, "class_admit_latency_seconds",
-        "Queue-entry to decision-rendered wall time by criticality class.",
-        "histogram");
-    for (std::uint8_t cls = 0; cls < kCriticalityCount; ++cls) {
-      const std::string class_label =
-          "class=\"" +
-          std::string(criticality_label(static_cast<Criticality>(cls))) +
-          "\"";
-      std::uint64_t cumulative = 0;
-      for (std::size_t bin = 0; bin < kAdmitLatencyBins; ++bin) {
-        cumulative += snap.class_latency_bins[cls][bin];
-        family.sample(class_label + ",le=\"" +
-                          fmt(edges.bin_range(bin).second) + "\"",
-                      std::to_string(cumulative), "_bucket");
-      }
-      family.sample(class_label + ",le=\"+Inf\"",
-                    std::to_string(cumulative), "_bucket");
-      family.sample(class_label, fmt(snap.class_latency_sum[cls]), "_sum");
-      family.sample(class_label, std::to_string(cumulative), "_count");
-    }
   }
 
   if (!input.health.empty()) {

@@ -81,12 +81,10 @@ MetricsRegistry::MetricsRegistry(int shards)
   }
 }
 
-void MetricsRegistry::on_enqueued(int shard, std::size_t count,
-                                  Criticality criticality) {
+void MetricsRegistry::on_enqueued(int shard, std::size_t count) {
   if (count == 0) return;
   Slot& slot = slots_[static_cast<std::size_t>(shard)];
-  slot.class_enqueued[criticality_index(criticality)].fetch_add(
-      count, std::memory_order_relaxed);
+  slot.enqueued.fetch_add(count, std::memory_order_relaxed);
   const auto depth = slot.queue_depth.fetch_add(
                          static_cast<std::int64_t>(count),
                          std::memory_order_relaxed) +
@@ -98,12 +96,6 @@ void MetricsRegistry::on_backpressure(int shard, std::size_t count) {
   if (count == 0) return;
   slots_[static_cast<std::size_t>(shard)].backpressure_rejected.fetch_add(
       count, std::memory_order_relaxed);
-}
-
-void MetricsRegistry::on_class_shed(int shard, Criticality criticality) {
-  slots_[static_cast<std::size_t>(shard)]
-      .class_shed[criticality_index(criticality)]
-      .fetch_add(1, std::memory_order_relaxed);
 }
 
 void MetricsRegistry::on_batch(int shard, std::size_t popped) {
@@ -122,20 +114,18 @@ void MetricsRegistry::on_wal_sync(int shard) {
 
 std::size_t MetricsRegistry::on_decision(int shard, double job_volume,
                                          bool accepted,
-                                         double latency_seconds,
-                                         Criticality criticality) {
+                                         double latency_seconds) {
   Slot& slot = slots_[static_cast<std::size_t>(shard)];
-  const std::size_t cls = criticality_index(criticality);
   if (accepted) {
-    accumulate(slot.class_accepted[cls], std::uint64_t{1});
+    accumulate(slot.accepted, std::uint64_t{1});
     accumulate(slot.accepted_volume, job_volume);
   } else {
-    accumulate(slot.class_rejected[cls], std::uint64_t{1});
+    accumulate(slot.rejected, std::uint64_t{1});
     accumulate(slot.rejected_volume, job_volume);
   }
-  accumulate(slot.class_latency_sum[cls], latency_seconds);
+  accumulate(slot.latency_sum, latency_seconds);
   const std::size_t bin = latency_bin(latency_seconds);
-  accumulate(slot.class_latency[cls][bin], std::uint64_t{1});
+  accumulate(slot.latency[bin], std::uint64_t{1});
   return bin;
 }
 
@@ -177,6 +167,11 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   for (int shard = 0; shard < shard_count_; ++shard) {
     const Slot& slot = slots_[static_cast<std::size_t>(shard)];
     ShardMetricsSnapshot& row = snap.shards[static_cast<std::size_t>(shard)];
+    row.enqueued = slot.enqueued.load(std::memory_order_relaxed);
+    row.accepted = slot.accepted.load(std::memory_order_relaxed);
+    row.rejected = slot.rejected.load(std::memory_order_relaxed);
+    row.submitted = row.accepted + row.rejected;
+    row.latency_sum_seconds = slot.latency_sum.load(std::memory_order_relaxed);
     row.backpressure_rejected =
         slot.backpressure_rejected.load(std::memory_order_relaxed);
     row.accepted_volume = slot.accepted_volume.load(std::memory_order_relaxed);
@@ -193,32 +188,9 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     row.wal_truncations = slot.wal_truncations.load(std::memory_order_relaxed);
     row.degraded_rejected =
         slot.degraded_rejected.load(std::memory_order_relaxed);
-    for (std::size_t cls = 0; cls < kCriticalityCount; ++cls) {
-      row.class_enqueued[cls] =
-          slot.class_enqueued[cls].load(std::memory_order_relaxed);
-      row.class_accepted[cls] =
-          slot.class_accepted[cls].load(std::memory_order_relaxed);
-      row.class_rejected[cls] =
-          slot.class_rejected[cls].load(std::memory_order_relaxed);
-      row.class_shed[cls] =
-          slot.class_shed[cls].load(std::memory_order_relaxed);
-      const double class_latency_sum =
-          slot.class_latency_sum[cls].load(std::memory_order_relaxed);
-      // The class-blind counts are sums over the classes.
-      row.enqueued += row.class_enqueued[cls];
-      row.accepted += row.class_accepted[cls];
-      row.rejected += row.class_rejected[cls];
-      row.criticality_shed += row.class_shed[cls];
-      row.latency_sum_seconds += class_latency_sum;
-      snap.class_latency_sum[cls] += class_latency_sum;
-      for (std::size_t bin = 0; bin < kAdmitLatencyBins; ++bin) {
-        const std::uint64_t count =
-            slot.class_latency[cls][bin].load(std::memory_order_relaxed);
-        snap.class_latency_bins[cls][bin] += count;
-        bins[bin] += count;
-      }
+    for (std::size_t bin = 0; bin < kAdmitLatencyBins; ++bin) {
+      bins[bin] += slot.latency[bin].load(std::memory_order_relaxed);
     }
-    row.submitted = row.accepted + row.rejected;
 
     snap.total.enqueued += row.enqueued;
     snap.total.submitted += row.submitted;
@@ -239,13 +211,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     snap.total.wal_records_replayed += row.wal_records_replayed;
     snap.total.wal_truncations += row.wal_truncations;
     snap.total.degraded_rejected += row.degraded_rejected;
-    snap.total.criticality_shed += row.criticality_shed;
-    for (std::size_t cls = 0; cls < kCriticalityCount; ++cls) {
-      snap.total.class_enqueued[cls] += row.class_enqueued[cls];
-      snap.total.class_accepted[cls] += row.class_accepted[cls];
-      snap.total.class_rejected[cls] += row.class_rejected[cls];
-      snap.total.class_shed[cls] += row.class_shed[cls];
-    }
   }
   for (std::size_t bin = 0; bin < kAdmitLatencyBins; ++bin) {
     if (bins[bin] == 0) continue;

@@ -24,7 +24,6 @@
 
 #include "common/histogram.hpp"
 #include "common/time.hpp"
-#include "policy/criticality.hpp"
 
 namespace slacksched {
 
@@ -60,16 +59,6 @@ struct ShardMetricsSnapshot {
   std::size_t wal_truncations = 0;       ///< torn tails truncated
   std::size_t degraded_rejected = 0;  ///< refused: this shard unavailable
 
-  // --- criticality classes (policy/criticality.hpp) ---
-  /// Jobs shed with kRejectedCriticality: the class-aware policy refused
-  /// them under queue pressure. Sum of class_shed.
-  std::size_t criticality_shed = 0;
-  /// Per-class counters, indexed by the Criticality wire value.
-  std::array<std::size_t, kCriticalityCount> class_enqueued{};
-  std::array<std::size_t, kCriticalityCount> class_accepted{};
-  std::array<std::size_t, kCriticalityCount> class_rejected{};
-  std::array<std::size_t, kCriticalityCount> class_shed{};
-
   [[nodiscard]] double acceptance_rate() const {
     return submitted == 0
                ? 0.0
@@ -89,12 +78,6 @@ struct MetricsSnapshot {
   ShardMetricsSnapshot total;
   Histogram admit_latency = Histogram::logarithmic(
       kAdmitLatencyLo, kAdmitLatencyHi, kAdmitLatencyBins);
-  /// Per-class admit-latency bins and sums, merged across shards (same
-  /// log-spaced edges as admit_latency). Plain counts: the exporter
-  /// renders cumulative `le` buckets from them directly.
-  std::array<std::array<std::uint64_t, kAdmitLatencyBins>, kCriticalityCount>
-      class_latency_bins{};
-  std::array<double, kCriticalityCount> class_latency_sum{};
 
   [[nodiscard]] std::string to_string() const;
 };
@@ -105,25 +88,20 @@ class MetricsRegistry {
   explicit MetricsRegistry(int shards);
 
   // --- writer side (producers) ---
-  /// Records `count` jobs of one class entering the shard's queue.
-  void on_enqueued(int shard, std::size_t count = 1,
-                   Criticality criticality = Criticality::kBackground);
+  /// Records `count` jobs entering the shard's queue.
+  void on_enqueued(int shard, std::size_t count = 1);
   void on_backpressure(int shard, std::size_t count = 1);
-  /// Records one job shed by the class-aware policy (kRejectedCriticality).
-  void on_class_shed(int shard, Criticality criticality);
 
   // --- writer side (the holder of the shard's consumer role) ---
   void on_batch(int shard, std::size_t popped);
   /// Records one group made durable by one sync_batch().
   void on_wal_sync(int shard);
   /// Records one published decision. `latency_seconds` is queue-entry to
-  /// group-publication wall time; `criticality` attributes the decision
-  /// to its class family. Returns the latency bin the decision landed in
-  /// so decision tracing can reuse it without a second search. Single
-  /// writer per shard.
+  /// group-publication wall time. Returns the latency bin the decision
+  /// landed in so decision tracing can reuse it without a second search.
+  /// Single writer per shard.
   std::size_t on_decision(int shard, double job_volume, bool accepted,
-                          double latency_seconds,
-                          Criticality criticality = Criticality::kBackground);
+                          double latency_seconds);
 
   // --- writer side (recovery / ingest refusals) ---
   /// Records one completed WAL replay for the shard.
@@ -137,10 +115,8 @@ class MetricsRegistry {
   /// Point-in-time copy of every counter. Reads are relaxed atomics: the
   /// snapshot is internally consistent per counter, not a cross-counter
   /// linearization (totals can be mid-update by one job) — exactly the
-  /// guarantee a live dashboard needs. Each count is stored once, per
-  /// class: the class-blind `enqueued`, `accepted`, `rejected`,
-  /// `submitted` (= accepted + rejected), `latency_sum_seconds` and
-  /// `admit_latency` are sums over the classes.
+  /// guarantee a live dashboard needs. `submitted` is accepted +
+  /// rejected.
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
   /// The latency bin (0..kAdmitLatencyBins-1) a decision latency falls
@@ -161,25 +137,18 @@ class MetricsRegistry {
     std::atomic<std::uint64_t> degraded_rejected{0};
     std::atomic<std::int64_t> queue_depth{0};
     std::atomic<std::uint64_t> peak_queue_depth{0};
+    std::atomic<std::uint64_t> enqueued{0};
     // Single writer, the holder of the shard's consumer role (one at a
     // time: the role's release/acquire hand-over orders one holder's stores
     // before the next one's loads, and a restarted worker starts after the
-    // dead one is joined): plain load+store, no locked read-modify-write:
-    // wal_syncs, the volumes, class_accepted, class_rejected,
-    // class_latency_sum and class_latency.
+    // dead one is joined): plain load+store, no locked read-modify-write.
     std::atomic<std::uint64_t> wal_syncs{0};
+    std::atomic<std::uint64_t> accepted{0};
+    std::atomic<std::uint64_t> rejected{0};
     std::atomic<double> accepted_volume{0.0};
     std::atomic<double> rejected_volume{0.0};
-    // Per-criticality-class counters (policy/criticality.hpp);
-    // class_enqueued and class_shed have many writers.
-    std::array<std::atomic<std::uint64_t>, kCriticalityCount> class_enqueued{};
-    std::array<std::atomic<std::uint64_t>, kCriticalityCount> class_accepted{};
-    std::array<std::atomic<std::uint64_t>, kCriticalityCount> class_rejected{};
-    std::array<std::atomic<std::uint64_t>, kCriticalityCount> class_shed{};
-    std::array<std::atomic<double>, kCriticalityCount> class_latency_sum{};
-    std::array<std::array<std::atomic<std::uint64_t>, kAdmitLatencyBins>,
-               kCriticalityCount>
-        class_latency{};
+    std::atomic<double> latency_sum{0.0};
+    std::array<std::atomic<std::uint64_t>, kAdmitLatencyBins> latency{};
   };
 
   /// The kAdmitLatencyBins + 1 bin edges, then two +inf pads so

@@ -44,12 +44,12 @@ std::string describe(Outcome outcome) {
     case Outcome::kRejectedRetryAfter:
       return "rejected: the job's shard is unavailable (retry later)";
     case Outcome::kFailover:
-      return "retired outcome, never produced";
     case Outcome::kRejectedCriticality:
-      return "shed under queue pressure: criticality class below the "
-             "occupancy cut";
+      return "retired outcome, never produced";
     case Outcome::kRejectedInvalid:
-      return "rejected: the job is not structurally valid";
+      return "rejected: the job lies outside the served instance class "
+             "(a field not finite, not structurally valid, or without the "
+             "slack the scheduler's guarantee assumes)";
   }
   return "unknown";
 }

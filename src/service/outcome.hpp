@@ -36,14 +36,13 @@ enum class Outcome : std::uint8_t {
   kRejectedClosed = 4,      ///< the gateway/shard has been shut down
   kRejectedRetryAfter = 5,  ///< the job's shard is unavailable; retry later
   kFailover = 6,  ///< retired, never produced; value and label reserved
-  /// Shed by the class-aware policy: the routed shard is under queue
-  /// pressure and the job's criticality class (policy/criticality.hpp) is
-  /// below the occupancy cut. The queue was NOT full — higher classes were
-  /// still admitted.
-  kRejectedCriticality = 7,
-  /// Refused at ingest: the job is not structurally valid (proc <= 0,
-  /// deadline <= release, a negative release or a NaN), so no scheduler
-  /// may see it.
+  kRejectedCriticality = 7,  ///< retired, never produced; value and label
+                             ///< reserved
+  /// Refused at ingest: the job lies outside the served instance class
+  /// (Job::servable): a field is not finite, it is not structurally valid
+  /// (proc <= 0, deadline <= release or a negative release), or it lacks
+  /// the slack its shard's guarantee assumes (d < (1 + eps) p + r). No
+  /// scheduler sees it.
   kRejectedInvalid = 8,
 };
 
@@ -67,13 +66,12 @@ inline constexpr std::uint8_t kOutcomeCount = 9;
   return outcome == Outcome::kRejectedQueueFull ||
          outcome == Outcome::kRejectedClosed ||
          outcome == Outcome::kRejectedRetryAfter ||
-         outcome == Outcome::kRejectedCriticality ||
          outcome == Outcome::kRejectedInvalid;
 }
 
 /// The canonical registry label: "enqueued", "accepted", "rejected",
 /// "queue_full", "closed", "retry_after", "failover" (retired),
-/// "criticality", "invalid". These exact strings
+/// "criticality" (retired), "invalid". These exact strings
 /// appear as the trace CSV `kind` cells and the exporter's `outcome="…"`
 /// label values; they are as frozen as the numeric wire values.
 [[nodiscard]] std::string_view outcome_label(Outcome outcome);

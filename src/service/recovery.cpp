@@ -66,12 +66,7 @@ RecoveryResult recover_commit_log(const std::string& path, int machines,
         Job job;
         int machine = 0;
         TimePoint start = 0.0;
-        if (!decode_wal_record(record, job, machine, start)) {
-          // A class outside the enum passed the CRC: the record is corrupt
-          // in a way framing cannot see, like an illegal commitment.
-          return refuse(
-              " carries a criticality outside the frozen class range");
-        }
+        decode_wal_record(record, job, machine, start);
         if (!job.structurally_valid()) {
           // Every scheduler requires a structurally valid job before it
           // can accept one, so no live shard logs such a record: it is

@@ -1,7 +1,6 @@
 #include "service/shard.hpp"
 
 #include <algorithm>
-#include <array>
 #include <utility>
 
 #include <pthread.h>
@@ -135,7 +134,6 @@ Shard::BatchEnqueueResult Shard::try_enqueue_batch(
   BatchEnqueueResult result;
   // Tasks are constructed directly in their claimed ring cells: the
   // producer path performs no staging copy and no heap allocation.
-  std::array<std::size_t, kCriticalityCount> per_class{};
   result.taken = queue_.try_push_batch_with(
       count, &result.closed,
       [&](std::size_t i, Task& slot) {
@@ -143,13 +141,9 @@ Shard::BatchEnqueueResult Shard::try_enqueue_batch(
         slot.job = jobs[index];
         slot.enqueued_at = now;
         slot.route_ctx = route_ctx == 0 ? 0 : route_ctx + index;
-        ++per_class[criticality_index(slot.job.criticality)];
       },
       /*wake=*/false);
-  for (std::size_t cls = 0; cls < kCriticalityCount; ++cls) {
-    metrics_.on_enqueued(index_, per_class[cls],
-                         static_cast<Criticality>(cls));
-  }
+  metrics_.on_enqueued(index_, result.taken);
   if (!result.closed) {
     metrics_.on_backpressure(index_, count - result.taken);
   }
@@ -408,7 +402,7 @@ void Shard::publish() {
             .count();
     const std::size_t latency_bin =
         metrics_.on_decision(index_, entry.job.proc, entry.decision.accepted,
-                             latency, entry.job.criticality);
+                             latency);
     if (config_.trace != nullptr) {
       TraceEvent event;
       event.job_id = entry.job.id;

@@ -180,11 +180,9 @@ template <typename Int>
     e.job_id = detail::trace_int<JobId>(cells[1], r);
     e.shard = detail::trace_int<std::int16_t>(cells[2], r, 0);
     const std::optional<Outcome> kind = outcome_from_label(cells[3]);
-    // Only decisions and the two recorded ingest refusals are trace kinds.
-    if (!kind.has_value() ||
-        (!outcome_is_decision(*kind) &&
-         *kind != Outcome::kRejectedRetryAfter &&
-         *kind != Outcome::kRejectedCriticality)) {
+    // Only decisions and the one recorded ingest refusal are trace kinds.
+    if (!kind.has_value() || (!outcome_is_decision(*kind) &&
+                              *kind != Outcome::kRejectedRetryAfter)) {
       throw bad_row("a bad kind");
     }
     e.kind = *kind;

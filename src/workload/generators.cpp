@@ -128,20 +128,6 @@ std::vector<std::string> WorkloadConfig::validate() const {
                      ") must be >= eps (" + std::to_string(eps) +
                      "): the slack factor is drawn from [eps, slack_hi]");
   }
-  double mix_total = 0.0;
-  for (std::size_t cls = 0; cls < kCriticalityCount; ++cls) {
-    if (class_mix[cls] < 0.0) {
-      errors.push_back(
-          "class_mix[" + std::to_string(cls) + "] (" +
-          std::string(criticality_label(static_cast<Criticality>(cls))) +
-          ") must be >= 0 (got " + std::to_string(class_mix[cls]) + ")");
-    }
-    mix_total += class_mix[cls];
-  }
-  if (!(mix_total > 0.0)) {
-    errors.push_back("class_mix must have positive total weight: every job "
-                     "needs a criticality class");
-  }
   return errors;
 }
 
@@ -233,19 +219,6 @@ Duration draw_size(const WorkloadConfig& config, Rng& rng) {
   return config.size_min;
 }
 
-/// Draws one class from the (unnormalized) mix by cumulative weight.
-/// Callers skip the draw entirely for a degenerate mix, so legacy streams
-/// stay bit-identical.
-Criticality draw_criticality(const WorkloadConfig& config, Rng& rng,
-                             double mix_total) {
-  double u = rng.uniform01() * mix_total;
-  for (std::size_t cls = 0; cls + 1 < kCriticalityCount; ++cls) {
-    if (u < config.class_mix[cls]) return static_cast<Criticality>(cls);
-    u -= config.class_mix[cls];
-  }
-  return static_cast<Criticality>(kCriticalityCount - 1);
-}
-
 double draw_slack_factor(const WorkloadConfig& config, Rng& rng) {
   switch (config.slack) {
     case SlackModel::kTight:
@@ -276,14 +249,6 @@ Instance generate_workload(const WorkloadConfig& config) {
   Rng rng(config.seed);
   const std::vector<TimePoint> releases = draw_releases(config, rng);
 
-  // A degenerate mix (all weight on the default lowest class) skips the
-  // class draw so the random stream — and therefore the whole instance —
-  // is bit-identical to what pre-criticality builds generated.
-  double mix_total = 0.0;
-  for (const double weight : config.class_mix) mix_total += weight;
-  const bool draw_classes =
-      mix_total != config.class_mix[0];
-
   std::vector<Job> jobs;
   jobs.reserve(config.n);
   for (std::size_t i = 0; i < config.n; ++i) {
@@ -293,9 +258,6 @@ Instance generate_workload(const WorkloadConfig& config) {
     job.proc = draw_size(config, rng);
     const double factor = draw_slack_factor(config, rng);
     job.deadline = job.release + (1.0 + factor) * job.proc;
-    if (draw_classes) {
-      job.criticality = draw_criticality(config, rng, mix_total);
-    }
     jobs.push_back(job);
   }
   Instance instance(std::move(jobs));
@@ -355,17 +317,6 @@ WorkloadConfig diurnal_base(double eps, std::uint64_t seed) {
   return config;
 }
 
-WorkloadConfig mixed_criticality_base(double eps, std::uint64_t seed) {
-  // The overload regime with every criticality class present: enough
-  // pressure that the gateway's class-aware shed policy must choose, with
-  // most of the weight on sheddable classes so the chosen order is
-  // observable. The mix is bottom-heavy like real fleets: background batch
-  // work dominates, must-admit traffic is the thin top slice.
-  WorkloadConfig config = overload_base(eps, seed);
-  config.class_mix = {0.4, 0.3, 0.2, 0.1};
-  return config;
-}
-
 struct ScenarioEntry {
   const char* name;
   WorkloadConfig (*build)(double eps, std::uint64_t seed);
@@ -375,7 +326,6 @@ constexpr ScenarioEntry kScenarios[] = {
     {"cloud-burst", &cloud_burst_base},
     {"overload", &overload_base},
     {"diurnal", &diurnal_base},
-    {"mixed-criticality", &mixed_criticality_base},
 };
 
 }  // namespace

@@ -6,7 +6,6 @@
 // condition (3) for the configured eps by construction.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -14,7 +13,6 @@
 
 #include "common/rng.hpp"
 #include "job/instance.hpp"
-#include "policy/criticality.hpp"
 
 namespace slacksched {
 
@@ -68,13 +66,6 @@ struct WorkloadConfig {
   SlackModel slack = SlackModel::kUniformFactor;
   double slack_hi = 1.0;  ///< upper slack factor for kUniformFactor/kMixed
 
-  /// Criticality class mix: relative weight of each class in the stream
-  /// (normalized internally; absolute scale is irrelevant). The default
-  /// puts every job in the lowest class AND — deliberately — skips the
-  /// class draw entirely, so legacy configs consume the exact same random
-  /// stream as before the field existed: bit-identical instances.
-  std::array<double, kCriticalityCount> class_mix{1.0, 0.0, 0.0, 0.0};
-
   std::uint64_t seed = 1;
 
   /// Checks every knob against the model it parameterizes. Returns one
@@ -93,15 +84,12 @@ struct WorkloadConfig {
 /// parameterizes it with the slack guarantee and seed; throws
 /// PreconditionError (naming the known scenarios) for an unknown name.
 ///
-///   "cloud-burst"        heavy-tailed batch mix + periodic interactive
-///                        bursts (the paper's IaaS motivation)
-///   "overload"           near-overload tight-slack stream, the regime
-///                        where admission control decides everything
-///   "diurnal"            day/night sinusoidal rate with a bimodal
-///                        (interactive vs. batch) size mix
-///   "mixed-criticality"  the overload regime with all four criticality
-///                        classes present — the class-aware shed
-///                        evaluation stream
+///   "cloud-burst"  heavy-tailed batch mix + periodic interactive bursts
+///                  (the paper's IaaS motivation)
+///   "overload"     near-overload tight-slack stream, the regime where
+///                  admission control decides everything
+///   "diurnal"      day/night sinusoidal rate with a bimodal (interactive
+///                  vs. batch) size mix
 [[nodiscard]] WorkloadConfig scenario(std::string_view name, double eps,
                                       std::uint64_t seed);
 

@@ -27,6 +27,7 @@
 #include "service/commit_log.hpp"
 #include "service/recovery.hpp"
 #include "support/wal_schedule.hpp"
+#include "support/wal_v3.hpp"
 #include "workload/generators.hpp"
 
 namespace slacksched {
@@ -87,43 +88,39 @@ TEST(WalRecord, EncodesTheDocumentedFixedWidthLayout) {
   std::int64_t id = 0;
   double release = 0.0, proc = 0.0, deadline = 0.0, start = 0.0;
   std::int32_t machine = -1;
-  std::uint32_t criticality = 99;
   const char* p = out.data() + kWalFrameBytes;
   std::memcpy(&id, p + 0, 8);
   std::memcpy(&release, p + 8, 8);
   std::memcpy(&proc, p + 16, 8);
   std::memcpy(&deadline, p + 24, 8);
   std::memcpy(&machine, p + 32, 4);
-  std::memcpy(&criticality, p + 36, 4);
-  std::memcpy(&start, p + 40, 8);
+  std::memcpy(&start, p + 36, 8);
   EXPECT_EQ(id, 42);
   EXPECT_DOUBLE_EQ(release, 1.0);
   EXPECT_DOUBLE_EQ(proc, 2.0);
   EXPECT_DOUBLE_EQ(deadline, 8.0);
   EXPECT_EQ(machine, 3);
-  EXPECT_EQ(criticality, 0u);  // make_job defaults to kBackground
   EXPECT_DOUBLE_EQ(start, 1.5);
 }
 
 TEST(WalRecord, EncodesTheGoldenRecordByteForByte) {
-  // One v3 record pinned byte for byte, CRC-32C included: u32 length 48,
-  // u32 crc, i64 id, f64 release/proc/deadline, i32 machine,
-  // u32 criticality, f64 start. A change to the encoder or the CRC that
-  // moves one bit of the on-disk format fails here.
+  // One v4 record pinned byte for byte, CRC-32C included: u32 length 44,
+  // u32 crc, i64 id, f64 release/proc/deadline, i32 machine, f64 start.
+  // A change to the encoder or the CRC that moves one bit of the on-disk
+  // format fails here.
   const std::vector<unsigned char> golden = {
-      0x30, 0x00, 0x00, 0x00, 0xdf, 0x16, 0x99, 0x3d,  //
+      0x2c, 0x00, 0x00, 0x00, 0xca, 0x02, 0x19, 0x8e,  //
       0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01,  //
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf4, 0x3f,  //
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x40,  //
       0x00, 0x00, 0x00, 0x00, 0x00, 0xc0, 0x31, 0x40,  //
-      0x05, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,  //
-      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x09, 0x40,  //
+      0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //
+      0x00, 0x00, 0x09, 0x40,                          //
   };
   ASSERT_EQ(golden.size(), kWalRecordBytes);
-  Job job = make_job(0x0123456789ABCDEF, 1.25, 2.5, 17.75);
-  job.criticality = Criticality::kElevated;
   std::vector<char> out = {'Z'};  // records append behind existing bytes
-  encode_wal_record(job, 5, 3.125, out);
+  encode_wal_record(make_job(0x0123456789ABCDEF, 1.25, 2.5, 17.75), 5, 3.125,
+                    out);
   ASSERT_EQ(out.size(), 1 + kWalRecordBytes);
   EXPECT_EQ(out[0], 'Z');
   EXPECT_EQ(std::vector<unsigned char>(out.begin() + 1, out.end()), golden);
@@ -272,7 +269,7 @@ TEST(Recovery, TornPartialRecordIsTruncated) {
     log->append(make_job(2, 1.0, 1.0, 5.0), 0, 1.0);
     log->close();
   }
-  // A record torn mid-payload: only the first 20 of 56 bytes made it.
+  // A record torn mid-payload: only the first 20 of 52 bytes made it.
   std::vector<char> torn;
   encode_wal_record(make_job(3, 2.0, 1.0, 6.0), 0, 2.0, torn);
   torn.resize(20);
@@ -447,38 +444,50 @@ std::string read_file(const std::string& path) {
 }
 
 TEST(Recovery, PreviousFormatLogIsRefusedAndLeftUntouched) {
-  // A whole history in the previous format: magic SLKWAL02, version 2,
-  // records framed with IEEE CRC-32. Its records fail today's CRC, so
-  // without the version bump recovery would read the first one as a torn
-  // tail and truncate the whole history. The header refuses it instead.
-  const std::string path = wal_path("previous_format");
+  // Whole histories in the two previous formats. Version 2 (SLKWAL02)
+  // framed its records with IEEE CRC-32, so they fail today's CRC.
+  // Version 3 (SLKWAL03) carried a criticality field: its records are 56
+  // bytes with a length field of 48, each intact under its own CRC-32C.
+  // Without the version bumps recovery would read the first record of
+  // either as a torn tail and truncate the whole history. The header
+  // refuses both instead.
   const std::uint32_t version = 2;
   const std::uint32_t machines = 2;
-  std::vector<char> bytes(kWalHeaderBytes);
-  std::memcpy(bytes.data(), "SLKWAL02", 8);
-  std::memcpy(bytes.data() + 8, &version, sizeof(version));
-  std::memcpy(bytes.data() + 12, &machines, sizeof(machines));
+  std::vector<char> v2(kWalHeaderBytes);
+  std::memcpy(v2.data(), "SLKWAL02", 8);
+  std::memcpy(v2.data() + 8, &version, sizeof(version));
+  std::memcpy(v2.data() + 12, &machines, sizeof(machines));
   for (int i = 0; i < 3; ++i) {
-    const std::size_t record = bytes.size();
+    const std::size_t record = v2.size();
     encode_wal_record(make_job(i, 4.0 * i, 1.0, 4.0 * i + 4.0), i % 2,
-                      4.0 * i, bytes);
-    wire::patch(bytes, record + 4,
-                crc32_ieee_bitwise(bytes.data() + record + kWalFrameBytes,
+                      4.0 * i, v2);
+    wire::patch(v2, record + 4,
+                crc32_ieee_bitwise(v2.data() + record + kWalFrameBytes,
                                    kWalPayloadBytes));
-    EXPECT_EQ(wal_intact_records(bytes.data() + record, 1), 0u);
+    EXPECT_EQ(wal_intact_records(v2.data() + record, 1), 0u);
   }
-  append_bytes(path, bytes);
-  const std::string before = read_file(path);
-  ASSERT_EQ(before.size(), kWalHeaderBytes + 3 * kWalRecordBytes);
+  ASSERT_EQ(v2.size(), kWalHeaderBytes + 3 * kWalRecordBytes);
+  const std::vector<char> v3 = v3_wal(machines, 3);
+  ASSERT_EQ(v3.size(), kWalHeaderBytes + 3 * 56);
+  EXPECT_EQ(wire::intact_records(v3.data() + kWalHeaderBytes, 3, 48), 3u);
 
-  const RecoveryResult recovered = recover_commit_log(path, 2);
-  EXPECT_FALSE(recovered.ok);
-  EXPECT_NE(recovered.error.find("bad magic"), std::string::npos)
-      << recovered.error;
-  EXPECT_FALSE(recovered.tail_truncated);
-  EXPECT_EQ(recovered.records_replayed, 0u);
-  EXPECT_THROW((void)CommitLog::open(path, 2), CommitLogError);
-  EXPECT_EQ(read_file(path), before);
+  for (const auto& [name, bytes] :
+       {std::pair{"v2", v2}, std::pair{"v3", v3}}) {
+    SCOPED_TRACE(name);
+    const std::string path = wal_path(std::string("previous_format_") + name);
+    append_bytes(path, bytes);
+    const std::string before = read_file(path);
+    ASSERT_EQ(before, std::string(bytes.begin(), bytes.end()));
+
+    const RecoveryResult recovered = recover_commit_log(path, 2);
+    EXPECT_FALSE(recovered.ok);
+    EXPECT_NE(recovered.error.find("bad magic"), std::string::npos)
+        << recovered.error;
+    EXPECT_FALSE(recovered.tail_truncated);
+    EXPECT_EQ(recovered.records_replayed, 0u);
+    EXPECT_THROW((void)CommitLog::open(path, 2), CommitLogError);
+    EXPECT_EQ(read_file(path), before);
+  }
 }
 
 TEST(Recovery, BrokenRecordEndsTheReplayWhereverItSits) {

@@ -461,5 +461,22 @@ TEST(FrontierSet, AssignWantsOneFrontierPerMachine) {
   EXPECT_THROW((void)set.assign({1.0, -1.0, 0.0}), PreconditionError);
 }
 
+TEST(FrontierSet, StartNeverRoundsDefinitelyBeforeTheFrontier) {
+  // Past 2^23 an ulp exceeds kTimeEps: now + (frontier - now) rounds one
+  // ulp (1.2e-4) below this frontier, which would overlap the commitment
+  // that set it. start() is the frontier itself there.
+  const TimePoint now = 435031190265.0291;
+  const TimePoint frontier = 1011290864530.4867;
+  FrontierSet set(2);
+  set.update(1, frontier);
+  ASSERT_TRUE(definitely_less(now + set.load(1, now), frontier));
+  EXPECT_EQ(set.start(1, now), frontier);
+  EXPECT_EQ(set.start_at(0, now), frontier);
+  EXPECT_EQ(set.start(0, now), now);  // idle: start at the release
+  // Below 2^23 the start is now + load, bit for bit.
+  set.update(1, 5.8);
+  EXPECT_EQ(set.start(1, 0.3), 0.3 + set.load(1, 0.3));
+}
+
 }  // namespace
 }  // namespace slacksched

@@ -100,82 +100,19 @@ TEST(MetricsExporter, WalSyncsCounterMatchesGoldenText) {
   EXPECT_NE(page.find(golden), std::string::npos) << page;
 }
 
-TEST(MetricsExporter, OutcomeFamilyIncludesTheCriticalityShedRow) {
+TEST(MetricsExporter, EmitsNoClassLabelAndNoCriticalityOutcome) {
+  // A job has no criticality class: no family carries a `class` label,
+  // and the retired "criticality" outcome has no row.
   MetricsSnapshot snap = small_snapshot();
-  snap.total.criticality_shed = 3;
-  const std::string page = render_prometheus(snap);
-  EXPECT_NE(page.find("slacksched_outcomes_total{outcome=\"criticality\"} 3\n"),
+  snap.admit_latency.add_to_bin(3, 2);
+  ExporterOptions options;
+  options.per_shard = true;
+  const std::string page = render_prometheus(snap, options);
+  EXPECT_EQ(page.find("class="), std::string::npos) << page;
+  EXPECT_EQ(page.find("outcome=\"criticality\""), std::string::npos) << page;
+  EXPECT_NE(page.find("slacksched_outcomes_total{outcome=\"retry_after\"}"),
             std::string::npos)
       << page;
-}
-
-TEST(MetricsExporter, ClassOutcomesFamilyMatchesGoldenText) {
-  MetricsSnapshot snap = small_snapshot();
-  snap.total.class_enqueued = {8, 4, 2, 1};
-  snap.total.class_accepted = {6, 4, 2, 1};
-  snap.total.class_rejected = {2, 0, 0, 0};
-  snap.total.class_shed = {5, 1, 0, 0};
-  const std::string page = render_prometheus(snap);
-  const std::string golden =
-      "# HELP slacksched_class_outcomes_total Submission outcomes keyed by "
-      "criticality class and outcome.\n"
-      "# TYPE slacksched_class_outcomes_total counter\n"
-      "slacksched_class_outcomes_total{class=\"background\",outcome=\""
-      "enqueued\"} 8\n"
-      "slacksched_class_outcomes_total{class=\"background\",outcome=\""
-      "accepted\"} 6\n"
-      "slacksched_class_outcomes_total{class=\"background\",outcome=\""
-      "rejected\"} 2\n"
-      "slacksched_class_outcomes_total{class=\"background\",outcome=\""
-      "criticality\"} 5\n"
-      "slacksched_class_outcomes_total{class=\"standard\",outcome=\""
-      "enqueued\"} 4\n"
-      "slacksched_class_outcomes_total{class=\"standard\",outcome=\""
-      "accepted\"} 4\n"
-      "slacksched_class_outcomes_total{class=\"standard\",outcome=\""
-      "rejected\"} 0\n"
-      "slacksched_class_outcomes_total{class=\"standard\",outcome=\""
-      "criticality\"} 1\n";
-  EXPECT_NE(page.find(golden), std::string::npos) << page;
-  EXPECT_NE(page.find("slacksched_class_outcomes_total{class=\"critical\","
-                      "outcome=\"criticality\"} 0\n"),
-            std::string::npos);
-}
-
-TEST(MetricsExporter, ClassLatencyHistogramsRenderOneSeriesPerClass) {
-  MetricsSnapshot snap = small_snapshot();
-  snap.class_latency_bins[1][0] = 2;
-  snap.class_latency_bins[1][5] = 3;
-  snap.class_latency_sum[1] = 0.5;
-  const std::string page = render_prometheus(snap);
-  const Histogram& edges = snap.admit_latency;
-  // Standard-class buckets accumulate 2 then 5; every class renders a
-  // series, the untouched ones all-zero with an exact +Inf == _count.
-  const std::string first =
-      "slacksched_class_admit_latency_seconds_bucket{class=\"standard\","
-      "le=\"" +
-      CsvWriter::format(edges.bin_range(0).second) + "\"} 2\n";
-  EXPECT_NE(page.find(first), std::string::npos) << page;
-  const std::string fifth =
-      "slacksched_class_admit_latency_seconds_bucket{class=\"standard\","
-      "le=\"" +
-      CsvWriter::format(edges.bin_range(5).second) + "\"} 5\n";
-  EXPECT_NE(page.find(fifth), std::string::npos) << page;
-  EXPECT_NE(page.find("slacksched_class_admit_latency_seconds_bucket{"
-                      "class=\"standard\",le=\"+Inf\"} 5\n"),
-            std::string::npos);
-  EXPECT_NE(page.find("slacksched_class_admit_latency_seconds_sum{"
-                      "class=\"standard\"} 0.5\n"),
-            std::string::npos);
-  EXPECT_NE(page.find("slacksched_class_admit_latency_seconds_count{"
-                      "class=\"standard\"} 5\n"),
-            std::string::npos);
-  EXPECT_NE(page.find("slacksched_class_admit_latency_seconds_bucket{"
-                      "class=\"critical\",le=\"+Inf\"} 0\n"),
-            std::string::npos);
-  EXPECT_NE(page.find("slacksched_class_admit_latency_seconds_count{"
-                      "class=\"critical\"} 0\n"),
-            std::string::npos);
 }
 
 TEST(MetricsExporter, HistogramBucketsAreCumulativeAndEndAtInf) {

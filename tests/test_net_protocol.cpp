@@ -432,18 +432,24 @@ TEST(FrameParsers, DecisionRejectsNonDecisionOutcomes) {
 }
 
 TEST(FrameParsers, RejectRejectsNonShedOutcomes) {
-  RejectMsg msg;
-  msg.outcome = Outcome::kRejectedClosed;
-  std::vector<char> bytes;
-  encode_reject(bytes, msg);
-  bytes[kFrameHeaderSize + 16] = static_cast<char>(Outcome::kAccepted);
-  const std::uint32_t crc = wire::crc32c(
-      bytes.data() + kFrameHeaderSize, bytes.size() - kFrameHeaderSize);
-  std::memcpy(bytes.data() + 8, &crc, 4);
-  RejectMsg out;
-  std::string error;
-  EXPECT_FALSE(parse_reject(decode_one(bytes), out, &error));
-  EXPECT_NE(error.find("non-shed"), std::string::npos);
+  // A decision, and the two retired outcomes (6 and 7), which the server
+  // never sends.
+  for (const Outcome carried : {Outcome::kAccepted, Outcome::kFailover,
+                                Outcome::kRejectedCriticality}) {
+    SCOPED_TRACE(outcome_label(carried));
+    RejectMsg msg;
+    msg.outcome = Outcome::kRejectedClosed;
+    std::vector<char> bytes;
+    encode_reject(bytes, msg);
+    bytes[kFrameHeaderSize + 16] = static_cast<char>(carried);
+    const std::uint32_t crc = wire::crc32c(
+        bytes.data() + kFrameHeaderSize, bytes.size() - kFrameHeaderSize);
+    std::memcpy(bytes.data() + 8, &crc, 4);
+    RejectMsg out;
+    std::string error;
+    EXPECT_FALSE(parse_reject(decode_one(bytes), out, &error));
+    EXPECT_NE(error.find("non-shed"), std::string::npos);
+  }
 }
 
 }  // namespace

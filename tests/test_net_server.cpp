@@ -902,31 +902,44 @@ TEST(NetServer, DrainPropagatesAcrossLoops) {
 
 // ---------- reply routing: one answer per submission, to its submitter ----------
 
-Job twin_job(JobId id, bool fits) {
+/// One of two jobs with equal ids: the twin bound for the accepting shard
+/// 0, or the longer one bound for the rejecting shard 1.
+Job twin_job(JobId id, bool to_shard_0) {
   Job job;
   job.id = id;
   job.release = 0.0;
-  // The twin that cannot fit needs 5 time units before its deadline at 2:
-  // every scheduler must reject it, while the other is accepted.
-  job.proc = fits ? 1.0 : 5.0;
-  job.deadline = fits ? 100.0 : 2.0;
+  job.proc = to_shard_0 ? 1.0 : 5.0;
+  job.deadline = to_shard_0 ? 100.0 : 5.0;
   return job;
 }
+
+/// Rejects every job: shard 1 of the twin test, where only the twins
+/// that must be rejected land.
+class RejectingScheduler final : public OnlineScheduler {
+ public:
+  Decision on_arrival(const Job& /*job*/) override {
+    return Decision::reject();
+  }
+  [[nodiscard]] int machines() const override { return 2; }
+  void reset() override {}
+  [[nodiscard]] std::string name() const override { return "rejecting"; }
+};
 
 TEST(NetServer, DuplicateJobIdsAreAnsweredPerSubmission) {
   // Round robin over two shards sends equal ids to different shards, and
   // shard 0 decides slowly, so the later submission of an id is decided
   // first. Each answer must still reach the submission that carried the
-  // job: the fitting twin accepted, the other rejected, each under its
-  // own request id — across two connections and inside one batch.
+  // job: the twin on shard 0 accepted, the one on shard 1 rejected, each
+  // under its own request id — across two connections and inside one
+  // batch.
   AdmissionServerConfig config = loopback_config(64);
   config.gateway.shards = 2;
   AdmissionServer server(
       config, [](int shard) -> std::unique_ptr<OnlineScheduler> {
-        auto greedy = std::make_unique<GreedyScheduler>(2);
-        if (shard != 0) return greedy;
-        return std::make_unique<SlowScheduler>(std::move(greedy),
-                                               std::chrono::milliseconds(50));
+        if (shard != 0) return std::make_unique<RejectingScheduler>();
+        return std::make_unique<SlowScheduler>(
+            std::make_unique<GreedyScheduler>(2),
+            std::chrono::milliseconds(50));
       });
   AdmissionClient a("127.0.0.1", server.port());
   AdmissionClient b("127.0.0.1", server.port());

@@ -35,6 +35,7 @@
 #include "service/commit_log.hpp"
 #include "service/fault_injection.hpp"
 #include "service/gateway.hpp"
+#include "support/wal_v3.hpp"
 #include "workload/generators.hpp"
 
 namespace slacksched::repl {
@@ -571,8 +572,9 @@ std::vector<char> wal_header(const char* magic, std::uint32_t version,
 
 TEST(Replication, ReplicaLogHeaderIsRefusedOrReset) {
   // An 8-machine leader meets a replica log already on disk. A whole
-  // header that is not its own is refused and left untouched; stray bytes
-  // shorter than a header are reset, like the writer's own torn header.
+  // header that is not its own — a whole version-3 log included — is
+  // refused and left untouched; stray bytes shorter than a header are
+  // reset, like the writer's own torn header.
   constexpr std::uint32_t kLeaderMachines = 8;
   const std::vector<char> fresh =
       wal_header(kWalMagic, kWalVersion, kLeaderMachines);
@@ -586,6 +588,7 @@ TEST(Replication, ReplicaLogHeaderIsRefusedOrReset) {
        true},
       {"version_1", wal_header(kWalMagic, 1, kLeaderMachines), true},
       {"previous_format", wal_header("SLKWAL02", 2, kLeaderMachines), true},
+      {"v3_log", v3_wal(kLeaderMachines, 3), true},
       {"four_machines", wal_header(kWalMagic, kWalVersion, 4), true},
       {"nine_stray_bytes", std::vector<char>(9, 'S'), false},
   };

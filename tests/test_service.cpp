@@ -27,6 +27,7 @@
 #include "common/rng.hpp"
 #include "core/threshold.hpp"
 #include "models/delta_commit.hpp"
+#include "net/admission_client.hpp"
 #include "net/admission_server.hpp"
 #include "replication/failover.hpp"
 #include "sched/validator.hpp"
@@ -130,11 +131,9 @@ TEST(MetricsRegistry, CountsAndAggregates) {
   registry.on_decision(0, 5.0, true, 1e-5);
   registry.on_decision(0, 2.0, false, 1e-4);
   registry.on_decision(1, 1.5, true, 1e-3);
-  // Mixed classes on shard 1.
-  registry.on_enqueued(1, 2, Criticality::kCritical);
-  registry.on_enqueued(1, 1, Criticality::kStandard);
-  registry.on_decision(1, 3.0, true, 1e-2, Criticality::kCritical);
-  registry.on_decision(1, 4.0, false, 1e-6, Criticality::kStandard);
+  registry.on_enqueued(1, 3);
+  registry.on_decision(1, 3.0, true, 1e-2);
+  registry.on_decision(1, 4.0, false, 1e-6);
 
   const MetricsSnapshot snap = registry.snapshot();
   ASSERT_EQ(snap.shards.size(), 2u);
@@ -142,51 +141,35 @@ TEST(MetricsRegistry, CountsAndAggregates) {
   EXPECT_EQ(snap.shards[0].backpressure_rejected, 2u);
   EXPECT_EQ(snap.shards[0].peak_queue_depth, 3u);
   EXPECT_EQ(snap.shards[0].queue_depth, 0u);
+  EXPECT_EQ(snap.shards[0].submitted, 2u);
   EXPECT_EQ(snap.shards[0].accepted, 1u);
   EXPECT_EQ(snap.shards[0].rejected, 1u);
   EXPECT_DOUBLE_EQ(snap.shards[0].accepted_volume, 5.0);
   EXPECT_DOUBLE_EQ(snap.shards[0].rejected_volume, 2.0);
+  EXPECT_DOUBLE_EQ(snap.shards[0].latency_sum_seconds, 1e-5 + 1e-4);
   EXPECT_EQ(snap.shards[0].batches, 1u);
+  EXPECT_EQ(snap.shards[1].enqueued, 4u);
   EXPECT_EQ(snap.shards[1].peak_queue_depth, 4u);
+  EXPECT_EQ(snap.shards[1].submitted, 3u);
+  EXPECT_EQ(snap.shards[1].accepted, 2u);
+  EXPECT_EQ(snap.shards[1].rejected, 1u);
 
   EXPECT_EQ(snap.total.enqueued, 7u);
   EXPECT_EQ(snap.total.submitted, 5u);
   EXPECT_EQ(snap.total.accepted, 3u);
+  EXPECT_EQ(snap.total.rejected, 2u);
   EXPECT_EQ(snap.total.backpressure_rejected, 2u);
   EXPECT_DOUBLE_EQ(snap.total.accepted_volume, 9.5);
+  EXPECT_DOUBLE_EQ(snap.total.rejected_volume, 6.0);
+  EXPECT_DOUBLE_EQ(snap.total.latency_sum_seconds,
+                   1e-5 + 1e-4 + 1e-3 + 1e-2 + 1e-6);
 
-  // Every decision landed in the merged latency histogram.
+  // Every decision landed in the merged latency histogram, in its own bin.
   EXPECT_EQ(snap.admit_latency.total_count(), 5u);
-
-  // Each count is stored once, per class: every class-blind total, per
-  // shard and in the aggregate row, equals the sum over the classes.
-  std::vector<ShardMetricsSnapshot> rows = snap.shards;
-  rows.push_back(snap.total);
-  for (const ShardMetricsSnapshot& row : rows) {
-    std::size_t enqueued = 0;
-    std::size_t accepted = 0;
-    std::size_t rejected = 0;
-    for (std::size_t cls = 0; cls < kCriticalityCount; ++cls) {
-      enqueued += row.class_enqueued[cls];
-      accepted += row.class_accepted[cls];
-      rejected += row.class_rejected[cls];
-    }
-    EXPECT_EQ(row.enqueued, enqueued);
-    EXPECT_EQ(row.accepted, accepted);
-    EXPECT_EQ(row.rejected, rejected);
-    EXPECT_EQ(row.submitted, accepted + rejected);
-  }
-  double latency_sum = 0.0;
-  for (std::size_t cls = 0; cls < kCriticalityCount; ++cls) {
-    latency_sum += snap.class_latency_sum[cls];
-  }
-  EXPECT_DOUBLE_EQ(snap.total.latency_sum_seconds, latency_sum);
-  for (std::size_t bin = 0; bin < kAdmitLatencyBins; ++bin) {
-    std::uint64_t count = 0;
-    for (std::size_t cls = 0; cls < kCriticalityCount; ++cls) {
-      count += snap.class_latency_bins[cls][bin];
-    }
-    EXPECT_EQ(snap.admit_latency.count_in_bin(bin), count) << "bin " << bin;
+  for (const double latency : {1e-6, 1e-5, 1e-4, 1e-3, 1e-2}) {
+    EXPECT_EQ(snap.admit_latency.count_in_bin(registry.latency_bin(latency)),
+              1u)
+        << latency;
   }
 }
 
@@ -449,6 +432,215 @@ TEST(Gateway, InvalidJobIsRefusedAloneAtIngest) {
   ASSERT_EQ(logs[0].size(), 7u);
   for (std::size_t k = 0; k < logs[0].size(); ++k) {
     EXPECT_EQ(logs[0][k].job.id, static_cast<JobId>(k < 3 ? k : k + 1));
+  }
+}
+
+TEST(Gateway, JobWithoutSlackCannotFailAShard) {
+  // A job with d - r < p is structurally valid, and on an idle Threshold
+  // shard it passes the threshold test (d_lim = r), but no machine can
+  // finish it by its deadline. Deciding it would fail the shard, and a
+  // shard without a WAL is never restarted. Ingest refuses it instead, and
+  // the valid job after it is decided.
+  GatewayConfig config;
+  config.shards = 1;
+  ShardDecisionLogs logs;
+  capture_decisions(config, logs);
+  AdmissionGateway gateway(
+      config, [](int) { return std::make_unique<ThresholdScheduler>(0.1, 8); });
+  EXPECT_EQ(gateway.submit(make_job(1, 0.0, 10.0, 5.0)),
+            Outcome::kRejectedInvalid);
+  EXPECT_EQ(gateway.submit(make_job(2, 0.0, 1.0, 10.0)), Outcome::kEnqueued);
+
+  const GatewayResult result = gateway.finish();
+  EXPECT_TRUE(result.errors.empty()) << result.errors.front();
+  EXPECT_TRUE(result.clean()) << result.first_violation();
+  ASSERT_EQ(logs[0].size(), 1u);
+  EXPECT_EQ(logs[0][0].job.id, 2);
+  EXPECT_TRUE(logs[0][0].decision.accepted);
+}
+
+TEST(Gateway, IngestRequiresTheSlackTheSchedulersGuaranteeAssumes) {
+  // Threshold's guarantee assumes slack eps; greedy's only that a job fits
+  // its window. A job with slack 0.05 is refused by a Threshold(0.1)
+  // gateway and served by a greedy one; a job that fits its window
+  // exactly only by the greedy one; an infinite field by neither.
+  const Job thin = make_job(1, 0.0, 10.0, 10.5);
+  const Job exact = make_job(2, 0.0, 10.0, 10.0);
+  const Job endless = make_job(3, 0.0, kTimeInfinity, kTimeInfinity);
+  const struct {
+    std::function<std::unique_ptr<OnlineScheduler>()> make;
+    double slack;
+  } cases[] = {
+      {[] { return std::make_unique<ThresholdScheduler>(0.1, 8); }, 0.1},
+      {[] { return std::make_unique<GreedyScheduler>(8); }, 0.0},
+  };
+  for (const auto& c : cases) {
+    GatewayConfig config;
+    config.shards = 2;
+    AdmissionGateway gateway(config, [&c](int) { return c.make(); });
+    EXPECT_EQ(gateway.served_slack(), c.slack);
+    const Outcome below_eps =
+        c.slack > 0.0 ? Outcome::kRejectedInvalid : Outcome::kEnqueued;
+    EXPECT_EQ(gateway.submit(thin), below_eps);
+    EXPECT_EQ(gateway.submit(exact), below_eps);
+    EXPECT_EQ(gateway.submit(endless), Outcome::kRejectedInvalid);
+    const GatewayResult result = gateway.finish();
+    EXPECT_TRUE(result.clean()) << result.first_violation();
+    EXPECT_EQ(result.merged.accepted, c.slack > 0.0 ? 0u : 2u);
+  }
+}
+
+/// The hostile-input gateways: Threshold(kHostileEps, kHostileMachines).
+constexpr double kHostileEps = 0.1;
+constexpr int kHostileMachines = 8;
+
+/// A seeded stream of jobs built from arbitrary doubles: ±0, subnormals,
+/// ±inf, NaN, 1e308 and the largest double in any field, processing times
+/// from 1e-12 to 1e-8, releases out of order, and windows whose slack sits
+/// just below, at and just above `eps`. Job i has id i.
+std::vector<Job> hostile_stream(std::uint64_t seed, std::size_t n,
+                                double eps) {
+  using limits = std::numeric_limits<double>;
+  const double specials[] = {
+      0.0,    -0.0,          limits::denorm_min(), 1e-310,
+      limits::min(),         1e-12, 1e-9,          1.0,
+      1e12,   1e308,         limits::max(),        limits::infinity(),
+      -limits::infinity(),   limits::quiet_NaN(),  -1.0};
+  const double slacks[] = {eps,
+                           std::nextafter(eps, 0.0),
+                           std::nextafter(eps, 1.0),
+                           eps * (1.0 - 1e-9),
+                           eps - 1e-6,
+                           0.5 * eps,
+                           0.0,
+                           -0.5,
+                           1.0};
+  Rng rng(seed);
+  const auto pick = [&rng](const auto& from) {
+    return from[static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(std::size(from)) - 1))];
+  };
+  std::vector<Job> jobs(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    Job& job = jobs[i];
+    job.id = static_cast<JobId>(i);
+    if (rng.bernoulli(0.3)) {
+      job.release = pick(specials);
+      job.proc = pick(specials);
+      job.deadline = pick(specials);
+      continue;
+    }
+    job.release = rng.bernoulli(0.2) ? pick(specials)
+                                     : std::pow(10.0, rng.uniform(-3.0, 12.0));
+    job.proc = rng.bernoulli(0.3)   ? std::pow(10.0, rng.uniform(-12.0, -8.0))
+               : rng.bernoulli(0.1) ? pick(specials)
+                                    : std::pow(10.0, rng.uniform(-3.0, 3.0));
+    job.deadline = job.release + (1.0 + pick(slacks)) * job.proc;
+  }
+  return jobs;
+}
+
+/// Replays one hostile-input shard's decisions in order against its
+/// busy-until marks: each job must be servable, and each accept must pass
+/// validate_served_commitment (start at or after its release and its
+/// machine's mark, completion by its deadline). Returns the accepts.
+std::size_t expect_served_commitments(
+    const std::vector<DecisionRecord>& decisions) {
+  std::vector<TimePoint> busy_until(kHostileMachines, 0.0);
+  std::size_t accepted = 0;
+  for (const DecisionRecord& record : decisions) {
+    EXPECT_TRUE(record.job.servable(kHostileEps)) << record.job.to_string();
+    EXPECT_EQ(
+        validate_served_commitment(busy_until, record.job, record.decision),
+        "");
+    if (!record.decision.accepted) continue;
+    ++accepted;
+    TimePoint& mark =
+        busy_until[static_cast<std::size_t>(record.decision.machine)];
+    mark = std::max(mark, record.decision.start + record.job.proc);
+  }
+  return accepted;
+}
+
+TEST(HostileInput, ArbitraryDoublesNeverFailAShard) {
+  // Every job outside the served instance class is refused at ingest, and
+  // every other job is decided: the gateway stays clean, and every accept
+  // is a commitment Claim 1 allows. Through the gateway's span ingest and
+  // through the wire into an in-process AdmissionServer.
+  constexpr double kEps = kHostileEps;
+  constexpr std::size_t kJobs = 4096;
+  const ShardSchedulerFactory factory = [](int) {
+    return std::make_unique<ThresholdScheduler>(kHostileEps, kHostileMachines);
+  };
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    const std::vector<Job> jobs = hostile_stream(seed, kJobs, kEps);
+    std::size_t refused = 0;
+    for (const Job& job : jobs) refused += job.servable(kEps) ? 0 : 1;
+    EXPECT_GT(refused, kJobs / 4);
+    EXPECT_LT(refused, kJobs * 3 / 4);
+
+    GatewayConfig config;
+    config.shards = 2;
+    config.queue_capacity = kJobs;
+    ShardDecisionLogs logs;
+    capture_decisions(config, logs);
+    AdmissionGateway gateway(config, factory);
+    std::vector<Outcome> statuses(jobs.size());
+    for (std::size_t at = 0; at < jobs.size(); at += 64) {
+      const std::size_t count = std::min<std::size_t>(64, jobs.size() - at);
+      (void)gateway.submit_batch(std::span(jobs).subspan(at, count),
+                                 std::span(statuses).subspan(at, count));
+    }
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      EXPECT_EQ(statuses[i], jobs[i].servable(kEps)
+                                 ? Outcome::kEnqueued
+                                 : Outcome::kRejectedInvalid)
+          << jobs[i].to_string();
+    }
+    const GatewayResult result = gateway.finish();
+    EXPECT_TRUE(result.errors.empty()) << result.errors.front();
+    EXPECT_TRUE(result.clean()) << result.first_violation();
+    EXPECT_EQ(result.merged.submitted, kJobs - refused);
+    std::size_t accepted = 0;
+    for (const auto& log : logs) {
+      accepted += expect_served_commitments(log);
+    }
+    EXPECT_EQ(accepted, result.merged.accepted);
+    EXPECT_GT(accepted, 0u);
+
+    // The same stream over the wire into one shard, whose decisions
+    // arrive in submission order.
+    net::AdmissionServerConfig server_config;
+    server_config.gateway.queue_capacity = kJobs;
+    net::AdmissionServer server(server_config, factory);
+    net::AdmissionClient client("127.0.0.1", server.port());
+    const std::uint64_t base = client.submit_batch(jobs);
+    const net::DrainedMsg drained = client.drain();
+    EXPECT_EQ(drained.clean, 1);
+    EXPECT_EQ(drained.submitted, kJobs - refused);
+    std::vector<DecisionRecord> decided;
+    std::vector<net::DecisionReply> replies(jobs.size());
+    net::DecisionReply reply;
+    while (client.try_reply(reply)) {
+      ASSERT_LT(reply.request_id - base, jobs.size());
+      replies[reply.request_id - base] = reply;
+    }
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      const net::DecisionReply& got = replies[i];
+      EXPECT_EQ(got.job_id, jobs[i].id);
+      if (!jobs[i].servable(kEps)) {
+        EXPECT_EQ(got.outcome, Outcome::kRejectedInvalid);
+        continue;
+      }
+      ASSERT_TRUE(got.is_decision()) << to_string(got.outcome);
+      decided.push_back(
+          {jobs[i], got.outcome == Outcome::kAccepted
+                        ? Decision::accept(got.machine, got.start)
+                        : Decision::reject()});
+    }
+    EXPECT_EQ(expect_served_commitments(decided),
+              drained.accepted);
   }
 }
 

@@ -20,6 +20,7 @@
 
 #include "baselines/greedy.hpp"
 #include "common/health.hpp"
+#include "core/threshold.hpp"
 #include "replication/failover.hpp"
 #include "replication/replica_server.hpp"
 #include "service/commit_log.hpp"
@@ -401,6 +402,46 @@ TEST(Supervisor, UnavailableShardRefusesOnlyItsOwnJobs) {
             refused.size());
   EXPECT_EQ(schedule_from_wal(config.wal_dir + "/shard-1.wal", 2).job_count(),
             homed_on_1.size());
+  std::filesystem::remove_all(config.wal_dir);
+}
+
+TEST(Supervisor, JobsWithoutSlackNeverFailAWalShard) {
+  // Each round sends a Threshold shard with a WAL one job with d - r < p,
+  // then a valid one. Deciding the first would fail the shard (it passes
+  // an idle shard's threshold test but fits no machine), and every round
+  // would find it down or failing again. Ingest refuses it instead: every
+  // valid job is accepted and logged, and the shard is never restarted.
+  GatewayConfig config;
+  config.shards = 1;
+  config.wal_dir = wal_dir("no_slack");
+  config.supervisor = fast_supervisor();
+  config.pop_timeout = milliseconds(5);
+  AdmissionGateway gateway(config, [](int) {
+    return std::make_unique<ThresholdScheduler>(0.1, 8);
+  });
+  constexpr int kRounds = 8;
+  for (int round = 0; round < kRounds; ++round) {
+    SCOPED_TRACE(round);
+    const double r = 20.0 * round;
+    EXPECT_EQ(gateway.submit(make_job(2 * round, r, 10.0, r + 5.0)),
+              Outcome::kRejectedInvalid);
+    ASSERT_EQ(gateway.submit(make_job(2 * round + 1, r, 1.0, r + 10.0)),
+              Outcome::kEnqueued);
+    ASSERT_TRUE(eventually(
+        [&] {
+          return gateway.metrics_snapshot().total.accepted ==
+                 static_cast<std::size_t>(round + 1);
+        },
+        milliseconds(2000)));
+    std::this_thread::sleep_for(milliseconds(10));
+  }
+  EXPECT_EQ(gateway.supervisor().restarts(0), 0);
+  const GatewayResult result = gateway.finish();
+  EXPECT_TRUE(result.errors.empty()) << result.errors.front();
+  EXPECT_TRUE(result.clean()) << result.first_violation();
+  EXPECT_EQ(result.merged.accepted, static_cast<std::size_t>(kRounds));
+  EXPECT_EQ(schedule_from_wal(config.wal_dir + "/shard-0.wal", 8).job_count(),
+            static_cast<std::size_t>(kRounds));
   std::filesystem::remove_all(config.wal_dir);
 }
 

@@ -399,5 +399,30 @@ TEST(ThresholdEquivalence, RunOnlineStreamsAreIdentical) {
   EXPECT_DOUBLE_EQ(a.schedule.makespan(), b.schedule.makespan());
 }
 
+TEST(Threshold, LargeTimesNeverStartBeforeTheMachinesLastCompletion) {
+  // At times past 2^23 an ulp exceeds kTimeEps. The first job sets
+  // machine 0's frontier to 1011290864530.4867; the second, released at
+  // 435031190265.0291 with a window wide enough for that machine, must
+  // start no earlier than the frontier, which release + load misses by
+  // one ulp (1.2e-4).
+  ThresholdScheduler scheduler(0.1, 1);
+  const TimePoint frontier = 1011290864530.4867;
+  Job first;
+  first.id = 1;
+  first.proc = frontier;
+  first.deadline = 2.0 * frontier;
+  ASSERT_TRUE(scheduler.on_arrival(first).accepted);
+  Job second;
+  second.id = 2;
+  second.release = 435031190265.0291;
+  second.proc = 1e13;
+  second.deadline = second.release + 2e13;
+  const Decision decision = scheduler.on_arrival(second);
+  ASSERT_TRUE(decision.accepted);
+  const std::vector<TimePoint> busy_until = {frontier};
+  EXPECT_EQ(validate_served_commitment(busy_until, second, decision), "");
+  EXPECT_EQ(decision.start, frontier);
+}
+
 }  // namespace
 }  // namespace slacksched

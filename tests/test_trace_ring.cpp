@@ -182,7 +182,7 @@ TEST(TraceCsv, RoundTripsEveryFieldIncludingSentinels) {
   c.seq = 9;
   c.job_id = 44;
   c.shard = 2;
-  c.kind = Outcome::kRejectedCriticality;
+  c.kind = Outcome::kRejected;  // a decision with both sentinels
   events.push_back(c);
   TraceEvent edge = decision_event(45, 0, false);  // every range's edge
   edge.seq = std::numeric_limits<std::uint64_t>::max();
@@ -223,14 +223,15 @@ TEST(TraceCsv, RejectsMalformedInput) {
   // Cells that a narrowing parse would silently wrap: a latency bin past
   // the uint8 range, below zero (it would alias the "-" sentinel) or past
   // the last admit-latency bin; a signed seq; a shard past int16 or below
-  // 0. Kinds no trace records: an unknown one, the retired "failover", the
-  // pre-unification "shed", and the ingest results "enqueued" and
-  // "invalid".
+  // 0. Kinds no trace records: an unknown one, the retired "failover" and
+  // "criticality", the pre-unification "shed", and the ingest results
+  // "enqueued" and "invalid".
   for (const char* row :
        {"0,1,0,accepted,300,-", "0,1,0,accepted,-1,-", "0,1,0,accepted,28,-",
         "-1,1,0,accepted,3,-", "0,1,70000,accepted,3,-",
         "0,1,-1,accepted,3,-", "0,1,0,exploded,-,-", "0,1,0,failover,-,-",
-        "0,1,0,shed,-,-", "0,1,0,enqueued,-,-", "0,1,0,invalid,-,-"}) {
+        "0,1,0,criticality,-,-", "0,1,0,shed,-,-", "0,1,0,enqueued,-,-",
+        "0,1,0,invalid,-,-"}) {
     SCOPED_TRACE(row);
     std::istringstream in(
         std::string("seq,job_id,shard,kind,latency_bin,fsync\n") + row +

@@ -5,7 +5,9 @@
 // and one WAL record, each compared with the hex it encoded to before the
 // three formats shared one frame codec. Since the checksum became CRC-32C
 // only each frame's version byte (0) and CRC (8..11) and the record's CRC
-// (4..7) differ from those bytes. A round trip still passes when the
+// (4..7) differ from those bytes. Since WAL version 4 the record has no
+// criticality field, so it and the APPEND frame carrying it are 4 bytes
+// shorter, with new lengths and CRCs. A round trip still passes when the
 // encoder and the decoder change together; these bytes do not move unless
 // the format does.
 #include <gtest/gtest.h>
@@ -43,16 +45,14 @@ std::string hex(const std::vector<char>& bytes) {
 
 /// The one WAL record every golden below that carries records uses.
 std::vector<char> golden_record() {
-  Job job = make_job(7, 0.5, 2.0, 9.0);
-  job.criticality = Criticality::kCritical;
   std::vector<char> out;
-  encode_wal_record(job, 1, 3.5, out);
+  encode_wal_record(make_job(7, 0.5, 2.0, 9.0), 1, 3.5, out);
   return out;
 }
 
 constexpr const char* kRecordHex =
-    "300000004f6957b70700000000000000000000000000e03f"
-    "0000000000000040000000000000224001000000030000000000000000000c40";
+    "2c0000002ba6042c0700000000000000000000000000e03f"
+    "00000000000000400000000000002240010000000000000000000c40";
 
 TEST(WireGolden, WalRecord) {
   EXPECT_EQ(hex(golden_record()), kRecordHex);
@@ -148,7 +148,7 @@ TEST(WireGolden, ReplicationFrames) {
   // APPEND: shard 2, base_seq 40, one record.
   const std::vector<char> record = golden_record();
   const std::string append_hex =
-      "0203020044000000928afcd5280000000000000001000000" +
+      "02030200400000004c952987280000000000000001000000" +
       std::string(kRecordHex);
   bytes.clear();
   encode_append(bytes, 2, 40, 1, record.data(), record.size());
